@@ -17,7 +17,7 @@ finitely-bounded primal column gets a nonnegative reduced-cost variable.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,7 +209,7 @@ def linearize_objective(kkt: KktSystem) -> tuple[np.ndarray, np.ndarray]:
 def linearized_revenue_value(layout: LlLayout, x: np.ndarray,
                              row_duals: np.ndarray) -> float:
     """Evaluate the linearized per-interval revenue at a KKT point."""
-    kkt = derive_kkt(LlInstance(layout=layout, lp=layout.build_lp(), bids=clearing.ZERO_BIDS))
+    kkt = derive_kkt(layout.instance())
     x_coefs, dual_coefs = linearize_objective(kkt)
     return float(x_coefs @ x + dual_coefs @ row_duals)
 
@@ -614,6 +614,7 @@ class IntervalSolution:
 class BilevelSolution:
     intervals: list[IntervalSolution]
     objective: float
+    notes: list[str] = field(default_factory=list)  # extraction snaps, for the verifier
 
     @property
     def ul(self) -> UlVariables:
@@ -633,11 +634,15 @@ def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> Bile
     Dual magnitudes whose complementarity binary selected the nonbinding
     branch are snapped to exact zero: the big-M row already caps them at
     solver tolerance, and the snap keeps downstream slackness products clean.
+    Bids in ``[-FEASIBILITY_TOL, 0)`` are solver noise around a zero bid and
+    are snapped to 0.0 as well, each with a note; the re-clear refuses
+    negative bids, so a valid optimum would otherwise fail verification.
     """
     if outcome.x is None:
         raise BilevelError(f"no incumbent to extract (status {outcome.status})")
     x = outcome.x
     out: list[IntervalSolution] = []
+    notes: list[str] = []
     for block in bilevel.blocks:
         layout = block.kkt.layout
         n_ll = layout.n_cols
@@ -645,10 +650,13 @@ def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> Bile
         def ul_value(nm: str) -> float:
             return float(x[block.ul_cols[nm]]) if nm in block.ul_cols else 0.0
 
-        bids = BessBids(
-            sell=ul_value("sbid"), buy=ul_value("dbid"),
-            reserve=ul_value("rsbid"), regcap=ul_value("rgbid"),
-        )
+        bid_values = {"sell": ul_value("sbid"), "buy": ul_value("dbid"),
+                      "reserve": ul_value("rsbid"), "regcap": ul_value("rgbid")}
+        for market, v in bid_values.items():
+            if -solver.FEASIBILITY_TOL <= v < 0.0:
+                notes.append(f"t{block.t}:{market}_bid {v!r} snapped to 0.0")
+                bid_values[market] = 0.0
+        bids = BessBids(**bid_values)
         ll_x = np.array(x[block.x0:block.x0 + n_ll], dtype=float)
 
         row_duals = np.zeros(layout.n_rows)
@@ -677,7 +685,7 @@ def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> Bile
             row_duals=row_duals,
             lower_duals=lower_duals,
         ))
-    return BilevelSolution(intervals=out, objective=float(outcome.objective))
+    return BilevelSolution(intervals=out, objective=float(outcome.objective), notes=notes)
 
 
 @dataclass
@@ -715,7 +723,7 @@ def verify_bilevel_solution(
     """
     sol = solution if solution is not None else extract_solution(bilevel, outcome)
     mismatches: list[str] = []
-    notes: list[str] = []
+    notes: list[str] = list(sol.notes)
     max_res = {"stationarity": 0.0, "primal": 0.0, "dual_sign": 0.0, "cs": 0.0}
     bess = scn.bess
 
@@ -838,15 +846,6 @@ def _variables_to_vector(layout: LlLayout, v: LlVariables) -> np.ndarray:
 
 def _worst_primal_row(layout: LlLayout, x: np.ndarray, bids: BessBids) -> str:
     lp = layout.build_lp(bids)
-    ax = lp.a.dot(x)
-    worst, worst_name = 0.0, "bounds"
-    for r in range(lp.n_rows):
-        if lp.senses[r] == "<":
-            viol = ax[r] - lp.rhs[r]
-        elif lp.senses[r] == ">":
-            viol = lp.rhs[r] - ax[r]
-        else:
-            viol = abs(ax[r] - lp.rhs[r])
-        if viol > worst:
-            worst, worst_name = viol, lp.row_names[r]
-    return worst_name
+    viol = solver.row_violation(lp.senses, lp.a.dot(x), lp.rhs)
+    r = int(np.argmax(viol))
+    return lp.row_names[r] if viol[r] > 0.0 else "bounds"

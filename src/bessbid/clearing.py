@@ -94,6 +94,10 @@ class LlLayout:
     Nonnegativity of p_gs, p_grgm, p_brgm is implied by rows (floor rows and
     mileage floors), so those columns are free; every other column has a zero
     lower bound. All upper limits are rows, never variable bounds.
+
+    Only the storage bid rows' right-hand sides depend on the bids, so one
+    layout keeps one HiGHS model (built on its first solve) and every
+    :class:`LlInstance` of the layout clears through it.
     """
 
     GEN_COLS = 4
@@ -197,6 +201,7 @@ class LlLayout:
         self.senses = np.array(senses)
         self.rhs_base = np.array(rhs)
         self.row_names = row_names
+        self._model: solver.LpModel | None = None
 
     # --- index helpers -----------------------------------------------------
     def col_gen(self, j: int, k: int) -> int:
@@ -265,6 +270,19 @@ class LlLayout:
             rhs[br["regcap"]] = bids.regcap
         return rhs
 
+    def instance(self, bids: BessBids = ZERO_BIDS) -> LlInstance:
+        """This interval's clearing LP at the given storage bids."""
+        if min(bids.sell, bids.buy, bids.reserve, bids.regcap) < 0:
+            raise ValueError(f"interval {self.t}: bids must be >= 0, got {bids}")
+        return LlInstance(layout=self, lp=self.build_lp(bids), bids=bids)
+
+    def solve(self, rhs: np.ndarray) -> solver.SolveOutcome:
+        """Solve the layout's LP at right-hand sides ``rhs`` (cold, see
+        :class:`solver.LpModel`); the model persists across calls."""
+        if self._model is None:
+            self._model = solver.LpModel(self.build_lp())
+        return self._model.solve(rhs)
+
     def build_lp(self, bids: BessBids = ZERO_BIDS) -> solver.LpProblem:
         return solver.LpProblem(
             c=self.c.copy(),
@@ -329,14 +347,15 @@ class ClearingResult:
 
 def build_ll_interval(scn: Scenario, t: int, bids: BessBids = ZERO_BIDS) -> LlInstance:
     """Assemble one interval's joint clearing LP with the given storage bids."""
-    if min(bids.sell, bids.buy, bids.reserve, bids.regcap) < 0:
-        raise ValueError(f"interval {t}: bids must be >= 0, got {bids}")
-    layout = LlLayout(scn, t, include_bess=True)
-    return LlInstance(layout=layout, lp=layout.build_lp(bids), bids=bids)
+    return LlLayout(scn, t, include_bess=True).instance(bids)
 
 
-def _solve_or_raise(lp: solver.LpProblem, t: int) -> solver.SolveOutcome:
-    out = solver.solve_lp(lp)
+def _solve_or_raise(layout: LlLayout, rhs: np.ndarray) -> solver.SolveOutcome:
+    t = layout.t
+    try:
+        out = layout.solve(rhs)
+    except solver.SolverError as exc:
+        raise ClearingError(f"interval {t}: {exc}") from exc
     if out.status == solver.INFEASIBLE:
         raise InfeasibleMarketError(
             f"interval {t}: clearing infeasible (requirements exceed fleet capability)"
@@ -361,7 +380,7 @@ def clear_interval(instance: LlInstance) -> ClearingResult:
     if instance.bids.all_zero():
         return _clear_interval_no_bess(layout.scenario, t, full_layout=layout)
 
-    out = _solve_or_raise(instance.lp, t)
+    out = _solve_or_raise(layout, instance.lp.rhs)
     result = ClearingResult(
         t=t,
         variables=layout.variables_from(out.x),
@@ -381,8 +400,7 @@ def clear_interval(instance: LlInstance) -> ClearingResult:
 
 def _clear_interval_no_bess(scn: Scenario, t: int, full_layout: LlLayout | None = None) -> ClearingResult:
     reduced = LlLayout(scn, t, include_bess=False)
-    lp = reduced.build_lp()
-    out = _solve_or_raise(lp, t)
+    out = _solve_or_raise(reduced, reduced.rhs_base)
 
     full = full_layout if full_layout is not None else LlLayout(scn, t, include_bess=True)
     n_gen_rows = LlLayout.GEN_ROWS * reduced.n_gens
@@ -471,13 +489,12 @@ def clear_horizon(scn: Scenario, bids: list[BessBids] | None = None) -> list[Cle
         raise ValueError(f"need {n} bid quadruples, got {len(bids)}")
     results = []
     for t in range(n):
+        if bids is None:
+            results.append(_clear_interval_no_bess(scn, t))
+            continue
         try:
-            if bids is None:
-                results.append(_clear_interval_no_bess(scn, t))
-            else:
-                results.append(clear_interval(build_ll_interval(scn, t, bids[t])))
-        except ClearingError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive
-            raise ClearingError(f"interval {t}: {exc}") from exc
+            instance = build_ll_interval(scn, t, bids[t])
+        except ValueError as exc:  # the message already names the interval
+            raise ClearingError(str(exc)) from exc
+        results.append(clear_interval(instance))
     return results

@@ -306,9 +306,11 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float,
 
     per_interval = []
     for t in range(scn.n_intervals):
+        # one layout, hence one HiGHS model, serves every combination
+        layout = clearing.LlLayout(scn, t)
         cleared = []
         for bids in combos:
-            res = clearing.clear_interval(clearing.build_ll_interval(scn, t, bids))
+            res = clearing.clear_interval(layout.instance(bids))
             v = res.variables
             lay = res.layout
             revenue = (

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as _milp
+# private: the HiGHS bindings bundled with scipy, used only by LpModel
+from scipy.optimize._highspy import _core as _highs
 
 log = logging.getLogger(__name__)
 
@@ -121,113 +123,166 @@ class SolveOutcome:
     message: str = ""
 
 
-def _bounds_list(lower: np.ndarray, upper: np.ndarray) -> list[tuple]:
-    out = []
-    for lo, up in zip(lower, upper):
-        out.append((None if np.isneginf(lo) else float(lo),
-                    None if np.isposinf(up) else float(up)))
-    return out
+def row_violation(senses: np.ndarray, ax: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per-row violation of ``ax`` against ``rhs`` in each row's sense:
+    positive where a row is violated, and ``|ax - rhs|`` on '=' rows."""
+    return np.where(senses == SENSE_LE, ax - rhs,
+                    np.where(senses == SENSE_GE, rhs - ax, np.abs(ax - rhs)))
 
 
 def feasibility_residual(problem: LpProblem, x: np.ndarray) -> float:
     """Max violation of rows and bounds at x (0 when feasible)."""
-    ax = problem.a.dot(x)
-    resid = 0.0
-    for sense, v, b in zip(problem.senses, ax, problem.rhs):
-        if sense == SENSE_LE:
-            resid = max(resid, v - b)
-        elif sense == SENSE_GE:
-            resid = max(resid, b - v)
-        else:
-            resid = max(resid, abs(v - b))
+    resid = np.max(row_violation(problem.senses, problem.a.dot(x), problem.rhs), initial=0.0)
     lo_viol = np.max(problem.lower - x, initial=0.0)
     up_viol = np.max(x - problem.upper, initial=0.0)
     return float(max(resid, lo_viol, up_viol))
 
 
-def solve_lp(problem: LpProblem) -> SolveOutcome:
-    """Solve an LP with dual extraction (dual simplex, vertex solutions)."""
-    problem.validate()
-    t0 = time.perf_counter()
+class LpModel:
+    """One LP held in a HiGHS instance, re-solved as its right-hand sides move.
 
-    le = np.flatnonzero(problem.senses == SENSE_LE)
-    ge = np.flatnonzero(problem.senses == SENSE_GE)
-    eq = np.flatnonzero(problem.senses == SENSE_EQ)
+    The model goes to HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through
+    the bindings bundled with scipy, in the form scipy's
+    ``linprog(method="highs-ds")`` gives it: '<' rows, then negated '>' rows,
+    then '=' rows; presolve on, dual simplex, both feasibility tolerances at
+    ``FEASIBILITY_TOL``. The bindings are private to scipy, and this class is
+    the only code that uses them.
 
-    a = problem.a.tocsr()
-    # '>=' rows are negated into the '<=' block; duals are sign-corrected below
-    a_ub = sp.vstack([a[le], -a[ge]], format="csr") if (len(le) + len(ge)) else sp.csr_matrix((0, problem.n_cols))
-    b_ub = np.concatenate([problem.rhs[le], -problem.rhs[ge]])
-    a_eq = a[eq] if len(eq) else sp.csr_matrix((0, problem.n_cols))
-    b_eq = problem.rhs[eq]
+    Every solve starts cold: the clearing LPs are dual degenerate, and a solve
+    warm-started from the previous basis can stop at another optimal vertex
+    (other awards or prices) than a fresh model would.
+    """
 
-    c = -problem.c if problem.maximize else problem.c
-    res = linprog(
-        c=c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=_bounds_list(problem.lower, problem.upper),
-        method="highs-ds",
-        options={
-            "primal_feasibility_tolerance": FEASIBILITY_TOL,
-            "dual_feasibility_tolerance": FEASIBILITY_TOL,
-        },
-    )
-    wall = time.perf_counter() - t0
+    def __init__(self, problem: LpProblem):
+        problem.validate()
+        if not all(np.isfinite(v).all() for v in (problem.c, problem.a.data, problem.rhs)):
+            raise ValueError("objective, constraint coefficients and rhs must be finite")
+        self.problem = replace(problem, rhs=np.array(problem.rhs, dtype=float))
+        le = np.flatnonzero(problem.senses == SENSE_LE)
+        ge = np.flatnonzero(problem.senses == SENSE_GE)
+        eq = np.flatnonzero(problem.senses == SENSE_EQ)
+        self._order = np.concatenate([le, ge, eq])   # backend row -> problem row
+        self._pos = np.argsort(self._order)          # problem row -> backend row
+        self._sign = np.concatenate([np.ones(len(le)), -np.ones(len(ge)), np.ones(len(eq))])
+        self._n_ineq = len(le) + len(ge)
+        self._fin_lo = np.isfinite(problem.lower)
+        self._fin_up = np.isfinite(problem.upper)
 
-    if res.status == 2:
-        return SolveOutcome(status=INFEASIBLE, wall_time=wall, message=res.message)
-    if res.status == 3:
-        return SolveOutcome(status=UNBOUNDED, wall_time=wall, message=res.message)
-    if res.status == 1:
-        return SolveOutcome(status=TIME_LIMIT, wall_time=wall, message=res.message)
-    if res.status != 0:
-        raise SolverError(f"LP backend failure: {res.message}")
+        a = problem.a.tocsr()
+        mat = sp.vstack([a[le], -a[ge], a[eq]], format="csc")
+        row_upper = self._sign * self.problem.rhs[self._order]
+        row_lower = row_upper.copy()
+        row_lower[: self._n_ineq] = -_highs.kHighsInf
+        lp = _highs.HighsLp()
+        lp.num_col_ = problem.n_cols
+        lp.num_row_ = problem.n_rows
+        lp.a_matrix_.num_col_ = problem.n_cols
+        lp.a_matrix_.num_row_ = problem.n_rows
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = mat.indptr
+        lp.a_matrix_.index_ = mat.indices
+        lp.a_matrix_.value_ = mat.data
+        lp.col_cost_ = -problem.c if problem.maximize else np.array(problem.c, dtype=float)
+        lp.col_lower_ = np.array(problem.lower, dtype=float)  # +-inf is HiGHS's infinity
+        lp.col_upper_ = np.array(problem.upper, dtype=float)
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = row_upper
 
-    # duals in the min orientation, then mapped back to original senses
-    m_ub = res.ineqlin.marginals
-    row_duals = np.zeros(problem.n_rows)
-    row_duals[le] = m_ub[: len(le)]
-    row_duals[ge] = -m_ub[len(le):]
-    row_duals[eq] = res.eqlin.marginals
-    lower_duals = np.array(res.lower.marginals, dtype=float)
-    upper_duals = np.array(res.upper.marginals, dtype=float)
+        options = _highs.HighsOptions()
+        options.presolve = "on"
+        options.solver = "simplex"
+        options.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        options.primal_feasibility_tolerance = FEASIBILITY_TOL
+        options.dual_feasibility_tolerance = FEASIBILITY_TOL
+        options.output_flag = False
+        options.log_to_console = False
+        self._highs = _highs._Highs()
+        if (self._highs.passOptions(options) == _highs.HighsStatus.kError
+                or self._highs.passModel(lp) == _highs.HighsStatus.kError):
+            raise SolverError("LP backend refused the model")
 
-    # duality gap, computed in the min orientation
-    fin_lo = np.isfinite(problem.lower)
-    fin_up = np.isfinite(problem.upper)
-    dual_obj = (
-        float(b_ub @ m_ub) + float(b_eq @ res.eqlin.marginals)
-        + float(problem.lower[fin_lo] @ lower_duals[fin_lo])
-        + float(problem.upper[fin_up] @ upper_duals[fin_up])
-    )
-    gap_rel = abs(res.fun - dual_obj) / max(1.0, abs(res.fun))
-    resid = feasibility_residual(problem, res.x)
-    if resid > FEASIBILITY_TOL * 10 or gap_rel > DUALITY_GAP_TOL:
-        raise SolverError(
-            f"optimal solve violated numeric contracts: residual={resid:.3e}, gap={gap_rel:.3e}"
+    def solve(self, rhs: np.ndarray | None = None) -> SolveOutcome:
+        """Solve from scratch, after moving the row right-hand sides to ``rhs``
+        (problem row order and senses) when given."""
+        problem = self.problem
+        if rhs is not None:
+            rhs = np.asarray(rhs, dtype=float)
+            if rhs.shape != problem.rhs.shape or not np.isfinite(rhs).all():
+                raise ValueError(f"rhs must hold {problem.n_rows} finite values")
+            # compares bit patterns, so a -0.0 replacing 0.0 reaches the backend too
+            for r in np.flatnonzero(rhs.view(np.uint64) != problem.rhs.view(np.uint64)):
+                k = int(self._pos[r])
+                b = float(self._sign[k] * rhs[r])
+                self._highs.changeRowBounds(k, -_highs.kHighsInf if k < self._n_ineq else b, b)
+                problem.rhs[r] = rhs[r]
+        t0 = time.perf_counter()
+        self._highs.clearSolver()
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        wall = time.perf_counter() - t0
+        message = self._highs.modelStatusToString(status)
+
+        if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
+            return SolveOutcome(status=INFEASIBLE, wall_time=wall, message=message)
+        if status == _highs.HighsModelStatus.kUnbounded:
+            return SolveOutcome(status=UNBOUNDED, wall_time=wall, message=message)
+        if status in (_highs.HighsModelStatus.kTimeLimit, _highs.HighsModelStatus.kIterationLimit):
+            return SolveOutcome(status=TIME_LIMIT, wall_time=wall, message=message)
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise SolverError(f"LP backend failure: {message}")
+
+        solution = self._highs.getSolution()
+        x = np.array(solution.col_value, dtype=float)
+        backend_duals = np.array(solution.row_dual, dtype=float)
+        col_dual = np.array(solution.col_dual, dtype=float)
+        col_status = np.array([int(s) for s in self._highs.getBasis().col_status])
+        fun = self._highs.getInfo().objective_function_value
+
+        # duals in the min orientation, then mapped back to original senses
+        row_duals = np.empty(problem.n_rows)
+        row_duals[self._order] = self._sign * backend_duals
+        lower_duals = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
+        upper_duals = np.where(col_status == int(_highs.HighsBasisStatus.kUpper), col_dual, 0.0)
+
+        # duality gap, computed in the min orientation
+        b = self._sign * problem.rhs[self._order]
+        k = self._n_ineq
+        fin_lo, fin_up = self._fin_lo, self._fin_up
+        dual_obj = (
+            float(b[:k] @ backend_duals[:k]) + float(b[k:] @ backend_duals[k:])
+            + float(problem.lower[fin_lo] @ lower_duals[fin_lo])
+            + float(problem.upper[fin_up] @ upper_duals[fin_up])
+        )
+        gap_rel = abs(fun - dual_obj) / max(1.0, abs(fun))
+        resid = feasibility_residual(problem, x)
+        if not (resid <= FEASIBILITY_TOL * 10 and gap_rel <= DUALITY_GAP_TOL):
+            raise SolverError(
+                f"optimal solve violated numeric contracts: residual={resid:.3e}, gap={gap_rel:.3e}"
+            )
+
+        objective = -fun if problem.maximize else fun
+        if problem.maximize:
+            row_duals = -row_duals
+            lower_duals = -lower_duals
+            upper_duals = -upper_duals
+
+        return SolveOutcome(
+            status=OPTIMAL,
+            objective=float(objective),
+            x=x,
+            row_duals=row_duals,
+            lower_duals=lower_duals,
+            upper_duals=upper_duals,
+            wall_time=wall,
+            feasibility_residual=resid,
+            duality_gap_rel=gap_rel,
+            message=message,
         )
 
-    objective = -res.fun if problem.maximize else res.fun
-    if problem.maximize:
-        row_duals = -row_duals
-        lower_duals = -lower_duals
-        upper_duals = -upper_duals
 
-    return SolveOutcome(
-        status=OPTIMAL,
-        objective=float(objective),
-        x=np.array(res.x, dtype=float),
-        row_duals=row_duals,
-        lower_duals=lower_duals,
-        upper_duals=upper_duals,
-        wall_time=wall,
-        feasibility_residual=resid,
-        duality_gap_rel=gap_rel,
-        message=res.message,
-    )
+def solve_lp(problem: LpProblem) -> SolveOutcome:
+    """Solve an LP with dual extraction (dual simplex, vertex solutions)."""
+    return LpModel(problem).solve()
 
 
 def solve_milp(
@@ -319,17 +374,11 @@ def kkt_residuals(
 
     primal = feasibility_residual(problem, x)
 
-    ax = problem.a.dot(x)
-    slack = np.where(problem.senses == SENSE_LE, problem.rhs - ax, ax - problem.rhs)
-    dual_sign = 0.0
-    cs = 0.0
-    for r in range(problem.n_rows):
-        if problem.senses[r] == SENSE_LE:
-            dual_sign = max(dual_sign, row_duals[r])       # must be <= 0
-        elif problem.senses[r] == SENSE_GE:
-            dual_sign = max(dual_sign, -row_duals[r])      # must be >= 0
-        if problem.senses[r] != SENSE_EQ:
-            cs = max(cs, abs(row_duals[r] * slack[r]))
+    ineq = problem.senses != SENSE_EQ
+    # a '<' row's dual must be <= 0 and a '>' row's >= 0, so its sign
+    # violation is the row violation of the dual against zero
+    dual_sign = np.max(row_violation(problem.senses, row_duals, 0.0)[ineq], initial=0.0)
+    cs = np.max(np.abs(row_duals * (problem.a.dot(x) - problem.rhs))[ineq], initial=0.0)
     dual_sign = max(dual_sign, float(np.max(-nu_lo, initial=0.0)),
                     float(np.max(nu_up, initial=0.0)))
     fin_lo = np.isfinite(problem.lower)

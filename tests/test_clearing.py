@@ -10,6 +10,7 @@ from bessbid import solver
 from bessbid.clearing import (
     ZERO_BIDS,
     BessBids,
+    ClearingError,
     InfeasibleMarketError,
     LlLayout,
     build_ll_interval,
@@ -214,3 +215,16 @@ def test_negative_bid_rejected():
     scn = make_scenario([GEN_A], SMALL_BESS, [50.0])
     with pytest.raises(ValueError, match=">= 0"):
         build_ll_interval(scn, 0, BessBids(sell=-1.0))
+    # the horizon names the interval once
+    with pytest.raises(ClearingError, match=r"^interval 0: bids must be >= 0"):
+        clear_horizon(scn, [BessBids(sell=-1.0)])
+
+
+def test_backend_failure_names_interval(monkeypatch):
+    def fail(self, rhs=None):
+        raise solver.SolverError("LP backend failure: forced")
+
+    monkeypatch.setattr(solver.LpModel, "solve", fail)
+    scn = make_scenario([GEN_A], SMALL_BESS, [50.0])
+    with pytest.raises(ClearingError, match=r"^interval 0: LP backend failure"):
+        clear_horizon(scn)

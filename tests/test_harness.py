@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bessbid import harness
+from bessbid import clearing, harness
 from bessbid.clearing import BessBids
 from bessbid.scenario import (
     BessParams,
@@ -30,6 +30,58 @@ def tiny_scenario(mask=MarketMask(), rate=5.0, soc_init=5.0):
         market_mask=mask,
         bess_price_bids=BessPriceBids(buy=100.0),
     )
+
+
+def acceptance_instance(load_scale=1.0, bid_factors=(1.0, 1.0), soc_shift=0.0):
+    """Acceptance 1's instance; the arguments perturb its load, generator bids
+    and initial SOC the way perfbench's seeded instances do."""
+    gens = (GeneratorParams("a", 10.0 * bid_factors[0], 100.0, 20.0, 10.0),
+            GeneratorParams("b", 20.0 * bid_factors[1], 80.0, 16.0, 8.0))
+    return synthesize_scenario(
+        (np.array([1.0, 2.0]), np.array([0.5, 0.6])),
+        generator_table=gens,
+        bess_params=BessParams(energy_capacity=10.0, power_rate=5.0,
+                               soc_init=min(max(5.0 + soc_shift * 10.0, 0.0), 10.0)),
+        peak_load_mw=100.0 * load_scale,
+        delta_t=0.5,
+        bess_price_bids=BessPriceBids(buy=100.0),
+    )
+
+
+def _same_clear(a, b) -> bool:
+    """Bitwise equality of two clearing results (schedule, prices, duals)."""
+    def bits(r):
+        v = r.variables
+        return np.concatenate([v.p_gs, v.p_grs, v.p_grgc, v.p_grgm,
+                               [v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm, r.objective],
+                               r.row_duals, r.lower_duals]).tobytes()
+    return bits(a) == bits(b) and a.prices == b.prices
+
+
+def test_reused_layout_clears_match_fresh_clears():
+    # every clear through one interval's reused model must land on the vertex
+    # a freshly built model finds; a warm start from the previous combination's
+    # basis would move degenerate awards or prices
+    scn = acceptance_instance()
+    for t in range(scn.n_intervals):
+        layout = clearing.LlLayout(scn, t)
+        for bids in harness._interval_grid(scn, 2.5):
+            reused = clearing.clear_interval(layout.instance(bids))
+            fresh = clearing.clear_interval(clearing.build_ll_interval(scn, t, bids))
+            assert _same_clear(reused, fresh), (t, bids)
+
+
+def test_tolerance_negative_bid_snapped_and_verified():
+    # perfbench's seed-2 draw of acceptance 1: the MILP optimum carries a
+    # reserve bid of about -8.9e-16, which the re-clear would refuse
+    scn = acceptance_instance(load_scale=0.9761612134249316,
+                              bid_factors=(0.9798491143414123, 1.031422574059428),
+                              soc_shift=-0.08161681157298062)
+    report = harness.run_case(scn, settings=EXACT)
+    assert report.verification.passed, report.verification.summary()
+    assert any("reserve_bid" in n and "snapped to 0.0" in n
+               for n in report.verification.notes), report.verification.notes
+    assert all(r.reserve_bid >= 0.0 for r in report.schedule.records)
 
 
 def test_oracle_grid_budget():

@@ -103,6 +103,80 @@ def test_infeasible_and_unbounded_statuses():
     assert solve_lp(free).status == "unbounded"
 
 
+def _outcome_bits(out: SolveOutcome) -> tuple:
+    arrays = [] if out.x is None else [out.x, out.row_duals, out.lower_duals,
+                                        np.array([out.objective])]
+    return (out.status,) + tuple(a.tobytes() for a in arrays)
+
+
+def test_lp_model_resolves_match_fresh_solves():
+    # three generators with equal costs: the dispatch is degenerate, so only
+    # a cold re-solve reliably lands on the vertex a fresh model finds
+    rows = [[1.0, 1.0, 1.0],    # balance
+            [1.0, 0.0, 0.0],    # cap a
+            [0.0, 1.0, 0.0],    # cap b
+            [0.0, 0.0, 1.0],    # cap c
+            [1.0, -1.0, 0.0]]   # floor on a - b
+    senses = ["=", "<", "<", "<", ">"]
+    c, lower, upper = [10.0, 10.0, 10.0], [0.0] * 3, [np.inf] * 3
+    first = [44.0, 25.0, 44.0, 46.0, -14.0]
+    sequence = [
+        first,
+        [101.0, 15.0, 0.0, 4.0, -2.0],     # demand beyond the caps: infeasible
+        first,
+        # warm-started from the previous basis, HiGHS stops at x = (5, 0, 31)
+        [36.0, 24.0, 42.0, 31.0, -19.0],
+    ]
+    model = solver.LpModel(lp(c, rows, senses, first, lower, upper))
+    statuses = []
+    for rhs in sequence:
+        reused = model.solve(np.array(rhs))
+        fresh = solve_lp(lp(c, rows, senses, rhs, lower, upper))
+        assert _outcome_bits(reused) == _outcome_bits(fresh), rhs
+        statuses.append(reused.status)
+    assert statuses == ["optimal", "infeasible", "optimal", "optimal"]
+
+
+def test_row_violation_matches_row_loop():
+    def loop_residual(p, x):
+        ax = p.a.dot(x)
+        resid = 0.0
+        for sense, v, b in zip(p.senses, ax, p.rhs):
+            if sense == "<":
+                resid = max(resid, v - b)
+            elif sense == ">":
+                resid = max(resid, b - v)
+            else:
+                resid = max(resid, abs(v - b))
+        return float(max(resid, np.max(p.lower - x, initial=0.0),
+                         np.max(x - p.upper, initial=0.0)))
+
+    def loop_sign_cs(p, x, y):
+        ax = p.a.dot(x)
+        slack = np.where(p.senses == "<", p.rhs - ax, ax - p.rhs)
+        sign, cs = 0.0, 0.0
+        for r in range(p.n_rows):
+            if p.senses[r] == "<":
+                sign = max(sign, y[r])
+            elif p.senses[r] == ">":
+                sign = max(sign, -y[r])
+            if p.senses[r] != "=":
+                cs = max(cs, abs(y[r] * slack[r]))
+        return sign, cs
+
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n, m = 5, 7
+        p = lp(rng.uniform(-1, 1, n), rng.uniform(-1, 1, (m, n)),
+               rng.choice(["<", ">", "="], m), rng.uniform(-1, 1, m),
+               np.zeros(n), np.ones(n))
+        x = rng.uniform(-0.5, 1.5, n)
+        y = rng.uniform(-1, 1, m)
+        assert solver.feasibility_residual(p, x) == loop_residual(p, x)
+        res = solver.kkt_residuals(p, x, y)
+        assert (res["dual_sign"], res["cs"]) == loop_sign_cs(p, x, y)
+
+
 def milp(c, rows, senses, rhs, lower, upper, integrality, maximize=False):
     return MilpProblem(
         c=np.array(c, dtype=float),
