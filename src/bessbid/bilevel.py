@@ -17,14 +17,14 @@ finitely-bounded primal column gets a nonnegative reduced-cost variable.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import clearing, solver
 from .clearing import BessBids, LlInstance, LlLayout, LlVariables, Prices
-from .scenario import Scenario, validate_scenario
+from .scenario import MarketMask, Scenario, validate_scenario
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +60,11 @@ class KktSystem:
     comp_pairs: list[CompPair]
     m_dual: float
     m_registry: list["BigMRecord"]
+
+    @property
+    def lower_cols(self) -> list[int]:
+        """Columns of the lower-bound pairs, in the order of their duals."""
+        return [p.index for p in self.comp_pairs if p.kind == "lower"]
 
     def residuals(self, x: np.ndarray, row_duals: np.ndarray,
                   lower_duals: np.ndarray, bids: BessBids = clearing.ZERO_BIDS) -> dict[str, float]:
@@ -227,100 +232,44 @@ def direct_revenue_value(layout: LlLayout, x: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# upper-level constraint set
-# ---------------------------------------------------------------------------
-
-VarKey = tuple[int, str]  # (interval, variable name)
-
-
-@dataclass
-class UlConstraintSet:
-    """Upper-level rows and bounds over named per-interval variables.
-
-    Variable names: sbid, dbid, rsbid, rgbid, u, soc, and the award names
-    bs, bd, brs, brgc. Rows reference awards directly because the storage
-    power coupling and SOC headroom act on cleared quantities.
-    """
-
-    rows: list[tuple[dict[VarKey, float], str, float, str]]
-    bounds: dict[VarKey, tuple[float, float]]
-
-
-def build_ul_constraints(scn: Scenario, terminal_soc_equality: bool = False) -> UlConstraintSet:
-    """Bid limits, charge/discharge exclusivity, power coupling, SOC recursion
-    and headroom, with masked markets pinned to zero bids.
-
-    ``terminal_soc_equality`` adds an end-of-horizon row pinning the final
-    SOC back to the initial level; the default leaves terminal SOC free.
-    """
-    mask = scn.market_mask
-    bess = scn.bess
-    rate = bess.power_rate
-    rows: list[tuple[dict[VarKey, float], str, float, str]] = []
-    bounds: dict[VarKey, tuple[float, float]] = {}
-
-    for t, it in enumerate(scn.intervals):
-        dt = it.delta_t
-        if mask.energy:
-            bounds[(t, "sbid")] = (0.0, rate)
-            bounds[(t, "dbid")] = (0.0, rate)
-            rows.append(({(t, "sbid"): 1.0, (t, "u"): -rate}, "<", 0.0, f"t{t}:sell_needs_discharge_mode"))
-            rows.append(({(t, "dbid"): 1.0, (t, "u"): rate}, "<", rate, f"t{t}:buy_needs_charge_mode"))
-        else:
-            bounds[(t, "sbid")] = (0.0, 0.0)
-            bounds[(t, "dbid")] = (0.0, 0.0)
-        bounds[(t, "rsbid")] = (0.0, rate) if mask.reserve else (0.0, 0.0)
-        bounds[(t, "rgbid")] = (0.0, rate) if mask.regulation else (0.0, 0.0)
-        bounds[(t, "soc")] = (bess.soc_min, bess.soc_max)
-
-        # net withdrawal +- ancillary headroom within the power rating
-        rows.append((
-            {(t, "bd"): 1.0, (t, "bs"): -1.0, (t, "brs"): -1.0, (t, "brgc"): -1.0},
-            ">", -rate, f"t{t}:power_envelope_low",
-        ))
-        rows.append((
-            {(t, "bd"): 1.0, (t, "bs"): -1.0, (t, "brs"): -1.0, (t, "brgc"): 1.0},
-            "<", rate, f"t{t}:power_envelope_high",
-        ))
-        # SOC recursion on cleared energy awards
-        coeffs: dict[VarKey, float] = {(t, "soc"): 1.0, (t, "bd"): -dt, (t, "bs"): dt}
-        rhs = 0.0
-        if t == 0:
-            rhs = bess.soc_init
-        else:
-            coeffs[(t - 1, "soc")] = -1.0
-        rows.append((coeffs, "=", rhs, f"t{t}:soc_recursion"))
-        # headroom: regulation reserves energy in both directions, reserve
-        # only downward in SOC terms
-        rows.append((
-            {(t, "soc"): 1.0, (t, "brgc"): -dt, (t, "brs"): -dt},
-            ">", bess.soc_min, f"t{t}:soc_floor_headroom",
-        ))
-        rows.append((
-            {(t, "soc"): 1.0, (t, "brgc"): dt},
-            "<", bess.soc_max, f"t{t}:soc_ceiling_headroom",
-        ))
-    if terminal_soc_equality and scn.n_intervals > 0:
-        last = scn.n_intervals - 1
-        rows.append(({(last, "soc"): 1.0}, "=", bess.soc_init, "terminal_soc"))
-    return UlConstraintSet(rows=rows, bounds=bounds)
-
-
-# ---------------------------------------------------------------------------
 # MILP assembly
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class IntervalBlock:
-    """Global column bookkeeping for one interval of the assembled MILP."""
+class ModelPart:
+    """Rows and columns of a piece of the MILP: COO entries, then row and column data."""
 
-    t: int
-    ul_cols: dict[str, int]        # sbid/dbid/rsbid/rgbid/u/soc where present
-    x0: int                        # base of the clearing primal block
-    w0: int                        # base of the dual block (one per clearing row)
-    nu_cols: dict[int, int]        # clearing column -> reduced-cost column
-    z_cols: dict[tuple[str, int], int]   # ("row", r) / ("lower", k) -> binary column
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+    row_names: list[str]
+    lower: np.ndarray
+    upper: np.ndarray
+    c: np.ndarray
+    integrality: np.ndarray
+    col_names: list[str]
+
+
+@dataclass
+class IntervalBlock:
+    """One interval's columns in the assembled MILP, ``[ul | x | w | nu | z]``.
+
+    From ``ul0``: the bids sbid, dbid, rsbid, rgbid, then ``u`` when energy
+    is unmasked, then ``soc``. From ``x0``: the clearing columns. From
+    ``w0``: one dual per clearing row, then one reduced cost per lower-bound
+    pair. From ``z0``: one binary per pair of ``switched``, which switches the
+    dual at ``w0 + slots[i]``.
+    """
+
+    ul0: int
+    x0: int
+    w0: int
+    z0: int
+    switched: list[CompPair]
+    slots: np.ndarray
     kkt: KktSystem
 
 
@@ -329,273 +278,261 @@ class BilevelMilp:
     milp: solver.MilpProblem
     scenario: Scenario
     blocks: list[IntervalBlock]
-    m_registry: list[BigMRecord]
     counts: dict[str, int]
+
+
+def masked_indices(layout: LlLayout, mask: MarketMask) -> tuple[list[int], list[int]]:
+    """Clearing rows and storage columns that ``mask`` pins to zero.
+
+    The columns' awards are capped at zero. The rows and the columns' floors
+    then always bind, so their complementarity pairs get no binary.
+    """
+    br = layout.bid_rows
+    rows: list[int] = []
+    cols: list[int] = []
+    if not mask.energy:
+        rows += [br["sell"], br["buy"]]
+        cols += [layout.col_bs, layout.col_bd]
+    if not mask.reserve:
+        rows += [br["reserve"]]
+        cols += [layout.col_brs]
+    if not mask.regulation:
+        rows += [br["regcap"], layout.row_mil_floor_bess, layout.row_mil_cap_bess]
+        cols += [layout.col_brgc, layout.col_brgm]
+    return rows, cols
+
+
+def interval_block(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, ModelPart]:
+    """One interval's KKT block, with columns and rows numbered from 0.
+
+    The inequalities are the clearing rows (``A`` plus -1 on each storage bid
+    column), then the floors ``x_k >= 0`` of the lower-bound pairs; their
+    duals ``[w | nu]`` follow the same order. Rows: the clearing rows; the
+    stationarity rows (the inequalities' transpose on ``x``, each dual signed
+    by sigma, 1 on the balance row and the floors); then per switched pair a
+    ``cs_p`` row capping the slack and a ``cs_d`` row capping the dual.
+    """
+    layout = kkt.layout
+    scn = layout.scenario
+    bess = scn.bess
+    rate = bess.power_rate
+    md = kkt.m_dual
+    pfx = f"t{layout.t}:"
+    nx, nr = layout.n_cols, layout.n_rows
+    masked_rows, masked_cols = masked_indices(layout, mask)
+    lower_cols = kkt.lower_cols
+    switched = [p for p in kkt.comp_pairs
+                if p.index not in (masked_rows if p.kind == "row" else masked_cols)]
+    ul_names = ["sbid", "dbid", "rsbid", "rgbid"] + (["u"] if mask.energy else []) + ["soc"]
+    x0 = len(ul_names)
+    w0 = x0 + nx
+    z0 = w0 + nr + len(lower_cols)
+    n_z = len(switched)
+    eq = layout.senses == "="
+    x_coefs, dual_coefs = linearize_objective(kkt)
+
+    # --- columns ---------------------------------------------------------
+    lower = np.zeros(z0 + n_z)
+    upper = np.full(z0 + n_z, md)
+    c = np.zeros(z0 + n_z)
+    integrality = np.zeros(z0 + n_z, dtype=np.int8)
+    upper[:4] = np.where([mask.energy, mask.energy, mask.reserve, mask.regulation], rate, 0.0)
+    if mask.energy:
+        upper[4] = 1.0
+        integrality[4] = 1
+    lower[x0 - 1], upper[x0 - 1] = bess.soc_min, bess.soc_max
+    # clearing columns carry redundant native bounds for relaxation tightness
+    # (each is implied by the clearing rows plus bid limits)
+    n_gen_cols = LlLayout.GEN_COLS * layout.n_gens
+    lower[x0:x0 + n_gen_cols:LlLayout.GEN_COLS] = [g.p_min for g in scn.generators]
+    upper[x0:x0 + n_gen_cols] = [v for g in scn.generators for v in (
+        g.p_max, g.reserve_ramp, g.regulation_ramp, g.mileage_multiplier * g.regulation_ramp)]
+    upper[x0 + n_gen_cols:w0] = [rate, rate, rate, rate, bess.mileage_multiplier * rate]
+    upper[[x0 + k for k in masked_cols]] = 0.0
+    c[x0:w0] = x_coefs
+    # w holds magnitudes of inequality duals and the free lambda of the
+    # balance row, so its objective coefficients carry the sense sign
+    lower[w0:w0 + nr] = np.where(eq, -md, 0.0)
+    c[w0:w0 + nr] = np.where(eq, dual_coefs, dual_coefs * kkt.sigma)
+    upper[z0:] = 1.0
+    integrality[z0:] = 1
+    col_names = (
+        [pfx + nm for nm in ul_names]
+        + [pfx + nm for nm in layout.col_names]
+        + [pfx + ("lam" if e else "w:" + nm) for e, nm in zip(eq, layout.row_names)]
+        + [pfx + "nu:" + layout.col_names[k] for k in lower_cols]
+        + [pfx + ("z:" if p.kind == "row" else "zlo:") + p.name for p in switched]
+    )
+
+    # --- rows --------------------------------------------------------------
+    # the inequalities as COO entries over the block's columns
+    a = layout.a.tocoo()
+    n_lo = len(lower_cols)
+    g_r = np.concatenate([a.row, list(layout.bid_rows.values()), nr + np.arange(n_lo)])
+    g_c = np.concatenate([x0 + a.col, np.arange(4), x0 + np.array(lower_cols, dtype=int)])
+    g_v = np.concatenate([a.data, np.full(4, -1.0), np.ones(n_lo)])
+    g_sense = np.concatenate([layout.senses, np.full(n_lo, ">")])
+    g_rhs = np.concatenate([layout.rhs_base, np.zeros(n_lo)])
+    g_sign = np.concatenate([np.where(eq, 1.0, kkt.sigma), np.ones(n_lo)])
+    clearing_entry = g_r < nr
+    x_entry = g_c >= x0
+
+    slots = np.array([p.index if p.kind == "row" else nr + lower_cols.index(p.index)
+                      for p in switched], dtype=int)
+    m_p = np.array([p.m_primal for p in switched])
+    m_d = np.array([p.m_dual for p in switched])
+    z = z0 + np.arange(n_z)
+    cs_p = nr + nx + 2 * np.arange(n_z)
+    cs_p_of = np.full(nr + n_lo, -1)
+    cs_p_of[slots] = cs_p
+    cs_entry = cs_p_of[g_r] >= 0
+    # a "<" row's slack b - g x <= M (1 - z) becomes g x - M z >= b - M; a
+    # ">" row's g x - b <= M (1 - z) becomes g x + M z <= b + M
+    flip = g_sense[slots] == "<"
+
+    part = ModelPart(
+        rows=np.concatenate([g_r[clearing_entry], nr + g_c[x_entry] - x0,
+                             cs_p_of[g_r[cs_entry]], cs_p, cs_p + 1, cs_p + 1]),
+        cols=np.concatenate([g_c[clearing_entry], w0 + g_r[x_entry],
+                             g_c[cs_entry], z, w0 + slots, z]),
+        vals=np.concatenate([g_v[clearing_entry], g_v[x_entry] * g_sign[g_r[x_entry]],
+                             g_v[cs_entry], np.where(flip, -m_p, m_p), np.ones(n_z), -m_d]),
+        senses=np.concatenate([
+            layout.senses, np.full(nx, "="),
+            np.stack([np.where(flip, ">", "<"), np.full(n_z, "<")], axis=1).ravel(),
+        ]),
+        rhs=np.concatenate([
+            layout.rhs_base, layout.c,
+            np.stack([np.where(flip, g_rhs[slots] - m_p, g_rhs[slots] + m_p), np.zeros(n_z)],
+                     axis=1).ravel(),
+        ]),
+        row_names=(
+            [pfx + nm for nm in layout.row_names]
+            + [pfx + "stat:" + nm for nm in layout.col_names]
+            + [f"{pfx}cs_{side}:{'' if p.kind == 'row' else 'lb:'}{p.name}"
+               for p in switched for side in "pd"]
+        ),
+        lower=lower, upper=upper, c=c, integrality=integrality, col_names=col_names,
+    )
+    return IntervalBlock(ul0=0, x0=x0, w0=w0, z0=z0, switched=switched, slots=slots,
+                         kkt=kkt), part
+
+
+def _ul_rows(scn: Scenario, blocks: list[IntervalBlock],
+             terminal_soc_equality: bool) -> ModelPart:
+    """Upper-level rows on the blocks' columns, interval by interval: bid
+    mode exclusivity (only with energy), the power envelope, the SOC
+    recursion and the SOC headroom; then the optional terminal-SOC row."""
+    bess = scn.bess
+    rate = bess.power_rate
+    n_t = len(blocks)
+    ul0 = np.array([b.ul0 for b in blocks])
+    soc = np.array([b.x0 for b in blocks]) - 1
+    bs, bd, brs, brgc = (soc + 1 + LlLayout.GEN_COLS * scn.n_generators + k for k in range(4))
+    dt = np.array([it.delta_t for it in scn.intervals])
+    soc_rhs = np.r_[bess.soc_init, np.zeros(n_t - 1)]
+    # name, sense, rhs, (column, coefficient) terms; arrays run over intervals
+    template = [
+        ("power_envelope_low", ">", -rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, -1.0)]),
+        ("power_envelope_high", "<", rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, 1.0)]),
+        ("soc_recursion", "=", soc_rhs, [(soc, 1.0), (bd, -dt), (bs, dt)]),
+        # regulation reserves energy in both directions, reserve only
+        # downward in SOC terms
+        ("soc_floor_headroom", ">", bess.soc_min, [(soc, 1.0), (brgc, -dt), (brs, -dt)]),
+        ("soc_ceiling_headroom", "<", bess.soc_max, [(soc, 1.0), (brgc, dt)]),
+    ]
+    if scn.market_mask.energy:
+        template[:0] = [
+            ("sell_needs_discharge_mode", "<", 0.0, [(ul0, 1.0), (ul0 + 4, -rate)]),
+            ("buy_needs_charge_mode", "<", rate, [(ul0 + 1, 1.0), (ul0 + 4, rate)]),
+        ]
+    first = np.arange(n_t) * len(template)
+    entries = [(first + j, col, np.broadcast_to(coef, n_t))
+               for j, (_, _, _, terms) in enumerate(template) for col, coef in terms]
+    # the one cross-interval entry: -soc[t-1] in the recursion of t >= 1
+    j_rec = [name for name, _, _, _ in template].index("soc_recursion")
+    entries.append((first[1:] + j_rec, soc[:-1], np.full(n_t - 1, -1.0)))
+    senses = np.tile([sense for _, sense, _, _ in template], n_t)
+    rhs = np.stack([np.broadcast_to(b, n_t) for _, _, b, _ in template], axis=1).ravel()
+    names = [f"t{t}:{name}" for t in range(n_t) for name, _, _, _ in template]
+    if terminal_soc_equality:
+        entries.append(([len(names)], soc[-1:], [1.0]))
+        senses = np.append(senses, "=")
+        rhs = np.append(rhs, bess.soc_init)
+        names.append("terminal_soc")
+    rows, cols, vals = (np.concatenate(e) for e in zip(*entries))
+    empty = np.zeros(0)
+    return ModelPart(rows=rows, cols=cols, vals=vals, senses=senses, rhs=rhs, row_names=names,
+                     lower=empty, upper=empty, c=empty, integrality=empty.astype(np.int8),
+                     col_names=[])
 
 
 def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> BilevelMilp:
     """Build the full bidding MILP across all intervals.
 
-    Intervals couple only through the SOC recursion; each interval carries
-    its own clearing primal block, dual block, stationarity rows, and big-M
-    complementarity switching. Masked markets pin their bid and award
-    columns to zero and omit the complementarity binaries of rows that are
-    then always binding.
+    Each interval contributes one block from :func:`interval_block`; the
+    blocks couple only through the SOC recursion among the upper-level rows
+    that follow them. ``terminal_soc_equality`` adds an end-of-horizon row
+    pinning the final SOC back to the initial level; the default leaves
+    terminal SOC free.
     """
     violations = validate_scenario(scn)
     if violations:
         raise BilevelError("invalid scenario: " + "; ".join(violations))
     mask = scn.market_mask
 
-    ul = build_ul_constraints(scn, terminal_soc_equality=terminal_soc_equality)
-
-    names: list[str] = []
-    lower: list[float] = []
-    upper: list[float] = []
-    integrality: list[int] = []
-    objective: list[float] = []
-
-    def add_var(name: str, lo: float, hi: float, is_int: bool = False,
-                obj: float = 0.0) -> int:
-        names.append(name)
-        lower.append(lo)
-        upper.append(hi)
-        integrality.append(1 if is_int else 0)
-        objective.append(obj)
-        return len(names) - 1
-
-    rows_data: list[dict[int, float]] = []
-    rows_sense: list[str] = []
-    rows_rhs: list[float] = []
-    rows_name: list[str] = []
-
-    def add_row(coeffs: dict[int, float], sense: str, rhs: float, name: str) -> None:
-        rows_data.append(coeffs)
-        rows_sense.append(sense)
-        rows_rhs.append(float(rhs))
-        rows_name.append(name)
-
     blocks: list[IntervalBlock] = []
-    registry: list[BigMRecord] = []
-    bid_row_by_name = {"bid_cap:sell": "sbid", "bid_cap:buy": "dbid",
-                       "bid_cap:reserve": "rsbid", "bid_cap:regcap": "rgbid"}
-
-    masked_rows: set[str] = set()
-    masked_award_cols: set[str] = set()
-    if not mask.energy:
-        masked_rows |= {"bid_cap:sell", "bid_cap:buy"}
-        masked_award_cols |= {"bs", "bd"}
-    if not mask.reserve:
-        masked_rows |= {"bid_cap:reserve"}
-        masked_award_cols |= {"brs"}
-    if not mask.regulation:
-        masked_rows |= {"bid_cap:regcap", "mil_floor:bess", "mil_cap:bess"}
-        masked_award_cols |= {"brgc", "brgm"}
-
+    parts: list[ModelPart] = []
+    n_rows = n_cols = 0
     for t in range(scn.n_intervals):
-        instance = clearing.build_ll_interval(scn, t)
-        layout = instance.layout
-        kkt = derive_kkt(instance)
-        registry.extend(kkt.m_registry)
-        md = kkt.m_dual
-        rate = scn.bess.power_rate
-        pfx = f"t{t}:"
-        x_coefs, dual_coefs = linearize_objective(kkt)
+        kkt = derive_kkt(clearing.build_ll_interval(scn, t))
+        block, part = interval_block(kkt, mask)
+        blocks.append(replace(block, ul0=n_cols, x0=block.x0 + n_cols,
+                              w0=block.w0 + n_cols, z0=block.z0 + n_cols))
+        part.rows += n_rows
+        part.cols += n_cols
+        parts.append(part)
+        n_rows += len(part.rhs)
+        n_cols += len(part.c)
+    ul = _ul_rows(scn, blocks, terminal_soc_equality)  # its columns are global already
+    ul.rows += n_rows
+    parts.append(ul)
+    n_rows += len(ul.rhs)
 
-        ul_cols: dict[str, int] = {}
-        for nm in ("sbid", "dbid", "rsbid", "rgbid"):
-            if (t, nm) in ul.bounds:
-                lo, hi = ul.bounds[(t, nm)]
-                ul_cols[nm] = add_var(pfx + nm, lo, hi)
-        if mask.energy:
-            ul_cols["u"] = add_var(pfx + "u", 0.0, 1.0, is_int=True)
-        lo, hi = ul.bounds[(t, "soc")]
-        ul_cols["soc"] = add_var(pfx + "soc", lo, hi)
-
-        # clearing primal block, with redundant native bounds for relaxation
-        # tightness (each is implied by the clearing rows plus bid limits)
-        x0 = len(names)
-        for j, g in enumerate(scn.generators):
-            add_var(pfx + layout.col_names[layout.col_gen(j, 0)], g.p_min, g.p_max,
-                    obj=x_coefs[layout.col_gen(j, 0)])
-            add_var(pfx + layout.col_names[layout.col_gen(j, 1)], 0.0, g.reserve_ramp,
-                    obj=x_coefs[layout.col_gen(j, 1)])
-            add_var(pfx + layout.col_names[layout.col_gen(j, 2)], 0.0, g.regulation_ramp,
-                    obj=x_coefs[layout.col_gen(j, 2)])
-            add_var(pfx + layout.col_names[layout.col_gen(j, 3)], 0.0,
-                    g.mileage_multiplier * g.regulation_ramp,
-                    obj=x_coefs[layout.col_gen(j, 3)])
-        award_caps = {
-            "bs": rate, "bd": rate, "brs": rate, "brgc": rate,
-            "brgm": scn.bess.mileage_multiplier * rate,
-        }
-        for nm, cap in award_caps.items():
-            hi = 0.0 if nm in masked_award_cols else cap
-            add_var(pfx + nm, 0.0, hi)
-
-        # dual block: one magnitude variable per inequality row, a free
-        # variable for the balance row; objective coefficients carry the
-        # sense sign because the columns hold dual magnitudes
-        w0 = len(names)
-        for r, rname in enumerate(layout.row_names):
-            if layout.senses[r] == "=":
-                add_var(pfx + "lam", -md, md, obj=dual_coefs[r])
-            else:
-                add_var(pfx + "w:" + rname, 0.0, md, obj=dual_coefs[r] * kkt.sigma[r])
-
-        nu_cols: dict[int, int] = {}
-        for pair in kkt.comp_pairs:
-            if pair.kind == "lower":
-                nu_cols[pair.index] = add_var(pfx + "nu:" + pair.name, 0.0, md)
-
-        z_cols: dict[tuple[str, int], int] = {}
-        for pair in kkt.comp_pairs:
-            if pair.kind == "row" and pair.name in masked_rows:
-                continue
-            if pair.kind == "lower" and layout.col_names[pair.index] in masked_award_cols:
-                continue
-            z_cols[(pair.kind, pair.index)] = add_var(
-                pfx + "z:" + pair.name if pair.kind == "row" else pfx + "zlo:" + pair.name,
-                0.0, 1.0, is_int=True,
-            )
-
-        block = IntervalBlock(t=t, ul_cols=ul_cols, x0=x0, w0=w0,
-                              nu_cols=nu_cols, z_cols=z_cols, kkt=kkt)
-        blocks.append(block)
-
-        # --- clearing primal rows -----------------------------------------
-        a_csr = layout.a
-        row_coeffs_cache: list[dict[int, float]] = []
-        for r in range(layout.n_rows):
-            coeffs = {x0 + int(cc): float(v)
-                      for cc, v in zip(a_csr.indices[a_csr.indptr[r]:a_csr.indptr[r + 1]],
-                                       a_csr.data[a_csr.indptr[r]:a_csr.indptr[r + 1]])}
-            rname = layout.row_names[r]
-            if rname in bid_row_by_name and bid_row_by_name[rname] in ul_cols:
-                coeffs[ul_cols[bid_row_by_name[rname]]] = -1.0
-            row_coeffs_cache.append(coeffs)
-            add_row(dict(coeffs), layout.senses[r], layout.rhs_base[r], pfx + rname)
-
-        # --- stationarity: c_k = sum_r A[r,k] sigma_r w_r + A[bal,k] lam + nu_k
-        a_csc = layout.a.tocsc()
-        for k in range(layout.n_cols):
-            coeffs = {}
-            for p in range(a_csc.indptr[k], a_csc.indptr[k + 1]):
-                r = int(a_csc.indices[p])
-                v = float(a_csc.data[p])
-                if layout.senses[r] == "=":
-                    coeffs[w0 + r] = v
-                else:
-                    coeffs[w0 + r] = v * kkt.sigma[r]
-            if k in nu_cols:
-                coeffs[nu_cols[k]] = 1.0
-            add_row(coeffs, "=", layout.c[k], pfx + "stat:" + layout.col_names[k])
-
-        # --- complementarity switching ------------------------------------
-        for pair in kkt.comp_pairs:
-            key = (pair.kind, pair.index)
-            if pair.kind == "row":
-                r = pair.index
-                dual_col = w0 + r
-                if key in z_cols:
-                    z = z_cols[key]
-                    mp = pair.m_primal
-                    coeffs = dict(row_coeffs_cache[r])
-                    if layout.senses[r] == "<":
-                        # slack (b - ax) <= mp * (1 - z)
-                        coeffs[z] = -mp
-                        add_row(coeffs, ">", layout.rhs_base[r] - mp, pfx + "cs_p:" + pair.name)
-                    else:
-                        coeffs[z] = mp
-                        add_row(coeffs, "<", layout.rhs_base[r] + mp, pfx + "cs_p:" + pair.name)
-                    add_row({dual_col: 1.0, z: -pair.m_dual}, "<", 0.0, pfx + "cs_d:" + pair.name)
-                # masked rows are always binding at zero slack: dual stays free
-            else:
-                k = pair.index
-                nu = nu_cols[k]
-                if key in z_cols:
-                    z = z_cols[key]
-                    add_row({x0 + k: 1.0, z: pair.m_primal}, "<", pair.m_primal,
-                            pfx + "cs_p:lb:" + pair.name)
-                    add_row({nu: 1.0, z: -pair.m_dual}, "<", 0.0, pfx + "cs_d:lb:" + pair.name)
-
-    # --- upper-level rows over named variables -----------------------------
-    award_col = {"bs": 0, "bd": 1, "brs": 2, "brgc": 3}
-
-    def resolve(key: VarKey) -> int:
-        t, nm = key
-        block = blocks[t]
-        if nm in block.ul_cols:
-            return block.ul_cols[nm]
-        if nm in award_col:
-            return block.x0 + LlLayout.GEN_COLS * scn.n_generators + award_col[nm]
-        raise KeyError(f"unknown variable {key}")
-
-    for coeffs_named, sense, rhs, name in ul.rows:
-        coeffs: dict[int, float] = {}
-        skip = False
-        for key, v in coeffs_named.items():
-            tt, nm = key
-            if nm == "u" and "u" not in blocks[tt].ul_cols:
-                skip = True  # mode-exclusivity rows vanish with the energy market
-                break
-            coeffs[resolve(key)] = v
-        if not skip:
-            add_row(coeffs, sense, rhs, name)
-
-    # --- freeze into a MilpProblem -----------------------------------------
-    n = len(names)
-    data, ri, ci = [], [], []
-    for i, coeffs in enumerate(rows_data):
-        for cjol, v in coeffs.items():
-            if v != 0.0:
-                ri.append(i)
-                ci.append(cjol)
-                data.append(float(v))
-    a = sp.coo_matrix((data, (ri, ci)), shape=(len(rows_data), n)).tocsr()
+    rows, cols, vals = (np.concatenate([getattr(p, f) for p in parts])
+                        for f in ("rows", "cols", "vals"))
+    keep = vals != 0.0
+    a = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_rows, n_cols)).tocsr()
+    integrality = np.concatenate([p.integrality for p in parts])
     milp = solver.MilpProblem(
-        c=np.array(objective),
+        c=np.concatenate([p.c for p in parts]),
         a=a,
-        senses=np.array(rows_sense),
-        rhs=np.array(rows_rhs),
-        lower=np.array(lower),
-        upper=np.array(upper),
+        senses=np.concatenate([p.senses for p in parts]),
+        rhs=np.concatenate([p.rhs for p in parts]),
+        lower=np.concatenate([p.lower for p in parts]),
+        upper=np.concatenate([p.upper for p in parts]),
         maximize=True,
-        row_names=rows_name,
-        col_names=names,
-        integrality=np.array(integrality, dtype=np.int8),
+        row_names=[nm for p in parts for nm in p.row_names],
+        col_names=[nm for p in parts for nm in p.col_names],
+        integrality=integrality,
     )
     milp.validate()
 
     counts = {
-        "columns": n,
-        "rows": len(rows_data),
-        "binaries": int(sum(integrality)),
-        "mode_binaries": sum(1 for b in blocks if "u" in b.ul_cols),
-        "complementarity_binaries": int(sum(len(b.z_cols) for b in blocks)),
+        "columns": n_cols,
+        "rows": n_rows,
+        "binaries": int(integrality.sum()),
+        "mode_binaries": scn.n_intervals if mask.energy else 0,
+        "complementarity_binaries": sum(len(b.switched) for b in blocks),
         "intervals": scn.n_intervals,
     }
     log.info("assembled bidding MILP: %(columns)d cols, %(rows)d rows, "
              "%(binaries)d binaries", counts)
-    return BilevelMilp(milp=milp, scenario=scn, blocks=blocks,
-                       m_registry=registry, counts=counts)
-
+    return BilevelMilp(milp=milp, scenario=scn, blocks=blocks, counts=counts)
 
 # ---------------------------------------------------------------------------
 # solution extraction and verification
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class UlVariables:
-    """Upper-level decision values per interval (arrays of length T)."""
-
-    s_bid: np.ndarray
-    d_bid: np.ndarray
-    rs_bid: np.ndarray
-    rg_bid: np.ndarray
-    u: np.ndarray
-    soc: np.ndarray
 
 
 @dataclass
@@ -616,17 +553,6 @@ class BilevelSolution:
     objective: float
     notes: list[str] = field(default_factory=list)  # extraction snaps, for the verifier
 
-    @property
-    def ul(self) -> UlVariables:
-        return UlVariables(
-            s_bid=np.array([s.bids.sell for s in self.intervals]),
-            d_bid=np.array([s.bids.buy for s in self.intervals]),
-            rs_bid=np.array([s.bids.reserve for s in self.intervals]),
-            rg_bid=np.array([s.bids.regcap for s in self.intervals]),
-            u=np.array([s.u for s in self.intervals], dtype=int),
-            soc=np.array([s.soc for s in self.intervals]),
-        )
-
 
 def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> BilevelSolution:
     """Per-interval bids, awards, and embedded duals from a solved MILP.
@@ -641,46 +567,34 @@ def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> Bile
     if outcome.x is None:
         raise BilevelError(f"no incumbent to extract (status {outcome.status})")
     x = outcome.x
+    energy = bilevel.scenario.market_mask.energy
     out: list[IntervalSolution] = []
     notes: list[str] = []
     for block in bilevel.blocks:
-        layout = block.kkt.layout
-        n_ll = layout.n_cols
-
-        def ul_value(nm: str) -> float:
-            return float(x[block.ul_cols[nm]]) if nm in block.ul_cols else 0.0
-
-        bid_values = {"sell": ul_value("sbid"), "buy": ul_value("dbid"),
-                      "reserve": ul_value("rsbid"), "regcap": ul_value("rgbid")}
+        kkt = block.kkt
+        layout = kkt.layout
+        bid_values = dict(zip(("sell", "buy", "reserve", "regcap"),
+                              map(float, x[block.ul0:block.ul0 + 4])))
         for market, v in bid_values.items():
             if -solver.FEASIBILITY_TOL <= v < 0.0:
-                notes.append(f"t{block.t}:{market}_bid {v!r} snapped to 0.0")
+                notes.append(f"t{layout.t}:{market}_bid {v!r} snapped to 0.0")
                 bid_values[market] = 0.0
-        bids = BessBids(**bid_values)
-        ll_x = np.array(x[block.x0:block.x0 + n_ll], dtype=float)
 
-        row_duals = np.zeros(layout.n_rows)
-        for r in range(layout.n_rows):
-            v = float(x[block.w0 + r])
-            if layout.senses[r] == "=":
-                row_duals[r] = v
-            else:
-                if ("row", r) in block.z_cols and x[block.z_cols[("row", r)]] < 0.5:
-                    v = 0.0
-                row_duals[r] = block.kkt.sigma[r] * v
+        # duals of the clearing rows, then of the floors; a binary below 0.5
+        # selects its pair's nonbinding branch, where the dual is zero
+        duals = x[block.w0:block.z0].copy()
+        duals[block.slots[x[block.z0:block.z0 + len(block.slots)] < 0.5]] = 0.0
+        w = duals[:layout.n_rows]
+        row_duals = np.where(layout.senses == "=", w, kkt.sigma * w)
         lower_duals = np.zeros(layout.n_cols)
-        for k, nu in block.nu_cols.items():
-            v = float(x[nu])
-            if ("lower", k) in block.z_cols and x[block.z_cols[("lower", k)]] < 0.5:
-                v = 0.0
-            lower_duals[k] = v
+        lower_duals[kkt.lower_cols] = duals[layout.n_rows:]
 
         out.append(IntervalSolution(
-            t=block.t,
-            bids=bids,
-            u=int(round(ul_value("u"))),
-            soc=float(x[block.ul_cols["soc"]]),
-            variables=layout.variables_from(ll_x),
+            t=layout.t,
+            bids=BessBids(**bid_values),
+            u=int(round(float(x[block.ul0 + 4]))) if energy else 0,
+            soc=float(x[block.x0 - 1]),
+            variables=layout.variables_from(x[block.x0:block.w0]),
             prices=layout.prices_from(row_duals),
             row_duals=row_duals,
             lower_duals=lower_duals,
@@ -761,7 +675,7 @@ def verify_bilevel_solution(
     # first-order system at the embedded point
     for block, s in zip(bilevel.blocks, sol.intervals):
         layout = block.kkt.layout
-        xvec = _variables_to_vector(layout, s.variables)
+        xvec = layout.vector_from(s.variables)
         res = block.kkt.residuals(xvec, s.row_duals, s.lower_duals, bids=s.bids)
         for key in max_res:
             max_res[key] = max(max_res[key], res[key])
@@ -785,13 +699,13 @@ def verify_bilevel_solution(
     if recleared is not None:
         for block, s, rc in zip(bilevel.blocks, sol.intervals, recleared):
             layout = block.kkt.layout
-            xvec = _variables_to_vector(layout, s.variables)
+            xvec = layout.vector_from(s.variables)
             embedded_cost = float(layout.c @ xvec)
             scale = max(1.0, abs(rc.objective))
             if abs(embedded_cost - rc.objective) > LL_OBJECTIVE_REL_TOL * scale:
                 mismatches.append(f"t{s.t}:lower_level_optimality")
                 continue
-            x_rc = _variables_to_vector(layout, rc.variables)
+            x_rc = layout.vector_from(rc.variables)
             awards_differ = np.max(np.abs(xvec - x_rc), initial=0.0) > 1e-6 * max(1.0, float(np.max(np.abs(x_rc), initial=0.0)))
             prices_differ = any(
                 abs(a - b) > 1e-6 * max(1.0, abs(b))
@@ -810,7 +724,7 @@ def verify_bilevel_solution(
 
     # revenue recomputation guards against big-M truncation
     revenue = sum(
-        direct_revenue_value(block.kkt.layout, _variables_to_vector(block.kkt.layout, s.variables), s.row_duals)
+        direct_revenue_value(block.kkt.layout, block.kkt.layout.vector_from(s.variables), s.row_duals)
         for block, s in zip(bilevel.blocks, sol.intervals)
     )
     scale = max(1.0, abs(sol.objective))
@@ -827,21 +741,6 @@ def verify_bilevel_solution(
     )
     log.info(report.summary())
     return report
-
-
-def _variables_to_vector(layout: LlLayout, v: LlVariables) -> np.ndarray:
-    x = np.zeros(layout.n_cols)
-    for j in range(layout.n_gens):
-        x[layout.col_gen(j, 0)] = v.p_gs[j]
-        x[layout.col_gen(j, 1)] = v.p_grs[j]
-        x[layout.col_gen(j, 2)] = v.p_grgc[j]
-        x[layout.col_gen(j, 3)] = v.p_grgm[j]
-    x[layout.col_bs] = v.p_bs
-    x[layout.col_bd] = v.p_bd
-    x[layout.col_brs] = v.p_brs
-    x[layout.col_brgc] = v.p_brgc
-    x[layout.col_brgm] = v.p_brgm
-    return x
 
 
 def _worst_primal_row(layout: LlLayout, x: np.ndarray, bids: BessBids) -> str:

@@ -313,6 +313,15 @@ class LlLayout:
             out.p_brgm = float(x[self.col_brgm])
         return out
 
+    def vector_from(self, v: LlVariables) -> np.ndarray:
+        """Column vector of a schedule; the inverse of :meth:`variables_from`."""
+        x = np.zeros(self.n_cols)
+        for k, values in enumerate((v.p_gs, v.p_grs, v.p_grgc, v.p_grgm)):
+            x[k:self.GEN_COLS * self.n_gens:self.GEN_COLS] = values
+        if self.include_bess:
+            x[self.col_bs:] = (v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm)
+        return x
+
     def prices_from(self, row_duals: np.ndarray) -> Prices:
         dt = self.delta_t
         return Prices(

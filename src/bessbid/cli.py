@@ -46,20 +46,11 @@ def _exit_code_for(err: Exception) -> int:
 
 
 def solver_options(f):
-    f = click.option("--threads", type=int, default=None, envvar="BESSBID_THREADS",
-                     help="Solver threads (reserved; the backend is single-threaded).")(f)
-    f = click.option("--seed", type=int, default=None, envvar="BESSBID_SEED",
-                     help="Deterministic tie-breaking seed.")(f)
     f = click.option("--time-limit", type=float, default=None, envvar="BESSBID_TIME_LIMIT",
                      help="Solver wall-clock limit in seconds.")(f)
     f = click.option("--gap", type=float, default=1e-6, show_default=True,
                      envvar="BESSBID_GAP", help="Relative MIP gap tolerance.")(f)
     return f
-
-
-def _settings(gap, time_limit, seed, threads) -> harness.SolverSettings:
-    return harness.SolverSettings(gap_tol=gap, time_limit=time_limit,
-                                  seed=seed, threads=threads)
 
 
 def _mask_for(case: int | None, scn) -> MarketMask:
@@ -166,13 +157,13 @@ def clear(scenario, case, out):
 @click.option("--terminal-soc-equality", is_flag=True,
               help="Pin end-of-horizon SOC back to the initial level.")
 @solver_options
-def solve(scenario, case, out, terminal_soc_equality, gap, time_limit, seed, threads):
+def solve(scenario, case, out, terminal_soc_equality, gap, time_limit):
     """Solve one bidding case and write its report files."""
     scn = load_scenario(scenario)
     try:
         report = harness.run_case(
             scn, mask=_mask_for(case, scn),
-            settings=_settings(gap, time_limit, seed, threads),
+            settings=harness.SolverSettings(gap_tol=gap, time_limit=time_limit),
             terminal_soc_equality=terminal_soc_equality,
         )
     except harness.HarnessError as err:
@@ -237,7 +228,7 @@ def export_mps(scenario, case, out, name):
 @click.option("--case", type=click.IntRange(1, 4), default=None,
               help="Override the scenario's participation case.")
 @solver_options
-def agc_check(seeds, samples, scenario, case, gap, time_limit, seed, threads):
+def agc_check(seeds, samples, scenario, case, gap, time_limit):
     """Validate regulation traces; optionally replay them against a solved case."""
     worst_mean = 0.0
     for s in range(seeds):
@@ -248,8 +239,9 @@ def agc_check(seeds, samples, scenario, case, gap, time_limit, seed, threads):
         return
     scn = load_scenario(scenario)
     try:
-        report = harness.run_case(scn, mask=_mask_for(case, scn),
-                                  settings=_settings(gap, time_limit, seed, threads))
+        report = harness.run_case(
+            scn, mask=_mask_for(case, scn),
+            settings=harness.SolverSettings(gap_tol=gap, time_limit=time_limit))
     except harness.HarnessError as err:
         raise _fail(_exit_code_for(err), str(err))
     runs = harness.replay_agc(report, scn.bess, seeds=range(seeds), samples=samples)
@@ -268,7 +260,7 @@ def agc_check(seeds, samples, scenario, case, gap, time_limit, seed, threads):
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Directory for per-case report files and the comparison table.")
 @solver_options
-def compare(scenario, cases, out, gap, time_limit, seed, threads):
+def compare(scenario, cases, out, gap, time_limit):
     """Run several participation cases and compare their revenues."""
     try:
         case_ids = [int(c) for c in cases.split(",") if c.strip()]
@@ -277,7 +269,7 @@ def compare(scenario, cases, out, gap, time_limit, seed, threads):
     if not case_ids or any(c not in (1, 2, 3, 4) for c in case_ids):
         raise click.UsageError("--cases entries must be in 1..4")
     scn = load_scenario(scenario)
-    settings = _settings(gap, time_limit, seed, threads)
+    settings = harness.SolverSettings(gap_tol=gap, time_limit=time_limit)
     reports = []
     for c in case_ids:
         try:

