@@ -20,6 +20,11 @@ log = logging.getLogger(__name__)
 
 SCHEMA_TAG = "bessbid-scenario/1"
 
+# libyaml's scanner and emitter when PyYAML was built with them; either pair
+# writes and reads the same scenario text
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ScenarioError(ValueError):
     """Invalid scenario data or document."""
@@ -370,7 +375,8 @@ def scenario_to_text(scn: Scenario) -> str:
             for it in scn.intervals
         ],
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
+    return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False, default_flow_style=None,
+                     width=100)
 
 
 def save_scenario(scn: Scenario, path: str) -> None:
@@ -382,7 +388,7 @@ def save_scenario(scn: Scenario, path: str) -> None:
 
 def scenario_from_text(text: str) -> Scenario:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"unparsable scenario document: {exc}") from exc
     if not isinstance(doc, dict):

@@ -170,8 +170,18 @@ class LpModel:
         self._fin_lo = np.isfinite(problem.lower)
         self._fin_up = np.isfinite(problem.upper)
 
+        # the backend matrix column-wise in one step: each entry moves to its
+        # backend row, '>' rows are negated, and every column lists its rows
+        # in ascending order; duplicate entries are summed first, as a
+        # stacked sparse matrix would sum them
         a = problem.a.tocsr()
-        mat = sp.vstack([a[le], -a[ge], a[eq]], format="csc")
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        rows = self._pos[np.repeat(np.arange(problem.n_rows), np.diff(a.indptr))]
+        order = np.lexsort((rows, a.indices))
+        start = np.zeros(problem.n_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(a.indices, minlength=problem.n_cols), out=start[1:])
         row_upper = self._sign * self.problem.rhs[self._order]
         row_lower = row_upper.copy()
         row_lower[: self._n_ineq] = -_highs.kHighsInf
@@ -181,9 +191,9 @@ class LpModel:
         lp.a_matrix_.num_col_ = problem.n_cols
         lp.a_matrix_.num_row_ = problem.n_rows
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = mat.indptr
-        lp.a_matrix_.index_ = mat.indices
-        lp.a_matrix_.value_ = mat.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = rows[order].astype(np.int32)
+        lp.a_matrix_.value_ = (a.data * self._sign[rows])[order]
         lp.col_cost_ = -problem.c if problem.maximize else np.array(problem.c, dtype=float)
         lp.col_lower_ = np.array(problem.lower, dtype=float)  # +-inf is HiGHS's infinity
         lp.col_upper_ = np.array(problem.upper, dtype=float)
@@ -367,7 +377,13 @@ def kkt_residuals(
     nu_lo = np.zeros(n) if lower_duals is None else lower_duals
     nu_up = np.zeros(n) if upper_duals is None else upper_duals
 
-    stat = problem.c - problem.a.T.dot(row_duals) - nu_lo - nu_up
+    # A'y summed entry by entry in the matrix's row-major order, which is the
+    # order a product with the transpose adds them in, so the sums are the
+    # same bits without building a sparse transpose on every call
+    a = problem.a.tocsr()
+    a_ty = np.bincount(a.indices, weights=a.data * np.repeat(row_duals, np.diff(a.indptr)),
+                       minlength=n)
+    stat = problem.c - a_ty - nu_lo - nu_up
     stationarity = float(np.max(np.abs(stat), initial=0.0))
 
     primal = feasibility_residual(problem, x)
@@ -407,31 +423,30 @@ class MpsFormatError(ValueError):
         self.line_no = line_no
 
 
-def _num(v: float) -> str:
-    """Shortest decimal literal that round-trips to the same float64."""
-    return repr(float(v))
-
-
-def _row_name(i: int) -> str:
-    return f"R{i + 1:07d}"
-
-
-def _col_name(j: int) -> str:
-    return f"C{j + 1:07d}"
-
-
 def export_mps(problem: LpProblem, path: str, name: str = "BESSBID") -> None:
     """Write fixed-format MPS with INTORG/INTEND integer markers.
 
-    Canonical generated row/column names are used (R0000001...). When a float
-    literal exceeds its 12-character field, the line gracefully widens into
-    whitespace-separated (free) format, which the bundled parser and modern
-    external readers both accept.
+    Canonical generated row/column names are used (R0000001...). Every value
+    is written as the shortest decimal literal that round-trips to the same
+    float64 (``repr``). When a literal exceeds its 12-character field, the
+    line gracefully widens into whitespace-separated (free) format, which the
+    bundled parser and modern external readers both accept.
     """
     problem.validate()
+    lines = _mps_lines(problem, name)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+    log.info("wrote MPS: %s rows=%d cols=%d", path, problem.n_rows, problem.n_cols)
+
+
+def _mps_lines(problem: LpProblem, name: str) -> list[str]:
+    """The lines of :func:`export_mps`'s file; the per-entry lists it reads
+    from are released before the file text is joined."""
     integrality = getattr(problem, "integrality", None)
     if integrality is None:
         integrality = np.zeros(problem.n_cols, dtype=np.int8)
+    is_int = np.asarray(integrality).astype(bool).tolist()
 
     lines: list[str] = [f"NAME          {name}"]
     if problem.maximize:
@@ -439,65 +454,63 @@ def export_mps(problem: LpProblem, path: str, name: str = "BESSBID") -> None:
         lines.append("    MAX")
     lines.append("ROWS")
     lines.append(" N  OBJ")
-    for i, sense in enumerate(problem.senses):
-        lines.append(f" {_SENSE_TO_MPS[sense]}  {_row_name(i)}")
-
-    def entry(col: str, row: str, val: float) -> str:
-        return f"    {col:<10}{row:<10}{_num(val)}"
+    lines += [f" {_SENSE_TO_MPS[sense]}  R{i:07d}" for i, sense in enumerate(problem.senses, 1)]
+    # each row's name padded to its field, built once for all of its entries
+    row_fields = [f"R{i:07d}".ljust(10) for i in range(1, problem.n_rows + 1)]
 
     lines.append("COLUMNS")
     csc = problem.a.tocsc()
+    indptr = csc.indptr.tolist()
+    indices = csc.indices.tolist()
+    data = np.asarray(csc.data, dtype=float).tolist()
+    c = np.asarray(problem.c, dtype=float).tolist()
     in_int = False
     marker = 0
     for j in range(problem.n_cols):
-        is_int = bool(integrality[j])
-        if is_int and not in_int:
-            lines.append(f"    M{marker:<9}'MARKER'                 'INTORG'")
+        if is_int[j] != in_int:
+            kind = "INTORG" if is_int[j] else "INTEND"
+            lines.append(f"    M{marker:<9}'MARKER'                 '{kind}'")
             marker += 1
-            in_int = True
-        elif not is_int and in_int:
-            lines.append(f"    M{marker:<9}'MARKER'                 'INTEND'")
-            marker += 1
-            in_int = False
-        cname = _col_name(j)
+            in_int = is_int[j]
+        head = "    " + f"C{j + 1:07d}".ljust(10)
         # objective entry always written so every column is declared
-        lines.append(entry(cname, "OBJ", problem.c[j]))
-        for k in range(csc.indptr[j], csc.indptr[j + 1]):
-            val = csc.data[k]
+        lines.append(f"{head}OBJ       {c[j]!r}")
+        for k in range(indptr[j], indptr[j + 1]):
+            val = data[k]
             if val != 0.0:
-                lines.append(entry(cname, _row_name(csc.indices[k]), val))
+                lines.append(f"{head}{row_fields[indices[k]]}{val!r}")
     if in_int:
         lines.append(f"    M{marker:<9}'MARKER'                 'INTEND'")
 
     lines.append("RHS")
-    for i, b in enumerate(problem.rhs):
-        if b != 0.0:
-            lines.append(entry("RHS", _row_name(i), b))
+    lines += [f"    RHS       {field}{b!r}"
+              for field, b in zip(row_fields, np.asarray(problem.rhs, dtype=float).tolist())
+              if b != 0.0]
 
     lines.append("BOUNDS")
-    for j in range(problem.n_cols):
-        cname = _col_name(j)
-        lo, up = problem.lower[j], problem.upper[j]
-        if integrality[j]:
+    lower = np.asarray(problem.lower, dtype=float).tolist()
+    upper = np.asarray(problem.upper, dtype=float).tolist()
+    inf = float("inf")
+    for j, (integer, lo, up) in enumerate(zip(is_int, lower, upper), 1):
+        cname = f"C{j:07d}"
+        if integer:
             lines.append(f" BV BND       {cname}")
             continue
-        if np.isneginf(lo) and np.isposinf(up):
+        if lo == -inf and up == inf:
             lines.append(f" FR BND       {cname}")
             continue
+        field = cname.ljust(10)
         if lo == up:
-            lines.append(f" FX BND       {cname:<10}{_num(lo)}")
+            lines.append(f" FX BND       {field}{lo!r}")
             continue
-        if np.isneginf(lo):
+        if lo == -inf:
             lines.append(f" MI BND       {cname}")
         elif lo != 0.0:
-            lines.append(f" LO BND       {cname:<10}{_num(lo)}")
-        if not np.isposinf(up):
-            lines.append(f" UP BND       {cname:<10}{_num(up)}")
+            lines.append(f" LO BND       {field}{lo!r}")
+        if up != inf:
+            lines.append(f" UP BND       {field}{up!r}")
     lines.append("ENDATA")
-
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    log.info("wrote MPS: %s rows=%d cols=%d", path, problem.n_rows, problem.n_cols)
+    return lines
 
 
 def import_mps(path: str) -> MilpProblem:
@@ -508,26 +521,29 @@ def import_mps(path: str) -> MilpProblem:
     section = None
     maximize = False
     obj_row: str | None = None
-    row_order: list[str] = []
-    row_sense: dict[str, str] = {}
-    col_order: list[str] = []
+    row_index: dict[str, int] = {}
+    senses: list[str] = []
     col_index: dict[str, int] = {}
     col_int: list[bool] = []
     obj_coef: dict[int, float] = {}
-    entries: list[tuple[int, int, float]] = []
-    rhs_map: dict[str, float] = {}
+    ent_rows: list[int] = []
+    ent_cols: list[int] = []
+    ent_vals: list[float] = []
+    rhs_by_row: dict[int, float] = {}
     bound_recs: list[tuple[str, str, float | None, int]] = []
     in_int = False
     saw_endata = False
     expect_objsense_value = False
 
-    for ln, rawline in enumerate(raw, start=1):
-        line = rawline.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("*"):
+    for ln, line in enumerate(raw, start=1):
+        fields = line.split()
+        if not fields or fields[0][0] == "*":
             continue
         if not line[0].isspace():
-            fields = line.split()
             head = fields[0].upper()
+            if head in ("ROWS", "COLUMNS", "RHS", "BOUNDS"):
+                section = head
+                continue
             if head == "NAME":
                 section = "NAME"
                 continue
@@ -538,9 +554,6 @@ def import_mps(path: str) -> MilpProblem:
                     maximize = fields[1].upper() == "MAX"
                     expect_objsense_value = False
                 continue
-            if head in ("ROWS", "COLUMNS", "RHS", "BOUNDS"):
-                section = head
-                continue
             if head == "RANGES":
                 raise MpsFormatError("RANGES section is not supported", ln)
             if head == "ENDATA":
@@ -548,7 +561,41 @@ def import_mps(path: str) -> MilpProblem:
                 break
             raise MpsFormatError(f"unknown section header '{fields[0]}'", ln)
 
-        fields = line.split()
+        # most of a file's lines are COLUMNS entries, so that section comes first
+        if section == "COLUMNS":
+            n_fields = len(fields)
+            if n_fields >= 3 and fields[1] == "'MARKER'":
+                kind = fields[-1].strip("'").upper()
+                if kind == "INTORG":
+                    in_int = True
+                elif kind == "INTEND":
+                    in_int = False
+                else:
+                    raise MpsFormatError(f"unknown marker '{fields[-1]}'", ln)
+                continue
+            if n_fields != 3 and n_fields != 5:
+                raise MpsFormatError("COLUMNS entries need 1 or 2 (row, value) pairs", ln)
+            cname = fields[0]
+            j = col_index.get(cname)
+            if j is None:
+                j = col_index[cname] = len(col_int)
+                col_int.append(in_int)
+            for k in range(1, n_fields, 2):
+                rname, sval = fields[k], fields[k + 1]
+                try:
+                    val = float(sval)
+                except ValueError:
+                    raise MpsFormatError(f"bad numeral '{sval}'", ln) from None
+                if rname == obj_row:
+                    obj_coef[j] = val
+                    continue
+                i = row_index.get(rname)
+                if i is None:
+                    raise MpsFormatError(f"unknown row '{rname}' in COLUMNS", ln)
+                ent_rows.append(i)
+                ent_cols.append(j)
+                ent_vals.append(val)
+            continue
         if section == "OBJSENSE" and expect_objsense_value:
             maximize = fields[0].upper() == "MAX"
             expect_objsense_value = False
@@ -563,49 +610,20 @@ def import_mps(path: str) -> MilpProblem:
                 continue
             if sense not in _MPS_TO_SENSE:
                 raise MpsFormatError(f"unknown row sense '{fields[0]}'", ln)
-            if rname in row_sense:
+            if rname in row_index:
                 raise MpsFormatError(f"duplicate row '{rname}'", ln)
-            row_order.append(rname)
-            row_sense[rname] = _MPS_TO_SENSE[sense]
-            continue
-        if section == "COLUMNS":
-            if len(fields) >= 3 and fields[1] == "'MARKER'":
-                kind = fields[-1].strip("'").upper()
-                if kind == "INTORG":
-                    in_int = True
-                elif kind == "INTEND":
-                    in_int = False
-                else:
-                    raise MpsFormatError(f"unknown marker '{fields[-1]}'", ln)
-                continue
-            if len(fields) not in (3, 5):
-                raise MpsFormatError("COLUMNS entries need 1 or 2 (row, value) pairs", ln)
-            cname = fields[0]
-            if cname not in col_index:
-                col_index[cname] = len(col_order)
-                col_order.append(cname)
-                col_int.append(in_int)
-            j = col_index[cname]
-            for rname, sval in zip(fields[1::2], fields[2::2]):
-                try:
-                    val = float(sval)
-                except ValueError:
-                    raise MpsFormatError(f"bad numeral '{sval}'", ln) from None
-                if rname == obj_row:
-                    obj_coef[j] = val
-                elif rname in row_sense:
-                    entries.append((rname, j, val))
-                else:
-                    raise MpsFormatError(f"unknown row '{rname}' in COLUMNS", ln)
+            row_index[rname] = len(senses)
+            senses.append(_MPS_TO_SENSE[sense])
             continue
         if section == "RHS":
             if len(fields) not in (3, 5):
                 raise MpsFormatError("RHS entries need 1 or 2 (row, value) pairs", ln)
             for rname, sval in zip(fields[1::2], fields[2::2]):
-                if rname not in row_sense:
+                i = row_index.get(rname)
+                if i is None:
                     raise MpsFormatError(f"unknown row '{rname}' in RHS", ln)
                 try:
-                    rhs_map[rname] = float(sval)
+                    rhs_by_row[i] = float(sval)
                 except ValueError:
                     raise MpsFormatError(f"bad numeral '{sval}'", ln) from None
             continue
@@ -632,28 +650,25 @@ def import_mps(path: str) -> MilpProblem:
     if obj_row is None:
         raise MpsFormatError("no objective (N) row declared", len(raw))
 
-    n, m = len(col_order), len(row_order)
-    row_idx = {rname: i for i, rname in enumerate(row_order)}
+    n, m = len(col_int), len(senses)
     c = np.zeros(n)
     for j, v in obj_coef.items():
         c[j] = v
-    if entries:
-        rows = [row_idx[rname] for rname, _, _ in entries]
-        cols = [j for _, j, _ in entries]
-        vals = [v for _, _, v in entries]
-        a = sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
+    if ent_vals:
+        a = sp.coo_matrix((ent_vals, (ent_rows, ent_cols)), shape=(m, n)).tocsr()
     else:
         a = sp.csr_matrix((m, n))
-    senses = np.array([row_sense[rname] for rname in row_order])
-    rhs = np.array([rhs_map.get(rname, 0.0) for rname in row_order])
+    rhs = np.zeros(m)
+    for i, v in rhs_by_row.items():
+        rhs[i] = v
 
     lower = np.zeros(n)
     upper = np.full(n, np.inf)
     integrality = np.array(col_int, dtype=np.int8)
     for btype, cname, val, ln in bound_recs:
-        if cname not in col_index:
+        j = col_index.get(cname)
+        if j is None:
             raise MpsFormatError(f"unknown column '{cname}' in BOUNDS", ln)
-        j = col_index[cname]
         if btype == "BV":
             lower[j], upper[j] = 0.0, 1.0
             integrality[j] = 1
@@ -671,7 +686,7 @@ def import_mps(path: str) -> MilpProblem:
             lower[j] = upper[j] = val
 
     return MilpProblem(
-        c=c, a=a, senses=senses, rhs=rhs, lower=lower, upper=upper,
-        maximize=maximize, row_names=list(row_order), col_names=list(col_order),
+        c=c, a=a, senses=np.array(senses), rhs=rhs, lower=lower, upper=upper,
+        maximize=maximize, row_names=list(row_index), col_names=list(col_index),
         integrality=integrality,
     )

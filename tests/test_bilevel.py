@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bessbid import bilevel, solver
+from bessbid import bilevel, harness, solver
 from bessbid.clearing import ZERO_BIDS, BessBids, build_ll_interval, clear_interval
 from bessbid.scenario import BessParams, BessPriceBids, GeneratorParams, MarketMask
 from conftest import GEN_CHEAP, GEN_DEAR, build_scenario
@@ -211,6 +211,20 @@ def test_masked_models_match_pinned_mps(tmp_path):
         path = tmp_path / f"case{case}.mps"
         solver.export_mps(built.milp, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (case, terminal)
+
+
+# sha256 of the reference system's case-4 export: 13248 columns, 17088 rows,
+# 5184 binaries in 192 INTORG/INTEND runs, with BV, LO and UP bounds
+REFERENCE_CASE4_MPS_SHA256 = "fbed6092021126b3e11b87979a4769f38db1259e640ff6c095c0110d42a97f97"
+
+
+def test_reference_case4_matches_pinned_mps(tmp_path):
+    built = bilevel.assemble_milp(harness.reference_scenario(MarketMask.from_case(4)))
+    assert (built.counts["columns"], built.counts["rows"], built.counts["binaries"]) == \
+        (13248, 17088, 5184)
+    path = tmp_path / "reference4.mps"
+    solver.export_mps(built.milp, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE_CASE4_MPS_SHA256
 
 
 def test_soc_recursion_arithmetic_through_milp():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bessbid import clearing, harness
+from bessbid import clearing, harness, solver
 from bessbid.clearing import BessBids
 from bessbid.scenario import (
     BessParams,
@@ -69,6 +69,23 @@ def test_reused_layout_clears_match_fresh_clears():
             reused = clearing.clear_interval(layout.instance(bids))
             fresh = clearing.clear_interval(clearing.build_ll_interval(scn, t, bids))
             assert _same_clear(reused, fresh), (t, bids)
+
+
+def test_kkt_stationarity_matches_transpose_product():
+    # kkt_residuals forms A'y without a sparse transpose; on every clear of
+    # acceptance 1's grid it must give the bits the transpose product gave
+    scn = acceptance_instance()
+    for t in range(scn.n_intervals):
+        layout = clearing.LlLayout(scn, t)
+        for bids in harness._interval_grid(scn, 2.5):
+            instance = layout.instance(bids)
+            r = clearing.clear_interval(instance)
+            lp = instance.lp
+            x = layout.vector_from(r.variables)
+            got = solver.kkt_residuals(lp, x, r.row_duals, r.lower_duals)
+            stat = lp.c - lp.a.T.dot(r.row_duals) - r.lower_duals - np.zeros(lp.n_cols)
+            assert got["stationarity"] == float(np.max(np.abs(stat), initial=0.0)), (t, bids)
+            assert got["cs"] == r.cs_residual
 
 
 def test_tolerance_negative_bid_snapped_and_verified(capfd):

@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
+
+from bessbid import harness, scenario
 
 from bessbid.scenario import (
     DEFAULT_BESS,
@@ -25,6 +28,8 @@ from bessbid.scenario import (
     synthesize_scenario,
     validate_scenario,
 )
+
+from test_acceptance import small_instance
 
 
 def write_pattern(path, values):
@@ -151,6 +156,36 @@ def test_document_round_trip_exact(tmp_path):
     save_scenario(scn, str(path))
     again = load_scenario(str(path))
     assert again == scn
+
+
+def _text_instances():
+    factors = (0.97, 1.04)
+    perturbed = synthesize_scenario(
+        default_patterns(),
+        generator_table=tuple(dataclasses.replace(g, base_price_bid=g.base_price_bid * factors[k % 2])
+                              for k, g in enumerate(DEFAULT_GENERATOR_TABLE)),
+        bess_params=dataclasses.replace(
+            DEFAULT_BESS, soc_init=DEFAULT_BESS.soc_init + 0.07 * DEFAULT_BESS.energy_capacity),
+        peak_load_mw=1000.0 * 1.03,
+        bess_price_bids=BessPriceBids(buy=100.0),
+    )
+    return [harness.desk_scenario(), harness.reference_scenario(), small_instance(), perturbed]
+
+
+def test_document_text_same_with_and_without_libyaml(monkeypatch):
+    # the scenario text comes from libyaml when PyYAML has it; PyYAML's
+    # pure-Python emitter and parser must give the same bytes and scenarios
+    scns = _text_instances()
+    texts = [scenario_to_text(scn) for scn in scns]
+    parsed = [scenario_from_text(text) for text in texts]
+    monkeypatch.setattr(scenario, "_YAML_DUMPER", yaml.SafeDumper)
+    monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.SafeLoader)
+    for scn, text, again in zip(scns, texts, parsed):
+        assert text == scenario_to_text(scn)
+        doc = yaml.safe_load(text)
+        assert text == yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
+        assert again == scn
+        assert repr(again) == repr(scenario_from_text(text))
 
 
 def test_document_rejects_wrong_schema():

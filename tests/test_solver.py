@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bessbid import solver
+from bessbid import clearing, harness, solver
 from bessbid.solver import (
     LpProblem,
     MilpProblem,
@@ -309,3 +309,174 @@ def test_dimension_errors_raised():
     p = lp([1.0, 2.0], [[1.0, 1.0]], ["<"], [1.0], [0.0], [1.0])
     with pytest.raises(ValueError, match="bounds length"):
         solve_lp(p)
+
+
+ALL_BOUNDS_MPS = """\
+NAME          ALLBOUNDS
+OBJSENSE
+    MAX
+ROWS
+ N  OBJ
+ L  R0000001
+ G  R0000002
+ E  R0000003
+COLUMNS
+    C0000001  OBJ       1.5
+    C0000001  R0000001  1.0
+    C0000002  OBJ       -0.0
+    C0000003  OBJ       0.30000000000000004
+    C0000004  OBJ       2.0
+    C0000004  R0000001  -2.5
+    C0000005  OBJ       0.0
+    C0000006  OBJ       -3.0
+    C0000006  R0000002  0.30000000000000004
+    M0        'MARKER'                 'INTORG'
+    C0000007  OBJ       1.0
+    C0000007  R0000002  1e-17
+    C0000008  OBJ       0.0
+    M1        'MARKER'                 'INTEND'
+    C0000009  OBJ       1e+22
+    C0000009  R0000003  4.0
+    M2        'MARKER'                 'INTORG'
+    C0000010  OBJ       0.5
+    C0000010  R0000003  -1.0
+    M3        'MARKER'                 'INTEND'
+RHS
+    RHS       R0000001  4.0
+    RHS       R0000003  123456.789012345
+BOUNDS
+ FR BND       C0000002
+ MI BND       C0000003
+ UP BND       C0000003  5.0
+ FX BND       C0000004  2.5
+ LO BND       C0000005  1.5
+ LO BND       C0000006  -1.0
+ UP BND       C0000006  3.0
+ BV BND       C0000007
+ BV BND       C0000008
+ UP BND       C0000009  4.0
+ BV BND       C0000010
+ENDATA
+"""
+
+
+def test_mps_writes_every_bound_type(tmp_path):
+    # FR/MI/UP/FX/LO/BV bounds, markers around two integer runs (one ending
+    # the file), an explicit zero coefficient and a -0.0 rhs (both omitted),
+    # -0.0 and over-wide literals in the objective
+    inf = np.inf
+    a = sp.csr_matrix((np.array([1.0, 0.0, -2.5, 0.1 + 0.2, 1e-17, 4.0, -1.0]),
+                       np.array([0, 1, 3, 5, 6, 8, 9]), np.array([0, 3, 5, 7])), shape=(3, 10))
+    p = MilpProblem(
+        c=np.array([1.5, -0.0, 0.1 + 0.2, 2.0, 0.0, -3.0, 1.0, 0.0, 1e22, 0.5]), a=a,
+        senses=np.array(["<", ">", "="]), rhs=np.array([4.0, -0.0, 123456.789012345]),
+        lower=np.array([0.0, -inf, -inf, 2.5, 1.5, -1.0, 0.0, 0.0, 0.0, 0.0]),
+        upper=np.array([inf, inf, 5.0, 2.5, inf, 3.0, 1.0, 1.0, 4.0, 1.0]),
+        maximize=True, integrality=np.array([0, 0, 0, 0, 0, 0, 1, 1, 0, 1], dtype=np.int8),
+    )
+    path = tmp_path / "all.mps"
+    export_mps(p, str(path), name="ALLBOUNDS")
+    assert path.read_text() == ALL_BOUNDS_MPS
+    q = import_mps(str(path))
+    assert q.c.tobytes() == p.c.tobytes()
+    np.testing.assert_array_equal(q.lower, p.lower)
+    np.testing.assert_array_equal(q.upper, p.upper)
+    np.testing.assert_array_equal(q.integrality, p.integrality)
+    np.testing.assert_array_equal(q.a.toarray(), p.a.toarray())
+
+
+SMALL_MPS = [
+    "NAME          SMALL",
+    "ROWS",
+    " N  OBJ",
+    " L  R1",
+    " G  R2",
+    "COLUMNS",
+    "    C1        OBJ       1.0        R1        2.0",
+    "    C2        OBJ       -1.0",
+    "    C2        R2        3.0",
+    "RHS",
+    "    RHS       R1        4.0        R2        1.0",
+    "BOUNDS",
+    " UP BND       C1        5.0",
+    "ENDATA",
+]
+
+
+def write_mps(tmp_path, lines):
+    path = tmp_path / "m.mps"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_mps_reader_skips_comments_and_reads_two_pair_lines(tmp_path):
+    lines = list(SMALL_MPS)
+    lines.insert(9, "  * a comment inside COLUMNS")
+    lines.insert(3, "")
+    lines.insert(0, "* leading comment")
+    q = import_mps(write_mps(tmp_path, lines))
+    assert q.row_names == ["R1", "R2"] and q.col_names == ["C1", "C2"]
+    np.testing.assert_array_equal(q.senses, ["<", ">"])
+    np.testing.assert_array_equal(q.c, [1.0, -1.0])
+    np.testing.assert_array_equal(q.a.toarray(), [[2.0, 0.0], [0.0, 3.0]])
+    np.testing.assert_array_equal(q.rhs, [4.0, 1.0])
+    np.testing.assert_array_equal(q.upper, [5.0, np.inf])
+    assert not q.maximize
+
+
+@pytest.mark.parametrize("line_no, text, message", [
+    (4, " L  R1        extra", "ROWS entries need exactly [sense, name]"),
+    (5, " Q  R2", "unknown row sense 'Q'"),
+    (5, " G  R1", "duplicate row 'R1'"),
+    (8, "    M0        'MARKER'                 'INTBAD'", "unknown marker ''INTBAD''"),
+    (9, "    C2        R2", "COLUMNS entries need 1 or 2 (row, value) pairs"),
+    (7, "    C1        OBJ       1.0        R1        2.x", "bad numeral '2.x'"),
+    (9, "    C2        R9        3.0", "unknown row 'R9' in COLUMNS"),
+    (11, "    RHS       R1        4.0        R2", "RHS entries need 1 or 2 (row, value) pairs"),
+    (11, "    RHS       R1        4.0        R2        x", "bad numeral 'x'"),
+    (11, "    RHS       R9        4.0", "unknown row 'R9' in RHS"),
+    (13, " UP BND       C1", "UP bound needs [type, set, column, value]"),
+    (13, " BV BND       C1        1.0", "BV bound needs [type, set, column]"),
+    (13, " UP BND       C1        five", "bad numeral 'five'"),
+    (13, " XX BND       C1", "unknown bound type 'XX'"),
+    (13, " UP BND       C9        5.0", "unknown column 'C9' in BOUNDS"),
+    (12, "RANGES", "RANGES section is not supported"),
+    (2, "    C1        OBJ       1.0", "data line outside any section"),
+])
+def test_mps_format_errors_name_line(tmp_path, line_no, text, message):
+    lines = list(SMALL_MPS)
+    lines[line_no - 1] = text
+    with pytest.raises(MpsFormatError) as err:
+        import_mps(write_mps(tmp_path, lines))
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+def _stacked_rows(p):
+    """The backend matrix as scipy's ``linprog`` builds it: '<' rows, negated
+    '>' rows, '=' rows, stacked column-wise."""
+    a = p.a.tocsr()
+    le, ge, eq = (np.flatnonzero(p.senses == s) for s in ("<", ">", "="))
+    return sp.vstack([a[le], -a[ge], a[eq]], format="csc")
+
+
+def test_lp_model_matrix_matches_stacked_rows():
+    scn = harness.desk_scenario()
+    problems = [clearing.LlLayout(scn, t, include_bess=bess).build_lp()
+                for t in range(scn.n_intervals) for bess in (True, False)]
+    problems.append(lp([1.0, -2.0, 0.5], [[1.0, 0.0, -1.0], [2.0, 1.0, 0.0], [0.0, -3.0, 1.0],
+                                          [1.0, 1.0, 1.0], [0.0, 4.0, -2.0]],
+                       [">", "<", "=", ">", "<"], [1.0, -0.0, 0.0, -0.0, 6.0],
+                       [0.0, 0.0, -1.0], [5.0, 5.0, 5.0]))
+    # unsorted column indices and a duplicate entry, which the stacked
+    # matrix sorts and sums
+    uncanonical = sp.csr_matrix((np.array([2.0, 1.0, 0.5, -1.0, 3.0]), np.array([2, 0, 2, 1, 0]),
+                                 np.array([0, 3, 5])), shape=(2, 3))
+    problems.append(LpProblem(c=np.ones(3), a=uncanonical, senses=np.array([">", "<"]),
+                              rhs=np.array([1.0, 4.0]), lower=np.zeros(3), upper=np.ones(3)))
+    for p in problems:
+        got = solver.LpModel(p)._highs.getLp().a_matrix_
+        want = _stacked_rows(p)
+        assert np.array_equal(np.asarray(got.start_), want.indptr)
+        assert np.array_equal(np.asarray(got.index_), want.indices)
+        assert np.asarray(got.value_, dtype=float).tobytes() == want.data.tobytes()
