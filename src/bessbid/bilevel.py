@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import clearing, solver
-from .clearing import BessBids, LlInstance, LlLayout, LlVariables, Prices
+from .clearing import BessBids, LlLayout, LlVariables, Prices
 from .scenario import MarketMask, Scenario, validate_scenario
 
 log = logging.getLogger(__name__)
@@ -66,11 +66,6 @@ class KktSystem:
         """Columns of the lower-bound pairs, in the order of their duals."""
         return [p.index for p in self.comp_pairs if p.kind == "lower"]
 
-    def residuals(self, x: np.ndarray, row_duals: np.ndarray,
-                  lower_duals: np.ndarray, bids: BessBids = clearing.ZERO_BIDS) -> dict[str, float]:
-        lp = self.layout.build_lp(bids)
-        return solver.kkt_residuals(lp, x, row_duals, lower_duals)
-
 
 @dataclass(frozen=True)
 class BigMRecord:
@@ -102,15 +97,14 @@ def _dual_bound(layout: LlLayout) -> tuple[float, str]:
     return value, derivation
 
 
-def derive_kkt(instance: LlInstance) -> KktSystem:
-    """KKT system of a built clearing LP, with big-M values per pair.
+def derive_kkt(layout: LlLayout) -> KktSystem:
+    """KKT system of an interval's clearing LP, with big-M values per pair.
 
     Primal-side M values bound each row's slack using the variable ranges
     implied by the clearing rows themselves plus the storage power rating as
     the cap on bid quantities; the dual-side M is a uniform cap derived from
     the bid coefficients.
     """
-    layout = instance.layout
     scn = layout.scenario
     it = layout.interval
     rate = scn.bess.power_rate
@@ -178,7 +172,7 @@ def derive_kkt(instance: LlInstance) -> KktSystem:
                      m_dual=md, m_registry=registry)
 
 
-def linearize_objective(kkt: KktSystem) -> tuple[np.ndarray, np.ndarray]:
+def linearize_objective(layout: LlLayout) -> tuple[np.ndarray, np.ndarray]:
     """Exact linear form of one interval's storage revenue.
 
     The bilinear revenue (price times award) is removed in three steps:
@@ -186,48 +180,34 @@ def linearize_objective(kkt: KktSystem) -> tuple[np.ndarray, np.ndarray]:
     dual-times-slack products via complementary slackness, then substitute
     the clearing LP's strong-duality equality. Every product of a dual with a
     storage bid or award cancels, leaving the negated generator payment on
-    the primal columns plus RHS-weighted duals on the generator limit rows,
-    the requirement rows, and the balance row.
+    the primal columns plus the duals weighted by the clearing LP's
+    right-hand side at zero bids, ``layout.rhs_base``.
 
     Returns ``(x_coefs, dual_coefs)`` in layout column/row order, where
-    ``dual_coefs`` applies to signed duals in the original sense convention.
+    ``dual_coefs`` (the layout's own ``rhs_base``) applies to signed duals in
+    the original sense convention.
     """
-    layout = kkt.layout
-    scn = layout.scenario
-    it = layout.interval
     x_coefs = np.zeros(layout.n_cols)
     n_gen_cols = LlLayout.GEN_COLS * layout.n_gens
     x_coefs[:n_gen_cols] = -layout.c[:n_gen_cols]
-    dual_coefs = np.zeros(layout.n_rows)
-    for j, g in enumerate(scn.generators):
-        dual_coefs[layout.row_gen(j, 0)] = g.p_min
-        dual_coefs[layout.row_gen(j, 1)] = g.p_max
-        dual_coefs[layout.row_gen(j, 2)] = g.reserve_ramp
-        dual_coefs[layout.row_gen(j, 3)] = g.regulation_ramp
-    dual_coefs[layout.row_reserve_req] = it.reserve_req
-    dual_coefs[layout.row_regcap_req] = it.regcap_req
-    dual_coefs[layout.row_mileage_req] = it.mileage_req
-    dual_coefs[layout.row_balance] = it.load
-    return x_coefs, dual_coefs
+    return x_coefs, layout.rhs_base
 
 
 def linearized_revenue_value(layout: LlLayout, x: np.ndarray,
                              row_duals: np.ndarray) -> float:
     """Evaluate the linearized per-interval revenue at a KKT point."""
-    kkt = derive_kkt(layout.instance())
-    x_coefs, dual_coefs = linearize_objective(kkt)
+    x_coefs, dual_coefs = linearize_objective(layout)
     return float(x_coefs @ x + dual_coefs @ row_duals)
 
 
-def direct_revenue_value(layout: LlLayout, x: np.ndarray,
+def direct_revenue_value(layout: LlLayout, v: LlVariables,
                          row_duals: np.ndarray) -> float:
     """Price-times-award revenue evaluated directly from duals and awards."""
-    lam = row_duals[layout.row_balance]
     return float(
-        lam * (x[layout.col_bs] - x[layout.col_bd])
-        + row_duals[layout.row_reserve_req] * x[layout.col_brs]
-        + row_duals[layout.row_regcap_req] * x[layout.col_brgc]
-        + row_duals[layout.row_mileage_req] * x[layout.col_brgm]
+        row_duals[layout.row_balance] * (v.p_bs - v.p_bd)
+        + row_duals[layout.row_reserve_req] * v.p_brs
+        + row_duals[layout.row_regcap_req] * v.p_brgc
+        + row_duals[layout.row_mileage_req] * v.p_brgm
     )
 
 
@@ -329,7 +309,7 @@ def interval_block(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, Mod
     z0 = w0 + nr + len(lower_cols)
     n_z = len(switched)
     eq = layout.senses == "="
-    x_coefs, dual_coefs = linearize_objective(kkt)
+    x_coefs, dual_coefs = linearize_objective(layout)
 
     # --- columns ---------------------------------------------------------
     lower = np.zeros(z0 + n_z)
@@ -485,7 +465,7 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
     parts: list[ModelPart] = []
     n_rows = n_cols = 0
     for t in range(scn.n_intervals):
-        kkt = derive_kkt(clearing.build_ll_interval(scn, t))
+        kkt = derive_kkt(LlLayout(scn, t))
         block, part = interval_block(kkt, mask)
         blocks.append(replace(block, ul0=n_cols, x0=block.x0 + n_cols,
                               w0=block.w0 + n_cols, z0=block.z0 + n_cols))
@@ -676,12 +656,13 @@ def verify_bilevel_solution(
     for block, s in zip(bilevel.blocks, sol.intervals):
         layout = block.kkt.layout
         xvec = layout.vector_from(s.variables)
-        res = block.kkt.residuals(xvec, s.row_duals, s.lower_duals, bids=s.bids)
+        lp = layout.build_lp(s.bids)
+        res = solver.kkt_residuals(lp, xvec, s.row_duals, s.lower_duals)
         for key in max_res:
             max_res[key] = max(max_res[key], res[key])
         tag = f"t{s.t}"
         if res["primal"] > PRIMAL_CHECK_TOL:
-            mismatches.append(f"{tag}:{_worst_primal_row(layout, xvec, s.bids)}")
+            mismatches.append(f"{tag}:{_worst_primal_row(lp, xvec)}")
         if res["stationarity"] > STATIONARITY_CHECK_TOL:
             mismatches.append(f"{tag}:stationarity")
         if res["dual_sign"] > STATIONARITY_CHECK_TOL:
@@ -724,7 +705,7 @@ def verify_bilevel_solution(
 
     # revenue recomputation guards against big-M truncation
     revenue = sum(
-        direct_revenue_value(block.kkt.layout, block.kkt.layout.vector_from(s.variables), s.row_duals)
+        direct_revenue_value(block.kkt.layout, s.variables, s.row_duals)
         for block, s in zip(bilevel.blocks, sol.intervals)
     )
     scale = max(1.0, abs(sol.objective))
@@ -743,8 +724,7 @@ def verify_bilevel_solution(
     return report
 
 
-def _worst_primal_row(layout: LlLayout, x: np.ndarray, bids: BessBids) -> str:
-    lp = layout.build_lp(bids)
+def _worst_primal_row(lp: solver.LpProblem, x: np.ndarray) -> str:
     viol = solver.row_violation(lp.senses, lp.a.dot(x), lp.rhs)
     r = int(np.argmax(viol))
     return lp.row_names[r] if viol[r] > 0.0 else "bounds"

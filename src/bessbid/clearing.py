@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,8 +85,8 @@ class Prices:
 class LlLayout:
     """Column/row indexing of one interval's clearing LP.
 
-    Columns per generator j: [p_gs, p_grs, p_grgc, p_grgm]; storage columns
-    [p_bs, p_bd, p_brs, p_brgc, p_brgm] follow when ``include_bess``.
+    Columns per generator j: [p_gs, p_grs, p_grgc, p_grgm]; then the storage
+    columns [p_bs, p_bd, p_brs, p_brgc, p_brgm].
     Rows per generator: output floor, output cap, reserve ramp cap,
     regulation ramp cap, mileage floor, mileage cap; then the four storage
     award caps and two storage mileage rows; then reserve, regulation
@@ -97,7 +98,8 @@ class LlLayout:
 
     Only the storage bid rows' right-hand sides depend on the bids, so one
     layout keeps one HiGHS model (built on its first solve) and every
-    :class:`LlInstance` of the layout clears through it.
+    :class:`LlInstance` of the layout with a nonzero bid clears through it;
+    a zero-bid instance solves :meth:`storage_free_lp` instead.
     """
 
     GEN_COLS = 4
@@ -106,18 +108,17 @@ class LlLayout:
     BESS_ROWS = 6
     SYS_ROWS = 4
 
-    def __init__(self, scn: Scenario, t: int, include_bess: bool = True):
+    def __init__(self, scn: Scenario, t: int):
         self.scenario = scn
         self.t = t
-        self.include_bess = include_bess
         it = scn.intervals[t]
         self.interval = it
         self.delta_t = it.delta_t
         gens = scn.generators
         g_n = len(gens)
         self.n_gens = g_n
-        self.n_cols = self.GEN_COLS * g_n + (self.BESS_COLS if include_bess else 0)
-        self.n_rows = self.GEN_ROWS * g_n + (self.BESS_ROWS if include_bess else 0) + self.SYS_ROWS
+        self.n_cols = self.GEN_COLS * g_n + self.BESS_COLS
+        self.n_rows = self.GEN_ROWS * g_n + self.BESS_ROWS + self.SYS_ROWS
 
         dt = it.delta_t
         c = np.zeros(self.n_cols)
@@ -134,19 +135,12 @@ class LlLayout:
             lower[base + 2] = 0.0
             col_names += [f"gs:{g.gen_id}", f"grs:{g.gen_id}",
                           f"grgc:{g.gen_id}", f"grgm:{g.gen_id}"]
-        if include_bess:
-            beta = it.bess_price_bids
-            b0 = self.GEN_COLS * g_n
-            c[b0 + 0] = dt * beta.sell
-            c[b0 + 1] = -dt * beta.buy
-            c[b0 + 2] = dt * beta.reserve
-            c[b0 + 3] = dt * beta.regcap
-            c[b0 + 4] = dt * beta.mileage
-            lower[b0 + 0] = 0.0
-            lower[b0 + 1] = 0.0
-            lower[b0 + 2] = 0.0
-            lower[b0 + 3] = 0.0
-            col_names += ["bs", "bd", "brs", "brgc", "brgm"]
+        beta = it.bess_price_bids
+        b0 = self.GEN_COLS * g_n
+        c[b0:] = (dt * beta.sell, -dt * beta.buy, dt * beta.reserve, dt * beta.regcap,
+                  dt * beta.mileage)
+        lower[b0:b0 + 4] = 0.0
+        col_names += ["bs", "bd", "brs", "brgc", "brgm"]
         self.c = c
         self.lower = lower
         self.upper = upper
@@ -162,26 +156,24 @@ class LlLayout:
             rows.append(({grgc: 1.0}, "<", g.regulation_ramp, f"rg_ramp:{gid}"))
             rows.append(({grgm: 1.0, grgc: -1.0}, ">", 0.0, f"mil_floor:{gid}"))
             rows.append(({grgm: 1.0, grgc: -g.mileage_multiplier}, "<", 0.0, f"mil_cap:{gid}"))
-        if include_bess:
-            bs, bd, brs, brgc, brgm = (self.GEN_COLS * g_n + k for k in range(5))
-            mult = scn.bess.mileage_multiplier
-            # award caps: bid quantities land in the rhs at solve time
-            rows.append(({bs: 1.0}, "<", 0.0, "bid_cap:sell"))
-            rows.append(({bd: 1.0}, "<", 0.0, "bid_cap:buy"))
-            rows.append(({brs: 1.0}, "<", 0.0, "bid_cap:reserve"))
-            rows.append(({brgc: 1.0}, "<", 0.0, "bid_cap:regcap"))
-            rows.append(({brgm: 1.0, brgc: -1.0}, ">", 0.0, "mil_floor:bess"))
-            rows.append(({brgm: 1.0, brgc: -mult}, "<", 0.0, "mil_cap:bess"))
+        bs, bd, brs, brgc, brgm = range(b0, b0 + 5)
+        mult = scn.bess.mileage_multiplier
+        # award caps: bid quantities land in the rhs at solve time
+        rows.append(({bs: 1.0}, "<", 0.0, "bid_cap:sell"))
+        rows.append(({bd: 1.0}, "<", 0.0, "bid_cap:buy"))
+        rows.append(({brs: 1.0}, "<", 0.0, "bid_cap:reserve"))
+        rows.append(({brgc: 1.0}, "<", 0.0, "bid_cap:regcap"))
+        rows.append(({brgm: 1.0, brgc: -1.0}, ">", 0.0, "mil_floor:bess"))
+        rows.append(({brgm: 1.0, brgc: -mult}, "<", 0.0, "mil_cap:bess"))
         reserve_row = {self.GEN_COLS * j + 1: 1.0 for j in range(g_n)}
         regcap_row = {self.GEN_COLS * j + 2: 1.0 for j in range(g_n)}
         mileage_row = {self.GEN_COLS * j + 3: 1.0 for j in range(g_n)}
         balance_row = {self.GEN_COLS * j + 0: 1.0 for j in range(g_n)}
-        if include_bess:
-            reserve_row[brs] = 1.0
-            regcap_row[brgc] = 1.0
-            mileage_row[brgm] = 1.0
-            balance_row[bs] = 1.0
-            balance_row[bd] = -1.0
+        reserve_row[brs] = 1.0
+        regcap_row[brgc] = 1.0
+        mileage_row[brgm] = 1.0
+        balance_row[bs] = 1.0
+        balance_row[bd] = -1.0
         rows.append((reserve_row, ">", it.reserve_req, "req:reserve"))
         rows.append((regcap_row, ">", it.regcap_req, "req:regcap"))
         rows.append((mileage_row, ">", it.mileage_req, "req:mileage"))
@@ -262,12 +254,11 @@ class LlLayout:
     # ------------------------------------------------------------------
     def rhs_for(self, bids: BessBids) -> np.ndarray:
         rhs = self.rhs_base.copy()
-        if self.include_bess:
-            br = self.bid_rows
-            rhs[br["sell"]] = bids.sell
-            rhs[br["buy"]] = bids.buy
-            rhs[br["reserve"]] = bids.reserve
-            rhs[br["regcap"]] = bids.regcap
+        br = self.bid_rows
+        rhs[br["sell"]] = bids.sell
+        rhs[br["buy"]] = bids.buy
+        rhs[br["reserve"]] = bids.reserve
+        rhs[br["regcap"]] = bids.regcap
         return rhs
 
     def instance(self, bids: BessBids = ZERO_BIDS) -> LlInstance:
@@ -296,30 +287,49 @@ class LlLayout:
             col_names=list(self.col_names),
         )
 
+    def storage_free_lp(self) -> tuple[solver.LpProblem, np.ndarray]:
+        """The clearing LP without the storage unit, and the layout rows it keeps.
+
+        Slices the storage columns and the six storage rows out of the
+        layout; the kept rows stay in layout order, so row ``k`` of the
+        sub-LP is layout row ``rows[k]`` and column ``j`` is layout column
+        ``j``.
+        """
+        n = self.GEN_COLS * self.n_gens
+        rows = np.r_[:self.GEN_ROWS * self.n_gens, self.n_rows - self.SYS_ROWS:self.n_rows]
+        lp = solver.LpProblem(
+            c=self.c[:n].copy(),
+            a=self.a[rows][:, :n],
+            senses=self.senses[rows],
+            rhs=self.rhs_base[rows],
+            lower=self.lower[:n].copy(),
+            upper=self.upper[:n].copy(),
+            maximize=False,
+            row_names=[self.row_names[r] for r in rows],
+            col_names=self.col_names[:n],
+        )
+        return lp, rows
+
     def variables_from(self, x: np.ndarray) -> LlVariables:
-        g_n = self.n_gens
-        idx = np.arange(g_n) * self.GEN_COLS
-        out = LlVariables(
+        idx = np.arange(self.n_gens) * self.GEN_COLS
+        return LlVariables(
             p_gs=x[idx + 0].copy(),
             p_grs=x[idx + 1].copy(),
             p_grgc=x[idx + 2].copy(),
             p_grgm=x[idx + 3].copy(),
+            p_bs=float(x[self.col_bs]),
+            p_bd=float(x[self.col_bd]),
+            p_brs=float(x[self.col_brs]),
+            p_brgc=float(x[self.col_brgc]),
+            p_brgm=float(x[self.col_brgm]),
         )
-        if self.include_bess:
-            out.p_bs = float(x[self.col_bs])
-            out.p_bd = float(x[self.col_bd])
-            out.p_brs = float(x[self.col_brs])
-            out.p_brgc = float(x[self.col_brgc])
-            out.p_brgm = float(x[self.col_brgm])
-        return out
 
     def vector_from(self, v: LlVariables) -> np.ndarray:
         """Column vector of a schedule; the inverse of :meth:`variables_from`."""
         x = np.zeros(self.n_cols)
         for k, values in enumerate((v.p_gs, v.p_grs, v.p_grgc, v.p_grgm)):
             x[k:self.GEN_COLS * self.n_gens:self.GEN_COLS] = values
-        if self.include_bess:
-            x[self.col_bs:] = (v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm)
+        x[self.col_bs:] = (v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm)
         return x
 
     def prices_from(self, row_duals: np.ndarray) -> Prices:
@@ -356,13 +366,12 @@ class ClearingResult:
 
 def build_ll_interval(scn: Scenario, t: int, bids: BessBids = ZERO_BIDS) -> LlInstance:
     """Assemble one interval's joint clearing LP with the given storage bids."""
-    return LlLayout(scn, t, include_bess=True).instance(bids)
+    return LlLayout(scn, t).instance(bids)
 
 
-def _solve_or_raise(layout: LlLayout, rhs: np.ndarray) -> solver.SolveOutcome:
-    t = layout.t
+def _solve_or_raise(t: int, solve: Callable[[], solver.SolveOutcome]) -> solver.SolveOutcome:
     try:
-        out = layout.solve(rhs)
+        out = solve()
     except solver.SolverError as exc:
         raise ClearingError(f"interval {t}: {exc}") from exc
     if out.status == solver.INFEASIBLE:
@@ -379,17 +388,17 @@ def _solve_or_raise(layout: LlLayout, rhs: np.ndarray) -> solver.SolveOutcome:
 def clear_interval(instance: LlInstance) -> ClearingResult:
     """Solve one interval and extract schedule, prices, and dual bookkeeping.
 
-    When every storage bid is zero the storage columns are dropped before the
-    solve and the full-layout duals are reconstructed afterwards, so prices
+    When every storage bid is zero the layout's storage-free sub-LP is solved
+    and the storage duals are rebuilt from stationarity afterwards, so prices
     are exactly the no-storage prices (zero-bid neutrality) and the returned
     duals still satisfy the full first-order system.
     """
     layout = instance.layout
     t = layout.t
     if instance.bids.all_zero():
-        return _clear_interval_no_bess(layout.scenario, t, full_layout=layout)
+        return _clear_zero_bids(instance)
 
-    out = _solve_or_raise(layout, instance.lp.rhs)
+    out = _solve_or_raise(t, lambda: layout.solve(instance.lp.rhs))
     result = ClearingResult(
         t=t,
         variables=layout.variables_from(out.x),
@@ -407,65 +416,57 @@ def clear_interval(instance: LlInstance) -> ClearingResult:
     return result
 
 
-def _clear_interval_no_bess(scn: Scenario, t: int, full_layout: LlLayout | None = None) -> ClearingResult:
-    reduced = LlLayout(scn, t, include_bess=False)
-    out = _solve_or_raise(reduced, reduced.rhs_base)
+def _clear_zero_bids(instance: LlInstance) -> ClearingResult:
+    layout = instance.layout
+    t = layout.t
+    free, kept_rows = layout.storage_free_lp()
+    out = _solve_or_raise(t, lambda: solver.LpModel(free).solve())
 
-    full = full_layout if full_layout is not None else LlLayout(scn, t, include_bess=True)
-    n_gen_rows = LlLayout.GEN_ROWS * reduced.n_gens
-    n_gen_cols = LlLayout.GEN_COLS * reduced.n_gens
-
-    x = np.zeros(full.n_cols)
+    n_gen_cols = len(free.c)
+    x = np.zeros(layout.n_cols)
     x[:n_gen_cols] = out.x
-
-    row_duals = np.zeros(full.n_rows)
-    row_duals[:n_gen_rows] = out.row_duals[:n_gen_rows]
-    row_duals[full.row_reserve_req] = out.row_duals[reduced.row_reserve_req]
-    row_duals[full.row_regcap_req] = out.row_duals[reduced.row_regcap_req]
-    row_duals[full.row_mileage_req] = out.row_duals[reduced.row_mileage_req]
-    row_duals[full.row_balance] = out.row_duals[reduced.row_balance]
-
-    lower_duals = np.zeros(full.n_cols)
+    row_duals = np.zeros(layout.n_rows)
+    row_duals[kept_rows] = out.row_duals
+    lower_duals = np.zeros(layout.n_cols)
     lower_duals[:n_gen_cols] = out.lower_duals
 
     # storage duals reconstructed from stationarity; every storage row has
     # zero slack at zero bids so any nonnegative dual is complementary
-    it = scn.intervals[t]
-    beta = it.bess_price_bids
-    dt = it.delta_t
-    lam = row_duals[full.row_balance]
-    y_rs = row_duals[full.row_reserve_req]
-    y_c = row_duals[full.row_regcap_req]
-    y_m = row_duals[full.row_mileage_req]
-    mult = scn.bess.mileage_multiplier
-    br = full.bid_rows
+    beta = layout.interval.bess_price_bids
+    dt = layout.delta_t
+    lam = row_duals[layout.row_balance]
+    y_rs = row_duals[layout.row_reserve_req]
+    y_c = row_duals[layout.row_regcap_req]
+    y_m = row_duals[layout.row_mileage_req]
+    mult = layout.scenario.bess.mileage_multiplier
+    br = layout.bid_rows
 
     w12 = max(0.0, dt * beta.mileage - y_m)
     w13 = max(0.0, y_m - dt * beta.mileage)
-    row_duals[full.row_mil_floor_bess] = w12
-    row_duals[full.row_mil_cap_bess] = -w13
+    row_duals[layout.row_mil_floor_bess] = w12
+    row_duals[layout.row_mil_cap_bess] = -w13
     row_duals[br["sell"]] = min(0.0, dt * beta.sell - lam)
-    lower_duals[full.col_bs] = max(0.0, dt * beta.sell - lam)
+    lower_duals[layout.col_bs] = max(0.0, dt * beta.sell - lam)
     row_duals[br["buy"]] = min(0.0, lam - dt * beta.buy)
-    lower_duals[full.col_bd] = max(0.0, lam - dt * beta.buy)
+    lower_duals[layout.col_bd] = max(0.0, lam - dt * beta.buy)
     row_duals[br["reserve"]] = min(0.0, dt * beta.reserve - y_rs)
-    lower_duals[full.col_brs] = max(0.0, dt * beta.reserve - y_rs)
+    lower_duals[layout.col_brs] = max(0.0, dt * beta.reserve - y_rs)
     q = dt * beta.regcap + w12 - mult * w13 - y_c
     row_duals[br["regcap"]] = min(0.0, q)
-    lower_duals[full.col_brgc] = max(0.0, q)
+    lower_duals[layout.col_brgc] = max(0.0, q)
 
     result = ClearingResult(
         t=t,
-        variables=full.variables_from(x),
-        prices=full.prices_from(row_duals),
+        variables=layout.variables_from(x),
+        prices=layout.prices_from(row_duals),
         objective=float(out.objective),
         row_duals=row_duals,
         lower_duals=lower_duals,
         duality_gap_rel=float(out.duality_gap_rel),
         cs_residual=0.0,
-        layout=full,
+        layout=layout,
     )
-    resid = solver.kkt_residuals(full.build_lp(ZERO_BIDS), x, row_duals, lower_duals)
+    resid = solver.kkt_residuals(instance.lp, x, row_duals, lower_duals)
     result.cs_residual = resid["cs"]
     if resid["stationarity"] > 1e-7:
         raise ClearingError(
@@ -490,17 +491,17 @@ def _check_result_contracts(result: ClearingResult) -> None:
 def clear_horizon(scn: Scenario, bids: list[BessBids] | None = None) -> list[ClearingResult]:
     """Clear every interval independently (no cross-interval coupling).
 
-    ``bids=None`` clears with no storage participation at all; otherwise one
-    :class:`BessBids` per interval is required.
+    ``bids=None`` clears every interval at :data:`ZERO_BIDS`, which gives
+    the storage-free prices; otherwise one :class:`BessBids` per interval is
+    required.
     """
     n = scn.n_intervals
-    if bids is not None and len(bids) != n:
+    if bids is None:
+        bids = [ZERO_BIDS] * n
+    if len(bids) != n:
         raise ValueError(f"need {n} bid quadruples, got {len(bids)}")
     results = []
     for t in range(n):
-        if bids is None:
-            results.append(_clear_interval_no_bess(scn, t))
-            continue
         try:
             instance = build_ll_interval(scn, t, bids[t])
         except ValueError as exc:  # the message already names the interval

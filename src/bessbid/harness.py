@@ -309,15 +309,8 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float,
         cleared = []
         for bids in combos:
             res = clearing.clear_interval(layout.instance(bids))
-            v = res.variables
-            lay = res.layout
-            revenue = (
-                res.row_duals[lay.row_balance] * (v.p_bs - v.p_bd)
-                + res.row_duals[lay.row_reserve_req] * v.p_brs
-                + res.row_duals[lay.row_regcap_req] * v.p_brgc
-                + res.row_duals[lay.row_mileage_req] * v.p_brgm
-            )
-            cleared.append((bids, v, float(revenue)))
+            cleared.append((bids, res.variables,
+                            bilevel.direct_revenue_value(layout, res.variables, res.row_duals)))
         per_interval.append(cleared)
 
     def interval_arrays(t: int):

@@ -516,8 +516,12 @@ def _mps_lines(problem: LpProblem, name: str) -> list[str]:
 def import_mps(path: str) -> MilpProblem:
     """Parse an MPS file written by :func:`export_mps` (free-format tolerant)."""
     with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
+        return _parse_mps(fh)
 
+
+def _parse_mps(fh) -> MilpProblem:
+    """The body of :func:`import_mps`, reading the open file line by line;
+    the end-of-file errors name the file's last line."""
     section = None
     maximize = False
     obj_row: str | None = None
@@ -535,7 +539,8 @@ def import_mps(path: str) -> MilpProblem:
     saw_endata = False
     expect_objsense_value = False
 
-    for ln, line in enumerate(raw, start=1):
+    ln = 0
+    for ln, line in enumerate(fh, start=1):
         fields = line.split()
         if not fields or fields[0][0] == "*":
             continue
@@ -646,9 +651,10 @@ def import_mps(path: str) -> MilpProblem:
         raise MpsFormatError("data line outside any section", ln)
 
     if not saw_endata:
-        raise MpsFormatError("truncated file: ENDATA missing", len(raw))
+        raise MpsFormatError("truncated file: ENDATA missing", ln)
     if obj_row is None:
-        raise MpsFormatError("no objective (N) row declared", len(raw))
+        # the lines after ENDATA still count toward the last line's number
+        raise MpsFormatError("no objective (N) row declared", ln + sum(1 for _ in fh))
 
     n, m = len(col_int), len(senses)
     c = np.zeros(n)

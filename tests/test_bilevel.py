@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bessbid import bilevel, harness, solver
-from bessbid.clearing import ZERO_BIDS, BessBids, build_ll_interval, clear_interval
+from bessbid.clearing import ZERO_BIDS, BessBids, LlLayout, build_ll_interval, clear_interval
 from bessbid.scenario import BessParams, BessPriceBids, GeneratorParams, MarketMask
 from conftest import GEN_CHEAP, GEN_DEAR, build_scenario
 from test_acceptance import small_instance
@@ -29,7 +29,7 @@ def test_comp_pair_count_matches_inequality_count():
         scn = build_scenario(gens, BessParams(10.0, 5.0), [150.0],
                              reserve_frac=0.1, regcap_frac=0.04,
                              ancillary_ratio=1.0)
-        kkt = bilevel.derive_kkt(build_ll_interval(scn, 0))
+        kkt = bilevel.derive_kkt(LlLayout(scn, 0))
         g = len(gens)
         assert len(kkt.comp_pairs) == 8 * g + 13
         rows = [p for p in kkt.comp_pairs if p.kind == "row"]
@@ -44,9 +44,8 @@ def test_kkt_residuals_on_cleared_interval():
                          beta=EAGER_BUYER)
     inst = build_ll_interval(scn, 0, BessBids(0.0, 3.0, 1.0, 1.0))
     res = clear_interval(inst)
-    kkt = bilevel.derive_kkt(inst)
-    resid = kkt.residuals(inst.layout.vector_from(res.variables), res.row_duals,
-                          res.lower_duals, bids=inst.bids)
+    resid = solver.kkt_residuals(inst.lp, inst.layout.vector_from(res.variables),
+                                 res.row_duals, res.lower_duals)
     assert resid["stationarity"] <= 1e-8
     assert resid["primal"] <= 1e-8
     assert resid["dual_sign"] <= 1e-12
@@ -71,7 +70,7 @@ def test_stationarity_identity_for_storage_sell_column():
 def test_dual_cap_formula():
     scn = build_scenario([GEN_CHEAP, GEN_DEAR], BessParams(10.0, 5.0), [150.0],
                          ancillary_ratio=1.0, beta=EAGER_BUYER)
-    kkt = bilevel.derive_kkt(build_ll_interval(scn, 0))
+    kkt = bilevel.derive_kkt(LlLayout(scn, 0))
     # largest bid is the storage buy bid at 100; generator multiplier 10
     assert kkt.m_dual == pytest.approx(2.0 * 0.25 * 100.0 * 11.0)
     assert all(p.m_dual == kkt.m_dual for p in kkt.comp_pairs)
@@ -97,7 +96,7 @@ def test_linearized_revenue_matches_direct_on_random_clearings():
         res = clear_interval(inst)
         x = inst.layout.vector_from(res.variables)
         lin = bilevel.linearized_revenue_value(inst.layout, x, res.row_duals)
-        direct = bilevel.direct_revenue_value(inst.layout, x, res.row_duals)
+        direct = bilevel.direct_revenue_value(inst.layout, res.variables, res.row_duals)
         assert lin == pytest.approx(direct, abs=1e-7)
 
 
@@ -118,7 +117,7 @@ def test_known_sell_instance_revenue():
         inst = build_ll_interval(scn, 0, BessBids(sell=20.0))
         res = clear_interval(inst)
         x = inst.layout.vector_from(res.variables)
-        rev = bilevel.direct_revenue_value(inst.layout, x, res.row_duals)
+        rev = bilevel.direct_revenue_value(inst.layout, res.variables, res.row_duals)
         assert rev == pytest.approx(200.0 * dt, rel=1e-9)
         assert bilevel.linearized_revenue_value(inst.layout, x, res.row_duals) == pytest.approx(200.0 * dt, rel=1e-9)
         # the bidding MILP reaches the same revenue by itself
@@ -255,7 +254,7 @@ def test_arbitrage_solution_verifies():
     assert rep.revenue_from_duals == pytest.approx(rep.revenue_milp, rel=1e-5)
     # revenue decomposes into the linearized per-interval values
     per_interval = sum(
-        bilevel.direct_revenue_value(b.kkt.layout, b.kkt.layout.vector_from(s.variables), s.row_duals)
+        bilevel.direct_revenue_value(b.kkt.layout, s.variables, s.row_duals)
         for b, s in zip(bl.blocks, sol.intervals)
     )
     assert per_interval == pytest.approx(out.objective, rel=1e-6)

@@ -25,6 +25,7 @@ from bessbid.scenario import (
     IntervalData,
     Scenario,
 )
+from test_acceptance import drop_storage
 
 
 def make_scenario(gens, bess, loads, delta_t=0.25, reserve=0.0, regcap=0.0,
@@ -147,10 +148,28 @@ def test_zero_bid_neutrality_exact():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [110.0, 150.0],
                         reserve=10.0, regcap=4.0, mileage=7.0, ancillary_ratio=0.2)
     with_bess = clear_horizon(scn, [ZERO_BIDS, ZERO_BIDS])
-    without = clear_horizon(scn, None)
-    for a, b in zip(with_bess, without):
-        assert a.prices == b.prices
-        assert a.objective == b.objective
+    assert [r.prices for r in clear_horizon(scn, None)] == [r.prices for r in with_bess]
+    for res in with_bess:
+        lp = drop_storage(build_ll_interval(scn, res.t).lp)
+        out = solver.solve_lp(lp)
+        # back in layout rows, where the six storage rows precede the four system rows
+        without = res.layout.prices_from(np.insert(out.row_duals, -4, np.zeros(6)))
+        assert res.prices == without
+        assert res.objective == out.objective
+
+
+def test_storage_free_lp_drops_storage_by_name():
+    scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [110.0, 150.0],
+                        reserve=10.0, regcap=4.0, mileage=7.0, ancillary_ratio=0.2)
+    for t in range(scn.n_intervals):
+        layout = LlLayout(scn, t)
+        free, rows = layout.storage_free_lp()
+        want = drop_storage(layout.build_lp())
+        for field in ("c", "senses", "rhs", "lower", "upper"):
+            assert getattr(free, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (free.a != want.a).nnz == 0 and free.a.shape == want.a.shape
+        assert (free.row_names, free.col_names) == (want.row_names, want.col_names)
+        assert [layout.row_names[r] for r in rows] == free.row_names
 
 
 def test_horizon_matches_joint_lp():

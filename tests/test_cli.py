@@ -1,3 +1,6 @@
+import hashlib
+
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -59,6 +62,28 @@ def test_clear_prints_prices_and_writes_csv(tmp_path):
     assert lines[0].startswith("t,price_energy")
     assert len(lines) == 3
     assert out.read_text().strip() == res.output.strip()
+
+
+# sha256 of the passive-clear price table (stdout, which the --out CSV repeats)
+CLEAR_STDOUT_SHA256 = {
+    "desk": "bddae6eeaf7d0614434c230f2deac1d812b5190171f63b03061e61edfe8409bc",
+    "reference": "c887618b6b363756b62aca1f0840eb159ad522614a3a57d2ff996e511e8f95e1",
+}
+
+
+@pytest.mark.parametrize("system, synth_args", [
+    ("desk", ["--desk"]),
+    ("reference", []),
+])
+def test_clear_output_matches_pinned_digest(tmp_path, system, synth_args):
+    rn = runner()
+    scn = tmp_path / "s.scn"
+    assert rn.invoke(cli, ["synth", "--out", str(scn)] + synth_args).exit_code == 0
+    out = tmp_path / "prices.csv"
+    res = rn.invoke(cli, ["clear", "--scenario", str(scn), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == CLEAR_STDOUT_SHA256[system]
+    assert out.read_text() == res.output
 
 
 def test_solve_round_trip(tmp_path):

@@ -452,6 +452,34 @@ def test_mps_format_errors_name_line(tmp_path, line_no, text, message):
     assert str(err.value) == f"line {line_no}: {message}"
 
 
+NO_OBJECTIVE_MPS = [
+    "NAME          NOOBJ",
+    "ROWS",
+    " L  R1",
+    "COLUMNS",
+    "    C1        R1        2.0",
+    "ENDATA",
+    "* after the end",
+]
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("\n".join(SMALL_MPS[:-1]) + "\n", 13, "truncated file: ENDATA missing"),
+    ("\n".join(SMALL_MPS[:-1]), 13, "truncated file: ENDATA missing"),
+    ("", 0, "truncated file: ENDATA missing"),
+    # the lines after ENDATA count toward the file's last line
+    ("\n".join(NO_OBJECTIVE_MPS) + "\n", 7, "no objective (N) row declared"),
+    ("\n".join(NO_OBJECTIVE_MPS), 7, "no objective (N) row declared"),
+])
+def test_mps_end_of_file_errors_name_last_line(tmp_path, text, line_no, message):
+    path = tmp_path / "m.mps"
+    path.write_text(text)
+    with pytest.raises(MpsFormatError) as err:
+        import_mps(str(path))
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
 def _stacked_rows(p):
     """The backend matrix as scipy's ``linprog`` builds it: '<' rows, negated
     '>' rows, '=' rows, stacked column-wise."""
@@ -462,8 +490,8 @@ def _stacked_rows(p):
 
 def test_lp_model_matrix_matches_stacked_rows():
     scn = harness.desk_scenario()
-    problems = [clearing.LlLayout(scn, t, include_bess=bess).build_lp()
-                for t in range(scn.n_intervals) for bess in (True, False)]
+    layouts = [clearing.LlLayout(scn, t) for t in range(scn.n_intervals)]
+    problems = [p for lay in layouts for p in (lay.build_lp(), lay.storage_free_lp()[0])]
     problems.append(lp([1.0, -2.0, 0.5], [[1.0, 0.0, -1.0], [2.0, 1.0, 0.0], [0.0, -3.0, 1.0],
                                           [1.0, 1.0, 1.0], [0.0, 4.0, -2.0]],
                        [">", "<", "=", ">", "<"], [1.0, -0.0, 0.0, -0.0, 6.0],
