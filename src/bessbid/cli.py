@@ -46,9 +46,9 @@ def _exit_code_for(err: Exception) -> int:
 
 
 def solver_options(f):
-    f = click.option("--time-limit", type=float, default=None, envvar="BESSBID_TIME_LIMIT",
-                     help="Solver wall-clock limit in seconds.")(f)
-    f = click.option("--gap", type=float, default=1e-6, show_default=True,
+    f = click.option("--time-limit", type=click.FloatRange(min=0.0), default=None,
+                     envvar="BESSBID_TIME_LIMIT", help="Solver wall-clock limit in seconds.")(f)
+    f = click.option("--gap", type=click.FloatRange(min=0.0), default=1e-6, show_default=True,
                      envvar="BESSBID_GAP", help="Relative MIP gap tolerance.")(f)
     return f
 

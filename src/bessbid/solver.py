@@ -1,6 +1,8 @@
 """Embedded LP/MILP solving with dual extraction, plus MPS export/import.
 
-LPs are solved with a dual-simplex backend so optimal bases are vertices and
+Every LP and MILP goes to HiGHS through one class, :class:`LpModel`, in one
+of two row layouts chosen from the problem (its docstring says why there are
+two). LPs are solved by dual simplex so optimal bases are vertices and
 constraint duals are available; MILPs go through branch-and-bound on binary
 variables. Both paths report a uniform :class:`SolveOutcome`.
 
@@ -18,12 +20,10 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as _milp
 # private: the HiGHS bindings bundled with scipy, used only by LpModel
 from scipy.optimize._highspy import _core as _highs
 
@@ -140,15 +140,33 @@ def feasibility_residual(problem: LpProblem, x: np.ndarray) -> float:
     return float(max(resid, lo_viol, up_viol))
 
 
+# HiGHS model statuses as SolveOutcome statuses, for LPs and MILPs alike; any
+# other is a backend failure. MIP solves can end "unbounded or infeasible".
+_MS = _highs.HighsModelStatus
+_STATUS = {_MS.kOptimal: OPTIMAL, _MS.kInfeasible: INFEASIBLE, _MS.kModelError: INFEASIBLE,
+           _MS.kUnbounded: UNBOUNDED, _MS.kUnboundedOrInfeasible: UNBOUNDED,
+           _MS.kTimeLimit: TIME_LIMIT, _MS.kIterationLimit: TIME_LIMIT}
+_VAR_TYPES = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
+
+
 class LpModel:
-    """One LP held in a HiGHS instance, re-solved as its right-hand sides move.
+    """One LP or MILP held in a HiGHS instance; the only code that builds one.
 
     The model goes to HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through
-    the bindings bundled with scipy, in the form scipy's
-    ``linprog(method="highs-ds")`` gives it: '<' rows, then negated '>' rows,
-    then '=' rows; presolve on, dual simplex, both feasibility tolerances at
-    ``FEASIBILITY_TOL``. The bindings are private to scipy, and this class is
-    the only code that uses them.
+    the bindings bundled with scipy, which are private to scipy. It is passed
+    column-wise, with logging off, in one of two row layouts chosen from the
+    problem:
+
+    - A pure LP goes in the form scipy's ``linprog(method="highs-ds")`` gives
+      it: '<' rows, then negated '>' rows, then '=' rows; presolve on, dual
+      simplex, both feasibility tolerances at ``FEASIBILITY_TOL``. In problem
+      row order, 4320 of 5376 bid-grid clears of the desk system with zero
+      reserve and mileage requirements land on other awards, and every zero
+      '>'-row dual comes back as -0.0, which would print as a -0.0 price.
+    - A MILP (any integer column) keeps the problem's rows with
+      ``[lower, upper]`` row bounds and HiGHS's default options, as scipy's
+      ``milp`` passed them; :func:`solve_milp` sets only the gap and the time
+      limit. In the LP layout, desk case 4 lands on another incumbent.
 
     Every solve starts cold: the clearing LPs are dual degenerate, and a solve
     warm-started from the previous basis can stop at another optimal vertex
@@ -160,62 +178,93 @@ class LpModel:
         if not all(np.isfinite(v).all() for v in (problem.c, problem.a.data, problem.rhs)):
             raise ValueError("objective, constraint coefficients and rhs must be finite")
         self.problem = replace(problem, rhs=np.array(problem.rhs, dtype=float))
-        le = np.flatnonzero(problem.senses == SENSE_LE)
-        ge = np.flatnonzero(problem.senses == SENSE_GE)
-        eq = np.flatnonzero(problem.senses == SENSE_EQ)
-        self._order = np.concatenate([le, ge, eq])   # backend row -> problem row
-        self._pos = np.argsort(self._order)          # problem row -> backend row
-        self._sign = np.concatenate([np.ones(len(le)), -np.ones(len(ge)), np.ones(len(eq))])
-        self._n_ineq = len(le) + len(ge)
-        self._fin_lo = np.isfinite(problem.lower)
-        self._fin_up = np.isfinite(problem.upper)
+        self.is_mip = bool(np.any(getattr(problem, "integrality", 0)))
+        self._fin_lo, self._fin_up = np.isfinite(problem.lower), np.isfinite(problem.upper)
 
-        # the backend matrix column-wise in one step: each entry moves to its
-        # backend row, '>' rows are negated, and every column lists its rows
-        # in ascending order; duplicate entries are summed first, as a
-        # stacked sparse matrix would sum them
-        a = problem.a.tocsr()
-        if not a.has_canonical_format:
-            a = a.copy()
-            a.sum_duplicates()
-        rows = self._pos[np.repeat(np.arange(problem.n_rows), np.diff(a.indptr))]
-        order = np.lexsort((rows, a.indices))
-        start = np.zeros(problem.n_cols + 1, dtype=np.int32)
-        np.cumsum(np.bincount(a.indices, minlength=problem.n_cols), out=start[1:])
-        row_upper = self._sign * self.problem.rhs[self._order]
-        row_lower = row_upper.copy()
-        row_lower[: self._n_ineq] = -_highs.kHighsInf
         lp = _highs.HighsLp()
+        options = _highs.HighsOptions()
+        options.output_flag = False
+        if self.is_mip:
+            a = problem.a.tocsc()
+            start, index, value = a.indptr, a.indices, a.data
+            row_lower = np.where(problem.senses == SENSE_LE, -np.inf, self.problem.rhs)
+            row_upper = np.where(problem.senses == SENSE_GE, np.inf, self.problem.rhs)
+            lp.integrality_ = [_VAR_TYPES[k] for k in np.asarray(problem.integrality).tolist()]
+        else:
+            start, index, value, row_lower, row_upper = self._lp_rows()
+            options.presolve = "on"
+            options.solver = "simplex"
+            options.simplex_strategy = int(
+                _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+            options.primal_feasibility_tolerance = FEASIBILITY_TOL
+            options.dual_feasibility_tolerance = FEASIBILITY_TOL
         lp.num_col_ = problem.n_cols
         lp.num_row_ = problem.n_rows
         lp.a_matrix_.num_col_ = problem.n_cols
         lp.a_matrix_.num_row_ = problem.n_rows
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = rows[order].astype(np.int32)
-        lp.a_matrix_.value_ = (a.data * self._sign[rows])[order]
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         lp.col_cost_ = -problem.c if problem.maximize else np.array(problem.c, dtype=float)
         lp.col_lower_ = np.array(problem.lower, dtype=float)  # +-inf is HiGHS's infinity
         lp.col_upper_ = np.array(problem.upper, dtype=float)
         lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
-
-        options = _highs.HighsOptions()
-        options.presolve = "on"
-        options.solver = "simplex"
-        options.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-        options.primal_feasibility_tolerance = FEASIBILITY_TOL
-        options.dual_feasibility_tolerance = FEASIBILITY_TOL
-        options.output_flag = False
-        options.log_to_console = False
         self._highs = _highs._Highs()
         if (self._highs.passOptions(options) == _highs.HighsStatus.kError
                 or self._highs.passModel(lp) == _highs.HighsStatus.kError):
-            raise SolverError("LP backend refused the model")
+            raise SolverError("HiGHS refused the model")
+
+    def _lp_rows(self):
+        """linprog's rows: '<' rows, negated '>' rows, '=' rows, with the
+        permutation and signs :meth:`solve` maps right-hand sides and duals by."""
+        p = self.problem
+        le = np.flatnonzero(p.senses == SENSE_LE)
+        ge = np.flatnonzero(p.senses == SENSE_GE)
+        eq = np.flatnonzero(p.senses == SENSE_EQ)
+        self._order = np.concatenate([le, ge, eq])   # backend row -> problem row
+        self._pos = np.argsort(self._order)          # problem row -> backend row
+        self._sign = np.concatenate([np.ones(len(le)), -np.ones(len(ge)), np.ones(len(eq))])
+        self._n_ineq = len(le) + len(ge)
+
+        # the backend matrix column-wise in one step: each entry moves to its
+        # backend row, '>' rows are negated, and every column lists its rows
+        # in ascending order; duplicate entries are summed first, as a
+        # stacked sparse matrix would sum them
+        a = p.a.tocsr()
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        rows = self._pos[np.repeat(np.arange(p.n_rows), np.diff(a.indptr))]
+        order = np.lexsort((rows, a.indices))
+        start = np.zeros(p.n_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(a.indices, minlength=p.n_cols), out=start[1:])
+        row_upper = self._sign * p.rhs[self._order]
+        row_lower = row_upper.copy()
+        row_lower[: self._n_ineq] = -_highs.kHighsInf
+        return (start, rows[order].astype(np.int32), (a.data * self._sign[rows])[order],
+                row_lower, row_upper)
+
+    def _run(self, **options) -> tuple[str, str, float]:
+        """Set ``options``, solve from scratch and map HiGHS's model status;
+        returns the status, HiGHS's wording of it and the solve's wall time."""
+        for name, value in options.items():
+            if self._highs.setOptionValue(name, value) == _highs.HighsStatus.kError:
+                raise SolverError(f"HiGHS refused option {name}={value!r}")
+        t0 = time.perf_counter()
+        self._highs.clearSolver()
+        self._highs.run()
+        wall = time.perf_counter() - t0
+        status = self._highs.getModelStatus()
+        message = self._highs.modelStatusToString(status)
+        if status not in _STATUS:
+            raise SolverError(f"HiGHS backend failure: {message}")
+        return _STATUS[status], message, wall
 
     def solve(self, rhs: np.ndarray | None = None) -> SolveOutcome:
-        """Solve from scratch, after moving the row right-hand sides to ``rhs``
-        (problem row order and senses) when given."""
+        """Solve an LP from scratch, after moving the row right-hand sides to
+        ``rhs`` (problem row order and senses) when given."""
         problem = self.problem
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=float)
@@ -227,21 +276,9 @@ class LpModel:
                 b = float(self._sign[k] * rhs[r])
                 self._highs.changeRowBounds(k, -_highs.kHighsInf if k < self._n_ineq else b, b)
                 problem.rhs[r] = rhs[r]
-        t0 = time.perf_counter()
-        self._highs.clearSolver()
-        self._highs.run()
-        status = self._highs.getModelStatus()
-        wall = time.perf_counter() - t0
-        message = self._highs.modelStatusToString(status)
-
-        if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
-            return SolveOutcome(status=INFEASIBLE, wall_time=wall, message=message)
-        if status == _highs.HighsModelStatus.kUnbounded:
-            return SolveOutcome(status=UNBOUNDED, wall_time=wall, message=message)
-        if status in (_highs.HighsModelStatus.kTimeLimit, _highs.HighsModelStatus.kIterationLimit):
-            return SolveOutcome(status=TIME_LIMIT, wall_time=wall, message=message)
-        if status != _highs.HighsModelStatus.kOptimal:
-            raise SolverError(f"LP backend failure: {message}")
+        status, message, wall = self._run()
+        if status != OPTIMAL:
+            return SolveOutcome(status=status, wall_time=wall, message=message)
 
         solution = self._highs.getSolution()
         x = np.array(solution.col_value, dtype=float)
@@ -272,23 +309,12 @@ class LpModel:
                 f"optimal solve violated numeric contracts: residual={resid:.3e}, gap={gap_rel:.3e}"
             )
 
-        objective = -fun if problem.maximize else fun
         if problem.maximize:
-            row_duals = -row_duals
-            lower_duals = -lower_duals
-            upper_duals = -upper_duals
-
+            fun, row_duals, lower_duals, upper_duals = -fun, -row_duals, -lower_duals, -upper_duals
         return SolveOutcome(
-            status=OPTIMAL,
-            objective=float(objective),
-            x=x,
-            row_duals=row_duals,
-            lower_duals=lower_duals,
-            upper_duals=upper_duals,
-            wall_time=wall,
-            feasibility_residual=resid,
-            duality_gap_rel=gap_rel,
-            message=message,
+            status=OPTIMAL, objective=float(fun), x=x, row_duals=row_duals,
+            lower_duals=lower_duals, upper_duals=upper_duals, wall_time=wall,
+            feasibility_residual=resid, duality_gap_rel=gap_rel, message=message,
         )
 
 
@@ -301,60 +327,33 @@ def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
                time_limit: float | None = None) -> SolveOutcome:
     """Branch-and-bound solve of a binary MILP; the backend is deterministic
     for fixed inputs."""
-    problem.validate()
-    t0 = time.perf_counter()
-
-    lb_rows = np.where(problem.senses == SENSE_LE, -np.inf, problem.rhs)
-    ub_rows = np.where(problem.senses == SENSE_GE, np.inf, problem.rhs)
-    constraints = [LinearConstraint(problem.a, lb_rows, ub_rows)] if problem.n_rows else []
-
-    c = -problem.c if problem.maximize else problem.c
-    options: dict = {"mip_rel_gap": float(gap_tol)}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
+    model = LpModel(problem)
     # HiGHS's MIP solver can print a hard-coded debug line to C stdout, which
     # no option silences; stdout carries command output, so send it to stderr
     sys.stdout.flush()
     saved_stdout = os.dup(1)
     os.dup2(2, 1)
     try:
-        res = _milp(c=c, constraints=constraints, integrality=problem.integrality,
-                    bounds=Bounds(problem.lower, problem.upper), options=options)
+        status, message, wall = model._run(  # HiGHS's default time limit is inf
+            mip_rel_gap=float(gap_tol),
+            time_limit=np.inf if time_limit is None else float(time_limit))
     finally:
         os.dup2(saved_stdout, 1)
         os.close(saved_stdout)
-    wall = time.perf_counter() - t0
-    nodes = max(1, int(getattr(res, "mip_node_count", 0) or 0))
-    gap = getattr(res, "mip_gap", None)
-    gap = float(gap) if gap is not None else None
+    info = model._highs.getInfo()
+    # a limit reached before the first incumbent leaves no solution
+    if status in (INFEASIBLE, UNBOUNDED) or info.objective_function_value == _highs.kHighsInf:
+        return SolveOutcome(status=status, wall_time=wall, message=message)
 
-    if res.status == 2:
-        return SolveOutcome(status=INFEASIBLE, wall_time=wall, message=res.message)
-    if res.status == 3:
-        return SolveOutcome(status=UNBOUNDED, wall_time=wall, message=res.message)
-    if res.status == 4:
-        if "unbounded" in res.message.lower():
-            return SolveOutcome(status=UNBOUNDED, wall_time=wall, message=res.message)
-        raise SolverError(f"MILP backend failure: {res.message}")
-
-    objective = None
-    x = None
-    if res.x is not None:
-        x = np.array(res.x, dtype=float)
-        objective = float(-res.fun if problem.maximize else res.fun)
-
-    if res.status == 1:
-        return SolveOutcome(
-            status=TIME_LIMIT, objective=objective, x=x, mip_gap=gap,
-            node_count=nodes, wall_time=wall, message=res.message,
-        )
-
-    status = OPTIMAL if (gap is None or gap <= 1e-9) else GAP_LIMIT
+    x = np.array(model._highs.getSolution().col_value, dtype=float)
+    fun = info.objective_function_value
+    gap = float(info.mip_gap) if model.is_mip else None
+    if status == OPTIMAL and gap is not None and gap > 1e-9:
+        status = GAP_LIMIT
     return SolveOutcome(
-        status=status, objective=objective, x=x, mip_gap=gap,
-        node_count=nodes, wall_time=wall,
-        feasibility_residual=feasibility_residual(problem, x) if x is not None else None,
-        message=res.message,
+        status=status, objective=float(-fun if problem.maximize else fun), x=x, mip_gap=gap,
+        node_count=max(1, int(info.mip_node_count)), wall_time=wall,
+        feasibility_residual=feasibility_residual(problem, x), message=message,
     )
 
 

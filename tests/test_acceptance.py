@@ -1,10 +1,12 @@
-"""End-to-end acceptance suite: eight gating properties, one test each.
+"""End-to-end acceptance suite: eight gating properties, one test each, plus
+the pinned bytes of the desk report files.
 
-Each test finishes by printing a single PASS line (visible with -s); the
-assertions above it are the gate. Shared desk-system solves are computed once
-per module.
+Each acceptance test finishes by printing a single PASS line (visible with
+-s); the assertions above it are the gate. Shared desk-system solves are
+computed once per module.
 """
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -143,6 +145,45 @@ def test_acceptance_3_participation_monotonicity(desk_reports):
     print(f"ACCEPTANCE 3 PASS: desk revenues case1 {totals[1]:.2f} <= "
           f"case2 {totals[2]:.2f} <= case4 {totals[4]:.2f} and case1 <= "
           f"case3 {totals[3]:.2f} <= case4")
+
+
+# sha256 of emit_outputs' files for the desk cases at gap 0.01; the report
+# files of `bessbid compare` must stay byte-identical
+REPORT_DIGESTS = {
+    1: {
+        "intervals": "da59e6927ecf3b7c4cc7e765f3eb37770e0963f4e5d4b0c30a43a34f3fee7e85",
+        "soc_trace": "fbd204cd90bc58282d916007b378d9ce8dd96166618518550ff1f8ed53724bc7",
+        "revenue_traces": "ab75ea7b15ad57f66b93829f43b5f970b3dae95a62a3c1c9bc7a1a9090d66d86",
+        "summary": "b3497e3833a479e4879b3dc5b75f40f42063e07c0a7b1145b98c2ff9d93d75c1",
+    },
+    2: {
+        "intervals": "d3bc018404a0f569a71a54251e42fda5cebecb6f187d7d39a75c5dd7e791e3fb",
+        "soc_trace": "8f89f45685c77d8d1c50fd08264e76b2daf4c7318ebc25bad0b3861018211bc8",
+        "revenue_traces": "b79a7f0ef916f5b6f8f7c66ed8be3d2dc7b863f0eabab0e228813ad15758c6ef",
+        "summary": "21097ef5c1ec8eb470eb7f5392e6d8fff8a8b5636d42e4826461caac1050ff7d",
+    },
+    3: {
+        "intervals": "3822769eb5a55a558ac9c9999eab3f92e417bfd65a10e7f663821da812f961d2",
+        "soc_trace": "b8c3fa1d206827b690be430176e4186f50fb1fa6f6c6bc92f5e0faecdb7b06e7",
+        "revenue_traces": "2092aefcc12a3d51ee3dd1a581f242918d4ca5d9b9327e3e27b0fa0468dfe673",
+        "summary": "aa89524e8eb80e8d5d9fd3f666650d808abe1a222f0ac7ed9faf527cb56c82aa",
+    },
+    4: {
+        "intervals": "449787b91fbc962ca4e3e2c3c9ce89469ce221e59e98b0f1a39051a0188b6356",
+        "soc_trace": "78c651afb73eb2d3111a9c0946b92a9acd7403e68510e1a72c6c0a6363225cfd",
+        "revenue_traces": "daeb27df2ebb451f62bd84f64dc5e34b773937bd4dd867e1cba9e84050826fb9",
+        "summary": "5f86327a2557a26d9b6d75771a14be0002bb2c01c510f0b1df9365ed0adce2ab",
+    },
+}
+
+
+def test_desk_report_files_match_pinned_digests(tmp_path, desk_reports):
+    _, reports = desk_reports
+    for case, (report, _) in reports.items():
+        files = harness.emit_outputs(report, tmp_path / report.label)
+        got = {k: hashlib.sha256(Path(files[k]).read_bytes()).hexdigest()
+               for k in REPORT_DIGESTS[case]}
+        assert got == REPORT_DIGESTS[case], case
 
 
 def test_acceptance_4_arbitrage_shape():

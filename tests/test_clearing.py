@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bessbid import solver
+from bessbid import harness, solver
 from bessbid.clearing import (
     ZERO_BIDS,
     BessBids,
@@ -170,6 +170,22 @@ def test_storage_free_lp_drops_storage_by_name():
         assert (free.a != want.a).nnz == 0 and free.a.shape == want.a.shape
         assert (free.row_names, free.col_names) == (want.row_names, want.col_names)
         assert [layout.row_names[r] for r in rows] == free.row_names
+
+
+def test_zero_requirement_prices_are_unsigned_zero():
+    # a zero reserve or mileage requirement clears at a price of 0.0 with the
+    # sign bit clear, so no -0.0 price reaches the CLI; in problem row order
+    # HiGHS would return these zero '>'-row duals as -0.0
+    scn = harness.desk_scenario()
+    scn = dataclasses.replace(scn, intervals=tuple(
+        dataclasses.replace(iv, reserve_req=0.0, mileage_req=0.0) if iv.index % 2 == 0 else iv
+        for iv in scn.intervals))
+    bids = [BessBids(sell=1.0, buy=0.0, reserve=2.0, regcap=1.5)] * scn.n_intervals
+    for results in (clear_horizon(scn), clear_horizon(scn, bids)):
+        assert results[1].prices.reserve > 0.0
+        for r in results[::2]:
+            zeros = np.array([r.prices.reserve, r.prices.mileage])
+            assert np.array_equal(zeros, [0.0, 0.0]) and not np.signbit(zeros).any(), r.t
 
 
 def test_horizon_matches_joint_lp():

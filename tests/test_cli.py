@@ -126,6 +126,16 @@ def test_time_limit_env_and_flag_precedence(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_negative_gap_or_time_limit_is_usage_error(tmp_path):
+    rn = runner()
+    scn = synth_tiny(rn, tmp_path / "s.scn")
+    for flag in ("--gap", "--time-limit"):
+        res = rn.invoke(cli, ["solve", "--scenario", str(scn), flag, "-1",
+                              "--out", str(tmp_path / "x")])
+        assert res.exit_code == EXIT_USAGE, res.output
+        assert not (tmp_path / "x").exists()
+
+
 def test_config_file_supplies_defaults(tmp_path):
     rn = runner()
     scn = synth_tiny(rn, tmp_path / "s.scn")

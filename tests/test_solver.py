@@ -1,10 +1,15 @@
 """LP/MILP solving and MPS round-trip behavior."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as scipy_milp
 
-from bessbid import clearing, harness, solver
+from bessbid import bilevel, clearing, harness, solver
 from bessbid.solver import (
     LpProblem,
     MilpProblem,
@@ -15,6 +20,9 @@ from bessbid.solver import (
     solve_lp,
     solve_milp,
 )
+from bessbid.scenario import MarketMask
+from test_acceptance import small_instance
+from test_harness import acceptance_instance
 
 
 def lp(c, rows, senses, rhs, lower, upper, maximize=False):
@@ -190,6 +198,10 @@ def milp(c, rows, senses, rhs, lower, upper, integrality, maximize=False):
     )
 
 
+KNAPSACK = milp([-5.0, -4.0, -3.0], [[2.0, 3.0, 1.0]], ["<"], [5.0],
+                [0, 0, 0], [1, 1, 1], [1, 1, 1])
+
+
 def test_lp_integral_milp_solved_at_root():
     # totally unimodular constraint: relaxation is already integral
     p = milp([-1.0, -1.0], [[1.0, 1.0]], ["<"], [1.0], [0, 0], [1, 1], [1, 1])
@@ -214,12 +226,72 @@ def test_milp_statuses_and_gap_fields():
     )
     assert solve_milp(unb).status == "unbounded"
 
-    knap = milp([-5.0, -4.0, -3.0], [[2.0, 3.0, 1.0]], ["<"], [5.0],
-                [0, 0, 0], [1, 1, 1], [1, 1, 1])
-    out = solve_milp(knap, gap_tol=1e-9)
+    out = solve_milp(KNAPSACK, gap_tol=1e-9)
     assert out.status == "optimal"
     assert out.mip_gap is not None and out.mip_gap <= 1e-9
     assert out.node_count >= 1
+
+
+def _milp_instances():
+    """The tiny instance under cases 1-4 with and without terminal SOC, the
+    knapsack and perfbench's seed-2 draw of acceptance 1."""
+    seed2 = acceptance_instance(load_scale=0.9761612134249316,
+                                bid_factors=(0.9798491143414123, 1.031422574059428),
+                                soc_shift=-0.08161681157298062)
+    problems = [bilevel.assemble_milp(small_instance(MarketMask.from_case(case)),
+                                      terminal_soc_equality=terminal).milp
+                for case in (1, 2, 3, 4) for terminal in (False, True)]
+    return problems + [KNAPSACK, bilevel.assemble_milp(seed2).milp]
+
+
+def test_solve_milp_matches_scipy_milp():
+    # scipy's milp is the reference solve_milp must reproduce bit for bit:
+    # it hands HiGHS the problem's rows with [lower, upper] bounds
+    for p in _milp_instances():
+        got = solve_milp(p, gap_tol=1e-9)
+        rows = LinearConstraint(p.a, np.where(p.senses == "<", -np.inf, p.rhs),
+                                np.where(p.senses == ">", np.inf, p.rhs))
+        ref = scipy_milp(c=-p.c if p.maximize else p.c, integrality=p.integrality,
+                         bounds=Bounds(p.lower, p.upper), constraints=[rows],
+                         options={"mip_rel_gap": 1e-9})
+        assert ref.status == 0
+        assert got.x.tobytes() == np.asarray(ref.x, dtype=float).tobytes()
+        assert got.objective == (-ref.fun if p.maximize else ref.fun)
+        assert got.mip_gap == ref.mip_gap
+        assert got.node_count == max(1, ref.mip_node_count)
+
+
+def test_milp_model_keeps_problem_rows():
+    for p in _milp_instances():
+        got = solver.LpModel(p)._highs.getLp()
+        want = p.a.tocsc()
+        assert np.array_equal(np.asarray(got.a_matrix_.start_), want.indptr)
+        assert np.array_equal(np.asarray(got.a_matrix_.index_), want.indices)
+        assert np.asarray(got.a_matrix_.value_, dtype=float).tobytes() == want.data.tobytes()
+        assert np.asarray(got.row_lower_).tobytes() == np.where(p.senses == "<", -np.inf,
+                                                                p.rhs).tobytes()
+        assert np.asarray(got.row_upper_).tobytes() == np.where(p.senses == ">", np.inf,
+                                                                p.rhs).tobytes()
+        assert [int(v) for v in got.integrality_] == p.integrality.tolist()
+
+
+def test_highs_reached_only_through_solver_module():
+    # every LP and MILP goes through solver.LpModel: no module imports
+    # scipy's solver wrappers, and only solver.py touches the HiGHS bindings
+    wrappers = {"milp", "linprog", "Bounds", "LinearConstraint"}
+    src = Path(solver.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+                if node.module == "scipy.optimize":
+                    assert not wrappers & {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any("_highspy" in m for m in modules):
+                assert path.name == "solver.py", path.name
 
 
 def test_milp_deterministic_reproducibility():
