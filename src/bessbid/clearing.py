@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,6 +28,7 @@ log = logging.getLogger(__name__)
 
 STRONG_DUALITY_TOL = 1e-6  # relative
 CS_TOL = 1e-6              # absolute on dual*slack products
+STATIONARITY_TOL = 1e-7    # absolute, on a zero-bid clear's rebuilt storage duals
 
 
 class ClearingError(RuntimeError):
@@ -99,7 +101,8 @@ class LlLayout:
     Only the storage bid rows' right-hand sides depend on the bids, so one
     layout keeps one HiGHS model (built on its first solve) and every
     :class:`LlInstance` of the layout with a nonzero bid clears through it;
-    a zero-bid instance solves :meth:`storage_free_lp` instead.
+    a zero-bid instance solves :meth:`storage_free_lp` instead. The arrays
+    are built in closed form, once per layout.
     """
 
     GEN_COLS = 4
@@ -107,6 +110,12 @@ class LlLayout:
     BESS_COLS = 5
     BESS_ROWS = 6
     SYS_ROWS = 4
+
+    _GEN_COL_KINDS = ("gs", "grs", "grgc", "grgm")
+    _GEN_ROW_KINDS = ("gen_floor", "gen_cap", "rs_ramp", "rg_ramp", "mil_floor", "mil_cap")
+    _BESS_ROW_NAMES = ["bid_cap:sell", "bid_cap:buy", "bid_cap:reserve", "bid_cap:regcap",
+                       "mil_floor:bess", "mil_cap:bess"]
+    _SYS_ROW_NAMES = ["req:reserve", "req:regcap", "req:mileage", "balance"]
 
     def __init__(self, scn: Scenario, t: int):
         self.scenario = scn
@@ -121,78 +130,53 @@ class LlLayout:
         self.n_rows = self.GEN_ROWS * g_n + self.BESS_ROWS + self.SYS_ROWS
 
         dt = it.delta_t
-        c = np.zeros(self.n_cols)
-        lower = np.full(self.n_cols, -np.inf)
-        upper = np.full(self.n_cols, np.inf)
-        col_names: list[str] = []
-        for j, g in enumerate(gens):
-            base = self.GEN_COLS * j
-            c[base + 0] = dt * it.gen_energy_bids[j]
-            c[base + 1] = dt * it.gen_reserve_bids[j]
-            c[base + 2] = dt * it.gen_regcap_bids[j]
-            c[base + 3] = dt * it.gen_mileage_bids[j]
-            lower[base + 1] = 0.0
-            lower[base + 2] = 0.0
-            col_names += [f"gs:{g.gen_id}", f"grs:{g.gen_id}",
-                          f"grgc:{g.gen_id}", f"grgm:{g.gen_id}"]
         beta = it.bess_price_bids
-        b0 = self.GEN_COLS * g_n
-        c[b0:] = (dt * beta.sell, -dt * beta.buy, dt * beta.reserve, dt * beta.regcap,
-                  dt * beta.mileage)
-        lower[b0:b0 + 4] = 0.0
-        col_names += ["bs", "bd", "brs", "brgc", "brgm"]
-        self.c = c
-        self.lower = lower
-        self.upper = upper
-        self.col_names = col_names
+        self.c = np.array(
+            [dt * bid for bids in zip(it.gen_energy_bids, it.gen_reserve_bids,
+                                      it.gen_regcap_bids, it.gen_mileage_bids) for bid in bids]
+            + [dt * beta.sell, -dt * beta.buy, dt * beta.reserve, dt * beta.regcap,
+               dt * beta.mileage])
+        # p_gs, p_grgm and p_brgm are free: their floor rows keep them nonnegative
+        self.lower = np.array([-np.inf, 0.0, 0.0, -np.inf] * g_n + [0.0, 0.0, 0.0, 0.0, -np.inf])
+        self.upper = np.full(self.n_cols, np.inf)
+        self.col_names = [f"{kind}:{g.gen_id}" for g in gens for kind in self._GEN_COL_KINDS]
+        self.col_names += ["bs", "bd", "brs", "brgc", "brgm"]
 
-        rows: list[tuple[dict[int, float], str, float, str]] = []  # coeffs, sense, rhs, name
+        # the matrix in CSR form, row by row, each row's entries in column order
+        indices: list[int] = []
+        data: list[float] = []
         for j, g in enumerate(gens):
-            gs, grs, grgc, grgm = (self.GEN_COLS * j + k for k in range(4))
-            gid = g.gen_id
-            rows.append(({gs: 1.0, grgc: -1.0}, ">", g.p_min, f"gen_floor:{gid}"))
-            rows.append(({gs: 1.0, grs: 1.0, grgc: 1.0}, "<", g.p_max, f"gen_cap:{gid}"))
-            rows.append(({grs: 1.0}, "<", g.reserve_ramp, f"rs_ramp:{gid}"))
-            rows.append(({grgc: 1.0}, "<", g.regulation_ramp, f"rg_ramp:{gid}"))
-            rows.append(({grgm: 1.0, grgc: -1.0}, ">", 0.0, f"mil_floor:{gid}"))
-            rows.append(({grgm: 1.0, grgc: -g.mileage_multiplier}, "<", 0.0, f"mil_cap:{gid}"))
-        bs, bd, brs, brgc, brgm = range(b0, b0 + 5)
-        mult = scn.bess.mileage_multiplier
-        # award caps: bid quantities land in the rhs at solve time
-        rows.append(({bs: 1.0}, "<", 0.0, "bid_cap:sell"))
-        rows.append(({bd: 1.0}, "<", 0.0, "bid_cap:buy"))
-        rows.append(({brs: 1.0}, "<", 0.0, "bid_cap:reserve"))
-        rows.append(({brgc: 1.0}, "<", 0.0, "bid_cap:regcap"))
-        rows.append(({brgm: 1.0, brgc: -1.0}, ">", 0.0, "mil_floor:bess"))
-        rows.append(({brgm: 1.0, brgc: -mult}, "<", 0.0, "mil_cap:bess"))
-        reserve_row = {self.GEN_COLS * j + 1: 1.0 for j in range(g_n)}
-        regcap_row = {self.GEN_COLS * j + 2: 1.0 for j in range(g_n)}
-        mileage_row = {self.GEN_COLS * j + 3: 1.0 for j in range(g_n)}
-        balance_row = {self.GEN_COLS * j + 0: 1.0 for j in range(g_n)}
-        reserve_row[brs] = 1.0
-        regcap_row[brgc] = 1.0
-        mileage_row[brgm] = 1.0
-        balance_row[bs] = 1.0
-        balance_row[bd] = -1.0
-        rows.append((reserve_row, ">", it.reserve_req, "req:reserve"))
-        rows.append((regcap_row, ">", it.regcap_req, "req:regcap"))
-        rows.append((mileage_row, ">", it.mileage_req, "req:mileage"))
-        rows.append((balance_row, "=", it.load, "balance"))
-
-        data, ri, ci = [], [], []
-        senses, rhs, row_names = [], [], []
-        for i, (coeffs, sense, b, name) in enumerate(rows):
-            for col, val in coeffs.items():
-                ri.append(i)
-                ci.append(col)
-                data.append(val)
-            senses.append(sense)
-            rhs.append(float(b))
-            row_names.append(name)
-        self.a = sp.coo_matrix((data, (ri, ci)), shape=(self.n_rows, self.n_cols)).tocsr()
-        self.senses = np.array(senses)
-        self.rhs_base = np.array(rhs)
-        self.row_names = row_names
+            gs, grs, grgc, grgm = range(self.GEN_COLS * j, self.GEN_COLS * (j + 1))
+            indices += [gs, grgc,        # output floor: p_gs - p_grgc >= p_min
+                        gs, grs, grgc,   # output cap: p_gs + p_grs + p_grgc <= p_max
+                        grs,             # reserve ramp cap
+                        grgc,            # regulation ramp cap
+                        grgc, grgm,      # mileage floor: p_grgm - p_grgc >= 0
+                        grgc, grgm]      # mileage cap: p_grgm - mult * p_grgc <= 0
+            data += [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -g.mileage_multiplier, 1.0]
+        bs, bd, brs, brgc, brgm = range(self.GEN_COLS * g_n, self.n_cols)
+        # award caps (bid quantities land in their rhs at solve time), then
+        # the storage mileage floor and cap
+        indices += [bs, bd, brs, brgc, brgc, brgm, brgc, brgm]
+        data += [1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -scn.bess.mileage_multiplier, 1.0]
+        # reserve, regulation capacity and mileage requirements, power balance
+        for k, storage in ((1, [brs]), (2, [brgc]), (3, [brgm]), (0, [bs, bd])):
+            indices += list(range(k, self.GEN_COLS * g_n, self.GEN_COLS)) + storage
+        data += [1.0] * (4 * g_n + 4) + [-1.0]
+        lengths = [2, 3, 1, 1, 2, 2] * g_n + [1, 1, 1, 1, 2, 2] + [g_n + 1] * 3 + [g_n + 2]
+        indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
+        np.cumsum(lengths, out=indptr[1:])
+        self.a = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32), indptr),
+                               shape=(self.n_rows, self.n_cols))
+        self.senses = np.array([">", "<", "<", "<", ">", "<"] * g_n
+                               + ["<", "<", "<", "<", ">", "<"] + [">", ">", ">", "="])
+        self.rhs_base = np.array(
+            [v for g in gens for v in (g.p_min, g.p_max, g.reserve_ramp, g.regulation_ramp,
+                                       0.0, 0.0)]
+            + [0.0] * self.BESS_ROWS + [it.reserve_req, it.regcap_req, it.mileage_req, it.load],
+            dtype=float)
+        self.row_names = [f"{kind}:{g.gen_id}" for g in gens for kind in self._GEN_ROW_KINDS]
+        self.row_names += self._BESS_ROW_NAMES + self._SYS_ROW_NAMES
         self._model: solver.LpModel | None = None
 
     # --- index helpers -----------------------------------------------------
@@ -254,25 +238,24 @@ class LlLayout:
     # ------------------------------------------------------------------
     def rhs_for(self, bids: BessBids) -> np.ndarray:
         rhs = self.rhs_base.copy()
-        br = self.bid_rows
-        rhs[br["sell"]] = bids.sell
-        rhs[br["buy"]] = bids.buy
-        rhs[br["reserve"]] = bids.reserve
-        rhs[br["regcap"]] = bids.regcap
+        sell = self.bid_rows["sell"]   # the bid rows: sell, buy, reserve, regcap
+        rhs[sell:sell + 4] = (bids.sell, bids.buy, bids.reserve, bids.regcap)
         return rhs
 
     def instance(self, bids: BessBids = ZERO_BIDS) -> LlInstance:
         """This interval's clearing LP at the given storage bids."""
         if min(bids.sell, bids.buy, bids.reserve, bids.regcap) < 0:
             raise ValueError(f"interval {self.t}: bids must be >= 0, got {bids}")
-        return LlInstance(layout=self, lp=self.build_lp(bids), bids=bids)
+        return LlInstance(layout=self, bids=bids)
 
-    def solve(self, rhs: np.ndarray) -> solver.SolveOutcome:
-        """Solve the layout's LP at right-hand sides ``rhs`` (cold, see
-        :class:`solver.LpModel`); the model persists across calls."""
+    @property
+    def model(self) -> solver.LpModel:
+        """The layout's HiGHS model, built on first use and kept: a clear
+        moves its bid rows' right-hand sides and re-solves it cold (see
+        :class:`solver.LpModel`)."""
         if self._model is None:
             self._model = solver.LpModel(self.build_lp())
-        return self._model.solve(rhs)
+        return self._model
 
     def build_lp(self, bids: BessBids = ZERO_BIDS) -> solver.LpProblem:
         return solver.LpProblem(
@@ -296,10 +279,19 @@ class LlLayout:
         ``j``.
         """
         n = self.GEN_COLS * self.n_gens
-        rows = np.r_[:self.GEN_ROWS * self.n_gens, self.n_rows - self.SYS_ROWS:self.n_rows]
+        rows = np.concatenate([np.arange(self.GEN_ROWS * self.n_gens),
+                               np.arange(self.n_rows - self.SYS_ROWS, self.n_rows)])
+        # the storage rows hold storage entries only, so keeping the entries
+        # of the generator columns keeps exactly the kept rows' entries, in order
+        a = self.a
+        keep = a.indices < n
+        kept_before = np.concatenate(([0], np.cumsum(keep)))   # at each entry
+        kept_per_row = np.diff(kept_before[a.indptr])
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(kept_per_row[rows], out=indptr[1:])
         lp = solver.LpProblem(
             c=self.c[:n].copy(),
-            a=self.a[rows][:, :n],
+            a=sp.csr_matrix((a.data[keep], a.indices[keep], indptr), shape=(len(rows), n)),
             senses=self.senses[rows],
             rhs=self.rhs_base[rows],
             lower=self.lower[:n].copy(),
@@ -311,18 +303,12 @@ class LlLayout:
         return lp, rows
 
     def variables_from(self, x: np.ndarray) -> LlVariables:
-        idx = np.arange(self.n_gens) * self.GEN_COLS
-        return LlVariables(
-            p_gs=x[idx + 0].copy(),
-            p_grs=x[idx + 1].copy(),
-            p_grgc=x[idx + 2].copy(),
-            p_grgm=x[idx + 3].copy(),
-            p_bs=float(x[self.col_bs]),
-            p_bd=float(x[self.col_bd]),
-            p_brs=float(x[self.col_brs]),
-            p_brgc=float(x[self.col_brgc]),
-            p_brgm=float(x[self.col_brgm]),
-        )
+        # one copy holds the four generator vectors, one row each
+        gen = x[:self.col_bs].reshape(self.n_gens, self.GEN_COLS)
+        p_gs, p_grs, p_grgc, p_grgm = gen.T.copy()
+        p_bs, p_bd, p_brs, p_brgc, p_brgm = x[self.col_bs:].tolist()
+        return LlVariables(p_gs=p_gs, p_grs=p_grs, p_grgc=p_grgc, p_grgm=p_grgm,
+                           p_bs=p_bs, p_bd=p_bd, p_brs=p_brs, p_brgc=p_brgc, p_brgm=p_brgm)
 
     def vector_from(self, v: LlVariables) -> np.ndarray:
         """Column vector of a schedule; the inverse of :meth:`variables_from`."""
@@ -333,22 +319,23 @@ class LlLayout:
         return x
 
     def prices_from(self, row_duals: np.ndarray) -> Prices:
-        dt = self.delta_t
-        return Prices(
-            energy=float(row_duals[self.row_balance] / dt),
-            reserve=float(row_duals[self.row_reserve_req] / dt),
-            regcap=float(row_duals[self.row_regcap_req] / dt),
-            mileage=float(row_duals[self.row_mileage_req] / dt),
-        )
+        # the four system rows close the layout: reserve, regcap, mileage, balance
+        reserve, regcap, mileage, energy = (
+            row_duals[self.n_rows - self.SYS_ROWS:] / self.delta_t).tolist()
+        return Prices(energy=energy, reserve=reserve, regcap=regcap, mileage=mileage)
 
 
 @dataclass
 class LlInstance:
-    """A built clearing LP for one interval, ready to solve."""
+    """One interval's clearing LP at given storage bids, ready to solve; its
+    :class:`solver.LpProblem` is built when first asked for."""
 
     layout: LlLayout
-    lp: solver.LpProblem
     bids: BessBids
+
+    @cached_property
+    def lp(self) -> solver.LpProblem:
+        return self.layout.build_lp(self.bids)
 
 
 @dataclass
@@ -398,7 +385,9 @@ def clear_interval(instance: LlInstance) -> ClearingResult:
     if instance.bids.all_zero():
         return _clear_zero_bids(instance)
 
-    out = _solve_or_raise(t, lambda: layout.solve(instance.lp.rhs))
+    # the model's solve has checked feasibility; the clear checks the
+    # duality gap and complementary slackness
+    out = _solve_or_raise(t, lambda: layout.model.solve(layout.rhs_for(instance.bids)))
     result = ClearingResult(
         t=t,
         variables=layout.variables_from(out.x),
@@ -407,11 +396,9 @@ def clear_interval(instance: LlInstance) -> ClearingResult:
         row_duals=out.row_duals,
         lower_duals=out.lower_duals,
         duality_gap_rel=float(out.duality_gap_rel),
-        cs_residual=0.0,
+        cs_residual=float(out.cs_residual),
         layout=layout,
     )
-    resid = solver.kkt_residuals(instance.lp, out.x, out.row_duals, out.lower_duals)
-    result.cs_residual = resid["cs"]
     _check_result_contracts(result)
     return result
 
@@ -466,12 +453,14 @@ def _clear_zero_bids(instance: LlInstance) -> ClearingResult:
         cs_residual=0.0,
         layout=layout,
     )
-    resid = solver.kkt_residuals(instance.lp, x, row_duals, lower_duals)
-    result.cs_residual = resid["cs"]
-    if resid["stationarity"] > 1e-7:
+    core = solver.Residuals(instance.lp)
+    no_upper = np.zeros(layout.n_cols)
+    result.cs_residual = core.cs(x, core.activity(x), row_duals, lower_duals, no_upper)
+    stationarity = core.stationarity(row_duals, lower_duals, no_upper)
+    if stationarity > STATIONARITY_TOL:
         raise ClearingError(
             f"interval {t}: reconstructed storage duals violate stationarity "
-            f"({resid['stationarity']:.3e})"
+            f"({stationarity:.3e})"
         )
     _check_result_contracts(result)
     return result

@@ -1,9 +1,10 @@
 """Command-line entry point for the bidding toolkit.
 
-Exit codes: 0 success, 2 usage error, 3 infeasible market or case,
-4 verification failure (including AGC breaches and monotonicity violations),
-5 solver time limit. Defaults can be set in a YAML config file (``--config``);
-environment variables override the file, flags override both.
+Exit codes: 0 success, 1 solver failure or other error, 2 usage error,
+3 infeasible market or case, 4 verification failure (including AGC breaches
+and monotonicity violations), 5 solver time limit. Defaults can be set in a
+YAML config file (``--config``); environment variables override the file,
+flags override both.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .scenario import (
 )
 
 EXIT_OK = 0
+EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFICATION = 4
@@ -42,7 +44,7 @@ def _exit_code_for(err: Exception) -> int:
         return EXIT_VERIFICATION
     if isinstance(err, harness.CaseTimeLimitError):
         return EXIT_TIME_LIMIT
-    return 1
+    return EXIT_FAILURE
 
 
 def solver_options(f):

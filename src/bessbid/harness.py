@@ -62,6 +62,10 @@ class OracleSizeError(HarnessError):
     pass
 
 
+class SolverFailedError(HarnessError):
+    """HiGHS failed, refused an option or broke a numeric contract."""
+
+
 def scenario_fingerprint(scn: Scenario) -> str:
     return hashlib.sha256(scenario_to_text(scn).encode()).hexdigest()[:16]
 
@@ -203,8 +207,11 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         raise HarnessError("invalid scenario: " + "; ".join(problems))
 
     built = bilevel.assemble_milp(scn, terminal_soc_equality=terminal_soc_equality)
-    outcome = solver.solve_milp(built.milp, gap_tol=settings.gap_tol,
-                                time_limit=settings.time_limit)
+    try:
+        outcome = solver.solve_milp(built.milp, gap_tol=settings.gap_tol,
+                                    time_limit=settings.time_limit)
+    except solver.SolverError as exc:
+        raise SolverFailedError(f"solver failed: {exc}") from exc
     if outcome.status == solver.INFEASIBLE:
         raise CaseInfeasibleError("bidding problem infeasible")
     if outcome.status == solver.TIME_LIMIT:
@@ -344,18 +351,20 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float,
 
     rev1, de1, hold1, ceil1, env1 = interval_arrays(1)
     evaluated = len(combos) ** 2
-    soc2 = soc1[:, None] + de1[None, :]
-    ok = (ok0[:, None]
-          & env1[None, :]
-          & (soc2 >= bess.soc_min + hold1[None, :] - 1e-9)
-          & (soc2 <= bess.soc_max - ceil1[None, :] + 1e-9))
-    totals = rev0[:, None] + rev1[None, :]
-    totals = np.where(ok, totals, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(totals)), totals.shape)
-    if not np.isfinite(totals[i, j]):
+    # only an interval-0 point feasible on its own and an interval-1 point
+    # inside its power envelope can pair; both keep grid order, so the
+    # first best pair is the one the full grid gives
+    rows, cols = np.flatnonzero(ok0), np.flatnonzero(env1)
+    soc2 = soc1[rows, None] + de1[None, cols]
+    ok = ((soc2 >= bess.soc_min + hold1[None, cols] - 1e-9)
+          & (soc2 <= bess.soc_max - ceil1[None, cols] + 1e-9))
+    if not ok.any():
         raise HarnessError("no feasible grid point; the zero bid should always be feasible")
+    totals = np.where(ok, rev0[rows, None] + rev1[None, cols], -np.inf)
+    best_row, best_col = np.unravel_index(int(np.argmax(totals)), totals.shape)
+    i, j = rows[best_row], cols[best_col]
     return OracleResult(
-        revenue=float(totals[i, j]),
+        revenue=float(totals[best_row, best_col]),
         bids=[per_interval[0][i][0], per_interval[1][j][0]],
         evaluated=evaluated,
         feasible=int(ok.sum()),

@@ -123,21 +123,97 @@ class SolveOutcome:
     feasibility_residual: float | None = None
     duality_gap_rel: float | None = None
     message: str = ""
+    cs_residual: float | None = None   # LP solves: max |dual x slack|
+
+
+def _violation(le: np.ndarray, ge: np.ndarray, ax: np.ndarray, rhs) -> np.ndarray:
+    d = ax - rhs
+    return np.where(le, d, np.where(ge, rhs - ax, np.abs(d)))
 
 
 def row_violation(senses: np.ndarray, ax: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Per-row violation of ``ax`` against ``rhs`` in each row's sense:
     positive where a row is violated, and ``|ax - rhs|`` on '=' rows."""
-    return np.where(senses == SENSE_LE, ax - rhs,
-                    np.where(senses == SENSE_GE, rhs - ax, np.abs(ax - rhs)))
+    return _violation(senses == SENSE_LE, senses == SENSE_GE, ax, rhs)
+
+
+def _max0(v: np.ndarray) -> np.floating:
+    """``max(0, max(v))``, 0 for an empty ``v``; a NaN propagates."""
+    return np.maximum.reduce(v, initial=0.0)
+
+
+class Residuals:
+    """The first-order residuals of one LP, over its static data computed once.
+
+    The static data are the CSR matrix with the row of each stored entry,
+    the sense masks and the finite bounds. The right-hand sides are read
+    from the problem at each call, so a model that moves them keeps one
+    core: :class:`LpModel` holds one per model, and
+    :func:`feasibility_residual` and :func:`kkt_residuals` build one per
+    call. Each block is a max absolute violation for a minimization, 0 when
+    it holds; ``ax`` is the row activity ``A x`` from :meth:`activity`.
+    """
+
+    def __init__(self, problem: LpProblem):
+        self.problem = problem
+        self.a = a = problem.a.tocsr()
+        self.entry_rows = np.repeat(np.arange(problem.n_rows), np.diff(a.indptr))
+        self.le = problem.senses == SENSE_LE
+        self.ge = problem.senses == SENSE_GE
+        self.ineq = np.flatnonzero(problem.senses != SENSE_EQ)
+        self.fin_lo = np.flatnonzero(np.isfinite(problem.lower))
+        self.fin_up = np.flatnonzero(np.isfinite(problem.upper))
+        self.lower_fin = problem.lower[self.fin_lo]
+        self.upper_fin = problem.upper[self.fin_up]
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """``A x``, each row summed entry by entry in storage order, as a
+        sparse matrix-vector product sums it."""
+        a = self.a
+        return np.bincount(self.entry_rows, weights=a.data * x[a.indices],
+                           minlength=self.problem.n_rows)
+
+    def primal(self, x: np.ndarray, ax: np.ndarray) -> float:
+        """Max violation of rows and bounds at x."""
+        p = self.problem
+        return float(_max0(np.concatenate((_violation(self.le, self.ge, ax, p.rhs),
+                                           p.lower - x, x - p.upper))))
+
+    def stationarity(self, y: np.ndarray, nu_lo: np.ndarray, nu_up: np.ndarray) -> float:
+        """Max of |c - A'y - nu|."""
+        # A'y summed entry by entry in the matrix's row-major order, which is
+        # the order a product with the transpose adds them in, so the sums
+        # are the same bits without building a sparse transpose
+        a = self.a
+        a_ty = np.bincount(a.indices, weights=a.data * y[self.entry_rows],
+                           minlength=self.problem.n_cols)
+        return float(_max0(np.abs(self.problem.c - a_ty - nu_lo - nu_up)))
+
+    def dual_sign(self, y: np.ndarray, nu_lo: np.ndarray, nu_up: np.ndarray) -> float:
+        """Max sign violation of the duals."""
+        # a '<' row's dual must be <= 0 and a '>' row's >= 0, so its sign
+        # violation is the row violation of the dual against zero
+        rows = _max0(_violation(self.le, self.ge, y, 0.0)[self.ineq])
+        return float(max(rows, float(_max0(-nu_lo)), float(_max0(nu_up))))
+
+    def cs(self, x: np.ndarray, ax: np.ndarray, y: np.ndarray,
+           nu_lo: np.ndarray, nu_up: np.ndarray) -> float:
+        """Max |dual x slack| over inequality rows and finite bounds."""
+        p = self.problem
+        cs = _max0(np.abs(y * (ax - p.rhs))[self.ineq])
+        if len(self.fin_lo):
+            lo = self.fin_lo
+            cs = max(cs, float(_max0(np.abs(nu_lo[lo] * (x[lo] - self.lower_fin)))))
+        if len(self.fin_up):
+            up = self.fin_up
+            cs = max(cs, float(_max0(np.abs(nu_up[up] * (self.upper_fin - x[up])))))
+        return float(cs)
 
 
 def feasibility_residual(problem: LpProblem, x: np.ndarray) -> float:
     """Max violation of rows and bounds at x (0 when feasible)."""
-    resid = np.max(row_violation(problem.senses, problem.a.dot(x), problem.rhs), initial=0.0)
-    lo_viol = np.max(problem.lower - x, initial=0.0)
-    up_viol = np.max(x - problem.upper, initial=0.0)
-    return float(max(resid, lo_viol, up_viol))
+    core = Residuals(problem)
+    return core.primal(x, core.activity(x))
 
 
 # HiGHS model statuses as SolveOutcome statuses, for LPs and MILPs alike; any
@@ -147,6 +223,28 @@ _STATUS = {_MS.kOptimal: OPTIMAL, _MS.kInfeasible: INFEASIBLE, _MS.kModelError: 
            _MS.kUnbounded: UNBOUNDED, _MS.kUnboundedOrInfeasible: UNBOUNDED,
            _MS.kTimeLimit: TIME_LIMIT, _MS.kIterationLimit: TIME_LIMIT}
 _VAR_TYPES = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
+# basis statuses that attribute a column's reduced cost to its lower or upper bound
+_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
+_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
+
+
+def _highs_options(mip: bool) -> _highs.HighsOptions:
+    """A model's HiGHS options: logging off, and for a pure LP linprog's
+    options (see :class:`LpModel`)."""
+    options = _highs.HighsOptions()
+    options.output_flag = False
+    if not mip:
+        options.presolve = "on"
+        options.solver = "simplex"
+        options.simplex_strategy = int(
+            _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        options.primal_feasibility_tolerance = FEASIBILITY_TOL
+        options.dual_feasibility_tolerance = FEASIBILITY_TOL
+    return options
+
+
+# built once; passOptions copies them into each model
+_OPTIONS = {False: _highs_options(False), True: _highs_options(True)}
 
 
 class LpModel:
@@ -171,6 +269,12 @@ class LpModel:
     Every solve starts cold: the clearing LPs are dual degenerate, and a solve
     warm-started from the previous basis can stop at another optimal vertex
     (other awards or prices) than a fresh model would.
+
+    The row data a solve's checks need (sense masks, the CSR matrix, the
+    finite bounds, the backend right-hand sides) are computed once, in
+    :attr:`residuals` and the backend layout, and a solve forms ``A x`` once:
+    it serves the feasibility contract and the complementary-slackness
+    residual the outcome reports.
     """
 
     def __init__(self, problem: LpProblem):
@@ -178,12 +282,10 @@ class LpModel:
         if not all(np.isfinite(v).all() for v in (problem.c, problem.a.data, problem.rhs)):
             raise ValueError("objective, constraint coefficients and rhs must be finite")
         self.problem = replace(problem, rhs=np.array(problem.rhs, dtype=float))
+        self.residuals = Residuals(self.problem)
         self.is_mip = bool(np.any(getattr(problem, "integrality", 0)))
-        self._fin_lo, self._fin_up = np.isfinite(problem.lower), np.isfinite(problem.upper)
 
         lp = _highs.HighsLp()
-        options = _highs.HighsOptions()
-        options.output_flag = False
         if self.is_mip:
             a = problem.a.tocsc()
             start, index, value = a.indptr, a.indices, a.data
@@ -192,12 +294,6 @@ class LpModel:
             lp.integrality_ = [_VAR_TYPES[k] for k in np.asarray(problem.integrality).tolist()]
         else:
             start, index, value, row_lower, row_upper = self._lp_rows()
-            options.presolve = "on"
-            options.solver = "simplex"
-            options.simplex_strategy = int(
-                _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-            options.primal_feasibility_tolerance = FEASIBILITY_TOL
-            options.dual_feasibility_tolerance = FEASIBILITY_TOL
         lp.num_col_ = problem.n_cols
         lp.num_row_ = problem.n_rows
         lp.a_matrix_.num_col_ = problem.n_cols
@@ -212,7 +308,7 @@ class LpModel:
         lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
         self._highs = _highs._Highs()
-        if (self._highs.passOptions(options) == _highs.HighsStatus.kError
+        if (self._highs.passOptions(_OPTIONS[self.is_mip]) == _highs.HighsStatus.kError
                 or self._highs.passModel(lp) == _highs.HighsStatus.kError):
             raise SolverError("HiGHS refused the model")
 
@@ -232,28 +328,30 @@ class LpModel:
         # backend row, '>' rows are negated, and every column lists its rows
         # in ascending order; duplicate entries are summed first, as a
         # stacked sparse matrix would sum them
-        a = p.a.tocsr()
+        a, rows = self.residuals.a, self.residuals.entry_rows
         if not a.has_canonical_format:
             a = a.copy()
             a.sum_duplicates()
-        rows = self._pos[np.repeat(np.arange(p.n_rows), np.diff(a.indptr))]
+            rows = np.repeat(np.arange(p.n_rows), np.diff(a.indptr))
+        rows = self._pos[rows]
         order = np.lexsort((rows, a.indices))
         start = np.zeros(p.n_cols + 1, dtype=np.int32)
         np.cumsum(np.bincount(a.indices, minlength=p.n_cols), out=start[1:])
-        row_upper = self._sign * p.rhs[self._order]
-        row_lower = row_upper.copy()
+        # the backend right-hand sides, kept in step with the model's rows
+        self._b = self._sign * p.rhs[self._order]
+        row_lower = self._b.copy()
         row_lower[: self._n_ineq] = -_highs.kHighsInf
         return (start, rows[order].astype(np.int32), (a.data * self._sign[rows])[order],
-                row_lower, row_upper)
+                row_lower, self._b.copy())
 
     def _run(self, **options) -> tuple[str, str, float]:
-        """Set ``options``, solve from scratch and map HiGHS's model status;
-        returns the status, HiGHS's wording of it and the solve's wall time."""
+        """Set ``options``, solve and map HiGHS's model status; returns the
+        status, HiGHS's wording of it and the solve's wall time. The solve
+        is cold when the model is new or its solver data were cleared."""
         for name, value in options.items():
             if self._highs.setOptionValue(name, value) == _highs.HighsStatus.kError:
                 raise SolverError(f"HiGHS refused option {name}={value!r}")
         t0 = time.perf_counter()
-        self._highs.clearSolver()
         self._highs.run()
         wall = time.perf_counter() - t0
         status = self._highs.getModelStatus()
@@ -266,55 +364,64 @@ class LpModel:
         """Solve an LP from scratch, after moving the row right-hand sides to
         ``rhs`` (problem row order and senses) when given."""
         problem = self.problem
+        # drop the previous solve's basis and solution, so the solve starts
+        # cold; a bound change also costs less without them
+        self._highs.clearSolver()
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=float)
             if rhs.shape != problem.rhs.shape or not np.isfinite(rhs).all():
                 raise ValueError(f"rhs must hold {problem.n_rows} finite values")
             # compares bit patterns, so a -0.0 replacing 0.0 reaches the backend too
-            for r in np.flatnonzero(rhs.view(np.uint64) != problem.rhs.view(np.uint64)):
-                k = int(self._pos[r])
-                b = float(self._sign[k] * rhs[r])
-                self._highs.changeRowBounds(k, -_highs.kHighsInf if k < self._n_ineq else b, b)
-                problem.rhs[r] = rhs[r]
+            rows = np.flatnonzero(rhs.view(np.uint64) != problem.rhs.view(np.uint64))
+            if len(rows):
+                new, ks = rhs[rows], self._pos[rows]
+                bs = self._sign[ks] * new
+                problem.rhs[rows] = new
+                self._b[ks] = bs
+                for k, b in zip(ks.tolist(), bs.tolist()):
+                    self._highs.changeRowBounds(k, -_highs.kHighsInf if k < self._n_ineq else b, b)
         status, message, wall = self._run()
         if status != OPTIMAL:
             return SolveOutcome(status=status, wall_time=wall, message=message)
 
-        solution = self._highs.getSolution()
+        highs = self._highs
+        solution = highs.getSolution()
         x = np.array(solution.col_value, dtype=float)
         backend_duals = np.array(solution.row_dual, dtype=float)
         col_dual = np.array(solution.col_dual, dtype=float)
-        col_status = np.array([int(s) for s in self._highs.getBasis().col_status])
-        fun = self._highs.getInfo().objective_function_value
+        col_status = np.fromiter(highs.getBasis().col_status, np.int64, problem.n_cols)
+        fun = highs.getObjectiveValue()
 
         # duals in the min orientation, then mapped back to original senses
-        row_duals = np.empty(problem.n_rows)
-        row_duals[self._order] = self._sign * backend_duals
-        lower_duals = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
-        upper_duals = np.where(col_status == int(_highs.HighsBasisStatus.kUpper), col_dual, 0.0)
+        row_duals = (self._sign * backend_duals)[self._pos]
+        lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)
+        upper_duals = np.where(col_status == _AT_UPPER, col_dual, 0.0)
 
-        # duality gap, computed in the min orientation
-        b = self._sign * problem.rhs[self._order]
-        k = self._n_ineq
-        fin_lo, fin_up = self._fin_lo, self._fin_up
-        dual_obj = (
-            float(b[:k] @ backend_duals[:k]) + float(b[k:] @ backend_duals[k:])
-            + float(problem.lower[fin_lo] @ lower_duals[fin_lo])
-            + float(problem.upper[fin_up] @ upper_duals[fin_up])
-        )
+        # duality gap, computed in the min orientation; a bound term is
+        # added only when the model has such bounds (an empty one is 0.0,
+        # and |objective - dual objective| is the same without it)
+        b, k, core = self._b, self._n_ineq, self.residuals
+        dual_obj = float(b[:k] @ backend_duals[:k]) + float(b[k:] @ backend_duals[k:])
+        if len(core.fin_lo):
+            dual_obj += float(core.lower_fin @ lower_duals[core.fin_lo])
+        if len(core.fin_up):
+            dual_obj += float(core.upper_fin @ upper_duals[core.fin_up])
         gap_rel = abs(fun - dual_obj) / max(1.0, abs(fun))
-        resid = feasibility_residual(problem, x)
+        ax = core.activity(x)
+        resid = core.primal(x, ax)
         if not (resid <= FEASIBILITY_TOL * 10 and gap_rel <= DUALITY_GAP_TOL):
             raise SolverError(
                 f"optimal solve violated numeric contracts: residual={resid:.3e}, gap={gap_rel:.3e}"
             )
+        cs = core.cs(x, ax, row_duals, lower_duals, upper_duals)
 
         if problem.maximize:
             fun, row_duals, lower_duals, upper_duals = -fun, -row_duals, -lower_duals, -upper_duals
         return SolveOutcome(
             status=OPTIMAL, objective=float(fun), x=x, row_duals=row_duals,
             lower_duals=lower_duals, upper_duals=upper_duals, wall_time=wall,
-            feasibility_residual=resid, duality_gap_rel=gap_rel, message=message,
+            feasibility_residual=resid, duality_gap_rel=gap_rel, cs_residual=cs,
+            message=message,
         )
 
 
@@ -375,36 +482,13 @@ def kkt_residuals(
     n = problem.n_cols
     nu_lo = np.zeros(n) if lower_duals is None else lower_duals
     nu_up = np.zeros(n) if upper_duals is None else upper_duals
-
-    # A'y summed entry by entry in the matrix's row-major order, which is the
-    # order a product with the transpose adds them in, so the sums are the
-    # same bits without building a sparse transpose on every call
-    a = problem.a.tocsr()
-    a_ty = np.bincount(a.indices, weights=a.data * np.repeat(row_duals, np.diff(a.indptr)),
-                       minlength=n)
-    stat = problem.c - a_ty - nu_lo - nu_up
-    stationarity = float(np.max(np.abs(stat), initial=0.0))
-
-    primal = feasibility_residual(problem, x)
-
-    ineq = problem.senses != SENSE_EQ
-    # a '<' row's dual must be <= 0 and a '>' row's >= 0, so its sign
-    # violation is the row violation of the dual against zero
-    dual_sign = np.max(row_violation(problem.senses, row_duals, 0.0)[ineq], initial=0.0)
-    cs = np.max(np.abs(row_duals * (problem.a.dot(x) - problem.rhs))[ineq], initial=0.0)
-    dual_sign = max(dual_sign, float(np.max(-nu_lo, initial=0.0)),
-                    float(np.max(nu_up, initial=0.0)))
-    fin_lo = np.isfinite(problem.lower)
-    fin_up = np.isfinite(problem.upper)
-    if np.any(fin_lo):
-        cs = max(cs, float(np.max(np.abs(nu_lo[fin_lo] * (x - problem.lower)[fin_lo]), initial=0.0)))
-    if np.any(fin_up):
-        cs = max(cs, float(np.max(np.abs(nu_up[fin_up] * (problem.upper - x)[fin_up]), initial=0.0)))
+    core = Residuals(problem)
+    ax = core.activity(x)
     return {
-        "stationarity": stationarity,
-        "primal": primal,
-        "dual_sign": float(dual_sign),
-        "cs": float(cs),
+        "stationarity": core.stationarity(row_duals, nu_lo, nu_up),
+        "primal": core.primal(x, ax),
+        "dual_sign": core.dual_sign(row_duals, nu_lo, nu_up),
+        "cs": core.cs(x, ax, row_duals, nu_lo, nu_up),
     }
 
 

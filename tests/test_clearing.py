@@ -1,12 +1,13 @@
 """Joint market-clearing LP: structure, prices, duals, and horizon behavior."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bessbid import harness, solver
+from bessbid import clearing, harness, solver
 from bessbid.clearing import (
     ZERO_BIDS,
     BessBids,
@@ -25,7 +26,7 @@ from bessbid.scenario import (
     IntervalData,
     Scenario,
 )
-from test_acceptance import drop_storage
+from test_acceptance import drop_storage, small_instance
 
 
 def make_scenario(gens, bess, loads, delta_t=0.25, reserve=0.0, regcap=0.0,
@@ -266,3 +267,214 @@ def test_backend_failure_names_interval(monkeypatch):
     scn = make_scenario([GEN_A], SMALL_BESS, [50.0])
     with pytest.raises(ClearingError, match=r"^interval 0: LP backend failure"):
         clear_horizon(scn)
+
+
+def row_dict_layout(scn, t):
+    """The clearing LP's arrays as ``LlLayout`` built them before its closed
+    form: per-row coefficient dicts, stacked through a COO matrix."""
+    it = scn.intervals[t]
+    gens = scn.generators
+    g_n = len(gens)
+    n_cols = 4 * g_n + 5
+    dt = it.delta_t
+    c = np.zeros(n_cols)
+    lower = np.full(n_cols, -np.inf)
+    upper = np.full(n_cols, np.inf)
+    col_names = []
+    for j, g in enumerate(gens):
+        base = 4 * j
+        c[base + 0] = dt * it.gen_energy_bids[j]
+        c[base + 1] = dt * it.gen_reserve_bids[j]
+        c[base + 2] = dt * it.gen_regcap_bids[j]
+        c[base + 3] = dt * it.gen_mileage_bids[j]
+        lower[base + 1] = 0.0
+        lower[base + 2] = 0.0
+        col_names += [f"gs:{g.gen_id}", f"grs:{g.gen_id}", f"grgc:{g.gen_id}", f"grgm:{g.gen_id}"]
+    beta = it.bess_price_bids
+    b0 = 4 * g_n
+    c[b0:] = (dt * beta.sell, -dt * beta.buy, dt * beta.reserve, dt * beta.regcap,
+              dt * beta.mileage)
+    lower[b0:b0 + 4] = 0.0
+    col_names += ["bs", "bd", "brs", "brgc", "brgm"]
+
+    rows = []
+    for j, g in enumerate(gens):
+        gs, grs, grgc, grgm = (4 * j + k for k in range(4))
+        gid = g.gen_id
+        rows.append(({gs: 1.0, grgc: -1.0}, ">", g.p_min, f"gen_floor:{gid}"))
+        rows.append(({gs: 1.0, grs: 1.0, grgc: 1.0}, "<", g.p_max, f"gen_cap:{gid}"))
+        rows.append(({grs: 1.0}, "<", g.reserve_ramp, f"rs_ramp:{gid}"))
+        rows.append(({grgc: 1.0}, "<", g.regulation_ramp, f"rg_ramp:{gid}"))
+        rows.append(({grgm: 1.0, grgc: -1.0}, ">", 0.0, f"mil_floor:{gid}"))
+        rows.append(({grgm: 1.0, grgc: -g.mileage_multiplier}, "<", 0.0, f"mil_cap:{gid}"))
+    bs, bd, brs, brgc, brgm = range(b0, b0 + 5)
+    mult = scn.bess.mileage_multiplier
+    rows.append(({bs: 1.0}, "<", 0.0, "bid_cap:sell"))
+    rows.append(({bd: 1.0}, "<", 0.0, "bid_cap:buy"))
+    rows.append(({brs: 1.0}, "<", 0.0, "bid_cap:reserve"))
+    rows.append(({brgc: 1.0}, "<", 0.0, "bid_cap:regcap"))
+    rows.append(({brgm: 1.0, brgc: -1.0}, ">", 0.0, "mil_floor:bess"))
+    rows.append(({brgm: 1.0, brgc: -mult}, "<", 0.0, "mil_cap:bess"))
+    reserve_row = {4 * j + 1: 1.0 for j in range(g_n)}
+    regcap_row = {4 * j + 2: 1.0 for j in range(g_n)}
+    mileage_row = {4 * j + 3: 1.0 for j in range(g_n)}
+    balance_row = {4 * j + 0: 1.0 for j in range(g_n)}
+    reserve_row[brs] = 1.0
+    regcap_row[brgc] = 1.0
+    mileage_row[brgm] = 1.0
+    balance_row[bs] = 1.0
+    balance_row[bd] = -1.0
+    rows.append((reserve_row, ">", it.reserve_req, "req:reserve"))
+    rows.append((regcap_row, ">", it.regcap_req, "req:regcap"))
+    rows.append((mileage_row, ">", it.mileage_req, "req:mileage"))
+    rows.append((balance_row, "=", it.load, "balance"))
+
+    data, ri, ci = [], [], []
+    for i, (coeffs, _, _, _) in enumerate(rows):
+        for col, val in coeffs.items():
+            ri.append(i)
+            ci.append(col)
+            data.append(val)
+    return {
+        "a": sp.coo_matrix((data, (ri, ci)), shape=(len(rows), n_cols)).tocsr(),
+        "c": c, "lower": lower, "upper": upper,
+        "senses": np.array([r[1] for r in rows]),
+        "rhs_base": np.array([float(r[2]) for r in rows]),
+        "row_names": [r[3] for r in rows], "col_names": col_names,
+    }
+
+
+def _same_array(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+P_MIN_GENS = [dataclasses.replace(GEN_A, p_min=20.0),
+              GeneratorParams("c", 15.0, 60.0, 12.0, 6.0, p_min=5.0, mileage_multiplier=3.5)]
+LAYOUT_SYSTEMS = {
+    "desk": harness.desk_scenario,
+    "reference": harness.reference_scenario,
+    "one-generator": lambda: make_scenario([GEN_A], SMALL_BESS, [50.0, 80.0], reserve=4.0,
+                                           regcap=2.0, mileage=3.0, ancillary_ratio=0.1),
+    "p_min": lambda: make_scenario(P_MIN_GENS,
+                                   dataclasses.replace(SMALL_BESS, mileage_multiplier=2.5),
+                                   [60.0, 120.0], reserve=5.0, regcap=3.0, mileage=4.0,
+                                   ancillary_ratio=0.2),
+}
+
+
+@pytest.mark.parametrize("system", list(LAYOUT_SYSTEMS))
+def test_closed_form_layout_matches_row_dict_builder(system):
+    scn = LAYOUT_SYSTEMS[system]()
+    for t in range(scn.n_intervals):
+        layout = LlLayout(scn, t)
+        want = row_dict_layout(scn, t)
+        for field in ("indptr", "indices", "data"):
+            assert _same_array(getattr(layout.a, field), getattr(want["a"], field)), (t, field)
+        assert layout.a.shape == want["a"].shape
+        for field in ("c", "lower", "upper", "senses", "rhs_base"):
+            assert _same_array(getattr(layout, field), want[field]), (t, field)
+        assert (layout.row_names, layout.col_names) == (want["row_names"], want["col_names"])
+
+        # the storage-free sub-LP equals scipy's slicing of the same arrays
+        free, rows = layout.storage_free_lp()
+        n = 4 * layout.n_gens
+        sliced = want["a"][rows][:, :n]
+        for field in ("indptr", "indices", "data"):
+            assert _same_array(getattr(free.a, field), getattr(sliced, field)), (t, field)
+        assert free.a.shape == sliced.shape
+        for got, ref in ((free.c, want["c"][:n]), (free.lower, want["lower"][:n]),
+                         (free.upper, want["upper"][:n]), (free.senses, want["senses"][rows]),
+                         (free.rhs, want["rhs_base"][rows])):
+            assert _same_array(got, ref), t
+        assert free.row_names == [want["row_names"][r] for r in rows]
+        assert free.col_names == want["col_names"][:n]
+
+
+def clear_digest(results) -> str:
+    """sha256 over every field of each ClearingResult, bit for bit."""
+    h = hashlib.sha256()
+    for r in results:
+        for arr in (r.layout.vector_from(r.variables), r.row_duals, r.lower_duals):
+            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+        p = r.prices
+        h.update(np.array([r.objective, p.energy, p.reserve, p.regcap, p.mileage,
+                           r.duality_gap_rel, r.cs_residual]).tobytes())
+    return h.hexdigest()
+
+
+def _grid_clears(scn, intervals, step):
+    results = []
+    for t in intervals:
+        layout = LlLayout(scn, t)
+        results += [clear_interval(layout.instance(b)) for b in harness._interval_grid(scn, step)]
+    return results
+
+
+def _zero_requirement_clears():
+    # the desk case of test_zero_requirement_prices_are_unsigned_zero
+    scn = harness.desk_scenario()
+    scn = dataclasses.replace(scn, intervals=tuple(
+        dataclasses.replace(iv, reserve_req=0.0, mileage_req=0.0) if iv.index % 2 == 0 else iv
+        for iv in scn.intervals))
+    bids = [BessBids(sell=1.0, buy=0.0, reserve=2.0, regcap=1.5)] * scn.n_intervals
+    return clear_horizon(scn) + clear_horizon(scn, bids)
+
+
+# the clears and their digests, taken before each clear's checks shared one
+# row activity and the layout was built in closed form
+PINNED_CLEARS = {
+    "acceptance-1 step 2.5": (
+        lambda: _grid_clears(small_instance(), range(2), 2.5),
+        "b483d40391c30f1272eeedfb272d466a39990c40411dc391bf140320177a5401"),
+    "desk t0-3 step 2.5": (
+        lambda: _grid_clears(harness.desk_scenario(), range(4), 2.5),
+        "5466cbc453cbebdbece371fea46c78a95a498da69c680936c117b1e60beebf48"),
+    "reference passive": (
+        lambda: clear_horizon(harness.reference_scenario()),
+        "a0ba6565ee882f6ce47e210c3e7b0cae4fe9083925e3cc5ffa6f162bdf806b5a"),
+    "desk zero requirements": (
+        _zero_requirement_clears,
+        "a8451b29f93538ddf4d664decf24f9e1d9b68eb72c47814771f40c633cd66a6b"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CLEARS))
+def test_clears_match_pinned_digests(name):
+    clears, digest = PINNED_CLEARS[name]
+    assert clear_digest(clears()) == digest
+
+
+CONTRACT_SCN = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0], reserve=10.0, regcap=4.0,
+                             mileage=7.0, ancillary_ratio=0.1)
+CONTRACT_BIDS = BessBids(sell=3.0, buy=0.0, reserve=2.0, regcap=1.0)
+
+
+@pytest.mark.parametrize("name", ["FEASIBILITY_TOL", "DUALITY_GAP_TOL"])
+def test_lp_contract_checks_run_on_every_solve(monkeypatch, name):
+    # a tolerance below zero fails any solve, so each check must raise
+    monkeypatch.setattr(solver, name, -1.0)
+    inst = build_ll_interval(CONTRACT_SCN, 0, CONTRACT_BIDS)
+    with pytest.raises(solver.SolverError, match="numeric contracts"):
+        solver.solve_lp(inst.lp)
+    for bids in (CONTRACT_BIDS, ZERO_BIDS):
+        with pytest.raises(ClearingError, match="numeric contracts"):
+            clear_interval(build_ll_interval(CONTRACT_SCN, 0, bids))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("STRONG_DUALITY_TOL", "strong-duality gap"),
+    ("CS_TOL", "complementary slackness residual"),
+])
+def test_clear_contract_checks_run_on_every_clear(monkeypatch, name, message):
+    monkeypatch.setattr(clearing, name, -1.0)
+    for bids in (CONTRACT_BIDS, ZERO_BIDS):
+        with pytest.raises(ClearingError, match=f"^interval 0: {message}"):
+            clear_interval(build_ll_interval(CONTRACT_SCN, 0, bids))
+
+
+def test_zero_bid_stationarity_check_runs(monkeypatch):
+    monkeypatch.setattr(clearing, "STATIONARITY_TOL", -1.0)
+    with pytest.raises(ClearingError, match="^interval 0: reconstructed storage duals violate"):
+        clear_interval(build_ll_interval(CONTRACT_SCN, 0, ZERO_BIDS))
+    # a nonzero-bid clear rebuilds no duals
+    clear_interval(build_ll_interval(CONTRACT_SCN, 0, CONTRACT_BIDS))

@@ -5,7 +5,7 @@ import yaml
 from click.testing import CliRunner
 
 from bessbid import solver
-from bessbid.cli import EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
+from bessbid.cli import EXIT_FAILURE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
 
 
 def runner():
@@ -232,3 +232,24 @@ def test_compare_rejects_bad_case_list(tmp_path):
     scn = synth_tiny(rn, tmp_path / "s.scn")
     res = rn.invoke(cli, ["compare", "--scenario", str(scn), "--cases", "1,9"])
     assert res.exit_code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("args, prefix", [
+    (["solve", "--out", "run"], "error: solver failed: "),
+    (["compare", "--cases", "4"], "error: case 4: solver failed: "),
+    (["agc-check", "--seeds", "2", "--samples", "60"], "error: solver failed: "),
+])
+def test_solver_failure_prints_one_error_line(tmp_path, monkeypatch, args, prefix):
+    # a HiGHS failure (a status outside the known ones, a refused option)
+    # reaches the user as one error line and exit code 1, not a traceback
+    def fail(*a, **k):
+        raise solver.SolverError("HiGHS backend failure: forced")
+
+    rn = runner()
+    scn = synth_tiny(rn, tmp_path / "s.scn")
+    monkeypatch.setattr(solver, "solve_milp", fail)
+    args = [tmp_path / a if a == "run" else a for a in args]
+    res = rn.invoke(cli, [str(a) for a in args] + ["--scenario", str(scn)])
+    assert res.exit_code == EXIT_FAILURE
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [prefix + "HiGHS backend failure: forced"]

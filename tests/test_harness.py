@@ -112,6 +112,19 @@ def test_oracle_grid_budget():
     assert res.feasible >= 1
 
 
+def test_oracle_best_pair_and_feasible_count_pinned():
+    # perfbench's seed-2 draw of acceptance 1; the values were taken while
+    # the oracle still joined the intervals over the full grid
+    scn = acceptance_instance(load_scale=0.9761612134249316,
+                              bid_factors=(0.9798491143414123, 1.031422574059428),
+                              soc_shift=-0.08161681157298062)
+    res = harness.brute_force_oracle(scn, 1.25)
+    assert res.revenue.hex() == "0x1.0426627560f3cp+6"
+    assert [(b.sell, b.buy, b.reserve, b.regcap) for b in res.bids] == [
+        (2.5, 0.0, 1.25, 1.25), (5.0, 0.0, 0.0, 0.0)]
+    assert (res.evaluated, res.feasible) == (50625, 10649)
+
+
 def test_oracle_refinement_non_decreasing():
     scn = tiny_scenario()
     coarse = harness.brute_force_oracle(scn, 2.5)

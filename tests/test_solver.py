@@ -185,6 +185,45 @@ def test_row_violation_matches_row_loop():
         assert (res["dual_sign"], res["cs"]) == loop_sign_cs(p, x, y)
 
 
+def test_bound_residuals_match_column_loop():
+    # the bound blocks of dual sign and complementary slackness, at finite
+    # and infinite bounds, against a loop over the columns
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n, m = 5, 4
+        lower = rng.uniform(-1.0, 0.5, n)
+        upper = lower + rng.uniform(0.1, 2.0, n)
+        lower[0], upper[1] = -np.inf, np.inf
+        p = lp(rng.uniform(-1, 1, n), rng.uniform(-1, 1, (m, n)),
+               rng.choice(["<", ">", "="], m), rng.uniform(-1, 1, m), lower, upper)
+        x = rng.uniform(-1.0, 2.0, n)
+        y = np.zeros(m)
+        nu_lo, nu_up = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        sign, cs = 0.0, 0.0
+        for j in range(n):
+            sign = max(sign, -nu_lo[j], nu_up[j])
+            if np.isfinite(lower[j]):
+                cs = max(cs, abs(nu_lo[j] * (x[j] - lower[j])))
+            if np.isfinite(upper[j]):
+                cs = max(cs, abs(nu_up[j] * (upper[j] - x[j])))
+        res = solver.kkt_residuals(p, x, y, nu_lo, nu_up)
+        assert (res["dual_sign"], res["cs"]) == (sign, cs)
+
+
+def test_binding_bounds_close_the_duality_gap():
+    # min x0 - x1 + 0.5 x2 with x0 and x2 at nonzero lower bounds and x1 at
+    # its upper bound: the dual objective is carried by the bound duals alone
+    p = lp([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], ["<"], [10.0],
+           [2.0, -3.0, 1.0], [6.0, 4.0, 8.0])
+    out = solve_lp(p)
+    assert out.status == "optimal"
+    assert out.x.tolist() == [2.0, 4.0, 1.0]
+    assert out.objective == -1.5 and out.duality_gap_rel == 0.0
+    assert out.lower_duals.tolist() == [1.0, 0.0, 0.5]
+    assert out.upper_duals.tolist() == [0.0, -1.0, 0.0]
+    assert out.cs_residual == 0.0
+
+
 def milp(c, rows, senses, rhs, lower, upper, integrality, maximize=False):
     return MilpProblem(
         c=np.array(c, dtype=float),
