@@ -195,6 +195,8 @@ def oracle(scenario, case, step):
         raise click.UsageError(str(err))
     except ValueError as err:
         raise click.UsageError(str(err))
+    except clearing.ClearingError as err:
+        raise _fail(_exit_code_for(err), str(err))
     click.echo(f"oracle revenue {res.revenue!r} "
                f"(step {res.grid_step}, {res.evaluated} evaluated, {res.feasible} feasible)")
     for t, bids in enumerate(res.bids):

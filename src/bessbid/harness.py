@@ -11,6 +11,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -286,12 +289,54 @@ def _interval_grid(scn: Scenario, step: float) -> list[BessBids]:
     return combos
 
 
+def _clear_chunk(scn: Scenario, combos: list[BessBids], start: int, stop: int) -> np.ndarray:
+    """Clear pairs ``start`` to ``stop - 1`` of the flat grid, where pair
+    ``k`` is interval ``k // len(combos)`` at ``combos[k % len(combos)]``.
+
+    One row per pair: the storage revenue, then the sell, buy, reserve and
+    regulation-capacity awards.
+    """
+    out = np.empty((stop - start, 5))
+    layout = None
+    for k in range(start, stop):
+        t, i = divmod(k, len(combos))
+        # one layout, hence one HiGHS model, serves the chunk's part of an interval
+        if layout is None or layout.t != t:
+            layout = clearing.LlLayout(scn, t)
+        res = clearing.clear_interval(layout.instance(combos[i]))
+        v = res.variables
+        out[k - start] = (bilevel.direct_revenue_value(layout, v, res.row_duals),
+                          v.p_bs, v.p_bd, v.p_brs, v.p_brgc)
+    return out
+
+
+def _clear_grid(scn: Scenario, combos: list[BessBids]) -> np.ndarray:
+    """:func:`_clear_chunk` over every interval's grid, in grid order.
+
+    The pairs are split into one contiguous chunk per CPU the process may
+    run on, each cleared in a forked worker; with one CPU the grid clears
+    in this process. The clears are independent and each starts cold, so
+    the rows do not depend on the number of workers.
+    """
+    total = scn.n_intervals * len(combos)
+    workers = min(len(os.sched_getaffinity(0)), total)
+    if workers <= 1:
+        return _clear_chunk(scn, combos, 0, total)
+    edges = [total * w // workers for w in range(workers + 1)]
+    solver.stop_threads()  # a forked worker must not inherit HiGHS's threads
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        chunks = pool.map(_clear_chunk, itertools.repeat(scn), itertools.repeat(combos),
+                          edges[:-1], edges[1:])
+        return np.concatenate(list(chunks))
+
+
 def brute_force_oracle(scn: Scenario, bid_grid_step: float,
                        max_evaluations: int = 20_000_000) -> OracleResult:
     """Grid search over quantity bids with exact per-interval clearing.
 
-    Clears each interval once per grid combination, then joins intervals
-    under the SOC recursion and headroom rules. The result is a guaranteed
+    Clears each interval once per grid combination, in forked workers when
+    the process may run on more than one CPU, then joins intervals under
+    the SOC recursion and headroom rules. The result is a guaranteed
     lower bound on the true optimum (grid under-approximation). Only
     horizons of one or two intervals are supported; anything larger is the
     MILP's job.
@@ -309,30 +354,16 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float,
             "enlarge the step or shrink the instance"
         )
 
-    per_interval = []
-    for t in range(scn.n_intervals):
-        # one layout, hence one HiGHS model, serves every combination
-        layout = clearing.LlLayout(scn, t)
-        cleared = []
-        for bids in combos:
-            res = clearing.clear_interval(layout.instance(bids))
-            cleared.append((bids, res.variables,
-                            bilevel.direct_revenue_value(layout, res.variables, res.row_duals)))
-        per_interval.append(cleared)
+    awards = _clear_grid(scn, combos)
 
     def interval_arrays(t: int):
-        c = per_interval[t]
+        a = awards[t * len(combos):(t + 1) * len(combos)]
         dt = scn.intervals[t].delta_t
-        rev = np.array([r for _, _, r in c])
-        de = np.array([(v.p_bd - v.p_bs) * dt for _, v, _ in c])
-        hold = np.array([(v.p_brgc + v.p_brs) * dt for _, v, _ in c])
-        ceil = np.array([v.p_brgc * dt for _, v, _ in c])
-        net = np.array([v.p_bd - v.p_bs - v.p_brs for _, v, _ in c])
-        envelope = np.array([
-            (n >= -bess.power_rate + v.p_brgc - 1e-9) and (n <= bess.power_rate - v.p_brgc + 1e-9)
-            for n, (_, v, _) in zip(net, c)
-        ])
-        return rev, de, hold, ceil, envelope
+        rev, p_bs, p_bd, p_brs, p_brgc = a.T
+        net = p_bd - p_bs - p_brs
+        envelope = ((net >= -bess.power_rate + p_brgc - 1e-9)
+                    & (net <= bess.power_rate - p_brgc + 1e-9))
+        return rev, (p_bd - p_bs) * dt, (p_brgc + p_brs) * dt, p_brgc * dt, envelope
 
     rev0, de0, hold0, ceil0, env0 = interval_arrays(0)
     soc1 = bess.soc_init + de0
@@ -345,7 +376,7 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float,
         if not ok0.any():
             raise HarnessError("no feasible grid point; the zero bid should always be feasible")
         best = int(np.argmax(np.where(ok0, rev0, -np.inf)))
-        return OracleResult(revenue=float(rev0[best]), bids=[per_interval[0][best][0]],
+        return OracleResult(revenue=float(rev0[best]), bids=[combos[best]],
                             evaluated=evaluated, feasible=int(ok0.sum()),
                             grid_step=bid_grid_step)
 
@@ -365,7 +396,7 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float,
     i, j = rows[best_row], cols[best_col]
     return OracleResult(
         revenue=float(totals[best_row, best_col]),
-        bids=[per_interval[0][i][0], per_interval[1][j][0]],
+        bids=[combos[i], combos[j]],
         evaluated=evaluated,
         feasible=int(ok.sum()),
         grid_step=bid_grid_step,

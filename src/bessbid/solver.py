@@ -425,6 +425,17 @@ class LpModel:
         )
 
 
+def stop_threads() -> None:
+    """Stop HiGHS's worker threads; the next solve that needs them starts
+    them again.
+
+    A forked child inherits the thread scheduler's state but not its
+    threads, so a solve there could wait on threads that do not exist. Call
+    this before forking processes that solve.
+    """
+    _highs._Highs.resetGlobalScheduler(True)
+
+
 def solve_lp(problem: LpProblem) -> SolveOutcome:
     """Solve an LP with dual extraction (dual simplex, vertex solutions)."""
     return LpModel(problem).solve()

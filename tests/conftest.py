@@ -1,5 +1,7 @@
 """Shared scenario builders for the test suite."""
 
+import numpy as np
+
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
@@ -7,6 +9,7 @@ from bessbid.scenario import (
     IntervalData,
     MarketMask,
     Scenario,
+    synthesize_scenario,
 )
 
 GEN_CHEAP = GeneratorParams("a", 10.0, 100.0, 20.0, 10.0)
@@ -35,3 +38,19 @@ def build_scenario(gens, bess, loads, delta_t=0.25, reserve_frac=0.0,
         ))
     return Scenario(generators=tuple(gens), bess=bess,
                     intervals=tuple(intervals), market_mask=mask)
+
+
+def acceptance_instance(load_scale=1.0, bid_factors=(1.0, 1.0), soc_shift=0.0):
+    """Acceptance 1's instance; the arguments perturb its load, generator bids
+    and initial SOC the way perfbench's seeded instances do."""
+    gens = (GeneratorParams("a", 10.0 * bid_factors[0], 100.0, 20.0, 10.0),
+            GeneratorParams("b", 20.0 * bid_factors[1], 80.0, 16.0, 8.0))
+    return synthesize_scenario(
+        (np.array([1.0, 2.0]), np.array([0.5, 0.6])),
+        generator_table=gens,
+        bess_params=BessParams(energy_capacity=10.0, power_rate=5.0,
+                               soc_init=min(max(5.0 + soc_shift * 10.0, 0.0), 10.0)),
+        peak_load_mw=100.0 * load_scale,
+        delta_t=0.5,
+        bess_price_bids=BessPriceBids(buy=100.0),
+    )

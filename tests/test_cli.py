@@ -1,11 +1,16 @@
 import hashlib
+import os
+from dataclasses import replace
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
 from bessbid import solver
-from bessbid.cli import EXIT_FAILURE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
+from bessbid.cli import EXIT_FAILURE, EXIT_INFEASIBLE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
+from bessbid.scenario import save_scenario
+
+from conftest import acceptance_instance
 
 
 def runner():
@@ -185,6 +190,21 @@ def test_oracle_rejects_long_horizon(tmp_path):
     res = rn.invoke(cli, ["oracle", "--scenario", str(out), "--step", "5"])
     assert res.exit_code == EXIT_USAGE
     assert "2 intervals" in res.output
+
+
+def test_oracle_infeasible_market_exits_3(tmp_path, monkeypatch):
+    # no fleet meets this reserve requirement; the clear fails in a forked
+    # worker, and its error must reach the parent with type and message
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    scn = acceptance_instance()
+    scn = replace(scn, intervals=tuple(replace(it, reserve_req=1e4) for it in scn.intervals))
+    path = tmp_path / "s.scn"
+    save_scenario(scn, str(path))
+    res = runner().invoke(cli, ["oracle", "--scenario", str(path), "--step", "2.5"])
+    assert res.exit_code == EXIT_INFEASIBLE
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        "error: interval 0: clearing infeasible (requirements exceed fleet capability)"]
 
 
 def test_export_mps_round_trips_structure(tmp_path):

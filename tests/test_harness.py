@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import yaml
@@ -7,13 +9,12 @@ from bessbid.clearing import BessBids
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
-    GeneratorParams,
     MarketMask,
     synthesize_scenario,
     validate_scenario,
 )
 
-from conftest import GEN_CHEAP, GEN_DEAR, build_scenario
+from conftest import GEN_CHEAP, GEN_DEAR, acceptance_instance, build_scenario
 
 EXACT = harness.SolverSettings(gap_tol=1e-9)
 
@@ -28,22 +29,6 @@ def tiny_scenario(mask=MarketMask(), rate=5.0, soc_init=5.0):
         peak_load_mw=100.0,
         delta_t=0.5,
         market_mask=mask,
-        bess_price_bids=BessPriceBids(buy=100.0),
-    )
-
-
-def acceptance_instance(load_scale=1.0, bid_factors=(1.0, 1.0), soc_shift=0.0):
-    """Acceptance 1's instance; the arguments perturb its load, generator bids
-    and initial SOC the way perfbench's seeded instances do."""
-    gens = (GeneratorParams("a", 10.0 * bid_factors[0], 100.0, 20.0, 10.0),
-            GeneratorParams("b", 20.0 * bid_factors[1], 80.0, 16.0, 8.0))
-    return synthesize_scenario(
-        (np.array([1.0, 2.0]), np.array([0.5, 0.6])),
-        generator_table=gens,
-        bess_params=BessParams(energy_capacity=10.0, power_rate=5.0,
-                               soc_init=min(max(5.0 + soc_shift * 10.0, 0.0), 10.0)),
-        peak_load_mw=100.0 * load_scale,
-        delta_t=0.5,
         bess_price_bids=BessPriceBids(buy=100.0),
     )
 
@@ -165,6 +150,44 @@ def test_oracle_rejects_long_horizon():
 def test_oracle_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         harness.brute_force_oracle(tiny_scenario(), 0.0)
+
+
+@pytest.mark.parametrize("scn, step", [(tiny_scenario(), 2.5), (acceptance_instance(), 1.25)])
+def test_oracle_does_not_depend_on_worker_count(monkeypatch, scn, step):
+    # the grid splits into one chunk per usable CPU, one in-process chunk
+    # for a single CPU; with three, the middle chunk crosses the interval
+    # boundary
+    combos = harness._interval_grid(scn, step)
+    results, awards = [], []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        results.append(harness.brute_force_oracle(scn, step))
+        awards.append(harness._clear_grid(scn, combos))
+    assert awards[0].shape == (scn.n_intervals * len(combos), 5)
+    for res, arr in zip(results[1:], awards[1:]):
+        assert res == results[0]
+        assert arr.tobytes() == awards[0].tobytes()
+
+
+def test_milp_after_forked_oracle_is_unchanged(monkeypatch):
+    # the oracle stops HiGHS's threads before it forks its workers; a MILP
+    # solved afterwards must start them again and land on the same bits
+    outcomes = []
+    solve_milp = solver.solve_milp
+
+    def keep(*args, **kwargs):
+        outcomes.append(solve_milp(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(solver, "solve_milp", keep)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    scn = acceptance_instance()
+    before = harness.run_case(scn, settings=EXACT)
+    harness.brute_force_oracle(scn, 2.5)
+    after = harness.run_case(scn, settings=EXACT)
+    assert len(outcomes) == 2
+    assert after.objective.hex() == before.objective.hex()
+    assert outcomes[1].x.tobytes() == outcomes[0].x.tobytes()
 
 
 def test_zero_energy_capacity_storage_earns_nothing():
