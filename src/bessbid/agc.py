@@ -30,7 +30,6 @@ class AgcTrace:
     """
 
     signal: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         s = np.asarray(self.signal, dtype=float)
@@ -111,7 +110,7 @@ def generate_signal(seed: int, samples: int = DEFAULT_SAMPLES) -> AgcTrace:
     # reflect into [-1, 1]: fold the line at every band edge
     folded = np.mod(walk + 1.0, 4.0)
     folded = np.where(folded > 2.0, 4.0 - folded, folded) - 1.0
-    return AgcTrace(signal=normalize_signal(folded), seed=seed)
+    return AgcTrace(signal=normalize_signal(folded))
 
 
 @dataclass(frozen=True)

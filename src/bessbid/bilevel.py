@@ -600,13 +600,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_bilevel_solution(
-    scn: Scenario,
-    bilevel: BilevelMilp,
-    outcome: solver.SolveOutcome,
-    solution: BilevelSolution | None = None,
-) -> VerificationReport:
-    """Independent checks of a solved bidding MILP.
+def verify_bilevel_solution(bilevel: BilevelMilp, sol: BilevelSolution) -> VerificationReport:
+    """Independent checks of a solution extracted from a solved bidding MILP.
 
     Fixes the extracted bids, re-clears every interval, and demands the
     embedded schedule is clearing-optimal (cost equality; award/price
@@ -615,7 +610,7 @@ def verify_bilevel_solution(
     revenue matches the MILP objective. A failure here signals a wrong M or
     sign, so callers must reject the solve.
     """
-    sol = solution if solution is not None else extract_solution(bilevel, outcome)
+    scn = bilevel.scenario
     mismatches: list[str] = []
     notes: list[str] = list(sol.notes)
     max_res = {"stationarity": 0.0, "primal": 0.0, "dual_sign": 0.0, "cs": 0.0}

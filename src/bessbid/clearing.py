@@ -407,7 +407,7 @@ def _clear_zero_bids(instance: LlInstance) -> ClearingResult:
     layout = instance.layout
     t = layout.t
     free, kept_rows = layout.storage_free_lp()
-    out = _solve_or_raise(t, lambda: solver.LpModel(free).solve())
+    out = _solve_or_raise(t, lambda: solver.solve_lp(free))
 
     n_gen_cols = len(free.c)
     x = np.zeros(layout.n_cols)

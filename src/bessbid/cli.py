@@ -1,10 +1,11 @@
 """Command-line entry point for the bidding toolkit.
 
-Exit codes: 0 success, 1 solver failure or other error, 2 usage error,
-3 infeasible market or case, 4 verification failure (including AGC breaches
-and monotonicity violations), 5 solver time limit. Defaults can be set in a
-YAML config file (``--config``); environment variables override the file,
-flags override both.
+Exit codes: 0 success, 1 solver failure or other error, 2 usage error
+(including a scenario file that does not parse or lacks a field, and
+``agc-check --seeds`` below 1 or ``--samples`` below 2), 3 infeasible market
+or case, 4 verification failure (including AGC breaches and monotonicity
+violations), 5 solver time limit. Defaults can be set in a YAML config file
+(``--config``); environment variables override the file, flags override both.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from . import agc, bilevel, clearing, harness, solver
 from .scenario import (
     BessPriceBids,
     MarketMask,
+    Scenario,
+    ScenarioError,
     default_patterns,
     load_scenario,
     save_scenario,
@@ -55,8 +58,15 @@ def solver_options(f):
     return f
 
 
-def _mask_for(case: int | None, scn) -> MarketMask:
-    return scn.market_mask if case is None else MarketMask.from_case(case)
+def _load(path: str, case: int | None = None) -> Scenario:
+    """The scenario in ``path``, under ``case``'s market mask when given. A
+    file that does not parse is a usage error; validation is left to the
+    command, so a parseable but infeasible market reaches the clear."""
+    try:
+        scn = load_scenario(path)
+    except ScenarioError as err:
+        raise _fail(EXIT_USAGE, str(err))
+    return scn if case is None else scn.with_mask(MarketMask.from_case(case))
 
 
 @click.group(invoke_without_command=True)
@@ -111,13 +121,16 @@ def synth(out, peak, intervals, desk, case, buy_price):
             raise click.UsageError("--intervals must divide 96")
         stride = 96 // intervals
         price, load = default_patterns()
-        scn = synthesize_scenario(
-            (price[::stride], load[::stride]),
-            peak_load_mw=peak,
-            delta_t=24.0 / intervals,
-            market_mask=mask,
-            bess_price_bids=BessPriceBids(buy=buy_price),
-        )
+        try:
+            scn = synthesize_scenario(
+                (price[::stride], load[::stride]),
+                peak_load_mw=peak,
+                delta_t=24.0 / intervals,
+                market_mask=mask,
+                bess_price_bids=BessPriceBids(buy=buy_price),
+            )
+        except ScenarioError as err:
+            raise _fail(EXIT_USAGE, str(err))
     save_scenario(scn, out)
     click.echo(f"wrote {out}: {scn.n_intervals} intervals, {scn.n_generators} generators, "
                f"mask {scn.market_mask.label()}")
@@ -131,8 +144,7 @@ def synth(out, peak, intervals, desk, case, buy_price):
               help="Also write the price table as CSV.")
 def clear(scenario, case, out):
     """Clear the joint market with a passive (zero-bid) storage unit."""
-    scn = load_scenario(scenario)
-    scn = scn.with_mask(_mask_for(case, scn))
+    scn = _load(scenario, case)
     try:
         results = clearing.clear_horizon(scn)
     except clearing.ClearingError as err:
@@ -161,10 +173,10 @@ def clear(scenario, case, out):
 @solver_options
 def solve(scenario, case, out, terminal_soc_equality, gap, time_limit):
     """Solve one bidding case and write its report files."""
-    scn = load_scenario(scenario)
+    scn = _load(scenario, case)
     try:
         report = harness.run_case(
-            scn, mask=_mask_for(case, scn),
+            scn,
             settings=harness.SolverSettings(gap_tol=gap, time_limit=time_limit),
             terminal_soc_equality=terminal_soc_equality,
         )
@@ -187,8 +199,7 @@ def solve(scenario, case, out, terminal_soc_equality, gap, time_limit):
               help="Bid grid step in MW.")
 def oracle(scenario, case, step):
     """Brute-force the optimal bids of a tiny instance by grid search."""
-    scn = load_scenario(scenario)
-    scn = scn.with_mask(_mask_for(case, scn))
+    scn = _load(scenario, case)
     try:
         res = harness.brute_force_oracle(scn, step)
     except harness.OracleSizeError as err:
@@ -213,9 +224,11 @@ def oracle(scenario, case, step):
 @click.option("--name", default="BESSBID", show_default=True, help="MPS model name.")
 def export_mps(scenario, case, out, name):
     """Export the assembled bidding MILP in MPS format."""
-    scn = load_scenario(scenario)
-    scn = scn.with_mask(_mask_for(case, scn))
-    built = bilevel.assemble_milp(scn)
+    scn = _load(scenario, case)
+    try:
+        built = bilevel.assemble_milp(scn)
+    except bilevel.BilevelError as err:
+        raise _fail(_exit_code_for(err), str(err))
     solver.export_mps(built.milp, out, name=name)
     c = built.counts
     click.echo(f"wrote {out}: {c['rows']} rows, {c['columns']} columns, "
@@ -223,10 +236,10 @@ def export_mps(scenario, case, out, name):
 
 
 @cli.command("agc-check")
-@click.option("--seeds", type=int, default=100, show_default=True,
+@click.option("--seeds", type=click.IntRange(min=1), default=100, show_default=True,
               help="Number of seeded regulation traces.")
-@click.option("--samples", type=int, default=agc.DEFAULT_SAMPLES, show_default=True,
-              help="Samples per trace.")
+@click.option("--samples", type=click.IntRange(min=2), default=agc.DEFAULT_SAMPLES,
+              show_default=True, help="Samples per trace.")
 @click.option("--scenario", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Solve this scenario and replay the traces against its schedule.")
 @click.option("--case", type=click.IntRange(1, 4), default=None,
@@ -234,18 +247,17 @@ def export_mps(scenario, case, out, name):
 @solver_options
 def agc_check(seeds, samples, scenario, case, gap, time_limit):
     """Validate regulation traces; optionally replay them against a solved case."""
+    scn = None if scenario is None else _load(scenario, case)
     worst_mean = 0.0
     for s in range(seeds):
         trace = agc.generate_signal(s, samples=samples)
         worst_mean = max(worst_mean, abs(float(trace.signal.mean())))
     click.echo(f"{seeds} traces x {samples} samples: bounded, worst |mean| {worst_mean:.3e}")
-    if scenario is None:
+    if scn is None:
         return
-    scn = load_scenario(scenario)
     try:
         report = harness.run_case(
-            scn, mask=_mask_for(case, scn),
-            settings=harness.SolverSettings(gap_tol=gap, time_limit=time_limit))
+            scn, settings=harness.SolverSettings(gap_tol=gap, time_limit=time_limit))
     except harness.HarnessError as err:
         raise _fail(_exit_code_for(err), str(err))
     runs = harness.replay_agc(report, scn.bess, seeds=range(seeds), samples=samples)
@@ -272,7 +284,7 @@ def compare(scenario, cases, out, gap, time_limit):
         raise click.UsageError(f"--cases must be comma-separated integers, got {cases!r}")
     if not case_ids or any(c not in (1, 2, 3, 4) for c in case_ids):
         raise click.UsageError("--cases entries must be in 1..4")
-    scn = load_scenario(scenario)
+    scn = _load(scenario)
     settings = harness.SolverSettings(gap_tol=gap, time_limit=time_limit)
     reports = []
     for c in case_ids:

@@ -14,7 +14,7 @@ import logging
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,9 @@ log = logging.getLogger(__name__)
 SCHEMA_INTERVALS = "bessbid-intervals/1"
 SCHEMA_SUMMARY = "bessbid-summary/1"
 REVENUE_DECIMALS = 9
+# largest grid the oracle will clear: combinations per interval to the power
+# of the interval count
+ORACLE_MAX_EVALUATIONS = 20_000_000
 
 
 class HarnessError(RuntimeError):
@@ -112,12 +115,7 @@ class IntervalRecord:
                 + self.revenue_regcap + self.revenue_mileage)
 
 
-FIELD_ORDER = [
-    "t", "delta_t", "u", "sell_bid", "buy_bid", "reserve_bid", "regcap_bid",
-    "sell_award", "buy_award", "reserve_award", "regcap_award", "mileage_award",
-    "price_energy", "price_reserve", "price_regcap", "price_mileage", "soc",
-    "revenue_energy", "revenue_reserve", "revenue_regcap", "revenue_mileage",
-]
+FIELD_ORDER = [f.name for f in fields(IntervalRecord)]
 
 
 @dataclass
@@ -192,7 +190,6 @@ class CaseReport:
     totals: dict[str, float]
     verification: VerificationReport
     counts: dict[str, int]
-    files: dict[str, str] = field(default_factory=dict)
 
 
 def run_case(scn: Scenario, mask: MarketMask | None = None,
@@ -225,7 +222,7 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         raise HarnessError(f"solver returned {outcome.status}")
 
     sol = bilevel.extract_solution(built, outcome)
-    report = bilevel.verify_bilevel_solution(scn, built, outcome, sol)
+    report = bilevel.verify_bilevel_solution(built, sol)
     if not report.passed:
         raise VerificationFailedError(report)
 
@@ -330,8 +327,7 @@ def _clear_grid(scn: Scenario, combos: list[BessBids]) -> np.ndarray:
         return np.concatenate(list(chunks))
 
 
-def brute_force_oracle(scn: Scenario, bid_grid_step: float,
-                       max_evaluations: int = 20_000_000) -> OracleResult:
+def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
     """Grid search over quantity bids with exact per-interval clearing.
 
     Clears each interval once per grid combination, in forked workers when
@@ -348,9 +344,9 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float,
     bess = scn.bess
     combos = _interval_grid(scn, bid_grid_step)
     total = len(combos) ** scn.n_intervals
-    if total > max_evaluations:
+    if total > ORACLE_MAX_EVALUATIONS:
         raise OracleSizeError(
-            f"{total} grid evaluations exceed the {max_evaluations} cap; "
+            f"{total} grid evaluations exceed the {ORACLE_MAX_EVALUATIONS} cap; "
             "enlarge the step or shrink the instance"
         )
 
@@ -522,7 +518,6 @@ def emit_outputs(report: CaseReport, out_dir: str | Path) -> dict[str, str]:
         yaml.safe_dump(doc, fh, sort_keys=True)
     files["summary"] = str(summary)
 
-    report.files = files
     return files
 
 
@@ -531,28 +526,25 @@ def emit_outputs(report: CaseReport, out_dir: str | Path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def reference_scenario(mask: MarketMask = MarketMask(),
-                       buy_price_bid: float = 100.0) -> Scenario:
+def reference_scenario(mask: MarketMask = MarketMask()) -> Scenario:
     """Full-size reference system: 96 intervals, five generators, 400 MWh
-    storage. Sized for MPS export rather than the embedded solver."""
+    storage, buy price bid 100. Sized for MPS export rather than the
+    embedded solver."""
     return synthesize_scenario(
         default_patterns(),
         market_mask=mask,
-        bess_price_bids=BessPriceBids(buy=buy_price_bid),
+        bess_price_bids=BessPriceBids(buy=100.0),
     )
 
 
-def desk_scenario(mask: MarketMask = MarketMask(),
-                  energy_capacity: float = 100.0,
-                  power_rate: float = 10.0,
-                  soc_init: float = 0.0,
-                  buy_price_bid: float = 100.0) -> Scenario:
+def desk_scenario(mask: MarketMask = MarketMask()) -> Scenario:
     """Reduced fixture that the embedded solver handles quickly.
 
     24 hourly intervals subsampled from the packaged patterns, three
     generators with capacities and ramps scaled to 30%, a 100 MWh / 10 MW
-    storage unit, and a 250 MW peak. The storage buy price bid sits above
-    every clearing price so demand bids clear whenever submitted.
+    storage unit starting empty, and a 250 MW peak. The storage buy price
+    bid, 100, sits above every clearing price so demand bids clear whenever
+    submitted.
     """
     price, load = default_patterns()
     rows = []
@@ -568,10 +560,9 @@ def desk_scenario(mask: MarketMask = MarketMask(),
     return synthesize_scenario(
         (price[::4], load[::4]),
         generator_table=tuple(rows),
-        bess_params=BessParams(energy_capacity=energy_capacity,
-                               power_rate=power_rate, soc_init=soc_init),
+        bess_params=BessParams(energy_capacity=100.0, power_rate=10.0),
         peak_load_mw=250.0,
         delta_t=1.0,
         market_mask=mask,
-        bess_price_bids=BessPriceBids(buy=buy_price_bid),
+        bess_price_bids=BessPriceBids(buy=100.0),
     )

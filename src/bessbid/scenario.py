@@ -129,22 +129,15 @@ class Scenario:
         return replace(self, market_mask=mask)
 
 
-@dataclass(frozen=True)
-class PriceRatios:
-    """Ancillary price bids as multiples of each unit's energy bid."""
+# ancillary price bids as multiples of each unit's energy bid
+RESERVE_PRICE_RATIO = 0.15
+REGCAP_PRICE_RATIO = 0.4
+MILEAGE_PRICE_RATIO = 0.07
 
-    reserve: float = 0.15
-    regcap: float = 0.4
-    mileage: float = 0.07
-
-
-@dataclass(frozen=True)
-class RequirementFractions:
-    """System requirements as fractions of interval load."""
-
-    reserve: float = 0.10
-    regcap: float = 0.04
-    mileage_mult: float = 1.75  # mileage requirement / regcap requirement
+# system requirements as fractions of interval load
+RESERVE_REQ_FRAC = 0.10
+REGCAP_REQ_FRAC = 0.04
+MILEAGE_REQ_MULT = 1.75  # mileage requirement / regcap requirement
 
 
 # five-unit reference fleet used by synthesized studies
@@ -209,8 +202,6 @@ def synthesize_scenario(
     generator_table: tuple[GeneratorParams, ...] = DEFAULT_GENERATOR_TABLE,
     bess_params: BessParams = DEFAULT_BESS,
     peak_load_mw: float = 1000.0,
-    ratios: PriceRatios = PriceRatios(),
-    req_fracs: RequirementFractions = RequirementFractions(),
     delta_t: float = 0.25,
     market_mask: MarketMask = MarketMask(),
     bess_price_bids: BessPriceBids = BessPriceBids(),
@@ -223,27 +214,23 @@ def synthesize_scenario(
     scenario feasibility invariants.
     """
     price_pattern, load_pattern = patterns
-    if min(ratios.reserve, ratios.regcap, ratios.mileage) <= 0:
-        raise ScenarioError("price ratios must be positive")
-    if min(req_fracs.reserve, req_fracs.regcap, req_fracs.mileage_mult) <= 0:
-        raise ScenarioError("requirement fractions must be positive")
 
     intervals = []
     for t, (pp, lp) in enumerate(zip(price_pattern, load_pattern)):
         energy_bids = tuple(float(g.base_price_bid * pp) for g in generator_table)
         load = float(peak_load_mw * lp)
-        regcap = req_fracs.regcap * load
+        regcap = REGCAP_REQ_FRAC * load
         intervals.append(IntervalData(
             index=t,
             delta_t=float(delta_t),
             load=load,
-            reserve_req=req_fracs.reserve * load,
+            reserve_req=RESERVE_REQ_FRAC * load,
             regcap_req=regcap,
-            mileage_req=req_fracs.mileage_mult * regcap,
+            mileage_req=MILEAGE_REQ_MULT * regcap,
             gen_energy_bids=energy_bids,
-            gen_reserve_bids=tuple(ratios.reserve * b for b in energy_bids),
-            gen_regcap_bids=tuple(ratios.regcap * b for b in energy_bids),
-            gen_mileage_bids=tuple(ratios.mileage * b for b in energy_bids),
+            gen_reserve_bids=tuple(RESERVE_PRICE_RATIO * b for b in energy_bids),
+            gen_regcap_bids=tuple(REGCAP_PRICE_RATIO * b for b in energy_bids),
+            gen_mileage_bids=tuple(MILEAGE_PRICE_RATIO * b for b in energy_bids),
             bess_price_bids=bess_price_bids,
         ))
 
@@ -390,7 +377,11 @@ def scenario_from_text(text: str) -> Scenario:
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"unparsable scenario document: {exc}") from exc
+        # one line: the parser's problem and where it found it, when it names them
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ScenarioError(f"unparsable scenario document: {problem}{where}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     tag = doc.get("schema")

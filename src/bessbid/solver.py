@@ -122,7 +122,6 @@ class SolveOutcome:
     wall_time: float = 0.0
     feasibility_residual: float | None = None
     duality_gap_rel: float | None = None
-    message: str = ""
     cs_residual: float | None = None   # LP solves: max |dual x slack|
 
 
@@ -344,9 +343,9 @@ class LpModel:
         return (start, rows[order].astype(np.int32), (a.data * self._sign[rows])[order],
                 row_lower, self._b.copy())
 
-    def _run(self, **options) -> tuple[str, str, float]:
+    def _run(self, **options) -> tuple[str, float]:
         """Set ``options``, solve and map HiGHS's model status; returns the
-        status, HiGHS's wording of it and the solve's wall time. The solve
+        status and the solve's wall time. The solve
         is cold when the model is new or its solver data were cleared."""
         for name, value in options.items():
             if self._highs.setOptionValue(name, value) == _highs.HighsStatus.kError:
@@ -355,10 +354,10 @@ class LpModel:
         self._highs.run()
         wall = time.perf_counter() - t0
         status = self._highs.getModelStatus()
-        message = self._highs.modelStatusToString(status)
         if status not in _STATUS:
-            raise SolverError(f"HiGHS backend failure: {message}")
-        return _STATUS[status], message, wall
+            raise SolverError(
+                f"HiGHS backend failure: {self._highs.modelStatusToString(status)}")
+        return _STATUS[status], wall
 
     def solve(self, rhs: np.ndarray | None = None) -> SolveOutcome:
         """Solve an LP from scratch, after moving the row right-hand sides to
@@ -380,9 +379,9 @@ class LpModel:
                 self._b[ks] = bs
                 for k, b in zip(ks.tolist(), bs.tolist()):
                     self._highs.changeRowBounds(k, -_highs.kHighsInf if k < self._n_ineq else b, b)
-        status, message, wall = self._run()
+        status, wall = self._run()
         if status != OPTIMAL:
-            return SolveOutcome(status=status, wall_time=wall, message=message)
+            return SolveOutcome(status=status, wall_time=wall)
 
         highs = self._highs
         solution = highs.getSolution()
@@ -421,7 +420,6 @@ class LpModel:
             status=OPTIMAL, objective=float(fun), x=x, row_duals=row_duals,
             lower_duals=lower_duals, upper_duals=upper_duals, wall_time=wall,
             feasibility_residual=resid, duality_gap_rel=gap_rel, cs_residual=cs,
-            message=message,
         )
 
 
@@ -452,7 +450,7 @@ def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
     saved_stdout = os.dup(1)
     os.dup2(2, 1)
     try:
-        status, message, wall = model._run(  # HiGHS's default time limit is inf
+        status, wall = model._run(  # HiGHS's default time limit is inf
             mip_rel_gap=float(gap_tol),
             time_limit=np.inf if time_limit is None else float(time_limit))
     finally:
@@ -461,7 +459,7 @@ def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
     info = model._highs.getInfo()
     # a limit reached before the first incumbent leaves no solution
     if status in (INFEASIBLE, UNBOUNDED) or info.objective_function_value == _highs.kHighsInf:
-        return SolveOutcome(status=status, wall_time=wall, message=message)
+        return SolveOutcome(status=status, wall_time=wall)
 
     x = np.array(model._highs.getSolution().col_value, dtype=float)
     fun = info.objective_function_value
@@ -471,7 +469,7 @@ def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
     return SolveOutcome(
         status=status, objective=float(-fun if problem.maximize else fun), x=x, mip_gap=gap,
         node_count=max(1, int(info.mip_node_count)), wall_time=wall,
-        feasibility_residual=feasibility_residual(problem, x), message=message,
+        feasibility_residual=feasibility_residual(problem, x),
     )
 
 

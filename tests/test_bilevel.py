@@ -248,7 +248,7 @@ def test_arbitrage_solution_verifies():
                          beta=EAGER_BUYER)
     bl, out, sol = solve_and_extract(scn)
     assert out.objective > 0.0
-    rep = bilevel.verify_bilevel_solution(scn, bl, out, sol)
+    rep = bilevel.verify_bilevel_solution(bl, sol)
     assert rep.passed, rep.summary()
     assert rep.max_residuals["cs"] <= 1e-7
     assert rep.revenue_from_duals == pytest.approx(rep.revenue_milp, rel=1e-5)
@@ -284,7 +284,7 @@ def test_verify_flags_corrupted_award():
                          mask=MarketMask(True, False, False), beta=EAGER_BUYER)
     bl, out, sol = solve_and_extract(scn)
     sol.intervals[1].variables.p_gs[0] += 5.0
-    rep = bilevel.verify_bilevel_solution(scn, bl, out, sol)
+    rep = bilevel.verify_bilevel_solution(bl, sol)
     assert not rep.passed
     # the corrupted dispatch breaks the power balance row
     assert any("balance" in m for m in rep.mismatches), rep.mismatches
@@ -297,7 +297,7 @@ def test_verify_flags_truncated_dual():
     bl, out, sol = solve_and_extract(scn)
     assert out.objective > 0.0
     sol.intervals[0].row_duals[bl.blocks[0].kkt.layout.row_balance] = 0.0
-    rep = bilevel.verify_bilevel_solution(scn, bl, out, sol)
+    rep = bilevel.verify_bilevel_solution(bl, sol)
     assert not rep.passed
 
 
@@ -308,7 +308,7 @@ def test_degenerate_tie_passes_with_note():
     scn = build_scenario([twin_a, twin_b], BessParams(40.0, 20.0, soc_init=40.0),
                          [150.0], delta_t=1.0, mask=MarketMask(True, False, False))
     bl, out, sol = solve_and_extract(scn)
-    rep = bilevel.verify_bilevel_solution(scn, bl, out, sol)
+    rep = bilevel.verify_bilevel_solution(bl, sol)
     assert rep.passed, rep.summary()
 
 

@@ -6,7 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from bessbid import solver
+from bessbid import harness, solver
 from bessbid.cli import EXIT_FAILURE, EXIT_INFEASIBLE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
 from bessbid.scenario import save_scenario
 
@@ -273,3 +273,73 @@ def test_solver_failure_prints_one_error_line(tmp_path, monkeypatch, args, prefi
     assert res.exit_code == EXIT_FAILURE
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.splitlines() == [prefix + "HiGHS backend failure: forced"]
+
+
+def _malformed_scenarios(tmp_path):
+    """One file that does not parse and one that parses but lacks ``bess``."""
+    unparsable = tmp_path / "unparsable.scn"
+    unparsable.write_text("foo: [1, 2\n")
+    doc = yaml.safe_load(synth_tiny(runner(), tmp_path / "s.scn").read_text())
+    del doc["bess"]
+    no_bess = tmp_path / "no_bess.scn"
+    no_bess.write_text(yaml.safe_dump(doc))
+    return {"unparsable": unparsable, "missing field": no_bess}
+
+
+@pytest.mark.parametrize("args", [
+    ["clear"],
+    ["solve", "--out", "run"],
+    ["oracle"],
+    ["export-mps", "--out", "model.mps"],
+    ["compare"],
+    ["agc-check", "--seeds", "2", "--samples", "60"],
+])
+def test_malformed_scenario_is_one_error_line_and_exit_2(tmp_path, args):
+    args = [str(tmp_path / a) if a in ("run", "model.mps") else a for a in args]
+    for kind, path in _malformed_scenarios(tmp_path).items():
+        res = runner().invoke(cli, args + ["--scenario", str(path)])
+        assert res.exit_code == EXIT_USAGE, (kind, res.output)
+        assert isinstance(res.exception, SystemExit), kind
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (kind, lines)
+        assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("peak", ["5000", "-1"])
+def test_synth_invalid_scenario_is_one_error_line_and_exit_2(tmp_path, peak):
+    out = tmp_path / "s.scn"
+    res = runner().invoke(cli, ["synth", "--out", str(out), "--peak", peak])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: synthesized scenario is invalid: ")
+    assert not out.exists()
+
+
+def test_export_mps_invalid_market_is_one_error_line(tmp_path):
+    # parseable, but no fleet meets the reserve requirement: the MILP is not built
+    scn = acceptance_instance()
+    scn = replace(scn, intervals=tuple(replace(it, reserve_req=1e4) for it in scn.intervals))
+    path = tmp_path / "s.scn"
+    save_scenario(scn, str(path))
+    out = tmp_path / "model.mps"
+    res = runner().invoke(cli, ["export-mps", "--scenario", str(path), "--out", str(out)])
+    assert res.exit_code == EXIT_FAILURE
+    assert isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid scenario: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, bound", [("--seeds", "0", "1"), ("--samples", "1", "2")])
+def test_agc_check_range_is_usage_error_before_any_solve(tmp_path, monkeypatch, flag, value,
+                                                           bound):
+    def fail(*a, **k):
+        raise AssertionError("solved despite an out-of-range flag")
+
+    rn = runner()
+    scn = synth_tiny(rn, tmp_path / "s.scn")
+    monkeypatch.setattr(harness, "run_case", fail)
+    res = rn.invoke(cli, ["agc-check", flag, value, "--scenario", str(scn)])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert f"x>={bound}" in res.stderr

@@ -1,6 +1,7 @@
 """Scenario synthesis, validation, and document round-trips."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from bessbid.scenario import (
     BessPriceBids,
     GeneratorParams,
     MarketMask,
-    PriceRatios,
-    RequirementFractions,
     Scenario,
     ScenarioError,
     default_patterns,
@@ -29,6 +28,7 @@ from bessbid.scenario import (
     validate_scenario,
 )
 
+from conftest import acceptance_instance
 from test_acceptance import small_instance
 
 
@@ -186,6 +186,30 @@ def test_document_text_same_with_and_without_libyaml(monkeypatch):
         assert text == yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
         assert again == scn
         assert repr(again) == repr(scenario_from_text(text))
+
+
+# sha256 of scenario_to_text for the fixtures and acceptance 1's instance;
+# synthesis constants and fixture sizes must keep the text byte for byte
+SCENARIO_TEXT_SHA256 = {
+    "desk": "2bbae49d7d925389075a248ae5fc1c0a89646eb1e80f4005eb56395f09cf6c72",
+    "reference": "7f2448081caf6354faff34f891e65b08a0db81ac51200dbffd464fbba73e126a",
+    "acceptance1": "deb3280d7ce845305002f61550bb364b197a20bb3c9e43e4f486e41595a23c2e",
+}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("desk", harness.desk_scenario),
+    ("reference", harness.reference_scenario),
+    ("acceptance1", acceptance_instance),
+])
+def test_scenario_text_matches_pinned_digest(name, build):
+    text = scenario_to_text(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_TEXT_SHA256[name]
+
+
+def test_unparsable_document_error_is_one_line():
+    with pytest.raises(ScenarioError, match=r"^unparsable scenario document: .* at line 2, column 1$"):
+        scenario_from_text("foo: [1, 2\n")
 
 
 def test_document_rejects_wrong_schema():
