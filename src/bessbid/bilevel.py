@@ -201,13 +201,15 @@ def linearized_revenue_value(layout: LlLayout, x: np.ndarray,
 
 
 def direct_revenue_value(layout: LlLayout, v: LlVariables,
-                         row_duals: np.ndarray) -> float:
-    """Price-times-award revenue evaluated directly from duals and awards."""
-    return float(
-        row_duals[layout.row_balance] * (v.p_bs - v.p_bd)
-        + row_duals[layout.row_reserve_req] * v.p_brs
-        + row_duals[layout.row_regcap_req] * v.p_brgc
-        + row_duals[layout.row_mileage_req] * v.p_brgm
+                         row_duals: np.ndarray) -> float | np.ndarray:
+    """Price-times-award revenue evaluated directly from duals and awards;
+    with one schedule per row (see :meth:`LlLayout.variables_from`) and one
+    dual vector per row, one revenue per row."""
+    return (
+        row_duals[..., layout.row_balance] * (v.p_bs - v.p_bd)
+        + row_duals[..., layout.row_reserve_req] * v.p_brs
+        + row_duals[..., layout.row_regcap_req] * v.p_brgc
+        + row_duals[..., layout.row_mileage_req] * v.p_brgm
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +56,21 @@ class BessBids:
 
 
 ZERO_BIDS = BessBids()
+
+
+def bid_array(bids) -> np.ndarray:
+    """A ``(k, 4)`` array of the sell, buy, reserve and regcap quantities of
+    each :class:`BessBids` in ``bids``."""
+    return np.array([(b.sell, b.buy, b.reserve, b.regcap) for b in bids],
+                    dtype=float).reshape(-1, 4)
+
+
+def _check_bids(t: int, bids: np.ndarray) -> None:
+    """Raise for the first row of a bid array that holds a negative bid."""
+    negative = (bids < 0).any(axis=1)
+    if negative.any():
+        row = bids[int(np.argmax(negative))].tolist()
+        raise ValueError(f"interval {t}: bids must be >= 0, got {BessBids(*row)}")
 
 
 @dataclass
@@ -236,16 +250,17 @@ class LlLayout:
         return self.n_rows - 1
 
     # ------------------------------------------------------------------
-    def rhs_for(self, bids: BessBids) -> np.ndarray:
-        rhs = self.rhs_base.copy()
+    def rhs_for(self, bids: np.ndarray) -> np.ndarray:
+        """The right-hand sides at each row of a :func:`bid_array`, one row each."""
+        rhs = np.empty((len(bids), self.n_rows))
+        rhs[:] = self.rhs_base
         sell = self.bid_rows["sell"]   # the bid rows: sell, buy, reserve, regcap
-        rhs[sell:sell + 4] = (bids.sell, bids.buy, bids.reserve, bids.regcap)
+        rhs[:, sell:sell + 4] = bids
         return rhs
 
     def instance(self, bids: BessBids = ZERO_BIDS) -> LlInstance:
         """This interval's clearing LP at the given storage bids."""
-        if min(bids.sell, bids.buy, bids.reserve, bids.regcap) < 0:
-            raise ValueError(f"interval {self.t}: bids must be >= 0, got {bids}")
+        _check_bids(self.t, bid_array([bids]))
         return LlInstance(layout=self, bids=bids)
 
     @property
@@ -262,7 +277,7 @@ class LlLayout:
             c=self.c.copy(),
             a=self.a,
             senses=self.senses,
-            rhs=self.rhs_for(bids),
+            rhs=self.rhs_for(bid_array([bids]))[0],
             lower=self.lower.copy(),
             upper=self.upper.copy(),
             maximize=False,
@@ -303,10 +318,13 @@ class LlLayout:
         return lp, rows
 
     def variables_from(self, x: np.ndarray) -> LlVariables:
+        """The schedule in column vector ``x``; for a 2-D ``x``, one schedule
+        per row, each field then holding one value (or vector) per row."""
         # one copy holds the four generator vectors, one row each
-        gen = x[:self.col_bs].reshape(self.n_gens, self.GEN_COLS)
-        p_gs, p_grs, p_grgc, p_grgm = gen.T.copy()
-        p_bs, p_bd, p_brs, p_brgc, p_brgm = x[self.col_bs:].tolist()
+        gen = x[..., :self.col_bs].reshape(*x.shape[:-1], self.n_gens, self.GEN_COLS)
+        p_gs, p_grs, p_grgc, p_grgm = np.moveaxis(gen, -1, 0).copy()
+        storage = x[..., self.col_bs:].T
+        p_bs, p_bd, p_brs, p_brgc, p_brgm = storage.tolist() if x.ndim == 1 else storage
         return LlVariables(p_gs=p_gs, p_grs=p_grs, p_grgc=p_grgc, p_grgm=p_grgm,
                            p_bs=p_bs, p_bd=p_bd, p_brs=p_brs, p_brgc=p_brgc, p_brgm=p_brgm)
 
@@ -351,63 +369,133 @@ class ClearingResult:
     layout: LlLayout
 
 
+@dataclass
+class ClearingBatch:
+    """Clears of one interval at several storage bids, one row per bid: the
+    fields of :class:`ClearingResult`, stacked."""
+
+    layout: LlLayout
+    x: np.ndarray                # (k, columns)
+    row_duals: np.ndarray        # (k, rows), layout row order
+    lower_duals: np.ndarray      # (k, columns)
+    objective: np.ndarray
+    duality_gap_rel: np.ndarray
+    cs_residual: np.ndarray
+
+    def result(self, i: int) -> ClearingResult:
+        layout = self.layout
+        return ClearingResult(
+            t=layout.t,
+            variables=layout.variables_from(self.x[i]),
+            prices=layout.prices_from(self.row_duals[i]),
+            objective=float(self.objective[i]),
+            row_duals=self.row_duals[i],
+            lower_duals=self.lower_duals[i],
+            duality_gap_rel=float(self.duality_gap_rel[i]),
+            cs_residual=float(self.cs_residual[i]),
+            layout=layout,
+        )
+
+
 def build_ll_interval(scn: Scenario, t: int, bids: BessBids = ZERO_BIDS) -> LlInstance:
     """Assemble one interval's joint clearing LP with the given storage bids."""
     return LlLayout(scn, t).instance(bids)
 
 
-def _solve_or_raise(t: int, solve: Callable[[], solver.SolveOutcome]) -> solver.SolveOutcome:
-    try:
-        out = solve()
-    except solver.SolverError as exc:
-        raise ClearingError(f"interval {t}: {exc}") from exc
-    if out.status == solver.INFEASIBLE:
+def _raise_for_status(t: int, status: str) -> None:
+    if status == solver.INFEASIBLE:
         raise InfeasibleMarketError(
             f"interval {t}: clearing infeasible (requirements exceed fleet capability)"
         )
-    if out.status == solver.UNBOUNDED:
+    if status == solver.UNBOUNDED:
         raise UnboundedMarketError(f"interval {t}: clearing unbounded (malformed bids)")
-    if out.status != solver.OPTIMAL:
-        raise ClearingError(f"interval {t}: solver returned {out.status}")
-    return out
+    if status != solver.OPTIMAL:
+        raise ClearingError(f"interval {t}: solver returned {status}")
+
+
+def _check_contracts(t: int, duality_gap_rel: np.ndarray, cs_residual: np.ndarray) -> None:
+    """The clearing contracts over clears of interval ``t``, one value per
+    clear; raises for the first clear that breaks one."""
+    gap_bad = duality_gap_rel > STRONG_DUALITY_TOL
+    bad = gap_bad | (cs_residual > CS_TOL)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if gap_bad[i]:
+        raise ClearingError(f"interval {t}: strong-duality gap {duality_gap_rel[i]:.3e}")
+    raise ClearingError(f"interval {t}: complementary slackness residual {cs_residual[i]:.3e}")
 
 
 def clear_interval(instance: LlInstance) -> ClearingResult:
     """Solve one interval and extract schedule, prices, and dual bookkeeping.
 
-    When every storage bid is zero the layout's storage-free sub-LP is solved
-    and the storage duals are rebuilt from stationarity afterwards, so prices
-    are exactly the no-storage prices (zero-bid neutrality) and the returned
+    A nonzero bid is the one-row case of :func:`clear_batch`. When every
+    storage bid is zero the layout's storage-free sub-LP is solved and the
+    storage duals are rebuilt from stationarity afterwards, so prices are
+    exactly the no-storage prices (zero-bid neutrality) and the returned
     duals still satisfy the full first-order system.
     """
-    layout = instance.layout
-    t = layout.t
     if instance.bids.all_zero():
-        return _clear_zero_bids(instance)
-
-    # the model's solve has checked feasibility; the clear checks the
-    # duality gap and complementary slackness
-    out = _solve_or_raise(t, lambda: layout.model.solve(layout.rhs_for(instance.bids)))
-    result = ClearingResult(
-        t=t,
-        variables=layout.variables_from(out.x),
-        prices=layout.prices_from(out.row_duals),
-        objective=float(out.objective),
-        row_duals=out.row_duals,
-        lower_duals=out.lower_duals,
-        duality_gap_rel=float(out.duality_gap_rel),
-        cs_residual=float(out.cs_residual),
-        layout=layout,
-    )
-    _check_result_contracts(result)
-    return result
+        return _clear_zero_bids(instance.layout)
+    return clear_batch(instance.layout, bid_array([instance.bids])).result(0)
 
 
-def _clear_zero_bids(instance: LlInstance) -> ClearingResult:
-    layout = instance.layout
+def clear_batch(layout: LlLayout, bids: np.ndarray) -> ClearingBatch:
+    """Clear the layout's interval at each row of ``bids``, a :func:`bid_array`.
+
+    Each run of nonzero-bid rows solves through the layout's model in one
+    :meth:`solver.LpModel.solve_batch`, and the clearing contracts are
+    checked over the run at once; a row whose bids are all zero clears as
+    :func:`clear_interval` clears it. The rows clear in order, so the error
+    raised is the first failing row's.
+    """
+    bids = np.asarray(bids, dtype=float)
+    _check_bids(layout.t, bids)
+    k = len(bids)
+    out = ClearingBatch(layout=layout, x=np.empty((k, layout.n_cols)),
+                        row_duals=np.empty((k, layout.n_rows)),
+                        lower_duals=np.empty((k, layout.n_cols)), objective=np.empty(k),
+                        duality_gap_rel=np.empty(k), cs_residual=np.empty(k))
+    # the fields a run's outcome and a zero-bid result share with the batch
+    shared = ("row_duals", "lower_duals", "objective", "duality_gap_rel", "cs_residual")
+    start = 0
+    for zero in np.flatnonzero(~bids.any(axis=1)).tolist() + [k]:
+        if zero > start:
+            run = _clear_run(layout, bids[start:zero])
+            out.x[start:zero] = run.x
+            for name in shared:
+                getattr(out, name)[start:zero] = getattr(run, name)
+        if zero < k:
+            res = _clear_zero_bids(layout)
+            out.x[zero] = layout.vector_from(res.variables)
+            for name in shared:
+                getattr(out, name)[zero] = getattr(res, name)
+        start = zero + 1
+    return out
+
+
+def _clear_run(layout: LlLayout, bids: np.ndarray) -> solver.BatchOutcome:
+    """Nonzero-bid rows through the layout's model. The model's solve has
+    checked feasibility and its duality gap; the clear checks the
+    strong-duality gap and complementary slackness, then reports the
+    model's failure or status, if any."""
+    t = layout.t
+    out = layout.model.solve_batch(layout.rhs_for(bids))
+    _check_contracts(t, out.duality_gap_rel, out.cs_residual)
+    if out.failure is not None:
+        raise ClearingError(f"interval {t}: {out.failure}")
+    _raise_for_status(t, out.status)
+    return out
+
+
+def _clear_zero_bids(layout: LlLayout) -> ClearingResult:
     t = layout.t
     free, kept_rows = layout.storage_free_lp()
-    out = _solve_or_raise(t, lambda: solver.solve_lp(free))
+    try:
+        out = solver.solve_lp(free)
+    except solver.SolverError as exc:
+        raise ClearingError(f"interval {t}: {exc}") from exc
+    _raise_for_status(t, out.status)
 
     n_gen_cols = len(free.c)
     x = np.zeros(layout.n_cols)
@@ -442,6 +530,9 @@ def _clear_zero_bids(instance: LlInstance) -> ClearingResult:
     row_duals[br["regcap"]] = min(0.0, q)
     lower_duals[layout.col_brgc] = max(0.0, q)
 
+    lp = layout.build_lp()
+    core = solver.Residuals(lp)
+    no_upper = np.zeros(layout.n_cols)
     result = ClearingResult(
         t=t,
         variables=layout.variables_from(x),
@@ -450,31 +541,18 @@ def _clear_zero_bids(instance: LlInstance) -> ClearingResult:
         row_duals=row_duals,
         lower_duals=lower_duals,
         duality_gap_rel=float(out.duality_gap_rel),
-        cs_residual=0.0,
+        cs_residual=float(core.cs(x, core.activity(x), lp.rhs, row_duals, lower_duals,
+                                  no_upper)),
         layout=layout,
     )
-    core = solver.Residuals(instance.lp)
-    no_upper = np.zeros(layout.n_cols)
-    result.cs_residual = core.cs(x, core.activity(x), row_duals, lower_duals, no_upper)
     stationarity = core.stationarity(row_duals, lower_duals, no_upper)
     if stationarity > STATIONARITY_TOL:
         raise ClearingError(
             f"interval {t}: reconstructed storage duals violate stationarity "
             f"({stationarity:.3e})"
         )
-    _check_result_contracts(result)
+    _check_contracts(t, np.array([result.duality_gap_rel]), np.array([result.cs_residual]))
     return result
-
-
-def _check_result_contracts(result: ClearingResult) -> None:
-    if result.duality_gap_rel > STRONG_DUALITY_TOL:
-        raise ClearingError(
-            f"interval {result.t}: strong-duality gap {result.duality_gap_rel:.3e}"
-        )
-    if result.cs_residual > CS_TOL:
-        raise ClearingError(
-            f"interval {result.t}: complementary slackness residual {result.cs_residual:.3e}"
-        )
 
 
 def clear_horizon(scn: Scenario, bids: list[BessBids] | None = None) -> list[ClearingResult]:

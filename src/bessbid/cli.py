@@ -1,7 +1,9 @@
 """Command-line entry point for the bidding toolkit.
 
-Exit codes: 0 success, 1 solver failure or other error, 2 usage error
-(including a scenario file that does not parse or lacks a field, and
+Exit codes: 0 success, 1 solver failure or other error (including a
+scenario with no generator, no interval or a bid list without one bid per
+generator), 2 usage error (including a scenario file that does not parse,
+lacks a field or holds a non-number where a number belongs, and
 ``agc-check --seeds`` below 1 or ``--samples`` below 2), 3 infeasible market
 or case, 4 verification failure (including AGC breaches and monotonicity
 violations), 5 solver time limit. Defaults can be set in a YAML config file
@@ -24,6 +26,7 @@ from .scenario import (
     default_patterns,
     load_scenario,
     save_scenario,
+    structure_violations,
     synthesize_scenario,
 )
 
@@ -60,12 +63,18 @@ def solver_options(f):
 
 def _load(path: str, case: int | None = None) -> Scenario:
     """The scenario in ``path``, under ``case``'s market mask when given. A
-    file that does not parse is a usage error; validation is left to the
-    command, so a parseable but infeasible market reaches the clear."""
+    file that does not parse, lacks a field or holds a non-number where a
+    number belongs is a usage error; a scenario that leaves no clearing LP
+    to build (see :func:`structure_violations`) is an invalid scenario. The
+    rest of validation is left to the command, so a well-formed but
+    infeasible market reaches the clear."""
     try:
         scn = load_scenario(path)
     except ScenarioError as err:
         raise _fail(EXIT_USAGE, str(err))
+    problems = structure_violations(scn)
+    if problems:
+        raise _fail(EXIT_FAILURE, "invalid scenario: " + "; ".join(problems))
     return scn if case is None else scn.with_mask(MarketMask.from_case(case))
 
 

@@ -286,24 +286,25 @@ def _interval_grid(scn: Scenario, step: float) -> list[BessBids]:
     return combos
 
 
-def _clear_chunk(scn: Scenario, combos: list[BessBids], start: int, stop: int) -> np.ndarray:
+def _clear_chunk(scn: Scenario, bids: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Clear pairs ``start`` to ``stop - 1`` of the flat grid, where pair
-    ``k`` is interval ``k // len(combos)`` at ``combos[k % len(combos)]``.
+    ``k`` is interval ``k // len(bids)`` at row ``k % len(bids)`` of the
+    grid's :func:`clearing.bid_array`.
 
     One row per pair: the storage revenue, then the sell, buy, reserve and
-    regulation-capacity awards.
+    regulation-capacity awards. The chunk's pairs of one interval clear in
+    one batch, through one layout and hence one HiGHS model.
     """
+    n = len(bids)
     out = np.empty((stop - start, 5))
-    layout = None
-    for k in range(start, stop):
-        t, i = divmod(k, len(combos))
-        # one layout, hence one HiGHS model, serves the chunk's part of an interval
-        if layout is None or layout.t != t:
-            layout = clearing.LlLayout(scn, t)
-        res = clearing.clear_interval(layout.instance(combos[i]))
-        v = res.variables
-        out[k - start] = (bilevel.direct_revenue_value(layout, v, res.row_duals),
-                          v.p_bs, v.p_bd, v.p_brs, v.p_brgc)
+    for t in range(start // n, -(-stop // n)):
+        lo, hi = max(start, t * n), min(stop, (t + 1) * n)
+        layout = clearing.LlLayout(scn, t)
+        batch = clearing.clear_batch(layout, bids[lo - t * n:hi - t * n])
+        v = layout.variables_from(batch.x)
+        out[lo - start:hi - start] = np.column_stack((
+            bilevel.direct_revenue_value(layout, v, batch.row_duals),
+            v.p_bs, v.p_bd, v.p_brs, v.p_brgc))
     return out
 
 
@@ -315,14 +316,15 @@ def _clear_grid(scn: Scenario, combos: list[BessBids]) -> np.ndarray:
     in this process. The clears are independent and each starts cold, so
     the rows do not depend on the number of workers.
     """
-    total = scn.n_intervals * len(combos)
+    bids = clearing.bid_array(combos)
+    total = scn.n_intervals * len(bids)
     workers = min(len(os.sched_getaffinity(0)), total)
     if workers <= 1:
-        return _clear_chunk(scn, combos, 0, total)
+        return _clear_chunk(scn, bids, 0, total)
     edges = [total * w // workers for w in range(workers + 1)]
     solver.stop_threads()  # a forked worker must not inherit HiGHS's threads
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        chunks = pool.map(_clear_chunk, itertools.repeat(scn), itertools.repeat(combos),
+        chunks = pool.map(_clear_chunk, itertools.repeat(scn), itertools.repeat(bids),
                           edges[:-1], edges[1:])
         return np.concatenate(list(chunks))
 

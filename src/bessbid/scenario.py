@@ -246,9 +246,27 @@ def synthesize_scenario(
     return scn
 
 
-def validate_scenario(scn: Scenario) -> list[str]:
-    """Named invariant violations; empty list means the scenario is usable."""
+def structure_violations(scn: Scenario) -> list[str]:
+    """The violations that leave no clearing LP to build: no generator, no
+    interval, or an interval without one bid per generator in a bid list."""
     v: list[str] = []
+    if not scn.generators:
+        v.append("scenario: needs at least one generator")
+    if not scn.intervals:
+        v.append("scenario: needs at least one interval")
+    n_gen = scn.n_generators
+    for it in scn.intervals:
+        for name, bids in (("energy", it.gen_energy_bids), ("reserve", it.gen_reserve_bids),
+                           ("regcap", it.gen_regcap_bids), ("mileage", it.gen_mileage_bids)):
+            if len(bids) != n_gen:
+                v.append(f"interval {it.index}: {name} bid count {len(bids)} != {n_gen} generators")
+    return v
+
+
+def validate_scenario(scn: Scenario) -> list[str]:
+    """Named invariant violations, those of :func:`structure_violations`
+    first; empty list means the scenario is usable."""
+    v = structure_violations(scn)
     for g in scn.generators:
         if not (0.0 <= g.p_min <= g.p_max):
             v.append(f"{g.gen_id}: requires 0 <= p_min <= p_max, got ({g.p_min}, {g.p_max})")
@@ -265,9 +283,6 @@ def validate_scenario(scn: Scenario) -> list[str]:
     if b.mileage_multiplier < 1:
         v.append("bess: mileage_multiplier must be >= 1")
 
-    if not scn.intervals:
-        v.append("scenario: needs at least one interval")
-    n_gen = scn.n_generators
     sum_pmax = sum(g.p_max for g in scn.generators)
     sum_rs_ramp = sum(g.reserve_ramp for g in scn.generators)
     sum_rg_ramp = sum(g.regulation_ramp for g in scn.generators)
@@ -280,10 +295,6 @@ def validate_scenario(scn: Scenario) -> list[str]:
             v.append(f"{tag}: delta_t must be > 0")
         if min(it.reserve_req, it.regcap_req, it.mileage_req) < 0:
             v.append(f"{tag}: requirements must be >= 0")
-        for name, bids in (("energy", it.gen_energy_bids), ("reserve", it.gen_reserve_bids),
-                           ("regcap", it.gen_regcap_bids), ("mileage", it.gen_mileage_bids)):
-            if len(bids) != n_gen:
-                v.append(f"{tag}: {name} bid count {len(bids)} != {n_gen} generators")
         # feasibility of clearing without the storage unit
         if sum_pmax < it.load + it.reserve_req + it.regcap_req - 1e-9:
             v.append(
@@ -373,6 +384,30 @@ def save_scenario(scn: Scenario, path: str) -> None:
              path, scn.n_intervals, scn.n_generators)
 
 
+_BESS_FIELDS = ("energy_capacity", "power_rate", "soc_init", "soc_min", "soc_max",
+                "mileage_multiplier")
+_GENERATOR_FIELDS = ("base_price_bid", "p_max", "reserve_ramp", "regulation_ramp", "p_min",
+                     "mileage_multiplier")
+_INTERVAL_FIELDS = ("delta_t", "load", "reserve_req", "regcap_req", "mileage_req")
+_INTERVAL_BID_FIELDS = ("gen_energy_bids", "gen_reserve_bids", "gen_regcap_bids",
+                        "gen_mileage_bids")
+# a YAML number loads as one of these; a YAML bool loads as bool, a subclass of int
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _check_numbers(node: dict, where, fields=(), list_fields=()) -> None:
+    """Raise a :class:`ScenarioError` naming the first of ``fields`` whose
+    value in ``node`` is not a number, or the first of ``list_fields`` whose
+    value is not a list of numbers; ``where`` names the node."""
+    for f in fields:
+        if type(node[f]) not in _NUMBER_TYPES:
+            raise ScenarioError(f"{where}: {f} must be a number, got {node[f]!r}")
+    for f in list_fields:
+        value = node[f]
+        if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
+            raise ScenarioError(f"{where}: {f} must be a list of numbers, got {value!r}")
+
+
 def scenario_from_text(text: str) -> Scenario:
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
@@ -390,11 +425,14 @@ def scenario_from_text(text: str) -> Scenario:
     try:
         mask = MarketMask(**doc["market_mask"])
         bd = doc["bess"]
+        _check_numbers(bd, "bess", _BESS_FIELDS)
         bess = BessParams(
             energy_capacity=bd["energy_capacity"], power_rate=bd["power_rate"],
             soc_init=bd["soc_init"], soc_min=bd["soc_min"], soc_max=bd["soc_max"],
             mileage_multiplier=bd["mileage_multiplier"],
         )
+        for g in doc["generators"]:
+            _check_numbers(g, f"generator {g['id']}", _GENERATOR_FIELDS)
         gens = tuple(
             GeneratorParams(
                 gen_id=g["id"], base_price_bid=g["base_price_bid"], p_max=g["p_max"],
@@ -403,6 +441,10 @@ def scenario_from_text(text: str) -> Scenario:
             )
             for g in doc["generators"]
         )
+        for t, it in enumerate(doc["intervals"]):
+            _check_numbers(it, f"interval {t}", _INTERVAL_FIELDS, _INTERVAL_BID_FIELDS)
+            prices = it["bess_price_bids"]
+            _check_numbers(prices, f"interval {t}: bess_price_bids", prices)
         intervals = tuple(
             IntervalData(
                 index=t, delta_t=it["delta_t"], load=it["load"],

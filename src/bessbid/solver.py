@@ -82,7 +82,7 @@ class LpProblem:
             raise ValueError(f"rhs/senses length mismatch with {m} rows")
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError(f"bounds length mismatch with {n} columns")
-        bad = set(np.unique(self.senses)) - {SENSE_LE, SENSE_EQ, SENSE_GE}
+        bad = set(self.senses.tolist()) - {SENSE_LE, SENSE_EQ, SENSE_GE}
         if bad:
             raise ValueError(f"unknown row senses: {sorted(bad)}")
         if np.any(self.lower > self.upper):
@@ -125,6 +125,30 @@ class SolveOutcome:
     cs_residual: float | None = None   # LP solves: max |dual x slack|
 
 
+@dataclass
+class BatchOutcome:
+    """The solves of :meth:`LpModel.solve_batch`, one row per solved batch
+    row, in the problem's orientation.
+
+    The rows are those before the first batch row that failed. ``failure``
+    is that row's backend failure or contract violation, as the message of
+    the :class:`SolverError` it stands for; otherwise ``status`` is its
+    status (``OPTIMAL`` when every row solved and met the contracts).
+    """
+
+    status: str
+    failure: str | None
+    objective: np.ndarray
+    x: np.ndarray
+    row_duals: np.ndarray
+    lower_duals: np.ndarray
+    upper_duals: np.ndarray
+    feasibility_residual: np.ndarray
+    duality_gap_rel: np.ndarray
+    cs_residual: np.ndarray
+    wall_time: float
+
+
 def _violation(le: np.ndarray, ge: np.ndarray, ax: np.ndarray, rhs) -> np.ndarray:
     d = ax - rhs
     return np.where(le, d, np.where(ge, rhs - ax, np.abs(d)))
@@ -136,21 +160,23 @@ def row_violation(senses: np.ndarray, ax: np.ndarray, rhs: np.ndarray) -> np.nda
     return _violation(senses == SENSE_LE, senses == SENSE_GE, ax, rhs)
 
 
-def _max0(v: np.ndarray) -> np.floating:
-    """``max(0, max(v))``, 0 for an empty ``v``; a NaN propagates."""
-    return np.maximum.reduce(v, initial=0.0)
+def _max0(v: np.ndarray) -> np.floating | np.ndarray:
+    """``max(0, max(v))`` over the last axis, 0 for an empty one; a NaN
+    propagates."""
+    return np.maximum.reduce(v, axis=-1, initial=0.0)
 
 
 class Residuals:
     """The first-order residuals of one LP, over its static data computed once.
 
     The static data are the CSR matrix with the row of each stored entry,
-    the sense masks and the finite bounds. The right-hand sides are read
-    from the problem at each call, so a model that moves them keeps one
-    core: :class:`LpModel` holds one per model, and
-    :func:`feasibility_residual` and :func:`kkt_residuals` build one per
-    call. Each block is a max absolute violation for a minimization, 0 when
-    it holds; ``ax`` is the row activity ``A x`` from :meth:`activity`.
+    the sense masks and the finite bounds. The right-hand sides are passed
+    to each call, so a model that moves them keeps one core: :class:`LpModel`
+    holds one per model, and :func:`feasibility_residual` and
+    :func:`kkt_residuals` build one per call. Each block is a max absolute
+    violation for a minimization, 0 when it holds; ``ax`` is the row activity
+    ``A x`` from :meth:`activity`. :meth:`primal` and :meth:`cs` also take
+    one point per row of 2-D arrays and return one residual per row.
     """
 
     def __init__(self, problem: LpProblem):
@@ -166,17 +192,15 @@ class Residuals:
         self.upper_fin = problem.upper[self.fin_up]
 
     def activity(self, x: np.ndarray) -> np.ndarray:
-        """``A x``, each row summed entry by entry in storage order, as a
-        sparse matrix-vector product sums it."""
-        a = self.a
-        return np.bincount(self.entry_rows, weights=a.data * x[a.indices],
-                           minlength=self.problem.n_rows)
+        """``A x`` as a sparse product, one row per row of a 2-D ``x``: each
+        row of ``A`` summed entry by entry in storage order."""
+        return (self.a @ x.T).T
 
-    def primal(self, x: np.ndarray, ax: np.ndarray) -> float:
+    def primal(self, x: np.ndarray, ax: np.ndarray, rhs: np.ndarray) -> np.floating | np.ndarray:
         """Max violation of rows and bounds at x."""
         p = self.problem
-        return float(_max0(np.concatenate((_violation(self.le, self.ge, ax, p.rhs),
-                                           p.lower - x, x - p.upper))))
+        return _max0(np.concatenate((_violation(self.le, self.ge, ax, rhs),
+                                     p.lower - x, x - p.upper), axis=-1))
 
     def stationarity(self, y: np.ndarray, nu_lo: np.ndarray, nu_up: np.ndarray) -> float:
         """Max of |c - A'y - nu|."""
@@ -195,24 +219,23 @@ class Residuals:
         rows = _max0(_violation(self.le, self.ge, y, 0.0)[self.ineq])
         return float(max(rows, float(_max0(-nu_lo)), float(_max0(nu_up))))
 
-    def cs(self, x: np.ndarray, ax: np.ndarray, y: np.ndarray,
-           nu_lo: np.ndarray, nu_up: np.ndarray) -> float:
+    def cs(self, x: np.ndarray, ax: np.ndarray, rhs: np.ndarray, y: np.ndarray,
+           nu_lo: np.ndarray, nu_up: np.ndarray) -> np.floating | np.ndarray:
         """Max |dual x slack| over inequality rows and finite bounds."""
-        p = self.problem
-        cs = _max0(np.abs(y * (ax - p.rhs))[self.ineq])
+        cs = _max0(np.abs(y * (ax - rhs))[..., self.ineq])
         if len(self.fin_lo):
             lo = self.fin_lo
-            cs = max(cs, float(_max0(np.abs(nu_lo[lo] * (x[lo] - self.lower_fin)))))
+            cs = np.maximum(cs, _max0(np.abs(nu_lo[..., lo] * (x[..., lo] - self.lower_fin))))
         if len(self.fin_up):
             up = self.fin_up
-            cs = max(cs, float(_max0(np.abs(nu_up[up] * (self.upper_fin - x[up])))))
-        return float(cs)
+            cs = np.maximum(cs, _max0(np.abs(nu_up[..., up] * (self.upper_fin - x[..., up]))))
+        return cs
 
 
 def feasibility_residual(problem: LpProblem, x: np.ndarray) -> float:
     """Max violation of rows and bounds at x (0 when feasible)."""
     core = Residuals(problem)
-    return core.primal(x, core.activity(x))
+    return float(core.primal(x, core.activity(x), problem.rhs))
 
 
 # HiGHS model statuses as SolveOutcome statuses, for LPs and MILPs alike; any
@@ -270,10 +293,11 @@ class LpModel:
     (other awards or prices) than a fresh model would.
 
     The row data a solve's checks need (sense masks, the CSR matrix, the
-    finite bounds, the backend right-hand sides) are computed once, in
-    :attr:`residuals` and the backend layout, and a solve forms ``A x`` once:
-    it serves the feasibility contract and the complementary-slackness
-    residual the outcome reports.
+    finite bounds, the backend row permutation and signs) are computed once,
+    in :attr:`residuals` and the backend layout. :meth:`solve_batch` solves
+    one right-hand side per row and checks the whole batch at once, forming
+    ``A X`` once for the feasibility contract and the complementary-slackness
+    residual; :meth:`solve` is its one-row case.
     """
 
     def __init__(self, problem: LpProblem):
@@ -313,7 +337,7 @@ class LpModel:
 
     def _lp_rows(self):
         """linprog's rows: '<' rows, negated '>' rows, '=' rows, with the
-        permutation and signs :meth:`solve` maps right-hand sides and duals by."""
+        permutation and signs :meth:`solve_batch` maps right-hand sides and duals by."""
         p = self.problem
         le = np.flatnonzero(p.senses == SENSE_LE)
         ge = np.flatnonzero(p.senses == SENSE_GE)
@@ -336,12 +360,11 @@ class LpModel:
         order = np.lexsort((rows, a.indices))
         start = np.zeros(p.n_cols + 1, dtype=np.int32)
         np.cumsum(np.bincount(a.indices, minlength=p.n_cols), out=start[1:])
-        # the backend right-hand sides, kept in step with the model's rows
-        self._b = self._sign * p.rhs[self._order]
-        row_lower = self._b.copy()
+        row_upper = self._sign * p.rhs[self._order]
+        row_lower = row_upper.copy()
         row_lower[: self._n_ineq] = -_highs.kHighsInf
         return (start, rows[order].astype(np.int32), (a.data * self._sign[rows])[order],
-                row_lower, self._b.copy())
+                row_lower, row_upper)
 
     def _run(self, **options) -> tuple[str, float]:
         """Set ``options``, solve and map HiGHS's model status; returns the
@@ -361,65 +384,128 @@ class LpModel:
 
     def solve(self, rhs: np.ndarray | None = None) -> SolveOutcome:
         """Solve an LP from scratch, after moving the row right-hand sides to
-        ``rhs`` (problem row order and senses) when given."""
-        problem = self.problem
-        # drop the previous solve's basis and solution, so the solve starts
-        # cold; a bound change also costs less without them
-        self._highs.clearSolver()
-        if rhs is not None:
-            rhs = np.asarray(rhs, dtype=float)
-            if rhs.shape != problem.rhs.shape or not np.isfinite(rhs).all():
-                raise ValueError(f"rhs must hold {problem.n_rows} finite values")
-            # compares bit patterns, so a -0.0 replacing 0.0 reaches the backend too
-            rows = np.flatnonzero(rhs.view(np.uint64) != problem.rhs.view(np.uint64))
-            if len(rows):
-                new, ks = rhs[rows], self._pos[rows]
-                bs = self._sign[ks] * new
-                problem.rhs[rows] = new
-                self._b[ks] = bs
-                for k, b in zip(ks.tolist(), bs.tolist()):
-                    self._highs.changeRowBounds(k, -_highs.kHighsInf if k < self._n_ineq else b, b)
-        status, wall = self._run()
-        if status != OPTIMAL:
-            return SolveOutcome(status=status, wall_time=wall)
+        ``rhs`` (problem row order and senses) when given: the one-row case
+        of :meth:`solve_batch`."""
+        out = self.solve_batch((self.problem.rhs if rhs is None else np.asarray(rhs))[None])
+        if out.failure is not None:
+            raise SolverError(out.failure)
+        if out.status != OPTIMAL:
+            return SolveOutcome(status=out.status, wall_time=out.wall_time)
+        return SolveOutcome(
+            status=OPTIMAL, objective=float(out.objective[0]), x=out.x[0],
+            row_duals=out.row_duals[0], lower_duals=out.lower_duals[0],
+            upper_duals=out.upper_duals[0], wall_time=out.wall_time,
+            feasibility_residual=float(out.feasibility_residual[0]),
+            duality_gap_rel=float(out.duality_gap_rel[0]),
+            cs_residual=float(out.cs_residual[0]),
+        )
 
-        highs = self._highs
-        solution = highs.getSolution()
-        x = np.array(solution.col_value, dtype=float)
-        backend_duals = np.array(solution.row_dual, dtype=float)
-        col_dual = np.array(solution.col_dual, dtype=float)
-        col_status = np.fromiter(highs.getBasis().col_status, np.int64, problem.n_cols)
-        fun = highs.getObjectiveValue()
+    def solve_batch(self, rhs: np.ndarray) -> BatchOutcome:
+        """Solve the LP from scratch once per row of ``rhs``, a ``(k, rows)``
+        array of right-hand sides in problem row order and senses.
+
+        Each solve moves only the rows whose right-hand side differs, bit for
+        bit, from the model's current one, so a -0.0 replacing 0.0 reaches
+        the backend too. The loop touches HiGHS alone; the feasibility and
+        duality-gap contracts, and the complementary-slackness residual the
+        outcome reports, are then computed over the whole batch, with ``A X``
+        formed once.
+
+        The solves stop at the first row that is not optimal. The outcome
+        holds the rows before the first row that failed, whether by its
+        status or by a contract; a caller that checks its own contracts over
+        those rows and then reports the failure reports the first failing
+        row, as one solve per row would.
+        """
+        problem, highs = self.problem, self._highs
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim != 2 or rhs.shape[1] != problem.n_rows or not np.isfinite(rhs).all():
+            raise ValueError(f"rhs must hold {problem.n_rows} finite values per row")
+        k, n = len(rhs), problem.n_cols
+        # the backend row bounds each solve moves, as (row, lower, upper)
+        # per batch row, against the rhs the previous solve left behind
+        bits = rhs.view(np.uint64)
+        rows, cols = np.nonzero(
+            bits != np.concatenate((problem.rhs.view(np.uint64)[None], bits[:-1])))
+        changes: list[list] = [[] for _ in range(k)]
+        if len(rows):
+            ks = self._pos[cols]
+            for r, kk, b in zip(rows.tolist(), ks.tolist(),
+                                (self._sign[ks] * rhs[rows, cols]).tolist()):
+                changes[r].append((kk, -_highs.kHighsInf if kk < self._n_ineq else b, b))
+
+        x, backend_duals, col_dual = np.empty((k, n)), np.empty((k, problem.n_rows)), np.empty((k, n))
+        col_status = np.empty((k, n), dtype=np.int64)
+        fun = np.empty(k)
+        status, failure, wall = OPTIMAL, None, 0.0
+        solved = 0
+        for i in range(k):
+            # drop the previous solve's basis and solution, so the solve
+            # starts cold; a bound change also costs less without them
+            highs.clearSolver()
+            for change in changes[i]:
+                highs.changeRowBounds(*change)
+            try:
+                status, run_wall = self._run()
+            except SolverError as exc:
+                failure = str(exc)
+                break
+            wall += run_wall
+            if status != OPTIMAL:
+                break
+            solution = highs.getSolution()
+            x[i] = solution.col_value
+            backend_duals[i] = solution.row_dual
+            col_dual[i] = solution.col_dual
+            col_status[i] = np.fromiter(highs.getBasis().col_status, np.int64, n)
+            fun[i] = highs.getObjectiveValue()
+            solved = i + 1
+        if k:   # the model keeps the last right-hand sides it was given
+            problem.rhs[:] = rhs[i]
+        if solved < k:
+            x, backend_duals, col_dual, col_status, fun, rhs = (
+                a[:solved] for a in (x, backend_duals, col_dual, col_status, fun, rhs))
 
         # duals in the min orientation, then mapped back to original senses
-        row_duals = (self._sign * backend_duals)[self._pos]
+        row_duals = (self._sign * backend_duals).take(self._pos, axis=1)
         lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)
         upper_duals = np.where(col_status == _AT_UPPER, col_dual, 0.0)
 
-        # duality gap, computed in the min orientation; a bound term is
-        # added only when the model has such bounds (an empty one is 0.0,
-        # and |objective - dual objective| is the same without it)
-        b, k, core = self._b, self._n_ineq, self.residuals
-        dual_obj = float(b[:k] @ backend_duals[:k]) + float(b[k:] @ backend_duals[k:])
+        # duality gap, computed in the min orientation; each row's dual
+        # objective adds the same dot products, over contiguous vectors, in
+        # the same order as one solve's, so it is the same bits (np.vecdot
+        # takes each row's dot as ``@`` does, but a dot over strided vectors
+        # can round differently, hence ``take``, which keeps rows
+        # contiguous); a bound term is added only when the model has such
+        # bounds (an empty one is 0.0, and |objective - dual objective| is
+        # the same without it)
+        core, m = self.residuals, self._n_ineq
+        backend_rhs = self._sign * rhs.take(self._order, axis=1)
+        dual_obj = (np.vecdot(backend_rhs[:, :m], backend_duals[:, :m])
+                    + np.vecdot(backend_rhs[:, m:], backend_duals[:, m:]))
         if len(core.fin_lo):
-            dual_obj += float(core.lower_fin @ lower_duals[core.fin_lo])
+            dual_obj += np.vecdot(core.lower_fin, lower_duals.take(core.fin_lo, axis=1))
         if len(core.fin_up):
-            dual_obj += float(core.upper_fin @ upper_duals[core.fin_up])
-        gap_rel = abs(fun - dual_obj) / max(1.0, abs(fun))
+            dual_obj += np.vecdot(core.upper_fin, upper_duals.take(core.fin_up, axis=1))
+        gap_rel = np.abs(fun - dual_obj) / np.maximum(1.0, np.abs(fun))
         ax = core.activity(x)
-        resid = core.primal(x, ax)
-        if not (resid <= FEASIBILITY_TOL * 10 and gap_rel <= DUALITY_GAP_TOL):
-            raise SolverError(
-                f"optimal solve violated numeric contracts: residual={resid:.3e}, gap={gap_rel:.3e}"
-            )
-        cs = core.cs(x, ax, row_duals, lower_duals, upper_duals)
+        resid = core.primal(x, ax, rhs)
+        ok = (resid <= FEASIBILITY_TOL * 10) & (gap_rel <= DUALITY_GAP_TOL)
+        if not ok.all():
+            f = int(np.argmin(ok))
+            failure = (f"optimal solve violated numeric contracts: "
+                       f"residual={resid[f]:.3e}, gap={gap_rel[f]:.3e}")
+            x, ax, rhs, fun, row_duals, lower_duals, upper_duals, resid, gap_rel = (
+                a[:f] for a in (x, ax, rhs, fun, row_duals, lower_duals, upper_duals, resid,
+                                gap_rel))
+        cs = core.cs(x, ax, rhs, row_duals, lower_duals, upper_duals)
 
         if problem.maximize:
             fun, row_duals, lower_duals, upper_duals = -fun, -row_duals, -lower_duals, -upper_duals
-        return SolveOutcome(
-            status=OPTIMAL, objective=float(fun), x=x, row_duals=row_duals,
-            lower_duals=lower_duals, upper_duals=upper_duals, wall_time=wall,
-            feasibility_residual=resid, duality_gap_rel=gap_rel, cs_residual=cs,
+        return BatchOutcome(
+            status=status, failure=failure, objective=fun, x=x, row_duals=row_duals,
+            lower_duals=lower_duals, upper_duals=upper_duals, feasibility_residual=resid,
+            duality_gap_rel=gap_rel, cs_residual=cs, wall_time=wall,
         )
 
 
@@ -495,9 +581,9 @@ def kkt_residuals(
     ax = core.activity(x)
     return {
         "stationarity": core.stationarity(row_duals, nu_lo, nu_up),
-        "primal": core.primal(x, ax),
+        "primal": float(core.primal(x, ax, problem.rhs)),
         "dual_sign": core.dual_sign(row_duals, nu_lo, nu_up),
-        "cs": core.cs(x, ax, row_duals, nu_lo, nu_up),
+        "cs": float(core.cs(x, ax, problem.rhs, row_duals, nu_lo, nu_up)),
     }
 
 

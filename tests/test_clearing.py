@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -478,3 +479,77 @@ def test_zero_bid_stationarity_check_runs(monkeypatch):
         clear_interval(build_ll_interval(CONTRACT_SCN, 0, ZERO_BIDS))
     # a nonzero-bid clear rebuilds no duals
     clear_interval(build_ll_interval(CONTRACT_SCN, 0, CONTRACT_BIDS))
+
+
+def _result_bytes(r) -> bytes:
+    """Every field of a ClearingResult, bit for bit."""
+    p = r.prices
+    return b"".join((
+        np.array([r.t]).tobytes(), r.layout.vector_from(r.variables).tobytes(),
+        np.array([p.energy, p.reserve, p.regcap, p.mileage, r.objective, r.duality_gap_rel,
+                  r.cs_residual]).tobytes(),
+        r.row_duals.tobytes(), r.lower_duals.tobytes()))
+
+
+BATCH_GRIDS = {
+    "acceptance-1 step 2.5": (small_instance, range(2)),
+    "desk t0-3 step 2.5": (harness.desk_scenario, range(4)),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_GRIDS))
+def test_batch_clears_equal_one_at_a_time(name):
+    # each interval's whole grid, zero bid included, in one clear_batch call
+    build, intervals = BATCH_GRIDS[name]
+    scn = build()
+    batched = []
+    for t in intervals:
+        grid = harness._interval_grid(scn, 2.5)
+        batch = clearing.clear_batch(LlLayout(scn, t), clearing.bid_array(grid))
+        layout = LlLayout(scn, t)
+        for i, bids in enumerate(grid):
+            got = batch.result(i)
+            assert _result_bytes(got) == _result_bytes(clear_interval(layout.instance(bids)))
+            batched.append(got)
+    assert clear_digest(batched) == PINNED_CLEARS[name][1]
+
+
+# (module, tolerance, per-row value it bounds, tolerance scale, pattern of
+# the message that names a failing row's value)
+LATER_ROW_CHECKS = {
+    "complementary slackness": (
+        clearing, "CS_TOL", "cs_residual", 1.0,
+        lambda v: re.escape(f"complementary slackness residual {v:.3e}") + "$"),
+    "strong duality": (
+        clearing, "STRONG_DUALITY_TOL", "duality_gap_rel", 1.0,
+        lambda v: re.escape(f"strong-duality gap {v:.3e}") + "$"),
+    "lp duality gap": (
+        solver, "DUALITY_GAP_TOL", "duality_gap_rel", 1.0,
+        lambda v: "optimal solve violated numeric contracts: .*" + re.escape(f"gap={v:.3e}") + "$"),
+    "lp feasibility": (
+        solver, "FEASIBILITY_TOL", "feasibility_residual", 10.0,
+        lambda v: "optimal solve violated numeric contracts: " + re.escape(f"residual={v:.3e},")),
+}
+
+
+@pytest.mark.parametrize("name", list(LATER_ROW_CHECKS))
+def test_batch_raises_for_its_first_failing_row(monkeypatch, name):
+    # a tolerance just below the largest value of a batch whose first row
+    # passes: the batch must raise, naming the first row that fails
+    module, tol, field, scale, pattern = LATER_ROW_CHECKS[name]
+    scn = harness.desk_scenario()
+    grid = clearing.bid_array(harness._interval_grid(scn, 2.5))[1:]   # no zero bid
+    for t in range(scn.n_intervals):
+        layout = LlLayout(scn, t)
+        values = getattr(layout.model.solve_batch(layout.rhs_for(grid)), field)
+        j = int(np.argmax(values))
+        if j > 0 and values[j] > 0:
+            break
+    else:
+        pytest.fail(f"no desk interval has its largest {field} on a later row")
+    threshold = (values[j] + values[values < values[j]].max(initial=0.0)) / 2
+    monkeypatch.setattr(module, tol, threshold / scale)
+    with pytest.raises(ClearingError, match=f"^interval {t}: {pattern(values[j])}"):
+        clearing.clear_batch(LlLayout(scn, t), grid)
+    # the rows before it clear
+    clearing.clear_batch(LlLayout(scn, t), grid[:j])

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from bessbid import harness, solver
 from bessbid.cli import EXIT_FAILURE, EXIT_INFEASIBLE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
-from bessbid.scenario import save_scenario
+from bessbid.scenario import save_scenario, scenario_to_text
 
 from conftest import acceptance_instance
 
@@ -343,3 +343,57 @@ def test_agc_check_range_is_usage_error_before_any_solve(tmp_path, monkeypatch, 
     res = rn.invoke(cli, ["agc-check", flag, value, "--scenario", str(scn)])
     assert res.exit_code == EXIT_USAGE, res.output
     assert f"x>={bound}" in res.stderr
+
+
+def _edited_desk(tmp_path, name, edit):
+    """The desk scenario file with ``edit`` applied to its document."""
+    doc = yaml.safe_load(scenario_to_text(harness.desk_scenario()))
+    edit(doc)
+    path = tmp_path / f"{name}.scn"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    return path
+
+
+def _set_load(doc):
+    doc["intervals"][0]["load"] = "abc"
+
+
+def _one_energy_bid(doc):
+    doc["intervals"][0]["gen_energy_bids"] = doc["intervals"][0]["gen_energy_bids"][:1]
+
+
+def _no_generators(doc):
+    doc["generators"] = []
+
+
+SCENARIO_COMMANDS = [
+    ["clear"],
+    ["solve", "--out", "run"],
+    ["oracle"],
+    ["export-mps", "--out", "model.mps"],
+    ["compare"],
+    ["agc-check", "--seeds", "2", "--samples", "60"],
+]
+
+
+@pytest.mark.parametrize("args", SCENARIO_COMMANDS, ids=lambda args: args[0])
+def test_bad_scenario_values_are_one_error_line(tmp_path, args):
+    # a string where a number belongs is a usage error; a scenario with no
+    # generator or a short bid list is an invalid scenario, reported before
+    # any clear or solve
+    args = [str(tmp_path / a) if a in ("run", "model.mps") else a for a in args]
+    cases = [
+        (_set_load, EXIT_USAGE, "error: interval 0: load must be a number, got 'abc'"),
+        (_one_energy_bid, EXIT_FAILURE,
+         "error: invalid scenario: interval 0: energy bid count 1 != 3 generators"),
+        (_no_generators, EXIT_FAILURE,
+         "error: invalid scenario: scenario: needs at least one generator; "),
+    ]
+    for edit, code, prefix in cases:
+        path = _edited_desk(tmp_path, edit.__name__, edit)
+        res = runner().invoke(cli, args + ["--scenario", str(path)])
+        assert res.exit_code == code, (edit.__name__, res.output)
+        assert isinstance(res.exception, SystemExit), edit.__name__
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), (edit.__name__, lines)
+        assert "Traceback" not in res.output

@@ -169,6 +169,17 @@ def test_oracle_does_not_depend_on_worker_count(monkeypatch, scn, step):
         assert arr.tobytes() == awards[0].tobytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_oracle_raises_when_a_clear_breaks_a_contract(monkeypatch, cpus):
+    # a feasibility tolerance below zero fails every clear, in this process
+    # or in a forked worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(solver, "FEASIBILITY_TOL", -1.0)
+    with pytest.raises(clearing.ClearingError,
+                       match="^interval 0: optimal solve violated numeric contracts"):
+        harness.brute_force_oracle(acceptance_instance(), 2.5)
+
+
 def test_milp_after_forked_oracle_is_unchanged(monkeypatch):
     # the oracle stops HiGHS's threads before it forks its workers; a MILP
     # solved afterwards must start them again and land on the same bits

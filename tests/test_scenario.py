@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from bessbid.scenario import (
     save_scenario,
     scenario_from_text,
     scenario_to_text,
+    structure_violations,
     synthesize_scenario,
     validate_scenario,
 )
@@ -241,3 +243,43 @@ def test_default_table_values():
     assert DEFAULT_BESS.energy_capacity == 400.0
     assert DEFAULT_BESS.power_rate == 40.0
     assert DEFAULT_BESS.soc_max == 400.0
+
+
+# (path into the document, a value that is not a number, where, field)
+NON_NUMBERS = [
+    (("intervals", 0, "load"), "abc", "interval 0", "load"),
+    (("intervals", 1, "delta_t"), True, "interval 1", "delta_t"),
+    (("intervals", 0, "gen_energy_bids"), [10.0, "x"], "interval 0", "gen_energy_bids"),
+    (("intervals", 1, "gen_mileage_bids"), 0.7, "interval 1", "gen_mileage_bids"),
+    (("intervals", 0, "bess_price_bids", "buy"), "abc", "interval 0: bess_price_bids", "buy"),
+    (("bess", "power_rate"), "fast", "bess", "power_rate"),
+    (("bess", "soc_max"), None, "bess", "soc_max"),
+    (("generators", 1, "p_max"), False, "generator b", "p_max"),
+]
+
+
+@pytest.mark.parametrize("path, value, where, field", NON_NUMBERS)
+def test_non_number_is_a_scenario_error_naming_the_field(path, value, where, field):
+    doc = yaml.safe_load(scenario_to_text(acceptance_instance()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ScenarioError,
+                       match=f"^{re.escape(where)}: {re.escape(field)} must be a "):
+        scenario_from_text(yaml.safe_dump(doc, sort_keys=False))
+
+
+def test_structure_violations_come_first_in_validation():
+    scn = acceptance_instance()
+    assert structure_violations(scn) == []
+    short = dataclasses.replace(scn, intervals=(
+        dataclasses.replace(scn.intervals[0], gen_energy_bids=(10.0,)),) + scn.intervals[1:])
+    want = ["interval 0: energy bid count 1 != 2 generators"]
+    assert structure_violations(short) == want
+    assert validate_scenario(short)[:1] == want
+    no_generators = dataclasses.replace(scn, generators=())
+    for check in (structure_violations, validate_scenario):
+        assert check(no_generators)[0] == "scenario: needs at least one generator"
+    assert structure_violations(dataclasses.replace(scn, intervals=())) == [
+        "scenario: needs at least one interval"]
