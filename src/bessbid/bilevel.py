@@ -193,13 +193,6 @@ def linearize_objective(layout: LlLayout) -> tuple[np.ndarray, np.ndarray]:
     return x_coefs, layout.rhs_base
 
 
-def linearized_revenue_value(layout: LlLayout, x: np.ndarray,
-                             row_duals: np.ndarray) -> float:
-    """Evaluate the linearized per-interval revenue at a KKT point."""
-    x_coefs, dual_coefs = linearize_objective(layout)
-    return float(x_coefs @ x + dual_coefs @ row_duals)
-
-
 def direct_revenue_value(layout: LlLayout, v: LlVariables,
                          row_duals: np.ndarray) -> float | np.ndarray:
     """Price-times-award revenue evaluated directly from duals and awards;

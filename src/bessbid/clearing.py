@@ -8,14 +8,14 @@ the balance and requirement rows.
 
 The row/column layout built here is the single source of truth that the
 bilevel reformulation reuses for its KKT blocks, so index bookkeeping lives
-in :class:`LlLayout`.
+in :class:`LlLayout`. Every clear, of one bid or of many, goes through
+:func:`clear_batch`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,9 +50,6 @@ class BessBids:
     buy: float = 0.0
     reserve: float = 0.0
     regcap: float = 0.0
-
-    def all_zero(self) -> bool:
-        return self.sell == 0.0 and self.buy == 0.0 and self.reserve == 0.0 and self.regcap == 0.0
 
 
 ZERO_BIDS = BessBids()
@@ -114,9 +111,9 @@ class LlLayout:
 
     Only the storage bid rows' right-hand sides depend on the bids, so one
     layout keeps one HiGHS model (built on its first solve) and every
-    :class:`LlInstance` of the layout with a nonzero bid clears through it;
-    a zero-bid instance solves :meth:`storage_free_lp` instead. The arrays
-    are built in closed form, once per layout.
+    nonzero-bid row that :func:`clear_batch` clears on the layout solves
+    through it; a zero-bid row solves :meth:`storage_free_lp` instead. The
+    arrays are built in closed form, once per layout.
     """
 
     GEN_COLS = 4
@@ -258,11 +255,6 @@ class LlLayout:
         rhs[:, sell:sell + 4] = bids
         return rhs
 
-    def instance(self, bids: BessBids = ZERO_BIDS) -> LlInstance:
-        """This interval's clearing LP at the given storage bids."""
-        _check_bids(self.t, bid_array([bids]))
-        return LlInstance(layout=self, bids=bids)
-
     @property
     def model(self) -> solver.LpModel:
         """The layout's HiGHS model, built on first use and kept: a clear
@@ -344,19 +336,6 @@ class LlLayout:
 
 
 @dataclass
-class LlInstance:
-    """One interval's clearing LP at given storage bids, ready to solve; its
-    :class:`solver.LpProblem` is built when first asked for."""
-
-    layout: LlLayout
-    bids: BessBids
-
-    @cached_property
-    def lp(self) -> solver.LpProblem:
-        return self.layout.build_lp(self.bids)
-
-
-@dataclass
 class ClearingResult:
     t: int
     variables: LlVariables
@@ -397,11 +376,6 @@ class ClearingBatch:
         )
 
 
-def build_ll_interval(scn: Scenario, t: int, bids: BessBids = ZERO_BIDS) -> LlInstance:
-    """Assemble one interval's joint clearing LP with the given storage bids."""
-    return LlLayout(scn, t).instance(bids)
-
-
 def _raise_for_status(t: int, status: str) -> None:
     if status == solver.INFEASIBLE:
         raise InfeasibleMarketError(
@@ -426,28 +400,18 @@ def _check_contracts(t: int, duality_gap_rel: np.ndarray, cs_residual: np.ndarra
     raise ClearingError(f"interval {t}: complementary slackness residual {cs_residual[i]:.3e}")
 
 
-def clear_interval(instance: LlInstance) -> ClearingResult:
-    """Solve one interval and extract schedule, prices, and dual bookkeeping.
-
-    A nonzero bid is the one-row case of :func:`clear_batch`. When every
-    storage bid is zero the layout's storage-free sub-LP is solved and the
-    storage duals are rebuilt from stationarity afterwards, so prices are
-    exactly the no-storage prices (zero-bid neutrality) and the returned
-    duals still satisfy the full first-order system.
-    """
-    if instance.bids.all_zero():
-        return _clear_zero_bids(instance.layout)
-    return clear_batch(instance.layout, bid_array([instance.bids])).result(0)
-
-
 def clear_batch(layout: LlLayout, bids: np.ndarray) -> ClearingBatch:
-    """Clear the layout's interval at each row of ``bids``, a :func:`bid_array`.
+    """Clear the layout's interval at each row of ``bids``, a :func:`bid_array`,
+    and extract schedule, prices and dual bookkeeping; the one way to clear.
 
     Each run of nonzero-bid rows solves through the layout's model in one
     :meth:`solver.LpModel.solve_batch`, and the clearing contracts are
-    checked over the run at once; a row whose bids are all zero clears as
-    :func:`clear_interval` clears it. The rows clear in order, so the error
-    raised is the first failing row's.
+    checked over the run at once. A row whose bids are all zero solves the
+    layout's storage-free sub-LP, and the storage duals are rebuilt from
+    stationarity afterwards, so its prices are exactly the no-storage prices
+    (zero-bid neutrality) and its duals still satisfy the full first-order
+    system. The rows clear in order, so the error raised is the first
+    failing row's; a negative bid raises ``ValueError`` before any solve.
     """
     bids = np.asarray(bids, dtype=float)
     _check_bids(layout.t, bids)
@@ -456,20 +420,17 @@ def clear_batch(layout: LlLayout, bids: np.ndarray) -> ClearingBatch:
                         row_duals=np.empty((k, layout.n_rows)),
                         lower_duals=np.empty((k, layout.n_cols)), objective=np.empty(k),
                         duality_gap_rel=np.empty(k), cs_residual=np.empty(k))
-    # the fields a run's outcome and a zero-bid result share with the batch
-    shared = ("row_duals", "lower_duals", "objective", "duality_gap_rel", "cs_residual")
+    # the batch fields, in the order _clear_zero_bids returns them
+    fields = ("x", "row_duals", "lower_duals", "objective", "duality_gap_rel", "cs_residual")
     start = 0
     for zero in np.flatnonzero(~bids.any(axis=1)).tolist() + [k]:
         if zero > start:
             run = _clear_run(layout, bids[start:zero])
-            out.x[start:zero] = run.x
-            for name in shared:
+            for name in fields:
                 getattr(out, name)[start:zero] = getattr(run, name)
         if zero < k:
-            res = _clear_zero_bids(layout)
-            out.x[zero] = layout.vector_from(res.variables)
-            for name in shared:
-                getattr(out, name)[zero] = getattr(res, name)
+            for name, value in zip(fields, _clear_zero_bids(layout)):
+                getattr(out, name)[zero] = value
         start = zero + 1
     return out
 
@@ -488,7 +449,9 @@ def _clear_run(layout: LlLayout, bids: np.ndarray) -> solver.BatchOutcome:
     return out
 
 
-def _clear_zero_bids(layout: LlLayout) -> ClearingResult:
+def _clear_zero_bids(layout: LlLayout) -> tuple:
+    """A zero-bid row's x, row duals, lower duals, objective, duality gap
+    and cs residual."""
     t = layout.t
     free, kept_rows = layout.storage_free_lp()
     try:
@@ -533,26 +496,15 @@ def _clear_zero_bids(layout: LlLayout) -> ClearingResult:
     lp = layout.build_lp()
     core = solver.Residuals(lp)
     no_upper = np.zeros(layout.n_cols)
-    result = ClearingResult(
-        t=t,
-        variables=layout.variables_from(x),
-        prices=layout.prices_from(row_duals),
-        objective=float(out.objective),
-        row_duals=row_duals,
-        lower_duals=lower_duals,
-        duality_gap_rel=float(out.duality_gap_rel),
-        cs_residual=float(core.cs(x, core.activity(x), lp.rhs, row_duals, lower_duals,
-                                  no_upper)),
-        layout=layout,
-    )
+    cs = core.cs(x, core.activity(x), lp.rhs, row_duals, lower_duals, no_upper)
     stationarity = core.stationarity(row_duals, lower_duals, no_upper)
     if stationarity > STATIONARITY_TOL:
         raise ClearingError(
             f"interval {t}: reconstructed storage duals violate stationarity "
             f"({stationarity:.3e})"
         )
-    _check_contracts(t, np.array([result.duality_gap_rel]), np.array([result.cs_residual]))
-    return result
+    _check_contracts(t, np.array([out.duality_gap_rel]), np.array([cs]))
+    return x, row_duals, lower_duals, out.objective, out.duality_gap_rel, cs
 
 
 def clear_horizon(scn: Scenario, bids: list[BessBids] | None = None) -> list[ClearingResult]:
@@ -570,8 +522,8 @@ def clear_horizon(scn: Scenario, bids: list[BessBids] | None = None) -> list[Cle
     results = []
     for t in range(n):
         try:
-            instance = build_ll_interval(scn, t, bids[t])
-        except ValueError as exc:  # the message already names the interval
+            batch = clear_batch(LlLayout(scn, t), bid_array([bids[t]]))
+        except ValueError as exc:  # a negative bid; the message names the interval
             raise ClearingError(str(exc)) from exc
-        results.append(clear_interval(instance))
+        results.append(batch.result(0))
     return results

@@ -424,6 +424,9 @@ def scenario_from_text(text: str) -> Scenario:
         raise ScenarioError(f"unsupported schema tag {tag!r}, expected {SCHEMA_TAG!r}")
     try:
         mask = MarketMask(**doc["market_mask"])
+        for f, value in doc["market_mask"].items():
+            if type(value) is not bool:
+                raise ScenarioError(f"market_mask: {f} must be a boolean, got {value!r}")
         bd = doc["bess"]
         _check_numbers(bd, "bess", _BESS_FIELDS)
         bess = BessParams(

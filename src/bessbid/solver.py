@@ -4,7 +4,9 @@ Every LP and MILP goes to HiGHS through one class, :class:`LpModel`, in one
 of two row layouts chosen from the problem (its docstring says why there are
 two). LPs are solved by dual simplex so optimal bases are vertices and
 constraint duals are available; MILPs go through branch-and-bound on binary
-variables. Both paths report a uniform :class:`SolveOutcome`.
+variables. A single solve, LP or MILP, reports a :class:`SolveOutcome`; a
+batch of LP solves (:meth:`LpModel.solve_batch`) reports a
+:class:`BatchOutcome`, one row per solve.
 
 Dual sign convention: ``row_duals[r]`` is the sensitivity of the optimal
 objective to the RHS of row ``r`` in the row's *original* sense. For a

@@ -1,7 +1,8 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and clears for the test suite."""
 
 import numpy as np
 
+from bessbid import clearing
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
@@ -14,6 +15,12 @@ from bessbid.scenario import (
 
 GEN_CHEAP = GeneratorParams("a", 10.0, 100.0, 20.0, 10.0)
 GEN_DEAR = GeneratorParams("b", 20.0, 100.0, 20.0, 10.0)
+
+
+def clear_one(layout, bids=clearing.ZERO_BIDS):
+    """The clear of ``layout``'s interval at one :class:`clearing.BessBids`:
+    a one-row :func:`clearing.clear_batch`."""
+    return clearing.clear_batch(layout, clearing.bid_array([bids])).result(0)
 
 
 def build_scenario(gens, bess, loads, delta_t=0.25, reserve_frac=0.0,

@@ -24,6 +24,7 @@ from bessbid.scenario import (
     Scenario,
     synthesize_scenario,
 )
+from conftest import clear_one
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -123,7 +124,7 @@ def test_acceptance_2_kkt_duality_suite():
         bids = BessBids(sell=sell, buy=buy,
                         reserve=float(rng.uniform(0.0, rate)),
                         regcap=float(rng.uniform(0.0, rate)))
-        res = clearing.clear_interval(clearing.build_ll_interval(scn, 0, bids))
+        res = clear_one(clearing.LlLayout(scn, 0), bids)
         worst_gap = max(worst_gap, res.duality_gap_rel)
         worst_cs = max(worst_cs, res.cs_residual)
     assert worst_gap <= 1e-6
@@ -338,10 +339,9 @@ def test_acceptance_8_zero_bid_neutrality(desk_reports):
     scn, _ = desk_reports
     worst_named = None
     for t in range(scn.n_intervals):
-        with_storage = clearing.clear_interval(
-            clearing.build_ll_interval(scn, t, BessBids()))
-        without = _storage_free_prices(clearing.build_ll_interval(scn, t).lp,
-                                       scn.intervals[t].delta_t)
+        layout = clearing.LlLayout(scn, t)
+        with_storage = clear_one(layout, BessBids())
+        without = _storage_free_prices(layout.build_lp(), scn.intervals[t].delta_t)
         for name in ("energy", "reserve", "regcap", "mileage"):
             a = getattr(with_storage.prices, name)
             b = without[name]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bessbid import bilevel, harness, solver
-from bessbid.clearing import ZERO_BIDS, BessBids, LlLayout, build_ll_interval, clear_interval
+from bessbid.clearing import ZERO_BIDS, BessBids, LlLayout
 from bessbid.scenario import BessParams, BessPriceBids, GeneratorParams, MarketMask
-from conftest import GEN_CHEAP, GEN_DEAR, build_scenario
+from conftest import GEN_CHEAP, GEN_DEAR, build_scenario, clear_one
 from test_acceptance import small_instance
 
 EAGER_BUYER = BessPriceBids(buy=100.0)
@@ -42,9 +42,10 @@ def test_kkt_residuals_on_cleared_interval():
     scn = build_scenario([GEN_CHEAP, GEN_DEAR], BessParams(10.0, 5.0), [150.0],
                          reserve_frac=0.1, regcap_frac=0.04, ancillary_ratio=1.0,
                          beta=EAGER_BUYER)
-    inst = build_ll_interval(scn, 0, BessBids(0.0, 3.0, 1.0, 1.0))
-    res = clear_interval(inst)
-    resid = solver.kkt_residuals(inst.lp, inst.layout.vector_from(res.variables),
+    lay = LlLayout(scn, 0)
+    bids = BessBids(0.0, 3.0, 1.0, 1.0)
+    res = clear_one(lay, bids)
+    resid = solver.kkt_residuals(lay.build_lp(bids), lay.vector_from(res.variables),
                                  res.row_duals, res.lower_duals)
     assert resid["stationarity"] <= 1e-8
     assert resid["primal"] <= 1e-8
@@ -57,9 +58,8 @@ def test_stationarity_identity_for_storage_sell_column():
     scn = build_scenario([GEN_CHEAP, GEN_DEAR], BessParams(10.0, 5.0), [150.0],
                          reserve_frac=0.1, ancillary_ratio=1.0,
                          beta=BessPriceBids(sell=2.0, buy=100.0))
-    inst = build_ll_interval(scn, 0, BessBids(4.0, 0.0, 1.0, 0.0))
-    res = clear_interval(inst)
-    lay = inst.layout
+    lay = LlLayout(scn, 0)
+    res = clear_one(lay, BessBids(4.0, 0.0, 1.0, 0.0))
     dt = lay.delta_t
     lam = res.row_duals[lay.row_balance]
     delta_sell = res.row_duals[lay.bid_rows["sell"]]
@@ -92,19 +92,21 @@ def test_linearized_revenue_matches_direct_on_random_clearings():
             raw[0] = 0.0
         else:
             raw[1] = 0.0
-        inst = build_ll_interval(scn, t, BessBids(*raw))
-        res = clear_interval(inst)
-        x = inst.layout.vector_from(res.variables)
-        lin = bilevel.linearized_revenue_value(inst.layout, x, res.row_duals)
-        direct = bilevel.direct_revenue_value(inst.layout, res.variables, res.row_duals)
+        lay = LlLayout(scn, t)
+        res = clear_one(lay, BessBids(*raw))
+        x = lay.vector_from(res.variables)
+        x_coefs, dual_coefs = bilevel.linearize_objective(lay)
+        lin = x_coefs @ x + dual_coefs @ res.row_duals
+        direct = bilevel.direct_revenue_value(lay, res.variables, res.row_duals)
         assert lin == pytest.approx(direct, abs=1e-7)
 
 
 def test_linearized_revenue_zero_for_zero_bids():
     scn = build_scenario([GEN_CHEAP], BessParams(10.0, 5.0), [80.0])
-    res = clear_interval(build_ll_interval(scn, 0, ZERO_BIDS))
+    res = clear_one(LlLayout(scn, 0), ZERO_BIDS)
     x = res.layout.vector_from(res.variables)
-    assert bilevel.linearized_revenue_value(res.layout, x, res.row_duals) == pytest.approx(0.0, abs=1e-9)
+    x_coefs, dual_coefs = bilevel.linearize_objective(res.layout)
+    assert x_coefs @ x + dual_coefs @ res.row_duals == pytest.approx(0.0, abs=1e-9)
 
 
 def test_known_sell_instance_revenue():
@@ -114,12 +116,13 @@ def test_known_sell_instance_revenue():
     for dt in (0.25, 1.0):
         scn = build_scenario([gen], BessParams(40.0, 20.0, soc_init=40.0), [80.0],
                              delta_t=dt, mask=MarketMask(True, False, False))
-        inst = build_ll_interval(scn, 0, BessBids(sell=20.0))
-        res = clear_interval(inst)
-        x = inst.layout.vector_from(res.variables)
-        rev = bilevel.direct_revenue_value(inst.layout, res.variables, res.row_duals)
+        lay = LlLayout(scn, 0)
+        res = clear_one(lay, BessBids(sell=20.0))
+        x = lay.vector_from(res.variables)
+        rev = bilevel.direct_revenue_value(lay, res.variables, res.row_duals)
         assert rev == pytest.approx(200.0 * dt, rel=1e-9)
-        assert bilevel.linearized_revenue_value(inst.layout, x, res.row_duals) == pytest.approx(200.0 * dt, rel=1e-9)
+        x_coefs, dual_coefs = bilevel.linearize_objective(lay)
+        assert x_coefs @ x + dual_coefs @ res.row_duals == pytest.approx(200.0 * dt, rel=1e-9)
         # the bidding MILP reaches the same revenue by itself
         bl, out, sol = solve_and_extract(scn)
         assert out.objective == pytest.approx(200.0 * dt, rel=1e-6)

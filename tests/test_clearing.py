@@ -15,9 +15,7 @@ from bessbid.clearing import (
     ClearingError,
     InfeasibleMarketError,
     LlLayout,
-    build_ll_interval,
     clear_horizon,
-    clear_interval,
 )
 from bessbid.scenario import (
     DEFAULT_GENERATOR_TABLE,
@@ -27,6 +25,7 @@ from bessbid.scenario import (
     IntervalData,
     Scenario,
 )
+from conftest import clear_one
 from test_acceptance import drop_storage, small_instance
 
 
@@ -54,30 +53,30 @@ SMALL_BESS = BessParams(energy_capacity=10.0, power_rate=5.0)
 def test_lp_dimensions_five_generators():
     scn = make_scenario(DEFAULT_GENERATOR_TABLE, BessParams(400.0, 40.0), [500.0],
                         reserve=50.0, regcap=20.0, mileage=35.0)
-    inst = build_ll_interval(scn, 0, BessBids(1, 1, 1, 1))
+    layout = LlLayout(scn, 0)
+    lp = layout.build_lp(BessBids(1, 1, 1, 1))
     # 4 schedule variables per generator plus 5 storage variables
-    assert inst.lp.n_cols == 4 * 5 + 5
+    assert lp.n_cols == 4 * 5 + 5
     # 6 rows per generator, 6 storage rows, 4 system rows
-    assert inst.lp.n_rows == 6 * 5 + 6 + 4
-    assert inst.layout.row_names[-1] == "balance"
+    assert lp.n_rows == 6 * 5 + 6 + 4
+    assert layout.row_names[-1] == "balance"
 
 
 def test_zero_bids_pin_storage_awards():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0])
-    inst = build_ll_interval(scn, 0, ZERO_BIDS)
+    lay = LlLayout(scn, 0)
     # solve the full LP directly: award caps at zero force all storage
     # variables to zero, including mileage through its floor/cap pair
-    out = solver.solve_lp(inst.lp)
+    out = solver.solve_lp(lay.build_lp(ZERO_BIDS))
     assert out.status == "optimal"
     x = out.x
-    lay = inst.layout
     for col in (lay.col_bs, lay.col_bd, lay.col_brs, lay.col_brgc, lay.col_brgm):
         assert abs(x[col]) <= 1e-9
 
 
 def test_single_generator_serves_load():
     scn = make_scenario([GEN_A], SMALL_BESS, [80.0])
-    res = clear_interval(build_ll_interval(scn, 0, ZERO_BIDS))
+    res = clear_one(LlLayout(scn, 0), ZERO_BIDS)
     assert res.variables.p_gs[0] == pytest.approx(80.0, abs=1e-9)
     assert res.variables.p_grs[0] == pytest.approx(0.0, abs=1e-9)
     assert res.variables.p_grgc[0] == pytest.approx(0.0, abs=1e-9)
@@ -85,7 +84,7 @@ def test_single_generator_serves_load():
 
 def test_two_generator_marginal_price():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0])
-    res = clear_interval(build_ll_interval(scn, 0, ZERO_BIDS))
+    res = clear_one(LlLayout(scn, 0), ZERO_BIDS)
     np.testing.assert_allclose(res.variables.p_gs, [100.0, 50.0], atol=1e-9)
     # generator b is the unique marginal unit
     assert res.prices.energy == pytest.approx(20.0, abs=1e-9)
@@ -95,7 +94,7 @@ def test_two_generator_marginal_price():
 
 def test_zero_load_zero_requirements():
     scn = make_scenario([GEN_A], SMALL_BESS, [0.0])
-    res = clear_interval(build_ll_interval(scn, 0, ZERO_BIDS))
+    res = clear_one(LlLayout(scn, 0), ZERO_BIDS)
     assert res.objective == pytest.approx(0.0, abs=1e-12)
     assert res.variables.p_gs[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -105,7 +104,7 @@ def test_mileage_multiplier_slack():
     # capacity floor and the requirement row
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0],
                         reserve=15.0, regcap=6.0, mileage=10.5, ancillary_ratio=0.1)
-    res = clear_interval(build_ll_interval(scn, 0, ZERO_BIDS))
+    res = clear_one(LlLayout(scn, 0), ZERO_BIDS)
     v = res.variables
     # mileage is costly, so the requirement row pins the aggregate award and
     # the multiplier cap keeps plenty of slack in aggregate; per-unit splits
@@ -139,7 +138,7 @@ def test_degenerate_tie_objective_only():
     twin_a = GeneratorParams("ta", 10.0, 80.0, 10.0, 5.0)
     twin_b = GeneratorParams("tb", 10.0, 80.0, 10.0, 5.0)
     scn = make_scenario([twin_a, twin_b], SMALL_BESS, [100.0])
-    res = clear_interval(build_ll_interval(scn, 0, ZERO_BIDS))
+    res = clear_one(LlLayout(scn, 0), ZERO_BIDS)
     # the split between the twins is ambiguous; the cost is not
     assert res.objective == pytest.approx(10.0 * 100.0 * 0.25, rel=1e-12)
     assert res.variables.p_gs.sum() == pytest.approx(100.0, abs=1e-9)
@@ -152,7 +151,7 @@ def test_zero_bid_neutrality_exact():
     with_bess = clear_horizon(scn, [ZERO_BIDS, ZERO_BIDS])
     assert [r.prices for r in clear_horizon(scn, None)] == [r.prices for r in with_bess]
     for res in with_bess:
-        lp = drop_storage(build_ll_interval(scn, res.t).lp)
+        lp = drop_storage(LlLayout(scn, res.t).build_lp())
         out = solver.solve_lp(lp)
         # back in layout rows, where the six storage rows precede the four system rows
         without = res.layout.prices_from(np.insert(out.row_duals, -4, np.zeros(6)))
@@ -198,7 +197,7 @@ def test_horizon_matches_joint_lp():
     split_total = sum(r.objective for r in results)
 
     # the same three intervals stacked into one block-diagonal LP
-    lps = [build_ll_interval(scn, t, bids[t]).lp for t in range(3)]
+    lps = [LlLayout(scn, t).build_lp(bids[t]) for t in range(3)]
     joint = solver.LpProblem(
         c=np.concatenate([p.c for p in lps]),
         a=sp.block_diag([p.a for p in lps], format="csr"),
@@ -216,7 +215,7 @@ def test_single_interval_horizon_equals_interval():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [140.0])
     bids = [BessBids(1.5, 0.0, 0.0, 0.0)]
     horizon = clear_horizon(scn, bids)
-    single = clear_interval(build_ll_interval(scn, 0, bids[0]))
+    single = clear_one(LlLayout(scn, 0), bids[0])
     assert len(horizon) == 1
     assert horizon[0].objective == single.objective
     assert horizon[0].prices == single.prices
@@ -225,8 +224,8 @@ def test_single_interval_horizon_equals_interval():
 def test_delta_t_scaling_leaves_prices_unchanged():
     narrow = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0], delta_t=0.25)
     wide = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0], delta_t=0.5)
-    rn = clear_interval(build_ll_interval(narrow, 0, ZERO_BIDS))
-    rw = clear_interval(build_ll_interval(wide, 0, ZERO_BIDS))
+    rn = clear_one(LlLayout(narrow, 0), ZERO_BIDS)
+    rw = clear_one(LlLayout(wide, 0), ZERO_BIDS)
     assert rn.prices.energy == pytest.approx(rw.prices.energy, abs=1e-9)
     assert rw.objective == pytest.approx(2 * rn.objective, rel=1e-12)
 
@@ -242,7 +241,7 @@ def test_partial_award_against_bid_caps():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0],
                         reserve=10.0, regcap=4.0, mileage=7.0, ancillary_ratio=0.1)
     bid = BessBids(sell=3.0, buy=0.0, reserve=2.0, regcap=1.0)
-    res = clear_interval(build_ll_interval(scn, 0, bid))
+    res = clear_one(LlLayout(scn, 0), bid)
     v = res.variables
     assert v.p_bs <= 3.0 + 1e-9
     assert v.p_brs <= 2.0 + 1e-9
@@ -253,8 +252,8 @@ def test_partial_award_against_bid_caps():
 
 def test_negative_bid_rejected():
     scn = make_scenario([GEN_A], SMALL_BESS, [50.0])
-    with pytest.raises(ValueError, match=">= 0"):
-        build_ll_interval(scn, 0, BessBids(sell=-1.0))
+    with pytest.raises(ValueError, match=r"^interval 0: bids must be >= 0"):
+        clearing.clear_batch(LlLayout(scn, 0), clearing.bid_array([BessBids(sell=-1.0)]))
     # the horizon names the interval once
     with pytest.raises(ClearingError, match=r"^interval 0: bids must be >= 0"):
         clear_horizon(scn, [BessBids(sell=-1.0)])
@@ -407,7 +406,7 @@ def _grid_clears(scn, intervals, step):
     results = []
     for t in intervals:
         layout = LlLayout(scn, t)
-        results += [clear_interval(layout.instance(b)) for b in harness._interval_grid(scn, step)]
+        results += [clear_one(layout, b) for b in harness._interval_grid(scn, step)]
     return results
 
 
@@ -454,12 +453,12 @@ CONTRACT_BIDS = BessBids(sell=3.0, buy=0.0, reserve=2.0, regcap=1.0)
 def test_lp_contract_checks_run_on_every_solve(monkeypatch, name):
     # a tolerance below zero fails any solve, so each check must raise
     monkeypatch.setattr(solver, name, -1.0)
-    inst = build_ll_interval(CONTRACT_SCN, 0, CONTRACT_BIDS)
+    lp = LlLayout(CONTRACT_SCN, 0).build_lp(CONTRACT_BIDS)
     with pytest.raises(solver.SolverError, match="numeric contracts"):
-        solver.solve_lp(inst.lp)
+        solver.solve_lp(lp)
     for bids in (CONTRACT_BIDS, ZERO_BIDS):
         with pytest.raises(ClearingError, match="numeric contracts"):
-            clear_interval(build_ll_interval(CONTRACT_SCN, 0, bids))
+            clear_one(LlLayout(CONTRACT_SCN, 0), bids)
 
 
 @pytest.mark.parametrize("name, message", [
@@ -470,15 +469,15 @@ def test_clear_contract_checks_run_on_every_clear(monkeypatch, name, message):
     monkeypatch.setattr(clearing, name, -1.0)
     for bids in (CONTRACT_BIDS, ZERO_BIDS):
         with pytest.raises(ClearingError, match=f"^interval 0: {message}"):
-            clear_interval(build_ll_interval(CONTRACT_SCN, 0, bids))
+            clear_one(LlLayout(CONTRACT_SCN, 0), bids)
 
 
 def test_zero_bid_stationarity_check_runs(monkeypatch):
     monkeypatch.setattr(clearing, "STATIONARITY_TOL", -1.0)
     with pytest.raises(ClearingError, match="^interval 0: reconstructed storage duals violate"):
-        clear_interval(build_ll_interval(CONTRACT_SCN, 0, ZERO_BIDS))
+        clear_one(LlLayout(CONTRACT_SCN, 0), ZERO_BIDS)
     # a nonzero-bid clear rebuilds no duals
-    clear_interval(build_ll_interval(CONTRACT_SCN, 0, CONTRACT_BIDS))
+    clear_one(LlLayout(CONTRACT_SCN, 0), CONTRACT_BIDS)
 
 
 def _result_bytes(r) -> bytes:
@@ -509,9 +508,22 @@ def test_batch_clears_equal_one_at_a_time(name):
         layout = LlLayout(scn, t)
         for i, bids in enumerate(grid):
             got = batch.result(i)
-            assert _result_bytes(got) == _result_bytes(clear_interval(layout.instance(bids)))
+            assert _result_bytes(got) == _result_bytes(clear_one(layout, bids))
             batched.append(got)
     assert clear_digest(batched) == PINNED_CLEARS[name][1]
+
+
+def test_batch_zero_rows_after_a_nonzero_run_equal_one_at_a_time():
+    # every grid's only zero row comes first; here zero rows follow a nonzero
+    # run, mid-batch and last, so the batch splits into runs around them
+    scn = harness.desk_scenario()
+    grid = harness._interval_grid(scn, 2.5)
+    bids = [grid[1], ZERO_BIDS, grid[112], grid[-1], ZERO_BIDS]
+    for t in range(scn.n_intervals):
+        batch = clearing.clear_batch(LlLayout(scn, t), clearing.bid_array(bids))
+        layout = LlLayout(scn, t)
+        for i, b in enumerate(bids):
+            assert _result_bytes(batch.result(i)) == _result_bytes(clear_one(layout, b)), (t, i)
 
 
 # (module, tolerance, per-row value it bounds, tolerance scale, pattern of

@@ -366,6 +366,10 @@ def _no_generators(doc):
     doc["generators"] = []
 
 
+def _reserve_no(doc):
+    doc["market_mask"]["reserve"] = "no"
+
+
 SCENARIO_COMMANDS = [
     ["clear"],
     ["solve", "--out", "run"],
@@ -378,9 +382,9 @@ SCENARIO_COMMANDS = [
 
 @pytest.mark.parametrize("args", SCENARIO_COMMANDS, ids=lambda args: args[0])
 def test_bad_scenario_values_are_one_error_line(tmp_path, args):
-    # a string where a number belongs is a usage error; a scenario with no
-    # generator or a short bid list is an invalid scenario, reported before
-    # any clear or solve
+    # a string where a number or a boolean belongs is a usage error; a
+    # scenario with no generator or a short bid list is an invalid scenario,
+    # reported before any clear or solve
     args = [str(tmp_path / a) if a in ("run", "model.mps") else a for a in args]
     cases = [
         (_set_load, EXIT_USAGE, "error: interval 0: load must be a number, got 'abc'"),
@@ -388,6 +392,7 @@ def test_bad_scenario_values_are_one_error_line(tmp_path, args):
          "error: invalid scenario: interval 0: energy bid count 1 != 3 generators"),
         (_no_generators, EXIT_FAILURE,
          "error: invalid scenario: scenario: needs at least one generator; "),
+        (_reserve_no, EXIT_USAGE, "error: market_mask: reserve must be a boolean, got 'no'"),
     ]
     for edit, code, prefix in cases:
         path = _edited_desk(tmp_path, edit.__name__, edit)

@@ -14,7 +14,7 @@ from bessbid.scenario import (
     validate_scenario,
 )
 
-from conftest import GEN_CHEAP, GEN_DEAR, acceptance_instance, build_scenario
+from conftest import GEN_CHEAP, GEN_DEAR, acceptance_instance, build_scenario, clear_one
 
 EXACT = harness.SolverSettings(gap_tol=1e-9)
 
@@ -51,8 +51,8 @@ def test_reused_layout_clears_match_fresh_clears():
     for t in range(scn.n_intervals):
         layout = clearing.LlLayout(scn, t)
         for bids in harness._interval_grid(scn, 2.5):
-            reused = clearing.clear_interval(layout.instance(bids))
-            fresh = clearing.clear_interval(clearing.build_ll_interval(scn, t, bids))
+            reused = clear_one(layout, bids)
+            fresh = clear_one(clearing.LlLayout(scn, t), bids)
             assert _same_clear(reused, fresh), (t, bids)
 
 
@@ -63,9 +63,8 @@ def test_kkt_stationarity_matches_transpose_product():
     for t in range(scn.n_intervals):
         layout = clearing.LlLayout(scn, t)
         for bids in harness._interval_grid(scn, 2.5):
-            instance = layout.instance(bids)
-            r = clearing.clear_interval(instance)
-            lp = instance.lp
+            r = clear_one(layout, bids)
+            lp = layout.build_lp(bids)
             x = layout.vector_from(r.variables)
             got = solver.kkt_residuals(lp, x, r.row_duals, r.lower_duals)
             stat = lp.c - lp.a.T.dot(r.row_duals) - r.lower_duals - np.zeros(lp.n_cols)

@@ -255,6 +255,8 @@ NON_NUMBERS = [
     (("bess", "power_rate"), "fast", "bess", "power_rate"),
     (("bess", "soc_max"), None, "bess", "soc_max"),
     (("generators", 1, "p_max"), False, "generator b", "p_max"),
+    (("market_mask", "reserve"), "no", "market_mask", "reserve"),
+    (("market_mask", "regulation"), 0, "market_mask", "regulation"),
 ]
 
 
