@@ -8,8 +8,11 @@ the balance and requirement rows.
 
 The row/column layout built here is the single source of truth that the
 bilevel reformulation reuses for its KKT blocks, so index bookkeeping lives
-in :class:`LlLayout`. Every clear, of one bid or of many, goes through
-:func:`clear_batch`.
+in :class:`LlLayout`. Every interval of a scenario has the same matrix,
+senses and bounds; only its costs and right-hand sides differ. So every
+clear, of one interval or of a whole horizon, at one bid or at many, goes
+through :func:`clear_batch`, which solves all of its rows on at most two
+HiGHS models: one with the storage unit, one without.
 """
 
 from __future__ import annotations
@@ -62,12 +65,13 @@ def bid_array(bids) -> np.ndarray:
                     dtype=float).reshape(-1, 4)
 
 
-def _check_bids(t: int, bids: np.ndarray) -> None:
-    """Raise for the first row of a bid array that holds a negative bid."""
+def _check_bids(t: np.ndarray, bids: np.ndarray) -> None:
+    """Raise for the first row of a bid array that holds a negative bid,
+    naming its interval, ``t`` of that row."""
     negative = (bids < 0).any(axis=1)
     if negative.any():
-        row = bids[int(np.argmax(negative))].tolist()
-        raise ValueError(f"interval {t}: bids must be >= 0, got {BessBids(*row)}")
+        i = int(np.argmax(negative))
+        raise ValueError(f"interval {t[i]}: bids must be >= 0, got {BessBids(*bids[i].tolist())}")
 
 
 @dataclass
@@ -109,11 +113,12 @@ class LlLayout:
     mileage floors), so those columns are free; every other column has a zero
     lower bound. All upper limits are rows, never variable bounds.
 
-    Only the storage bid rows' right-hand sides depend on the bids, so one
-    layout keeps one HiGHS model (built on its first solve) and every
-    nonzero-bid row that :func:`clear_batch` clears on the layout solves
-    through it; a zero-bid row solves :meth:`storage_free_lp` instead. The
-    arrays are built in closed form, once per layout.
+    A layout is index bookkeeping plus its interval's costs ``c`` and
+    bid-free right-hand sides ``rhs_base``: the matrix, senses and bounds
+    are the same for every interval of a scenario, and only the storage
+    bid rows' right-hand sides depend on the bids. It holds no solver
+    state; :func:`clear_batch` builds its models. The arrays are built in
+    closed form, once per layout.
     """
 
     GEN_COLS = 4
@@ -188,7 +193,6 @@ class LlLayout:
             dtype=float)
         self.row_names = [f"{kind}:{g.gen_id}" for g in gens for kind in self._GEN_ROW_KINDS]
         self.row_names += self._BESS_ROW_NAMES + self._SYS_ROW_NAMES
-        self._model: solver.LpModel | None = None
 
     # --- index helpers -----------------------------------------------------
     def col_gen(self, j: int, k: int) -> int:
@@ -254,15 +258,6 @@ class LlLayout:
         sell = self.bid_rows["sell"]   # the bid rows: sell, buy, reserve, regcap
         rhs[:, sell:sell + 4] = bids
         return rhs
-
-    @property
-    def model(self) -> solver.LpModel:
-        """The layout's HiGHS model, built on first use and kept: a clear
-        moves its bid rows' right-hand sides and re-solves it cold (see
-        :class:`solver.LpModel`)."""
-        if self._model is None:
-            self._model = solver.LpModel(self.build_lp())
-        return self._model
 
     def build_lp(self, bids: BessBids = ZERO_BIDS) -> solver.LpProblem:
         return solver.LpProblem(
@@ -350,10 +345,11 @@ class ClearingResult:
 
 @dataclass
 class ClearingBatch:
-    """Clears of one interval at several storage bids, one row per bid: the
-    fields of :class:`ClearingResult`, stacked."""
+    """Clears of a scenario's intervals, one row per row of
+    :func:`clear_batch`: the fields of :class:`ClearingResult`, stacked."""
 
-    layout: LlLayout
+    t: np.ndarray                # (k,) the interval of each row
+    layouts: dict[int, LlLayout]  # the layout of each interval in t
     x: np.ndarray                # (k, columns)
     row_duals: np.ndarray        # (k, rows), layout row order
     lower_duals: np.ndarray      # (k, columns)
@@ -362,9 +358,10 @@ class ClearingBatch:
     cs_residual: np.ndarray
 
     def result(self, i: int) -> ClearingResult:
-        layout = self.layout
+        t = int(self.t[i])
+        layout = self.layouts[t]
         return ClearingResult(
-            t=layout.t,
+            t=t,
             variables=layout.variables_from(self.x[i]),
             prices=layout.prices_from(self.row_duals[i]),
             objective=float(self.objective[i]),
@@ -376,139 +373,162 @@ class ClearingBatch:
         )
 
 
-def _raise_for_status(t: int, status: str) -> None:
+# the fields a group of rows fills, in the order its clear returns them
+_FIELDS = ("x", "row_duals", "lower_duals", "objective", "duality_gap_rel", "cs_residual")
+
+
+def _status_error(t: int, status: str) -> ClearingError:
     if status == solver.INFEASIBLE:
-        raise InfeasibleMarketError(
+        return InfeasibleMarketError(
             f"interval {t}: clearing infeasible (requirements exceed fleet capability)"
         )
     if status == solver.UNBOUNDED:
-        raise UnboundedMarketError(f"interval {t}: clearing unbounded (malformed bids)")
-    if status != solver.OPTIMAL:
-        raise ClearingError(f"interval {t}: solver returned {status}")
+        return UnboundedMarketError(f"interval {t}: clearing unbounded (malformed bids)")
+    return ClearingError(f"interval {t}: solver returned {status}")
 
 
-def _check_contracts(t: int, duality_gap_rel: np.ndarray, cs_residual: np.ndarray) -> None:
-    """The clearing contracts over clears of interval ``t``, one value per
-    clear; raises for the first clear that breaks one."""
-    gap_bad = duality_gap_rel > STRONG_DUALITY_TOL
-    bad = gap_bad | (cs_residual > CS_TOL)
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
-    if gap_bad[i]:
-        raise ClearingError(f"interval {t}: strong-duality gap {duality_gap_rel[i]:.3e}")
-    raise ClearingError(f"interval {t}: complementary slackness residual {cs_residual[i]:.3e}")
+def _first_failure(t: np.ndarray, out: solver.BatchOutcome, cs_residual: np.ndarray,
+                   stationarity: np.ndarray | None = None) -> tuple[int, ClearingError] | None:
+    """The first failing row of a group of clears and its error, or None.
+
+    ``out`` holds the group's solves up to the first one that failed; on
+    those rows the clear checks the stationarity of rebuilt storage duals
+    (zero-bid rows), the strong-duality gap and complementary slackness,
+    in that order. Failing none, the failing row is the one the solves
+    stopped at. ``t`` is each row's interval.
+    """
+    checks = [(out.duality_gap_rel > STRONG_DUALITY_TOL, "strong-duality gap {:.3e}",
+               out.duality_gap_rel),
+              (cs_residual > CS_TOL, "complementary slackness residual {:.3e}", cs_residual)]
+    if stationarity is not None:
+        checks.insert(0, (stationarity > STATIONARITY_TOL,
+                          "reconstructed storage duals violate stationarity ({:.3e})",
+                          stationarity))
+    bad = np.logical_or.reduce([fails for fails, _, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message, values = next((m, v) for fails, m, v in checks if fails[i])
+        return i, ClearingError(f"interval {t[i]}: " + message.format(values[i]))
+    i = len(out.objective)
+    if out.failure is not None:
+        return i, ClearingError(f"interval {t[i]}: {out.failure}")
+    if out.status != solver.OPTIMAL:
+        return i, _status_error(int(t[i]), out.status)
+    return None
 
 
-def clear_batch(layout: LlLayout, bids: np.ndarray) -> ClearingBatch:
-    """Clear the layout's interval at each row of ``bids``, a :func:`bid_array`,
-    and extract schedule, prices and dual bookkeeping; the one way to clear.
+def clear_batch(scn: Scenario, t, bids: np.ndarray) -> ClearingBatch:
+    """Clear interval ``t[i]`` of ``scn`` at row ``i`` of ``bids``, a
+    :func:`bid_array`, for every row, and extract schedule, prices and dual
+    bookkeeping; the one way to clear. ``t`` holds one interval per row, or
+    one interval for all of them; the batch needs at least one row.
 
-    Each run of nonzero-bid rows solves through the layout's model in one
-    :meth:`solver.LpModel.solve_batch`, and the clearing contracts are
-    checked over the run at once. A row whose bids are all zero solves the
-    layout's storage-free sub-LP, and the storage duals are rebuilt from
-    stationarity afterwards, so its prices are exactly the no-storage prices
-    (zero-bid neutrality) and its duals still satisfy the full first-order
-    system. The rows clear in order, so the error raised is the first
-    failing row's; a negative bid raises ``ValueError`` before any solve.
+    The nonzero-bid rows solve in one :meth:`solver.LpModel.solve_batch`
+    on one clearing model, each row moving the model to its interval's
+    costs and right-hand sides. The zero-bid rows solve the same way on one
+    storage-free model, and their storage duals are rebuilt from
+    stationarity afterwards, so their prices are exactly the no-storage
+    prices (zero-bid neutrality) and their duals still satisfy the full
+    first-order system. The stationarity and clearing contracts are checked
+    over each group at once. The error raised is the first failing row's,
+    in row order across both groups, and names that row's interval; a
+    negative bid raises ``ValueError`` before any solve.
     """
     bids = np.asarray(bids, dtype=float)
-    _check_bids(layout.t, bids)
+    if not len(bids):
+        raise ValueError("a clear needs at least one row of bids")
+    t = np.broadcast_to(np.asarray(t, dtype=np.intp), (len(bids),))
+    _check_bids(t, bids)
+    intervals, which = np.unique(t, return_inverse=True)
+    layouts = {i: LlLayout(scn, i) for i in intervals.tolist()}
+    c = np.array([layouts[i].c for i in layouts])[which]
+    rhs = np.array([layouts[i].rhs_base for i in layouts])[which]
+    first = next(iter(layouts.values()))
+    sell = first.bid_rows["sell"]   # the bid rows: sell, buy, reserve, regcap
+    rhs[:, sell:sell + 4] = bids
+
     k = len(bids)
-    out = ClearingBatch(layout=layout, x=np.empty((k, layout.n_cols)),
-                        row_duals=np.empty((k, layout.n_rows)),
-                        lower_duals=np.empty((k, layout.n_cols)), objective=np.empty(k),
+    out = ClearingBatch(t=t, layouts=layouts, x=np.empty((k, first.n_cols)),
+                        row_duals=np.empty((k, first.n_rows)),
+                        lower_duals=np.empty((k, first.n_cols)), objective=np.empty(k),
                         duality_gap_rel=np.empty(k), cs_residual=np.empty(k))
-    # the batch fields, in the order _clear_zero_bids returns them
-    fields = ("x", "row_duals", "lower_duals", "objective", "duality_gap_rel", "cs_residual")
-    start = 0
-    for zero in np.flatnonzero(~bids.any(axis=1)).tolist() + [k]:
-        if zero > start:
-            run = _clear_run(layout, bids[start:zero])
-            for name in fields:
-                getattr(out, name)[start:zero] = getattr(run, name)
-        if zero < k:
-            for name, value in zip(fields, _clear_zero_bids(layout)):
-                getattr(out, name)[zero] = value
-        start = zero + 1
+    zero = ~bids.any(axis=1)
+    failures = []
+    for rows, clear in ((np.flatnonzero(zero), _clear_zero_rows),
+                        (np.flatnonzero(~zero), _clear_bid_rows)):
+        if not len(rows):
+            continue
+        # each model starts at its first row's interval
+        values, failure = clear(layouts[int(t[rows[0]])], t[rows], c[rows], rhs[rows])
+        if failure is not None:
+            failures.append((rows[failure[0]], failure[1]))
+            continue
+        for name, value in zip(_FIELDS, values):
+            getattr(out, name)[rows] = value
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return out
 
 
-def _clear_run(layout: LlLayout, bids: np.ndarray) -> solver.BatchOutcome:
-    """Nonzero-bid rows through the layout's model. The model's solve has
-    checked feasibility and its duality gap; the clear checks the
-    strong-duality gap and complementary slackness, then reports the
-    model's failure or status, if any."""
-    t = layout.t
-    out = layout.model.solve_batch(layout.rhs_for(bids))
-    _check_contracts(t, out.duality_gap_rel, out.cs_residual)
-    if out.failure is not None:
-        raise ClearingError(f"interval {t}: {out.failure}")
-    _raise_for_status(t, out.status)
-    return out
+def _clear_bid_rows(layout: LlLayout, t: np.ndarray, c: np.ndarray, rhs: np.ndarray):
+    """Nonzero-bid rows through one clearing model: the row arrays of
+    :data:`_FIELDS`, and the first failure. The model's solve has checked
+    feasibility and its duality gap; the clear checks the strong-duality
+    gap and complementary slackness."""
+    out = solver.LpModel(layout.build_lp()).solve_batch(rhs, c)
+    values = (out.x, out.row_duals, out.lower_duals, out.objective, out.duality_gap_rel,
+              out.cs_residual)
+    return values, _first_failure(t, out, out.cs_residual)
 
 
-def _clear_zero_bids(layout: LlLayout) -> tuple:
-    """A zero-bid row's x, row duals, lower duals, objective, duality gap
-    and cs residual."""
-    t = layout.t
+def _clear_zero_rows(layout: LlLayout, t: np.ndarray, c: np.ndarray, rhs: np.ndarray):
+    """Zero-bid rows through one storage-free model, with the storage duals
+    rebuilt: the row arrays of :data:`_FIELDS`, and the first failure."""
     free, kept_rows = layout.storage_free_lp()
-    try:
-        out = solver.solve_lp(free)
-    except solver.SolverError as exc:
-        raise ClearingError(f"interval {t}: {exc}") from exc
-    _raise_for_status(t, out.status)
-
-    n_gen_cols = len(free.c)
-    x = np.zeros(layout.n_cols)
-    x[:n_gen_cols] = out.x
-    row_duals = np.zeros(layout.n_rows)
-    row_duals[kept_rows] = out.row_duals
-    lower_duals = np.zeros(layout.n_cols)
-    lower_duals[:n_gen_cols] = out.lower_duals
+    n = len(free.c)
+    out = solver.LpModel(free).solve_batch(rhs[:, kept_rows], c[:, :n])
+    k = len(out.objective)
+    c, rhs = c[:k], rhs[:k]
+    x = np.zeros((k, layout.n_cols))
+    x[:, :n] = out.x
+    row_duals = np.zeros((k, layout.n_rows))
+    row_duals[:, kept_rows] = out.row_duals
+    lower_duals = np.zeros((k, layout.n_cols))
+    lower_duals[:, :n] = out.lower_duals
 
     # storage duals reconstructed from stationarity; every storage row has
-    # zero slack at zero bids so any nonnegative dual is complementary
-    beta = layout.interval.bess_price_bids
-    dt = layout.delta_t
-    lam = row_duals[layout.row_balance]
-    y_rs = row_duals[layout.row_reserve_req]
-    y_c = row_duals[layout.row_regcap_req]
-    y_m = row_duals[layout.row_mileage_req]
+    # zero slack at zero bids so any nonnegative dual is complementary. The
+    # storage costs are dt times the price bids, the buy cost negated; each
+    # max(0, q) and min(0, q) gives an unsigned zero, as Python's would
+    lam, y_rs, y_c, y_m = (row_duals[:, r] for r in (
+        layout.row_balance, layout.row_reserve_req, layout.row_regcap_req,
+        layout.row_mileage_req))
+    mileage = c[:, layout.col_brgm] - y_m
+    w12 = np.where(mileage > 0.0, mileage, 0.0)
+    w13 = np.where(mileage < 0.0, -mileage, 0.0)
+    row_duals[:, layout.row_mil_floor_bess] = w12
+    row_duals[:, layout.row_mil_cap_bess] = -w13
     mult = layout.scenario.bess.mileage_multiplier
     br = layout.bid_rows
+    for name, col, q in (
+            ("sell", layout.col_bs, c[:, layout.col_bs] - lam),
+            ("buy", layout.col_bd, lam + c[:, layout.col_bd]),
+            ("reserve", layout.col_brs, c[:, layout.col_brs] - y_rs),
+            ("regcap", layout.col_brgc, c[:, layout.col_brgc] + w12 - mult * w13 - y_c)):
+        row_duals[:, br[name]] = np.where(q < 0.0, q, 0.0)
+        lower_duals[:, col] = np.where(q > 0.0, q, 0.0)
 
-    w12 = max(0.0, dt * beta.mileage - y_m)
-    w13 = max(0.0, y_m - dt * beta.mileage)
-    row_duals[layout.row_mil_floor_bess] = w12
-    row_duals[layout.row_mil_cap_bess] = -w13
-    row_duals[br["sell"]] = min(0.0, dt * beta.sell - lam)
-    lower_duals[layout.col_bs] = max(0.0, dt * beta.sell - lam)
-    row_duals[br["buy"]] = min(0.0, lam - dt * beta.buy)
-    lower_duals[layout.col_bd] = max(0.0, lam - dt * beta.buy)
-    row_duals[br["reserve"]] = min(0.0, dt * beta.reserve - y_rs)
-    lower_duals[layout.col_brs] = max(0.0, dt * beta.reserve - y_rs)
-    q = dt * beta.regcap + w12 - mult * w13 - y_c
-    row_duals[br["regcap"]] = min(0.0, q)
-    lower_duals[layout.col_brgc] = max(0.0, q)
-
-    lp = layout.build_lp()
-    core = solver.Residuals(lp)
-    no_upper = np.zeros(layout.n_cols)
-    cs = core.cs(x, core.activity(x), lp.rhs, row_duals, lower_duals, no_upper)
-    stationarity = core.stationarity(row_duals, lower_duals, no_upper)
-    if stationarity > STATIONARITY_TOL:
-        raise ClearingError(
-            f"interval {t}: reconstructed storage duals violate stationarity "
-            f"({stationarity:.3e})"
-        )
-    _check_contracts(t, np.array([out.duality_gap_rel]), np.array([cs]))
-    return x, row_duals, lower_duals, out.objective, out.duality_gap_rel, cs
+    core = solver.Residuals(layout.build_lp())
+    no_upper = np.zeros_like(x)
+    cs = core.cs(x, core.activity(x), rhs, row_duals, lower_duals, no_upper)
+    stationarity = core.stationarity(row_duals, lower_duals, no_upper, c)
+    values = (x, row_duals, lower_duals, out.objective, out.duality_gap_rel, cs)
+    return values, _first_failure(t, out, cs, stationarity)
 
 
 def clear_horizon(scn: Scenario, bids: list[BessBids] | None = None) -> list[ClearingResult]:
-    """Clear every interval independently (no cross-interval coupling).
+    """Clear every interval independently (no cross-interval coupling), in
+    one :func:`clear_batch`.
 
     ``bids=None`` clears every interval at :data:`ZERO_BIDS`, which gives
     the storage-free prices; otherwise one :class:`BessBids` per interval is
@@ -519,11 +539,8 @@ def clear_horizon(scn: Scenario, bids: list[BessBids] | None = None) -> list[Cle
         bids = [ZERO_BIDS] * n
     if len(bids) != n:
         raise ValueError(f"need {n} bid quadruples, got {len(bids)}")
-    results = []
-    for t in range(n):
-        try:
-            batch = clear_batch(LlLayout(scn, t), bid_array([bids[t]]))
-        except ValueError as exc:  # a negative bid; the message names the interval
-            raise ClearingError(str(exc)) from exc
-        results.append(batch.result(0))
-    return results
+    try:
+        batch = clear_batch(scn, np.arange(n), bid_array(bids))
+    except ValueError as exc:  # a negative bid; the message names the interval
+        raise ClearingError(str(exc)) from exc
+    return [batch.result(t) for t in range(n)]

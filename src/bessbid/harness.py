@@ -128,7 +128,8 @@ class BessSchedule:
 
     @classmethod
     def from_solution(cls, scn: Scenario, sol: BilevelSolution) -> "BessSchedule":
-        rnd = lambda v: round(float(v), REVENUE_DECIMALS)
+        # adding 0.0 turns the -0.0 that a tiny negative rounds to into 0.0
+        rnd = lambda v: round(float(v), REVENUE_DECIMALS) + 0.0
         records = []
         for s in sol.intervals:
             it = scn.intervals[s.t]
@@ -292,20 +293,15 @@ def _clear_chunk(scn: Scenario, bids: np.ndarray, start: int, stop: int) -> np.n
     grid's :func:`clearing.bid_array`.
 
     One row per pair: the storage revenue, then the sell, buy, reserve and
-    regulation-capacity awards. The chunk's pairs of one interval clear in
-    one batch, through one layout and hence one HiGHS model.
+    regulation-capacity awards. The chunk's pairs clear in one batch, on
+    one clearing model and one storage-free model.
     """
-    n = len(bids)
-    out = np.empty((stop - start, 5))
-    for t in range(start // n, -(-stop // n)):
-        lo, hi = max(start, t * n), min(stop, (t + 1) * n)
-        layout = clearing.LlLayout(scn, t)
-        batch = clearing.clear_batch(layout, bids[lo - t * n:hi - t * n])
-        v = layout.variables_from(batch.x)
-        out[lo - start:hi - start] = np.column_stack((
-            bilevel.direct_revenue_value(layout, v, batch.row_duals),
-            v.p_bs, v.p_bd, v.p_brs, v.p_brgc))
-    return out
+    pairs = np.arange(start, stop)
+    batch = clearing.clear_batch(scn, pairs // len(bids), bids[pairs % len(bids)])
+    layout = batch.layouts[start // len(bids)]   # every interval has the same indices
+    v = layout.variables_from(batch.x)
+    return np.column_stack((bilevel.direct_revenue_value(layout, v, batch.row_duals),
+                            v.p_bs, v.p_bd, v.p_brs, v.p_brgc))
 
 
 def _clear_grid(scn: Scenario, combos: list[BessBids]) -> np.ndarray:

@@ -204,15 +204,22 @@ class Residuals:
         return _max0(np.concatenate((_violation(self.le, self.ge, ax, rhs),
                                      p.lower - x, x - p.upper), axis=-1))
 
-    def stationarity(self, y: np.ndarray, nu_lo: np.ndarray, nu_up: np.ndarray) -> float:
-        """Max of |c - A'y - nu|."""
+    def stationarity(self, y: np.ndarray, nu_lo: np.ndarray, nu_up: np.ndarray,
+                     c: np.ndarray | None = None) -> np.floating | np.ndarray:
+        """Max of |c - A'y - nu|, with the problem's costs unless ``c`` is
+        given; for 2-D arrays, one residual per row, each row with its own
+        costs."""
         # A'y summed entry by entry in the matrix's row-major order, which is
         # the order a product with the transpose adds them in, so the sums
-        # are the same bits without building a sparse transpose
-        a = self.a
-        a_ty = np.bincount(a.indices, weights=a.data * y[self.entry_rows],
-                           minlength=self.problem.n_cols)
-        return float(_max0(np.abs(self.problem.c - a_ty - nu_lo - nu_up)))
+        # are the same bits without building a sparse transpose; each row of
+        # a 2-D y counts into its own block of bins
+        a, n = self.a, self.problem.n_cols
+        weights = a.data * y[..., self.entry_rows]
+        k = len(y) if y.ndim == 2 else 1
+        bins = (np.arange(k)[:, None] * n + a.indices).ravel()
+        a_ty = np.bincount(bins, weights=weights.ravel(), minlength=k * n)
+        c = self.problem.c if c is None else c
+        return _max0(np.abs(c - a_ty.reshape(y.shape[:-1] + (n,)) - nu_lo - nu_up))
 
     def dual_sign(self, y: np.ndarray, nu_lo: np.ndarray, nu_up: np.ndarray) -> float:
         """Max sign violation of the duals."""
@@ -297,16 +304,19 @@ class LpModel:
     The row data a solve's checks need (sense masks, the CSR matrix, the
     finite bounds, the backend row permutation and signs) are computed once,
     in :attr:`residuals` and the backend layout. :meth:`solve_batch` solves
-    one right-hand side per row and checks the whole batch at once, forming
-    ``A X`` once for the feasibility contract and the complementary-slackness
-    residual; :meth:`solve` is its one-row case.
+    one right-hand side, and optionally one cost vector, per row and checks
+    the whole batch at once, forming ``A X`` once for the feasibility
+    contract and the complementary-slackness residual; :meth:`solve` is its
+    one-row case. One model thus serves every LP that shares its matrix,
+    senses and bounds: the clear of each interval of a scenario.
     """
 
     def __init__(self, problem: LpProblem):
         problem.validate()
         if not all(np.isfinite(v).all() for v in (problem.c, problem.a.data, problem.rhs)):
             raise ValueError("objective, constraint coefficients and rhs must be finite")
-        self.problem = replace(problem, rhs=np.array(problem.rhs, dtype=float))
+        self.problem = replace(problem, c=np.array(problem.c, dtype=float),
+                               rhs=np.array(problem.rhs, dtype=float))
         self.residuals = Residuals(self.problem)
         self.is_mip = bool(np.any(getattr(problem, "integrality", 0)))
 
@@ -333,8 +343,15 @@ class LpModel:
         lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
         self._highs = _highs._Highs()
-        if (self._highs.passOptions(_OPTIONS[self.is_mip]) == _highs.HighsStatus.kError
-                or self._highs.passModel(lp) == _highs.HighsStatus.kError):
+        if self._highs.passOptions(_OPTIONS[self.is_mip]) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS refused the model")
+        self._pass_model(lp)
+        if not self.is_mip:   # kept to pass again at new costs (see solve_batch)
+            self._lp = lp
+
+    def _pass_model(self, lp: _highs.HighsLp) -> None:
+        """Give HiGHS the model afresh."""
+        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS refused the model")
 
     def _lp_rows(self):
@@ -362,11 +379,15 @@ class LpModel:
         order = np.lexsort((rows, a.indices))
         start = np.zeros(p.n_cols + 1, dtype=np.int32)
         np.cumsum(np.bincount(a.indices, minlength=p.n_cols), out=start[1:])
-        row_upper = self._sign * p.rhs[self._order]
+        return (start, rows[order].astype(np.int32), (a.data * self._sign[rows])[order],
+                *self._row_bounds(p.rhs))
+
+    def _row_bounds(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The backend row bounds of right-hand sides ``rhs`` in problem row order."""
+        row_upper = self._sign * rhs[self._order]
         row_lower = row_upper.copy()
         row_lower[: self._n_ineq] = -_highs.kHighsInf
-        return (start, rows[order].astype(np.int32), (a.data * self._sign[rows])[order],
-                row_lower, row_upper)
+        return row_lower, row_upper
 
     def _run(self, **options) -> tuple[str, float]:
         """Set ``options``, solve and map HiGHS's model status; returns the
@@ -402,16 +423,23 @@ class LpModel:
             cs_residual=float(out.cs_residual[0]),
         )
 
-    def solve_batch(self, rhs: np.ndarray) -> BatchOutcome:
+    def solve_batch(self, rhs: np.ndarray, c: np.ndarray | None = None) -> BatchOutcome:
         """Solve the LP from scratch once per row of ``rhs``, a ``(k, rows)``
-        array of right-hand sides in problem row order and senses.
+        array of right-hand sides in problem row order and senses, and of
+        ``c``, when given, a ``(k, columns)`` array of costs in the
+        problem's orientation.
 
         Each solve moves only the rows whose right-hand side differs, bit for
         bit, from the model's current one, so a -0.0 replacing 0.0 reaches
-        the backend too. The loop touches HiGHS alone; the feasibility and
-        duality-gap contracts, and the complementary-slackness residual the
-        outcome reports, are then computed over the whole batch, with ``A X``
-        formed once.
+        the backend too. A row whose costs differ, bit for bit, from the
+        current ones passes the whole model to HiGHS again, at the row's
+        costs and right-hand sides: changing the costs of a model that has
+        solved can leave HiGHS on other bits than a fresh model finds (4 of
+        96 reference-system intervals at fixed bids). The model keeps the
+        last right-hand sides and costs it was given. The loop touches HiGHS
+        alone; the feasibility and duality-gap contracts, and the
+        complementary-slackness residual the outcome reports, are then
+        computed over the whole batch, with ``A X`` formed once.
 
         The solves stop at the first row that is not optimal. The outcome
         holds the rows before the first row that failed, whether by its
@@ -426,15 +454,20 @@ class LpModel:
         k, n = len(rhs), problem.n_cols
         # the backend row bounds each solve moves, as (row, lower, upper)
         # per batch row, against the rhs the previous solve left behind
-        bits = rhs.view(np.uint64)
-        rows, cols = np.nonzero(
-            bits != np.concatenate((problem.rhs.view(np.uint64)[None], bits[:-1])))
+        rows, cols = np.nonzero(_moved(problem.rhs, rhs))
         changes: list[list] = [[] for _ in range(k)]
         if len(rows):
             ks = self._pos[cols]
             for r, kk, b in zip(rows.tolist(), ks.tolist(),
                                 (self._sign[ks] * rhs[rows, cols]).tolist()):
                 changes[r].append((kk, -_highs.kHighsInf if kk < self._n_ineq else b, b))
+        # the batch rows whose costs differ from the ones before
+        new_costs = [False] * k
+        if c is not None:
+            c = np.asarray(c, dtype=float)
+            if c.shape != (k, n) or not np.isfinite(c).all():
+                raise ValueError(f"c must hold {n} finite values per row of rhs")
+            new_costs = _moved(problem.c, c).any(axis=1).tolist()
 
         x, backend_duals, col_dual = np.empty((k, n)), np.empty((k, problem.n_rows)), np.empty((k, n))
         col_status = np.empty((k, n), dtype=np.int64)
@@ -445,8 +478,14 @@ class LpModel:
             # drop the previous solve's basis and solution, so the solve
             # starts cold; a bound change also costs less without them
             highs.clearSolver()
-            for change in changes[i]:
-                highs.changeRowBounds(*change)
+            if new_costs[i]:   # the whole model, as the docstring says why
+                lp = self._lp
+                lp.col_cost_ = -c[i] if problem.maximize else c[i]
+                lp.row_lower_, lp.row_upper_ = self._row_bounds(rhs[i])
+                self._pass_model(lp)
+            else:
+                for change in changes[i]:
+                    highs.changeRowBounds(*change)
             try:
                 status, run_wall = self._run()
             except SolverError as exc:
@@ -462,8 +501,10 @@ class LpModel:
             col_status[i] = np.fromiter(highs.getBasis().col_status, np.int64, n)
             fun[i] = highs.getObjectiveValue()
             solved = i + 1
-        if k:   # the model keeps the last right-hand sides it was given
+        if k:   # the model keeps the last right-hand sides and costs it was given
             problem.rhs[:] = rhs[i]
+            if c is not None:
+                problem.c[:] = c[i]
         if solved < k:
             x, backend_duals, col_dual, col_status, fun, rhs = (
                 a[:solved] for a in (x, backend_duals, col_dual, col_status, fun, rhs))
@@ -509,6 +550,13 @@ class LpModel:
             lower_duals=lower_duals, upper_duals=upper_duals, feasibility_residual=resid,
             duality_gap_rel=gap_rel, cs_residual=cs, wall_time=wall,
         )
+
+
+def _moved(current: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Where each row of ``rows`` differs, bit for bit, from the row before
+    it, the first row from ``current``."""
+    bits = rows.view(np.uint64)
+    return bits != np.concatenate((current.view(np.uint64)[None], bits[:-1]))
 
 
 def stop_threads() -> None:
@@ -582,7 +630,7 @@ def kkt_residuals(
     core = Residuals(problem)
     ax = core.activity(x)
     return {
-        "stationarity": core.stationarity(row_duals, nu_lo, nu_up),
+        "stationarity": float(core.stationarity(row_duals, nu_lo, nu_up)),
         "primal": float(core.primal(x, ax, problem.rhs)),
         "dual_sign": core.dual_sign(row_duals, nu_lo, nu_up),
         "cs": float(core.cs(x, ax, problem.rhs, row_duals, nu_lo, nu_up)),

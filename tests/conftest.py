@@ -20,7 +20,7 @@ GEN_DEAR = GeneratorParams("b", 20.0, 100.0, 20.0, 10.0)
 def clear_one(layout, bids=clearing.ZERO_BIDS):
     """The clear of ``layout``'s interval at one :class:`clearing.BessBids`:
     a one-row :func:`clearing.clear_batch`."""
-    return clearing.clear_batch(layout, clearing.bid_array([bids])).result(0)
+    return clearing.clear_batch(layout.scenario, layout.t, clearing.bid_array([bids])).result(0)
 
 
 def build_scenario(gens, bess, loads, delta_t=0.25, reserve_frac=0.0,

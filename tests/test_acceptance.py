@@ -7,6 +7,7 @@ computed once per module.
 """
 
 import hashlib
+import re
 import time
 from pathlib import Path
 
@@ -149,7 +150,8 @@ def test_acceptance_3_participation_monotonicity(desk_reports):
 
 
 # sha256 of emit_outputs' files for the desk cases at gap 0.01; the report
-# files of `bessbid compare` must stay byte-identical
+# files of `bessbid compare` must stay byte-identical (cases 2-4's csv digests
+# taken once a rounded -0.0 prints as 0.0)
 REPORT_DIGESTS = {
     1: {
         "intervals": "da59e6927ecf3b7c4cc7e765f3eb37770e0963f4e5d4b0c30a43a34f3fee7e85",
@@ -158,21 +160,21 @@ REPORT_DIGESTS = {
         "summary": "b3497e3833a479e4879b3dc5b75f40f42063e07c0a7b1145b98c2ff9d93d75c1",
     },
     2: {
-        "intervals": "d3bc018404a0f569a71a54251e42fda5cebecb6f187d7d39a75c5dd7e791e3fb",
-        "soc_trace": "8f89f45685c77d8d1c50fd08264e76b2daf4c7318ebc25bad0b3861018211bc8",
-        "revenue_traces": "b79a7f0ef916f5b6f8f7c66ed8be3d2dc7b863f0eabab0e228813ad15758c6ef",
+        "intervals": "79577ca0a5a5bd872c9fa20e6e74de99638dc298eaa18e7a168c1581d40f7d14",
+        "soc_trace": "d5f740098415856a74d74819eaad9c0543edaf9863901c9c06a196d084c19a5b",
+        "revenue_traces": "2dacdb65fb5af7ff783afd1d816d6400ecd27d00093ad9189855adcfecf65248",
         "summary": "21097ef5c1ec8eb470eb7f5392e6d8fff8a8b5636d42e4826461caac1050ff7d",
     },
     3: {
-        "intervals": "3822769eb5a55a558ac9c9999eab3f92e417bfd65a10e7f663821da812f961d2",
+        "intervals": "90bcbfba45548e4273050ee954daca29121ab9d3bf43dda8e8904210de94ec0d",
         "soc_trace": "b8c3fa1d206827b690be430176e4186f50fb1fa6f6c6bc92f5e0faecdb7b06e7",
-        "revenue_traces": "2092aefcc12a3d51ee3dd1a581f242918d4ca5d9b9327e3e27b0fa0468dfe673",
+        "revenue_traces": "990c8f7f58d48bb51b6e7fd8c3e77fc3e45c60de681d093561d6713e3dbf678d",
         "summary": "aa89524e8eb80e8d5d9fd3f666650d808abe1a222f0ac7ed9faf527cb56c82aa",
     },
     4: {
-        "intervals": "449787b91fbc962ca4e3e2c3c9ce89469ce221e59e98b0f1a39051a0188b6356",
+        "intervals": "149b67a8f4ba322ea17721ada8f9ed60de5a61088041972c0dfbce70dfa09b72",
         "soc_trace": "78c651afb73eb2d3111a9c0946b92a9acd7403e68510e1a72c6c0a6363225cfd",
-        "revenue_traces": "daeb27df2ebb451f62bd84f64dc5e34b773937bd4dd867e1cba9e84050826fb9",
+        "revenue_traces": "bf85b2cffe612cca43acc09005d02c2ccc0cef5c9db533f7ed54fe7b88cd6171",
         "summary": "5f86327a2557a26d9b6d75771a14be0002bb2c01c510f0b1df9365ed0adce2ab",
     },
 }
@@ -185,6 +187,16 @@ def test_desk_report_files_match_pinned_digests(tmp_path, desk_reports):
         got = {k: hashlib.sha256(Path(files[k]).read_bytes()).hexdigest()
                for k in REPORT_DIGESTS[case]}
         assert got == REPORT_DIGESTS[case], case
+
+
+def test_desk_reports_print_no_negative_zero(tmp_path, desk_reports):
+    # a tiny negative award or SOC rounds to -0.0, which must print as 0.0
+    _, reports = desk_reports
+    for case, (report, _) in reports.items():
+        files = harness.emit_outputs(report, tmp_path / report.label)
+        for k in ("intervals", "soc_trace", "revenue_traces"):
+            text = Path(files[k]).read_text()
+            assert "-0.0" not in re.split(r"[,\n]", text), (case, k)
 
 
 def test_acceptance_4_arbitrage_shape():

@@ -253,17 +253,17 @@ def test_partial_award_against_bid_caps():
 def test_negative_bid_rejected():
     scn = make_scenario([GEN_A], SMALL_BESS, [50.0])
     with pytest.raises(ValueError, match=r"^interval 0: bids must be >= 0"):
-        clearing.clear_batch(LlLayout(scn, 0), clearing.bid_array([BessBids(sell=-1.0)]))
+        clearing.clear_batch(scn, 0, clearing.bid_array([BessBids(sell=-1.0)]))
     # the horizon names the interval once
     with pytest.raises(ClearingError, match=r"^interval 0: bids must be >= 0"):
         clear_horizon(scn, [BessBids(sell=-1.0)])
 
 
 def test_backend_failure_names_interval(monkeypatch):
-    def fail(self, rhs=None):
+    def fail(self, **options):
         raise solver.SolverError("LP backend failure: forced")
 
-    monkeypatch.setattr(solver.LpModel, "solve", fail)
+    monkeypatch.setattr(solver.LpModel, "_run", fail)
     scn = make_scenario([GEN_A], SMALL_BESS, [50.0])
     with pytest.raises(ClearingError, match=r"^interval 0: LP backend failure"):
         clear_horizon(scn)
@@ -504,7 +504,7 @@ def test_batch_clears_equal_one_at_a_time(name):
     batched = []
     for t in intervals:
         grid = harness._interval_grid(scn, 2.5)
-        batch = clearing.clear_batch(LlLayout(scn, t), clearing.bid_array(grid))
+        batch = clearing.clear_batch(scn, t, clearing.bid_array(grid))
         layout = LlLayout(scn, t)
         for i, bids in enumerate(grid):
             got = batch.result(i)
@@ -520,7 +520,7 @@ def test_batch_zero_rows_after_a_nonzero_run_equal_one_at_a_time():
     grid = harness._interval_grid(scn, 2.5)
     bids = [grid[1], ZERO_BIDS, grid[112], grid[-1], ZERO_BIDS]
     for t in range(scn.n_intervals):
-        batch = clearing.clear_batch(LlLayout(scn, t), clearing.bid_array(bids))
+        batch = clearing.clear_batch(scn, t, clearing.bid_array(bids))
         layout = LlLayout(scn, t)
         for i, b in enumerate(bids):
             assert _result_bytes(batch.result(i)) == _result_bytes(clear_one(layout, b)), (t, i)
@@ -553,7 +553,8 @@ def test_batch_raises_for_its_first_failing_row(monkeypatch, name):
     grid = clearing.bid_array(harness._interval_grid(scn, 2.5))[1:]   # no zero bid
     for t in range(scn.n_intervals):
         layout = LlLayout(scn, t)
-        values = getattr(layout.model.solve_batch(layout.rhs_for(grid)), field)
+        values = getattr(solver.LpModel(layout.build_lp()).solve_batch(layout.rhs_for(grid)),
+                         field)
         j = int(np.argmax(values))
         if j > 0 and values[j] > 0:
             break
@@ -562,6 +563,112 @@ def test_batch_raises_for_its_first_failing_row(monkeypatch, name):
     threshold = (values[j] + values[values < values[j]].max(initial=0.0)) / 2
     monkeypatch.setattr(module, tol, threshold / scale)
     with pytest.raises(ClearingError, match=f"^interval {t}: {pattern(values[j])}"):
-        clearing.clear_batch(LlLayout(scn, t), grid)
+        clearing.clear_batch(scn, t, grid)
     # the rows before it clear
-    clearing.clear_batch(LlLayout(scn, t), grid[:j])
+    clearing.clear_batch(scn, t, grid[:j])
+
+
+HORIZON_SYSTEMS = {"desk": harness.desk_scenario, "reference": harness.reference_scenario}
+
+
+def _fixed_desk_bids(n):
+    """One nonzero bid per interval, taken from the desk system's step-2.5 grid."""
+    grid = harness._interval_grid(harness.desk_scenario(), 2.5)
+    return [grid[1 + (7 * t) % (len(grid) - 1)] for t in range(n)]
+
+
+@pytest.mark.parametrize("passive", [True, False], ids=["passive", "desk bids"])
+@pytest.mark.parametrize("system", list(HORIZON_SYSTEMS))
+def test_horizon_batch_equals_one_model_per_interval(system, passive):
+    # one horizon batch moves its two models from interval to interval; each
+    # interval must clear to the bits a model built for it alone gives, in
+    # forward and in reverse interval order
+    scn = HORIZON_SYSTEMS[system]()
+    n = scn.n_intervals
+    bids = [ZERO_BIDS] * n if passive else _fixed_desk_bids(n)
+    horizon = clear_horizon(scn, None if passive else bids)
+    backward = clearing.clear_batch(scn, np.arange(n)[::-1], clearing.bid_array(bids[::-1]))
+    for r in horizon:
+        layout = LlLayout(scn, r.t)
+        assert _result_bytes(r) == _result_bytes(clear_one(layout, bids[r.t])), r.t
+        assert _result_bytes(backward.result(n - 1 - r.t)) == _result_bytes(r), r.t
+        # and the solve itself, against a fresh model of the interval
+        if passive:
+            free, rows = layout.storage_free_lp()
+            fresh = solver.LpModel(free).solve()
+            cols = slice(len(free.c))
+        else:
+            fresh = solver.LpModel(layout.build_lp(bids[r.t])).solve()
+            rows = cols = slice(None)
+        x = layout.vector_from(r.variables)
+        assert (x[cols].tobytes(), r.row_duals[rows].tobytes(), r.lower_duals[cols].tobytes(),
+                r.objective.hex()) == (fresh.x.tobytes(), fresh.row_duals.tobytes(),
+                                       fresh.lower_duals.tobytes(), fresh.objective.hex()), r.t
+
+
+INFEASIBLE_AT_1_AND_3 = make_scenario([GEN_A], SMALL_BESS, [50.0, 500.0, 60.0, 500.0])
+BID = BessBids(sell=1.0, reserve=2.0)
+
+
+@pytest.mark.parametrize("rows, error", [
+    # the bid group's second row fails before the zero group's first failure
+    ([(0, BID), (2, ZERO_BIDS), (3, BID), (1, ZERO_BIDS)], "interval 3: clearing infeasible"),
+    # the zero group's second row fails before the bid group's
+    ([(2, ZERO_BIDS), (1, ZERO_BIDS), (3, BID)], "interval 1: clearing infeasible"),
+    ([(0, BID), (0, ZERO_BIDS), (2, BID), (3, ZERO_BIDS), (1, BID)],
+     "interval 3: clearing infeasible"),
+    # a negative bid raises before any solve, whatever rows fail before it
+    ([(1, ZERO_BIDS), (3, BID), (2, BessBids(buy=-1.0))], "interval 2: bids must be >= 0"),
+])
+def test_mixed_batch_raises_its_first_failing_row(rows, error):
+    # intervals 1 and 3 need more than the fleet gives, with storage or without
+    t = [i for i, _ in rows]
+    bids = clearing.bid_array([b for _, b in rows])
+    with pytest.raises((ClearingError, ValueError), match=f"^{error}"):
+        clearing.clear_batch(INFEASIBLE_AT_1_AND_3, t, bids)
+
+
+def test_mixed_batch_orders_failures_of_either_kind(monkeypatch):
+    # every zero-bid row fails its stationarity check; the first failing row
+    # wins, whether its failure is a status or a check
+    monkeypatch.setattr(clearing, "STATIONARITY_TOL", -1.0)
+    for rows, error in [
+        ([(0, BID), (3, BID), (2, ZERO_BIDS)], "interval 3: clearing infeasible"),
+        ([(0, BID), (2, ZERO_BIDS), (3, BID)],
+         "interval 2: reconstructed storage duals violate stationarity"),
+    ]:
+        with pytest.raises(ClearingError, match=f"^{error}"):
+            clearing.clear_batch(INFEASIBLE_AT_1_AND_3, [i for i, _ in rows],
+                                 clearing.bid_array([b for _, b in rows]))
+
+
+def test_a_batch_builds_at_most_one_model_of_each_kind(monkeypatch):
+    # a horizon or an oracle chunk builds one clearing model and one
+    # storage-free model at most, however many intervals it spans
+    built = []
+    init = solver.LpModel.__init__
+
+    def counting(self, problem):
+        built.append("full" if problem.n_cols % LlLayout.GEN_COLS else "free")
+        init(self, problem)
+
+    monkeypatch.setattr(solver.LpModel, "__init__", counting)
+
+    def models(clear):
+        built.clear()
+        clear()
+        return sorted(built)
+
+    scn = harness.reference_scenario()
+    bids = _fixed_desk_bids(scn.n_intervals)
+    mixed = [ZERO_BIDS if t % 3 == 0 else b for t, b in enumerate(bids)]
+    assert models(lambda: clear_horizon(scn)) == ["free"]
+    assert models(lambda: clear_horizon(scn, bids)) == ["full"]
+    assert models(lambda: clear_horizon(scn, mixed)) == ["free", "full"]
+
+    acceptance = small_instance()
+    grid = clearing.bid_array(harness._interval_grid(acceptance, 0.5))
+    n = len(grid)
+    for start, stop in ((0, 2 * n), (n // 2, n + n // 2), (n + 1, 2 * n)):
+        assert models(lambda: harness._clear_chunk(acceptance, grid, start, stop)) == (
+            ["free", "full"] if start <= n else ["full"]), (start, stop)

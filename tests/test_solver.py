@@ -145,6 +145,66 @@ def test_lp_model_resolves_match_fresh_solves():
     assert statuses == ["optimal", "infeasible", "optimal", "optimal"]
 
 
+def _batch_row_bits(out, i) -> tuple:
+    return tuple(a[i].tobytes() for a in (out.x, out.row_duals, out.lower_duals, out.upper_duals,
+                                          out.objective))
+
+
+def _fresh_bits(problem) -> tuple:
+    out = solver.LpModel(problem).solve_batch(problem.rhs[None])
+    assert out.status == "optimal" and out.failure is None
+    return _batch_row_bits(out, 0)
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_solve_batch_costs_match_fresh_models(maximize):
+    # the degenerate three-generator dispatch at costs that tie, untie and
+    # repeat: every row, costs and right-hand sides moved on one model, must
+    # land on the bits a model built at that row's data finds
+    rows = [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+            [1.0, -1.0, 0.0]]
+    senses = ["=", "<", "<", "<", ">"]
+    lower, upper = [0.0] * 3, [np.inf] * 3
+    sign = -1.0 if maximize else 1.0
+    costs = sign * np.array([[10.0, 10.0, 10.0], [10.0, 10.0, 10.0], [12.0, 10.0, 10.0],
+                             [10.0, 11.0, 10.0], [0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
+    rhs = np.array([[44.0, 25.0, 44.0, 46.0, -14.0], [36.0, 24.0, 42.0, 31.0, -19.0],
+                    [36.0, 24.0, 42.0, 31.0, -19.0], [44.0, 25.0, 44.0, 46.0, -14.0],
+                    [20.0, 25.0, 44.0, 46.0, -14.0], [36.0, 24.0, 42.0, 31.0, -19.0]])
+    model = solver.LpModel(lp(costs[0], rows, senses, rhs[0], lower, upper, maximize))
+    out = model.solve_batch(rhs, costs)
+    assert out.status == "optimal" and out.failure is None and len(out.x) == len(rhs)
+    for i, (c, b) in enumerate(zip(costs, rhs)):
+        assert _batch_row_bits(out, i) == _fresh_bits(
+            lp(c, rows, senses, b, lower, upper, maximize)), i
+
+    # the model keeps the last costs it was given, also for a batch without costs
+    assert model.problem.c.tobytes() == costs[-1].tobytes()
+    again = model.solve_batch(rhs[:1])
+    assert _batch_row_bits(again, 0) == _fresh_bits(
+        lp(costs[-1], rows, senses, rhs[0], lower, upper, maximize))
+
+
+def test_solve_batch_moves_a_signed_zero_cost():
+    # -0.0 == 0.0, but the costs are compared bit for bit, so each sign
+    # reaches the backend and the model keeps it
+    model = solver.LpModel(lp([0.0, 1.0], [[1.0, 1.0]], [">"], [1.0], [0.0, 0.0],
+                              [np.inf, np.inf]))
+    for first in (-0.0, 0.0):
+        model.solve_batch(np.array([[1.0]]), np.array([[first, 1.0]]))
+        backend = np.asarray(model._highs.getLp().col_cost_, dtype=float)
+        assert np.signbit(backend[0]) == np.signbit(first)
+        assert np.signbit(model.problem.c[0]) == np.signbit(first)
+
+
+def test_solve_batch_rejects_misshapen_costs():
+    model = solver.LpModel(lp([1.0, 1.0], [[1.0, 1.0]], [">"], [1.0], [0.0, 0.0],
+                              [np.inf, np.inf]))
+    for c in (np.ones((1, 3)), np.ones((2, 2)), np.array([[np.nan, 1.0]])):
+        with pytest.raises(ValueError, match="finite values per row of rhs"):
+            model.solve_batch(np.array([[1.0]]), c)
+
+
 def test_row_violation_matches_row_loop():
     def loop_residual(p, x):
         ax = p.a.dot(x)
