@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import solver
-from .scenario import Scenario
+from .scenario import Scenario, structure_violations
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +92,7 @@ class LlVariables:
 
 @dataclass(frozen=True)
 class Prices:
-    """Market-clearing prices, $/MWh."""
+    """Market-clearing prices, $/MWh; for several intervals, one array each."""
 
     energy: float
     reserve: float
@@ -120,7 +120,9 @@ class LlLayout:
     right-hand sides and its ``delta_t[t]``; only the storage bid rows'
     right-hand sides depend on the bids. A layout holds no solver state;
     :func:`clear_batch` builds its models. The arrays are built in closed
-    form.
+    form. A scenario with a structure violation (see
+    :func:`~bessbid.scenario.structure_violations`) has no layout: it raises
+    ``ValueError`` naming the violations.
     """
 
     GEN_COLS = 4
@@ -136,6 +138,9 @@ class LlLayout:
     _SYS_ROW_NAMES = ["req:reserve", "req:regcap", "req:mileage", "balance"]
 
     def __init__(self, scn: Scenario):
+        problems = structure_violations(scn)
+        if problems:   # no clearing LP to build
+            raise ValueError("; ".join(problems))
         self.scenario = scn
         gens = scn.generators
         g_n = len(gens)
@@ -265,13 +270,14 @@ class LlLayout:
         rhs[:, sell:sell + 4] = bids
         return rhs
 
-    def build_lp(self, t: int, bids: BessBids = ZERO_BIDS) -> solver.LpProblem:
-        """Interval ``t``'s clearing LP at ``bids``."""
+    def build_lp(self, t: int) -> solver.LpProblem:
+        """Interval ``t``'s clearing LP at zero bids; :meth:`rhs_for` gives
+        its right-hand sides at other bids."""
         return solver.LpProblem(
             c=self.c[t].copy(),
             a=self.a,
             senses=self.senses,
-            rhs=self.rhs_for(t, bid_array([bids]))[0],
+            rhs=self.rhs_base[t].copy(),
             lower=self.lower.copy(),
             upper=self.upper.copy(),
             maximize=False,
@@ -331,11 +337,12 @@ class LlLayout:
         x[self.col_bs:] = (v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm)
         return x
 
-    def prices_from(self, t: int, row_duals: np.ndarray) -> Prices:
-        """Interval ``t``'s prices in its row duals."""
+    def prices_from(self, t, row_duals: np.ndarray) -> Prices:
+        """Interval ``t``'s prices in its row duals; for 2-D duals, interval
+        ``t[i]``'s at row ``i``, each price then holding one value per row."""
         # the four system rows close the layout: reserve, regcap, mileage, balance
-        reserve, regcap, mileage, energy = (
-            row_duals[self.n_rows - self.SYS_ROWS:] / self.delta_t[t]).tolist()
+        p = row_duals[..., self.n_rows - self.SYS_ROWS:] / self.delta_t[t][..., None]
+        reserve, regcap, mileage, energy = p.tolist() if p.ndim == 1 else p.T
         return Prices(energy=energy, reserve=reserve, regcap=regcap, mileage=mileage)
 
 

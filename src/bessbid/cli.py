@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 solver failure or other error (including a
 scenario with no generator, no interval or a bid list without one bid per
 generator), 2 usage error (including a scenario file that does not parse,
 lacks a field or holds a non-number where a number belongs, an ``--out``
-file that cannot be written, and ``agc-check --seeds`` below 1 or
-``--samples`` below 2), 3 infeasible market
-or case, 4 verification failure (including AGC breaches and monotonicity
-violations), 5 solver time limit. Defaults can be set in a YAML config file
-(``--config``); environment variables override the file, flags override both.
+file that cannot be written or report directory that cannot be created,
+and ``agc-check --seeds`` below 1 or ``--samples`` below 2), 3 infeasible
+market or case, 4 verification failure (including AGC breaches and
+monotonicity violations), 5 solver time limit. Defaults can be set in a YAML
+config file (``--config``); environment variables override the file, flags
+override both.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ def _writing(path: str):
         yield
     except OSError as err:
         raise _fail(EXIT_USAGE, f"cannot write {path}: {err.strerror or err}")
+
+
+def _report_dir(path: str) -> None:
+    """Create the report directory ``path``, before any solve: one that
+    cannot be created (say, under a file) is a usage error that costs no solve."""
+    with _writing(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
 
 
 def _exit_code_for(err: Exception) -> int:
@@ -196,6 +204,7 @@ def clear(scenario, case, out):
 def solve(scenario, case, out, terminal_soc_equality, gap, time_limit):
     """Solve one bidding case and write its report files."""
     scn = _load(scenario, case)
+    _report_dir(out)
     try:
         report = harness.run_case(
             scn,
@@ -204,7 +213,8 @@ def solve(scenario, case, out, terminal_soc_equality, gap, time_limit):
         )
     except harness.HarnessError as err:
         raise _fail(_exit_code_for(err), str(err))
-    files = harness.emit_outputs(report, out)
+    with _writing(out):
+        files = harness.emit_outputs(report, out)
     click.echo(f"{report.label}: objective {report.objective!r}, gap {report.mip_gap!r}, "
                f"status {report.status}")
     for key in sorted(files):
@@ -308,6 +318,8 @@ def compare(scenario, cases, out, gap, time_limit):
     if not case_ids or any(c not in (1, 2, 3, 4) for c in case_ids):
         raise click.UsageError("--cases entries must be in 1..4")
     scn = _load(scenario)
+    if out is not None:
+        _report_dir(out)
     settings = harness.SolverSettings(gap_tol=gap, time_limit=time_limit)
     reports = []
     for c in case_ids:
@@ -321,11 +333,11 @@ def compare(scenario, cases, out, gap, time_limit):
     click.echo(text)
     if out is not None:
         base = Path(out)
-        base.mkdir(parents=True, exist_ok=True)
-        for report in reports:
-            harness.emit_outputs(report, base / report.label)
-        with (base / "comparison.txt").open("w", encoding="ascii", newline="\n") as fh:
-            fh.write(text + "\n")
+        with _writing(out):
+            for report in reports:
+                harness.emit_outputs(report, base / report.label)
+            with (base / "comparison.txt").open("w", encoding="ascii", newline="\n") as fh:
+                fh.write(text + "\n")
     if not all(comparison.monotonicity.values()):
         raise _fail(EXIT_VERIFICATION, "participation monotonicity violated")
 

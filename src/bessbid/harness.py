@@ -128,37 +128,21 @@ class BessSchedule:
 
     @classmethod
     def from_solution(cls, scn: Scenario, sol: BilevelSolution) -> "BessSchedule":
+        layout = sol.layout
+        dt = layout.delta_t
+        v = layout.variables_from(sol.x)
+        p = layout.prices_from(np.arange(len(dt)), sol.row_duals)
+        # IntervalRecord's fields from sell_bid on, one row per interval
+        values = np.column_stack((
+            sol.bids, v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm,
+            p.energy, p.reserve, p.regcap, p.mileage, sol.soc,
+            p.energy * (v.p_bs - v.p_bd) * dt, p.reserve * v.p_brs * dt,
+            p.regcap * v.p_brgc * dt, p.mileage * v.p_brgm * dt,
+        ))
         # adding 0.0 turns the -0.0 that a tiny negative rounds to into 0.0
-        rnd = lambda v: round(float(v), REVENUE_DECIMALS) + 0.0
-        records = []
-        for s in sol.intervals:
-            it = scn.intervals[s.t]
-            dt = it.delta_t
-            v = s.variables
-            p = s.prices
-            records.append(IntervalRecord(
-                t=s.t,
-                delta_t=dt,
-                u=s.u,
-                sell_bid=rnd(s.bids.sell),
-                buy_bid=rnd(s.bids.buy),
-                reserve_bid=rnd(s.bids.reserve),
-                regcap_bid=rnd(s.bids.regcap),
-                sell_award=rnd(v.p_bs),
-                buy_award=rnd(v.p_bd),
-                reserve_award=rnd(v.p_brs),
-                regcap_award=rnd(v.p_brgc),
-                mileage_award=rnd(v.p_brgm),
-                price_energy=rnd(p.energy),
-                price_reserve=rnd(p.reserve),
-                price_regcap=rnd(p.regcap),
-                price_mileage=rnd(p.mileage),
-                soc=rnd(s.soc),
-                revenue_energy=rnd(p.energy * (v.p_bs - v.p_bd) * dt),
-                revenue_reserve=rnd(p.reserve * v.p_brs * dt),
-                revenue_regcap=rnd(p.regcap * v.p_brgc * dt),
-                revenue_mileage=rnd(p.mileage * v.p_brgm * dt),
-            ))
+        records = [IntervalRecord(t, d, u, *(round(x, REVENUE_DECIMALS) + 0.0 for x in row))
+                   for t, (d, u, row) in enumerate(zip(dt.tolist(), sol.u.tolist(),
+                                                       values.tolist()))]
         return cls(records=records, soc_init=scn.bess.soc_init)
 
     def totals(self) -> dict[str, float]:

@@ -173,12 +173,12 @@ class Residuals:
 
     The static data are the CSR matrix with the row of each stored entry,
     the sense masks and the finite bounds. The right-hand sides are passed
-    to each call, so a model that moves them keeps one core: :class:`LpModel`
-    holds one per model, and :func:`feasibility_residual` and
-    :func:`kkt_residuals` build one per call. Each block is a max absolute
-    violation for a minimization, 0 when it holds; ``ax`` is the row activity
-    ``A x`` from :meth:`activity`. :meth:`primal` and :meth:`cs` also take
-    one point per row of 2-D arrays and return one residual per row.
+    to each call, so one core serves every LP that shares the matrix, senses
+    and bounds: :class:`LpModel` holds one per model, and the bidding
+    verifier checks every interval of a scenario on one. Each block is a max
+    absolute violation for a minimization, 0 when it holds; ``ax`` is the
+    row activity ``A x`` from :meth:`activity`. Every block also takes one
+    point per row of 2-D arrays and returns one residual per row.
     """
 
     def __init__(self, problem: LpProblem):
@@ -221,12 +221,13 @@ class Residuals:
         c = self.problem.c if c is None else c
         return _max0(np.abs(c - a_ty.reshape(y.shape[:-1] + (n,)) - nu_lo - nu_up))
 
-    def dual_sign(self, y: np.ndarray, nu_lo: np.ndarray, nu_up: np.ndarray) -> float:
+    def dual_sign(self, y: np.ndarray, nu_lo: np.ndarray,
+                  nu_up: np.ndarray) -> np.floating | np.ndarray:
         """Max sign violation of the duals."""
         # a '<' row's dual must be <= 0 and a '>' row's >= 0, so its sign
         # violation is the row violation of the dual against zero
-        rows = _max0(_violation(self.le, self.ge, y, 0.0)[self.ineq])
-        return float(max(rows, float(_max0(-nu_lo)), float(_max0(nu_up))))
+        rows = _max0(_violation(self.le, self.ge, y, 0.0)[..., self.ineq])
+        return np.maximum(np.maximum(rows, _max0(-nu_lo)), _max0(nu_up))
 
     def cs(self, x: np.ndarray, ax: np.ndarray, rhs: np.ndarray, y: np.ndarray,
            nu_lo: np.ndarray, nu_up: np.ndarray) -> np.floating | np.ndarray:
@@ -239,12 +240,6 @@ class Residuals:
             up = self.fin_up
             cs = np.maximum(cs, _max0(np.abs(nu_up[..., up] * (self.upper_fin - x[..., up]))))
         return cs
-
-
-def feasibility_residual(problem: LpProblem, x: np.ndarray) -> float:
-    """Max violation of rows and bounds at x (0 when feasible)."""
-    core = Residuals(problem)
-    return float(core.primal(x, core.activity(x), problem.rhs))
 
 
 # HiGHS model statuses as SolveOutcome statuses, for LPs and MILPs alike; any
@@ -602,39 +597,12 @@ def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
     gap = float(info.mip_gap) if model.is_mip else None
     if status == OPTIMAL and gap is not None and gap > 1e-9:
         status = GAP_LIMIT
+    core = model.residuals
     return SolveOutcome(
         status=status, objective=float(-fun if problem.maximize else fun), x=x, mip_gap=gap,
         node_count=max(1, int(info.mip_node_count)), wall_time=wall,
-        feasibility_residual=feasibility_residual(problem, x),
+        feasibility_residual=float(core.primal(x, core.activity(x), core.problem.rhs)),
     )
-
-
-def kkt_residuals(
-    problem: LpProblem,
-    x: np.ndarray,
-    row_duals: np.ndarray,
-    lower_duals: np.ndarray | None = None,
-    upper_duals: np.ndarray | None = None,
-) -> dict[str, float]:
-    """First-order optimality residuals of (x, duals) for a minimization LP.
-
-    Returns max absolute violations per block: ``stationarity`` for
-    c - A'y - nu, ``primal`` for row/bound feasibility, ``dual_sign`` for
-    dual feasibility, and ``cs`` for complementary slackness products.
-    """
-    if problem.maximize:
-        raise ValueError("kkt_residuals expects a minimization problem")
-    n = problem.n_cols
-    nu_lo = np.zeros(n) if lower_duals is None else lower_duals
-    nu_up = np.zeros(n) if upper_duals is None else upper_duals
-    core = Residuals(problem)
-    ax = core.activity(x)
-    return {
-        "stationarity": float(core.stationarity(row_duals, nu_lo, nu_up)),
-        "primal": float(core.primal(x, ax, problem.rhs)),
-        "dual_sign": core.dual_sign(row_duals, nu_lo, nu_up),
-        "cs": float(core.cs(x, ax, problem.rhs, row_duals, nu_lo, nu_up)),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared scenario builders and clears for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
 from bessbid import clearing
@@ -21,6 +23,12 @@ def clear_one(layout, t, bids=clearing.ZERO_BIDS):
     """The clear of interval ``t`` of ``layout``'s scenario at one
     :class:`clearing.BessBids`: a one-row :func:`clearing.clear_batch`."""
     return clearing.clear_batch(layout, t, clearing.bid_array([bids])).result(0)
+
+
+def lp_at(layout, t, bids):
+    """Interval ``t``'s clearing LP of ``layout`` at one :class:`clearing.BessBids`."""
+    return dataclasses.replace(layout.build_lp(t),
+                               rhs=layout.rhs_for(t, clearing.bid_array([bids]))[0])
 
 
 def build_scenario(gens, bess, loads, delta_t=0.25, reserve_frac=0.0,

@@ -189,6 +189,38 @@ def test_desk_report_files_match_pinned_digests(tmp_path, desk_reports):
         assert got == REPORT_DIGESTS[case], case
 
 
+# each desk case's verification at gap 0.01: its degenerate intervals, the
+# bits of both revenues, and the bits of the largest residual of each
+# first-order block; taken while each interval was checked on its own LP
+DESK_VERIFICATION = {
+    1: ([10, 11, 12, 13, 14, 20, 21], "0x1.0e6bfcd56eae3p+10", "0x1.0e6bfcd56eae1p+10",
+        {"stationarity": "0x1.d000000000000p-42", "primal": "0x1.0000000000000p-45",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.4000000000000p-42"}),
+    2: ([8, 9, 10, 11, 12, 14, 20, 21], "0x1.368dc4dd5e1b3p+10", "0x1.368dc4dd5e1edp+10",
+        {"stationarity": "0x1.c700000000000p-39", "primal": "0x1.0000000000000p-45",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.1f89f40a2877ep-42"}),
+    3: (list(range(24)), "0x1.62dbb4db7c621p+10", "0x1.62dbb4db7c551p+10",
+        {"stationarity": "0x1.fc00000000000p-42", "primal": "0x1.0000000000000p-45",
+         "dual_sign": "0x1.6832a95a48ec9p-47", "cs": "0x1.0a69410c39cc7p-44"}),
+    4: (list(range(24)), "0x1.820c5c3214fa5p+10", "0x1.820c5c3214e95p+10",
+        {"stationarity": "0x1.bdc0000000000p-39", "primal": "0x1.9bc0000000000p-37",
+         "dual_sign": "0x1.5555555555555p-55", "cs": "0x1.21eb6d3664402p-44"}),
+}
+
+
+def test_desk_verification_reports_are_pinned(desk_reports):
+    _, reports = desk_reports
+    for case, (report, _) in reports.items():
+        degenerate, revenue_milp, revenue_from_duals, residuals = DESK_VERIFICATION[case]
+        v = report.verification
+        assert (v.passed, v.mismatches) == (True, []), case
+        assert v.notes == [f"degenerate clearing optima at intervals {degenerate}: "
+                           "awards/prices differ, objectives match within 1e-6"], case
+        assert (v.revenue_milp.hex(), v.revenue_from_duals.hex()) == \
+            (revenue_milp, revenue_from_duals), case
+        assert {k: r.hex() for k, r in v.max_residuals.items()} == residuals, case
+
+
 def test_desk_reports_print_no_negative_zero(tmp_path, desk_reports):
     # a tiny negative award or SOC rounds to -0.0, which must print as 0.0
     _, reports = desk_reports

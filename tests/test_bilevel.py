@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from bessbid import bilevel, harness, solver
-from bessbid.clearing import ZERO_BIDS, BessBids, LlLayout
+from bessbid.clearing import ZERO_BIDS, BessBids, LlLayout, bid_array
 from bessbid.scenario import (
     DEFAULT_GENERATOR_TABLE,
     BessParams,
@@ -56,12 +56,15 @@ def test_kkt_residuals_on_cleared_interval():
     lay = LlLayout(scn)
     bids = BessBids(0.0, 3.0, 1.0, 1.0)
     res = clear_one(lay, 0, bids)
-    resid = solver.kkt_residuals(lay.build_lp(0, bids), lay.vector_from(res.variables),
-                                 res.row_duals, res.lower_duals)
-    assert resid["stationarity"] <= 1e-8
-    assert resid["primal"] <= 1e-8
-    assert resid["dual_sign"] <= 1e-12
-    assert resid["cs"] <= 1e-8
+    core = solver.Residuals(lay.build_lp(0))
+    rhs = lay.rhs_for(0, bid_array([bids]))[0]
+    x = lay.vector_from(res.variables)
+    ax = core.activity(x)
+    no_upper = np.zeros(lay.n_cols)
+    assert core.stationarity(res.row_duals, res.lower_duals, no_upper) <= 1e-8
+    assert core.primal(x, ax, rhs) <= 1e-8
+    assert core.dual_sign(res.row_duals, res.lower_duals, no_upper) <= 1e-12
+    assert core.cs(x, ax, rhs, res.row_duals, res.lower_duals, no_upper) <= 1e-8
 
 
 def test_stationarity_identity_for_storage_sell_column():
@@ -87,7 +90,7 @@ def test_dual_cap_formula():
     # every pair's dual row caps its dual at the interval's dual cap
     bl = bilevel.assemble_milp(scn)
     a = bl.milp.a.tocsr()
-    for p in bl.blocks[0].switched:
+    for p in bl.block.switched:
         row = bl.milp.row_names.index(
             f"t0:cs_d:{'' if p.kind == 'row' else 'lb:'}{p.name}")
         coefs = dict(zip(a.indices[a.indptr[row]:a.indptr[row + 1]].tolist(),
@@ -300,10 +303,11 @@ def test_soc_recursion_arithmetic_through_milp():
                          mask=MarketMask(True, False, False), beta=EAGER_BUYER)
     bl, out, sol = solve_and_extract(scn)
     soc = 0.0
-    for s in sol.intervals:
-        soc += (s.variables.p_bd - s.variables.p_bs) * 0.25
-        assert s.soc == pytest.approx(soc, abs=1e-9)
-        assert s.variables.p_bs * s.variables.p_bd == pytest.approx(0.0, abs=1e-9)
+    v = sol.layout.variables_from(sol.x)
+    for t in range(scn.n_intervals):
+        soc += (v.p_bd[t] - v.p_bs[t]) * 0.25
+        assert sol.soc[t] == pytest.approx(soc, abs=1e-9)
+        assert v.p_bs[t] * v.p_bd[t] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_arbitrage_solution_verifies():
@@ -319,11 +323,11 @@ def test_arbitrage_solution_verifies():
     assert rep.max_residuals["cs"] <= 1e-7
     assert rep.revenue_from_duals == pytest.approx(rep.revenue_milp, rel=1e-5)
     # revenue decomposes into the linearized per-interval values
-    per_interval = sum(
-        bilevel.direct_revenue_value(b.kkt.layout, s.variables, s.row_duals)
-        for b, s in zip(bl.blocks, sol.intervals)
-    )
-    assert per_interval == pytest.approx(out.objective, rel=1e-6)
+    layout = bl.block.kkt.layout
+    per_interval = bilevel.direct_revenue_value(layout, layout.variables_from(sol.x),
+                                                sol.row_duals)
+    assert per_interval.shape == (scn.n_intervals,)
+    assert per_interval.sum() == pytest.approx(out.objective, rel=1e-6)
 
 
 def test_participation_monotonicity_small():
@@ -349,11 +353,12 @@ def test_verify_flags_corrupted_award():
                          delta_t=1.0, price_factors=[0.5, 1.0],
                          mask=MarketMask(True, False, False), beta=EAGER_BUYER)
     bl, out, sol = solve_and_extract(scn)
-    sol.intervals[1].variables.p_gs[0] += 5.0
+    sol.x[1, sol.layout.col_gen(0, 0)] += 5.0
     rep = bilevel.verify_bilevel_solution(bl, sol)
     assert not rep.passed
     # the corrupted dispatch breaks the power balance row
     assert any("balance" in m for m in rep.mismatches), rep.mismatches
+    assert rep.mismatches == ["t1:balance", "t1:lower_level_optimality"]
 
 
 def test_verify_flags_truncated_dual():
@@ -362,9 +367,44 @@ def test_verify_flags_truncated_dual():
                          delta_t=1.0, mask=MarketMask(True, False, False))
     bl, out, sol = solve_and_extract(scn)
     assert out.objective > 0.0
-    sol.intervals[0].row_duals[bl.blocks[0].kkt.layout.row_balance] = 0.0
+    sol.row_duals[0, bl.block.kkt.layout.row_balance] = 0.0
     rep = bilevel.verify_bilevel_solution(bl, sol)
     assert not rep.passed
+    assert rep.mismatches == ["t0:stationarity", "objective_linearization"]
+
+
+def test_verify_flags_every_check_a_corruption_breaks():
+    # a sell bid above the rate at t0, an SOC off its recursion at t1 and a
+    # sign-flipped reserve-requirement dual at t1: each check that fails is
+    # listed, check group by check group, each group interval by interval;
+    # the list and the revenue and residual bits were taken while each
+    # interval was checked on its own
+    gen = GeneratorParams("g1", 10.0, 100.0, 20.0, 10.0)
+    scn = build_scenario([gen], BessParams(40.0, 20.0), [40.0, 80.0],
+                         delta_t=1.0, reserve_frac=0.1, regcap_frac=0.04,
+                         ancillary_ratio=1.0, price_factors=[0.5, 1.0], beta=EAGER_BUYER)
+    bl, out, sol = solve_and_extract(scn)
+    layout = sol.layout
+    assert sol.u.tolist() == [0, 1]
+    assert sol.row_duals[1, layout.row_reserve_req] == 1.5
+    sol.bids[0, 0] = scn.bess.power_rate + 1.0
+    sol.soc[1] += 1.0
+    sol.row_duals[1, layout.row_reserve_req] *= -1.0
+    rep = bilevel.verify_bilevel_solution(bl, sol)
+    assert not rep.passed
+    assert rep.mismatches == [
+        "t0:bid_rate_caps", "t0:sell_mode", "t1:soc_recursion",
+        "t0:complementarity", "t1:stationarity", "t1:dual_sign",
+        "t0:lower_level_optimality",
+    ]
+    # the flipped dual moves t1's reserve price away from the re-clear's
+    assert rep.notes == ["degenerate clearing optima at intervals [1]: awards/prices differ, "
+                         "objectives match within 1e-6"]
+    assert (rep.revenue_milp.hex(), rep.revenue_from_duals.hex()) == \
+        ("0x1.ac1b4e81b4e83p+6", "0x1.ac1b4e81b4e81p+6")
+    assert {k: v.hex() for k, v in rep.max_residuals.items()} == {
+        "stationarity": "0x1.8000000000000p+1", "primal": "0x1.b000000000000p-47",
+        "dual_sign": "0x1.8000000000000p+0", "cs": "0x1.a400000000000p+6"}
 
 
 def test_degenerate_tie_passes_with_note():
@@ -385,7 +425,7 @@ def test_terminal_soc_equality_option():
                          mask=MarketMask(True, False, False), beta=EAGER_BUYER)
     _, out_free, sol_free = solve_and_extract(scn)
     _, out_pin, sol_pin = solve_and_extract(scn, terminal_soc_equality=True)
-    assert sol_pin.intervals[-1].soc == pytest.approx(10.0, abs=1e-7)
+    assert sol_pin.soc[-1] == pytest.approx(10.0, abs=1e-7)
     assert out_pin.objective <= out_free.objective + 1e-7
 
 
@@ -636,26 +676,27 @@ def interval_block_alone(kkt, mask):
         ),
         lower=lower, upper=upper, c=c, integrality=integrality, col_names=col_names,
     )
-    return bilevel.IntervalBlock(ul0=0, x0=x0, w0=w0, z0=z0, switched=switched, slots=slots,
-                         kkt=kkt), part
+    return bilevel.IntervalBlock(x0=x0, w0=w0, z0=z0, width=z0 + n_z, switched=switched,
+                                 slots=slots, kkt=kkt), part
 
 
 def per_interval_milp(scn, terminal_soc_equality):
-    """The bidding MILP and its blocks, one interval's layout, KKT system and
-    block after another."""
-    blocks, parts = [], []
+    """The bidding MILP, its blocks and the column each block starts at, one
+    interval's layout, KKT system and block after another."""
+    blocks, starts, parts = [], [], []
     n_rows = n_cols = 0
     for t in range(scn.n_intervals):
         kkt = interval_kkt(IntervalLayout(scn, t))
         block, part = interval_block_alone(kkt, scn.market_mask)
-        blocks.append(replace(block, ul0=n_cols, x0=block.x0 + n_cols,
-                              w0=block.w0 + n_cols, z0=block.z0 + n_cols))
+        blocks.append(block)
+        starts.append(n_cols)
         part.rows += n_rows
         part.cols += n_cols
         parts.append(part)
         n_rows += len(part.rhs)
         n_cols += len(part.c)
-    ul = bilevel._ul_rows(scn, blocks, terminal_soc_equality)
+    # every block has the first one's width; the test checks the starts
+    ul = bilevel._ul_rows(scn, blocks[0], terminal_soc_equality)
     ul.rows += n_rows
     parts.append(ul)
     n_rows += len(ul.rhs)
@@ -676,7 +717,7 @@ def per_interval_milp(scn, terminal_soc_equality):
         col_names=[nm for p in parts for nm in p.col_names],
         integrality=np.concatenate([p.integrality for p in parts]),
     )
-    return milp, blocks
+    return milp, blocks, starts
 
 
 # the layout systems, and one whose dual cap differs by interval: the
@@ -696,7 +737,7 @@ ASSEMBLY_SYSTEMS = {
 def test_assembly_equals_per_interval_builder(system, case, terminal):
     scn = ASSEMBLY_SYSTEMS[system]().with_mask(MarketMask.from_case(case))
     got = bilevel.assemble_milp(scn, terminal_soc_equality=terminal)
-    want, want_blocks = per_interval_milp(scn, terminal)
+    want, want_blocks, want_starts = per_interval_milp(scn, terminal)
     for field in ("indptr", "indices", "data"):
         assert _same_array(getattr(got.milp.a, field), getattr(want.a, field)), field
     assert got.milp.a.shape == want.a.shape
@@ -705,14 +746,16 @@ def test_assembly_equals_per_interval_builder(system, case, terminal):
     assert got.milp.maximize and want.maximize
     assert (got.milp.row_names, got.milp.col_names) == (want.row_names, want.col_names)
 
-    kkt = got.blocks[0].kkt
+    b = got.block
+    kkt = b.kkt
     if system == "varying bids":
         assert len(set(kkt.m_dual.tolist())) == scn.n_intervals
-    assert len(got.blocks) == len(want_blocks) == scn.n_intervals
-    for t, (b, w) in enumerate(zip(got.blocks, want_blocks)):
-        assert (b.ul0, b.x0, b.w0, b.z0) == (w.ul0, w.x0, w.w0, w.z0), t
+    # interval t's block starts at column t * width, and the blocks fill the columns
+    assert want_starts == [t * b.width for t in range(scn.n_intervals)]
+    assert got.milp.n_cols == scn.n_intervals * b.width
+    for t, w in enumerate(want_blocks):
+        assert (b.x0, b.w0, b.z0, b.width) == (w.x0, w.w0, w.z0, w.width), t
         assert _same_array(b.slots, w.slots), t
-        assert b.kkt is kkt
         # the same pairs switched, each with the big-Ms of its interval
         assert [(p.kind, p.index, p.name) for p in b.switched] == \
             [(p.kind, p.index, p.name) for p in w.switched], t

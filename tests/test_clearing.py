@@ -25,7 +25,7 @@ from bessbid.scenario import (
     IntervalData,
     Scenario,
 )
-from conftest import clear_one
+from conftest import clear_one, lp_at
 from test_acceptance import drop_storage, small_instance
 
 
@@ -54,7 +54,7 @@ def test_lp_dimensions_five_generators():
     scn = make_scenario(DEFAULT_GENERATOR_TABLE, BessParams(400.0, 40.0), [500.0],
                         reserve=50.0, regcap=20.0, mileage=35.0)
     layout = LlLayout(scn)
-    lp = layout.build_lp(0, BessBids(1, 1, 1, 1))
+    lp = lp_at(layout, 0, BessBids(1, 1, 1, 1))
     # 4 schedule variables per generator plus 5 storage variables
     assert lp.n_cols == 4 * 5 + 5
     # 6 rows per generator, 6 storage rows, 4 system rows
@@ -62,12 +62,27 @@ def test_lp_dimensions_five_generators():
     assert layout.row_names[-1] == "balance"
 
 
+def test_layout_names_a_short_bid_list():
+    # a bid list without one bid per generator leaves no clearing LP: the
+    # layout, and a clear through it, name the violation
+    scn = harness.desk_scenario()
+    first = scn.intervals[0]
+    short = dataclasses.replace(scn, intervals=(
+        dataclasses.replace(first, gen_energy_bids=first.gen_energy_bids[:1]),)
+        + scn.intervals[1:])
+    want = re.escape("interval 0: energy bid count 1 != 3 generators") + "$"
+    with pytest.raises(ValueError, match="^" + want):
+        LlLayout(short)
+    with pytest.raises(ClearingError, match="^" + want):
+        clear_horizon(short)
+
+
 def test_zero_bids_pin_storage_awards():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0])
     lay = LlLayout(scn)
     # solve the full LP directly: award caps at zero force all storage
     # variables to zero, including mileage through its floor/cap pair
-    out = solver.solve_lp(lay.build_lp(0, ZERO_BIDS))
+    out = solver.solve_lp(lp_at(lay, 0, ZERO_BIDS))
     assert out.status == "optimal"
     x = out.x
     for col in (lay.col_bs, lay.col_bd, lay.col_brs, lay.col_brgc, lay.col_brgm):
@@ -197,7 +212,7 @@ def test_horizon_matches_joint_lp():
     split_total = sum(r.objective for r in results)
 
     # the same three intervals stacked into one block-diagonal LP
-    lps = [LlLayout(scn).build_lp(t, bids[t]) for t in range(3)]
+    lps = [lp_at(LlLayout(scn), t, bids[t]) for t in range(3)]
     joint = solver.LpProblem(
         c=np.concatenate([p.c for p in lps]),
         a=sp.block_diag([p.a for p in lps], format="csr"),
@@ -458,7 +473,7 @@ CONTRACT_BIDS = BessBids(sell=3.0, buy=0.0, reserve=2.0, regcap=1.0)
 def test_lp_contract_checks_run_on_every_solve(monkeypatch, name):
     # a tolerance below zero fails any solve, so each check must raise
     monkeypatch.setattr(solver, name, -1.0)
-    lp = LlLayout(CONTRACT_SCN).build_lp(0, CONTRACT_BIDS)
+    lp = lp_at(LlLayout(CONTRACT_SCN), 0, CONTRACT_BIDS)
     with pytest.raises(solver.SolverError, match="numeric contracts"):
         solver.solve_lp(lp)
     for bids in (CONTRACT_BIDS, ZERO_BIDS):
@@ -603,7 +618,7 @@ def test_horizon_batch_equals_one_model_per_interval(system, passive):
             fresh = solver.LpModel(free).solve()
             cols = slice(len(free.c))
         else:
-            fresh = solver.LpModel(layout.build_lp(r.t, bids[r.t])).solve()
+            fresh = solver.LpModel(lp_at(layout, r.t, bids[r.t])).solve()
             rows = cols = slice(None)
         x = layout.vector_from(r.variables)
         assert (x[cols].tobytes(), r.row_duals[rows].tobytes(), r.lower_duals[cols].tobytes(),

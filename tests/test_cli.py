@@ -351,6 +351,29 @@ def test_out_in_missing_directory_is_one_error_line(tmp_path, args):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--scenario", "desk.scn", "--case", "1"],
+    ["compare", "--scenario", "desk.scn", "--cases", "1"],
+], ids=lambda args: args[0])
+def test_out_under_a_file_is_one_error_line_before_any_solve(tmp_path, monkeypatch, args):
+    # a report directory that cannot be created (its parent is a file) is a
+    # usage error found before the solve: one line that names the path,
+    # nothing on stdout and no traceback
+    def fail(*a, **k):
+        raise AssertionError("solved despite an --out that cannot be created")
+
+    monkeypatch.setattr(harness, "run_case", fail)
+    desk = tmp_path / "desk.scn"
+    save_scenario(harness.desk_scenario(), str(desk))
+    out = desk / "sub"
+    args = [str(desk) if a == "desk.scn" else a for a in args]
+    res = runner().invoke(cli, args + ["--out", str(out)])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [f"error: cannot write {out}: Not a directory"]
+    assert res.stdout == "" and "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("flag, value, bound", [("--seeds", "0", "1"), ("--samples", "1", "2")])
 def test_agc_check_range_is_usage_error_before_any_solve(tmp_path, monkeypatch, flag, value,
                                                            bound):

@@ -57,19 +57,23 @@ def test_reused_layout_clears_match_fresh_clears():
 
 
 def test_kkt_stationarity_matches_transpose_product():
-    # kkt_residuals forms A'y without a sparse transpose; on every clear of
-    # acceptance 1's grid it must give the bits the transpose product gave
+    # solver.Residuals forms A'y without a sparse transpose; on every clear
+    # of acceptance 1's grid it must give the bits the transpose product gave
     scn = acceptance_instance()
     layout = clearing.LlLayout(scn)
     for t in range(scn.n_intervals):
+        lp = layout.build_lp(t)
+        core = solver.Residuals(lp)
+        no_upper = np.zeros(lp.n_cols)
         for bids in harness._interval_grid(scn, 2.5):
             r = clear_one(layout, t, bids)
-            lp = layout.build_lp(t, bids)
+            rhs = layout.rhs_for(t, clearing.bid_array([bids]))[0]
             x = layout.vector_from(r.variables)
-            got = solver.kkt_residuals(lp, x, r.row_duals, r.lower_duals)
             stat = lp.c - lp.a.T.dot(r.row_duals) - r.lower_duals - np.zeros(lp.n_cols)
-            assert got["stationarity"] == float(np.max(np.abs(stat), initial=0.0)), (t, bids)
-            assert got["cs"] == r.cs_residual
+            assert core.stationarity(r.row_duals, r.lower_duals, no_upper) == \
+                float(np.max(np.abs(stat), initial=0.0)), (t, bids)
+            assert core.cs(x, core.activity(x), rhs, r.row_duals, r.lower_duals,
+                           no_upper) == r.cs_residual
 
 
 def test_tolerance_negative_bid_snapped_and_verified(capfd):

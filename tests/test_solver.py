@@ -240,9 +240,12 @@ def test_row_violation_matches_row_loop():
                np.zeros(n), np.ones(n))
         x = rng.uniform(-0.5, 1.5, n)
         y = rng.uniform(-1, 1, m)
-        assert solver.feasibility_residual(p, x) == loop_residual(p, x)
-        res = solver.kkt_residuals(p, x, y)
-        assert (res["dual_sign"], res["cs"]) == loop_sign_cs(p, x, y)
+        core = solver.Residuals(p)
+        ax = core.activity(x)
+        no_bound_duals = np.zeros(n)
+        assert core.primal(x, ax, p.rhs) == loop_residual(p, x)
+        assert (core.dual_sign(y, no_bound_duals, no_bound_duals),
+                core.cs(x, ax, p.rhs, y, no_bound_duals, no_bound_duals)) == loop_sign_cs(p, x, y)
 
 
 def test_bound_residuals_match_column_loop():
@@ -266,8 +269,32 @@ def test_bound_residuals_match_column_loop():
                 cs = max(cs, abs(nu_lo[j] * (x[j] - lower[j])))
             if np.isfinite(upper[j]):
                 cs = max(cs, abs(nu_up[j] * (upper[j] - x[j])))
-        res = solver.kkt_residuals(p, x, y, nu_lo, nu_up)
-        assert (res["dual_sign"], res["cs"]) == (sign, cs)
+        core = solver.Residuals(p)
+        assert (core.dual_sign(y, nu_lo, nu_up),
+                core.cs(x, core.activity(x), p.rhs, y, nu_lo, nu_up)) == (sign, cs)
+
+
+def test_dual_sign_rows_equal_one_row_calls():
+    # one call over 2-D duals gives, row by row, the bits of a call per row,
+    # on dual-feasible points with exact zeros: 0.0 on the floors' duals and
+    # -0.0 on the '<' rows' and the caps'
+    rng = np.random.default_rng(13)
+    n, m, k = 40, 40, 40
+    senses = rng.choice(["<", ">"], m)
+    p = lp(rng.uniform(-1, 1, n), rng.uniform(-1, 1, (m, n)), senses, rng.uniform(-1, 1, m),
+           np.zeros(n), np.ones(n))
+    core = solver.Residuals(p)
+
+    def magnitudes(shape):
+        # half of them exact zeros
+        return np.where(rng.random(shape) < 0.5, 0.0, rng.uniform(1e-9, 1.0, shape))
+
+    y = np.where(senses == "<", -magnitudes((k, m)), magnitudes((k, m)) + 1e-9)
+    nu_lo, nu_up = magnitudes((k, n)), -magnitudes((k, n))
+    rows = core.dual_sign(y, nu_lo, nu_up)
+    assert rows.shape == (k,) and (rows == 0.0).all()
+    for i in range(k):
+        assert rows[i].tobytes() == np.float64(core.dual_sign(y[i], nu_lo[i], nu_up[i])).tobytes(), i
 
 
 def test_binding_bounds_close_the_duality_gap():
