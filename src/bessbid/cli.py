@@ -4,12 +4,12 @@ Exit codes: 0 success, 1 solver failure or other error (including a
 scenario with no generator, no interval or a bid list without one bid per
 generator), 2 usage error (including a scenario file that does not parse,
 lacks a field or holds a non-number where a number belongs, an ``--out``
-file that cannot be written or report directory that cannot be created,
-and ``agc-check --seeds`` below 1 or ``--samples`` below 2), 3 infeasible
-market or case, 4 verification failure (including AGC breaches and
-monotonicity violations), 5 solver time limit. Defaults can be set in a YAML
-config file (``--config``); environment variables override the file, flags
-override both.
+file that cannot be written or report directory that cannot be created, an
+``export-mps --name`` that is not printable ASCII, and ``agc-check --seeds``
+below 1 or ``--samples`` below 2), 3 infeasible market or case, 4
+verification failure (including AGC breaches and monotonicity violations), 5
+solver time limit. Defaults can be set in a YAML config file (``--config``);
+environment variables override the file, flags override both.
 """
 
 from __future__ import annotations
@@ -256,6 +256,10 @@ def oracle(scenario, case, step):
 @click.option("--name", default="BESSBID", show_default=True, help="MPS model name.")
 def export_mps(scenario, case, out, name):
     """Export the assembled bidding MILP in MPS format."""
+    try:
+        solver.check_mps_name(name)
+    except ValueError as err:
+        raise _fail(EXIT_USAGE, str(err))
     scn = _load(scenario, case)
     try:
         built = bilevel.assemble_milp(scn)

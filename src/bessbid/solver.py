@@ -22,6 +22,7 @@ import logging
 import os
 import sys
 import time
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -612,11 +613,24 @@ def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
 _SENSE_TO_MPS = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
 _MPS_TO_SENSE = {v: k for k, v in _SENSE_TO_MPS.items()}
 
+# rows per ROWS/RHS block and columns per COLUMNS/BOUNDS block of export_mps:
+# the writer's memory is set by one block, not by the model
+MPS_BLOCK = 2048
+# a generated name is a letter and 7 or 8 digits, so that it and one
+# separating space fit its 10-character field
+_MPS_MAX_NAMED = 10 ** 8 - 1
+
 
 class MpsFormatError(ValueError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def check_mps_name(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` can head an MPS file: printable ASCII."""
+    if not (name.isascii() and name.isprintable()):
+        raise ValueError(f"MPS model name {name!r} is not printable ASCII")
 
 
 def export_mps(problem: LpProblem, path: str, name: str = "BESSBID") -> None:
@@ -627,126 +641,195 @@ def export_mps(problem: LpProblem, path: str, name: str = "BESSBID") -> None:
     float64 (``repr``). When a literal exceeds its 12-character field, the
     line gracefully widens into whitespace-separated (free) format, which the
     bundled parser and modern external readers both accept.
+
+    The file is written one block of :data:`MPS_BLOCK` rows or columns at a
+    time; every check that can fail runs before the file is opened.
     """
     problem.validate()
-    lines = _mps_lines(problem, name)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    check_mps_name(name)
+    if max(problem.n_rows, problem.n_cols) > _MPS_MAX_NAMED:
+        raise ValueError(f"MPS names number at most {_MPS_MAX_NAMED} rows or columns")
+    with open(path, "wb") as fh:
+        for block in _mps_blocks(problem, name):
+            fh.write(block)
     log.info("wrote MPS: %s rows=%d cols=%d", path, problem.n_rows, problem.n_cols)
 
 
-def _mps_lines(problem: LpProblem, name: str) -> list[str]:
-    """The lines of :func:`export_mps`'s file. Each section's lines are
-    formatted from whole arrays of names and values, then put in column
-    order by :func:`_by_column`."""
+def _mps_blocks(problem: LpProblem, name: str):
+    """The bytes of :func:`export_mps`'s file, a section header or a block of
+    lines at a time. A block's lines are built as fixed-width records of
+    bytes, NUL-padded, which :func:`_lines` merges in column order."""
+    n, m = problem.n_cols, problem.n_rows
     integrality = getattr(problem, "integrality", None)
-    is_int = np.zeros(problem.n_cols, dtype=bool) if integrality is None else \
+    is_int = np.zeros(n, dtype=bool) if integrality is None else \
         np.asarray(integrality).astype(bool)
-    cols = np.arange(problem.n_cols)
-    row_names, row_fields = _mps_names("R", problem.n_rows)
-    col_names, col_fields = _mps_names("C", problem.n_cols)
-    heads = "    " + col_fields
+    senses = np.asarray(problem.senses)
+    c, rhs = (np.asarray(v, dtype=float) for v in (problem.c, problem.rhs))
+    lower, upper = (np.asarray(b, dtype=float) for b in (problem.lower, problem.upper))
+    row_fields = np.empty((m, 10), dtype=np.uint8)
+    for rows in _blocks(m):
+        row_fields[rows] = _fields(_names(b"R", rows))
 
-    lines: list[str] = [f"NAME          {name}"]
+    head = f"NAME          {name}\n"
     if problem.maximize:
-        lines.append("OBJSENSE")
-        lines.append("    MAX")
-    lines.append("ROWS")
-    lines.append(" N  OBJ")
-    codes = np.empty(problem.n_rows, dtype=object)
-    for sense, code in _SENSE_TO_MPS.items():
-        codes[problem.senses == sense] = f" {code}  "
-    lines += (codes + row_names).tolist()
+        head += "OBJSENSE\n    MAX\n"
+    yield (head + "ROWS\n N  OBJ\n").encode("ascii")
+    for rows in _blocks(m):
+        codes = np.full((len(rows), 1), ord(" "), dtype=np.uint8)
+        for sense, code in _SENSE_TO_MPS.items():
+            codes[senses[rows] == sense] = ord(code)
+        yield _lines([(rows, _record(b" ", codes, b"  ", _names(b"R", rows)))])
 
-    lines.append("COLUMNS")
+    yield b"COLUMNS\n"
     # an integer run opens with an INTORG marker before its first column and
     # closes with an INTEND marker before the next column, or at the end
     edges = np.flatnonzero(np.diff(is_int, prepend=False, append=False))
-    markers = np.array([f"    M{k:<9}'MARKER'                 '{'INTEND' if k % 2 else 'INTORG'}'"
-                        for k in range(len(edges))], dtype=object)
-    # objective entry always written so every column is declared
-    objective = heads + "OBJ       " + _reprs(problem.c)
     csc = problem.a.tocsc()
-    nonzero = csc.data != 0.0
-    entry_cols = np.repeat(cols, np.diff(csc.indptr))[nonzero]
-    entries = heads[entry_cols] + row_fields[csc.indices[nonzero]] + _reprs(csc.data[nonzero])
-    lines += _by_column([(edges, markers), (cols, objective), (entry_cols, entries)])
+    for cols in _blocks(n):
+        first, stop = np.searchsorted(edges, [cols[0], cols[-1] + 1])
+        if cols[-1] == n - 1:
+            stop = len(edges)
+        markers = [f"    M{k:<9}'MARKER'                 '{'INTEND' if k % 2 else 'INTORG'}'"
+                   for k in range(first, stop)]
+        heads = _record(b"    ", _fields(_names(b"C", cols)))
+        span = slice(csc.indptr[cols[0]], csc.indptr[cols[-1] + 1])
+        data = csc.data[span]
+        nonzero = data != 0.0
+        at = np.repeat(np.arange(len(cols)), np.diff(csc.indptr[cols[0]:cols[-1] + 2]))[nonzero]
+        yield _lines([
+            (edges[first:stop], np.array(markers, dtype="S47").view(np.uint8).reshape(-1, 47)),
+            # objective entry always written so every column is declared
+            (cols, _record(heads, b"OBJ       ", _reprs(c[cols]))),
+            (cols[at], _record(heads[at], row_fields[csc.indices[span][nonzero]],
+                               _reprs(data[nonzero]))),
+        ])
 
-    lines.append("RHS")
-    rhs = np.asarray(problem.rhs, dtype=float)
-    rows = np.flatnonzero(rhs != 0.0)
-    lines += ("    RHS       " + row_fields[rows] + _reprs(rhs[rows])).tolist()
+    yield b"RHS\n"
+    for rows in _blocks(m):
+        rows = rows[rhs[rows] != 0.0]
+        yield _lines([(rows, _record(b"    RHS       ", row_fields[rows], _reprs(rhs[rows])))])
 
-    lines.append("BOUNDS")
-    lower, upper = (np.asarray(b, dtype=float) for b in (problem.lower, problem.upper))
+    yield b"BOUNDS\n"
     free = ~is_int & (lower == -np.inf) & (upper == np.inf)
     fixed = ~is_int & ~free & (lower == upper)
     ranged = ~(is_int | free | fixed)
     # a column's first line, if any, is one of BV, FR, FX, MI and LO; its UP
     # line, if any, follows it
-    keyed = []
-    for kind, mask, values in (
-            ("BV", is_int, None), ("FR", free, None), ("FX", fixed, lower),
-            ("MI", ranged & (lower == -np.inf), None),
-            ("LO", ranged & (lower != -np.inf) & (lower != 0.0), lower),
-            ("UP", ranged & (upper != np.inf), upper)):
-        which = np.flatnonzero(mask)
-        group = f" {kind} BND       " + (col_names[which] if values is None
-                                         else col_fields[which] + _reprs(values[which]))
-        keyed.append((2 * which + (kind == "UP"), group))
-    lines += _by_column(keyed)
-    lines.append("ENDATA")
-    return lines
+    kinds = (("BV", is_int, None), ("FR", free, None), ("FX", fixed, lower),
+             ("MI", ranged & (lower == -np.inf), None),
+             ("LO", ranged & (lower != -np.inf) & (lower != 0.0), lower),
+             ("UP", ranged & (upper != np.inf), upper))
+    for cols in _blocks(n):
+        names = _names(b"C", cols)
+        fields = _fields(names)
+        keyed = []
+        for kind, mask, values in kinds:
+            which = mask[cols]
+            tail = (names[which],) if values is None else \
+                (fields[which], _reprs(values[cols[which]]))
+            keyed.append((2 * cols[which] + (kind == "UP"),
+                          _record(f" {kind} BND       ".encode(), *tail)))
+        yield _lines(keyed)
+    yield b"ENDATA\n"
 
 
-def _mps_names(kind: str, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The names ``<kind>0000001`` to ``<kind><count>`` of a model's rows or
-    columns, and each name padded to its 10-character field, as object arrays."""
-    names = list(map(f"{kind}%07d".__mod__, range(1, count + 1)))
-    return np.array(names, dtype=object), np.array([n.ljust(10) for n in names], dtype=object)
+def _blocks(count: int):
+    """The indices ``0..count-1`` in consecutive blocks of :data:`MPS_BLOCK`."""
+    for start in range(0, count, MPS_BLOCK):
+        yield np.arange(start, min(start + MPS_BLOCK, count))
+
+
+def _names(kind: bytes, index: np.ndarray) -> np.ndarray:
+    """The names ``<kind>0000001``... of the rows or columns ``index``
+    (0-based), as NUL-padded 10-byte records."""
+    number = index + 1
+    digits = np.empty((len(index), 8), dtype=np.uint8)
+    for k in range(8):
+        digits[:, k] = number // 10 ** (7 - k) % 10 + ord("0")
+    out = np.zeros((len(index), 10), dtype=np.uint8)
+    out[:, 0] = kind[0]
+    out[:, 1:8] = digits[:, 1:]
+    wide = number >= 10 ** 7
+    out[wide, 1:9] = digits[wide]
+    return out
+
+
+def _fields(names: np.ndarray) -> np.ndarray:
+    """Each of the :func:`_names` ``names`` padded to its field with spaces."""
+    return np.where(names == 0, np.uint8(ord(" ")), names)
 
 
 def _reprs(values) -> np.ndarray:
-    """``repr`` of each float64 of ``values``, as an object array: the
+    """``repr`` of each float64 of ``values`` as NUL-padded byte records: the
     shortest literal that reads back to the same bits, formatted once per
     distinct bit pattern (so ``-0.0`` keeps its sign)."""
     values = np.ascontiguousarray(values, dtype=float)
     bits, which = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[which]
+    literals = np.array(list(map(repr, bits.view(float).tolist())), dtype="S")
+    return literals[which].view(np.uint8).reshape(len(values), literals.itemsize)
 
 
-def _by_column(keyed: list[tuple[np.ndarray, np.ndarray]]) -> list[str]:
-    """The lines of every ``(keys, lines)`` group merged in key order; lines
-    of equal keys keep the order of their groups, then their order within
-    their group."""
+def _record(*parts) -> np.ndarray:
+    """Records of the ``parts`` side by side; a part is a 2-D ``uint8`` array
+    of one record per line or a ``bytes`` constant repeated on every line."""
+    n = next(len(p) for p in parts if isinstance(p, np.ndarray))
+    return np.hstack([np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p)))
+                      if isinstance(p, bytes) else p for p in parts])
+
+
+def _lines(keyed: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
+    """The lines of every ``(keys, records)`` group merged in key order, each
+    ended by a newline and stripped of its NUL padding; lines of equal keys
+    keep the order of their groups, then their order within their group."""
     keys = np.concatenate([k for k, _ in keyed])
-    lines = np.concatenate([group for _, group in keyed])
-    return lines[np.argsort(keys, kind="stable")].tolist()
+    width = max(records.shape[1] for _, records in keyed)
+    lines = np.zeros((len(keys), width + 1), dtype=np.uint8)
+    lines[:, width] = ord("\n")
+    at = np.empty(len(keys), dtype=np.intp)
+    at[np.argsort(keys, kind="stable")] = np.arange(len(keys))
+    start = 0
+    for _, records in keyed:
+        stop = start + len(records)
+        lines[at[start:stop], :records.shape[1]] = records
+        start = stop
+    return lines[lines != 0].tobytes()
 
 
 def import_mps(path: str) -> MilpProblem:
     """Parse an MPS file written by :func:`export_mps` (free-format tolerant)."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _parse_mps(fh)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return _parse_mps(fh)
+    except UnicodeDecodeError:
+        # the text layer decodes ahead of the parser, so find the line anew
+        with open(path, "rb") as fh:
+            for ln, line in enumerate(fh, start=1):
+                if not line.isascii():
+                    byte = next(b for b in line if b > 127)
+                    raise MpsFormatError(f"non-ASCII byte 0x{byte:02x}", ln) from None
+        raise
+
+
+def _objsense(fields: list[str], ln: int) -> bool:
+    """Whether the OBJSENSE value ``fields`` asks to maximize."""
+    if len(fields) != 1 or fields[0].upper() not in ("MAX", "MIN"):
+        raise MpsFormatError(f"OBJSENSE needs MAX or MIN, got '{' '.join(fields)}'", ln)
+    return fields[0].upper() == "MAX"
 
 
 def _parse_mps(fh) -> MilpProblem:
-    """The body of :func:`import_mps`, reading the open file line by line;
-    the end-of-file errors name the file's last line."""
+    """The body of :func:`import_mps`, reading the open file line by line into
+    typed arrays; the end-of-file errors name the file's last line."""
     section = None
     maximize = False
     obj_row: str | None = None
     row_index: dict[str, int] = {}
     senses: list[str] = []
     col_index: dict[str, int] = {}
-    col_int: list[bool] = []
-    obj_coef: dict[int, float] = {}
-    ent_rows: list[int] = []
-    ent_cols: list[int] = []
-    ent_vals: list[float] = []
-    rhs_by_row: dict[int, float] = {}
-    bound_recs: list[tuple[str, str, float | None, int]] = []
+    rhs = array("d")
+    # per column: integrality, objective and bounds
+    col_int, c, lower, upper = array("b"), array("d"), array("d"), array("d")
+    ent_rows, ent_cols, ent_vals = array("q"), array("q"), array("d")
     in_int = False
     saw_endata = False
     expect_objsense_value = False
@@ -755,6 +838,10 @@ def _parse_mps(fh) -> MilpProblem:
     for ln, line in enumerate(fh, start=1):
         fields = line.split()
         if not fields or fields[0][0] == "*":
+            continue
+        if expect_objsense_value:
+            maximize = _objsense(fields, ln)
+            expect_objsense_value = False
             continue
         if not line[0].isspace():
             head = fields[0].upper()
@@ -766,10 +853,9 @@ def _parse_mps(fh) -> MilpProblem:
                 continue
             if head == "OBJSENSE":
                 section = "OBJSENSE"
-                expect_objsense_value = True
+                expect_objsense_value = len(fields) == 1
                 if len(fields) > 1:
-                    maximize = fields[1].upper() == "MAX"
-                    expect_objsense_value = False
+                    maximize = _objsense(fields[1:], ln)
                 continue
             if head == "RANGES":
                 raise MpsFormatError("RANGES section is not supported", ln)
@@ -797,6 +883,9 @@ def _parse_mps(fh) -> MilpProblem:
             if j is None:
                 j = col_index[cname] = len(col_int)
                 col_int.append(in_int)
+                c.append(0.0)
+                lower.append(0.0)
+                upper.append(np.inf)
             for k in range(1, n_fields, 2):
                 rname, sval = fields[k], fields[k + 1]
                 try:
@@ -804,7 +893,7 @@ def _parse_mps(fh) -> MilpProblem:
                 except ValueError:
                     raise MpsFormatError(f"bad numeral '{sval}'", ln) from None
                 if rname == obj_row:
-                    obj_coef[j] = val
+                    c[j] = val
                     continue
                 i = row_index.get(rname)
                 if i is None:
@@ -812,10 +901,6 @@ def _parse_mps(fh) -> MilpProblem:
                 ent_rows.append(i)
                 ent_cols.append(j)
                 ent_vals.append(val)
-            continue
-        if section == "OBJSENSE" and expect_objsense_value:
-            maximize = fields[0].upper() == "MAX"
-            expect_objsense_value = False
             continue
         if section == "ROWS":
             if len(fields) != 2:
@@ -831,6 +916,7 @@ def _parse_mps(fh) -> MilpProblem:
                 raise MpsFormatError(f"duplicate row '{rname}'", ln)
             row_index[rname] = len(senses)
             senses.append(_MPS_TO_SENSE[sense])
+            rhs.append(0.0)
             continue
         if section == "RHS":
             if len(fields) not in (3, 5):
@@ -840,7 +926,7 @@ def _parse_mps(fh) -> MilpProblem:
                 if i is None:
                     raise MpsFormatError(f"unknown row '{rname}' in RHS", ln)
                 try:
-                    rhs_by_row[i] = float(sval)
+                    rhs[i] = float(sval)
                 except ValueError:
                     raise MpsFormatError(f"bad numeral '{sval}'", ln) from None
             continue
@@ -849,16 +935,33 @@ def _parse_mps(fh) -> MilpProblem:
             if btype in ("BV", "FR", "MI", "PL"):
                 if len(fields) != 3:
                     raise MpsFormatError(f"{btype} bound needs [type, set, column]", ln)
-                bound_recs.append((btype, fields[2], None, ln))
             elif btype in ("UP", "LO", "FX"):
                 if len(fields) != 4:
                     raise MpsFormatError(f"{btype} bound needs [type, set, column, value]", ln)
                 try:
-                    bound_recs.append((btype, fields[2], float(fields[3]), ln))
+                    val = float(fields[3])
                 except ValueError:
                     raise MpsFormatError(f"bad numeral '{fields[3]}'", ln) from None
             else:
                 raise MpsFormatError(f"unknown bound type '{fields[0]}'", ln)
+            j = col_index.get(fields[2])
+            if j is None:
+                raise MpsFormatError(f"unknown column '{fields[2]}' in BOUNDS", ln)
+            if btype == "BV":
+                lower[j], upper[j] = 0.0, 1.0
+                col_int[j] = 1
+            elif btype == "FR":
+                lower[j], upper[j] = -np.inf, np.inf
+            elif btype == "MI":
+                lower[j] = -np.inf
+            elif btype == "PL":
+                upper[j] = np.inf
+            elif btype == "UP":
+                upper[j] = val
+            elif btype == "LO":
+                lower[j] = val
+            else:
+                lower[j] = upper[j] = val
             continue
         raise MpsFormatError("data line outside any section", ln)
 
@@ -869,42 +972,11 @@ def _parse_mps(fh) -> MilpProblem:
         raise MpsFormatError("no objective (N) row declared", ln + sum(1 for _ in fh))
 
     n, m = len(col_int), len(senses)
-    c = np.zeros(n)
-    for j, v in obj_coef.items():
-        c[j] = v
-    if ent_vals:
-        a = sp.coo_matrix((ent_vals, (ent_rows, ent_cols)), shape=(m, n)).tocsr()
-    else:
-        a = sp.csr_matrix((m, n))
-    rhs = np.zeros(m)
-    for i, v in rhs_by_row.items():
-        rhs[i] = v
-
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    integrality = np.array(col_int, dtype=np.int8)
-    for btype, cname, val, ln in bound_recs:
-        j = col_index.get(cname)
-        if j is None:
-            raise MpsFormatError(f"unknown column '{cname}' in BOUNDS", ln)
-        if btype == "BV":
-            lower[j], upper[j] = 0.0, 1.0
-            integrality[j] = 1
-        elif btype == "FR":
-            lower[j], upper[j] = -np.inf, np.inf
-        elif btype == "MI":
-            lower[j] = -np.inf
-        elif btype == "PL":
-            upper[j] = np.inf
-        elif btype == "UP":
-            upper[j] = val
-        elif btype == "LO":
-            lower[j] = val
-        elif btype == "FX":
-            lower[j] = upper[j] = val
-
+    a = sp.coo_matrix((np.frombuffer(ent_vals), (np.frombuffer(ent_rows, np.int64),
+                                                 np.frombuffer(ent_cols, np.int64))),
+                      shape=(m, n)).tocsr()
     return MilpProblem(
-        c=c, a=a, senses=np.array(senses), rhs=rhs, lower=lower, upper=upper,
-        maximize=maximize, row_names=list(row_index), col_names=list(col_index),
-        integrality=integrality,
+        c=np.array(c), a=a, senses=np.array(senses), rhs=np.array(rhs), lower=np.array(lower),
+        upper=np.array(upper), maximize=maximize, row_names=list(row_index),
+        col_names=list(col_index), integrality=np.array(col_int, dtype=np.int8),
     )

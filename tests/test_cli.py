@@ -331,6 +331,19 @@ def test_export_mps_invalid_market_is_one_error_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["café", "two\nlines"])
+def test_export_mps_bad_name_is_one_error_line_and_no_file(tmp_path, name):
+    scn = synth_tiny(runner(), tmp_path / "s.scn")
+    out = tmp_path / "model.mps"
+    res = runner().invoke(cli, ["export-mps", "--scenario", str(scn), "--out", str(out),
+                                "--name", name])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        f"error: MPS model name {name!r} is not printable ASCII"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["synth", "--desk"],
     ["clear", "--scenario", "desk.scn"],

@@ -1,6 +1,7 @@
 """LP/MILP solving and MPS round-trip behavior."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from bessbid.solver import (
     solve_lp,
     solve_milp,
 )
-from bessbid.scenario import MarketMask
+from bessbid.scenario import BessPriceBids, MarketMask, default_patterns, synthesize_scenario
 from test_acceptance import small_instance
 from test_harness import acceptance_instance
 
@@ -583,6 +584,179 @@ def test_mps_writes_every_bound_type(tmp_path):
     np.testing.assert_array_equal(q.a.toarray(), p.a.toarray())
 
 
+# The whole-array writer that export_mps replaced: every line of the file as
+# one Python string, each section formatted from whole arrays, then put in
+# column order. It is the reference that the block writer's bytes must equal.
+def reference_mps(problem, name="BESSBID") -> bytes:
+    integrality = getattr(problem, "integrality", None)
+    is_int = np.zeros(problem.n_cols, dtype=bool) if integrality is None else \
+        np.asarray(integrality).astype(bool)
+    cols = np.arange(problem.n_cols)
+    row_names, row_fields = _reference_names("R", problem.n_rows)
+    col_names, col_fields = _reference_names("C", problem.n_cols)
+    heads = "    " + col_fields
+
+    lines = [f"NAME          {name}"]
+    if problem.maximize:
+        lines.append("OBJSENSE")
+        lines.append("    MAX")
+    lines.append("ROWS")
+    lines.append(" N  OBJ")
+    codes = np.empty(problem.n_rows, dtype=object)
+    for sense, code in (("<", "L"), (">", "G"), ("=", "E")):
+        codes[problem.senses == sense] = f" {code}  "
+    lines += (codes + row_names).tolist()
+
+    lines.append("COLUMNS")
+    edges = np.flatnonzero(np.diff(is_int, prepend=False, append=False))
+    markers = np.array([f"    M{k:<9}'MARKER'                 '{'INTEND' if k % 2 else 'INTORG'}'"
+                        for k in range(len(edges))], dtype=object)
+    objective = heads + "OBJ       " + _reference_reprs(problem.c)
+    csc = problem.a.tocsc()
+    nonzero = csc.data != 0.0
+    entry_cols = np.repeat(cols, np.diff(csc.indptr))[nonzero]
+    entries = (heads[entry_cols] + row_fields[csc.indices[nonzero]]
+               + _reference_reprs(csc.data[nonzero]))
+    lines += _reference_by_column([(edges, markers), (cols, objective), (entry_cols, entries)])
+
+    lines.append("RHS")
+    rhs = np.asarray(problem.rhs, dtype=float)
+    rows = np.flatnonzero(rhs != 0.0)
+    lines += ("    RHS       " + row_fields[rows] + _reference_reprs(rhs[rows])).tolist()
+
+    lines.append("BOUNDS")
+    lower, upper = (np.asarray(b, dtype=float) for b in (problem.lower, problem.upper))
+    free = ~is_int & (lower == -np.inf) & (upper == np.inf)
+    fixed = ~is_int & ~free & (lower == upper)
+    ranged = ~(is_int | free | fixed)
+    keyed = []
+    for kind, mask, values in (
+            ("BV", is_int, None), ("FR", free, None), ("FX", fixed, lower),
+            ("MI", ranged & (lower == -np.inf), None),
+            ("LO", ranged & (lower != -np.inf) & (lower != 0.0), lower),
+            ("UP", ranged & (upper != np.inf), upper)):
+        which = np.flatnonzero(mask)
+        group = f" {kind} BND       " + (col_names[which] if values is None
+                                         else col_fields[which] + _reference_reprs(values[which]))
+        keyed.append((2 * which + (kind == "UP"), group))
+    lines += _reference_by_column(keyed)
+    lines.append("ENDATA")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _reference_names(kind, count):
+    names = list(map(f"{kind}%07d".__mod__, range(1, count + 1)))
+    return np.array(names, dtype=object), np.array([n.ljust(10) for n in names], dtype=object)
+
+
+def _reference_reprs(values):
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[which]
+
+
+def _reference_by_column(keyed):
+    keys = np.concatenate([k for k, _ in keyed])
+    lines = np.concatenate([group for _, group in keyed])
+    return lines[np.argsort(keys, kind="stable")].tolist()
+
+
+# -0.0 and 0.0 entries are stored but not written; the rest includes
+# literals wider than their 12-character field
+LITERALS = np.array([1.0, -1.0, 2.5, -0.0, 0.0, 0.1 + 0.2, 1e-17, 1e22, -123456.789012345])
+
+
+def random_milp(rng, m, n, maximize, integer_cols=(), empty_rhs=False, default_bounds=False):
+    """A MILP of ``m`` rows and ``n`` columns drawn from :data:`LITERALS`, with
+    every bound type unless ``default_bounds``; the ``integer_cols`` are
+    binaries, and so is any other column at random."""
+    entries = rng.random((m, n)) < 0.4
+    rows, cols = np.nonzero(entries)
+    a = sp.coo_matrix((rng.choice(LITERALS, len(rows)), (rows, cols)), shape=(m, n)).tocsr()
+    is_int = np.zeros(n, dtype=bool) if default_bounds else rng.random(n) < 0.3
+    is_int[list(integer_cols)] = True
+    lower, upper = np.zeros(n), np.full(n, np.inf)
+    if not default_bounds:
+        kind = rng.integers(0, 7, n)
+        value = rng.choice(LITERALS[:-2], n)
+        lower[kind == 1] = -np.inf                       # FR
+        lower[kind == 2] = upper[kind == 2] = value[kind == 2]   # FX
+        lower[kind == 3], upper[kind == 3] = -np.inf, 4.0        # MI, UP
+        lower[kind == 4] = -2.5                         # LO
+        lower[kind == 5], upper[kind == 5] = -1.0, 1e22          # LO, UP
+        upper[kind == 6] = 0.1 + 0.2                    # UP
+    lower[is_int], upper[is_int] = 0.0, 1.0
+    return MilpProblem(
+        c=rng.choice(LITERALS, n), a=a, senses=rng.choice(["<", ">", "="], m),
+        rhs=np.zeros(m) if empty_rhs else rng.choice(LITERALS, m) * (rng.random(m) < 0.7),
+        lower=lower, upper=upper, maximize=maximize, integrality=is_int.astype(np.int8))
+
+
+BLOCK = 4
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("m", [0, 1, BLOCK, 2 * BLOCK + 1])
+def test_block_writer_matches_reference_writer(tmp_path, monkeypatch, m, n):
+    monkeypatch.setattr(solver, "MPS_BLOCK", BLOCK)
+    rng = np.random.default_rng(1000 * m + n)
+    problems = [
+        random_milp(rng, m, n, maximize=True),
+        random_milp(rng, m, n, maximize=False),
+        # an integer run across the first block edge, and a last column
+        # that is integer
+        random_milp(rng, m, n, maximize=False,
+                    integer_cols=[j for j in (BLOCK - 1, BLOCK) if j < n] + [n - 1]),
+        # no RHS and no BOUNDS lines
+        random_milp(rng, m, n, maximize=True, empty_rhs=True, default_bounds=True),
+    ]
+    path = tmp_path / "w.mps"
+    for k, p in enumerate(problems):
+        export_mps(p, str(path), name=f"P{k}")
+        assert path.read_bytes() == reference_mps(p, name=f"P{k}"), k
+
+
+def test_generated_names_widen_past_seven_digits():
+    index = np.array([0, 9999998, 9999999, 99999998])
+    names = [bytes(name).rstrip(b"\0") for name in solver._names(b"C", index)]
+    assert names == [f"C{k + 1:07d}".encode() for k in index]
+
+
+def test_export_checks_run_before_the_file_is_opened(tmp_path, monkeypatch):
+    p = milp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], ["<"], [2.0], [0, 0, 0], [1, 1, 1], [1, 0, 1])
+    path = tmp_path / "x.mps"
+    with pytest.raises(ValueError, match="MPS model name 'café' is not printable ASCII"):
+        export_mps(p, str(path), name="café")
+    monkeypatch.setattr(solver, "_MPS_MAX_NAMED", 2)
+    with pytest.raises(ValueError, match="MPS names number at most 2 rows or columns"):
+        export_mps(p, str(path))
+    assert not path.exists()
+
+
+def _reference_style_milp(intervals):
+    """The reference system's case-4 MILP over ``intervals`` quarter hours,
+    its daily patterns repeated."""
+    price, load = default_patterns()
+    scn = synthesize_scenario((np.tile(price, intervals // 96), np.tile(load, intervals // 96)),
+                              market_mask=MarketMask.from_case(4),
+                              bess_price_bids=BessPriceBids(buy=100.0))
+    return bilevel.assemble_milp(scn).milp
+
+
+def test_export_heap_peak_does_not_grow_with_the_model(tmp_path):
+    peaks = []
+    for intervals in (96, 192):
+        p = _reference_style_milp(intervals)
+        tracemalloc.start()
+        try:
+            export_mps(p, str(tmp_path / f"r{intervals}.mps"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the writer holds a column-major copy of the matrix besides one block
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 SMALL_MPS = [
     "NAME          SMALL",
     "ROWS",
@@ -603,7 +777,7 @@ SMALL_MPS = [
 
 def write_mps(tmp_path, lines):
     path = tmp_path / "m.mps"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -640,6 +814,9 @@ def test_mps_reader_skips_comments_and_reads_two_pair_lines(tmp_path):
     (13, " UP BND       C9        5.0", "unknown column 'C9' in BOUNDS"),
     (12, "RANGES", "RANGES section is not supported"),
     (2, "    C1        OBJ       1.0", "data line outside any section"),
+    # found while the text layer decodes ahead of the parser
+    (9, "    C2        R2        3.0 é", "non-ASCII byte 0xc3"),
+    (14, "ENDATA é", "non-ASCII byte 0xc3"),
 ])
 def test_mps_format_errors_name_line(tmp_path, line_no, text, message):
     lines = list(SMALL_MPS)
@@ -648,6 +825,34 @@ def test_mps_format_errors_name_line(tmp_path, line_no, text, message):
         import_mps(write_mps(tmp_path, lines))
     assert err.value.line_no == line_no
     assert str(err.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("objsense, maximize", [
+    (["OBJSENSE", "    MAX"], True),
+    (["OBJSENSE", "    min"], False),
+    (["OBJSENSE", "MAX"], True),
+    (["OBJSENSE    max"], True),
+    (["OBJSENSE MIN"], False),
+])
+def test_mps_reader_reads_objsense(tmp_path, objsense, maximize):
+    q = import_mps(write_mps(tmp_path, SMALL_MPS[:1] + objsense + SMALL_MPS[1:]))
+    assert q.maximize is maximize
+
+
+@pytest.mark.parametrize("objsense, line_no, got", [
+    (["OBJSENSE", "    MAXIMIZE"], 3, "MAXIMIZE"),
+    (["OBJSENSE", "    MXA"], 3, "MXA"),
+    (["OBJSENSE", "    MAX MIN"], 3, "MAX MIN"),
+    (["OBJSENSE MAXIMIZE"], 2, "MAXIMIZE"),
+    (["OBJSENSE MAX extra"], 2, "MAX extra"),
+    # a section header where the value belongs
+    (["OBJSENSE"], 3, "ROWS"),
+])
+def test_mps_reader_rejects_unknown_objsense(tmp_path, objsense, line_no, got):
+    with pytest.raises(MpsFormatError) as err:
+        import_mps(write_mps(tmp_path, SMALL_MPS[:1] + objsense + SMALL_MPS[1:]))
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: OBJSENSE needs MAX or MIN, got '{got}'"
 
 
 NO_OBJECTIVE_MPS = [
