@@ -46,35 +46,6 @@ class UnboundedMarketError(ClearingError):
     """Malformed bids let cost decrease without bound."""
 
 
-@dataclass(frozen=True)
-class BessBids:
-    """Quantity bids of the storage unit for one interval, MW."""
-
-    sell: float = 0.0
-    buy: float = 0.0
-    reserve: float = 0.0
-    regcap: float = 0.0
-
-
-ZERO_BIDS = BessBids()
-
-
-def bid_array(bids) -> np.ndarray:
-    """A ``(k, 4)`` array of the sell, buy, reserve and regcap quantities of
-    each :class:`BessBids` in ``bids``."""
-    return np.array([(b.sell, b.buy, b.reserve, b.regcap) for b in bids],
-                    dtype=float).reshape(-1, 4)
-
-
-def _check_bids(t: np.ndarray, bids: np.ndarray) -> None:
-    """Raise for the first row of a bid array that holds a negative bid,
-    naming its interval, ``t`` of that row."""
-    negative = (bids < 0).any(axis=1)
-    if negative.any():
-        i = int(np.argmax(negative))
-        raise ValueError(f"interval {t[i]}: bids must be >= 0, got {BessBids(*bids[i].tolist())}")
-
-
 @dataclass
 class LlVariables:
     """Cleared schedule for one interval, MW."""
@@ -264,7 +235,7 @@ class LlLayout:
     # ------------------------------------------------------------------
     def rhs_for(self, t, bids: np.ndarray) -> np.ndarray:
         """The right-hand sides of interval ``t[i]`` at row ``i`` of a
-        :func:`bid_array`, one row each; a single ``t`` serves every row."""
+        ``(k, 4)`` bid array, one row each; a single ``t`` serves every row."""
         rhs = self.rhs_base[np.broadcast_to(t, (len(bids),))]
         sell = self.bid_rows["sell"]   # the bid rows: sell, buy, reserve, regcap
         rhs[:, sell:sell + 4] = bids
@@ -329,14 +300,6 @@ class LlLayout:
         return LlVariables(p_gs=p_gs, p_grs=p_grs, p_grgc=p_grgc, p_grgm=p_grgm,
                            p_bs=p_bs, p_bd=p_bd, p_brs=p_brs, p_brgc=p_brgc, p_brgm=p_brgm)
 
-    def vector_from(self, v: LlVariables) -> np.ndarray:
-        """Column vector of a schedule; the inverse of :meth:`variables_from`."""
-        x = np.zeros(self.n_cols)
-        for k, values in enumerate((v.p_gs, v.p_grs, v.p_grgc, v.p_grgm)):
-            x[k:self.GEN_COLS * self.n_gens:self.GEN_COLS] = values
-        x[self.col_bs:] = (v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm)
-        return x
-
     def prices_from(self, t, row_duals: np.ndarray) -> Prices:
         """Interval ``t``'s prices in its row duals; for 2-D duals, interval
         ``t[i]``'s at row ``i``, each price then holding one value per row."""
@@ -347,45 +310,20 @@ class LlLayout:
 
 
 @dataclass
-class ClearingResult:
-    t: int
-    variables: LlVariables
-    prices: Prices
-    objective: float             # $, interval-length scaled
-    row_duals: np.ndarray        # layout row order, carry the delta_t scaling
-    lower_duals: np.ndarray
-    duality_gap_rel: float
-    cs_residual: float
-    layout: LlLayout
-
-
-@dataclass
 class ClearingBatch:
     """Clears of a scenario's intervals, one row per row of
-    :func:`clear_batch`: the fields of :class:`ClearingResult`, stacked."""
+    :func:`clear_batch`; :meth:`LlLayout.variables_from` and
+    :meth:`LlLayout.prices_from` read a row's schedule and prices, or every
+    row's at once."""
 
     t: np.ndarray                # (k,) the interval of each row
     layout: LlLayout
     x: np.ndarray                # (k, columns)
-    row_duals: np.ndarray        # (k, rows), layout row order
+    row_duals: np.ndarray        # (k, rows), layout row order, carry the delta_t scaling
     lower_duals: np.ndarray      # (k, columns)
-    objective: np.ndarray
+    objective: np.ndarray        # (k,) $, interval-length scaled
     duality_gap_rel: np.ndarray
     cs_residual: np.ndarray
-
-    def result(self, i: int) -> ClearingResult:
-        t = int(self.t[i])
-        return ClearingResult(
-            t=t,
-            variables=self.layout.variables_from(self.x[i]),
-            prices=self.layout.prices_from(t, self.row_duals[i]),
-            objective=float(self.objective[i]),
-            row_duals=self.row_duals[i],
-            lower_duals=self.lower_duals[i],
-            duality_gap_rel=float(self.duality_gap_rel[i]),
-            cs_residual=float(self.cs_residual[i]),
-            layout=self.layout,
-        )
 
 
 # the fields a group of rows fills, in the order its clear returns them
@@ -432,12 +370,44 @@ def _first_failure(t: np.ndarray, out: solver.BatchOutcome, cs_residual: np.ndar
     return None
 
 
+def _check_rows(layout: LlLayout, t, bids: np.ndarray) -> np.ndarray:
+    """``t`` as one interval per row of ``bids``, once both are checked:
+    ``bids`` is a ``(k, 4)`` array of nonnegative bids with ``k >= 1``, and
+    ``t`` holds one interval of ``layout``'s scenario, or ``k`` of them, as
+    integers. Raises ``ValueError`` naming the first problem; a negative bid
+    is named by its row and that row's interval."""
+    if bids.ndim != 2 or bids.shape[1] != 4:
+        raise ValueError("bids must be a (k, 4) array of sell, buy, reserve and regcap "
+                         f"quantities, got shape {bids.shape}")
+    k = len(bids)
+    if not k:
+        raise ValueError("a clear needs at least one row of bids")
+    t = np.asarray(t)
+    if t.ndim > 1 or t.size not in (1, k):
+        raise ValueError(f"t must hold one interval or one per row of bids ({k}), "
+                         f"got shape {t.shape}")
+    if not np.issubdtype(t.dtype, np.integer):
+        raise ValueError(f"t must hold integer intervals, got dtype {t.dtype}")
+    n = layout.scenario.n_intervals
+    outside = (t < 0) | (t >= n)
+    if outside.any():
+        raise ValueError(f"t must lie in [0, {n}), got {t[outside].flat[0]}")
+    t = np.broadcast_to(t.astype(np.intp), (k,))
+    negative = (bids < 0).any(axis=1)
+    if negative.any():
+        i = int(np.argmax(negative))
+        sell, buy, reserve, regcap = bids[i].tolist()
+        raise ValueError(f"interval {t[i]}: bids must be >= 0, got sell {sell} buy {buy} "
+                         f"reserve {reserve} regcap {regcap} in row {i}")
+    return t
+
+
 def clear_batch(layout: LlLayout, t, bids: np.ndarray) -> ClearingBatch:
     """Clear interval ``t[i]`` of ``layout``'s scenario at row ``i`` of
-    ``bids``, a :func:`bid_array`, for every row, and extract schedule,
-    prices and dual bookkeeping; the one way to clear. ``t`` holds one
-    interval per row, or one interval for all of them; the batch needs at
-    least one row.
+    ``bids``, a ``(k, 4)`` array of sell, buy, reserve and regcap quantities
+    in MW, for every row, and extract schedule, prices and dual
+    bookkeeping; the one way to clear. ``t`` holds one integer interval per
+    row, or one for all of them; the batch needs at least one row.
 
     The nonzero-bid rows solve in one :meth:`solver.LpModel.solve_batch`
     on one clearing model, each row moving the model to its interval's
@@ -447,14 +417,12 @@ def clear_batch(layout: LlLayout, t, bids: np.ndarray) -> ClearingBatch:
     prices (zero-bid neutrality) and their duals still satisfy the full
     first-order system. The stationarity and clearing contracts are checked
     over each group at once. The error raised is the first failing row's,
-    in row order across both groups, and names that row's interval; a
-    negative bid raises ``ValueError`` before any solve.
+    in row order across both groups, and names that row's interval. Bids or
+    intervals that :func:`_check_rows` refuses, a negative bid among them,
+    raise ``ValueError`` before any solve.
     """
     bids = np.asarray(bids, dtype=float)
-    if not len(bids):
-        raise ValueError("a clear needs at least one row of bids")
-    t = np.broadcast_to(np.asarray(t, dtype=np.intp), (len(bids),))
-    _check_bids(t, bids)
+    t = _check_rows(layout, t, bids)
     c = layout.c[t]
     rhs = layout.rhs_for(t, bids)
 
@@ -536,22 +504,3 @@ def _clear_zero_rows(layout: LlLayout, t: np.ndarray, c: np.ndarray, rhs: np.nda
     values = (x, row_duals, lower_duals, out.objective, out.duality_gap_rel, cs)
     return values, _first_failure(t, out, cs, stationarity)
 
-
-def clear_horizon(scn: Scenario, bids: list[BessBids] | None = None) -> list[ClearingResult]:
-    """Clear every interval independently (no cross-interval coupling), in
-    one :func:`clear_batch`.
-
-    ``bids=None`` clears every interval at :data:`ZERO_BIDS`, which gives
-    the storage-free prices; otherwise one :class:`BessBids` per interval is
-    required.
-    """
-    n = scn.n_intervals
-    if bids is None:
-        bids = [ZERO_BIDS] * n
-    if len(bids) != n:
-        raise ValueError(f"need {n} bid quadruples, got {len(bids)}")
-    try:
-        batch = clear_batch(LlLayout(scn), np.arange(n), bid_array(bids))
-    except ValueError as exc:  # a negative bid; the message names the interval
-        raise ClearingError(str(exc)) from exc
-    return [batch.result(t) for t in range(n)]

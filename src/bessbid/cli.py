@@ -1,12 +1,13 @@
 """Command-line entry point for the bidding toolkit.
 
 Exit codes: 0 success, 1 solver failure or other error (including a
-scenario with no generator, no interval or a bid list without one bid per
-generator), 2 usage error (including a scenario file that does not parse,
-lacks a field or holds a non-number where a number belongs, an ``--out``
-file that cannot be written or report directory that cannot be created, an
-``export-mps --name`` that is not printable ASCII, and ``agc-check --seeds``
-below 1 or ``--samples`` below 2), 3 infeasible market or case, 4
+scenario with no generator, no interval, a bid list without one bid per
+generator or an interval length that is not positive), 2 usage error
+(including a scenario file that does not parse, lacks a field or holds a
+non-number where a number belongs, an ``--out`` file that cannot be written
+or report directory that cannot be created, an ``export-mps --name`` that
+is not printable ASCII, and ``agc-check --seeds`` below 1 or ``--samples``
+below 2), 3 infeasible market or case, 4
 verification failure (including AGC breaches and monotonicity violations), 5
 solver time limit. Defaults can be set in a YAML config file (``--config``);
 environment variables override the file, flags override both.
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import yaml
 
 from . import agc, bilevel, clearing, harness, solver
@@ -175,16 +177,18 @@ def synth(out, peak, intervals, desk, case, buy_price):
 def clear(scenario, case, out):
     """Clear the joint market with a passive (zero-bid) storage unit."""
     scn = _load(scenario, case)
+    n = scn.n_intervals
+    layout = clearing.LlLayout(scn)   # _load has refused a scenario without one
     try:
-        results = clearing.clear_horizon(scn)
-    except clearing.ClearingError as err:
+        batch = clearing.clear_batch(layout, np.arange(n), np.zeros((n, 4)))
+    except (clearing.ClearingError, ValueError) as err:   # a ValueError names a non-finite value
         raise _fail(_exit_code_for(err), str(err))
-    header = "t,price_energy,price_reserve,price_regcap,price_mileage,clearing_cost"
-    lines = [header]
-    for res in results:
-        p = res.prices
-        lines.append(f"{res.t},{p.energy!r},{p.reserve!r},{p.regcap!r},"
-                     f"{p.mileage!r},{res.objective!r}")
+    p = layout.prices_from(batch.t, batch.row_duals)
+    table = np.column_stack((p.energy, p.reserve, p.regcap, p.mileage, batch.objective))
+    lines = ["t,price_energy,price_reserve,price_regcap,price_mileage,clearing_cost"]
+    # tolist gives Python floats, whose repr is the shortest round-trip literal
+    for t, row in enumerate(table.tolist()):
+        lines.append(",".join([str(t)] + [repr(v) for v in row]))
     text = "\n".join(lines)
     if out is not None:
         with _writing(out):
@@ -242,9 +246,8 @@ def oracle(scenario, case, step):
         raise _fail(_exit_code_for(err), str(err))
     click.echo(f"oracle revenue {res.revenue!r} "
                f"(step {res.grid_step}, {res.evaluated} evaluated, {res.feasible} feasible)")
-    for t, bids in enumerate(res.bids):
-        click.echo(f"  t{t}: sell {bids.sell} buy {bids.buy} "
-                   f"reserve {bids.reserve} regcap {bids.regcap}")
+    for t, (sell, buy, reserve, regcap) in enumerate(res.bids.tolist()):
+        click.echo(f"  t{t}: sell {sell} buy {buy} reserve {reserve} regcap {regcap}")
 
 
 @cli.command("export-mps")

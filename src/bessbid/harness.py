@@ -22,7 +22,6 @@ import yaml
 
 from . import agc, bilevel, clearing, solver
 from .bilevel import BilevelMilp, BilevelSolution, VerificationReport
-from .clearing import BessBids
 from .scenario import (
     DEFAULT_GENERATOR_TABLE,
     BessParams,
@@ -248,13 +247,15 @@ def replay_agc(report: CaseReport, bess: BessParams, seeds: range | list[int] = 
 @dataclass
 class OracleResult:
     revenue: float
-    bids: list[BessBids]
+    bids: np.ndarray        # (intervals, 4): sell, buy, reserve, regcap per interval
     evaluated: int
     feasible: int
     grid_step: float
 
 
-def _interval_grid(scn: Scenario, step: float) -> list[BessBids]:
+def _interval_grid(scn: Scenario, step: float) -> np.ndarray:
+    """Every (sell, buy, reserve, regcap) bid of one interval's grid, one row
+    each, as a ``(k, 4)`` array in grid order."""
     rate = scn.bess.power_rate
     mask = scn.market_mask
     # half-open grid, then the rate endpoint; arange never emits the stop
@@ -267,14 +268,14 @@ def _interval_grid(scn: Scenario, step: float) -> list[BessBids]:
             continue  # one side of the energy market per interval
         for rs in (values if mask.reserve else zero):
             for rg in (values if mask.regulation else zero):
-                combos.append(BessBids(sell=s, buy=d, reserve=rs, regcap=rg))
-    return combos
+                combos.append((s, d, rs, rg))
+    return np.array(combos, dtype=float)
 
 
 def _clear_chunk(scn: Scenario, bids: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Clear pairs ``start`` to ``stop - 1`` of the flat grid, where pair
     ``k`` is interval ``k // len(bids)`` at row ``k % len(bids)`` of the
-    grid's :func:`clearing.bid_array`.
+    grid ``bids``.
 
     One row per pair: the storage revenue, then the sell, buy, reserve and
     regulation-capacity awards. The chunk's pairs clear in one batch, on
@@ -288,7 +289,7 @@ def _clear_chunk(scn: Scenario, bids: np.ndarray, start: int, stop: int) -> np.n
                             v.p_bs, v.p_bd, v.p_brs, v.p_brgc))
 
 
-def _clear_grid(scn: Scenario, combos: list[BessBids]) -> np.ndarray:
+def _clear_grid(scn: Scenario, bids: np.ndarray) -> np.ndarray:
     """:func:`_clear_chunk` over every interval's grid, in grid order.
 
     The pairs are split into one contiguous chunk per CPU the process may
@@ -296,7 +297,6 @@ def _clear_grid(scn: Scenario, combos: list[BessBids]) -> np.ndarray:
     in this process. The clears are independent and each starts cold, so
     the rows do not depend on the number of workers.
     """
-    bids = clearing.bid_array(combos)
     total = scn.n_intervals * len(bids)
     workers = min(len(os.sched_getaffinity(0)), total)
     if workers <= 1:
@@ -324,18 +324,18 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
     if bid_grid_step <= 0:
         raise ValueError("bid_grid_step must be > 0")
     bess = scn.bess
-    combos = _interval_grid(scn, bid_grid_step)
-    total = len(combos) ** scn.n_intervals
+    grid = _interval_grid(scn, bid_grid_step)
+    total = len(grid) ** scn.n_intervals
     if total > ORACLE_MAX_EVALUATIONS:
         raise OracleSizeError(
             f"{total} grid evaluations exceed the {ORACLE_MAX_EVALUATIONS} cap; "
             "enlarge the step or shrink the instance"
         )
 
-    awards = _clear_grid(scn, combos)
+    awards = _clear_grid(scn, grid)
 
     def interval_arrays(t: int):
-        a = awards[t * len(combos):(t + 1) * len(combos)]
+        a = awards[t * len(grid):(t + 1) * len(grid)]
         dt = scn.intervals[t].delta_t
         rev, p_bs, p_bd, p_brs, p_brgc = a.T
         net = p_bd - p_bs - p_brs
@@ -350,16 +350,16 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
            & (soc1 <= bess.soc_max - ceil0 + 1e-9))
 
     if scn.n_intervals == 1:
-        evaluated = len(combos)
+        evaluated = len(grid)
         if not ok0.any():
             raise HarnessError("no feasible grid point; the zero bid should always be feasible")
         best = int(np.argmax(np.where(ok0, rev0, -np.inf)))
-        return OracleResult(revenue=float(rev0[best]), bids=[combos[best]],
+        return OracleResult(revenue=float(rev0[best]), bids=grid[[best]],
                             evaluated=evaluated, feasible=int(ok0.sum()),
                             grid_step=bid_grid_step)
 
     rev1, de1, hold1, ceil1, env1 = interval_arrays(1)
-    evaluated = len(combos) ** 2
+    evaluated = len(grid) ** 2
     # only an interval-0 point feasible on its own and an interval-1 point
     # inside its power envelope can pair; both keep grid order, so the
     # first best pair is the one the full grid gives
@@ -374,7 +374,7 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
     i, j = rows[best_row], cols[best_col]
     return OracleResult(
         revenue=float(totals[best_row, best_col]),
-        bids=[combos[i], combos[j]],
+        bids=grid[[i, j]],
         evaluated=evaluated,
         feasible=int(ok.sum()),
         grid_step=bid_grid_step,

@@ -248,7 +248,8 @@ def synthesize_scenario(
 
 def structure_violations(scn: Scenario) -> list[str]:
     """The violations that leave no clearing LP to build: no generator, no
-    interval, or an interval without one bid per generator in a bid list."""
+    interval, or an interval without one bid per generator in a bid list or
+    with a ``delta_t`` that is not positive, by which prices are divided."""
     v: list[str] = []
     if not scn.generators:
         v.append("scenario: needs at least one generator")
@@ -256,6 +257,8 @@ def structure_violations(scn: Scenario) -> list[str]:
         v.append("scenario: needs at least one interval")
     n_gen = scn.n_generators
     for it in scn.intervals:
+        if it.delta_t <= 0:
+            v.append(f"interval {it.index}: delta_t must be > 0")
         for name, bids in (("energy", it.gen_energy_bids), ("reserve", it.gen_reserve_bids),
                            ("regcap", it.gen_regcap_bids), ("mileage", it.gen_mileage_bids)):
             if len(bids) != n_gen:
@@ -291,8 +294,6 @@ def validate_scenario(scn: Scenario) -> list[str]:
         tag = f"interval {it.index}"
         if it.load <= 0:
             v.append(f"{tag}: load must be > 0")
-        if it.delta_t <= 0:
-            v.append(f"{tag}: delta_t must be > 0")
         if min(it.reserve_req, it.regcap_req, it.mileage_req) < 0:
             v.append(f"{tag}: requirements must be >= 0")
         # feasibility of clearing without the storage unit

@@ -4,9 +4,9 @@ Every LP and MILP goes to HiGHS through one class, :class:`LpModel`, in one
 of two row layouts chosen from the problem (its docstring says why there are
 two). LPs are solved by dual simplex so optimal bases are vertices and
 constraint duals are available; MILPs go through branch-and-bound on binary
-variables. A single solve, LP or MILP, reports a :class:`SolveOutcome`; a
-batch of LP solves (:meth:`LpModel.solve_batch`) reports a
-:class:`BatchOutcome`, one row per solve.
+variables. LPs solve in batches (:meth:`LpModel.solve_batch`, one LP is a
+batch of one), each reporting a :class:`BatchOutcome` with one row per
+solve; a MILP solve (:func:`solve_milp`) reports a :class:`SolveOutcome`.
 
 Dual sign convention: ``row_duals[r]`` is the sensitivity of the optimal
 objective to the RHS of row ``r`` in the row's *original* sense. For a
@@ -32,7 +32,7 @@ from scipy.optimize._highspy import _core as _highs
 
 log = logging.getLogger(__name__)
 
-# status values of SolveOutcome
+# status values of SolveOutcome and BatchOutcome
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -114,18 +114,16 @@ class MilpProblem(LpProblem):
 
 @dataclass
 class SolveOutcome:
+    """A MILP solve of :func:`solve_milp`; a status without a solution
+    leaves the solution fields None."""
+
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
-    row_duals: np.ndarray | None = None
-    lower_duals: np.ndarray | None = None
-    upper_duals: np.ndarray | None = None
     mip_gap: float | None = None
     node_count: int | None = None
     wall_time: float = 0.0
     feasibility_residual: float | None = None
-    duality_gap_rel: float | None = None
-    cs_residual: float | None = None   # LP solves: max |dual x slack|
 
 
 @dataclass
@@ -243,7 +241,7 @@ class Residuals:
         return cs
 
 
-# HiGHS model statuses as SolveOutcome statuses, for LPs and MILPs alike; any
+# HiGHS model statuses as outcome statuses, for LPs and MILPs alike; any
 # other is a backend failure. MIP solves can end "unbounded or infeasible".
 _MS = _highs.HighsModelStatus
 _STATUS = {_MS.kOptimal: OPTIMAL, _MS.kInfeasible: INFEASIBLE, _MS.kModelError: INFEASIBLE,
@@ -302,9 +300,9 @@ class LpModel:
     in :attr:`residuals` and the backend layout. :meth:`solve_batch` solves
     one right-hand side, and optionally one cost vector, per row and checks
     the whole batch at once, forming ``A X`` once for the feasibility
-    contract and the complementary-slackness residual; :meth:`solve` is its
-    one-row case. One model thus serves every LP that shares its matrix,
-    senses and bounds: the clear of each interval of a scenario.
+    contract and the complementary-slackness residual. One model thus
+    serves every LP that shares its matrix, senses and bounds: the clear of
+    each interval of a scenario.
     """
 
     def __init__(self, problem: LpProblem):
@@ -400,24 +398,6 @@ class LpModel:
             raise SolverError(
                 f"HiGHS backend failure: {self._highs.modelStatusToString(status)}")
         return _STATUS[status], wall
-
-    def solve(self, rhs: np.ndarray | None = None) -> SolveOutcome:
-        """Solve an LP from scratch, after moving the row right-hand sides to
-        ``rhs`` (problem row order and senses) when given: the one-row case
-        of :meth:`solve_batch`."""
-        out = self.solve_batch((self.problem.rhs if rhs is None else np.asarray(rhs))[None])
-        if out.failure is not None:
-            raise SolverError(out.failure)
-        if out.status != OPTIMAL:
-            return SolveOutcome(status=out.status, wall_time=out.wall_time)
-        return SolveOutcome(
-            status=OPTIMAL, objective=float(out.objective[0]), x=out.x[0],
-            row_duals=out.row_duals[0], lower_duals=out.lower_duals[0],
-            upper_duals=out.upper_duals[0], wall_time=out.wall_time,
-            feasibility_residual=float(out.feasibility_residual[0]),
-            duality_gap_rel=float(out.duality_gap_rel[0]),
-            cs_residual=float(out.cs_residual[0]),
-        )
 
     def solve_batch(self, rhs: np.ndarray, c: np.ndarray | None = None) -> BatchOutcome:
         """Solve the LP from scratch once per row of ``rhs``, a ``(k, rows)``
@@ -564,11 +544,6 @@ def stop_threads() -> None:
     this before forking processes that solve.
     """
     _highs._Highs.resetGlobalScheduler(True)
-
-
-def solve_lp(problem: LpProblem) -> SolveOutcome:
-    """Solve an LP with dual extraction (dual simplex, vertex solutions)."""
-    return LpModel(problem).solve()
 
 
 def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from bessbid import clearing
+from bessbid import clearing, solver
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
@@ -19,16 +19,29 @@ GEN_CHEAP = GeneratorParams("a", 10.0, 100.0, 20.0, 10.0)
 GEN_DEAR = GeneratorParams("b", 20.0, 100.0, 20.0, 10.0)
 
 
-def clear_one(layout, t, bids=clearing.ZERO_BIDS):
+ZERO_BIDS = (0.0, 0.0, 0.0, 0.0)   # sell, buy, reserve, regcap
+
+
+def clear_one(layout, t, bids=ZERO_BIDS):
     """The clear of interval ``t`` of ``layout``'s scenario at one
-    :class:`clearing.BessBids`: a one-row :func:`clearing.clear_batch`."""
-    return clearing.clear_batch(layout, t, clearing.bid_array([bids])).result(0)
+    (sell, buy, reserve, regcap) bid: a one-row :func:`clearing.clear_batch`."""
+    return clearing.clear_batch(layout, t, np.array([bids], dtype=float))
 
 
 def lp_at(layout, t, bids):
-    """Interval ``t``'s clearing LP of ``layout`` at one :class:`clearing.BessBids`."""
+    """Interval ``t``'s clearing LP of ``layout`` at one (sell, buy, reserve,
+    regcap) bid."""
     return dataclasses.replace(layout.build_lp(t),
-                               rhs=layout.rhs_for(t, clearing.bid_array([bids]))[0])
+                               rhs=layout.rhs_for(t, np.array([bids], dtype=float))[0])
+
+
+def solve_one(problem):
+    """One LP through :meth:`solver.LpModel.solve_batch`: a batch of one row,
+    whose failure, if any, is raised."""
+    out = solver.LpModel(problem).solve_batch(problem.rhs[None])
+    if out.failure is not None:
+        raise solver.SolverError(out.failure)
+    return out
 
 
 def build_scenario(gens, bess, loads, delta_t=0.25, reserve_frac=0.0,

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from bessbid import agc, bilevel, clearing, harness, solver
-from bessbid.clearing import BessBids
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
@@ -25,7 +24,7 @@ from bessbid.scenario import (
     Scenario,
     synthesize_scenario,
 )
-from conftest import clear_one
+from conftest import clear_one, solve_one
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -122,12 +121,10 @@ def test_acceptance_2_kkt_duality_suite():
         rate = scn.bess.power_rate
         sell = float(rng.uniform(0.0, rate)) if rng.random() < 0.5 else 0.0
         buy = float(rng.uniform(0.0, rate)) if sell == 0.0 else 0.0
-        bids = BessBids(sell=sell, buy=buy,
-                        reserve=float(rng.uniform(0.0, rate)),
-                        regcap=float(rng.uniform(0.0, rate)))
+        bids = (sell, buy, float(rng.uniform(0.0, rate)), float(rng.uniform(0.0, rate)))
         res = clear_one(clearing.LlLayout(scn), 0, bids)
-        worst_gap = max(worst_gap, res.duality_gap_rel)
-        worst_cs = max(worst_cs, res.cs_residual)
+        worst_gap = max(worst_gap, res.duality_gap_rel[0])
+        worst_cs = max(worst_cs, res.cs_residual[0])
     assert worst_gap <= 1e-6
     assert worst_cs <= 1e-7
     print(f"ACCEPTANCE 2 PASS: 500/500 clearing LPs, worst duality gap "
@@ -374,7 +371,7 @@ def drop_storage(lp):
 def _storage_free_prices(lp, dt):
     """Prices of the clearing LP without storage, solved on its own."""
     reduced = drop_storage(lp)
-    duals = solver.solve_lp(reduced).row_duals
+    duals = solve_one(reduced).row_duals[0]
     return {name: float(duals[reduced.row_names.index(row)] / dt)
             for name, row in PRICE_ROWS.items()}
 
@@ -384,10 +381,10 @@ def test_acceptance_8_zero_bid_neutrality(desk_reports):
     worst_named = None
     layout = clearing.LlLayout(scn)
     for t in range(scn.n_intervals):
-        with_storage = clear_one(layout, t, BessBids())
+        with_storage = layout.prices_from(t, clear_one(layout, t).row_duals[0])
         without = _storage_free_prices(layout.build_lp(t), scn.intervals[t].delta_t)
         for name in ("energy", "reserve", "regcap", "mileage"):
-            a = getattr(with_storage.prices, name)
+            a = getattr(with_storage, name)
             b = without[name]
             assert a == b, f"t{t} {name}: {a!r} != {b!r}"
             worst_named = (t, name)

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from bessbid import bilevel, harness, solver
-from bessbid.clearing import ZERO_BIDS, BessBids, LlLayout, bid_array
+from bessbid.clearing import LlLayout
 from bessbid.scenario import (
     DEFAULT_GENERATOR_TABLE,
     BessParams,
@@ -54,17 +54,17 @@ def test_kkt_residuals_on_cleared_interval():
                          reserve_frac=0.1, regcap_frac=0.04, ancillary_ratio=1.0,
                          beta=EAGER_BUYER)
     lay = LlLayout(scn)
-    bids = BessBids(0.0, 3.0, 1.0, 1.0)
+    bids = (0.0, 3.0, 1.0, 1.0)
     res = clear_one(lay, 0, bids)
     core = solver.Residuals(lay.build_lp(0))
-    rhs = lay.rhs_for(0, bid_array([bids]))[0]
-    x = lay.vector_from(res.variables)
+    rhs = lay.rhs_for(0, np.array([bids]))[0]
+    x, y, nu = res.x[0], res.row_duals[0], res.lower_duals[0]
     ax = core.activity(x)
     no_upper = np.zeros(lay.n_cols)
-    assert core.stationarity(res.row_duals, res.lower_duals, no_upper) <= 1e-8
+    assert core.stationarity(y, nu, no_upper) <= 1e-8
     assert core.primal(x, ax, rhs) <= 1e-8
-    assert core.dual_sign(res.row_duals, res.lower_duals, no_upper) <= 1e-12
-    assert core.cs(x, ax, rhs, res.row_duals, res.lower_duals, no_upper) <= 1e-8
+    assert core.dual_sign(y, nu, no_upper) <= 1e-12
+    assert core.cs(x, ax, rhs, y, nu, no_upper) <= 1e-8
 
 
 def test_stationarity_identity_for_storage_sell_column():
@@ -73,11 +73,11 @@ def test_stationarity_identity_for_storage_sell_column():
                          reserve_frac=0.1, ancillary_ratio=1.0,
                          beta=BessPriceBids(sell=2.0, buy=100.0))
     lay = LlLayout(scn)
-    res = clear_one(lay, 0, BessBids(4.0, 0.0, 1.0, 0.0))
+    res = clear_one(lay, 0, (4.0, 0.0, 1.0, 0.0))
     dt = lay.delta_t[0]
-    lam = res.row_duals[lay.row_balance]
-    delta_sell = res.row_duals[lay.bid_rows["sell"]]
-    nu_sell = res.lower_duals[lay.col_bs]
+    lam = res.row_duals[0, lay.row_balance]
+    delta_sell = res.row_duals[0, lay.bid_rows["sell"]]
+    nu_sell = res.lower_duals[0, lay.col_bs]
     assert dt * 2.0 - lam - delta_sell - nu_sell == pytest.approx(0.0, abs=1e-9)
 
 
@@ -116,20 +116,20 @@ def test_linearized_revenue_matches_direct_on_random_clearings():
         else:
             raw[1] = 0.0
         lay = LlLayout(scn)
-        res = clear_one(lay, t, BessBids(*raw))
-        x = lay.vector_from(res.variables)
+        res = clear_one(lay, t, raw)
+        x, y = res.x[0], res.row_duals[0]
         x_coefs, dual_coefs = bilevel.linearize_objective(lay)
-        lin = x_coefs[t] @ x + dual_coefs[t] @ res.row_duals
-        direct = bilevel.direct_revenue_value(lay, res.variables, res.row_duals)
+        lin = x_coefs[t] @ x + dual_coefs[t] @ y
+        direct = bilevel.direct_revenue_value(lay, lay.variables_from(x), y)
         assert lin == pytest.approx(direct, abs=1e-7)
 
 
 def test_linearized_revenue_zero_for_zero_bids():
     scn = build_scenario([GEN_CHEAP], BessParams(10.0, 5.0), [80.0])
-    res = clear_one(LlLayout(scn), 0, ZERO_BIDS)
-    x = res.layout.vector_from(res.variables)
+    res = clear_one(LlLayout(scn), 0)
     x_coefs, dual_coefs = bilevel.linearize_objective(res.layout)
-    assert x_coefs[0] @ x + dual_coefs[0] @ res.row_duals == pytest.approx(0.0, abs=1e-9)
+    assert x_coefs[0] @ res.x[0] + dual_coefs[0] @ res.row_duals[0] == pytest.approx(0.0,
+                                                                                   abs=1e-9)
 
 
 def test_known_sell_instance_revenue():
@@ -140,13 +140,12 @@ def test_known_sell_instance_revenue():
         scn = build_scenario([gen], BessParams(40.0, 20.0, soc_init=40.0), [80.0],
                              delta_t=dt, mask=MarketMask(True, False, False))
         lay = LlLayout(scn)
-        res = clear_one(lay, 0, BessBids(sell=20.0))
-        x = lay.vector_from(res.variables)
-        rev = bilevel.direct_revenue_value(lay, res.variables, res.row_duals)
+        res = clear_one(lay, 0, (20.0, 0.0, 0.0, 0.0))
+        x, y = res.x[0], res.row_duals[0]
+        rev = bilevel.direct_revenue_value(lay, lay.variables_from(x), y)
         assert rev == pytest.approx(200.0 * dt, rel=1e-9)
         x_coefs, dual_coefs = bilevel.linearize_objective(lay)
-        assert x_coefs[0] @ x + dual_coefs[0] @ res.row_duals == pytest.approx(200.0 * dt,
-                                                                               rel=1e-9)
+        assert x_coefs[0] @ x + dual_coefs[0] @ y == pytest.approx(200.0 * dt, rel=1e-9)
         # the bidding MILP reaches the same revenue by itself
         bl, out, sol = solve_and_extract(scn)
         assert out.objective == pytest.approx(200.0 * dt, rel=1e-6)

@@ -9,14 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from bessbid import clearing, harness, solver
-from bessbid.clearing import (
-    ZERO_BIDS,
-    BessBids,
-    ClearingError,
-    InfeasibleMarketError,
-    LlLayout,
-    clear_horizon,
-)
+from bessbid.clearing import ClearingError, InfeasibleMarketError, LlLayout, clear_batch
 from bessbid.scenario import (
     DEFAULT_GENERATOR_TABLE,
     BessParams,
@@ -25,7 +18,7 @@ from bessbid.scenario import (
     IntervalData,
     Scenario,
 )
-from conftest import clear_one, lp_at
+from conftest import ZERO_BIDS, clear_one, lp_at, solve_one
 from test_acceptance import drop_storage, small_instance
 
 
@@ -45,6 +38,12 @@ def make_scenario(gens, bess, loads, delta_t=0.25, reserve=0.0, regcap=0.0,
     return Scenario(generators=tuple(gens), bess=bess, intervals=tuple(intervals))
 
 
+def _passive_clear(scn):
+    """Every interval of ``scn`` at zero bids, in one batch."""
+    n = scn.n_intervals
+    return clear_batch(LlLayout(scn), np.arange(n), np.zeros((n, 4)))
+
+
 GEN_A = GeneratorParams("a", 10.0, 100.0, 20.0, 10.0)
 GEN_B = GeneratorParams("b", 20.0, 100.0, 20.0, 10.0)
 SMALL_BESS = BessParams(energy_capacity=10.0, power_rate=5.0)
@@ -54,7 +53,7 @@ def test_lp_dimensions_five_generators():
     scn = make_scenario(DEFAULT_GENERATOR_TABLE, BessParams(400.0, 40.0), [500.0],
                         reserve=50.0, regcap=20.0, mileage=35.0)
     layout = LlLayout(scn)
-    lp = lp_at(layout, 0, BessBids(1, 1, 1, 1))
+    lp = lp_at(layout, 0, (1, 1, 1, 1))
     # 4 schedule variables per generator plus 5 storage variables
     assert lp.n_cols == 4 * 5 + 5
     # 6 rows per generator, 6 storage rows, 4 system rows
@@ -73,8 +72,6 @@ def test_layout_names_a_short_bid_list():
     want = re.escape("interval 0: energy bid count 1 != 3 generators") + "$"
     with pytest.raises(ValueError, match="^" + want):
         LlLayout(short)
-    with pytest.raises(ClearingError, match="^" + want):
-        clear_horizon(short)
 
 
 def test_zero_bids_pin_storage_awards():
@@ -82,36 +79,39 @@ def test_zero_bids_pin_storage_awards():
     lay = LlLayout(scn)
     # solve the full LP directly: award caps at zero force all storage
     # variables to zero, including mileage through its floor/cap pair
-    out = solver.solve_lp(lp_at(lay, 0, ZERO_BIDS))
+    out = solve_one(lp_at(lay, 0, ZERO_BIDS))
     assert out.status == "optimal"
-    x = out.x
+    x = out.x[0]
     for col in (lay.col_bs, lay.col_bd, lay.col_brs, lay.col_brgc, lay.col_brgm):
         assert abs(x[col]) <= 1e-9
 
 
 def test_single_generator_serves_load():
     scn = make_scenario([GEN_A], SMALL_BESS, [80.0])
-    res = clear_one(LlLayout(scn), 0, ZERO_BIDS)
-    assert res.variables.p_gs[0] == pytest.approx(80.0, abs=1e-9)
-    assert res.variables.p_grs[0] == pytest.approx(0.0, abs=1e-9)
-    assert res.variables.p_grgc[0] == pytest.approx(0.0, abs=1e-9)
+    layout = LlLayout(scn)
+    v = layout.variables_from(clear_one(layout, 0).x[0])
+    assert v.p_gs[0] == pytest.approx(80.0, abs=1e-9)
+    assert v.p_grs[0] == pytest.approx(0.0, abs=1e-9)
+    assert v.p_grgc[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_two_generator_marginal_price():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0])
-    res = clear_one(LlLayout(scn), 0, ZERO_BIDS)
-    np.testing.assert_allclose(res.variables.p_gs, [100.0, 50.0], atol=1e-9)
+    layout = LlLayout(scn)
+    res = clear_one(layout, 0)
+    np.testing.assert_allclose(layout.variables_from(res.x[0]).p_gs, [100.0, 50.0], atol=1e-9)
     # generator b is the unique marginal unit
-    assert res.prices.energy == pytest.approx(20.0, abs=1e-9)
+    assert layout.prices_from(0, res.row_duals[0]).energy == pytest.approx(20.0, abs=1e-9)
     dt = 0.25
-    assert res.objective == pytest.approx((10 * 100 + 20 * 50) * dt, rel=1e-12)
+    assert res.objective[0] == pytest.approx((10 * 100 + 20 * 50) * dt, rel=1e-12)
 
 
 def test_zero_load_zero_requirements():
     scn = make_scenario([GEN_A], SMALL_BESS, [0.0])
-    res = clear_one(LlLayout(scn), 0, ZERO_BIDS)
-    assert res.objective == pytest.approx(0.0, abs=1e-12)
-    assert res.variables.p_gs[0] == pytest.approx(0.0, abs=1e-12)
+    layout = LlLayout(scn)
+    res = clear_one(layout, 0)
+    assert res.objective[0] == pytest.approx(0.0, abs=1e-12)
+    assert layout.variables_from(res.x[0]).p_gs[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mileage_multiplier_slack():
@@ -119,8 +119,8 @@ def test_mileage_multiplier_slack():
     # capacity floor and the requirement row
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0],
                         reserve=15.0, regcap=6.0, mileage=10.5, ancillary_ratio=0.1)
-    res = clear_one(LlLayout(scn), 0, ZERO_BIDS)
-    v = res.variables
+    layout = LlLayout(scn)
+    v = layout.variables_from(clear_one(layout, 0).x[0])
     # mileage is costly, so the requirement row pins the aggregate award and
     # the multiplier cap keeps plenty of slack in aggregate; per-unit splits
     # between the floor and cap are solver-resolved and not asserted
@@ -133,45 +133,46 @@ def test_mileage_multiplier_slack():
 def test_balance_and_requirements_exact():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [120.0, 150.0],
                         reserve=12.0, regcap=5.0, mileage=8.75, ancillary_ratio=0.15)
-    bids = [BessBids(2.0, 0.0, 1.0, 1.0), BessBids(0.0, 3.0, 2.0, 0.5)]
-    for res, bid in zip(clear_horizon(scn, bids), bids):
-        v = res.variables
+    bids = np.array([(2.0, 0.0, 1.0, 1.0), (0.0, 3.0, 2.0, 0.5)])
+    layout = LlLayout(scn)
+    batch = clear_batch(layout, np.arange(2), bids)
+    for t, (sell, buy, _, _) in enumerate(bids.tolist()):
+        v = layout.variables_from(batch.x[t])
         balance = v.p_gs.sum() + v.p_bs - v.p_bd
-        assert abs(balance - scn.intervals[res.t].load) <= 1e-9
+        assert abs(balance - scn.intervals[t].load) <= 1e-9
         assert v.p_grs.sum() + v.p_brs >= 12.0 - 1e-9
         assert v.p_grgc.sum() + v.p_brgc >= 5.0 - 1e-9
         assert v.p_grgm.sum() + v.p_brgm >= 8.75 - 1e-9
-        assert v.p_bs <= bid.sell + 1e-9 and v.p_bd <= bid.buy + 1e-9
-        assert res.duality_gap_rel <= 1e-6
-        assert res.cs_residual <= 1e-7
-        # vector_from inverts variables_from bit for bit
-        x = np.random.default_rng(res.t).uniform(-1.0, 1.0, res.layout.n_cols)
-        assert res.layout.vector_from(res.layout.variables_from(x)).tobytes() == x.tobytes()
+        assert v.p_bs <= sell + 1e-9 and v.p_bd <= buy + 1e-9
+        assert batch.duality_gap_rel[t] <= 1e-6
+        assert batch.cs_residual[t] <= 1e-7
 
 
 def test_degenerate_tie_objective_only():
     twin_a = GeneratorParams("ta", 10.0, 80.0, 10.0, 5.0)
     twin_b = GeneratorParams("tb", 10.0, 80.0, 10.0, 5.0)
     scn = make_scenario([twin_a, twin_b], SMALL_BESS, [100.0])
-    res = clear_one(LlLayout(scn), 0, ZERO_BIDS)
+    layout = LlLayout(scn)
+    res = clear_one(layout, 0)
     # the split between the twins is ambiguous; the cost is not
-    assert res.objective == pytest.approx(10.0 * 100.0 * 0.25, rel=1e-12)
-    assert res.variables.p_gs.sum() == pytest.approx(100.0, abs=1e-9)
-    assert res.duality_gap_rel <= 1e-6
+    assert res.objective[0] == pytest.approx(10.0 * 100.0 * 0.25, rel=1e-12)
+    assert layout.variables_from(res.x[0]).p_gs.sum() == pytest.approx(100.0, abs=1e-9)
+    assert res.duality_gap_rel[0] <= 1e-6
 
 
 def test_zero_bid_neutrality_exact():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [110.0, 150.0],
                         reserve=10.0, regcap=4.0, mileage=7.0, ancillary_ratio=0.2)
-    with_bess = clear_horizon(scn, [ZERO_BIDS, ZERO_BIDS])
-    assert [r.prices for r in clear_horizon(scn, None)] == [r.prices for r in with_bess]
-    for res in with_bess:
-        lp = drop_storage(LlLayout(scn).build_lp(res.t))
-        out = solver.solve_lp(lp)
+    layout = LlLayout(scn)
+    with_bess = clear_batch(layout, np.arange(2), np.zeros((2, 4)))
+    prices = [layout.prices_from(t, with_bess.row_duals[t]) for t in range(2)]
+    assert [layout.prices_from(t, clear_one(layout, t).row_duals[0]) for t in range(2)] == prices
+    for t in range(2):
+        out = solve_one(drop_storage(layout.build_lp(t)))
         # back in layout rows, where the six storage rows precede the four system rows
-        without = res.layout.prices_from(res.t, np.insert(out.row_duals, -4, np.zeros(6)))
-        assert res.prices == without
-        assert res.objective == out.objective
+        without = layout.prices_from(t, np.insert(out.row_duals[0], -4, np.zeros(6)))
+        assert prices[t] == without
+        assert with_bess.objective[t] == out.objective[0]
 
 
 def test_storage_free_lp_drops_storage_by_name():
@@ -196,20 +197,23 @@ def test_zero_requirement_prices_are_unsigned_zero():
     scn = dataclasses.replace(scn, intervals=tuple(
         dataclasses.replace(iv, reserve_req=0.0, mileage_req=0.0) if iv.index % 2 == 0 else iv
         for iv in scn.intervals))
-    bids = [BessBids(sell=1.0, buy=0.0, reserve=2.0, regcap=1.5)] * scn.n_intervals
-    for results in (clear_horizon(scn), clear_horizon(scn, bids)):
-        assert results[1].prices.reserve > 0.0
-        for r in results[::2]:
-            zeros = np.array([r.prices.reserve, r.prices.mileage])
-            assert np.array_equal(zeros, [0.0, 0.0]) and not np.signbit(zeros).any(), r.t
+    n = scn.n_intervals
+    layout = LlLayout(scn)
+    for bids in (np.zeros((n, 4)), np.tile([1.0, 0.0, 2.0, 1.5], (n, 1))):
+        batch = clear_batch(layout, np.arange(n), bids)
+        p = layout.prices_from(batch.t, batch.row_duals)
+        assert p.reserve[1] > 0.0
+        for t in range(0, n, 2):
+            zeros = np.array([p.reserve[t], p.mileage[t]])
+            assert np.array_equal(zeros, [0.0, 0.0]) and not np.signbit(zeros).any(), t
 
 
 def test_horizon_matches_joint_lp():
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [100.0, 130.0, 150.0],
                         reserve=10.0, regcap=4.0, mileage=7.0, ancillary_ratio=0.1)
-    bids = [BessBids(1.0, 0.0, 0.5, 0.5)] * 3
-    results = clear_horizon(scn, bids)
-    split_total = sum(r.objective for r in results)
+    bids = np.tile([1.0, 0.0, 0.5, 0.5], (3, 1))
+    batch = clear_batch(LlLayout(scn), np.arange(3), bids)
+    split_total = sum(batch.objective.tolist())
 
     # the same three intervals stacked into one block-diagonal LP
     lps = [lp_at(LlLayout(scn), t, bids[t]) for t in range(3)]
@@ -221,43 +225,46 @@ def test_horizon_matches_joint_lp():
         lower=np.concatenate([p.lower for p in lps]),
         upper=np.concatenate([p.upper for p in lps]),
     )
-    out = solver.solve_lp(joint)
+    out = solve_one(joint)
     assert out.status == "optimal"
-    assert split_total == pytest.approx(out.objective, rel=1e-6)
+    assert split_total == pytest.approx(out.objective[0], rel=1e-6)
 
 
 def test_single_interval_horizon_equals_interval():
+    # a horizon of one interval, one t per row, clears as that interval alone
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [140.0])
-    bids = [BessBids(1.5, 0.0, 0.0, 0.0)]
-    horizon = clear_horizon(scn, bids)
+    bids = np.array([(1.5, 0.0, 0.0, 0.0)])
+    layout = LlLayout(scn)
+    horizon = clear_batch(layout, np.arange(scn.n_intervals), bids)
     single = clear_one(LlLayout(scn), 0, bids[0])
-    assert len(horizon) == 1
-    assert horizon[0].objective == single.objective
-    assert horizon[0].prices == single.prices
+    assert len(horizon.t) == 1
+    assert horizon.objective[0] == single.objective[0]
+    assert (layout.prices_from(0, horizon.row_duals[0])
+            == layout.prices_from(0, single.row_duals[0]))
 
 
 def test_delta_t_scaling_leaves_prices_unchanged():
     narrow = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0], delta_t=0.25)
     wide = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0], delta_t=0.5)
-    rn = clear_one(LlLayout(narrow), 0, ZERO_BIDS)
-    rw = clear_one(LlLayout(wide), 0, ZERO_BIDS)
-    assert rn.prices.energy == pytest.approx(rw.prices.energy, abs=1e-9)
-    assert rw.objective == pytest.approx(2 * rn.objective, rel=1e-12)
+    ln, lw = LlLayout(narrow), LlLayout(wide)
+    rn, rw = clear_one(ln, 0), clear_one(lw, 0)
+    assert ln.prices_from(0, rn.row_duals[0]).energy == pytest.approx(
+        lw.prices_from(0, rw.row_duals[0]).energy, abs=1e-9)
+    assert rw.objective[0] == pytest.approx(2 * rn.objective[0], rel=1e-12)
 
 
 def test_infeasible_requirements_name_interval():
     scn = make_scenario([GEN_A], SMALL_BESS, [90.0, 90.0], reserve=50.0)
     with pytest.raises(InfeasibleMarketError, match="interval 0"):
-        clear_horizon(scn, None)
+        _passive_clear(scn)
 
 
 def test_partial_award_against_bid_caps():
     # storage undercuts by bidding zero prices; awards never exceed bids
     scn = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0],
                         reserve=10.0, regcap=4.0, mileage=7.0, ancillary_ratio=0.1)
-    bid = BessBids(sell=3.0, buy=0.0, reserve=2.0, regcap=1.0)
-    res = clear_one(LlLayout(scn), 0, bid)
-    v = res.variables
+    layout = LlLayout(scn)
+    v = layout.variables_from(clear_one(layout, 0, (3.0, 0.0, 2.0, 1.0)).x[0])
     assert v.p_bs <= 3.0 + 1e-9
     assert v.p_brs <= 2.0 + 1e-9
     assert v.p_brgc <= 1.0 + 1e-9
@@ -267,11 +274,34 @@ def test_partial_award_against_bid_caps():
 
 def test_negative_bid_rejected():
     scn = make_scenario([GEN_A], SMALL_BESS, [50.0])
-    with pytest.raises(ValueError, match=r"^interval 0: bids must be >= 0"):
-        clearing.clear_batch(LlLayout(scn), 0, clearing.bid_array([BessBids(sell=-1.0)]))
-    # the horizon names the interval once
-    with pytest.raises(ClearingError, match=r"^interval 0: bids must be >= 0"):
-        clear_horizon(scn, [BessBids(sell=-1.0)])
+    with pytest.raises(ValueError, match=r"^interval 0: bids must be >= 0, got sell -1.0 buy "
+                                         r"0.0 reserve 0.0 regcap 0.0 in row 0$"):
+        clear_batch(LlLayout(scn), 0, np.array([[-1.0, 0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("t, bids, message", [
+    (-1, [[0.0] * 4], r"t must lie in \[0, 24\), got -1"),
+    (24, [[0.0] * 4], r"t must lie in \[0, 24\), got 24"),
+    ([0, 3, 30, -2], [[0.0] * 4] * 4, r"t must lie in \[0, 24\), got 30"),
+    (1.7, [[0.0] * 4], r"t must hold integer intervals, got dtype float64"),
+    ([True], [[0.0] * 4], r"t must hold integer intervals, got dtype bool"),
+    ([0, 1], [[0.0] * 4] * 3, r"t must hold one interval or one per row of bids \(3\), "
+                              r"got shape \(2,\)"),
+    ([[0]], [[0.0] * 4], r"t must hold one interval or one per row of bids \(1\), "
+                         r"got shape \(1, 1\)"),
+    (0, [0.0] * 4, r"bids must be a \(k, 4\) array .*, got shape \(4,\)"),
+    (0, [[0.0] * 3], r"bids must be a \(k, 4\) array .*, got shape \(1, 3\)"),
+    (0, np.zeros((0, 4)), r"a clear needs at least one row of bids"),
+])
+def test_clear_batch_refuses_malformed_rows(monkeypatch, t, bids, message):
+    # each is refused before any model is built
+    def no_model(self, problem):
+        raise AssertionError("a model was built")
+
+    layout = LlLayout(harness.desk_scenario())
+    monkeypatch.setattr(solver.LpModel, "__init__", no_model)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        clear_batch(layout, t, bids)
 
 
 def test_backend_failure_names_interval(monkeypatch):
@@ -281,7 +311,7 @@ def test_backend_failure_names_interval(monkeypatch):
     monkeypatch.setattr(solver.LpModel, "_run", fail)
     scn = make_scenario([GEN_A], SMALL_BESS, [50.0])
     with pytest.raises(ClearingError, match=r"^interval 0: LP backend failure"):
-        clear_horizon(scn)
+        _passive_clear(scn)
 
 
 def row_dict_layout(scn, t):
@@ -410,24 +440,25 @@ def test_closed_form_layout_matches_row_dict_builder(system):
         assert free.col_names == want["col_names"][:n]
 
 
-def clear_digest(results) -> str:
-    """sha256 over every field of each ClearingResult, bit for bit."""
+def clear_digest(batches) -> str:
+    """sha256 over every row of each ClearingBatch, bit for bit: its
+    schedule, row and lower duals, then its objective, prices, duality gap
+    and complementary-slackness residual."""
     h = hashlib.sha256()
-    for r in results:
-        for arr in (r.layout.vector_from(r.variables), r.row_duals, r.lower_duals):
-            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-        p = r.prices
-        h.update(np.array([r.objective, p.energy, p.reserve, p.regcap, p.mileage,
-                           r.duality_gap_rel, r.cs_residual]).tobytes())
+    for b in batches:
+        p = b.layout.prices_from(b.t, b.row_duals)
+        for i in range(len(b.t)):
+            for arr in (b.x[i], b.row_duals[i], b.lower_duals[i]):
+                h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+            h.update(np.array([b.objective[i], p.energy[i], p.reserve[i], p.regcap[i],
+                               p.mileage[i], b.duality_gap_rel[i], b.cs_residual[i]]).tobytes())
     return h.hexdigest()
 
 
 def _grid_clears(scn, intervals, step):
-    results = []
+    """One one-row clear per grid point of each interval."""
     layout = LlLayout(scn)
-    for t in intervals:
-        results += [clear_one(layout, t, b) for b in harness._interval_grid(scn, step)]
-    return results
+    return [clear_one(layout, t, b) for t in intervals for b in harness._interval_grid(scn, step)]
 
 
 def _zero_requirement_clears():
@@ -436,8 +467,9 @@ def _zero_requirement_clears():
     scn = dataclasses.replace(scn, intervals=tuple(
         dataclasses.replace(iv, reserve_req=0.0, mileage_req=0.0) if iv.index % 2 == 0 else iv
         for iv in scn.intervals))
-    bids = [BessBids(sell=1.0, buy=0.0, reserve=2.0, regcap=1.5)] * scn.n_intervals
-    return clear_horizon(scn) + clear_horizon(scn, bids)
+    n = scn.n_intervals
+    bids = np.tile([1.0, 0.0, 2.0, 1.5], (n, 1))
+    return [_passive_clear(scn), clear_batch(LlLayout(scn), np.arange(n), bids)]
 
 
 # the clears and their digests, taken before each clear's checks shared one
@@ -450,7 +482,7 @@ PINNED_CLEARS = {
         lambda: _grid_clears(harness.desk_scenario(), range(4), 2.5),
         "5466cbc453cbebdbece371fea46c78a95a498da69c680936c117b1e60beebf48"),
     "reference passive": (
-        lambda: clear_horizon(harness.reference_scenario()),
+        lambda: [_passive_clear(harness.reference_scenario())],
         "a0ba6565ee882f6ce47e210c3e7b0cae4fe9083925e3cc5ffa6f162bdf806b5a"),
     "desk zero requirements": (
         _zero_requirement_clears,
@@ -466,7 +498,7 @@ def test_clears_match_pinned_digests(name):
 
 CONTRACT_SCN = make_scenario([GEN_A, GEN_B], SMALL_BESS, [150.0], reserve=10.0, regcap=4.0,
                              mileage=7.0, ancillary_ratio=0.1)
-CONTRACT_BIDS = BessBids(sell=3.0, buy=0.0, reserve=2.0, regcap=1.0)
+CONTRACT_BIDS = (3.0, 0.0, 2.0, 1.0)
 
 
 @pytest.mark.parametrize("name", ["FEASIBILITY_TOL", "DUALITY_GAP_TOL"])
@@ -475,7 +507,7 @@ def test_lp_contract_checks_run_on_every_solve(monkeypatch, name):
     monkeypatch.setattr(solver, name, -1.0)
     lp = lp_at(LlLayout(CONTRACT_SCN), 0, CONTRACT_BIDS)
     with pytest.raises(solver.SolverError, match="numeric contracts"):
-        solver.solve_lp(lp)
+        solve_one(lp)
     for bids in (CONTRACT_BIDS, ZERO_BIDS):
         with pytest.raises(ClearingError, match="numeric contracts"):
             clear_one(LlLayout(CONTRACT_SCN), 0, bids)
@@ -500,14 +532,15 @@ def test_zero_bid_stationarity_check_runs(monkeypatch):
     clear_one(LlLayout(CONTRACT_SCN), 0, CONTRACT_BIDS)
 
 
-def _result_bytes(r) -> bytes:
-    """Every field of a ClearingResult, bit for bit."""
-    p = r.prices
+def _row_bytes(batch, i: int) -> bytes:
+    """Every field of row ``i`` of a ClearingBatch, and its prices, bit for bit."""
+    t = int(batch.t[i])
+    p = batch.layout.prices_from(t, batch.row_duals[i])
     return b"".join((
-        np.array([r.t]).tobytes(), r.layout.vector_from(r.variables).tobytes(),
-        np.array([p.energy, p.reserve, p.regcap, p.mileage, r.objective, r.duality_gap_rel,
-                  r.cs_residual]).tobytes(),
-        r.row_duals.tobytes(), r.lower_duals.tobytes()))
+        np.array([t]).tobytes(), batch.x[i].tobytes(),
+        np.array([p.energy, p.reserve, p.regcap, p.mileage, batch.objective[i],
+                  batch.duality_gap_rel[i], batch.cs_residual[i]]).tobytes(),
+        batch.row_duals[i].tobytes(), batch.lower_duals[i].tobytes()))
 
 
 BATCH_GRIDS = {
@@ -525,11 +558,10 @@ def test_batch_clears_equal_one_at_a_time(name):
     layout = LlLayout(scn)
     for t in intervals:
         grid = harness._interval_grid(scn, 2.5)
-        batch = clearing.clear_batch(layout, t, clearing.bid_array(grid))
+        batch = clear_batch(layout, t, grid)
         for i, bids in enumerate(grid):
-            got = batch.result(i)
-            assert _result_bytes(got) == _result_bytes(clear_one(layout, t, bids))
-            batched.append(got)
+            assert _row_bytes(batch, i) == _row_bytes(clear_one(layout, t, bids), 0)
+        batched.append(batch)
     assert clear_digest(batched) == PINNED_CLEARS[name][1]
 
 
@@ -538,12 +570,12 @@ def test_batch_zero_rows_after_a_nonzero_run_equal_one_at_a_time():
     # run, mid-batch and last, so the batch splits into runs around them
     scn = harness.desk_scenario()
     grid = harness._interval_grid(scn, 2.5)
-    bids = [grid[1], ZERO_BIDS, grid[112], grid[-1], ZERO_BIDS]
+    bids = np.array([grid[1], ZERO_BIDS, grid[112], grid[-1], ZERO_BIDS])
     layout = LlLayout(scn)
     for t in range(scn.n_intervals):
-        batch = clearing.clear_batch(layout, t, clearing.bid_array(bids))
+        batch = clear_batch(layout, t, bids)
         for i, b in enumerate(bids):
-            assert _result_bytes(batch.result(i)) == _result_bytes(clear_one(layout, t, b)), (t, i)
+            assert _row_bytes(batch, i) == _row_bytes(clear_one(layout, t, b), 0), (t, i)
 
 
 # (module, tolerance, per-row value it bounds, tolerance scale, pattern of
@@ -570,7 +602,7 @@ def test_batch_raises_for_its_first_failing_row(monkeypatch, name):
     # passes: the batch must raise, naming the first row that fails
     module, tol, field, scale, pattern = LATER_ROW_CHECKS[name]
     scn = harness.desk_scenario()
-    grid = clearing.bid_array(harness._interval_grid(scn, 2.5))[1:]   # no zero bid
+    grid = harness._interval_grid(scn, 2.5)[1:]   # no zero bid
     layout = LlLayout(scn)
     for t in range(scn.n_intervals):
         values = getattr(solver.LpModel(layout.build_lp(t)).solve_batch(layout.rhs_for(t, grid)),
@@ -583,9 +615,9 @@ def test_batch_raises_for_its_first_failing_row(monkeypatch, name):
     threshold = (values[j] + values[values < values[j]].max(initial=0.0)) / 2
     monkeypatch.setattr(module, tol, threshold / scale)
     with pytest.raises(ClearingError, match=f"^interval {t}: {pattern(values[j])}"):
-        clearing.clear_batch(layout, t, grid)
+        clear_batch(layout, t, grid)
     # the rows before it clear
-    clearing.clear_batch(layout, t, grid[:j])
+    clear_batch(layout, t, grid[:j])
 
 
 HORIZON_SYSTEMS = {"desk": harness.desk_scenario, "reference": harness.reference_scenario}
@@ -594,7 +626,7 @@ HORIZON_SYSTEMS = {"desk": harness.desk_scenario, "reference": harness.reference
 def _fixed_desk_bids(n):
     """One nonzero bid per interval, taken from the desk system's step-2.5 grid."""
     grid = harness._interval_grid(harness.desk_scenario(), 2.5)
-    return [grid[1 + (7 * t) % (len(grid) - 1)] for t in range(n)]
+    return grid[1 + (7 * np.arange(n)) % (len(grid) - 1)]
 
 
 @pytest.mark.parametrize("passive", [True, False], ids=["passive", "desk bids"])
@@ -605,29 +637,29 @@ def test_horizon_batch_equals_one_model_per_interval(system, passive):
     # forward and in reverse interval order
     scn = HORIZON_SYSTEMS[system]()
     n = scn.n_intervals
-    bids = [ZERO_BIDS] * n if passive else _fixed_desk_bids(n)
-    horizon = clear_horizon(scn, None if passive else bids)
+    bids = np.zeros((n, 4)) if passive else _fixed_desk_bids(n)
+    horizon = clear_batch(LlLayout(scn), np.arange(n), bids)
     layout = LlLayout(scn)
-    backward = clearing.clear_batch(layout, np.arange(n)[::-1], clearing.bid_array(bids[::-1]))
-    for r in horizon:
-        assert _result_bytes(r) == _result_bytes(clear_one(layout, r.t, bids[r.t])), r.t
-        assert _result_bytes(backward.result(n - 1 - r.t)) == _result_bytes(r), r.t
+    backward = clear_batch(layout, np.arange(n)[::-1], bids[::-1])
+    for t in range(n):
+        assert _row_bytes(horizon, t) == _row_bytes(clear_one(layout, t, bids[t]), 0), t
+        assert _row_bytes(backward, n - 1 - t) == _row_bytes(horizon, t), t
         # and the solve itself, against a fresh model of the interval
         if passive:
-            free, rows = layout.storage_free_lp(r.t)
-            fresh = solver.LpModel(free).solve()
+            free, rows = layout.storage_free_lp(t)
+            fresh = solve_one(free)
             cols = slice(len(free.c))
         else:
-            fresh = solver.LpModel(lp_at(layout, r.t, bids[r.t])).solve()
+            fresh = solve_one(lp_at(layout, t, bids[t]))
             rows = cols = slice(None)
-        x = layout.vector_from(r.variables)
-        assert (x[cols].tobytes(), r.row_duals[rows].tobytes(), r.lower_duals[cols].tobytes(),
-                r.objective.hex()) == (fresh.x.tobytes(), fresh.row_duals.tobytes(),
-                                       fresh.lower_duals.tobytes(), fresh.objective.hex()), r.t
+        assert (horizon.x[t, cols].tobytes(), horizon.row_duals[t, rows].tobytes(),
+                horizon.lower_duals[t, cols].tobytes(), horizon.objective[t].hex()) == (
+            fresh.x[0].tobytes(), fresh.row_duals[0].tobytes(), fresh.lower_duals[0].tobytes(),
+            fresh.objective[0].hex()), t
 
 
 INFEASIBLE_AT_1_AND_3 = make_scenario([GEN_A], SMALL_BESS, [50.0, 500.0, 60.0, 500.0])
-BID = BessBids(sell=1.0, reserve=2.0)
+BID = (1.0, 0.0, 2.0, 0.0)
 
 
 @pytest.mark.parametrize("rows, error", [
@@ -638,14 +670,14 @@ BID = BessBids(sell=1.0, reserve=2.0)
     ([(0, BID), (0, ZERO_BIDS), (2, BID), (3, ZERO_BIDS), (1, BID)],
      "interval 3: clearing infeasible"),
     # a negative bid raises before any solve, whatever rows fail before it
-    ([(1, ZERO_BIDS), (3, BID), (2, BessBids(buy=-1.0))], "interval 2: bids must be >= 0"),
+    ([(1, ZERO_BIDS), (3, BID), (2, (0.0, -1.0, 0.0, 0.0))], "interval 2: bids must be >= 0"),
 ])
 def test_mixed_batch_raises_its_first_failing_row(rows, error):
     # intervals 1 and 3 need more than the fleet gives, with storage or without
     t = [i for i, _ in rows]
-    bids = clearing.bid_array([b for _, b in rows])
+    bids = np.array([b for _, b in rows])
     with pytest.raises((ClearingError, ValueError), match=f"^{error}"):
-        clearing.clear_batch(LlLayout(INFEASIBLE_AT_1_AND_3), t, bids)
+        clear_batch(LlLayout(INFEASIBLE_AT_1_AND_3), t, bids)
 
 
 def test_mixed_batch_orders_failures_of_either_kind(monkeypatch):
@@ -658,8 +690,8 @@ def test_mixed_batch_orders_failures_of_either_kind(monkeypatch):
          "interval 2: reconstructed storage duals violate stationarity"),
     ]:
         with pytest.raises(ClearingError, match=f"^{error}"):
-            clearing.clear_batch(LlLayout(INFEASIBLE_AT_1_AND_3), [i for i, _ in rows],
-                                 clearing.bid_array([b for _, b in rows]))
+            clear_batch(LlLayout(INFEASIBLE_AT_1_AND_3), [i for i, _ in rows],
+                        np.array([b for _, b in rows]))
 
 
 def test_a_batch_builds_at_most_one_model_of_each_kind(monkeypatch):
@@ -680,14 +712,17 @@ def test_a_batch_builds_at_most_one_model_of_each_kind(monkeypatch):
         return sorted(built)
 
     scn = harness.reference_scenario()
-    bids = _fixed_desk_bids(scn.n_intervals)
-    mixed = [ZERO_BIDS if t % 3 == 0 else b for t, b in enumerate(bids)]
-    assert models(lambda: clear_horizon(scn)) == ["free"]
-    assert models(lambda: clear_horizon(scn, bids)) == ["full"]
-    assert models(lambda: clear_horizon(scn, mixed)) == ["free", "full"]
+    n = scn.n_intervals
+    bids = _fixed_desk_bids(n)
+    mixed = bids.copy()
+    mixed[::3] = 0.0
+    layout = LlLayout(scn)
+    for horizon, want in ((np.zeros((n, 4)), ["free"]), (bids, ["full"]),
+                          (mixed, ["free", "full"])):
+        assert models(lambda: clear_batch(layout, np.arange(n), horizon)) == want
 
     acceptance = small_instance()
-    grid = clearing.bid_array(harness._interval_grid(acceptance, 0.5))
+    grid = harness._interval_grid(acceptance, 0.5)
     n = len(grid)
     for start, stop in ((0, 2 * n), (n // 2, n + n // 2), (n + 1, 2 * n)):
         assert models(lambda: harness._clear_chunk(acceptance, grid, start, stop)) == (

@@ -173,6 +173,13 @@ def test_env_outranks_config(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+ORACLE_STDOUT = (
+    "oracle revenue 400.2504 (step 20.0, 2025 evaluated, 9 feasible)\n"
+    "  t0: sell 0.0 buy 20.0 reserve 0.0 regcap 0.0\n"
+    "  t1: sell 20.0 buy 0.0 reserve 0.0 regcap 0.0\n"
+)
+
+
 def test_oracle_reports_revenue(tmp_path):
     rn = runner()
     scn = synth_tiny(rn, tmp_path / "s.scn")
@@ -180,6 +187,10 @@ def test_oracle_reports_revenue(tmp_path):
     assert res.exit_code == 0, res.output
     assert "oracle revenue" in res.output
     assert "t1:" in res.output
+    # the whole text, as the oracle printed it while it held bids as objects
+    assert res.output == ORACLE_STDOUT
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "917a542ab592d211bc6ec402dfecb4f76f29c5ca57329c8d4b352df02fd89b8f")
 
 
 def test_oracle_rejects_long_horizon(tmp_path):
@@ -458,3 +469,40 @@ def test_bad_scenario_values_are_one_error_line(tmp_path, args):
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), (edit.__name__, lines)
         assert "Traceback" not in res.output
+
+
+def _zero_delta_t(doc):
+    doc["intervals"][0]["delta_t"] = 0
+
+
+def _negative_delta_t(doc):
+    doc["intervals"][0]["delta_t"] = -0.5
+
+
+@pytest.mark.parametrize("args", SCENARIO_COMMANDS, ids=lambda args: args[0])
+def test_nonpositive_delta_t_is_refused_by_every_command(tmp_path, args):
+    # prices divide the interval's duals by delta_t, so no command may clear
+    # at 0 (nan prices) or below it (negative clearing costs)
+    args = [str(tmp_path / a) if a in ("run", "model.mps") else a for a in args]
+    for edit in (_zero_delta_t, _negative_delta_t):
+        path = _edited_desk(tmp_path, edit.__name__, edit)
+        res = runner().invoke(cli, args + ["--scenario", str(path)])
+        assert res.exit_code == EXIT_FAILURE, (edit.__name__, res.output)
+        assert isinstance(res.exception, SystemExit), edit.__name__
+        assert res.stderr.splitlines() == [
+            "error: invalid scenario: interval 0: delta_t must be > 0"], edit.__name__
+        assert res.stdout == "", edit.__name__
+
+
+def _infinite_load(doc):
+    doc["intervals"][0]["load"] = float("inf")
+
+
+def test_clear_non_finite_value_is_one_error_line(tmp_path):
+    # the clearing model refuses a non-finite right-hand side before any solve
+    path = _edited_desk(tmp_path, "infinite_load", _infinite_load)
+    res = runner().invoke(cli, ["clear", "--scenario", str(path)])
+    assert res.exit_code == EXIT_FAILURE, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        "error: objective, constraint coefficients and rhs must be finite"]

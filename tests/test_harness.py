@@ -5,7 +5,6 @@ import pytest
 import yaml
 
 from bessbid import clearing, harness, solver
-from bessbid.clearing import BessBids
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
@@ -34,13 +33,13 @@ def tiny_scenario(mask=MarketMask(), rate=5.0, soc_init=5.0):
 
 
 def _same_clear(a, b) -> bool:
-    """Bitwise equality of two clearing results (schedule, prices, duals)."""
+    """Bitwise equality of two one-row clears (schedule, prices, duals)."""
     def bits(r):
-        v = r.variables
-        return np.concatenate([v.p_gs, v.p_grs, v.p_grgc, v.p_grgm,
-                               [v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm, r.objective],
-                               r.row_duals, r.lower_duals]).tobytes()
-    return bits(a) == bits(b) and a.prices == b.prices
+        prices = r.layout.prices_from(r.t, r.row_duals)
+        return np.concatenate([r.x[0], r.objective, r.row_duals[0], r.lower_duals[0],
+                               prices.energy, prices.reserve, prices.regcap,
+                               prices.mileage]).tobytes()
+    return bits(a) == bits(b)
 
 
 def test_reused_layout_clears_match_fresh_clears():
@@ -67,13 +66,12 @@ def test_kkt_stationarity_matches_transpose_product():
         no_upper = np.zeros(lp.n_cols)
         for bids in harness._interval_grid(scn, 2.5):
             r = clear_one(layout, t, bids)
-            rhs = layout.rhs_for(t, clearing.bid_array([bids]))[0]
-            x = layout.vector_from(r.variables)
-            stat = lp.c - lp.a.T.dot(r.row_duals) - r.lower_duals - np.zeros(lp.n_cols)
-            assert core.stationarity(r.row_duals, r.lower_duals, no_upper) == \
+            rhs = layout.rhs_for(t, bids[None])[0]
+            x, y, nu = r.x[0], r.row_duals[0], r.lower_duals[0]
+            stat = lp.c - lp.a.T.dot(y) - nu - np.zeros(lp.n_cols)
+            assert core.stationarity(y, nu, no_upper) == \
                 float(np.max(np.abs(stat), initial=0.0)), (t, bids)
-            assert core.cs(x, core.activity(x), rhs, r.row_duals, r.lower_duals,
-                           no_upper) == r.cs_residual
+            assert core.cs(x, core.activity(x), rhs, y, nu, no_upper) == r.cs_residual[0]
 
 
 def test_tolerance_negative_bid_snapped_and_verified(capfd):
@@ -108,8 +106,7 @@ def test_oracle_best_pair_and_feasible_count_pinned():
                               soc_shift=-0.08161681157298062)
     res = harness.brute_force_oracle(scn, 1.25)
     assert res.revenue.hex() == "0x1.0426627560f3cp+6"
-    assert [(b.sell, b.buy, b.reserve, b.regcap) for b in res.bids] == [
-        (2.5, 0.0, 1.25, 1.25), (5.0, 0.0, 0.0, 0.0)]
+    assert res.bids.tolist() == [[2.5, 0.0, 1.25, 1.25], [5.0, 0.0, 0.0, 0.0]]
     assert (res.evaluated, res.feasible) == (50625, 10649)
 
 
@@ -132,7 +129,7 @@ def test_oracle_lower_bounds_milp():
 def test_oracle_grid_hits_rate_endpoint():
     scn = tiny_scenario(rate=4.0)
     combos = harness._interval_grid(scn, 2.5)
-    sells = {b.sell for b in combos}
+    sells = set(combos[:, 0].tolist())
     assert 4.0 in sells
     assert 2.5 in sells
 
@@ -140,8 +137,9 @@ def test_oracle_grid_hits_rate_endpoint():
 def test_oracle_masked_markets_stay_zero():
     scn = tiny_scenario(mask=MarketMask(True, False, False))
     combos = harness._interval_grid(scn, 2.5)
-    assert all(b.reserve == 0.0 and b.regcap == 0.0 for b in combos)
-    assert any(b.sell > 0 for b in combos)
+    sell, buy, reserve, regcap = combos.T
+    assert (reserve == 0.0).all() and (regcap == 0.0).all()
+    assert (sell > 0).any()
 
 
 def test_oracle_rejects_long_horizon():
@@ -153,6 +151,12 @@ def test_oracle_rejects_long_horizon():
 def test_oracle_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         harness.brute_force_oracle(tiny_scenario(), 0.0)
+
+
+def _oracle_fields(res) -> tuple:
+    """Every field of an OracleResult, its bids as bytes."""
+    return (res.revenue, res.bids.tobytes(), res.bids.shape, res.evaluated, res.feasible,
+            res.grid_step)
 
 
 @pytest.mark.parametrize("scn, step", [(tiny_scenario(), 2.5), (acceptance_instance(), 1.25)])
@@ -168,7 +172,7 @@ def test_oracle_does_not_depend_on_worker_count(monkeypatch, scn, step):
         awards.append(harness._clear_grid(scn, combos))
     assert awards[0].shape == (scn.n_intervals * len(combos), 5)
     for res, arr in zip(results[1:], awards[1:]):
-        assert res == results[0]
+        assert _oracle_fields(res) == _oracle_fields(results[0])
         assert arr.tobytes() == awards[0].tobytes()
 
 

@@ -15,13 +15,12 @@ from bessbid.solver import (
     LpProblem,
     MilpProblem,
     MpsFormatError,
-    SolveOutcome,
     export_mps,
     import_mps,
-    solve_lp,
     solve_milp,
 )
 from bessbid.scenario import BessPriceBids, MarketMask, default_patterns, synthesize_scenario
+from conftest import solve_one
 from test_acceptance import small_instance
 from test_harness import acceptance_instance
 
@@ -41,10 +40,10 @@ def lp(c, rows, senses, rhs, lower, upper, maximize=False):
 def test_min_x_subject_to_floor():
     # min x s.t. x >= 3
     p = lp([1.0], [[1.0]], [">"], [3.0], [-np.inf], [np.inf])
-    out = solve_lp(p)
+    out = solve_one(p)
     assert out.status == "optimal"
-    assert out.x[0] == pytest.approx(3.0, abs=1e-9)
-    assert out.row_duals[0] == pytest.approx(1.0, abs=1e-9)
+    assert out.x[0, 0] == pytest.approx(3.0, abs=1e-9)
+    assert out.row_duals[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_two_generator_clearing_duals():
@@ -59,14 +58,14 @@ def test_two_generator_clearing_duals():
         lower=[0.0, 0.0],
         upper=[100.0, 100.0],
     )
-    out = solve_lp(p)
+    out = solve_one(p)
     assert out.status == "optimal"
-    assert out.objective == pytest.approx((10 * 100 + 20 * 50) * dt, rel=1e-9)
-    np.testing.assert_allclose(out.x, [100.0, 50.0], atol=1e-9)
+    assert out.objective[0] == pytest.approx((10 * 100 + 20 * 50) * dt, rel=1e-9)
+    np.testing.assert_allclose(out.x[0], [100.0, 50.0], atol=1e-9)
     # marginal unit sets the price; raw dual carries the dt scaling
-    assert out.row_duals[0] / dt == pytest.approx(20.0, abs=1e-9)
+    assert out.row_duals[0, 0] / dt == pytest.approx(20.0, abs=1e-9)
     # cheap unit at its upper bound earns rent
-    assert out.upper_duals[0] / dt == pytest.approx(-10.0, abs=1e-9)
+    assert out.upper_duals[0, 0] / dt == pytest.approx(-10.0, abs=1e-9)
 
 
 def test_degenerate_equal_bids_unique_objective():
@@ -74,10 +73,10 @@ def test_degenerate_equal_bids_unique_objective():
     p1 = lp([10.0, 10.0], [[1.0, 1.0]], ["="], [100.0], [0, 0], [80, 80])
     p2 = lp([10.0, 10.0], [[1.0, 1.0]], ["="], [100.0], [0, 0], [80, 80])
     p2.c = p2.c[::-1].copy()  # same data, permuted construction
-    o1, o2 = solve_lp(p1), solve_lp(p2)
-    assert o1.objective == pytest.approx(1000.0, rel=1e-12)
-    assert o2.objective == pytest.approx(1000.0, rel=1e-12)
-    assert o1.duality_gap_rel <= 1e-6
+    o1, o2 = solve_one(p1), solve_one(p2)
+    assert o1.objective[0] == pytest.approx(1000.0, rel=1e-12)
+    assert o2.objective[0] == pytest.approx(1000.0, rel=1e-12)
+    assert o1.duality_gap_rel[0] <= 1e-6
 
 
 def test_lp_duality_contract_on_random_instances():
@@ -91,31 +90,31 @@ def test_lp_duality_contract_on_random_instances():
         pad = np.where(senses == "<", 1.0, np.where(senses == ">", -1.0, 0.0))
         p = lp(rng.uniform(0.1, 2.0, n), a, senses, b + pad * rng.uniform(0, 1, m),
                np.zeros(n), np.full(n, 5.0))
-        out = solve_lp(p)
+        out = solve_one(p)
         assert out.status == "optimal"
-        assert out.duality_gap_rel <= 1e-6
-        assert out.feasibility_residual <= 1e-7
+        assert out.duality_gap_rel[0] <= 1e-6
+        assert out.feasibility_residual[0] <= 1e-7
 
 
 def test_maximize_orientation():
     p = lp([1.0], [[1.0]], ["<"], [4.0], [0.0], [np.inf], maximize=True)
-    out = solve_lp(p)
-    assert out.objective == pytest.approx(4.0)
+    out = solve_one(p)
+    assert out.objective[0] == pytest.approx(4.0)
     # for a max problem, relaxing the <= cap raises the optimum
-    assert out.row_duals[0] == pytest.approx(1.0)
+    assert out.row_duals[0, 0] == pytest.approx(1.0)
 
 
 def test_infeasible_and_unbounded_statuses():
     bad = lp([1.0], [[1.0], [1.0]], ["<", ">"], [1.0, 2.0], [0.0], [np.inf])
-    assert solve_lp(bad).status == "infeasible"
+    assert solve_one(bad).status == "infeasible"
     free = lp([-1.0], [[1.0]], [">"], [0.0], [-np.inf], [np.inf])
-    assert solve_lp(free).status == "unbounded"
+    assert solve_one(free).status == "unbounded"
 
 
-def _outcome_bits(out: SolveOutcome) -> tuple:
-    arrays = [] if out.x is None else [out.x, out.row_duals, out.lower_duals,
-                                        np.array([out.objective])]
-    return (out.status,) + tuple(a.tobytes() for a in arrays)
+def _outcome_bits(out: solver.BatchOutcome) -> tuple:
+    # a solve that ends on another status leaves zero rows
+    return (out.status,) + tuple(a.tobytes() for a in (out.x, out.row_duals, out.lower_duals,
+                                                       out.objective))
 
 
 def test_lp_model_resolves_match_fresh_solves():
@@ -139,8 +138,9 @@ def test_lp_model_resolves_match_fresh_solves():
     model = solver.LpModel(lp(c, rows, senses, first, lower, upper))
     statuses = []
     for rhs in sequence:
-        reused = model.solve(np.array(rhs))
-        fresh = solve_lp(lp(c, rows, senses, rhs, lower, upper))
+        reused = model.solve_batch(np.array([rhs]))
+        fresh = solve_one(lp(c, rows, senses, rhs, lower, upper))
+        assert reused.failure is None
         assert _outcome_bits(reused) == _outcome_bits(fresh), rhs
         statuses.append(reused.status)
     assert statuses == ["optimal", "infeasible", "optimal", "optimal"]
@@ -303,13 +303,13 @@ def test_binding_bounds_close_the_duality_gap():
     # its upper bound: the dual objective is carried by the bound duals alone
     p = lp([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], ["<"], [10.0],
            [2.0, -3.0, 1.0], [6.0, 4.0, 8.0])
-    out = solve_lp(p)
+    out = solve_one(p)
     assert out.status == "optimal"
-    assert out.x.tolist() == [2.0, 4.0, 1.0]
-    assert out.objective == -1.5 and out.duality_gap_rel == 0.0
-    assert out.lower_duals.tolist() == [1.0, 0.0, 0.5]
-    assert out.upper_duals.tolist() == [0.0, -1.0, 0.0]
-    assert out.cs_residual == 0.0
+    assert out.x.tolist() == [[2.0, 4.0, 1.0]]
+    assert out.objective.tolist() == [-1.5] and out.duality_gap_rel.tolist() == [0.0]
+    assert out.lower_duals.tolist() == [[1.0, 0.0, 0.5]]
+    assert out.upper_duals.tolist() == [[0.0, -1.0, 0.0]]
+    assert out.cs_residual.tolist() == [0.0]
 
 
 def milp(c, rows, senses, rhs, lower, upper, integrality, maximize=False):
@@ -507,7 +507,7 @@ def test_mps_rejects_unknown_section(tmp_path):
 def test_dimension_errors_raised():
     p = lp([1.0, 2.0], [[1.0, 1.0]], ["<"], [1.0], [0.0], [1.0])
     with pytest.raises(ValueError, match="bounds length"):
-        solve_lp(p)
+        solve_one(p)
 
 
 ALL_BOUNDS_MPS = """\
