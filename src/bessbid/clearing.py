@@ -268,17 +268,9 @@ class LlLayout:
         n = self.GEN_COLS * self.n_gens
         rows = np.concatenate([np.arange(self.GEN_ROWS * self.n_gens),
                                np.arange(self.n_rows - self.SYS_ROWS, self.n_rows)])
-        # the storage rows hold storage entries only, so keeping the entries
-        # of the generator columns keeps exactly the kept rows' entries, in order
-        a = self.a
-        keep = a.indices < n
-        kept_before = np.concatenate(([0], np.cumsum(keep)))   # at each entry
-        kept_per_row = np.diff(kept_before[a.indptr])
-        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-        np.cumsum(kept_per_row[rows], out=indptr[1:])
         lp = solver.LpProblem(
             c=self.c[t, :n].copy(),
-            a=sp.csr_matrix((a.data[keep], a.indices[keep], indptr), shape=(len(rows), n)),
+            a=self.a[rows][:, :n],
             senses=self.senses[rows],
             rhs=self.rhs_base[t, rows],
             lower=self.lower[:n].copy(),

@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 solver failure or other error (including a
 scenario with no generator, no interval, a bid list without one bid per
-generator or an interval length that is not positive), 2 usage error
-(including a scenario file that does not parse, lacks a field or holds a
-non-number where a number belongs, an ``--out`` file that cannot be written
-or report directory that cannot be created, an ``export-mps --name`` that
-is not printable ASCII, and ``agc-check --seeds`` below 1 or ``--samples``
-below 2), 3 infeasible market or case, 4
+generator, an interval length that is not positive or a number that is not
+finite), 2 usage error (including a scenario file that does not parse,
+lacks a field, holds an unknown one or holds a non-number where a number
+belongs, an ``--out`` file that cannot be written or report directory that
+cannot be created, an ``export-mps --name`` that is not printable ASCII, a
+NaN ``--gap``, ``--time-limit`` or ``--step``, and ``agc-check --seeds``
+below 1 or ``--samples`` below 2), 3 infeasible market or case, 4
 verification failure (including AGC breaches and monotonicity violations), 5
 solver time limit. Defaults can be set in a YAML config file (``--config``);
 environment variables override the file, flags override both.
@@ -75,19 +76,29 @@ def _exit_code_for(err: Exception) -> int:
     return EXIT_FAILURE
 
 
+def _not_nan(ctx, param, value):
+    """Refuse a NaN, which passes every range check."""
+    if value != value:
+        raise click.BadParameter("nan is not a number")
+    return value
+
+
 def solver_options(f):
     f = click.option("--time-limit", type=click.FloatRange(min=0.0), default=None,
-                     envvar="BESSBID_TIME_LIMIT", help="Solver wall-clock limit in seconds.")(f)
+                     callback=_not_nan, envvar="BESSBID_TIME_LIMIT",
+                     help="Solver wall-clock limit in seconds.")(f)
     f = click.option("--gap", type=click.FloatRange(min=0.0), default=1e-6, show_default=True,
-                     envvar="BESSBID_GAP", help="Relative MIP gap tolerance.")(f)
+                     callback=_not_nan, envvar="BESSBID_GAP",
+                     help="Relative MIP gap tolerance.")(f)
     return f
 
 
 def _load(path: str, case: int | None = None) -> Scenario:
     """The scenario in ``path``, under ``case``'s market mask when given. A
-    file that does not parse, lacks a field or holds a non-number where a
-    number belongs is a usage error; a scenario that leaves no clearing LP
-    to build (see :func:`structure_violations`) is an invalid scenario. The
+    file that does not parse, lacks a field, holds an unknown one or holds a
+    non-number where a number belongs is a usage error; a scenario that
+    leaves no clearing LP to build (see :func:`structure_violations`: a
+    number that is not finite, say) is an invalid scenario. The
     rest of validation is left to the command, so a well-formed but
     infeasible market reaches the clear."""
     try:
@@ -181,7 +192,7 @@ def clear(scenario, case, out):
     layout = clearing.LlLayout(scn)   # _load has refused a scenario without one
     try:
         batch = clearing.clear_batch(layout, np.arange(n), np.zeros((n, 4)))
-    except (clearing.ClearingError, ValueError) as err:   # a ValueError names a non-finite value
+    except clearing.ClearingError as err:
         raise _fail(_exit_code_for(err), str(err))
     p = layout.prices_from(batch.t, batch.row_duals)
     table = np.column_stack((p.energy, p.reserve, p.regcap, p.mileage, batch.objective))
@@ -231,16 +242,14 @@ def solve(scenario, case, out, terminal_soc_equality, gap, time_limit):
 @click.option("--scenario", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--case", type=click.IntRange(1, 4), default=None,
               help="Override the scenario's participation case.")
-@click.option("--step", type=float, default=0.5, show_default=True,
+@click.option("--step", type=float, default=0.5, show_default=True, callback=_not_nan,
               help="Bid grid step in MW.")
 def oracle(scenario, case, step):
     """Brute-force the optimal bids of a tiny instance by grid search."""
     scn = _load(scenario, case)
     try:
         res = harness.brute_force_oracle(scn, step)
-    except harness.OracleSizeError as err:
-        raise click.UsageError(str(err))
-    except ValueError as err:
+    except (harness.OracleSizeError, ValueError) as err:
         raise click.UsageError(str(err))
     except clearing.ClearingError as err:
         raise _fail(_exit_code_for(err), str(err))

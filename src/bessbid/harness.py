@@ -321,7 +321,7 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
     """
     if scn.n_intervals > 2:
         raise OracleSizeError(f"oracle supports at most 2 intervals, got {scn.n_intervals}")
-    if bid_grid_step <= 0:
+    if not bid_grid_step > 0:   # a NaN step too
         raise ValueError("bid_grid_step must be > 0")
     bess = scn.bess
     grid = _interval_grid(scn, bid_grid_step)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,6 +128,25 @@ class Scenario:
 
     def with_mask(self, mask: MarketMask) -> "Scenario":
         return replace(self, market_mask=mask)
+
+
+# The scenario document's keys in document order: its top level's, then each
+# record's, which are also the record's field names. The mask's keys hold
+# booleans, an interval's bid keys lists of numbers (one per generator), and
+# the other keys numbers; a generator's keys follow its "id", and the price
+# keys are those of an interval's "bess_price_bids". The writer builds each
+# record from its tuple, the reader takes exactly its keys, and
+# structure_violations checks that each number is finite.
+DOCUMENT_KEYS = ("schema", "units", "market_mask", "bess", "generators", "intervals")
+MASK_KEYS = ("energy", "reserve", "regulation")
+BESS_KEYS = ("energy_capacity", "power_rate", "soc_init", "soc_min", "soc_max",
+             "mileage_multiplier")
+GENERATOR_KEYS = ("base_price_bid", "p_max", "p_min", "reserve_ramp", "regulation_ramp",
+                  "mileage_multiplier")
+INTERVAL_KEYS = ("delta_t", "load", "reserve_req", "regcap_req", "mileage_req")
+INTERVAL_BID_KEYS = ("gen_energy_bids", "gen_reserve_bids", "gen_regcap_bids",
+                     "gen_mileage_bids")
+PRICE_KEYS = ("sell", "buy", "reserve", "regcap", "mileage")
 
 
 # ancillary price bids as multiples of each unit's energy bid
@@ -246,23 +266,38 @@ def synthesize_scenario(
     return scn
 
 
+def _not_finite(record, where: str, numbers=(), lists=()) -> list[str]:
+    """A violation for each key of ``numbers`` whose value in ``record`` is
+    not finite, and for each of ``lists`` that holds such a value."""
+    bad = [k for k in numbers if not math.isfinite(getattr(record, k))]
+    bad += [k for k in lists if not all(map(math.isfinite, getattr(record, k)))]
+    return [f"{where}: {k} must be finite" for k in bad]
+
+
 def structure_violations(scn: Scenario) -> list[str]:
     """The violations that leave no clearing LP to build: no generator, no
-    interval, or an interval without one bid per generator in a bid list or
-    with a ``delta_t`` that is not positive, by which prices are divided."""
+    interval, a number of the document's records that is not finite, or an
+    interval without one bid per generator in a bid list or with a
+    ``delta_t`` that is not positive, by which prices are divided."""
     v: list[str] = []
     if not scn.generators:
         v.append("scenario: needs at least one generator")
     if not scn.intervals:
         v.append("scenario: needs at least one interval")
+    v += _not_finite(scn.bess, "bess", BESS_KEYS)
+    for g in scn.generators:
+        v += _not_finite(g, f"generator {g.gen_id}", GENERATOR_KEYS)
     n_gen = scn.n_generators
     for it in scn.intervals:
+        where = f"interval {it.index}"
+        v += _not_finite(it, where, INTERVAL_KEYS, INTERVAL_BID_KEYS)
+        v += _not_finite(it.bess_price_bids, f"{where}: bess_price_bids", PRICE_KEYS)
         if it.delta_t <= 0:
-            v.append(f"interval {it.index}: delta_t must be > 0")
+            v.append(f"{where}: delta_t must be > 0")
         for name, bids in (("energy", it.gen_energy_bids), ("reserve", it.gen_reserve_bids),
                            ("regcap", it.gen_regcap_bids), ("mileage", it.gen_mileage_bids)):
             if len(bids) != n_gen:
-                v.append(f"interval {it.index}: {name} bid count {len(bids)} != {n_gen} generators")
+                v.append(f"{where}: {name} bid count {len(bids)} != {n_gen} generators")
     return v
 
 
@@ -323,57 +358,26 @@ _UNITS = {
 }
 
 
+def _fields(record, keys: tuple[str, ...]) -> dict:
+    return {k: getattr(record, k) for k in keys}
+
+
 def scenario_to_text(scn: Scenario) -> str:
-    doc = {
-        "schema": SCHEMA_TAG,
-        "units": dict(_UNITS),
-        "market_mask": {
-            "energy": scn.market_mask.energy,
-            "reserve": scn.market_mask.reserve,
-            "regulation": scn.market_mask.regulation,
-        },
-        "bess": {
-            "energy_capacity": scn.bess.energy_capacity,
-            "power_rate": scn.bess.power_rate,
-            "soc_init": scn.bess.soc_init,
-            "soc_min": scn.bess.soc_min,
-            "soc_max": scn.bess.soc_max,
-            "mileage_multiplier": scn.bess.mileage_multiplier,
-        },
-        "generators": [
+    doc = dict(zip(DOCUMENT_KEYS, (
+        SCHEMA_TAG,
+        dict(_UNITS),
+        _fields(scn.market_mask, MASK_KEYS),
+        _fields(scn.bess, BESS_KEYS),
+        [{"id": g.gen_id, **_fields(g, GENERATOR_KEYS)} for g in scn.generators],
+        [
             {
-                "id": g.gen_id,
-                "base_price_bid": g.base_price_bid,
-                "p_max": g.p_max,
-                "p_min": g.p_min,
-                "reserve_ramp": g.reserve_ramp,
-                "regulation_ramp": g.regulation_ramp,
-                "mileage_multiplier": g.mileage_multiplier,
-            }
-            for g in scn.generators
-        ],
-        "intervals": [
-            {
-                "delta_t": it.delta_t,
-                "load": it.load,
-                "reserve_req": it.reserve_req,
-                "regcap_req": it.regcap_req,
-                "mileage_req": it.mileage_req,
-                "gen_energy_bids": list(it.gen_energy_bids),
-                "gen_reserve_bids": list(it.gen_reserve_bids),
-                "gen_regcap_bids": list(it.gen_regcap_bids),
-                "gen_mileage_bids": list(it.gen_mileage_bids),
-                "bess_price_bids": {
-                    "sell": it.bess_price_bids.sell,
-                    "buy": it.bess_price_bids.buy,
-                    "reserve": it.bess_price_bids.reserve,
-                    "regcap": it.bess_price_bids.regcap,
-                    "mileage": it.bess_price_bids.mileage,
-                },
+                **_fields(it, INTERVAL_KEYS),
+                **{k: list(getattr(it, k)) for k in INTERVAL_BID_KEYS},
+                "bess_price_bids": _fields(it.bess_price_bids, PRICE_KEYS),
             }
             for it in scn.intervals
         ],
-    }
+    )))
     return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False, default_flow_style=None,
                      width=100)
 
@@ -385,28 +389,52 @@ def save_scenario(scn: Scenario, path: str) -> None:
              path, scn.n_intervals, scn.n_generators)
 
 
-_BESS_FIELDS = ("energy_capacity", "power_rate", "soc_init", "soc_min", "soc_max",
-                "mileage_multiplier")
-_GENERATOR_FIELDS = ("base_price_bid", "p_max", "reserve_ramp", "regulation_ramp", "p_min",
-                     "mileage_multiplier")
-_INTERVAL_FIELDS = ("delta_t", "load", "reserve_req", "regcap_req", "mileage_req")
-_INTERVAL_BID_FIELDS = ("gen_energy_bids", "gen_reserve_bids", "gen_regcap_bids",
-                        "gen_mileage_bids")
 # a YAML number loads as one of these; a YAML bool loads as bool, a subclass of int
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _check_numbers(node: dict, where, fields=(), list_fields=()) -> None:
-    """Raise a :class:`ScenarioError` naming the first of ``fields`` whose
-    value in ``node`` is not a number, or the first of ``list_fields`` whose
-    value is not a list of numbers; ``where`` names the node."""
-    for f in fields:
-        if type(node[f]) not in _NUMBER_TYPES:
-            raise ScenarioError(f"{where}: {f} must be a number, got {node[f]!r}")
-    for f in list_fields:
-        value = node[f]
-        if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
-            raise ScenarioError(f"{where}: {f} must be a list of numbers, got {value!r}")
+def _record(node, where: str, numbers=(), lists=(), flags=(), other=()) -> dict:
+    """The keys and values of document record ``node``, its lists as tuples.
+
+    ``node`` must map exactly the keys of ``numbers`` to numbers, of
+    ``lists`` to lists of numbers, of ``flags`` to booleans and of ``other``
+    to any value. Raises a :class:`ScenarioError` naming ``where`` and the
+    first key that is missing, unknown or of another kind.
+    """
+    if type(node) is not dict:
+        raise ScenarioError(f"{where} must be a mapping, got {node!r}")
+    keys = (*other, *flags, *numbers, *lists)
+    for k in keys:
+        if k not in node:
+            raise ScenarioError(f"{where}: missing field {k}")
+    for k in node:
+        if k not in keys:
+            raise ScenarioError(f"{where}: unknown field {k}")
+    for k in numbers:
+        if type(node[k]) not in _NUMBER_TYPES:
+            raise ScenarioError(f"{where}: {k} must be a number, got {node[k]!r}")
+    for k in lists:
+        if type(node[k]) is not list or not _NUMBER_TYPES.issuperset(map(type, node[k])):
+            raise ScenarioError(f"{where}: {k} must be a list of numbers, got {node[k]!r}")
+    for k in flags:
+        if type(node[k]) is not bool:
+            raise ScenarioError(f"{where}: {k} must be a boolean, got {node[k]!r}")
+    return {**node, **{k: tuple(node[k]) for k in lists}}
+
+
+def _generator(node, k: int) -> GeneratorParams:
+    # named by its id, or by its position while it has none
+    named = type(node) is dict and "id" in node
+    rec = _record(node, f"generator {node['id'] if named else k}", GENERATOR_KEYS,
+                  other=("id",))
+    return GeneratorParams(gen_id=rec.pop("id"), **rec)
+
+
+def _interval(node, t: int) -> IntervalData:
+    where = f"interval {t}"
+    rec = _record(node, where, INTERVAL_KEYS, INTERVAL_BID_KEYS, other=("bess_price_bids",))
+    prices = _record(rec.pop("bess_price_bids"), f"{where}: bess_price_bids", PRICE_KEYS)
+    return IntervalData(index=t, **rec, bess_price_bids=BessPriceBids(**prices))
 
 
 def scenario_from_text(text: str) -> Scenario:
@@ -423,48 +451,17 @@ def scenario_from_text(text: str) -> Scenario:
     tag = doc.get("schema")
     if tag != SCHEMA_TAG:
         raise ScenarioError(f"unsupported schema tag {tag!r}, expected {SCHEMA_TAG!r}")
-    try:
-        mask = MarketMask(**doc["market_mask"])
-        for f, value in doc["market_mask"].items():
-            if type(value) is not bool:
-                raise ScenarioError(f"market_mask: {f} must be a boolean, got {value!r}")
-        bd = doc["bess"]
-        _check_numbers(bd, "bess", _BESS_FIELDS)
-        bess = BessParams(
-            energy_capacity=bd["energy_capacity"], power_rate=bd["power_rate"],
-            soc_init=bd["soc_init"], soc_min=bd["soc_min"], soc_max=bd["soc_max"],
-            mileage_multiplier=bd["mileage_multiplier"],
-        )
-        for g in doc["generators"]:
-            _check_numbers(g, f"generator {g['id']}", _GENERATOR_FIELDS)
-        gens = tuple(
-            GeneratorParams(
-                gen_id=g["id"], base_price_bid=g["base_price_bid"], p_max=g["p_max"],
-                reserve_ramp=g["reserve_ramp"], regulation_ramp=g["regulation_ramp"],
-                p_min=g["p_min"], mileage_multiplier=g["mileage_multiplier"],
-            )
-            for g in doc["generators"]
-        )
-        for t, it in enumerate(doc["intervals"]):
-            _check_numbers(it, f"interval {t}", _INTERVAL_FIELDS, _INTERVAL_BID_FIELDS)
-            prices = it["bess_price_bids"]
-            _check_numbers(prices, f"interval {t}: bess_price_bids", prices)
-        intervals = tuple(
-            IntervalData(
-                index=t, delta_t=it["delta_t"], load=it["load"],
-                reserve_req=it["reserve_req"], regcap_req=it["regcap_req"],
-                mileage_req=it["mileage_req"],
-                gen_energy_bids=tuple(it["gen_energy_bids"]),
-                gen_reserve_bids=tuple(it["gen_reserve_bids"]),
-                gen_regcap_bids=tuple(it["gen_regcap_bids"]),
-                gen_mileage_bids=tuple(it["gen_mileage_bids"]),
-                bess_price_bids=BessPriceBids(**it["bess_price_bids"]),
-            )
-            for t, it in enumerate(doc["intervals"])
-        )
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"scenario document missing field: {exc}") from exc
-    return Scenario(generators=gens, bess=bess, intervals=intervals, market_mask=mask)
+    doc = _record(doc, "scenario document", other=DOCUMENT_KEYS)
+    for key in ("generators", "intervals"):
+        if type(doc[key]) is not list:
+            raise ScenarioError(f"scenario document: {key} must be a list, got {doc[key]!r}")
+    # keyword order is reading order: the records are checked in document order
+    return Scenario(
+        market_mask=MarketMask(**_record(doc["market_mask"], "market_mask", flags=MASK_KEYS)),
+        bess=BessParams(**_record(doc["bess"], "bess", BESS_KEYS)),
+        generators=tuple(_generator(g, k) for k, g in enumerate(doc["generators"])),
+        intervals=tuple(_interval(it, t) for t, it in enumerate(doc["intervals"])),
+    )
 
 
 def load_scenario(path: str) -> Scenario:

@@ -316,7 +316,7 @@ def test_malformed_scenario_is_one_error_line_and_exit_2(tmp_path, args):
         assert "Traceback" not in res.output
 
 
-@pytest.mark.parametrize("peak", ["5000", "-1"])
+@pytest.mark.parametrize("peak", ["5000", "-1", "nan"])
 def test_synth_invalid_scenario_is_one_error_line_and_exit_2(tmp_path, peak):
     out = tmp_path / "s.scn"
     res = runner().invoke(cli, ["synth", "--out", str(out), "--peak", peak])
@@ -437,6 +437,30 @@ def _reserve_no(doc):
     doc["market_mask"]["reserve"] = "no"
 
 
+def _nan_load(doc):
+    doc["intervals"][0]["load"] = float("nan")
+
+
+def _infinite_sell_price(doc):
+    doc["intervals"][0]["bess_price_bids"]["sell"] = float("inf")
+
+
+def _no_reserve_mask(doc):
+    del doc["market_mask"]["reserve"]
+
+
+def _no_buy_price(doc):
+    del doc["intervals"][0]["bess_price_bids"]["buy"]
+
+
+def _bogus_bess_field(doc):
+    doc["bess"]["bogus"] = 1.0
+
+
+def _bogus_price_field(doc):
+    doc["intervals"][0]["bess_price_bids"]["bogus"] = 1.0
+
+
 SCENARIO_COMMANDS = [
     ["clear"],
     ["solve", "--out", "run"],
@@ -449,9 +473,10 @@ SCENARIO_COMMANDS = [
 
 @pytest.mark.parametrize("args", SCENARIO_COMMANDS, ids=lambda args: args[0])
 def test_bad_scenario_values_are_one_error_line(tmp_path, args):
-    # a string where a number or a boolean belongs is a usage error; a
-    # scenario with no generator or a short bid list is an invalid scenario,
-    # reported before any clear or solve
+    # a string where a number or a boolean belongs, or a missing or unknown
+    # field, is a usage error; a scenario with no generator, a short bid list
+    # or a number that is not finite is an invalid scenario, reported before
+    # any clear or solve
     args = [str(tmp_path / a) if a in ("run", "model.mps") else a for a in args]
     cases = [
         (_set_load, EXIT_USAGE, "error: interval 0: load must be a number, got 'abc'"),
@@ -460,6 +485,14 @@ def test_bad_scenario_values_are_one_error_line(tmp_path, args):
         (_no_generators, EXIT_FAILURE,
          "error: invalid scenario: scenario: needs at least one generator; "),
         (_reserve_no, EXIT_USAGE, "error: market_mask: reserve must be a boolean, got 'no'"),
+        (_nan_load, EXIT_FAILURE, "error: invalid scenario: interval 0: load must be finite"),
+        (_infinite_sell_price, EXIT_FAILURE,
+         "error: invalid scenario: interval 0: bess_price_bids: sell must be finite"),
+        (_no_reserve_mask, EXIT_USAGE, "error: market_mask: missing field reserve"),
+        (_no_buy_price, EXIT_USAGE, "error: interval 0: bess_price_bids: missing field buy"),
+        (_bogus_bess_field, EXIT_USAGE, "error: bess: unknown field bogus"),
+        (_bogus_price_field, EXIT_USAGE,
+         "error: interval 0: bess_price_bids: unknown field bogus"),
     ]
     for edit, code, prefix in cases:
         path = _edited_desk(tmp_path, edit.__name__, edit)
@@ -499,10 +532,31 @@ def _infinite_load(doc):
 
 
 def test_clear_non_finite_value_is_one_error_line(tmp_path):
-    # the clearing model refuses a non-finite right-hand side before any solve
+    # the scenario check refuses a non-finite number, naming its interval
+    # and field, before any model is built
     path = _edited_desk(tmp_path, "infinite_load", _infinite_load)
     res = runner().invoke(cli, ["clear", "--scenario", str(path)])
     assert res.exit_code == EXIT_FAILURE, res.output
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.splitlines() == [
-        "error: objective, constraint coefficients and rhs must be finite"]
+        "error: invalid scenario: interval 0: load must be finite"]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--gap", "nan", "--out", "run"],
+    ["solve", "--time-limit", "nan", "--out", "run"],
+    ["oracle", "--step", "nan"],
+], ids=lambda args: args[1])
+def test_nan_flag_is_usage_error_naming_it(tmp_path, monkeypatch, args):
+    # a NaN passes every range check, so each flag refuses it before any solve
+    def fail(*a, **k):
+        raise AssertionError("solved despite a NaN flag")
+
+    monkeypatch.setattr(harness, "run_case", fail)
+    monkeypatch.setattr(harness, "brute_force_oracle", fail)
+    scn = synth_tiny(runner(), tmp_path / "s.scn")
+    args = [str(tmp_path / a) if a == "run" else a for a in args]
+    res = runner().invoke(cli, args + ["--scenario", str(scn)])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert f"Invalid value for '{args[1]}': nan is not a number" in res.stderr
+    assert not (tmp_path / "run").exists()

@@ -149,8 +149,9 @@ def test_oracle_rejects_long_horizon():
 
 
 def test_oracle_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        harness.brute_force_oracle(tiny_scenario(), 0.0)
+    for step in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="bid_grid_step must be > 0"):
+            harness.brute_force_oracle(tiny_scenario(), step)
 
 
 def _oracle_fields(res) -> tuple:

@@ -257,6 +257,7 @@ NON_NUMBERS = [
     (("generators", 1, "p_max"), False, "generator b", "p_max"),
     (("market_mask", "reserve"), "no", "market_mask", "reserve"),
     (("market_mask", "regulation"), 0, "market_mask", "regulation"),
+    (("generators",), 5, "scenario document", "generators"),
 ]
 
 
@@ -269,6 +270,77 @@ def test_non_number_is_a_scenario_error_naming_the_field(path, value, where, fie
     node[path[-1]] = value
     with pytest.raises(ScenarioError,
                        match=f"^{re.escape(where)}: {re.escape(field)} must be a "):
+        scenario_from_text(yaml.safe_dump(doc, sort_keys=False))
+
+
+def _document_records():
+    """(path to the record, the name errors give it, its keys) for each
+    record of acceptance 1's document, the document itself first."""
+    doc = yaml.safe_load(scenario_to_text(acceptance_instance()))
+    records = [((), "scenario document"), (("market_mask",), "market_mask"),
+               (("bess",), "bess"), (("generators", 1), "generator b"),
+               (("intervals", 1), "interval 1"),
+               (("intervals", 1, "bess_price_bids"), "interval 1: bess_price_bids")]
+    return [(path, where, tuple(_node(doc, path))) for path, where in records]
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _edited_text(edit, path):
+    """Acceptance 1's document text with ``edit`` applied to the record at ``path``."""
+    doc = yaml.safe_load(scenario_to_text(acceptance_instance()))
+    edit(_node(doc, path))
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+KEY_CASES = [(path, where, key) for path, where, keys in _document_records() for key in keys]
+# the keys that hold numbers or lists of numbers
+NUMBER_CASES = [case for case in KEY_CASES
+                if case[1] not in ("scenario document", "market_mask")
+                and case[2] not in ("id", "bess_price_bids")]
+
+
+def _ids(cases):
+    return [".".join(map(str, path + (key,))) for path, _, key in cases]
+
+
+@pytest.mark.parametrize("path, where, key", KEY_CASES, ids=_ids(KEY_CASES))
+def test_every_document_key_is_required(path, where, key):
+    text = _edited_text(lambda node: node.pop(key), path)
+    if key == "schema":
+        want = "unsupported schema tag None"
+    else:
+        # a generator without its id is named by its position
+        want = f"{'generator 1' if key == 'id' else where}: missing field {key}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(want)}"):
+        scenario_from_text(text)
+
+
+@pytest.mark.parametrize("path, where, key", KEY_CASES, ids=_ids(KEY_CASES))
+def test_a_key_beside_every_document_key_is_unknown(path, where, key):
+    text = _edited_text(lambda node: node.__setitem__(f"{key}s", 1.0), path)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(where)}: unknown field {key}s$"):
+        scenario_from_text(text)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("path, where, key", NUMBER_CASES, ids=_ids(NUMBER_CASES))
+def test_every_document_number_must_be_finite(path, where, key, value):
+    def edit(node):
+        node[key] = [node[key][0], value] if isinstance(node[key], list) else value
+
+    scn = scenario_from_text(_edited_text(edit, path))
+    assert f"{where}: {key} must be finite" in structure_violations(scn)
+
+
+def test_record_that_is_not_a_mapping_is_named():
+    doc = yaml.safe_load(scenario_to_text(acceptance_instance()))
+    doc["intervals"][1] = "x"
+    with pytest.raises(ScenarioError, match="^interval 1 must be a mapping, got 'x'$"):
         scenario_from_text(yaml.safe_dump(doc, sort_keys=False))
 
 
