@@ -196,15 +196,13 @@ def clear(scenario, case, out):
         raise _fail(_exit_code_for(err), str(err))
     p = layout.prices_from(batch.t, batch.row_duals)
     table = np.column_stack((p.energy, p.reserve, p.regcap, p.mileage, batch.objective))
-    lines = ["t,price_energy,price_reserve,price_regcap,price_mileage,clearing_cost"]
-    # tolist gives Python floats, whose repr is the shortest round-trip literal
-    for t, row in enumerate(table.tolist()):
-        lines.append(",".join([str(t)] + [repr(v) for v in row]))
-    text = "\n".join(lines)
+    text = harness.csv_text(
+        ["t", "price_energy", "price_reserve", "price_regcap", "price_mileage", "clearing_cost"],
+        [(t, *row) for t, row in enumerate(table.tolist())])
     if out is not None:
         with _writing(out):
-            Path(out).write_text(text + "\n", encoding="ascii", newline="\n")
-    click.echo(text)
+            Path(out).write_text(text, encoding="ascii", newline="\n")
+    click.echo(text, nl=False)
 
 
 @cli.command()

@@ -11,10 +11,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import logging
+import math
 import multiprocessing
+import operator
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,40 +84,21 @@ class SolverSettings:
     time_limit: float | None = None
 
 
-@dataclass
-class IntervalRecord:
-    """One interval of the published schedule; revenues are recomputed from
-    prices, awards, and interval length, never copied from the optimizer."""
+# One interval of the published schedule, its fields the intervals.csv
+# columns in order; revenues are recomputed from prices, awards, and interval
+# length, never copied from the optimizer.
+IntervalRecord = namedtuple("IntervalRecord", [
+    "t", "delta_t", "u",
+    "sell_bid", "buy_bid", "reserve_bid", "regcap_bid",
+    "sell_award", "buy_award", "reserve_award", "regcap_award", "mileage_award",
+    "price_energy", "price_reserve", "price_regcap", "price_mileage",
+    "soc",
+    "revenue_energy", "revenue_reserve", "revenue_regcap", "revenue_mileage",
+])
 
-    t: int
-    delta_t: float
-    u: int
-    sell_bid: float
-    buy_bid: float
-    reserve_bid: float
-    regcap_bid: float
-    sell_award: float
-    buy_award: float
-    reserve_award: float
-    regcap_award: float
-    mileage_award: float
-    price_energy: float
-    price_reserve: float
-    price_regcap: float
-    price_mileage: float
-    soc: float
-    revenue_energy: float
-    revenue_reserve: float
-    revenue_regcap: float
-    revenue_mileage: float
-
-    @property
-    def revenue_total(self) -> float:
-        return (self.revenue_energy + self.revenue_reserve
-                + self.revenue_regcap + self.revenue_mileage)
-
-
-FIELD_ORDER = [f.name for f in fields(IntervalRecord)]
+FIELD_ORDER = list(IntervalRecord._fields)
+REVENUE_FIELDS = FIELD_ORDER[-4:]
+_revenues = operator.attrgetter(*REVENUE_FIELDS)
 
 
 @dataclass
@@ -145,8 +129,8 @@ class BessSchedule:
         return cls(records=records, soc_init=scn.bess.soc_init)
 
     def totals(self) -> dict[str, float]:
-        keys = ("energy", "reserve", "regcap", "mileage")
-        out = {k: sum(getattr(r, f"revenue_{k}") for r in self.records) for k in keys}
+        columns = zip(*map(_revenues, self.records))
+        out = {f.removeprefix("revenue_"): sum(c) for f, c in zip(REVENUE_FIELDS, columns)}
         out["total"] = sum(out.values())
         return {k: round(v, REVENUE_DECIMALS) for k, v in out.items()}
 
@@ -272,6 +256,21 @@ def _interval_grid(scn: Scenario, step: float) -> np.ndarray:
     return np.array(combos, dtype=float)
 
 
+def _grid_size(scn: Scenario, step: float) -> int | float:
+    """``len(_interval_grid(scn, step))``, counted without building the
+    grid; ``inf`` where the rate over the step overflows."""
+    ratio = scn.bess.power_rate / step
+    if ratio == math.inf:
+        return math.inf
+    # np.arange(0, rate, step) holds ceil(rate / step) values, and one for a
+    # step above the rate or infinite; the grid adds the rate
+    n = max(math.ceil(ratio), 1) + 1
+    mask = scn.market_mask
+    # sell and buy pairs with one side at zero, the grid's only zero value
+    energy = 2 * n - 1 if mask.energy else 1
+    return energy * (n if mask.reserve else 1) * (n if mask.regulation else 1)
+
+
 def _clear_chunk(scn: Scenario, bids: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Clear pairs ``start`` to ``stop - 1`` of the flat grid, where pair
     ``k`` is interval ``k // len(bids)`` at row ``k % len(bids)`` of the
@@ -317,20 +316,21 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
     the SOC recursion and headroom rules. The result is a guaranteed
     lower bound on the true optimum (grid under-approximation). Only
     horizons of one or two intervals are supported; anything larger is the
-    MILP's job.
+    MILP's job, and a grid over ``ORACLE_MAX_EVALUATIONS`` is refused before
+    any of it is built.
     """
     if scn.n_intervals > 2:
         raise OracleSizeError(f"oracle supports at most 2 intervals, got {scn.n_intervals}")
     if not bid_grid_step > 0:   # a NaN step too
         raise ValueError("bid_grid_step must be > 0")
-    bess = scn.bess
-    grid = _interval_grid(scn, bid_grid_step)
-    total = len(grid) ** scn.n_intervals
+    total = _grid_size(scn, bid_grid_step) ** scn.n_intervals
     if total > ORACLE_MAX_EVALUATIONS:
         raise OracleSizeError(
             f"{total} grid evaluations exceed the {ORACLE_MAX_EVALUATIONS} cap; "
             "enlarge the step or shrink the instance"
         )
+    bess = scn.bess
+    grid = _interval_grid(scn, bid_grid_step)
 
     awards = _clear_grid(scn, grid)
 
@@ -437,10 +437,12 @@ def compare_cases(reports: list[CaseReport]) -> CaseComparison:
     return CaseComparison(rows=rows, monotonicity=monotonicity)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def csv_text(header: list[str], rows) -> str:
+    """The published CSV text of a table: the header, then one line per row
+    of Python ints and floats, each value as its repr (for a float the
+    shortest literal that reads back to it), every line ended by ``\\n``."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def emit_outputs(report: CaseReport, out_dir: str | Path) -> dict[str, str]:
@@ -451,33 +453,7 @@ def emit_outputs(report: CaseReport, out_dir: str | Path) -> dict[str, str]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
-
-    intervals = out / "intervals.csv"
-    with intervals.open("w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# schema: {SCHEMA_INTERVALS}\n")
-        fh.write(",".join(FIELD_ORDER) + "\n")
-        for r in report.schedule.records:
-            fh.write(",".join(_fmt(getattr(r, k)) for k in FIELD_ORDER) + "\n")
-    files["intervals"] = str(intervals)
-
-    soc = out / "soc_trace.csv"
-    with soc.open("w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,soc\n")
-        fh.write(f"-1,{_fmt(report.schedule.soc_init)}\n")
-        for r in report.schedule.records:
-            fh.write(f"{r.t},{_fmt(r.soc)}\n")
-    files["soc_trace"] = str(soc)
-
-    revenue = out / "revenue_traces.csv"
-    with revenue.open("w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,revenue_energy,revenue_reserve,revenue_regcap,revenue_mileage\n")
-        for r in report.schedule.records:
-            fh.write(f"{r.t},{_fmt(r.revenue_energy)},{_fmt(r.revenue_reserve)},"
-                     f"{_fmt(r.revenue_regcap)},{_fmt(r.revenue_mileage)}\n")
-    files["revenue_traces"] = str(revenue)
-
-    summary = out / "summary.yaml"
+    records = report.schedule.records
     doc = {
         "schema": SCHEMA_SUMMARY,
         "case": report.label,
@@ -496,10 +472,19 @@ def emit_outputs(report: CaseReport, out_dir: str | Path) -> dict[str, str]:
             "revenue_from_duals": float(report.verification.revenue_from_duals),
         },
     }
-    with summary.open("w", encoding="ascii", newline="\n") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True)
-    files["summary"] = str(summary)
-
+    texts = {
+        "intervals.csv": f"# schema: {SCHEMA_INTERVALS}\n" + csv_text(FIELD_ORDER, records),
+        "soc_trace.csv": csv_text(["t", "soc"], [(-1, report.schedule.soc_init)]
+                                  + [(r.t, r.soc) for r in records]),
+        "revenue_traces.csv": csv_text(["t", *REVENUE_FIELDS],
+                                       [(r.t, *_revenues(r)) for r in records]),
+        "summary.yaml": yaml.safe_dump(doc, sort_keys=True),
+    }
+    files: dict[str, str] = {}
+    for name, text in texts.items():
+        path = out / name
+        path.write_text(text, encoding="ascii", newline="\n")
+        files[path.stem] = str(path)
     return files
 
 

@@ -1,6 +1,7 @@
 """Shared scenario builders and clears for the test suite."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
@@ -82,3 +83,20 @@ def acceptance_instance(load_scale=1.0, bid_factors=(1.0, 1.0), soc_shift=0.0):
         delta_t=0.5,
         bess_price_bids=BessPriceBids(buy=100.0),
     )
+
+
+def assert_tables_agree(files):
+    """``soc_trace.csv`` after its ``-1,<soc_init>`` line is ``intervals.csv``'s
+    ``t,soc`` columns, and ``revenue_traces.csv`` its ``t,revenue_*`` columns,
+    text for text; ``files`` is :func:`harness.emit_outputs`' dict of paths."""
+    rows = [line.split(",") for line in Path(files["intervals"]).read_text().splitlines()[1:]]
+
+    def columns(names):
+        cols = [rows[0].index(name) for name in names]
+        return [",".join(row[c] for c in cols) for row in rows]
+
+    soc = Path(files["soc_trace"]).read_text().splitlines()
+    assert [soc[0]] + soc[2:] == columns(["t", "soc"])
+    revenue = Path(files["revenue_traces"]).read_text().splitlines()
+    assert revenue == columns(["t", "revenue_energy", "revenue_reserve", "revenue_regcap",
+                               "revenue_mileage"])

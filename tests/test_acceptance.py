@@ -24,7 +24,7 @@ from bessbid.scenario import (
     Scenario,
     synthesize_scenario,
 )
-from conftest import clear_one, solve_one
+from conftest import assert_tables_agree, clear_one, solve_one
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -216,6 +216,15 @@ def test_desk_verification_reports_are_pinned(desk_reports):
         assert (v.revenue_milp.hex(), v.revenue_from_duals.hex()) == \
             (revenue_milp, revenue_from_duals), case
         assert {k: r.hex() for k, r in v.max_residuals.items()} == residuals, case
+
+
+def test_desk_report_tables_agree(tmp_path, desk_reports):
+    _, reports = desk_reports
+    for case, (report, _) in reports.items():
+        files = harness.emit_outputs(report, tmp_path / report.label)
+        assert_tables_agree(files)
+        soc_init = Path(files["soc_trace"]).read_text().splitlines()[1]
+        assert soc_init == f"-1,{report.schedule.soc_init!r}", case
 
 
 def test_desk_reports_print_no_negative_zero(tmp_path, desk_reports):

@@ -203,6 +203,25 @@ def test_oracle_rejects_long_horizon(tmp_path):
     assert "2 intervals" in res.output
 
 
+@pytest.mark.parametrize("step", ["0.01", "5e-324"])
+def test_oracle_refuses_grid_over_the_cap(tmp_path, monkeypatch, step):
+    # both grids are refused before any of them is built: one by its count,
+    # one because the rate over the step overflows
+    def build(*args):
+        raise AssertionError("built the grid")
+
+    monkeypatch.setattr(harness, "_interval_grid", build)
+    rn = runner()
+    acceptance = tmp_path / "acceptance.scn"
+    save_scenario(acceptance_instance(), str(acceptance))
+    for scn in (acceptance, synth_tiny(rn, tmp_path / "s.scn")):
+        res = rn.invoke(cli, ["oracle", "--scenario", str(scn), "--step", step])
+        assert res.exit_code == EXIT_USAGE, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"exceed the {harness.ORACLE_MAX_EVALUATIONS} cap" in res.stderr
+        assert "Traceback" not in res.output
+
+
 def test_oracle_infeasible_market_exits_3(tmp_path, monkeypatch):
     # no fleet meets this reserve requirement; the clear fails in a forked
     # worker, and its error must reach the parent with type and message

@@ -1,4 +1,7 @@
+import itertools
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +12,20 @@ from bessbid.scenario import (
     BessParams,
     BessPriceBids,
     MarketMask,
+    load_scenario,
+    save_scenario,
     synthesize_scenario,
     validate_scenario,
 )
 
-from conftest import GEN_CHEAP, GEN_DEAR, acceptance_instance, build_scenario, clear_one
+from conftest import (
+    GEN_CHEAP,
+    GEN_DEAR,
+    acceptance_instance,
+    assert_tables_agree,
+    build_scenario,
+    clear_one,
+)
 
 EXACT = harness.SolverSettings(gap_tol=1e-9)
 
@@ -148,6 +160,33 @@ def test_oracle_rejects_long_horizon():
         harness.brute_force_oracle(scn, 2.5)
 
 
+@pytest.mark.parametrize("mask", [MarketMask(*flags)
+                                  for flags in itertools.product((False, True), repeat=3)],
+                         ids=MarketMask.label)
+@pytest.mark.parametrize("step", [math.inf, 10.0, 5.0, 2.5, 0.5, 0.3])
+def test_oracle_grid_size_counts_the_grid(mask, step):
+    # a step at or above the rate 5, or an infinite one, leaves 0 and the rate
+    scn = tiny_scenario(mask=mask)
+    assert harness._grid_size(scn, step) == len(harness._interval_grid(scn, step))
+
+
+def test_oracle_refuses_oversized_grid_before_building_it(monkeypatch):
+    def build(*args):
+        raise AssertionError("built the grid")
+
+    monkeypatch.setattr(harness, "_interval_grid", build)
+    # 5e-324 overflows the rate over the step to inf
+    for step in (0.01, 5e-324):
+        with pytest.raises(harness.OracleSizeError,
+                           match=f"exceed the {harness.ORACLE_MAX_EVALUATIONS} cap"):
+            harness.brute_force_oracle(acceptance_instance(), step)
+
+
+def test_oracle_infinite_step_clears_zero_and_rate():
+    res = harness.brute_force_oracle(acceptance_instance(), math.inf)
+    assert res.evaluated == 12 ** 2
+
+
 def test_oracle_rejects_nonpositive_step():
     for step in (0.0, float("nan")):
         with pytest.raises(ValueError, match="bid_grid_step must be > 0"):
@@ -231,7 +270,8 @@ def test_zero_energy_capacity_storage_earns_nothing():
 
 def test_schedule_revenue_identity():
     report = harness.run_case(tiny_scenario(), settings=EXACT)
-    by_interval = sum(r.revenue_total for r in report.schedule.records)
+    by_interval = sum(getattr(r, f) for r in report.schedule.records
+                      for f in harness.REVENUE_FIELDS)
     assert by_interval == pytest.approx(report.totals["total"], abs=1e-8)
     assert report.totals["total"] == pytest.approx(report.objective, rel=1e-5)
     for rec in report.schedule.records:
@@ -284,6 +324,20 @@ def test_emitted_interval_table_shape(tmp_path):
         for key in ("revenue_energy", "revenue_reserve", "revenue_regcap", "revenue_mileage"):
             total += float(parts[cols[key]])
     assert total == pytest.approx(report.totals["total"], abs=1e-8)
+    assert_tables_agree(files)
+
+
+def test_integer_soc_init_prints_as_written(tmp_path):
+    # a scenario file may hold a YAML integer; the SOC trace repeats it as is
+    path = tmp_path / "s.scn"
+    save_scenario(tiny_scenario(), str(path))
+    doc = yaml.safe_load(path.read_text())
+    doc["bess"]["soc_init"] = 5
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    report = harness.run_case(load_scenario(str(path)), settings=EXACT)
+    files = harness.emit_outputs(report, tmp_path / "run")
+    assert Path(files["soc_trace"]).read_text().startswith("t,soc\n-1,5\n")
+    assert_tables_agree(files)
 
 
 def test_emitted_summary_parses(tmp_path):
