@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import clearing, solver
-from .clearing import LlLayout, LlVariables
+from .clearing import LlLayout
 from .scenario import MarketMask, Scenario, validate_scenario
 
 log = logging.getLogger(__name__)
@@ -202,16 +202,17 @@ def linearize_objective(layout: LlLayout) -> tuple[np.ndarray, np.ndarray]:
     return x_coefs, layout.rhs_base
 
 
-def direct_revenue_value(layout: LlLayout, v: LlVariables,
+def direct_revenue_value(layout: LlLayout, x: np.ndarray,
                          row_duals: np.ndarray) -> float | np.ndarray:
-    """Price-times-award revenue evaluated directly from duals and awards;
-    with one schedule per row (see :meth:`LlLayout.variables_from`) and one
-    dual vector per row, one revenue per row."""
+    """Price-times-award revenue evaluated directly from duals and the
+    storage awards in clearing column vector ``x``; with one column vector
+    and one dual vector per row, one revenue per row."""
+    p_bs, p_bd, p_brs, p_brgc, p_brgm = np.moveaxis(x[..., layout.col_bs:], -1, 0)
     return (
-        row_duals[..., layout.row_balance] * (v.p_bs - v.p_bd)
-        + row_duals[..., layout.row_reserve_req] * v.p_brs
-        + row_duals[..., layout.row_regcap_req] * v.p_brgc
-        + row_duals[..., layout.row_mileage_req] * v.p_brgm
+        row_duals[..., layout.row_balance] * (p_bs - p_bd)
+        + row_duals[..., layout.row_reserve_req] * p_brs
+        + row_duals[..., layout.row_regcap_req] * p_brgc
+        + row_duals[..., layout.row_mileage_req] * p_brgm
     )
 
 
@@ -633,7 +634,7 @@ def verify_bilevel_solution(bilevel: BilevelMilp, sol: BilevelSolution) -> Verif
     n_t = len(sol.x)
     t = np.arange(n_t)
     dt = layout.delta_t
-    v = layout.variables_from(sol.x)
+    p_bs, p_bd, p_brs, p_brgc = sol.x[:, layout.col_bs:layout.col_brgm].T
     sell, buy = sol.bids[:, 0], sol.bids[:, 1]
     notes: list[str] = list(sol.notes)
 
@@ -643,15 +644,15 @@ def verify_bilevel_solution(bilevel: BilevelMilp, sol: BilevelSolution) -> Verif
     if scn.market_mask.energy:
         holds["sell_mode"] = sell <= sol.u * rate + PRIMAL_CHECK_TOL
         holds["buy_mode"] = buy <= (1 - sol.u) * rate + PRIMAL_CHECK_TOL
-    net = v.p_bd - v.p_bs - v.p_brs
+    net = p_bd - p_bs - p_brs
     soc_prev = np.concatenate(([bess.soc_init], sol.soc[:-1]))
     holds.update(
-        power_envelope_low=net >= -rate + v.p_brgc - PRIMAL_CHECK_TOL,
-        power_envelope_high=net <= rate - v.p_brgc + PRIMAL_CHECK_TOL,
-        soc_recursion=np.abs(sol.soc - (soc_prev + (v.p_bd - v.p_bs) * dt)) <= PRIMAL_CHECK_TOL,
-        soc_floor_headroom=sol.soc >= bess.soc_min + (v.p_brgc + v.p_brs) * dt - PRIMAL_CHECK_TOL,
-        soc_ceiling_headroom=sol.soc <= bess.soc_max - v.p_brgc * dt + PRIMAL_CHECK_TOL,
-        simultaneous_buy_sell=v.p_bs * v.p_bd <= PRIMAL_CHECK_TOL,
+        power_envelope_low=net >= -rate + p_brgc - PRIMAL_CHECK_TOL,
+        power_envelope_high=net <= rate - p_brgc + PRIMAL_CHECK_TOL,
+        soc_recursion=np.abs(sol.soc - (soc_prev + (p_bd - p_bs) * dt)) <= PRIMAL_CHECK_TOL,
+        soc_floor_headroom=sol.soc >= bess.soc_min + (p_brgc + p_brs) * dt - PRIMAL_CHECK_TOL,
+        soc_ceiling_headroom=sol.soc <= bess.soc_max - p_brgc * dt + PRIMAL_CHECK_TOL,
+        simultaneous_buy_sell=p_bs * p_bd <= PRIMAL_CHECK_TOL,
     )
     mismatches = _tagged([(~ok, name) for name, ok in holds.items()])
 
@@ -691,9 +692,7 @@ def verify_bilevel_solution(bilevel: BilevelMilp, sol: BilevelSolution) -> Verif
         mismatches += _tagged([(suboptimal, "lower_level_optimality")])
         awards_differ = (np.max(np.abs(sol.x - batch.x), axis=1, initial=0.0)
                          > 1e-6 * np.maximum(1.0, np.max(np.abs(batch.x), axis=1, initial=0.0)))
-        # the four system rows' duals over dt are the prices
-        prices, prices_rc = (d[:, layout.row_reserve_req:] / dt[:, None]
-                             for d in (sol.row_duals, batch.row_duals))
+        prices, prices_rc = (layout.prices_from(t, d) for d in (sol.row_duals, batch.row_duals))
         prices_differ = (np.abs(prices - prices_rc)
                          > 1e-6 * np.maximum(1.0, np.abs(prices_rc))).any(axis=1)
         degenerate = np.flatnonzero(~suboptimal & (awards_differ | prices_differ)).tolist()
@@ -705,7 +704,7 @@ def verify_bilevel_solution(bilevel: BilevelMilp, sol: BilevelSolution) -> Verif
 
     # revenue recomputation guards against big-M truncation; builtin sum
     # adds the intervals' np.float64 revenues one by one, in interval order
-    revenue = sum(direct_revenue_value(layout, v, sol.row_duals))
+    revenue = sum(direct_revenue_value(layout, sol.x, sol.row_duals))
     scale = max(1.0, abs(sol.objective))
     if abs(revenue - sol.objective) > REVENUE_REL_TOL * scale:
         mismatches.append("objective_linearization")

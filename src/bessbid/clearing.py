@@ -29,7 +29,6 @@ from .scenario import Scenario, structure_violations
 
 log = logging.getLogger(__name__)
 
-STRONG_DUALITY_TOL = 1e-6  # relative
 CS_TOL = 1e-6              # absolute on dual*slack products
 STATIONARITY_TOL = 1e-7    # absolute, on a zero-bid clear's rebuilt storage duals
 
@@ -44,31 +43,6 @@ class InfeasibleMarketError(ClearingError):
 
 class UnboundedMarketError(ClearingError):
     """Malformed bids let cost decrease without bound."""
-
-
-@dataclass
-class LlVariables:
-    """Cleared schedule for one interval, MW."""
-
-    p_gs: np.ndarray
-    p_grs: np.ndarray
-    p_grgc: np.ndarray
-    p_grgm: np.ndarray
-    p_bs: float = 0.0
-    p_bd: float = 0.0
-    p_brs: float = 0.0
-    p_brgc: float = 0.0
-    p_brgm: float = 0.0
-
-
-@dataclass(frozen=True)
-class Prices:
-    """Market-clearing prices, $/MWh; for several intervals, one array each."""
-
-    energy: float
-    reserve: float
-    regcap: float
-    mileage: float
 
 
 class LlLayout:
@@ -281,31 +255,21 @@ class LlLayout:
         )
         return lp, rows
 
-    def variables_from(self, x: np.ndarray) -> LlVariables:
-        """The schedule in column vector ``x``; for a 2-D ``x``, one schedule
-        per row, each field then holding one value (or vector) per row."""
-        # one copy holds the four generator vectors, one row each
-        gen = x[..., :self.col_bs].reshape(*x.shape[:-1], self.n_gens, self.GEN_COLS)
-        p_gs, p_grs, p_grgc, p_grgm = np.moveaxis(gen, -1, 0).copy()
-        storage = x[..., self.col_bs:].T
-        p_bs, p_bd, p_brs, p_brgc, p_brgm = storage.tolist() if x.ndim == 1 else storage
-        return LlVariables(p_gs=p_gs, p_grs=p_grs, p_grgc=p_grgc, p_grgm=p_grgm,
-                           p_bs=p_bs, p_bd=p_bd, p_brs=p_brs, p_brgc=p_brgc, p_brgm=p_brgm)
-
-    def prices_from(self, t, row_duals: np.ndarray) -> Prices:
-        """Interval ``t``'s prices in its row duals; for 2-D duals, interval
-        ``t[i]``'s at row ``i``, each price then holding one value per row."""
-        # the four system rows close the layout: reserve, regcap, mileage, balance
-        p = row_duals[..., self.n_rows - self.SYS_ROWS:] / self.delta_t[t][..., None]
-        reserve, regcap, mileage, energy = p.tolist() if p.ndim == 1 else p.T
-        return Prices(energy=energy, reserve=reserve, regcap=regcap, mileage=mileage)
+    def prices_from(self, t, row_duals: np.ndarray) -> np.ndarray:
+        """Interval ``t``'s prices in its row duals, $/MWh, as a ``(…, 4)``
+        array of energy, reserve, regcap and mileage prices (the column order
+        of the published tables); for 2-D duals, interval ``t[i]``'s at row
+        ``i``."""
+        rows = [self.row_balance, self.row_reserve_req, self.row_regcap_req,
+                self.row_mileage_req]
+        return row_duals[..., rows] / self.delta_t[t][..., None]
 
 
 @dataclass
 class ClearingBatch:
     """Clears of a scenario's intervals, one row per row of
-    :func:`clear_batch`; :meth:`LlLayout.variables_from` and
-    :meth:`LlLayout.prices_from` read a row's schedule and prices, or every
+    :func:`clear_batch`; a row's schedule is its ``x``, in layout column
+    order, and :meth:`LlLayout.prices_from` reads its prices, or every
     row's at once."""
 
     t: np.ndarray                # (k,) the interval of each row
@@ -336,15 +300,13 @@ def _first_failure(t: np.ndarray, out: solver.BatchOutcome, cs_residual: np.ndar
                    stationarity: np.ndarray | None = None) -> tuple[int, ClearingError] | None:
     """The first failing row of a group of clears and its error, or None.
 
-    ``out`` holds the group's solves up to the first one that failed; on
-    those rows the clear checks the stationarity of rebuilt storage duals
-    (zero-bid rows), the strong-duality gap and complementary slackness,
-    in that order. Failing none, the failing row is the one the solves
-    stopped at. ``t`` is each row's interval.
+    ``out`` holds the group's solves up to the first one that failed, each
+    within the solver's duality-gap bound; on those rows the clear checks
+    the stationarity of rebuilt storage duals (zero-bid rows) and
+    complementary slackness, in that order. Failing neither, the failing
+    row is the one the solves stopped at. ``t`` is each row's interval.
     """
-    checks = [(out.duality_gap_rel > STRONG_DUALITY_TOL, "strong-duality gap {:.3e}",
-               out.duality_gap_rel),
-              (cs_residual > CS_TOL, "complementary slackness residual {:.3e}", cs_residual)]
+    checks = [(cs_residual > CS_TOL, "complementary slackness residual {:.3e}", cs_residual)]
     if stationarity is not None:
         checks.insert(0, (stationarity > STATIONARITY_TOL,
                           "reconstructed storage duals violate stationarity ({:.3e})",
@@ -444,7 +406,7 @@ def _clear_bid_rows(layout: LlLayout, t: np.ndarray, c: np.ndarray, rhs: np.ndar
     """Nonzero-bid rows through one clearing model, built at the first row's
     interval: the row arrays of :data:`_FIELDS`, and the first failure. The
     model's solve has checked feasibility and its duality gap; the clear
-    checks the strong-duality gap and complementary slackness."""
+    checks complementary slackness."""
     out = solver.LpModel(layout.build_lp(t[0])).solve_batch(rhs, c)
     values = (out.x, out.row_duals, out.lower_duals, out.objective, out.duality_gap_rel,
               out.cs_residual)

@@ -7,8 +7,10 @@ finite), 2 usage error (including a scenario file that does not parse,
 lacks a field, holds an unknown one or holds a non-number where a number
 belongs, an ``--out`` file that cannot be written or report directory that
 cannot be created, an ``export-mps --name`` that is not printable ASCII, a
-NaN ``--gap``, ``--time-limit`` or ``--step``, and ``agc-check --seeds``
-below 1 or ``--samples`` below 2), 3 infeasible market or case, 4
+NaN ``--gap``, ``--time-limit`` or ``--step``, a ``--config`` file that
+does not parse or does not decode as UTF-8 text, a ``compare --cases``
+list that repeats a case, and ``agc-check --seeds`` below 1 or
+``--samples`` below 2), 3 infeasible market or case, 4
 verification failure (including AGC breaches and monotonicity violations), 5
 solver time limit. Defaults can be set in a YAML config file (``--config``);
 environment variables override the file, flags override both.
@@ -32,6 +34,7 @@ from .scenario import (
     ScenarioError,
     default_patterns,
     load_scenario,
+    parse_problem,
     save_scenario,
     structure_violations,
     synthesize_scenario,
@@ -119,8 +122,11 @@ def _load(path: str, case: int | None = None) -> Scenario:
 def cli(ctx: click.Context, config: str | None) -> None:
     """Strategic-bidding toolkit for a price-maker storage unit."""
     if config is not None:
-        with open(config) as fh:
-            raw = yaml.safe_load(fh) or {}
+        try:
+            with open(config, encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh) or {}
+        except (UnicodeDecodeError, yaml.YAMLError) as err:
+            raise click.UsageError(f"cannot parse config file {config}: {parse_problem(err)}")
         if not isinstance(raw, dict):
             raise click.UsageError("config file must hold a mapping of flag values")
         flat = {k: v for k, v in raw.items() if not isinstance(v, dict)}
@@ -194,8 +200,7 @@ def clear(scenario, case, out):
         batch = clearing.clear_batch(layout, np.arange(n), np.zeros((n, 4)))
     except clearing.ClearingError as err:
         raise _fail(_exit_code_for(err), str(err))
-    p = layout.prices_from(batch.t, batch.row_duals)
-    table = np.column_stack((p.energy, p.reserve, p.regcap, p.mileage, batch.objective))
+    table = np.column_stack((layout.prices_from(batch.t, batch.row_duals), batch.objective))
     text = harness.csv_text(
         ["t", "price_energy", "price_reserve", "price_regcap", "price_mileage", "clearing_cost"],
         [(t, *row) for t, row in enumerate(table.tolist())])
@@ -331,6 +336,8 @@ def compare(scenario, cases, out, gap, time_limit):
         raise click.UsageError(f"--cases must be comma-separated integers, got {cases!r}")
     if not case_ids or any(c not in (1, 2, 3, 4) for c in case_ids):
         raise click.UsageError("--cases entries must be in 1..4")
+    if len(set(case_ids)) < len(case_ids):
+        raise click.UsageError(f"--cases entries must not repeat, got {cases!r}")
     scn = _load(scenario)
     if out is not None:
         _report_dir(out)

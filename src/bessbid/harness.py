@@ -113,15 +113,12 @@ class BessSchedule:
     def from_solution(cls, scn: Scenario, sol: BilevelSolution) -> "BessSchedule":
         layout = sol.layout
         dt = layout.delta_t
-        v = layout.variables_from(sol.x)
+        awards = sol.x[:, layout.col_bs:]   # sell, buy, reserve, regcap, mileage
         p = layout.prices_from(np.arange(len(dt)), sol.row_duals)
+        # each market's award, the energy one net of the buy award
+        net = np.column_stack((awards[:, 0] - awards[:, 1], awards[:, 2:]))
         # IntervalRecord's fields from sell_bid on, one row per interval
-        values = np.column_stack((
-            sol.bids, v.p_bs, v.p_bd, v.p_brs, v.p_brgc, v.p_brgm,
-            p.energy, p.reserve, p.regcap, p.mileage, sol.soc,
-            p.energy * (v.p_bs - v.p_bd) * dt, p.reserve * v.p_brs * dt,
-            p.regcap * v.p_brgc * dt, p.mileage * v.p_brgm * dt,
-        ))
+        values = np.column_stack((sol.bids, awards, p, sol.soc, p * net * dt[:, None]))
         # adding 0.0 turns the -0.0 that a tiny negative rounds to into 0.0
         records = [IntervalRecord(t, d, u, *(round(x, REVENUE_DECIMALS) + 0.0 for x in row))
                    for t, (d, u, row) in enumerate(zip(dt.tolist(), sol.u.tolist(),
@@ -283,9 +280,8 @@ def _clear_chunk(scn: Scenario, bids: np.ndarray, start: int, stop: int) -> np.n
     pairs = np.arange(start, stop)
     layout = clearing.LlLayout(scn)
     batch = clearing.clear_batch(layout, pairs // len(bids), bids[pairs % len(bids)])
-    v = layout.variables_from(batch.x)
-    return np.column_stack((bilevel.direct_revenue_value(layout, v, batch.row_duals),
-                            v.p_bs, v.p_bd, v.p_brs, v.p_brgc))
+    return np.column_stack((bilevel.direct_revenue_value(layout, batch.x, batch.row_duals),
+                            batch.x[:, layout.col_bs:layout.col_brgm]))
 
 
 def _clear_grid(scn: Scenario, bids: np.ndarray) -> np.ndarray:

@@ -437,15 +437,19 @@ def _interval(node, t: int) -> IntervalData:
     return IntervalData(index=t, **rec, bess_price_bids=BessPriceBids(**prices))
 
 
+def parse_problem(exc: Exception) -> str:
+    """A parse error of a YAML document, or of its text, on one line: the
+    parser's problem and where it found it, when it names them."""
+    mark = getattr(exc, "problem_mark", None)
+    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+    return " ".join(str(getattr(exc, "problem", None) or exc).split()) + where
+
+
 def scenario_from_text(text: str) -> Scenario:
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        # one line: the parser's problem and where it found it, when it names them
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or exc
-        raise ScenarioError(f"unparsable scenario document: {problem}{where}") from exc
+        raise ScenarioError(f"unparsable scenario document: {parse_problem(exc)}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     tag = doc.get("schema")

@@ -147,7 +147,6 @@ class BatchOutcome:
     feasibility_residual: np.ndarray
     duality_gap_rel: np.ndarray
     cs_residual: np.ndarray
-    wall_time: float
 
 
 def _violation(le: np.ndarray, ge: np.ndarray, ax: np.ndarray, rhs) -> np.ndarray:
@@ -448,7 +447,7 @@ class LpModel:
         x, backend_duals, col_dual = np.empty((k, n)), np.empty((k, problem.n_rows)), np.empty((k, n))
         col_status = np.empty((k, n), dtype=np.int64)
         fun = np.empty(k)
-        status, failure, wall = OPTIMAL, None, 0.0
+        status, failure = OPTIMAL, None
         solved = 0
         for i in range(k):
             # drop the previous solve's basis and solution, so the solve
@@ -463,11 +462,10 @@ class LpModel:
                 for change in changes[i]:
                     highs.changeRowBounds(*change)
             try:
-                status, run_wall = self._run()
+                status, _ = self._run()
             except SolverError as exc:
                 failure = str(exc)
                 break
-            wall += run_wall
             if status != OPTIMAL:
                 break
             solution = highs.getSolution()
@@ -524,7 +522,7 @@ class LpModel:
         return BatchOutcome(
             status=status, failure=failure, objective=fun, x=x, row_duals=row_duals,
             lower_duals=lower_duals, upper_duals=upper_duals, feasibility_residual=resid,
-            duality_gap_rel=gap_rel, cs_residual=cs, wall_time=wall,
+            duality_gap_rel=gap_rel, cs_residual=cs,
         )
 
 

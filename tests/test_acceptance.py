@@ -390,10 +390,9 @@ def test_acceptance_8_zero_bid_neutrality(desk_reports):
     worst_named = None
     layout = clearing.LlLayout(scn)
     for t in range(scn.n_intervals):
-        with_storage = layout.prices_from(t, clear_one(layout, t).row_duals[0])
+        with_storage = layout.prices_from(t, clear_one(layout, t).row_duals[0]).tolist()
         without = _storage_free_prices(layout.build_lp(t), scn.intervals[t].delta_t)
-        for name in ("energy", "reserve", "regcap", "mileage"):
-            a = getattr(with_storage, name)
+        for a, name in zip(with_storage, ("energy", "reserve", "regcap", "mileage")):
             b = without[name]
             assert a == b, f"t{t} {name}: {a!r} != {b!r}"
             worst_named = (t, name)

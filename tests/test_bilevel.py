@@ -120,7 +120,7 @@ def test_linearized_revenue_matches_direct_on_random_clearings():
         x, y = res.x[0], res.row_duals[0]
         x_coefs, dual_coefs = bilevel.linearize_objective(lay)
         lin = x_coefs[t] @ x + dual_coefs[t] @ y
-        direct = bilevel.direct_revenue_value(lay, lay.variables_from(x), y)
+        direct = bilevel.direct_revenue_value(lay, x, y)
         assert lin == pytest.approx(direct, abs=1e-7)
 
 
@@ -142,7 +142,7 @@ def test_known_sell_instance_revenue():
         lay = LlLayout(scn)
         res = clear_one(lay, 0, (20.0, 0.0, 0.0, 0.0))
         x, y = res.x[0], res.row_duals[0]
-        rev = bilevel.direct_revenue_value(lay, lay.variables_from(x), y)
+        rev = bilevel.direct_revenue_value(lay, x, y)
         assert rev == pytest.approx(200.0 * dt, rel=1e-9)
         x_coefs, dual_coefs = bilevel.linearize_objective(lay)
         assert x_coefs[0] @ x + dual_coefs[0] @ y == pytest.approx(200.0 * dt, rel=1e-9)
@@ -302,11 +302,12 @@ def test_soc_recursion_arithmetic_through_milp():
                          mask=MarketMask(True, False, False), beta=EAGER_BUYER)
     bl, out, sol = solve_and_extract(scn)
     soc = 0.0
-    v = sol.layout.variables_from(sol.x)
+    col_bs = sol.layout.col_bs
     for t in range(scn.n_intervals):
-        soc += (v.p_bd[t] - v.p_bs[t]) * 0.25
+        p_bs, p_bd = sol.x[t, col_bs:col_bs + 2]
+        soc += (p_bd - p_bs) * 0.25
         assert sol.soc[t] == pytest.approx(soc, abs=1e-9)
-        assert v.p_bs[t] * v.p_bd[t] == pytest.approx(0.0, abs=1e-9)
+        assert p_bs * p_bd == pytest.approx(0.0, abs=1e-9)
 
 
 def test_arbitrage_solution_verifies():
@@ -323,8 +324,7 @@ def test_arbitrage_solution_verifies():
     assert rep.revenue_from_duals == pytest.approx(rep.revenue_milp, rel=1e-5)
     # revenue decomposes into the linearized per-interval values
     layout = bl.block.kkt.layout
-    per_interval = bilevel.direct_revenue_value(layout, layout.variables_from(sol.x),
-                                                sol.row_duals)
+    per_interval = bilevel.direct_revenue_value(layout, sol.x, sol.row_duals)
     assert per_interval.shape == (scn.n_intervals,)
     assert per_interval.sum() == pytest.approx(out.objective, rel=1e-6)
 

@@ -159,6 +159,27 @@ def test_config_file_supplies_defaults(tmp_path):
     assert (flag_out / "summary.yaml").exists()
 
 
+@pytest.mark.parametrize("content, problem", [
+    (b"gap: [1, 2\n", "expected ',' or ']', but got '<stream end>' at line 2, column 1"),
+    (b"\xff\xfegap: 1\n", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"gap: 1\x00\n", "unacceptable character #x0000"),
+], ids=["unparsable", "not utf-8", "control character"])
+def test_unparsable_config_is_usage_error(tmp_path, content, problem):
+    # a config file that does not parse, or does not decode as text, is one
+    # usage error naming the file and the parser's problem, before any command
+    rn = runner()
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(content)
+    res = rn.invoke(cli, ["--config", str(cfg), "synth", "--desk", "--out",
+                          str(tmp_path / "x.scn")])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    error = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(error) == 1
+    assert error[0].startswith(f"Error: cannot parse config file {cfg}: {problem}")
+    assert not (tmp_path / "x.scn").exists()
+
+
 def test_env_outranks_config(tmp_path):
     rn = runner()
     scn = synth_tiny(rn, tmp_path / "s.scn")
@@ -277,11 +298,23 @@ def test_compare_runs_cases_and_writes_table(tmp_path):
     assert (out / "case4" / "summary.yaml").exists()
 
 
-def test_compare_rejects_bad_case_list(tmp_path):
+def test_compare_rejects_bad_case_list(tmp_path, monkeypatch):
     rn = runner()
     scn = synth_tiny(rn, tmp_path / "s.scn")
     res = rn.invoke(cli, ["compare", "--scenario", str(scn), "--cases", "1,9"])
     assert res.exit_code == EXIT_USAGE
+    # a repeated case is refused before any solve, and writes no report
+    def solve(*a, **k):
+        raise AssertionError("compare solved a case")
+
+    monkeypatch.setattr(harness, "run_case", solve)
+    out = tmp_path / "cmp"
+    for cases in ("4,4", "1,4,1"):
+        res = rn.invoke(cli, ["compare", "--scenario", str(scn), "--cases", cases,
+                              "--out", str(out)])
+        assert res.exit_code == EXIT_USAGE, res.output
+        assert f"Error: --cases entries must not repeat, got '{cases}'" in res.output
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("args, prefix", [

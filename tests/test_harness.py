@@ -49,8 +49,7 @@ def _same_clear(a, b) -> bool:
     def bits(r):
         prices = r.layout.prices_from(r.t, r.row_duals)
         return np.concatenate([r.x[0], r.objective, r.row_duals[0], r.lower_duals[0],
-                               prices.energy, prices.reserve, prices.regcap,
-                               prices.mileage]).tobytes()
+                               prices[0]]).tobytes()
     return bits(a) == bits(b)
 
 

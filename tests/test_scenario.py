@@ -212,6 +212,11 @@ def test_scenario_text_matches_pinned_digest(name, build):
 def test_unparsable_document_error_is_one_line():
     with pytest.raises(ScenarioError, match=r"^unparsable scenario document: .* at line 2, column 1$"):
         scenario_from_text("foo: [1, 2\n")
+    # the reader's error names no mark; it is one line too
+    with pytest.raises(ScenarioError, match="^unparsable scenario document: unacceptable "
+                                            "character #x0000") as err:
+        scenario_from_text("foo: 1\x00\n")
+    assert "\n" not in str(err.value)
 
 
 def test_document_rejects_wrong_schema():
