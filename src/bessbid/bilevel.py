@@ -12,6 +12,13 @@ Dual encoding: each inequality row r of the clearing LP gets a nonnegative
 variable ``w_r`` holding the magnitude of its dual (sign sigma_r = +1 for
 ">=" rows, -1 for "<=" rows); the balance row's dual ``lambda`` is free. Each
 finitely-bounded primal column gets a nonnegative reduced-cost variable.
+
+The same bidding problem has a second model with no big-M
+(:func:`assemble_regime_milp`): given a certified cover of each interval's
+bid box by clearing duals (:func:`clearing.regimes`), each interval chooses
+one held dual, and its clearing point is optimal for that dual by
+complementary slackness. Both models' solutions are checked by the one
+verifier, :func:`verify_bilevel_solution`.
 """
 
 from __future__ import annotations
@@ -431,40 +438,63 @@ def _ul_rows(scn: Scenario, block: IntervalBlock, terminal_soc_equality: bool) -
     """Upper-level rows on the blocks' columns, interval by interval: bid
     mode exclusivity (only with energy), the power envelope, the SOC
     recursion and the SOC headroom; then the optional terminal-SOC row."""
-    bess = scn.bess
-    rate = bess.power_rate
+    rate = scn.bess.power_rate
     n_t = scn.n_intervals
-    ul0 = block.width * np.arange(n_t)
-    soc = ul0 + block.x0 - 1
-    bs, bd, brs, brgc = (ul0 + block.x0 + block.kkt.layout.col_bs + k for k in range(4))
-    dt = np.array([it.delta_t for it in scn.intervals])
-    soc_rhs = np.r_[bess.soc_init, np.zeros(n_t - 1)]
-    # name, sense, rhs, (column, coefficient) terms; arrays run over intervals
+    every = np.arange(n_t)
+    ul0 = block.width * every
+    x0 = ul0 + block.x0 + block.kkt.layout.col_bs
+    cols = {"soc": ul0 + block.x0 - 1, "bs": x0, "bd": x0 + 1, "brs": x0 + 2, "brgc": x0 + 3}
+    bs, bd, brs, brgc = ((every, cols[k]) for k in ("bs", "bd", "brs", "brgc"))
+    sbid, dbid, u = ((every, ul0 + k) for k in (0, 1, 4))
     template = [
         ("power_envelope_low", ">", -rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, -1.0)]),
         ("power_envelope_high", "<", rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, 1.0)]),
+    ]
+    if scn.market_mask.energy:
+        template[:0] = [
+            ("sell_needs_discharge_mode", "<", 0.0, [(sbid, 1.0), (u, -rate)]),
+            ("buy_needs_charge_mode", "<", rate, [(dbid, 1.0), (u, rate)]),
+        ]
+    return _soc_rows(scn, template, {k: (every, c) for k, c in cols.items()},
+                     terminal_soc_equality)
+
+
+def _soc_rows(scn: Scenario, template: list, cols: dict[str, tuple[np.ndarray, np.ndarray]],
+              terminal_soc_equality: bool) -> ModelPart:
+    """The rows of ``template``, then the SOC recursion and the SOC
+    headroom, interval by interval; then the optional terminal-SOC row.
+
+    ``cols`` holds the ``soc`` column and the ``bs``, ``bd``, ``brs`` and
+    ``brgc`` award columns as ``(interval, column)`` arrays: one ``soc``
+    column per interval, in order, and any number of award columns per
+    interval, whose sum is the interval's award. A template row is (name,
+    sense, rhs, terms), a term a ``(interval, column)`` pair and its
+    coefficient; an rhs or a coefficient is one value or one per interval.
+    """
+    bess = scn.bess
+    n_t = scn.n_intervals
+    soc = cols["soc"]
+    bs, bd, brs, brgc = (cols[k] for k in ("bs", "bd", "brs", "brgc"))
+    dt = np.array([it.delta_t for it in scn.intervals])
+    soc_rhs = np.r_[bess.soc_init, np.zeros(n_t - 1)]
+    template = template + [
         ("soc_recursion", "=", soc_rhs, [(soc, 1.0), (bd, -dt), (bs, dt)]),
         # regulation reserves energy in both directions, reserve only
         # downward in SOC terms
         ("soc_floor_headroom", ">", bess.soc_min, [(soc, 1.0), (brgc, -dt), (brs, -dt)]),
         ("soc_ceiling_headroom", "<", bess.soc_max, [(soc, 1.0), (brgc, dt)]),
     ]
-    if scn.market_mask.energy:
-        template[:0] = [
-            ("sell_needs_discharge_mode", "<", 0.0, [(ul0, 1.0), (ul0 + 4, -rate)]),
-            ("buy_needs_charge_mode", "<", rate, [(ul0 + 1, 1.0), (ul0 + 4, rate)]),
-        ]
     first = np.arange(n_t) * len(template)
-    entries = [(first + j, col, np.broadcast_to(coef, n_t))
-               for j, (_, _, _, terms) in enumerate(template) for col, coef in terms]
+    entries = [(first[t] + j, col, np.broadcast_to(coef, n_t)[t])
+               for j, (_, _, _, terms) in enumerate(template) for (t, col), coef in terms]
     # the one cross-interval entry: -soc[t-1] in the recursion of t >= 1
     j_rec = [name for name, _, _, _ in template].index("soc_recursion")
-    entries.append((first[1:] + j_rec, soc[:-1], np.full(n_t - 1, -1.0)))
+    entries.append((first[1:] + j_rec, soc[1][:-1], np.full(n_t - 1, -1.0)))
     senses = np.tile([sense for _, sense, _, _ in template], n_t)
     rhs = np.stack([np.broadcast_to(b, n_t) for _, _, b, _ in template], axis=1).ravel()
     names = [f"t{t}:{name}" for t in range(n_t) for name, _, _, _ in template]
     if terminal_soc_equality:
-        entries.append(([len(names)], soc[-1:], [1.0]))
+        entries.append(([len(names)], soc[1][-1:], [1.0]))
         senses = np.append(senses, "=")
         rhs = np.append(rhs, bess.soc_init)
         names.append("terminal_soc")
@@ -515,6 +545,122 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
              "%(binaries)d binaries", counts)
     return BilevelMilp(milp=milp, scenario=scn, block=block, counts=counts)
 
+
+# ---------------------------------------------------------------------------
+# the bidding problem over certified clearing regimes
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RegimeMilp:
+    """The bidding MILP over a certified :class:`clearing.RegimeCover`, in
+    hull form (Balas 1998), with no big-M.
+
+    Held dual ``k`` of the cover gets one copy, columns ``k * width`` on:
+    a binary ``lam`` that chooses it, the bids sbid, dbid, rsbid, rgbid and
+    the clearing columns. The interval SOCs follow the copies.
+    """
+
+    milp: solver.MilpProblem
+    cover: clearing.RegimeCover
+    width: int
+
+
+REGIME_X0 = 5   # a copy's first clearing column, after lam and the four bids
+
+
+def assemble_regime_milp(scn: Scenario, cover: clearing.RegimeCover,
+                         terminal_soc_equality: bool = False) -> RegimeMilp:
+    """The bidding problem as a disjunction over each interval's held duals.
+
+    Each copy holds the clearing rows with their right-hand sides times its
+    ``lam`` and minus its bids on the bid rows; the rows in its dual's
+    support bind, and the columns with a positive reduced cost are 0, so a
+    copy's point is clearing-optimal at its bids, with its dual's prices.
+    Its bids on its side's columns are at most ``rate * lam``, the others
+    0, and the power envelope holds on its awards. Each interval chooses
+    one copy, the revenue is each copy's prices times its awards, and the
+    SOC rows act on the sums of an interval's copies.
+    """
+    layout = cover.layout
+    bess = scn.bess
+    rate = bess.power_rate
+    n_t, nr, nx = scn.n_intervals, layout.n_rows, layout.n_cols
+    k = len(cover.t)
+    width = REGIME_X0 + nx
+    n_rows = nr + 6   # the clearing rows, the four bid caps, the power envelope
+    y = cover.row_duals
+    c0 = np.arange(k)[:, None] * width   # each copy's lam column
+    x0 = c0 + REGIME_X0
+    r0 = np.arange(k)[:, None] * n_rows
+
+    # --- columns -----------------------------------------------------------
+    lower = np.zeros((k, width))
+    upper = np.full((k, width), np.inf)
+    c = np.zeros((k, width))
+    upper[:, :REGIME_X0] = [1.0, rate, rate, rate, rate]
+    lower[:, REGIME_X0:] = layout.lower
+    upper[:, REGIME_X0:] = np.where(cover.lower_duals > 0.0, 0.0, np.inf)
+    # each copy's prices times its awards, as direct_revenue_value takes them
+    awards = REGIME_X0 + layout.col_bs + np.arange(5)
+    c[:, awards] = y[:, [layout.row_balance, layout.row_balance, layout.row_reserve_req,
+                         layout.row_regcap_req, layout.row_mileage_req]] * [1, -1, 1, 1, 1]
+    integrality = np.zeros((k, width), dtype=np.int8)
+    integrality[:, 0] = 1
+
+    # --- rows of each copy ---------------------------------------------------
+    a = layout.a.tocoo()
+    bids = c0 + 1 + np.arange(4)
+    caps = np.zeros((k, 4))
+    for side, free in enumerate(cover.sides):
+        caps[np.ix_(cover.side == side, list(free))] = rate
+    bs, bd, brs, brgc = (x0[:, 0] + layout.col_bs + j for j in range(4))
+    envelope = np.column_stack([bd, bs, brs, brgc, c0[:, 0]])
+    entries = [
+        # A x - bids on the bid rows - rhs_base * lam
+        (r0 + a.row, x0 + a.col, a.data),
+        (r0 + list(layout.bid_rows.values()), bids, -1.0),
+        (r0 + np.arange(nr), c0, -layout.rhs_base[cover.t]),
+        # bid - cap * lam <= 0
+        (r0 + nr + np.arange(4), bids, 1.0),
+        (r0 + nr + np.arange(4), c0, -caps),
+        # the power envelope: bd - bs - brs -+ brgc +- rate * lam
+        (r0 + nr + 4, envelope, [1.0, -1.0, -1.0, -1.0, rate]),
+        (r0 + nr + 5, envelope, [1.0, -1.0, -1.0, 1.0, -rate]),
+    ]
+    binds = (layout.senses == "=") | (y != 0.0)
+    senses = np.concatenate([np.where(binds, "=", layout.senses),
+                             np.broadcast_to(["<", "<", "<", "<", ">", "<"], (k, 6))], axis=1)
+
+    # --- rows of each interval -----------------------------------------------
+    # one copy per interval, then the SOC rows on the sums of its copies
+    per = n_rows * k
+    soc0 = k * width
+    entries.append((per + cover.t, c0[:, 0], 1.0))
+    ul = _soc_rows(scn, [], {"soc": (np.arange(n_t), soc0 + np.arange(n_t)),
+                             **{name: (cover.t, col) for name, col in
+                                zip(("bs", "bd", "brs", "brgc"), (bs, bd, brs, brgc))}},
+                   terminal_soc_equality)
+    entries.append((per + n_t + ul.rows, ul.cols, ul.vals))
+    rows, cols, vals = (np.concatenate(v) for v in zip(*(
+        [v.ravel() for v in np.broadcast_arrays(*e)] for e in entries)))
+    keep = vals != 0.0
+    matrix = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                           shape=(per + n_t + len(ul.rhs), soc0 + n_t)).tocsr()
+    milp = solver.MilpProblem(
+        c=np.concatenate([c.ravel(), np.zeros(n_t)]), a=matrix,
+        senses=np.concatenate([senses.ravel(), np.full(n_t, "="), ul.senses]),
+        rhs=np.concatenate([np.zeros(per), np.ones(n_t), ul.rhs]),
+        lower=np.concatenate([lower.ravel(), np.full(n_t, bess.soc_min)]),
+        upper=np.concatenate([upper.ravel(), np.full(n_t, bess.soc_max)]),
+        maximize=True,
+        integrality=np.concatenate([integrality.ravel(), np.zeros(n_t, dtype=np.int8)]),
+    )
+    milp.validate()
+    log.info("assembled regime MILP: %d cols, %d rows, %d binaries",
+             milp.n_cols, milp.n_rows, k)
+    return RegimeMilp(milp=milp, cover=cover, width=width)
+
 # ---------------------------------------------------------------------------
 # solution extraction and verification
 # ---------------------------------------------------------------------------
@@ -538,15 +684,28 @@ class BilevelSolution:
     notes: list[str] = field(default_factory=list)  # extraction snaps, for the verifier
 
 
+def _snap_bids(bids: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """A copy of the ``(intervals, 4)`` bids with each one in
+    ``[-FEASIBILITY_TOL, 0)``, solver noise around a zero bid, snapped to
+    0.0, and a note for each; the re-clear refuses negative bids, so a
+    valid optimum would otherwise fail verification."""
+    bids = bids.copy()
+    snapped = (bids >= -solver.FEASIBILITY_TOL) & (bids < 0.0)
+    rows, cols = np.nonzero(snapped)
+    notes = [f"t{t}:{_MARKETS[k]}_bid {v!r} snapped to 0.0"
+             for t, k, v in zip(rows.tolist(), cols.tolist(), bids[snapped].tolist())]
+    bids[snapped] = 0.0
+    return bids, notes
+
+
 def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> BilevelSolution:
     """Bids, awards and embedded duals of a solved MILP, one row per interval.
 
     Dual magnitudes whose complementarity binary selected the nonbinding
     branch are snapped to exact zero: the big-M row already caps them at
     solver tolerance, and the snap keeps downstream slackness products clean.
-    Bids in ``[-FEASIBILITY_TOL, 0)`` are solver noise around a zero bid and
-    are snapped to 0.0 as well, each with a note; the re-clear refuses
-    negative bids, so a valid optimum would otherwise fail verification.
+    Bids in ``[-FEASIBILITY_TOL, 0)`` are snapped to 0.0 as well, each with
+    a note (see :func:`_snap_bids`).
     """
     if outcome.x is None:
         raise BilevelError(f"no incumbent to extract (status {outcome.status})")
@@ -554,12 +713,7 @@ def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> Bile
     kkt = block.kkt
     layout = kkt.layout
     x = outcome.x.reshape(-1, block.width)   # one block per row
-    bids = x[:, :4].copy()
-    snapped = (bids >= -solver.FEASIBILITY_TOL) & (bids < 0.0)
-    rows, cols = np.nonzero(snapped)
-    notes = [f"t{t}:{_MARKETS[k]}_bid {v!r} snapped to 0.0"
-             for t, k, v in zip(rows.tolist(), cols.tolist(), bids[snapped].tolist())]
-    bids[snapped] = 0.0
+    bids, notes = _snap_bids(x[:, :4])
 
     # duals of the clearing rows, then of the floors; a binary below 0.5
     # selects its pair's nonbinding branch, where the dual is zero
@@ -578,6 +732,37 @@ def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> Bile
         x=x[:, block.x0:block.w0].copy(),
         row_duals=np.where(layout.senses == "=", w, kkt.sigma * w),
         lower_duals=lower_duals,
+        objective=float(outcome.objective),
+        notes=notes,
+    )
+
+
+def regime_solution(model: RegimeMilp, outcome: solver.SolveOutcome) -> BilevelSolution:
+    """The schedule of a solved :class:`RegimeMilp`: each interval's chosen
+    copy (its largest ``lam``, the first of equal ones) with its held
+    dual's row and lower duals, and the SOC. The mode is 1 on the sell
+    side, 0 on the buy side and without energy. Bids are snapped as
+    :func:`extract_solution` snaps them."""
+    if outcome.x is None:
+        raise BilevelError(f"no incumbent to extract (status {outcome.status})")
+    cover = model.cover
+    n_t = cover.layout.scenario.n_intervals
+    k = len(cover.t)
+    copies = outcome.x[:k * model.width].reshape(k, model.width)
+    # copies run in interval order; each interval's first best lam
+    start = np.searchsorted(cover.t, np.arange(n_t + 1))
+    chosen = np.array([a + int(np.argmax(copies[a:b, 0]))
+                       for a, b in zip(start[:-1].tolist(), start[1:].tolist())], dtype=np.intp)
+    bids, notes = _snap_bids(copies[chosen, 1:REGIME_X0])
+    sell_side = cover.side[chosen] == 0
+    return BilevelSolution(
+        layout=cover.layout,
+        bids=bids,
+        u=(sell_side & cover.layout.scenario.market_mask.energy).astype(int),
+        soc=outcome.x[k * model.width:].copy(),
+        x=copies[chosen, REGIME_X0:],
+        row_duals=cover.row_duals[chosen],
+        lower_duals=cover.lower_duals[chosen],
         objective=float(outcome.objective),
         notes=notes,
     )

@@ -14,11 +14,17 @@ layout serves a whole scenario. Every clear, of one interval or of a whole
 horizon, at one bid or at many, goes through :func:`clear_batch`, which
 solves all of its rows on at most two HiGHS models: one with the storage
 unit, one without.
+
+An interval's clearing cost is convex and piecewise affine in the storage
+bids, with one piece per optimal dual: :func:`regimes` finds, by clears at
+the vertices of the pieces found so far, duals that cover every bid.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,8 @@ log = logging.getLogger(__name__)
 
 CS_TOL = 1e-6              # absolute on dual*slack products
 STATIONARITY_TOL = 1e-7    # absolute, on a zero-bid clear's rebuilt storage duals
+COVER_TOL = 1e-9           # relative, a clearing cost above the regime envelope
+HELD_DUAL_TOL = 1e-9       # absolute, an uncovered vertex's dual against a held one
 
 
 class ClearingError(RuntimeError):
@@ -458,3 +466,305 @@ def _clear_zero_rows(layout: LlLayout, t: np.ndarray, c: np.ndarray, rhs: np.nda
     values = (x, row_duals, lower_duals, out.objective, out.duality_gap_rel, cs)
     return values, _first_failure(t, out, cs, stationarity)
 
+
+
+# ---------------------------------------------------------------------------
+# clearing regimes
+# ---------------------------------------------------------------------------
+
+
+def bid_sides(mask) -> tuple[tuple[int, ...], ...]:
+    """The bid columns (0 sell, 1 buy, 2 reserve, 3 regcap) that each side
+    of the bid box may use under market mask ``mask``: with energy, the sell
+    side (buy = 0) and the buy side (sell = 0), as the mode allows; without
+    it, one side. A side with no column is the zero bid alone."""
+    ancillary = tuple(k for k, on in ((2, mask.reserve), (3, mask.regulation)) if on)
+    return ((0,) + ancillary, (1,) + ancillary) if mask.energy else (ancillary,)
+
+
+@dataclass
+class RegimeCover:
+    """Clearing duals held for each interval and side of the bid box, one
+    row each, in interval, side and discovery order.
+
+    The clearing cost of interval ``t`` at bids ``b`` is convex and
+    piecewise affine in ``b``; held dual ``k`` bounds it from below by its
+    piece ``level[k] + slope[k] @ b``, which it meets wherever the dual is
+    optimal. The cover is ``certified`` when the pieces' upper envelope
+    equals the clearing cost at every vertex of the envelope on every side,
+    and so, by convexity, on the whole side: at every bid some held dual of
+    its side is optimal. A certified cover holds only pieces whose region
+    (where the piece is the envelope) has the side's full dimension.
+    """
+
+    layout: LlLayout
+    sides: tuple[tuple[int, ...], ...]   # each side's bid columns, see bid_sides
+    t: np.ndarray             # (k,) the interval of each held dual
+    side: np.ndarray          # (k,) its side
+    level: np.ndarray         # (k,) its piece at zero bids
+    row_duals: np.ndarray     # (k, rows), as a clear's
+    lower_duals: np.ndarray   # (k, columns)
+    certified: bool
+
+    @property
+    def group(self) -> np.ndarray:
+        """Each piece's interval and side as one index, ``t * sides + side``."""
+        return self.t * len(self.sides) + self.side
+
+    @property
+    def slope(self) -> np.ndarray:
+        """Each piece's gradient in the (sell, buy, reserve, regcap) bids:
+        its duals of the bid rows."""
+        sell = self.layout.bid_rows["sell"]
+        return self.row_duals[:, sell:sell + 4]
+
+    def envelope(self, t: int, side: int, bids: np.ndarray) -> np.ndarray:
+        """The upper envelope of interval ``t``'s pieces on ``side`` at each
+        row of a ``(k, 4)`` bid array."""
+        mine = (self.t == t) & (self.side == side)
+        return np.max(self.level[mine] + bids @ self.slope[mine].T, axis=1)
+
+    def _select(self, keep: np.ndarray) -> "RegimeCover":
+        return RegimeCover(self.layout, self.sides, self.t[keep], self.side[keep],
+                           self.level[keep], self.row_duals[keep], self.lower_duals[keep],
+                           self.certified)
+
+
+def _vertices(cover: RegimeCover, fresh: np.ndarray):
+    """The vertices of every interval's and side's envelope that lie on a
+    fresh piece: their group (:attr:`RegimeCover.group`), bids and
+    envelope value.
+
+    Over a side with ``d`` bid columns, the envelope's graph lives in the
+    bids and the cost ``s``; a vertex is where ``d + 1`` independent
+    constraints meet, each a piece (``s = level + slope @ b``) or a face of
+    the box (a bid at 0 or at the rate), and no piece lies above it. Every
+    choice of ``d + 1`` of them with a fresh piece is solved for its point
+    in one batch per side, and the points off the box or below the
+    envelope are dropped. A vertex that no fresh piece reaches was a vertex
+    of the envelope before the fresh pieces.
+    """
+    rate = cover.layout.scenario.bess.power_rate
+    n_sides = len(cover.sides)
+    n_groups = cover.layout.scenario.n_intervals * n_sides
+    group = cover.group
+    counts = np.bincount(group, minlength=n_groups)
+    start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    slot = np.arange(len(group)) - start[group]
+    width = int(counts.max())
+    level = np.full((n_groups, width), -np.inf)
+    level[group, slot] = cover.level
+    slope = np.zeros((n_groups, width, 4))
+    slope[group, slot] = cover.slope
+    valid = np.zeros((n_groups, width), dtype=bool)
+    valid[group, slot] = True
+    new = np.zeros_like(valid)
+    new[group, slot] = fresh
+
+    found = []
+    for s, free in enumerate(cover.sides):
+        rows = np.arange(s, n_groups, n_sides)
+        d = len(free)
+        # the constraints of each group, as rows [normal on (bids[free], s) | rhs]:
+        # its pieces, then the faces bid = 0 and bid = rate of each column
+        normal = np.zeros((len(rows), width + 2 * d, d + 1))
+        normal[:, :width, :d] = -slope[rows][..., list(free)]
+        normal[:, :width, d] = 1.0
+        normal[:, width:, :d] = np.tile(np.eye(d), (2, 1))
+        faces = (len(rows), 2 * d)
+        rhs = np.concatenate([level[rows], np.broadcast_to(np.repeat([0.0, rate], d), faces)],
+                             axis=1)
+        usable = np.concatenate([valid[rows], np.ones(faces, dtype=bool)], axis=1)
+        on_fresh = np.concatenate([new[rows], np.zeros(faces, dtype=bool)], axis=1)
+        piece = np.arange(width + 2 * d) < width
+        combos = np.array(list(itertools.combinations(range(width + 2 * d), d + 1)),
+                          dtype=np.intp).reshape(-1, d + 1)
+        gi, ci = np.nonzero(usable[:, combos].all(axis=2) & on_fresh[:, combos].any(axis=2))
+        mat = normal[gi[:, None], combos[ci]]
+        # |det| over the product of the row norms (Hadamard), 0 when singular
+        regular = (np.abs(np.linalg.det(mat))
+                   > 1e-12 * np.prod(np.linalg.norm(mat, axis=2), axis=1))
+        gi, idx, mat = gi[regular], combos[ci[regular]], mat[regular]
+        point = np.linalg.solve(mat, rhs[gi[:, None], idx][..., None])[..., 0]
+        bids = np.zeros((len(gi), 4))
+        bids[:, list(free)] = point[:, :d]
+        inside = ((bids >= -1e-9 * rate) & (bids <= rate * (1 + 1e-9))).all(axis=1)
+        gi, idx, bids = gi[inside], idx[inside], np.clip(bids[inside], 0.0, rate)
+        g = rows[gi]
+        value = _envelope_at(level, slope, g, bids)
+        # every chosen piece is on the envelope at the point
+        chosen = np.where(piece[idx], idx, 0)
+        at = level[g[:, None], chosen] + np.einsum("nwk,nk->nw", slope[g[:, None], chosen], bids)
+        low = value - COVER_TOL * np.maximum(1.0, np.abs(value))
+        on_top = ((at >= low[:, None]) | ~piece[idx]).all(axis=1)
+        found.append((g[on_top], bids[on_top], value[on_top]))
+    return tuple(np.concatenate(v) for v in zip(*found))
+
+
+def _envelope_at(level: np.ndarray, slope: np.ndarray, g: np.ndarray,
+                 bids: np.ndarray) -> np.ndarray:
+    """Group ``g[i]``'s envelope at bids ``bids[i]``, from the padded
+    ``(groups, width)`` levels (``-inf`` where no piece) and slopes."""
+    return np.max(level[g] + np.einsum("nwk,nk->nw", slope[g], bids), axis=1, initial=-np.inf)
+
+
+def _keys(g: np.ndarray, bids: np.ndarray, rate: float) -> np.ndarray:
+    """One integer row per point: its group and its bids in units of
+    ``1e-9 * rate``, so that points equal up to rounding share a key."""
+    return np.column_stack((g, np.rint(bids * (1e9 / rate)).astype(np.int64)))
+
+
+def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
+    """Cover each interval's bid box with clearing duals (Kelley's
+    cutting-plane method on the clearing cost).
+
+    It starts from the clears at zero bids. Each round clears, in one
+    :func:`clear_batch` over all intervals, every vertex of the pieces'
+    upper envelope that no round has cleared yet; a vertex whose clearing
+    cost lies above the envelope (by ``COVER_TOL``, relative) adds its
+    clear's duals as a new piece. Once a round finds no new vertex, the
+    envelope is the clearing cost on every side, the cover is certified,
+    and the pieces whose region is thinner than the side are dropped.
+
+    The cover stays uncertified when an uncovered vertex's duals are
+    already held (within ``HELD_DUAL_TOL``), which only solver tolerance
+    can cause, or when ``deadline`` (a :func:`time.perf_counter` time) has
+    passed at the start of a round. A clear that fails raises its
+    :class:`ClearingError`.
+    """
+    scn = layout.scenario
+    rate = scn.bess.power_rate
+    sides = bid_sides(scn.market_mask)
+    n_t, n_sides = scn.n_intervals, len(sides)
+    zero = clear_batch(layout, np.arange(n_t), np.zeros((n_t, 4)))
+    t = np.repeat(np.arange(n_t), n_sides)
+    cover = RegimeCover(layout, sides, t, np.tile(np.arange(n_sides), n_t), zero.objective[t],
+                        zero.row_duals[t], zero.lower_duals[t], certified=False)
+    fresh = np.ones(len(t), dtype=bool)
+    # the cleared points: their group, bids and clearing cost
+    seen_g, seen_b, seen_cost = cover.group, np.zeros((len(t), 4)), cover.level
+    checked = set(map(tuple, _keys(seen_g, seen_b, rate).tolist()))
+    while True:
+        if deadline is not None and time.perf_counter() > deadline:
+            return cover
+        g, bids, value = _vertices(cover, fresh)
+        keys = _keys(g, bids, rate)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        first = np.array([i for i in first.tolist() if tuple(keys[i].tolist()) not in checked],
+                         dtype=np.intp)
+        if not len(first):
+            break
+        g, bids, value = g[first], bids[first], value[first]
+        checked.update(map(tuple, keys[first].tolist()))
+        batch, row = _clear_points(layout, n_sides, g, bids)
+        cost = batch.objective[row]
+        seen_g, seen_b, seen_cost = (np.concatenate(v) for v in (
+            (seen_g, g), (seen_b, bids), (seen_cost, cost)))
+        added = _new_pieces(cover, g, bids, cost, value, batch, row)
+        if added is None:   # an uncovered vertex's duals are already held
+            log.info("regime cover not certified: an uncovered vertex's duals are held")
+            return cover
+        cover, fresh = added
+    cover.certified = True
+    return _essential(cover, seen_g, seen_b, seen_cost)
+
+
+def uncovered(cover: RegimeCover) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The certificate of ``cover``, checked anew: every vertex of its
+    envelope where the clearing cost lies above the envelope, as its
+    interval, side and bids, in interval, side and bid order. An interval's
+    side without a piece is uncovered at its zero bid. The vertices clear
+    in one batch; a certified cover has none."""
+    layout = cover.layout
+    n_sides = len(cover.sides)
+    n_groups = layout.scenario.n_intervals * n_sides
+    g, bids, value = _vertices(cover, np.ones(len(cover.t), dtype=bool))
+    _, first = np.unique(_keys(g, bids, layout.scenario.bess.power_rate), axis=0,
+                         return_index=True)
+    g, bids, value = g[first], bids[first], value[first]
+    batch, row = _clear_points(layout, n_sides, g, bids)
+    above = _above(batch.objective[row], value)
+    empty = np.setdiff1d(np.arange(n_groups), cover.group)
+    g = np.concatenate((g[above], empty))
+    bids = np.concatenate((bids[above], np.zeros((len(empty), 4))))
+    order = np.argsort(g, kind="stable")
+    return g[order] // n_sides, g[order] % n_sides, bids[order]
+
+
+def _above(cost: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Where a clearing cost lies above the envelope's value, by
+    ``COVER_TOL`` relative to the cost."""
+    return cost - value > COVER_TOL * np.maximum(1.0, np.abs(cost))
+
+
+def _clear_points(layout: LlLayout, n_sides: int, g: np.ndarray,
+                  bids: np.ndarray) -> tuple[ClearingBatch, np.ndarray]:
+    """The clear of each group's point, as one batch and the batch row of
+    each point; the sides share their common face, where each point clears
+    once."""
+    _, pick, row = np.unique(_keys(g // n_sides, bids, layout.scenario.bess.power_rate),
+                             axis=0, return_index=True, return_inverse=True)
+    return clear_batch(layout, g[pick] // n_sides, bids[pick]), row.ravel()
+
+
+def _new_pieces(cover: RegimeCover, g: np.ndarray, bids: np.ndarray, cost: np.ndarray,
+                value: np.ndarray, batch: ClearingBatch, row: np.ndarray):
+    """The cover with the duals of the uncovered vertices added, kept in
+    group order, and which of its pieces are new; None when an uncovered
+    vertex's duals are already held. Vertex ``i`` of group ``g[i]`` at
+    ``bids[i]`` cleared at ``cost[i]`` (row ``row[i]`` of ``batch``), where
+    the envelope is ``value[i]``. Of the new pieces equal to one before
+    them (level and slope on the side), the first is kept."""
+    n_sides = len(cover.sides)
+    group = cover.group
+    sell = cover.layout.bid_rows["sell"]
+    y = batch.row_duals[row]
+    slope = y[:, sell:sell + 4]
+    levels = cost - np.vecdot(slope, bids)
+
+    def same_piece(i: int, j: int) -> bool:
+        free = list(cover.sides[g[i] % n_sides])
+        return (abs(levels[j] - levels[i]) <= COVER_TOL * max(1.0, abs(levels[i]))
+                and np.abs(slope[j, free] - slope[i, free]).max(initial=0.0) <= HELD_DUAL_TOL)
+
+    kept: dict[int, list[int]] = {}   # per group, the vertices whose duals are added
+    for i in np.flatnonzero(_above(cost, value)).tolist():
+        if (np.abs(cover.row_duals[group == g[i]] - y[i]).max(axis=1) <= HELD_DUAL_TOL).any():
+            return None
+        mine = kept.setdefault(int(g[i]), [])
+        if not any(same_piece(i, j) for j in mine):
+            mine.append(i)
+    keep = sorted(i for mine in kept.values() for i in mine)
+    if not keep:
+        return cover, np.zeros(len(cover.t), dtype=bool)
+    keep = np.array(keep, dtype=np.intp)
+    t = np.concatenate((cover.t, g[keep] // n_sides))
+    side = np.concatenate((cover.side, g[keep] % n_sides))
+    order = np.argsort(t * n_sides + side, kind="stable")
+    grown = RegimeCover(
+        cover.layout, cover.sides, t, side, np.concatenate((cover.level, levels[keep])),
+        np.concatenate((cover.row_duals, y[keep])),
+        np.concatenate((cover.lower_duals, batch.lower_duals[row[keep]])), cover.certified)
+    fresh = np.arange(len(t)) >= len(cover.t)
+    return grown._select(order), fresh[order]
+
+
+def _essential(cover: RegimeCover, g: np.ndarray, bids: np.ndarray,
+               cost: np.ndarray) -> RegimeCover:
+    """The certified cover without the pieces whose region is thinner than
+    their side; ``g``, ``bids`` and ``cost`` are every cleared point, among
+    which are all the envelope's vertices. A region is the hull of the
+    vertices where its piece is on the envelope; the envelope without the
+    thin pieces is the same."""
+    rate = cover.layout.scenario.bess.power_rate
+    group = cover.group
+    keep = np.zeros(len(group), dtype=bool)
+    for k in range(len(group)):
+        mine = g == group[k]
+        at = bids[mine] @ cover.slope[k] + cover.level[k]
+        top = bids[mine][at >= cost[mine] - COVER_TOL * np.maximum(1.0, np.abs(cost[mine]))]
+        free = list(cover.sides[cover.side[k]])
+        # a side without columns is the zero bid, which its one piece covers
+        keep[k] = not free or len(top) > 0 and np.linalg.matrix_rank(
+            (top - top[0])[:, free], tol=1e-9 * rate) == len(free)
+    return cover._select(keep)

@@ -15,6 +15,7 @@ import math
 import multiprocessing
 import operator
 import os
+import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -162,6 +163,14 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
              terminal_soc_equality: bool = False) -> CaseReport:
     """Assemble, solve, verify, and summarize one participation case.
 
+    The published solve is the bidding problem over each interval's
+    certified clearing regimes (:func:`clearing.regimes`,
+    :func:`bilevel.assemble_regime_milp`). When the cover does not certify,
+    or one of its clears fails, the paper's big-M MILP
+    (:func:`bilevel.assemble_milp`) is solved instead; the report's counts
+    describe the big-M MILP either way. ``settings.time_limit`` covers the
+    cover and the MILP together.
+
     A verification failure aborts the run: a report built on an unverified
     solve would publish schedule rows the clearing does not support.
     """
@@ -171,22 +180,21 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
     if problems:
         raise HarnessError("invalid scenario: " + "; ".join(problems))
 
+    deadline = None if settings.time_limit is None else time.perf_counter() + settings.time_limit
     built = bilevel.assemble_milp(scn, terminal_soc_equality=terminal_soc_equality)
     try:
-        outcome = solver.solve_milp(built.milp, gap_tol=settings.gap_tol,
-                                    time_limit=settings.time_limit)
-    except solver.SolverError as exc:
-        raise SolverFailedError(f"solver failed: {exc}") from exc
-    if outcome.status == solver.INFEASIBLE:
-        raise CaseInfeasibleError("bidding problem infeasible")
-    if outcome.status == solver.TIME_LIMIT:
-        raise CaseTimeLimitError(
-            f"time limit {settings.time_limit}s reached (gap {outcome.mip_gap})"
-        )
-    if outcome.status not in (solver.OPTIMAL, solver.GAP_LIMIT):
-        raise HarnessError(f"solver returned {outcome.status}")
-
-    sol = bilevel.extract_solution(built, outcome)
+        cover = clearing.regimes(built.block.kkt.layout, deadline)
+    except clearing.ClearingError as exc:
+        log.info("no regime cover: %s", exc)
+        cover = None
+    if cover is not None and cover.certified:
+        model = bilevel.assemble_regime_milp(scn, cover, terminal_soc_equality)
+        outcome = _solve(model.milp, settings, deadline)
+        sol = bilevel.regime_solution(model, outcome)
+    else:
+        log.info("regime cover not certified; solving the big-M MILP")
+        outcome = _solve(built.milp, settings, deadline)
+        sol = bilevel.extract_solution(built, outcome)
     report = bilevel.verify_bilevel_solution(built, sol)
     if not report.passed:
         raise VerificationFailedError(report)
@@ -204,6 +212,27 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         verification=report,
         counts=built.counts,
     )
+
+
+def _solve(milp: solver.MilpProblem, settings: SolverSettings,
+           deadline: float | None) -> solver.SolveOutcome:
+    """Solve ``milp`` at ``settings.gap_tol`` in the time left before
+    ``deadline`` (a :func:`time.perf_counter` time); a solve that ends
+    without an incumbent to publish raises its :class:`HarnessError`."""
+    time_limit = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+    try:
+        outcome = solver.solve_milp(milp, gap_tol=settings.gap_tol, time_limit=time_limit)
+    except solver.SolverError as exc:
+        raise SolverFailedError(f"solver failed: {exc}") from exc
+    if outcome.status == solver.INFEASIBLE:
+        raise CaseInfeasibleError("bidding problem infeasible")
+    if outcome.status == solver.TIME_LIMIT:
+        raise CaseTimeLimitError(
+            f"time limit {settings.time_limit}s reached (gap {outcome.mip_gap})"
+        )
+    if outcome.status not in (solver.OPTIMAL, solver.GAP_LIMIT):
+        raise HarnessError(f"solver returned {outcome.status}")
+    return outcome
 
 
 def replay_agc(report: CaseReport, bess: BessParams, seeds: range | list[int] = range(10),

@@ -147,9 +147,39 @@ def test_acceptance_3_participation_monotonicity(desk_reports):
 
 
 # sha256 of emit_outputs' files for the desk cases at gap 0.01; the report
-# files of `bessbid compare` must stay byte-identical (cases 2-4's csv digests
-# taken once a rounded -0.0 prints as 0.0)
+# files of `bessbid compare` must stay byte-identical. These are the solve
+# over the certified clearing regimes.
 REPORT_DIGESTS = {
+    1: {
+        "intervals": "05c5abefa232dd601cdd92b9cbbaa4c3aba9ce6d27b0acf2b4ff6ac90384b6c7",
+        "soc_trace": "731769b3dcd8c8ba3ed8c134b34334ad9628e379343ed52fb3b2f7797ff1c665",
+        "revenue_traces": "f300f1b7c86d56a710a6207877761aff93e9448df4f1d2a78c783f888a14b5f7",
+        "summary": "2fdcd67010e19daec1bfd0aeec0c391f2a0c60ced656ccb094a55c7809fabb68",
+    },
+    2: {
+        "intervals": "20bd2821b6064425a38eed7b29c4ae7a13144371a0eaea565cc71f84bd04010d",
+        "soc_trace": "70cf6ed8c2deb4b8b53408e032f32d8d5012f036bb9a57a874b14e8a0227a038",
+        "revenue_traces": "6deb85946135eedf0d6576fde1ee265313ff5b430f34a2957081baf46ee6fb0c",
+        "summary": "5941d71e134e181804b39a226d2adc6c84f757fe1ba9eee84b8d6a0af081525e",
+    },
+    3: {
+        "intervals": "40adbe4d6ff0363134b917001243f41d40f2b116e17ea64822df48abb2e41f59",
+        "soc_trace": "b8c3fa1d206827b690be430176e4186f50fb1fa6f6c6bc92f5e0faecdb7b06e7",
+        "revenue_traces": "990c8f7f58d48bb51b6e7fd8c3e77fc3e45c60de681d093561d6713e3dbf678d",
+        "summary": "d237b90a7da38d544d1cd23417061504ff84edc6a89a61398c62712abd163229",
+    },
+    4: {
+        "intervals": "1a4f58d39371196dbf434fccaf00b314f97c884d008f5e883f056c0f807db9ad",
+        "soc_trace": "74256fe2ac7fe5b426117b3dc4114b9ff044be6caa824223fad0ecb09087d118",
+        "revenue_traces": "0acc47505901ff920424204f07c2865929b7ce1d48635d23755b4d91a96fdd3c",
+        "summary": "41580b62734c47ad8aa583ddef266c018c85751996f8169595d2c2bb04f069b1",
+    },
+}
+
+# the same files from the paper's big-M MILP, which run_case solves when the
+# regime cover does not certify (cases 2-4's csv digests taken once a
+# rounded -0.0 prints as 0.0)
+BIG_M_REPORT_DIGESTS = {
     1: {
         "intervals": "da59e6927ecf3b7c4cc7e765f3eb37770e0963f4e5d4b0c30a43a34f3fee7e85",
         "soc_trace": "fbd204cd90bc58282d916007b378d9ce8dd96166618518550ff1f8ed53724bc7",
@@ -177,19 +207,38 @@ REPORT_DIGESTS = {
 }
 
 
+def _report_digests(report, out_dir):
+    files = harness.emit_outputs(report, out_dir / report.label)
+    return {k: hashlib.sha256(Path(files[k]).read_bytes()).hexdigest() for k in files}
+
+
 def test_desk_report_files_match_pinned_digests(tmp_path, desk_reports):
     _, reports = desk_reports
     for case, (report, _) in reports.items():
-        files = harness.emit_outputs(report, tmp_path / report.label)
-        got = {k: hashlib.sha256(Path(files[k]).read_bytes()).hexdigest()
-               for k in REPORT_DIGESTS[case]}
-        assert got == REPORT_DIGESTS[case], case
+        assert _report_digests(report, tmp_path) == REPORT_DIGESTS[case], case
 
 
 # each desk case's verification at gap 0.01: its degenerate intervals, the
 # bits of both revenues, and the bits of the largest residual of each
-# first-order block; taken while each interval was checked on its own LP
+# first-order block
 DESK_VERIFICATION = {
+    1: ([10, 11, 12, 13, 14, 20, 21], "0x1.0ddf1004846b1p+10", "0x1.0ddf1004846b2p+10",
+        {"stationarity": "0x1.4000000000000p-46", "primal": "0x1.0000000000000p-45",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.abd3c36113404p-45"}),
+    2: ([8, 9, 10, 11, 12, 14, 20, 21], "0x1.367303d3df054p+10", "0x1.367303d3df054p+10",
+        {"stationarity": "0x1.4000000000000p-46", "primal": "0x1.0000000000000p-44",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.003621fafc8b0p-44"}),
+    3: ([t for t in range(24) if t != 16], "0x1.62dbb4db7c547p+10", "0x1.62dbb4db7c547p+10",
+        {"stationarity": "0x1.0000000000000p-49", "primal": "0x1.0000000000000p-45",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.43f5e17542131p-46"}),
+    4: ([t for t in range(24) if t != 16], "0x1.80d7eefec4772p+10", "0x1.80d7eefec4771p+10",
+        {"stationarity": "0x1.0000000000000p-49", "primal": "0x1.0000000000000p-45",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.07cf5f4e4430ap-45"}),
+}
+
+# the same from the big-M MILP; taken while each interval was checked on its
+# own LP
+BIG_M_DESK_VERIFICATION = {
     1: ([10, 11, 12, 13, 14, 20, 21], "0x1.0e6bfcd56eae3p+10", "0x1.0e6bfcd56eae1p+10",
         {"stationarity": "0x1.d000000000000p-42", "primal": "0x1.0000000000000p-45",
          "dual_sign": "0x0.0p+0", "cs": "0x1.4000000000000p-42"}),
@@ -205,17 +254,52 @@ DESK_VERIFICATION = {
 }
 
 
+def _assert_verification_pinned(report, pinned):
+    degenerate, revenue_milp, revenue_from_duals, residuals = pinned
+    v = report.verification
+    assert (v.passed, v.mismatches) == (True, [])
+    assert v.notes == [f"degenerate clearing optima at intervals {degenerate}: "
+                       "awards/prices differ, objectives match within 1e-6"]
+    assert (v.revenue_milp.hex(), v.revenue_from_duals.hex()) == \
+        (revenue_milp, revenue_from_duals)
+    assert {k: r.hex() for k, r in v.max_residuals.items()} == residuals
+
+
 def test_desk_verification_reports_are_pinned(desk_reports):
     _, reports = desk_reports
     for case, (report, _) in reports.items():
-        degenerate, revenue_milp, revenue_from_duals, residuals = DESK_VERIFICATION[case]
-        v = report.verification
-        assert (v.passed, v.mismatches) == (True, []), case
-        assert v.notes == [f"degenerate clearing optima at intervals {degenerate}: "
-                           "awards/prices differ, objectives match within 1e-6"], case
-        assert (v.revenue_milp.hex(), v.revenue_from_duals.hex()) == \
-            (revenue_milp, revenue_from_duals), case
-        assert {k: r.hex() for k, r in v.max_residuals.items()} == residuals, case
+        _assert_verification_pinned(report, DESK_VERIFICATION[case])
+
+
+@pytest.fixture(scope="module")
+def desk_big_m_reports():
+    """The desk cases at gap 0.01 with the regime cover forced to fail: any
+    uncovered vertex's duals count as held, so run_case solves the big-M
+    MILP."""
+    scn = harness.desk_scenario()
+    settings = harness.SolverSettings(gap_tol=0.01, time_limit=600)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clearing, "HELD_DUAL_TOL", np.inf)
+        return {case: harness.run_case(scn, mask=MarketMask.from_case(case), settings=settings)
+                for case in (1, 2, 3, 4)}
+
+
+def test_big_m_fallback_reproduces_pinned_reports(tmp_path, desk_big_m_reports):
+    for case, report in desk_big_m_reports.items():
+        assert _report_digests(report, tmp_path) == BIG_M_REPORT_DIGESTS[case], case
+        _assert_verification_pinned(report, BIG_M_DESK_VERIFICATION[case])
+
+
+def test_regime_solve_reaches_the_big_m_objective(desk_reports, desk_big_m_reports):
+    # both solve the bidding problem to gap 0.01; the regime solve's
+    # incumbent is at least the big-M's within that gap, and verifies
+    _, reports = desk_reports
+    for case, (report, _) in reports.items():
+        big_m = desk_big_m_reports[case]
+        assert report.verification.passed, case
+        assert report.mip_gap <= 0.01 + 1e-12, case
+        assert report.objective >= big_m.objective * (1 - 0.01), case
+        assert report.counts == big_m.counts, case
 
 
 def test_desk_report_tables_agree(tmp_path, desk_reports):

@@ -612,3 +612,16 @@ def test_nan_flag_is_usage_error_naming_it(tmp_path, monkeypatch, args):
     assert res.exit_code == EXIT_USAGE, res.output
     assert f"Invalid value for '{args[1]}': nan is not a number" in res.stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_scenario_not_utf8_is_one_error_line_and_exit_2(tmp_path):
+    # a file that does not decode as UTF-8 (here a UTF-16 byte-order mark)
+    # is an unreadable scenario, named with its file, not a traceback
+    path = tmp_path / "binary.scn"
+    path.write_bytes(b"\xff\xfex")
+    res = runner().invoke(cli, ["clear", "--scenario", str(path)])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        f"error: unreadable scenario file {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bessbid import clearing, harness, solver
+from bessbid import bilevel, clearing, harness, solver
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
@@ -86,19 +86,24 @@ def test_kkt_stationarity_matches_transpose_product():
 
 
 def test_tolerance_negative_bid_snapped_and_verified(capfd):
-    # perfbench's seed-2 draw of acceptance 1: the MILP optimum carries a
-    # reserve bid of about -8.9e-16, which the re-clear would refuse
+    # perfbench's seed-2 draw of acceptance 1: the big-M MILP's optimum
+    # carries a reserve bid of about -8.9e-16, which the re-clear would refuse
     scn = acceptance_instance(load_scale=0.9761612134249316,
                               bid_factors=(0.9798491143414123, 1.031422574059428),
                               soc_shift=-0.08161681157298062)
-    report = harness.run_case(scn, settings=EXACT)
+    built = bilevel.assemble_milp(scn)
+    sol = bilevel.extract_solution(built, solver.solve_milp(built.milp, gap_tol=1e-9))
+    report = bilevel.verify_bilevel_solution(built, sol)
     # HiGHS prints a debug line while solving this instance; it must not
     # reach stdout, which carries command output
     assert capfd.readouterr().out == ""
-    assert report.verification.passed, report.verification.summary()
+    assert report.passed, report.summary()
     assert any("reserve_bid" in n and "snapped to 0.0" in n
-               for n in report.verification.notes), report.verification.notes
-    assert all(r.reserve_bid >= 0.0 for r in report.schedule.records)
+               for n in report.notes), report.notes
+    assert all(r.reserve_bid >= 0.0 for r in harness.BessSchedule.from_solution(scn, sol).records)
+    # the published solve, over the regimes, verifies on this instance too
+    assert harness.run_case(scn, settings=EXACT).verification.passed
+    assert capfd.readouterr().out == ""
 
 
 def test_oracle_grid_budget():

@@ -1,0 +1,138 @@
+"""The clearing regime cover and the bidding MILP over it: the cover's
+certificate against the clearing cost, and the solve run_case publishes
+against the paper's big-M MILP."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from bessbid import bilevel, clearing, harness, solver
+from bessbid.scenario import MarketMask
+
+from conftest import acceptance_instance
+from test_acceptance import _mps_instances
+
+EXACT = harness.SolverSettings(gap_tol=1e-9)
+
+
+def desk_case(case):
+    return harness.desk_scenario().with_mask(MarketMask.from_case(case))
+
+
+@pytest.fixture(scope="module")
+def desk_covers():
+    return {case: clearing.regimes(clearing.LlLayout(desk_case(case))) for case in (1, 2, 3, 4)}
+
+
+def assert_envelope_is_the_clearing_cost(cover, t, grid):
+    """On every row of ``grid`` on one of the cover's sides, interval ``t``'s
+    envelope on that side is its clearing cost: some held dual is optimal."""
+    cost = clearing.clear_batch(cover.layout, t, grid).objective
+    for side, free in enumerate(cover.sides):
+        on = (grid[:, [k for k in range(4) if k not in free]] == 0.0).all(axis=1)
+        assert on.any()
+        envelope = cover.envelope(t, side, grid[on])
+        tol = clearing.COVER_TOL * np.maximum(1.0, np.abs(cost[on]))
+        assert (np.abs(cost[on] - envelope) <= tol).all(), (t, side)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_desk_cover_is_the_clearing_cost_on_a_grid(desk_covers, case):
+    cover = desk_covers[case]
+    assert cover.certified
+    grid = harness._interval_grid(cover.layout.scenario, 1.0)
+    for t in (9, 16):
+        assert_envelope_is_the_clearing_cost(cover, t, grid)
+
+
+def test_acceptance_cover_is_the_clearing_cost_on_the_oracle_grid():
+    scn = acceptance_instance()
+    cover = clearing.regimes(clearing.LlLayout(scn))
+    assert cover.certified
+    grid = harness._interval_grid(scn, 0.5)
+    for t in range(scn.n_intervals):
+        assert_envelope_is_the_clearing_cost(cover, t, grid)
+
+
+@pytest.mark.parametrize("case", [3, 4])
+def test_deleting_any_held_piece_breaks_the_certificate(case):
+    # one desk interval with many regimes, alone in its scenario
+    scn = desk_case(case)
+    one = dataclasses.replace(scn, intervals=scn.intervals[10:11])
+    cover = clearing.regimes(clearing.LlLayout(one))
+    assert cover.certified and len(cover.t) > len(cover.sides)
+    assert all(len(a) == 0 for a in clearing.uncovered(cover))
+    for k in range(len(cover.t)):
+        t, side, bids = clearing.uncovered(cover._select(np.arange(len(cover.t)) != k))
+        assert len(t), k
+        # only the side that lost the piece is uncovered
+        assert (side == cover.side[k]).all(), k
+
+
+def test_cover_is_deterministic(desk_covers):
+    again = clearing.regimes(clearing.LlLayout(desk_case(4)))
+    cover = desk_covers[4]
+    for field in ("t", "side", "level", "row_duals", "lower_duals"):
+        assert getattr(again, field).tobytes() == getattr(cover, field).tobytes(), field
+    assert again.certified
+
+
+@pytest.mark.parametrize("mask, sides", [
+    (MarketMask(False, True, True), ((2, 3),)),
+    (MarketMask(False, False, False), ((),)),
+], ids=["energy off", "every market off"])
+def test_masked_covers_certify(mask, sides):
+    scn = harness.desk_scenario().with_mask(mask)
+    cover = clearing.regimes(clearing.LlLayout(scn))
+    assert cover.sides == sides
+    assert cover.certified
+    assert (cover.side == 0).all()
+    if not sides[0]:   # the zero bid alone: its zero-bid clear
+        assert cover.t.tolist() == list(range(scn.n_intervals))
+    assert all(len(a) == 0 for a in clearing.uncovered(cover))
+
+
+def test_cover_out_of_time_is_not_certified():
+    cover = clearing.regimes(clearing.LlLayout(desk_case(4)), deadline=0.0)
+    assert not cover.certified
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_regime_solve_reaches_the_big_m_optimum(k):
+    # acceptance 1's instance and acceptance 7's twenty, solved to gap 1e-9
+    # both ways
+    scn = acceptance_instance() if k == 20 else _mps_instances()[k]
+    report = harness.run_case(scn, settings=EXACT)
+    assert report.verification.passed, report.verification.summary()
+    big_m = solver.solve_milp(bilevel.assemble_milp(scn).milp, gap_tol=1e-9)
+    assert report.objective >= big_m.objective - 1e-6 * max(1.0, abs(big_m.objective))
+
+
+def test_terminal_soc_equality_on_desk_case_4():
+    scn = desk_case(4)
+    report = harness.run_case(scn, settings=harness.SolverSettings(gap_tol=0.01),
+                              terminal_soc_equality=True)
+    assert report.verification.passed, report.verification.summary()
+    assert report.schedule.records[-1].soc == pytest.approx(scn.bess.soc_init, abs=1e-6)
+
+
+def test_regime_solution_snaps_a_tiny_negative_bid():
+    scn = acceptance_instance()
+    cover = clearing.regimes(clearing.LlLayout(scn))
+    model = bilevel.assemble_regime_milp(scn, cover)
+    outcome = solver.solve_milp(model.milp, gap_tol=1e-9)
+    sol = bilevel.regime_solution(model, outcome)
+    # a zero bid of the published schedule, carried at -1e-15 by its copy
+    t, market = map(int, np.argwhere(sol.bids == 0.0)[0])
+    copies = outcome.x[:len(cover.t) * model.width].reshape(len(cover.t), model.width)
+    chosen = np.flatnonzero(cover.t == t)[np.argmax(copies[cover.t == t, 0])]
+    x = outcome.x.copy()
+    x[chosen * model.width + 1 + market] = -1e-15
+    snapped = bilevel.regime_solution(model, dataclasses.replace(outcome, x=x))
+    name = ("sell", "buy", "reserve", "regcap")[market]
+    assert snapped.notes == [f"t{t}:{name}_bid -1e-15 snapped to 0.0"]
+    assert snapped.bids.tobytes() == sol.bids.tobytes()
+    report = bilevel.verify_bilevel_solution(bilevel.assemble_milp(scn), snapped)
+    assert report.passed, report.summary()
+    assert report.notes[0] == snapped.notes[0]
