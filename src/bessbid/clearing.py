@@ -17,7 +17,8 @@ unit, one without.
 
 An interval's clearing cost is convex and piecewise affine in the storage
 bids, with one piece per optimal dual: :func:`regimes` finds, by clears at
-the vertices of the pieces found so far, duals that cover every bid.
+the vertices of the pieces found so far, duals that cover every bid; a
+vertex that an earlier clear's basis already proves covered is not cleared.
 """
 
 from __future__ import annotations
@@ -288,10 +289,14 @@ class ClearingBatch:
     objective: np.ndarray        # (k,) $, interval-length scaled
     duality_gap_rel: np.ndarray
     cs_residual: np.ndarray
+    bids: np.ndarray             # (k, 4) each row's sell, buy, reserve and regcap bids
+    basic: np.ndarray            # (k, rows) a nonzero-bid row's basic variables, as
+                                 # solver.BatchOutcome's; -1 on a zero-bid row
 
 
 # the fields a group of rows fills, in the order its clear returns them
-_FIELDS = ("x", "row_duals", "lower_duals", "objective", "duality_gap_rel", "cs_residual")
+_FIELDS = ("x", "row_duals", "lower_duals", "objective", "duality_gap_rel", "cs_residual",
+           "basic")
 
 
 def _status_error(t: int, status: str) -> ClearingError:
@@ -392,7 +397,8 @@ def clear_batch(layout: LlLayout, t, bids: np.ndarray) -> ClearingBatch:
     out = ClearingBatch(t=t, layout=layout, x=np.empty((k, layout.n_cols)),
                         row_duals=np.empty((k, layout.n_rows)),
                         lower_duals=np.empty((k, layout.n_cols)), objective=np.empty(k),
-                        duality_gap_rel=np.empty(k), cs_residual=np.empty(k))
+                        duality_gap_rel=np.empty(k), cs_residual=np.empty(k), bids=bids.copy(),
+                        basic=np.empty((k, layout.n_rows), dtype=np.int32))
     zero = ~bids.any(axis=1)
     failures = []
     for rows, clear in ((np.flatnonzero(zero), _clear_zero_rows),
@@ -417,7 +423,7 @@ def _clear_bid_rows(layout: LlLayout, t: np.ndarray, c: np.ndarray, rhs: np.ndar
     checks complementary slackness."""
     out = solver.LpModel(layout.build_lp(t[0])).solve_batch(rhs, c)
     values = (out.x, out.row_duals, out.lower_duals, out.objective, out.duality_gap_rel,
-              out.cs_residual)
+              out.cs_residual, out.basic)
     return values, _first_failure(t, out, out.cs_residual)
 
 
@@ -463,7 +469,7 @@ def _clear_zero_rows(layout: LlLayout, t: np.ndarray, c: np.ndarray, rhs: np.nda
     no_upper = np.zeros_like(x)
     cs = core.cs(x, core.activity(x), rhs, row_duals, lower_duals, no_upper)
     stationarity = core.stationarity(row_duals, lower_duals, no_upper, c)
-    values = (x, row_duals, lower_duals, out.objective, out.duality_gap_rel, cs)
+    values = (x, row_duals, lower_duals, out.objective, out.duality_gap_rel, cs, -1)
     return values, _first_failure(t, out, cs, stationarity)
 
 
@@ -618,13 +624,19 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
     """Cover each interval's bid box with clearing duals (Kelley's
     cutting-plane method on the clearing cost).
 
-    It starts from the clears at zero bids. Each round clears, in one
-    :func:`clear_batch` over all intervals, every vertex of the pieces'
-    upper envelope that no round has cleared yet; a vertex whose clearing
-    cost lies above the envelope (by ``COVER_TOL``, relative) adds its
-    clear's duals as a new piece. Once a round finds no new vertex, the
-    envelope is the clearing cost on every side, the cover is certified,
-    and the pieces whose region is thinner than the side are dropped.
+    It starts from the clears at zero bids. Each round takes every vertex of
+    the pieces' upper envelope that no round has taken yet. A vertex clears
+    only when no earlier basis proves it covered (:class:`_Bases`): an
+    optimal basis of an earlier clear of its interval whose point, moved to
+    the vertex's bids, is feasible there at a cost not above the envelope.
+    The envelope bounds the clearing cost from below and a feasible point's
+    cost bounds it from above, so such a vertex is not above the envelope
+    and its clear could add no piece. The other vertices clear in one
+    :func:`clear_batch` over all intervals; a vertex whose clearing cost
+    lies above the envelope (by ``COVER_TOL``, relative) adds its clear's
+    duals as a new piece. Once a round finds no new vertex, the envelope is
+    the clearing cost on every side, the cover is certified, and the pieces
+    whose region is thinner than the side are dropped.
 
     The cover stays uncertified when an uncovered vertex's duals are
     already held (within ``HELD_DUAL_TOL``), which only solver tolerance
@@ -641,7 +653,8 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
     cover = RegimeCover(layout, sides, t, np.tile(np.arange(n_sides), n_t), zero.objective[t],
                         zero.row_duals[t], zero.lower_duals[t], certified=False)
     fresh = np.ones(len(t), dtype=bool)
-    # the cleared points: their group, bids and clearing cost
+    bases = _Bases(layout)
+    # the points taken: their group, bids and clearing cost
     seen_g, seen_b, seen_cost = cover.group, np.zeros((len(t), 4)), cover.level
     checked = set(map(tuple, _keys(seen_g, seen_b, rate).tolist()))
     while True:
@@ -656,15 +669,20 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
             break
         g, bids, value = g[first], bids[first], value[first]
         checked.update(map(tuple, keys[first].tolist()))
-        batch, row = _clear_points(layout, n_sides, g, bids)
-        cost = batch.objective[row]
+        cost, clear = _certified(bases, g // n_sides, bids, value)
+        fresh = np.zeros(len(cover.t), dtype=bool)
+        if clear.any():
+            batch, row = _clear_points(layout, n_sides, g[clear], bids[clear])
+            cost[clear] = batch.objective[row]
+            bases.add(batch)
+            added = _new_pieces(cover, g[clear], bids[clear], cost[clear], value[clear],
+                                batch, row)
+            if added is None:   # an uncovered vertex's duals are already held
+                log.info("regime cover not certified: an uncovered vertex's duals are held")
+                return cover
+            cover, fresh = added
         seen_g, seen_b, seen_cost = (np.concatenate(v) for v in (
             (seen_g, g), (seen_b, bids), (seen_cost, cost)))
-        added = _new_pieces(cover, g, bids, cost, value, batch, row)
-        if added is None:   # an uncovered vertex's duals are already held
-            log.info("regime cover not certified: an uncovered vertex's duals are held")
-            return cover
-        cover, fresh = added
     cover.certified = True
     return _essential(cover, seen_g, seen_b, seen_cost)
 
@@ -705,6 +723,103 @@ def _clear_points(layout: LlLayout, n_sides: int, g: np.ndarray,
     _, pick, row = np.unique(_keys(g // n_sides, bids, layout.scenario.bess.power_rate),
                              axis=0, return_index=True, return_inverse=True)
     return clear_batch(layout, g[pick] // n_sides, bids[pick]), row.ravel()
+
+
+# the most (vertex, basis) pairs whose points _certified builds at once
+_PAIRS = 512
+
+
+class _Bases:
+    """The optimal bases of a scenario's clears at nonzero bids, one per
+    interval and basis, in interval order, and the point each gives at other
+    bids.
+
+    The bids move only the right-hand sides of the four bid rows, so a
+    basis found at bids ``b``, with its solution ``x``, gives the point
+    ``x + d @ (v - b)`` at bids ``v``: its nonbasic columns stay where they
+    are, its nonbasic rows stay tight, and ``d`` is the change of the basic
+    columns per unit of bid. Where that point is feasible the basis is
+    optimal too (its duals do not depend on the bids; Gal & Nedoma,
+    Management Science 18(7), 1972). Two clears of an interval on one basis
+    give one affine map, so each basis is kept once.
+    """
+
+    def __init__(self, layout: LlLayout):
+        self.layout = layout
+        n = layout.n_cols
+        self.t = np.empty(0, dtype=np.intp)
+        self.b = np.empty((0, 4))
+        self.x = np.empty((0, n))
+        self.d = np.empty((0, n, 4))
+        self._held: set[bytes] = set()
+        # each variable's equation when nonbasic: a column stays where it
+        # is (row j of the identity), row r's slack keeps row r tight
+        self._fixed = np.vstack((np.eye(n), layout.a.toarray()))
+        sell = layout.bid_rows["sell"]
+        self._bid_slacks = n + np.arange(sell, sell + 4)
+
+    def add(self, batch: ClearingBatch) -> None:
+        """Keep the bases of ``batch``'s nonzero-bid rows not yet held."""
+        n = self.layout.n_cols
+        new = []
+        for i in np.flatnonzero(batch.basic[:, 0] >= 0).tolist():
+            key = batch.t[i].tobytes() + batch.basic[i].tobytes()
+            if key not in self._held:
+                self._held.add(key)
+                new.append(i)
+        if not new:
+            return
+        basic = batch.basic[new]
+        k, m = basic.shape
+        nonbasic = np.ones((k, n + m), dtype=bool)
+        nonbasic[np.repeat(np.arange(k), m), basic.ravel()] = False
+        # n equations per basis, one per nonbasic variable, fix its point;
+        # the bid rows' right-hand sides enter where their slacks are nonbasic
+        var = np.nonzero(nonbasic)[1].reshape(k, n)
+        d = np.linalg.solve(self._fixed[var], (var[..., None] == self._bid_slacks).astype(float))
+        t = np.concatenate((self.t, batch.t[new]))
+        order = np.argsort(t, kind="stable")
+        self.t = t[order]
+        self.b, self.x, self.d = (np.concatenate(pair)[order] for pair in (
+            (self.b, batch.bids[new]), (self.x, batch.x[new]), (self.d, d)))
+
+
+def _certified(bases: _Bases, t: np.ndarray, bids: np.ndarray,
+               value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which points an earlier basis proves covered, and at what cost.
+
+    Point ``i`` of interval ``t[i]`` at ``bids[i]``, where the envelope is
+    ``value[i]``, is paired with each basis of its interval in ``bases``.
+    A pair proves the point covered when the basis's point there meets
+    every bound and every row, by ``solver.FEASIBILITY_TOL``, and its cost
+    is not above the envelope (:func:`_above`). Returns each point's cost,
+    the least of its proving pairs', and the points that none proves and
+    must clear; their costs are left unset.
+    """
+    layout = bases.layout
+    start = np.searchsorted(bases.t, t)
+    count = np.searchsorted(bases.t, t, side="right") - start
+    cost = np.full(len(t), np.inf)
+    tol = solver.FEASIBILITY_TOL
+    # the points in runs of at most _PAIRS pairs (one point's pairs at least)
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < len(t):
+        hi = max(int(np.searchsorted(ends, ends[lo] - count[lo] + _PAIRS, side="right")), lo + 1)
+        n_pairs = count[lo:hi]
+        pi = np.repeat(np.arange(lo, hi), n_pairs)
+        bi = np.arange(len(pi)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs) \
+            + np.repeat(start[lo:hi], n_pairs)
+        x = bases.x[bi] + np.einsum("pck,pk->pc", bases.d[bi], bids[pi] - bases.b[bi])
+        ax = (layout.a @ x.T).T
+        rows = solver.row_violation(layout.senses, ax, layout.rhs_for(t[pi], bids[pi]))
+        feasible = ((rows <= tol).all(axis=1) & (x >= layout.lower - tol).all(axis=1)
+                    & (x <= layout.upper + tol).all(axis=1))
+        pair_cost = np.vecdot(layout.c[t[pi]], x)
+        np.minimum.at(cost, pi[feasible], pair_cost[feasible])
+        lo = hi
+    clear = ~np.isfinite(cost) | _above(cost, value)
+    return cost, clear
 
 
 def _new_pieces(cover: RegimeCover, g: np.ndarray, bids: np.ndarray, cost: np.ndarray,

@@ -227,9 +227,8 @@ def _solve(milp: solver.MilpProblem, settings: SolverSettings,
     if outcome.status == solver.INFEASIBLE:
         raise CaseInfeasibleError("bidding problem infeasible")
     if outcome.status == solver.TIME_LIMIT:
-        raise CaseTimeLimitError(
-            f"time limit {settings.time_limit}s reached (gap {outcome.mip_gap})"
-        )
+        found = "no incumbent" if outcome.mip_gap is None else f"gap {outcome.mip_gap}"
+        raise CaseTimeLimitError(f"time limit {settings.time_limit}s reached ({found})")
     if outcome.status not in (solver.OPTIMAL, solver.GAP_LIMIT):
         raise HarnessError(f"solver returned {outcome.status}")
     return outcome

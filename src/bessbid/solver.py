@@ -147,6 +147,7 @@ class BatchOutcome:
     feasibility_residual: np.ndarray
     duality_gap_rel: np.ndarray
     cs_residual: np.ndarray
+    basic: np.ndarray   # (k, rows) each row's basic variables, ascending (see solve_batch)
 
 
 def _violation(le: np.ndarray, ge: np.ndarray, ax: np.ndarray, rhs) -> np.ndarray:
@@ -247,9 +248,6 @@ _STATUS = {_MS.kOptimal: OPTIMAL, _MS.kInfeasible: INFEASIBLE, _MS.kModelError: 
            _MS.kUnbounded: UNBOUNDED, _MS.kUnboundedOrInfeasible: UNBOUNDED,
            _MS.kTimeLimit: TIME_LIMIT, _MS.kIterationLimit: TIME_LIMIT}
 _VAR_TYPES = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
-# basis statuses that attribute a column's reduced cost to its lower or upper bound
-_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
-_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 
 
 def _highs_options(mip: bool) -> _highs.HighsOptions:
@@ -421,6 +419,15 @@ class LpModel:
         status or by a contract; a caller that checks its own contracts over
         those rows and then reports the failure reports the first failing
         row, as one solve per row would.
+
+        Each solve copies out the solution, duals, basis and objective. The
+        basis is HiGHS's list of basic variables, one per row, reported in
+        ``basic`` in ascending order with column ``j`` as ``j`` and the
+        slack of problem row ``r`` as ``columns + r``. A nonbasic column's
+        reduced cost is its lower bound's dual when the column sits at that
+        bound, and its upper bound's when it sits at the upper one; a
+        nonbasic fixed column's goes to the bound its sign belongs to, as
+        HiGHS's basis statuses attribute it.
         """
         problem, highs = self.problem, self._highs
         rhs = np.asarray(rhs, dtype=float)
@@ -445,7 +452,7 @@ class LpModel:
             new_costs = _moved(problem.c, c).any(axis=1).tolist()
 
         x, backend_duals, col_dual = np.empty((k, n)), np.empty((k, problem.n_rows)), np.empty((k, n))
-        col_status = np.empty((k, n), dtype=np.int64)
+        basic = np.empty((k, problem.n_rows), dtype=np.int32)
         fun = np.empty(k)
         status, failure = OPTIMAL, None
         solved = 0
@@ -472,7 +479,7 @@ class LpModel:
             x[i] = solution.col_value
             backend_duals[i] = solution.row_dual
             col_dual[i] = solution.col_dual
-            col_status[i] = np.fromiter(highs.getBasis().col_status, np.int64, n)
+            basic[i] = highs.getBasicVariables()[1]
             fun[i] = highs.getObjectiveValue()
             solved = i + 1
         if k:   # the model keeps the last right-hand sides and costs it was given
@@ -480,13 +487,23 @@ class LpModel:
             if c is not None:
                 problem.c[:] = c[i]
         if solved < k:
-            x, backend_duals, col_dual, col_status, fun, rhs = (
-                a[:solved] for a in (x, backend_duals, col_dual, col_status, fun, rhs))
+            x, backend_duals, col_dual, basic, fun, rhs = (
+                a[:solved] for a in (x, backend_duals, col_dual, basic, fun, rhs))
+
+        # HiGHS names the slack of backend row r as -(r + 1)
+        slack = basic < 0
+        basic = np.where(slack, n + self._order[np.where(slack, -1 - basic, 0)], basic)
+        basic.sort(axis=1)
+        column = basic < n
+        nonbasic = np.ones((len(x), n), dtype=bool)
+        nonbasic[np.nonzero(column)[0], basic[column]] = False
 
         # duals in the min orientation, then mapped back to original senses
         row_duals = (self._sign * backend_duals).take(self._pos, axis=1)
-        lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)
-        upper_duals = np.where(col_status == _AT_UPPER, col_dual, 0.0)
+        at_lower = nonbasic & (x == problem.lower)
+        at_upper = nonbasic & (x == problem.upper) & (~at_lower | (col_dual < 0.0))
+        lower_duals = np.where(at_lower & ~at_upper, col_dual, 0.0)
+        upper_duals = np.where(at_upper, col_dual, 0.0)
 
         # duality gap, computed in the min orientation; each row's dual
         # objective adds the same dot products, over contiguous vectors, in
@@ -512,9 +529,9 @@ class LpModel:
             f = int(np.argmin(ok))
             failure = (f"optimal solve violated numeric contracts: "
                        f"residual={resid[f]:.3e}, gap={gap_rel[f]:.3e}")
-            x, ax, rhs, fun, row_duals, lower_duals, upper_duals, resid, gap_rel = (
+            x, ax, rhs, fun, row_duals, lower_duals, upper_duals, resid, gap_rel, basic = (
                 a[:f] for a in (x, ax, rhs, fun, row_duals, lower_duals, upper_duals, resid,
-                                gap_rel))
+                                gap_rel, basic))
         cs = core.cs(x, ax, rhs, row_duals, lower_duals, upper_duals)
 
         if problem.maximize:
@@ -522,7 +539,7 @@ class LpModel:
         return BatchOutcome(
             status=status, failure=failure, objective=fun, x=x, row_duals=row_duals,
             lower_duals=lower_duals, upper_duals=upper_duals, feasibility_residual=resid,
-            duality_gap_rel=gap_rel, cs_residual=cs,
+            duality_gap_rel=gap_rel, cs_residual=cs, basic=basic,
         )
 
 

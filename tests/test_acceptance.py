@@ -218,6 +218,22 @@ def test_desk_report_files_match_pinned_digests(tmp_path, desk_reports):
         assert _report_digests(report, tmp_path) == REPORT_DIGESTS[case], case
 
 
+# the same for reference case 3 at gap 0.01: the solve over the certified
+# clearing regimes of all 96 intervals, where earlier bases certify the most
+# vertices; .github/workflows/tier1.yml checks them through the CLI
+REFERENCE_CASE3_DIGESTS = {
+    "intervals": "5039715811a3811e6bb213a356def9d00446651cd9dfb3cf34156f14e1cf56de",
+    "summary": "7864eed3702ae270806503df62bea02dbe1c0f9d57d71dc4e287d81eaab54c1b",
+}
+
+
+def test_reference_case_3_report_files_match_pinned_digests(tmp_path):
+    report = harness.run_case(harness.reference_scenario(MarketMask.from_case(3)),
+                              settings=harness.SolverSettings(gap_tol=0.01))
+    digests = _report_digests(report, tmp_path)
+    assert {k: digests[k] for k in REFERENCE_CASE3_DIGESTS} == REFERENCE_CASE3_DIGESTS
+
+
 # each desk case's verification at gap 0.01: its degenerate intervals, the
 # bits of both revenues, and the bits of the largest residual of each
 # first-order block

@@ -131,6 +131,29 @@ def test_time_limit_env_and_flag_precedence(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_time_limit_without_an_incumbent_names_none(tmp_path):
+    # the regime cover uses up the time, so the big-M fallback gets none
+    rn = runner()
+    scn = synth_tiny(rn, tmp_path / "s.scn")
+    res = rn.invoke(cli, ["solve", "--scenario", str(scn), "--time-limit", "0",
+                          "--out", str(tmp_path / "x")])
+    assert res.exit_code == EXIT_TIME_LIMIT
+    assert res.stderr.splitlines() == ["error: time limit 0.0s reached (no incumbent)"]
+
+
+def test_time_limit_with_an_incumbent_names_its_gap(tmp_path, monkeypatch):
+    def stopped(*a, **k):
+        return solver.SolveOutcome(status=solver.TIME_LIMIT, objective=1.0, mip_gap=0.25)
+
+    rn = runner()
+    scn = synth_tiny(rn, tmp_path / "s.scn")
+    monkeypatch.setattr(solver, "solve_milp", stopped)
+    res = rn.invoke(cli, ["solve", "--scenario", str(scn), "--time-limit", "300",
+                          "--out", str(tmp_path / "x")])
+    assert res.exit_code == EXIT_TIME_LIMIT
+    assert res.stderr.splitlines() == ["error: time limit 300.0s reached (gap 0.25)"]
+
+
 def test_negative_gap_or_time_limit_is_usage_error(tmp_path):
     rn = runner()
     scn = synth_tiny(rn, tmp_path / "s.scn")

@@ -3,6 +3,7 @@ certificate against the clearing cost, and the solve run_case publishes
 against the paper's big-M MILP."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,9 +21,51 @@ def desk_case(case):
     return harness.desk_scenario().with_mask(MarketMask.from_case(case))
 
 
+@dataclasses.dataclass
+class CoverRun:
+    """A cover, the LP rows its clears solved through
+    :meth:`solver.LpModel.solve_batch`, and the vertices an earlier basis
+    certified without a clear: their interval, bids, certified cost and
+    envelope value."""
+
+    cover: clearing.RegimeCover
+    rows: int
+    t: np.ndarray
+    bids: np.ndarray
+    cost: np.ndarray
+    value: np.ndarray
+
+
+def run_cover(scn) -> CoverRun:
+    rows, certified = [0], []
+    solve_batch, certify = solver.LpModel.solve_batch, clearing._certified
+
+    def counted(model, rhs, c=None):
+        rows[0] += len(rhs)
+        return solve_batch(model, rhs, c)
+
+    def recorded(bases, t, bids, value):
+        cost, clear = certify(bases, t, bids, value)
+        certified.append((t[~clear], bids[~clear], cost[~clear], value[~clear]))
+        return cost, clear
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver.LpModel, "solve_batch", counted)
+        mp.setattr(clearing, "_certified", recorded)
+        cover = clearing.regimes(clearing.LlLayout(scn))
+    return CoverRun(cover, rows[0], *(np.concatenate(v) for v in zip(*certified)))
+
+
 @pytest.fixture(scope="module")
-def desk_covers():
-    return {case: clearing.regimes(clearing.LlLayout(desk_case(case))) for case in (1, 2, 3, 4)}
+def cover_runs():
+    runs = {case: run_cover(desk_case(case)) for case in (1, 2, 3, 4)}
+    runs["acceptance 1"] = run_cover(acceptance_instance())
+    return runs
+
+
+@pytest.fixture(scope="module")
+def desk_covers(cover_runs):
+    return {case: cover_runs[case].cover for case in (1, 2, 3, 4)}
 
 
 def assert_envelope_is_the_clearing_cost(cover, t, grid):
@@ -68,6 +111,42 @@ def test_deleting_any_held_piece_breaks_the_certificate(case):
         assert len(t), k
         # only the side that lost the piece is uncovered
         assert (side == cover.side[k]).all(), k
+
+
+# sha256 of each cover's t, side, level, row_duals and lower_duals bytes, in
+# that order, taken while every vertex of the cover was cleared
+COVER_DIGESTS = {
+    1: "1209a01f2af1a73cb66025b8933786574780e4c6bceb1914b054fa0d0c63a9e4",
+    2: "5b6f0c018614db0461424048cacec4d093633e820874241988ed0ac15268d3eb",
+    3: "145e10c32b32a47bc8ec7c5e1d74bf3b83a0604e24de552ab4f8f35bd12ad942",
+    4: "3e126be9bf762b319cec339c4f263396b29e1ebdb79eb50f7ee78e626b43c7b0",
+    "acceptance 1": "add628b25222d1a36f4f52bd804f3fe7e6568d31f6584973301add7e4306943f",
+}
+
+
+@pytest.mark.parametrize("name", list(COVER_DIGESTS))
+def test_cover_matches_pinned_digest(cover_runs, name):
+    cover = cover_runs[name].cover
+    h = hashlib.sha256()
+    for field in ("t", "side", "level", "row_duals", "lower_duals"):
+        h.update(getattr(cover, field).tobytes())
+    assert h.hexdigest() == COVER_DIGESTS[name]
+
+
+def test_desk_case_4_cover_certifies_most_vertices_without_a_clear(cover_runs):
+    # clearing every vertex solved 1204 LP rows; earlier bases certify
+    # about half of them
+    assert cover_runs[4].rows <= 700
+
+
+@pytest.mark.parametrize("name", list(COVER_DIGESTS))
+def test_certified_vertices_clear_at_their_certified_cost(cover_runs, name):
+    run = cover_runs[name]
+    assert len(run.t)
+    cost = clearing.clear_batch(run.cover.layout, run.t, run.bids).objective
+    assert not clearing._above(cost, run.value).any()
+    tol = clearing.COVER_TOL * np.maximum(1.0, np.abs(cost))
+    assert (np.abs(cost - run.cost) <= tol).all()
 
 
 def test_cover_is_deterministic(desk_covers):
