@@ -271,7 +271,6 @@ class IntervalBlock:
 @dataclass
 class BilevelMilp:
     milp: solver.MilpProblem
-    scenario: Scenario
     block: IntervalBlock
     counts: dict[str, int]
 
@@ -543,7 +542,7 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
     }
     log.info("assembled bidding MILP: %(columns)d cols, %(rows)d rows, "
              "%(binaries)d binaries", counts)
-    return BilevelMilp(milp=milp, scenario=scn, block=block, counts=counts)
+    return BilevelMilp(milp=milp, block=block, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -551,38 +550,29 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RegimeMilp:
-    """The bidding MILP over a certified :class:`clearing.RegimeCover`, in
-    hull form (Balas 1998), with no big-M.
-
-    Held dual ``k`` of the cover gets one copy, columns ``k * width`` on:
-    a binary ``lam`` that chooses it, the bids sbid, dbid, rsbid, rgbid and
-    the clearing columns. The interval SOCs follow the copies.
-    """
-
-    milp: solver.MilpProblem
-    cover: clearing.RegimeCover
-    width: int
-
-
 REGIME_X0 = 5   # a copy's first clearing column, after lam and the four bids
 
 
-def assemble_regime_milp(scn: Scenario, cover: clearing.RegimeCover,
-                         terminal_soc_equality: bool = False) -> RegimeMilp:
-    """The bidding problem as a disjunction over each interval's held duals.
+def assemble_regime_milp(cover: clearing.RegimeCover,
+                         terminal_soc_equality: bool = False) -> solver.MilpProblem:
+    """The bidding MILP over a certified ``cover``, in hull form (Balas
+    1998), with no big-M: a disjunction over each interval's held duals.
 
-    Each copy holds the clearing rows with their right-hand sides times its
-    ``lam`` and minus its bids on the bid rows; the rows in its dual's
-    support bind, and the columns with a positive reduced cost are 0, so a
-    copy's point is clearing-optimal at its bids, with its dual's prices.
-    Its bids on its side's columns are at most ``rate * lam``, the others
-    0, and the power envelope holds on its awards. Each interval chooses
-    one copy, the revenue is each copy's prices times its awards, and the
-    SOC rows act on the sums of an interval's copies.
+    Held dual ``k`` gets one copy, ``width = REGIME_X0 + layout.n_cols``
+    columns from ``k * width`` on: a binary ``lam`` that chooses it, the
+    bids sbid, dbid, rsbid, rgbid and the clearing columns. The interval
+    SOCs follow the copies. Each copy holds the clearing rows with their
+    right-hand sides times its ``lam`` and minus its bids on the bid rows;
+    the rows in its dual's support bind, and the columns with a positive
+    reduced cost are 0, so a copy's point is clearing-optimal at its bids,
+    with its dual's prices. Its bids on its side's columns are at most
+    ``rate * lam``, the others 0, and the power envelope holds on its
+    awards. Each interval chooses one copy, the revenue is each copy's
+    prices times its awards, and the SOC rows act on the sums of an
+    interval's copies.
     """
     layout = cover.layout
+    scn = layout.scenario
     bess = scn.bess
     rate = bess.power_rate
     n_t, nr, nx = scn.n_intervals, layout.n_rows, layout.n_cols
@@ -659,7 +649,8 @@ def assemble_regime_milp(scn: Scenario, cover: clearing.RegimeCover,
     milp.validate()
     log.info("assembled regime MILP: %d cols, %d rows, %d binaries",
              milp.n_cols, milp.n_rows, k)
-    return RegimeMilp(milp=milp, cover=cover, width=width)
+    return milp
+
 
 # ---------------------------------------------------------------------------
 # solution extraction and verification
@@ -723,7 +714,7 @@ def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> Bile
     w = duals[:, :layout.n_rows]
     lower_duals = np.zeros((len(x), layout.n_cols))
     lower_duals[:, kkt.lower_cols] = duals[:, layout.n_rows:]
-    energy = bilevel.scenario.market_mask.energy
+    energy = layout.scenario.market_mask.energy
     return BilevelSolution(
         layout=layout,
         bids=bids,
@@ -737,18 +728,18 @@ def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> Bile
     )
 
 
-def regime_solution(model: RegimeMilp, outcome: solver.SolveOutcome) -> BilevelSolution:
-    """The schedule of a solved :class:`RegimeMilp`: each interval's chosen
-    copy (its largest ``lam``, the first of equal ones) with its held
-    dual's row and lower duals, and the SOC. The mode is 1 on the sell
-    side, 0 on the buy side and without energy. Bids are snapped as
-    :func:`extract_solution` snaps them."""
+def regime_solution(cover: clearing.RegimeCover, outcome: solver.SolveOutcome) -> BilevelSolution:
+    """The schedule of a solved :func:`assemble_regime_milp` over ``cover``:
+    each interval's chosen copy (its largest ``lam``, the first of equal
+    ones) with its held dual's row and lower duals, and the SOC. The mode
+    is 1 on the sell side, 0 on the buy side and without energy. Bids are
+    snapped as :func:`extract_solution` snaps them."""
     if outcome.x is None:
         raise BilevelError(f"no incumbent to extract (status {outcome.status})")
-    cover = model.cover
     n_t = cover.layout.scenario.n_intervals
     k = len(cover.t)
-    copies = outcome.x[:k * model.width].reshape(k, model.width)
+    width = REGIME_X0 + cover.layout.n_cols
+    copies = outcome.x[:k * width].reshape(k, width)
     # copies run in interval order; each interval's first best lam
     start = np.searchsorted(cover.t, np.arange(n_t + 1))
     chosen = np.array([a + int(np.argmax(copies[a:b, 0]))
@@ -759,7 +750,7 @@ def regime_solution(model: RegimeMilp, outcome: solver.SolveOutcome) -> BilevelS
         layout=cover.layout,
         bids=bids,
         u=(sell_side & cover.layout.scenario.market_mask.energy).astype(int),
-        soc=outcome.x[k * model.width:].copy(),
+        soc=outcome.x[k * width:].copy(),
         x=copies[chosen, REGIME_X0:],
         row_duals=cover.row_duals[chosen],
         lower_duals=cover.lower_duals[chosen],
@@ -796,10 +787,11 @@ def _tagged(checks: list[tuple[np.ndarray, object]]) -> list[str]:
     return [f"t{t}:{labels[t, k]}" for t, k in zip(*np.nonzero(fails))]
 
 
-def verify_bilevel_solution(bilevel: BilevelMilp, sol: BilevelSolution) -> VerificationReport:
-    """Independent checks of a solution extracted from a solved bidding MILP.
+def verify_bilevel_solution(sol: BilevelSolution) -> VerificationReport:
+    """Independent checks of a bidding schedule, on its own layout and
+    that layout's scenario, whichever model it came from.
 
-    Fixes the extracted bids, re-clears every interval, and demands the
+    Fixes the schedule's bids, re-clears every interval, and demands the
     embedded schedule is clearing-optimal (cost equality; award/price
     equality up to degeneracy), the upper-level constraints hold, the
     embedded point satisfies the first-order system, and the dual-recomputed
@@ -807,13 +799,13 @@ def verify_bilevel_solution(bilevel: BilevelMilp, sol: BilevelSolution) -> Verif
     sign, so callers must reject the solve.
 
     Each check runs over the whole horizon at once: the first-order system
-    on one :class:`solver.Residuals` of the blocks' layout, with each
-    interval's costs and right-hand sides. The mismatches are listed check
-    group by check group (upper level, first order, re-clear), each group
-    interval by interval.
+    on one :class:`solver.Residuals` of ``sol.layout``, with each interval's
+    costs and right-hand sides. The mismatches are listed check group by
+    check group (upper level, first order, re-clear), each group interval
+    by interval.
     """
-    scn = bilevel.scenario
-    layout = bilevel.block.kkt.layout
+    layout = sol.layout
+    scn = layout.scenario
     bess = scn.bess
     rate = bess.power_rate
     n_t = len(sol.x)
@@ -864,7 +856,7 @@ def verify_bilevel_solution(bilevel: BilevelMilp, sol: BilevelSolution) -> Verif
         (res["cs"] > CS_CHECK_TOL, "complementarity"),
     ])
 
-    # re-clear at the extracted bids, on the blocks' own layout, and compare
+    # re-clear at the schedule's bids, on its own layout, and compare
     try:
         batch = clearing.clear_batch(layout, t, sol.bids)
     except (clearing.ClearingError, ValueError) as exc:  # a ValueError names a negative bid

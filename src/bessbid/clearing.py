@@ -47,7 +47,9 @@ class ClearingError(RuntimeError):
 
 
 class InfeasibleMarketError(ClearingError):
-    """Requirements exceed fleet capability."""
+    """No dispatch meets the load, the requirements and the generator
+    limits: the requirements may exceed what the fleet can ramp, or the
+    generator floors the load."""
 
 
 class UnboundedMarketError(ClearingError):
@@ -302,7 +304,8 @@ _FIELDS = ("x", "row_duals", "lower_duals", "objective", "duality_gap_rel", "cs_
 def _status_error(t: int, status: str) -> ClearingError:
     if status == solver.INFEASIBLE:
         return InfeasibleMarketError(
-            f"interval {t}: clearing infeasible (requirements exceed fleet capability)"
+            f"interval {t}: clearing infeasible "
+            "(no dispatch meets the load, the requirements and the generator limits)"
         )
     if status == solver.UNBOUNDED:
         return UnboundedMarketError(f"interval {t}: clearing unbounded (malformed bids)")

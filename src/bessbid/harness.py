@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import agc, bilevel, clearing, solver
-from .bilevel import BilevelMilp, BilevelSolution, VerificationReport
+from .bilevel import BilevelSolution, VerificationReport
 from .scenario import (
     DEFAULT_GENERATOR_TABLE,
     BessParams,
@@ -111,7 +111,7 @@ class BessSchedule:
     soc_init: float
 
     @classmethod
-    def from_solution(cls, scn: Scenario, sol: BilevelSolution) -> "BessSchedule":
+    def from_solution(cls, sol: BilevelSolution) -> "BessSchedule":
         layout = sol.layout
         dt = layout.delta_t
         awards = sol.x[:, layout.col_bs:]   # sell, buy, reserve, regcap, mileage
@@ -124,7 +124,7 @@ class BessSchedule:
         records = [IntervalRecord(t, d, u, *(round(x, REVENUE_DECIMALS) + 0.0 for x in row))
                    for t, (d, u, row) in enumerate(zip(dt.tolist(), sol.u.tolist(),
                                                        values.tolist()))]
-        return cls(records=records, soc_init=scn.bess.soc_init)
+        return cls(records=records, soc_init=layout.scenario.bess.soc_init)
 
     def totals(self) -> dict[str, float]:
         columns = zip(*map(_revenues, self.records))
@@ -167,9 +167,11 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
     certified clearing regimes (:func:`clearing.regimes`,
     :func:`bilevel.assemble_regime_milp`). When the cover does not certify,
     or one of its clears fails, the paper's big-M MILP
-    (:func:`bilevel.assemble_milp`) is solved instead; the report's counts
-    describe the big-M MILP either way. ``settings.time_limit`` covers the
-    cover and the MILP together.
+    (:func:`bilevel.assemble_milp`) is solved instead. The big-M MILP is
+    assembled either way: the report's counts describe it. Whichever model
+    solved, :func:`bilevel.verify_bilevel_solution` checks the schedule on
+    its own layout. ``settings.time_limit`` covers the cover and the MILP
+    together.
 
     A verification failure aborts the run: a report built on an unverified
     solve would publish schedule rows the clearing does not support.
@@ -188,18 +190,18 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         log.info("no regime cover: %s", exc)
         cover = None
     if cover is not None and cover.certified:
-        model = bilevel.assemble_regime_milp(scn, cover, terminal_soc_equality)
-        outcome = _solve(model.milp, settings, deadline)
-        sol = bilevel.regime_solution(model, outcome)
+        outcome = _solve(bilevel.assemble_regime_milp(cover, terminal_soc_equality),
+                         settings, deadline)
+        sol = bilevel.regime_solution(cover, outcome)
     else:
         log.info("regime cover not certified; solving the big-M MILP")
         outcome = _solve(built.milp, settings, deadline)
         sol = bilevel.extract_solution(built, outcome)
-    report = bilevel.verify_bilevel_solution(built, sol)
+    report = bilevel.verify_bilevel_solution(sol)
     if not report.passed:
         raise VerificationFailedError(report)
 
-    schedule = BessSchedule.from_solution(scn, sol)
+    schedule = BessSchedule.from_solution(sol)
     return CaseReport(
         label=scn.market_mask.label(),
         mask=scn.market_mask,

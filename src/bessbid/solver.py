@@ -123,7 +123,6 @@ class SolveOutcome:
     mip_gap: float | None = None
     node_count: int | None = None
     wall_time: float = 0.0
-    feasibility_residual: float | None = None
 
 
 @dataclass
@@ -588,11 +587,9 @@ def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
     gap = float(info.mip_gap) if model.is_mip else None
     if status == OPTIMAL and gap is not None and gap > 1e-9:
         status = GAP_LIMIT
-    core = model.residuals
     return SolveOutcome(
         status=status, objective=float(-fun if problem.maximize else fun), x=x, mip_gap=gap,
         node_count=max(1, int(info.mip_node_count)), wall_time=wall,
-        feasibility_residual=float(core.primal(x, core.activity(x), core.problem.rhs)),
     )
 
 

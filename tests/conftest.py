@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bessbid import clearing, solver
+from bessbid import clearing, harness, solver
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
@@ -83,6 +83,19 @@ def acceptance_instance(load_scale=1.0, bid_factors=(1.0, 1.0), soc_shift=0.0):
         delta_t=0.5,
         bess_price_bids=BessPriceBids(buy=100.0),
     )
+
+
+def floored_desk():
+    """The desk system's first 4 intervals with every generator's floor at
+    a third of (the lowest load + 3 MW): the floors total 167.75 MW against
+    loads of 164.75-166.68 MW, so the market cannot clear without the
+    storage buying."""
+    scn = harness.desk_scenario()
+    intervals = scn.intervals[:4]
+    p_min = (min(it.load for it in intervals) + 3.0) / 3.0
+    return dataclasses.replace(
+        scn, intervals=intervals,
+        generators=tuple(dataclasses.replace(g, p_min=p_min) for g in scn.generators))
 
 
 def assert_tables_agree(files):

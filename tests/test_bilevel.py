@@ -318,7 +318,7 @@ def test_arbitrage_solution_verifies():
                          beta=EAGER_BUYER)
     bl, out, sol = solve_and_extract(scn)
     assert out.objective > 0.0
-    rep = bilevel.verify_bilevel_solution(bl, sol)
+    rep = bilevel.verify_bilevel_solution(sol)
     assert rep.passed, rep.summary()
     assert rep.max_residuals["cs"] <= 1e-7
     assert rep.revenue_from_duals == pytest.approx(rep.revenue_milp, rel=1e-5)
@@ -353,7 +353,7 @@ def test_verify_flags_corrupted_award():
                          mask=MarketMask(True, False, False), beta=EAGER_BUYER)
     bl, out, sol = solve_and_extract(scn)
     sol.x[1, sol.layout.col_gen(0, 0)] += 5.0
-    rep = bilevel.verify_bilevel_solution(bl, sol)
+    rep = bilevel.verify_bilevel_solution(sol)
     assert not rep.passed
     # the corrupted dispatch breaks the power balance row
     assert any("balance" in m for m in rep.mismatches), rep.mismatches
@@ -367,7 +367,7 @@ def test_verify_flags_truncated_dual():
     bl, out, sol = solve_and_extract(scn)
     assert out.objective > 0.0
     sol.row_duals[0, bl.block.kkt.layout.row_balance] = 0.0
-    rep = bilevel.verify_bilevel_solution(bl, sol)
+    rep = bilevel.verify_bilevel_solution(sol)
     assert not rep.passed
     assert rep.mismatches == ["t0:stationarity", "objective_linearization"]
 
@@ -389,7 +389,7 @@ def test_verify_flags_every_check_a_corruption_breaks():
     sol.bids[0, 0] = scn.bess.power_rate + 1.0
     sol.soc[1] += 1.0
     sol.row_duals[1, layout.row_reserve_req] *= -1.0
-    rep = bilevel.verify_bilevel_solution(bl, sol)
+    rep = bilevel.verify_bilevel_solution(sol)
     assert not rep.passed
     assert rep.mismatches == [
         "t0:bid_rate_caps", "t0:sell_mode", "t1:soc_recursion",
@@ -413,7 +413,7 @@ def test_degenerate_tie_passes_with_note():
     scn = build_scenario([twin_a, twin_b], BessParams(40.0, 20.0, soc_init=40.0),
                          [150.0], delta_t=1.0, mask=MarketMask(True, False, False))
     bl, out, sol = solve_and_extract(scn)
-    rep = bilevel.verify_bilevel_solution(bl, sol)
+    rep = bilevel.verify_bilevel_solution(sol)
     assert rep.passed, rep.summary()
 
 

@@ -10,7 +10,7 @@ from bessbid import harness, solver
 from bessbid.cli import EXIT_FAILURE, EXIT_INFEASIBLE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
 from bessbid.scenario import save_scenario, scenario_to_text
 
-from conftest import acceptance_instance
+from conftest import acceptance_instance, floored_desk
 
 
 def runner():
@@ -278,7 +278,23 @@ def test_oracle_infeasible_market_exits_3(tmp_path, monkeypatch):
     assert res.exit_code == EXIT_INFEASIBLE
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.splitlines() == [
-        "error: interval 0: clearing infeasible (requirements exceed fleet capability)"]
+        "error: interval 0: clearing infeasible "
+        "(no dispatch meets the load, the requirements and the generator limits)"]
+
+
+def test_market_that_needs_the_storage_solves_but_does_not_clear(tmp_path):
+    # the generator floors exceed every load: the storage must buy, so a
+    # solve publishes (through the big-M MILP), and a passive clear fails
+    path = tmp_path / "floored.scn"
+    save_scenario(floored_desk(), str(path))
+    rn = runner()
+    res = rn.invoke(cli, ["solve", "--scenario", str(path), "--case", "1",
+                          "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    res = rn.invoke(cli, ["clear", "--scenario", str(path)])
+    assert res.exit_code == EXIT_INFEASIBLE
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: interval 0: clearing infeasible ")
 
 
 def test_export_mps_round_trips_structure(tmp_path):

@@ -93,14 +93,14 @@ def test_tolerance_negative_bid_snapped_and_verified(capfd):
                               soc_shift=-0.08161681157298062)
     built = bilevel.assemble_milp(scn)
     sol = bilevel.extract_solution(built, solver.solve_milp(built.milp, gap_tol=1e-9))
-    report = bilevel.verify_bilevel_solution(built, sol)
+    report = bilevel.verify_bilevel_solution(sol)
     # HiGHS prints a debug line while solving this instance; it must not
     # reach stdout, which carries command output
     assert capfd.readouterr().out == ""
     assert report.passed, report.summary()
     assert any("reserve_bid" in n and "snapped to 0.0" in n
                for n in report.notes), report.notes
-    assert all(r.reserve_bid >= 0.0 for r in harness.BessSchedule.from_solution(scn, sol).records)
+    assert all(r.reserve_bid >= 0.0 for r in harness.BessSchedule.from_solution(sol).records)
     # the published solve, over the regimes, verifies on this instance too
     assert harness.run_case(scn, settings=EXACT).verification.passed
     assert capfd.readouterr().out == ""

@@ -11,7 +11,7 @@ import pytest
 from bessbid import bilevel, clearing, harness, solver
 from bessbid.scenario import MarketMask
 
-from conftest import acceptance_instance
+from conftest import acceptance_instance, floored_desk
 from test_acceptance import _mps_instances
 
 EXACT = harness.SolverSettings(gap_tol=1e-9)
@@ -199,19 +199,39 @@ def test_terminal_soc_equality_on_desk_case_4():
 def test_regime_solution_snaps_a_tiny_negative_bid():
     scn = acceptance_instance()
     cover = clearing.regimes(clearing.LlLayout(scn))
-    model = bilevel.assemble_regime_milp(scn, cover)
-    outcome = solver.solve_milp(model.milp, gap_tol=1e-9)
-    sol = bilevel.regime_solution(model, outcome)
+    outcome = solver.solve_milp(bilevel.assemble_regime_milp(cover), gap_tol=1e-9)
+    sol = bilevel.regime_solution(cover, outcome)
     # a zero bid of the published schedule, carried at -1e-15 by its copy
     t, market = map(int, np.argwhere(sol.bids == 0.0)[0])
-    copies = outcome.x[:len(cover.t) * model.width].reshape(len(cover.t), model.width)
+    width = bilevel.REGIME_X0 + cover.layout.n_cols
+    copies = outcome.x[:len(cover.t) * width].reshape(len(cover.t), width)
     chosen = np.flatnonzero(cover.t == t)[np.argmax(copies[cover.t == t, 0])]
     x = outcome.x.copy()
-    x[chosen * model.width + 1 + market] = -1e-15
-    snapped = bilevel.regime_solution(model, dataclasses.replace(outcome, x=x))
+    x[chosen * width + 1 + market] = -1e-15
+    snapped = bilevel.regime_solution(cover, dataclasses.replace(outcome, x=x))
     name = ("sell", "buy", "reserve", "regcap")[market]
     assert snapped.notes == [f"t{t}:{name}_bid -1e-15 snapped to 0.0"]
     assert snapped.bids.tobytes() == sol.bids.tobytes()
-    report = bilevel.verify_bilevel_solution(bilevel.assemble_milp(scn), snapped)
+    report = bilevel.verify_bilevel_solution(snapped)
     assert report.passed, report.summary()
     assert report.notes[0] == snapped.notes[0]
+
+
+def test_big_m_fallback_on_a_market_that_needs_the_storage(monkeypatch):
+    # the generator floors exceed every load, so the zero-bid clear that
+    # starts the cover is infeasible, and only the big-M MILP can solve
+    scn = floored_desk()
+    with pytest.raises(clearing.InfeasibleMarketError, match="^interval 0: "):
+        clearing.regimes(clearing.LlLayout(scn))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled the regime model")
+
+    monkeypatch.setattr(bilevel, "assemble_regime_milp", refuse)
+    report = harness.run_case(scn, mask=MarketMask.from_case(1),
+                              settings=harness.SolverSettings(gap_tol=0.01))
+    assert report.verification.passed, report.verification.summary()
+    floors = sum(g.p_min for g in scn.generators)
+    for r, it in zip(report.schedule.records, scn.intervals, strict=True):
+        assert r.buy_award >= floors - it.load, r
+        assert r.sell_award == 0.0, r
