@@ -47,6 +47,11 @@ REVENUE_DECIMALS = 9
 # largest grid the oracle will clear: combinations per interval to the power
 # of the interval count
 ORACLE_MAX_EVALUATIONS = 20_000_000
+# pairs of an interval-0 and an interval-1 grid point the oracle joins at
+# once: each of the join's arrays stays within 256 kB, at any grid under the
+# cap, and a block stays in cache (blocks of 2**18 pairs joined acceptance 1
+# in twice the time)
+ORACLE_JOIN_BLOCK = 1 << 15
 
 
 class HarnessError(RuntimeError):
@@ -387,22 +392,35 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
     rev1, de1, hold1, ceil1, env1 = interval_arrays(1)
     evaluated = len(grid) ** 2
     # only an interval-0 point feasible on its own and an interval-1 point
-    # inside its power envelope can pair; both keep grid order, so the
-    # first best pair is the one the full grid gives
+    # inside its power envelope can pair; both keep grid order, and a block's
+    # best replaces the kept one only when strictly greater, so the first
+    # best pair is the one the full grid gives
     rows, cols = np.flatnonzero(ok0), np.flatnonzero(env1)
-    soc2 = soc1[rows, None] + de1[None, cols]
-    ok = ((soc2 >= bess.soc_min + hold1[None, cols] - 1e-9)
-          & (soc2 <= bess.soc_max - ceil1[None, cols] + 1e-9))
-    if not ok.any():
+    # interval 1's values at the points that can pair
+    rev1, de1 = rev1[cols], de1[cols]
+    soc_lo = bess.soc_min + hold1[cols] - 1e-9
+    soc_hi = bess.soc_max - ceil1[cols] + 1e-9
+    feasible, revenue, best = 0, -np.inf, None
+    step = max(1, ORACLE_JOIN_BLOCK // max(1, len(cols)))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        soc2 = soc1[block, None] + de1
+        ok = (soc2 >= soc_lo) & (soc2 <= soc_hi)
+        count = int(np.count_nonzero(ok))
+        if not count:
+            continue
+        feasible += count
+        totals = np.where(ok, rev0[block, None] + rev1, -np.inf)
+        k = int(np.argmax(totals))
+        if totals.flat[k] > revenue:
+            revenue, best = float(totals.flat[k]), [block[k // len(cols)], cols[k % len(cols)]]
+    if not feasible:
         raise HarnessError("no feasible grid point; the zero bid should always be feasible")
-    totals = np.where(ok, rev0[rows, None] + rev1[None, cols], -np.inf)
-    best_row, best_col = np.unravel_index(int(np.argmax(totals)), totals.shape)
-    i, j = rows[best_row], cols[best_col]
     return OracleResult(
-        revenue=float(totals[best_row, best_col]),
-        bids=grid[[i, j]],
+        revenue=revenue,
+        bids=grid[best],
         evaluated=evaluated,
-        feasible=int(ok.sum()),
+        feasible=feasible,
         grid_step=bid_grid_step,
     )
 

@@ -26,6 +26,7 @@ from conftest import (
     build_scenario,
     clear_one,
 )
+from test_acceptance import small_instance
 
 EXACT = harness.SolverSettings(gap_tol=1e-9)
 
@@ -218,6 +219,32 @@ def test_oracle_does_not_depend_on_worker_count(monkeypatch, scn, step):
     for res, arr in zip(results[1:], awards[1:]):
         assert _oracle_fields(res) == _oracle_fields(results[0])
         assert arr.tobytes() == awards[0].tobytes()
+
+
+@pytest.mark.parametrize("scn, step, counts", [
+    (small_instance(), 0.5, (6456681, 1163744)),
+    (tiny_scenario(mask=MarketMask(False, True, True)), 2.5, (81, 36)),
+], ids=["acceptance-1", "tied-best"])
+def test_oracle_join_blocks_do_not_change_the_result(monkeypatch, scn, step, counts):
+    # blocks of one row, of a few rows with a ragged last block, and the
+    # default give the same bits; acceptance 1 joins 1111 x 1111 pairs, and
+    # the tiny instance's best revenue ties across rows, where only the
+    # first best pair in grid order may win
+    clear_grid, awards = harness._clear_grid, []
+
+    def clear_once(scn, grid):
+        if not awards:
+            awards.append(clear_grid(scn, grid))
+        return awards[0]
+
+    monkeypatch.setattr(harness, "_clear_grid", clear_once)
+    want = harness.brute_force_oracle(scn, step)
+    assert (want.evaluated, want.feasible) == counts
+    for block in (1, 4000):
+        monkeypatch.setattr(harness, "ORACLE_JOIN_BLOCK", block)
+        got = harness.brute_force_oracle(scn, step)
+        assert got.revenue.hex() == want.revenue.hex()
+        assert _oracle_fields(got) == _oracle_fields(want)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -1,6 +1,13 @@
 """LP/MILP solving and MPS round-trip behavior."""
 
 import ast
+import hashlib
+import importlib.machinery
+import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -419,6 +426,73 @@ def test_highs_reached_only_through_solver_module():
                 continue
             if any("_highspy" in m for m in modules):
                 assert path.name == "solver.py", path.name
+    # solver.py loads the bindings by name, in a string no import names
+    for path in sorted(src.glob("*.py")):
+        assert path.name == "solver.py" or "_highspy" not in path.read_text(), path.name
+
+
+# A fresh interpreter imports ``first``, then bessbid, runs a passive desk
+# clear and the knapsack MILP, and reports what it imported and sha256s of
+# the results.
+_IMPORT_PROBE = """
+import hashlib, json, sys
+{first}
+import numpy as np
+import scipy.sparse as sp
+from bessbid import bilevel, cli, clearing, harness, solver
+
+scn = harness.desk_scenario()
+n = scn.n_intervals
+batch = clearing.clear_batch(clearing.LlLayout(scn), np.arange(n), np.zeros((n, 4)))
+knapsack = solver.MilpProblem(
+    c=np.array([-5.0, -4.0, -3.0]), a=sp.csr_matrix(np.array([[2.0, 3.0, 1.0]])),
+    senses=np.array(["<"]), rhs=np.array([5.0]), lower=np.zeros(3), upper=np.ones(3),
+    integrality=np.ones(3, dtype=np.int8))
+out = solver.solve_milp(knapsack, gap_tol=1e-9)
+print(json.dumps({{
+    "optimize": "scipy.optimize" in sys.modules,
+    "same": solver._highs is sys.modules["scipy.optimize._highspy._core"],
+    "clear": hashlib.sha256(batch.row_duals.tobytes() + batch.objective.tobytes()).hexdigest(),
+    "milp": hashlib.sha256(out.x.tobytes()).hexdigest(),
+}}))
+"""
+
+
+@pytest.mark.parametrize("first, optimize", [("", False), ("import scipy.optimize", True)],
+                         ids=["bessbid-alone", "scipy-optimize-first"])
+def test_highs_bindings_load_once_in_either_import_order(first, optimize):
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(first=first)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    probe = json.loads(run.stdout)
+    assert probe.pop("optimize") is optimize
+    assert probe.pop("same") is True
+    scn = harness.desk_scenario()
+    n = scn.n_intervals
+    batch = clearing.clear_batch(clearing.LlLayout(scn), np.arange(n), np.zeros((n, 4)))
+    out = solve_milp(KNAPSACK, gap_tol=1e-9)
+    assert probe == {
+        "clear": hashlib.sha256(batch.row_duals.tobytes() + batch.objective.tobytes()).hexdigest(),
+        "milp": hashlib.sha256(out.x.tobytes()).hexdigest()}
+
+
+def test_missing_highs_bindings_are_one_named_error(monkeypatch):
+    import scipy.optimize
+
+    directory = str(Path(scipy.optimize.__file__).parent / "_highspy")
+    find_spec = importlib.machinery.PathFinder.find_spec
+
+    def no_bindings(cls, name, path=None, target=None):
+        return None if name == solver._HIGHS_MODULE else find_spec(name, path, target)
+
+    with monkeypatch.context() as m:
+        m.delitem(sys.modules, solver._HIGHS_MODULE)
+        m.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(no_bindings))
+        with pytest.raises(ImportError, match=re.escape(f"in {directory} (scipy ")):
+            solver._load_highs()
+        assert solver._HIGHS_MODULE not in sys.modules
+    assert sys.modules[solver._HIGHS_MODULE] is solver._highs
 
 
 def test_milp_deterministic_reproducibility():
