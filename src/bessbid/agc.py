@@ -11,6 +11,7 @@ the SOC limits reserved by the headroom constraints.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,10 @@ import numpy as np
 MEAN_TOL = 1e-12
 DEFAULT_SAMPLES = 225  # 4-second samples over a 15-minute interval
 SAMPLE_SECONDS = 4.0
+# SOC samples the replay holds per array: a block of intervals, each of a
+# trace's samples, stays within 256 kB; a trace longer than that replays one
+# interval at a time
+REPLAY_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -44,26 +49,6 @@ class AgcTrace:
     @property
     def n_samples(self) -> int:
         return len(self.signal)
-
-    def power_mw(self, regulation_award_mw: float) -> np.ndarray:
-        """Dispatch power per sample, MW (positive = discharging)."""
-        return self.signal * regulation_award_mw
-
-    def cumulative_energy_mwh(self, regulation_award_mw: float,
-                              delta_t: float) -> np.ndarray:
-        """Running discharged energy after each sample, MWh."""
-        h = delta_t / self.n_samples
-        return np.cumsum(self.power_mw(regulation_award_mw)) * h
-
-    def mileage_mw(self, regulation_award_mw: float) -> float:
-        """Total absolute signal movement scaled by the award, MW.
-
-        An ex-post statistic of the trace; the market's mileage award is a
-        cleared quantity and the two are reported side by side, never
-        reconciled.
-        """
-        steps = np.abs(np.diff(self.signal, prepend=0.0))
-        return float(steps.sum() * regulation_award_mw)
 
 
 def normalize_signal(raw: np.ndarray) -> np.ndarray:
@@ -114,17 +99,6 @@ def generate_signal(seed: int, samples: int = DEFAULT_SAMPLES) -> AgcTrace:
 
 
 @dataclass(frozen=True)
-class TrackingInterval:
-    """Cleared quantities of one interval, as seen by the AGC replay."""
-
-    start_soc: float       # MWh at the interval start
-    discharge_mw: float    # cleared energy sell award
-    charge_mw: float       # cleared energy buy award
-    regulation_mw: float   # cleared regulation capacity award
-    delta_t: float         # hours
-
-
-@dataclass(frozen=True)
 class ExcursionReport:
     """SOC behavior of one interval under a replayed AGC trace."""
 
@@ -135,6 +109,9 @@ class ExcursionReport:
     max_excursion: float         # largest |SOC deviation| caused by regulation
     breach_low: bool
     breach_high: bool
+    # total absolute signal movement scaled by the award, MW: an ex-post
+    # statistic of the trace, reported beside the market's cleared mileage
+    # award and never reconciled with it
     trace_mileage_mw: float
 
     @property
@@ -142,34 +119,39 @@ class ExcursionReport:
         return self.breach_low or self.breach_high
 
 
-def simulate_tracking(interval: TrackingInterval, trace: AgcTrace,
-                      soc_min: float, soc_max: float) -> ExcursionReport:
-    """Replay a trace against one interval's cleared schedule.
+def replay(trace: AgcTrace, start_soc: np.ndarray, charge_mw: np.ndarray,
+           discharge_mw: np.ndarray, regulation_mw: np.ndarray, delta_t: np.ndarray,
+           soc_min: float, soc_max: float) -> list[ExcursionReport]:
+    """Replay one trace against every interval of a cleared schedule, one
+    report per interval; interval ``i`` starts at ``start_soc[i]`` (MWh) and
+    lasts ``delta_t[i]`` hours.
 
-    The arbitrage award moves SOC linearly; the regulation award follows the
-    trace. Violations of the SOC band (beyond 1e-9) are flagged, never
-    enforced, matching the market model's assumption that headroom reserved
-    by the clearing is sufficient.
+    The arbitrage award (charge less discharge, MW) moves SOC linearly; the
+    regulation award follows the trace. Violations of the SOC band (beyond
+    1e-9) are flagged, never enforced, matching the market model's
+    assumption that headroom reserved by the clearing is sufficient. The
+    intervals replay in blocks of at most ``REPLAY_BLOCK`` SOC samples, or
+    one at a time when a trace is longer.
     """
     n = trace.n_samples
-    h = interval.delta_t / n
-    arb_mw = interval.charge_mw - interval.discharge_mw
     k = np.arange(1, n + 1)
-    regulation_energy = trace.cumulative_energy_mwh(interval.regulation_mw,
-                                                    interval.delta_t)
-    soc_path = interval.start_soc + arb_mw * h * k - regulation_energy
-
-    end_soc = float(soc_path[-1])
-    end_without_regulation = interval.start_soc + arb_mw * interval.delta_t
-    lo = float(min(interval.start_soc, soc_path.min()))
-    hi = float(max(interval.start_soc, soc_path.max()))
-    return ExcursionReport(
-        end_soc=end_soc,
-        regulation_soc_delta=end_soc - end_without_regulation,
-        min_soc=lo,
-        max_soc=hi,
-        max_excursion=float(np.max(np.abs(regulation_energy), initial=0.0)),
-        breach_low=lo < soc_min - 1e-9,
-        breach_high=hi > soc_max + 1e-9,
-        trace_mileage_mw=trace.mileage_mw(interval.regulation_mw),
-    )
+    # the trace's total movement, summed once (pairwise) for every award
+    movement = np.abs(np.diff(trace.signal, prepend=0.0)).sum()
+    rows = max(1, REPLAY_BLOCK // n)
+    out: list[ExcursionReport] = []
+    for b in range(0, len(start_soc), rows):
+        start, reg, dt = start_soc[b:b + rows], regulation_mw[b:b + rows], delta_t[b:b + rows]
+        arb = charge_mw[b:b + rows] - discharge_mw[b:b + rows]
+        h = dt / n
+        regulation_energy = np.cumsum(trace.signal * reg[:, None], axis=1) * h[:, None]
+        soc_path = start[:, None] + (arb * h)[:, None] * k - regulation_energy
+        end_soc = soc_path[:, -1]
+        # the start SOC, unless the path's extreme lies strictly beyond it
+        lo, hi = soc_path.min(axis=1), soc_path.max(axis=1)
+        lo, hi = np.where(lo < start, lo, start), np.where(hi > start, hi, start)
+        out += itertools.starmap(ExcursionReport, zip(
+            end_soc.tolist(), (end_soc - (start + arb * dt)).tolist(), lo.tolist(), hi.tolist(),
+            np.abs(regulation_energy).max(axis=1, initial=0.0).tolist(),
+            (lo < soc_min - 1e-9).tolist(), (hi > soc_max + 1e-9).tolist(),
+            (movement * reg).tolist()))
+    return out

@@ -637,15 +637,15 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
     and its clear could add no piece. The other vertices clear in one
     :func:`clear_batch` over all intervals; a vertex whose clearing cost
     lies above the envelope (by ``COVER_TOL``, relative) adds its clear's
-    duals as a new piece. Once a round finds no new vertex, the envelope is
-    the clearing cost on every side, the cover is certified, and the pieces
-    whose region is thinner than the side are dropped.
+    duals as a new piece. Once a round adds no piece or finds no new vertex,
+    the envelope is the clearing cost on every side, the cover is certified,
+    and the pieces whose region is thinner than the side are dropped.
 
     The cover stays uncertified when an uncovered vertex's duals are
     already held (within ``HELD_DUAL_TOL``), which only solver tolerance
     can cause, or when ``deadline`` (a :func:`time.perf_counter` time) has
-    passed at the start of a round. A clear that fails raises its
-    :class:`ClearingError`.
+    passed at the start of a round that has a new piece to search from. A
+    clear that fails raises its :class:`ClearingError`.
     """
     scn = layout.scenario
     rate = scn.bess.power_rate
@@ -660,7 +660,7 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
     # the points taken: their group, bids and clearing cost
     seen_g, seen_b, seen_cost = cover.group, np.zeros((len(t), 4)), cover.level
     checked = set(map(tuple, _keys(seen_g, seen_b, rate).tolist()))
-    while True:
+    while fresh.any():   # a vertex new to the envelope lies on a fresh piece
         if deadline is not None and time.perf_counter() > deadline:
             return cover
         g, bids, value = _vertices(cover, fresh)

@@ -137,17 +137,6 @@ class BessSchedule:
         out["total"] = sum(out.values())
         return {k: round(v, REVENUE_DECIMALS) for k, v in out.items()}
 
-    def tracking_interval(self, t: int) -> agc.TrackingInterval:
-        start = self.soc_init if t == 0 else self.records[t - 1].soc
-        r = self.records[t]
-        return agc.TrackingInterval(
-            start_soc=start,
-            discharge_mw=r.sell_award,
-            charge_mw=r.buy_award,
-            regulation_mw=r.regcap_award,
-            delta_t=r.delta_t,
-        )
-
 
 @dataclass
 class CaseReport:
@@ -243,15 +232,18 @@ def _solve(milp: solver.MilpProblem, settings: SolverSettings,
 
 def replay_agc(report: CaseReport, bess: BessParams, seeds: range | list[int] = range(10),
                samples: int = agc.DEFAULT_SAMPLES) -> list[agc.ExcursionReport]:
-    """Replay seeded AGC traces against every interval of a solved case."""
+    """Replay seeded AGC traces against every interval of a solved case, one
+    trace at a time: its reports in interval order, trace after trace.
+    Interval ``t`` starts at the SOC interval ``t - 1`` ends at."""
+    sched = report.schedule
+    dt, buy, sell, regcap, soc = np.array(
+        [(r.delta_t, r.buy_award, r.sell_award, r.regcap_award, r.soc)
+         for r in sched.records]).T
+    start = np.concatenate(([sched.soc_init], soc[:-1]))
     out: list[agc.ExcursionReport] = []
     for seed in seeds:
-        trace = agc.generate_signal(seed, samples=samples)
-        for t in range(len(report.schedule.records)):
-            out.append(agc.simulate_tracking(
-                report.schedule.tracking_interval(t), trace,
-                bess.soc_min, bess.soc_max,
-            ))
+        out += agc.replay(agc.generate_signal(seed, samples=samples), start, buy, sell,
+                          regcap, dt, bess.soc_min, bess.soc_max)
     return out
 
 

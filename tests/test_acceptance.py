@@ -366,16 +366,15 @@ def test_acceptance_4_arbitrage_shape():
 
 def test_acceptance_5_agc_soc_neutrality():
     rate = 10.0
+    awards = np.linspace(0.0, rate, 6)
+    # one interval per award, each from 50 MWh for a quarter hour
+    start, idle, delta_t = np.full(6, 50.0), np.zeros(6), np.full(6, 0.25)
     worst = 0.0
     for seed in range(100):
-        trace = agc.generate_signal(seed)
-        for award in np.linspace(0.0, rate, 6):
-            interval = agc.TrackingInterval(
-                start_soc=50.0, discharge_mw=0.0, charge_mw=0.0,
-                regulation_mw=float(award), delta_t=0.25,
-            )
-            rep = agc.simulate_tracking(interval, trace, 0.0, 100.0)
-            worst = max(worst, abs(rep.regulation_soc_delta))
+        reps = agc.replay(agc.generate_signal(seed), start, idle, idle, awards, delta_t,
+                          0.0, 100.0)
+        assert len(reps) == len(awards)
+        worst = max(worst, *(abs(rep.regulation_soc_delta) for rep in reps))
     assert worst <= 1e-9
     print(f"ACCEPTANCE 5 PASS: 100 traces x 6 awards, worst end-of-interval "
           f"SOC delta {worst:.2e} MWh")

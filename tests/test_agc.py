@@ -1,16 +1,77 @@
 """AGC signal construction and SOC tracking replay."""
 
+import dataclasses
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from bessbid import agc, harness
 from bessbid.agc import (
     AgcTrace,
     ExcursionReport,
-    TrackingInterval,
     generate_signal,
     normalize_signal,
-    simulate_tracking,
+    replay,
 )
+from bessbid.scenario import MarketMask
+
+
+def reference_tracking(start_soc, discharge_mw, charge_mw, regulation_mw, delta_t,
+                       trace, soc_min, soc_max):
+    """One interval's replay, one interval at a time: the arithmetic whose
+    bits :func:`agc.replay` keeps for every report field."""
+    n = trace.n_samples
+    h = delta_t / n
+    arb_mw = charge_mw - discharge_mw
+    k = np.arange(1, n + 1)
+    regulation_energy = np.cumsum(trace.signal * regulation_mw) * h
+    soc_path = start_soc + arb_mw * h * k - regulation_energy
+    end_soc = float(soc_path[-1])
+    end_without_regulation = start_soc + arb_mw * delta_t
+    lo = float(min(start_soc, soc_path.min()))
+    hi = float(max(start_soc, soc_path.max()))
+    steps = np.abs(np.diff(trace.signal, prepend=0.0))
+    return ExcursionReport(
+        end_soc=end_soc,
+        regulation_soc_delta=end_soc - end_without_regulation,
+        min_soc=lo,
+        max_soc=hi,
+        max_excursion=float(np.max(np.abs(regulation_energy), initial=0.0)),
+        breach_low=lo < soc_min - 1e-9,
+        breach_high=hi > soc_max + 1e-9,
+        trace_mileage_mw=float(steps.sum() * regulation_mw),
+    )
+
+
+def reference_replay_agc(schedule, bess, seeds, samples=agc.DEFAULT_SAMPLES):
+    """:func:`harness.replay_agc` through :func:`reference_tracking`."""
+    out = []
+    for seed in seeds:
+        trace = generate_signal(seed, samples=samples)
+        for t, r in enumerate(schedule.records):
+            start = schedule.soc_init if t == 0 else schedule.records[t - 1].soc
+            out.append(reference_tracking(start, r.sell_award, r.buy_award, r.regcap_award,
+                                          r.delta_t, trace, bess.soc_min, bess.soc_max))
+    return out
+
+
+def _bits(reports):
+    """Every field of every report, floats as their exact hex, with its type."""
+    return [tuple((type(v), v.hex() if isinstance(v, float) else v)
+                  for v in dataclasses.astuple(r)) for r in reports]
+
+
+def _report(schedule):
+    # replay_agc reads a report's schedule only
+    return SimpleNamespace(schedule=schedule)
+
+
+@pytest.fixture(scope="module")
+def desk_case4():
+    scn = harness.desk_scenario(MarketMask.from_case(4))
+    return scn, harness.run_case(scn, settings=harness.SolverSettings(gap_tol=0.01))
 
 
 def test_constant_raw_collapses_to_zeros():
@@ -46,33 +107,33 @@ def test_trace_rejects_nonzero_mean():
 
 def test_zero_award_zero_excursion():
     trace = generate_signal(3)
-    iv = TrackingInterval(start_soc=50.0, discharge_mw=4.0, charge_mw=0.0,
-                          regulation_mw=0.0, delta_t=0.25)
-    rep = simulate_tracking(iv, trace, soc_min=0.0, soc_max=100.0)
+    # one interval from 50 MWh, discharging 4 MW for a quarter hour
+    (rep,) = replay(trace, np.array([50.0]), np.zeros(1), np.array([4.0]), np.zeros(1),
+                    np.array([0.25]), soc_min=0.0, soc_max=100.0)
     assert rep.max_excursion == 0.0
+    assert rep.trace_mileage_mw == 0.0
     assert rep.regulation_soc_delta == pytest.approx(0.0, abs=1e-15)
     assert rep.end_soc == pytest.approx(50.0 - 4.0 * 0.25, abs=1e-12)
     assert not rep.breached
 
 
 def test_regulation_leaves_interval_boundary_soc_unchanged():
+    awards = np.array([0.0, 2.5, 5.0, 40.0])
+    ones = np.ones_like(awards)
     for seed in (0, 7, 42):
         trace = generate_signal(seed)
-        for award in (0.0, 2.5, 5.0, 40.0):
-            iv = TrackingInterval(start_soc=200.0, discharge_mw=10.0,
-                                  charge_mw=0.0, regulation_mw=award,
-                                  delta_t=0.25)
-            rep = simulate_tracking(iv, trace, soc_min=0.0, soc_max=400.0)
+        reps = replay(trace, 200.0 * ones, 0.0 * ones, 10.0 * ones, awards, 0.25 * ones,
+                      soc_min=0.0, soc_max=400.0)
+        assert len(reps) == len(awards)
+        for rep in reps:
             assert abs(rep.regulation_soc_delta) <= 1e-9
             assert rep.end_soc == pytest.approx(200.0 - 2.5, abs=1e-9)
 
 
 def test_excursion_scales_linearly_with_award():
     trace = generate_signal(11)
-    iv1 = TrackingInterval(100.0, 0.0, 0.0, 5.0, 0.25)
-    iv2 = TrackingInterval(100.0, 0.0, 0.0, 10.0, 0.25)
-    r1 = simulate_tracking(iv1, trace, 0.0, 400.0)
-    r2 = simulate_tracking(iv2, trace, 0.0, 400.0)
+    r1, r2 = replay(trace, np.full(2, 100.0), np.zeros(2), np.zeros(2),
+                    np.array([5.0, 10.0]), np.full(2, 0.25), 0.0, 400.0)
     assert r2.max_excursion == pytest.approx(2.0 * r1.max_excursion, rel=1e-12)
     assert r2.trace_mileage_mw == pytest.approx(2.0 * r1.trace_mileage_mw, rel=1e-12)
 
@@ -87,17 +148,15 @@ def test_headroom_boundary_with_square_wave():
     award, dt, soc_min = 10.0, 0.25, 0.0
     # end SOC sits exactly at the reserved floor headroom: soc_min + award*dt
     start = soc_min + award * dt
-    iv = TrackingInterval(start_soc=start, discharge_mw=0.0, charge_mw=0.0,
-                          regulation_mw=award, delta_t=dt)
-    rep = simulate_tracking(iv, trace, soc_min=soc_min, soc_max=400.0)
+    # the second interval starts below the reserved level and breaches the floor
+    rep, rep_bad = replay(trace, np.array([start, award * dt / 2.0 - 0.5]), np.zeros(2),
+                          np.zeros(2), np.full(2, award), np.full(2, dt),
+                          soc_min=soc_min, soc_max=400.0)
     assert rep.max_excursion == pytest.approx(award * dt / 2.0, rel=1e-12)
     assert rep.min_soc == pytest.approx(start - award * dt / 2.0, abs=1e-12)
     assert not rep.breach_low
-    # starting below the reserved level breaches the floor
-    iv_bad = TrackingInterval(start_soc=award * dt / 2.0 - 0.5, discharge_mw=0.0,
-                              charge_mw=0.0, regulation_mw=award, delta_t=dt)
-    rep_bad = simulate_tracking(iv_bad, trace, soc_min=soc_min, soc_max=400.0)
     assert rep_bad.breach_low
+    assert not rep_bad.breach_high
 
 
 def test_excursion_report_symmetry_on_ceiling():
@@ -106,17 +165,120 @@ def test_excursion_report_symmetry_on_ceiling():
     trace = AgcTrace(signal=square)
     award, dt, soc_max = 10.0, 0.25, 100.0
     start = soc_max - award * dt
-    iv = TrackingInterval(start_soc=start, discharge_mw=0.0, charge_mw=0.0,
-                          regulation_mw=award, delta_t=dt)
-    rep = simulate_tracking(iv, trace, soc_min=0.0, soc_max=soc_max)
+    rep, rep_bad = replay(trace, np.array([start, soc_max]), np.zeros(2), np.zeros(2),
+                          np.full(2, award), np.full(2, dt), soc_min=0.0, soc_max=soc_max)
     assert rep.max_soc == pytest.approx(start + award * dt / 2.0, abs=1e-12)
     assert not rep.breach_high
-    iv_bad = TrackingInterval(start_soc=soc_max, discharge_mw=0.0, charge_mw=0.0,
-                              regulation_mw=award, delta_t=dt)
-    assert simulate_tracking(iv_bad, trace, 0.0, soc_max).breach_high
+    assert rep_bad.breach_high
+    assert not rep_bad.breach_low
 
 
 def test_mileage_statistic_counts_signal_movement():
     trace = AgcTrace(signal=np.array([0.5, -0.5, 0.5, -0.5]))
-    # movement: |0.5| + |-1| + |1| + |-1| = 3.5, scaled by the 4 MW award
-    assert trace.mileage_mw(4.0) == pytest.approx(14.0)
+    # movement: |0.5| + |-1| + |1| + |-1| = 3.5, scaled by each interval's award
+    reps = replay(trace, np.full(2, 5.0), np.zeros(2), np.zeros(2), np.array([4.0, 0.0]),
+                  np.full(2, 1.0), 0.0, 10.0)
+    assert [r.trace_mileage_mw for r in reps] == [pytest.approx(14.0), 0.0]
+
+
+def test_replay_matches_one_interval_at_a_time_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(5)
+    n_t = 7
+    start, charge, discharge, reg = rng.uniform(0.0, 10.0, size=(4, n_t))
+    charge[::2] = 0.0                  # each interval charges or discharges
+    discharge[1::2] = 0.0
+    reg[3] = 0.0                       # no regulation
+    charge[5] = discharge[5] = reg[5] = 0.0   # idle
+    dt = rng.choice([0.25, 0.5, 1.0], size=n_t)
+    full = agc.REPLAY_BLOCK
+    # one block; blocks of 2 intervals with a shorter last one; and a trace
+    # longer than the block, which replays one interval at a time
+    for samples, block in ((2, full), (225, full), (1000, full), (2, 4), (225, 450),
+                           (1000, 2000), (100, 64)):
+        monkeypatch.setattr(agc, "REPLAY_BLOCK", block)
+        trace = generate_signal(samples, samples=samples)
+        got = replay(trace, start, charge, discharge, reg, dt, 1.0, 9.0)
+        want = [reference_tracking(*args, trace, 1.0, 9.0)
+                for args in zip(*(v.tolist() for v in (start, discharge, charge, reg, dt)))]
+        assert _bits(got) == _bits(want), (samples, block)
+
+
+def test_replay_agc_on_desk_case4_matches_reference_bit_for_bit(desk_case4):
+    scn, report = desk_case4
+    got = harness.replay_agc(report, scn.bess, seeds=range(100))
+    want = reference_replay_agc(report.schedule, scn.bess, range(100))
+    assert len(got) == 100 * scn.n_intervals
+    assert got == want
+    assert _bits(got) == _bits(want)
+    assert not any(r.breached for r in got)
+
+
+@pytest.mark.parametrize("samples", [2, 1000])
+def test_replay_agc_sample_counts_match_reference(desk_case4, samples):
+    scn, report = desk_case4
+    got = harness.replay_agc(report, scn.bess, seeds=range(5), samples=samples)
+    assert _bits(got) == _bits(reference_replay_agc(report.schedule, scn.bess, range(5),
+                                                    samples))
+
+
+def test_replay_agc_on_idle_and_unregulated_intervals(desk_case4):
+    scn, report = desk_case4
+    records = list(report.schedule.records)
+    zero = dict.fromkeys(("sell_award", "buy_award", "reserve_award", "regcap_award",
+                          "mileage_award"), 0.0)
+    for t in range(0, len(records), 3):
+        records[t] = records[t]._replace(**zero)                # idle
+    for t in range(1, len(records), 3):
+        records[t] = records[t]._replace(regcap_award=0.0)     # arbitrage only
+    schedule = harness.BessSchedule(records, report.schedule.soc_init)
+    got = harness.replay_agc(_report(schedule), scn.bess, seeds=range(10))
+    assert _bits(got) == _bits(reference_replay_agc(schedule, scn.bess, range(10)))
+    for r, rec in zip(got, records * 10):
+        if rec.regcap_award == 0.0:
+            assert r.max_excursion == 0.0 and r.trace_mileage_mw == 0.0
+
+
+def test_replay_agc_on_reference_case3_matches_reference_bit_for_bit():
+    scn = harness.reference_scenario(MarketMask.from_case(3))
+    report = harness.run_case(scn, settings=harness.SolverSettings(gap_tol=0.01))
+    got = harness.replay_agc(report, scn.bess, seeds=range(3))
+    assert len(got) == 3 * 96
+    assert _bits(got) == _bits(reference_replay_agc(report.schedule, scn.bess, range(3)))
+
+
+def _replay_heap(fn):
+    """The heap ``fn`` holds at its peak beyond what it returns, bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()   # held while the heap is read, so ``current`` counts it
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current
+
+
+def test_replay_heap_does_not_grow_with_the_horizon(desk_case4):
+    scn, report = desk_case4
+    records = report.schedule.records
+    # replays of one trace at a time hold a few arrays of at most a block each
+    bound = 8 * 8 * agc.REPLAY_BLOCK
+    # the desk day at 24 intervals, then 96 and 384 in a row, the last
+    # over several blocks
+    for days, seeds in ((1, 100), (4, 100), (16, 10)):
+        tiled = [r._replace(t=i) for i, r in enumerate(records * days)]
+        schedule = harness.BessSchedule(tiled, report.schedule.soc_init)
+        heap = _replay_heap(lambda: harness.replay_agc(_report(schedule), scn.bess,
+                                                       seeds=range(seeds)))
+        assert heap <= bound, (len(tiled), heap)
+
+
+def test_replay_heap_at_long_traces_stays_near_one_interval_at_a_time(desk_case4):
+    scn, report = desk_case4
+    samples = 200_000
+    heap = _replay_heap(lambda: harness.replay_agc(report, scn.bess, seeds=range(2),
+                                                   samples=samples))
+    per_interval = _replay_heap(lambda: reference_replay_agc(report.schedule, scn.bess,
+                                                             range(2), samples))
+    assert heap <= per_interval + 8 * agc.REPLAY_BLOCK, (heap, per_interval)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bessbid import bilevel, clearing, harness, solver
+from bessbid import agc, bilevel, clearing, harness, solver
 from bessbid.scenario import (
     BessParams,
     BessPriceBids,
@@ -309,13 +309,22 @@ def test_schedule_revenue_identity():
         assert rec.price_energy > 0
 
 
-def test_tracking_intervals_chain_soc():
-    report = harness.run_case(tiny_scenario(), settings=EXACT)
+def test_tracking_intervals_chain_soc(monkeypatch):
+    scn = tiny_scenario()
+    report = harness.run_case(scn, settings=EXACT)
     sched = report.schedule
-    assert sched.tracking_interval(0).start_soc == sched.soc_init
-    for t in range(1, len(sched.records)):
-        assert sched.tracking_interval(t).start_soc == sched.records[t - 1].soc
-        assert sched.tracking_interval(t).delta_t == sched.records[t].delta_t
+    seen = []
+    monkeypatch.setattr(agc, "replay", lambda trace, *columns: seen.append(columns) or [])
+    harness.replay_agc(report, scn.bess, seeds=range(2))
+    assert len(seen) == 2
+    start, charge, discharge, regulation, delta_t, soc_min, soc_max = seen[0]
+    # interval t starts where interval t - 1 ended
+    assert start.tolist() == [sched.soc_init] + [r.soc for r in sched.records[:-1]]
+    assert delta_t.tolist() == [r.delta_t for r in sched.records]
+    assert charge.tolist() == [r.buy_award for r in sched.records]
+    assert discharge.tolist() == [r.sell_award for r in sched.records]
+    assert regulation.tolist() == [r.regcap_award for r in sched.records]
+    assert (soc_min, soc_max) == (scn.bess.soc_min, scn.bess.soc_max)
 
 
 def test_replay_agc_holds_soc():

@@ -24,12 +24,13 @@ def desk_case(case):
 @dataclasses.dataclass
 class CoverRun:
     """A cover, the LP rows its clears solved through
-    :meth:`solver.LpModel.solve_batch`, and the vertices an earlier basis
-    certified without a clear: their interval, bids, certified cost and
-    envelope value."""
+    :meth:`solver.LpModel.solve_batch`, the fresh pieces each vertex search
+    started from, and the vertices an earlier basis certified without a
+    clear: their interval, bids, certified cost and envelope value."""
 
     cover: clearing.RegimeCover
     rows: int
+    fresh: list[int]
     t: np.ndarray
     bids: np.ndarray
     cost: np.ndarray
@@ -37,12 +38,17 @@ class CoverRun:
 
 
 def run_cover(scn) -> CoverRun:
-    rows, certified = [0], []
-    solve_batch, certify = solver.LpModel.solve_batch, clearing._certified
+    rows, fresh, certified = [0], [], []
+    solve_batch, vertices, certify = (solver.LpModel.solve_batch, clearing._vertices,
+                                      clearing._certified)
 
     def counted(model, rhs, c=None):
         rows[0] += len(rhs)
         return solve_batch(model, rhs, c)
+
+    def searched(cover, new):
+        fresh.append(int(new.sum()))
+        return vertices(cover, new)
 
     def recorded(bases, t, bids, value):
         cost, clear = certify(bases, t, bids, value)
@@ -51,9 +57,10 @@ def run_cover(scn) -> CoverRun:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver.LpModel, "solve_batch", counted)
+        mp.setattr(clearing, "_vertices", searched)
         mp.setattr(clearing, "_certified", recorded)
         cover = clearing.regimes(clearing.LlLayout(scn))
-    return CoverRun(cover, rows[0], *(np.concatenate(v) for v in zip(*certified)))
+    return CoverRun(cover, rows[0], fresh, *(np.concatenate(v) for v in zip(*certified)))
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +144,14 @@ def test_desk_case_4_cover_certifies_most_vertices_without_a_clear(cover_runs):
     # clearing every vertex solved 1204 LP rows; earlier bases certify
     # about half of them
     assert cover_runs[4].rows <= 700
+
+
+@pytest.mark.parametrize("name", list(COVER_DIGESTS))
+def test_cover_searches_vertices_only_from_fresh_pieces(cover_runs, name):
+    # a vertex new to the envelope lies on a piece the last round added, so
+    # a round that adds none ends the cover without another search
+    assert cover_runs[name].cover.certified
+    assert min(cover_runs[name].fresh) > 0
 
 
 @pytest.mark.parametrize("name", list(COVER_DIGESTS))
