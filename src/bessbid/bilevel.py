@@ -27,7 +27,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import clearing, solver
 from .clearing import LlLayout
@@ -367,10 +366,10 @@ def interval_blocks(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, Mo
 
     # --- rows --------------------------------------------------------------
     # the inequalities as COO entries over the block's columns
-    a = layout.a.tocoo()
+    a = layout.a
     n_lo = len(lower_cols)
-    g_r = np.concatenate([a.row, list(layout.bid_rows.values()), nr + np.arange(n_lo)])
-    g_c = np.concatenate([x0 + a.col, np.arange(4), x0 + np.array(lower_cols, dtype=int)])
+    g_r = np.concatenate([a.rows, list(layout.bid_rows.values()), nr + np.arange(n_lo)])
+    g_c = np.concatenate([x0 + a.indices, np.arange(4), x0 + np.array(lower_cols, dtype=int)])
     g_v = np.concatenate([a.data, np.full(4, -1.0), np.ones(n_lo)])
     g_sense = np.concatenate([layout.senses, np.full(n_lo, ">")])
     g_rhs = np.concatenate([layout.rhs_base, np.zeros((n_t, n_lo))], axis=1)
@@ -523,7 +522,7 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
     rows, cols, vals = (np.concatenate([part.rows, len(part.rhs) + ul.rows]),
                         np.concatenate([part.cols, ul.cols]), np.concatenate([part.vals, ul.vals]))
     keep = vals != 0.0
-    a = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_rows, n_cols)).tocsr()
+    a = solver.CsrMatrix.from_entries(rows[keep], cols[keep], vals[keep], (n_rows, n_cols))
     milp = solver.MilpProblem(
         c=part.c, a=a, senses=np.concatenate([part.senses, ul.senses]),
         rhs=np.concatenate([part.rhs, ul.rhs]), lower=part.lower, upper=part.upper,
@@ -599,7 +598,7 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
     integrality[:, 0] = 1
 
     # --- rows of each copy ---------------------------------------------------
-    a = layout.a.tocoo()
+    a = layout.a
     bids = c0 + 1 + np.arange(4)
     caps = np.zeros((k, 4))
     for side, free in enumerate(cover.sides):
@@ -608,7 +607,7 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
     envelope = np.column_stack([bd, bs, brs, brgc, c0[:, 0]])
     entries = [
         # A x - bids on the bid rows - rhs_base * lam
-        (r0 + a.row, x0 + a.col, a.data),
+        (r0 + a.rows, x0 + a.indices, a.data),
         (r0 + list(layout.bid_rows.values()), bids, -1.0),
         (r0 + np.arange(nr), c0, -layout.rhs_base[cover.t]),
         # bid - cap * lam <= 0
@@ -635,8 +634,8 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
     rows, cols, vals = (np.concatenate(v) for v in zip(*(
         [v.ravel() for v in np.broadcast_arrays(*e)] for e in entries)))
     keep = vals != 0.0
-    matrix = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                           shape=(per + n_t + len(ul.rhs), soc0 + n_t)).tocsr()
+    matrix = solver.CsrMatrix.from_entries(rows[keep], cols[keep], vals[keep],
+                                           (per + n_t + len(ul.rhs), soc0 + n_t))
     milp = solver.MilpProblem(
         c=np.concatenate([c.ravel(), np.zeros(n_t)]), a=matrix,
         senses=np.concatenate([senses.ravel(), np.full(n_t, "="), ul.senses]),

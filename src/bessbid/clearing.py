@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import solver
 from .scenario import Scenario, structure_violations
@@ -147,8 +146,8 @@ class LlLayout:
         lengths = [2, 3, 1, 1, 2, 2] * g_n + [1, 1, 1, 1, 2, 2] + [g_n + 1] * 3 + [g_n + 2]
         indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
         np.cumsum(lengths, out=indptr[1:])
-        self.a = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32), indptr),
-                               shape=(self.n_rows, self.n_cols))
+        self.a = solver.CsrMatrix(indptr, np.array(indices, dtype=np.int32), np.array(data),
+                                  (self.n_rows, self.n_cols))
         self.senses = np.array([">", "<", "<", "<", ">", "<"] * g_n
                                + ["<", "<", "<", "<", ">", "<"] + [">", ">", ">", "="])
         self.rhs_base = np.zeros((n_t, self.n_rows))
@@ -255,7 +254,7 @@ class LlLayout:
                                np.arange(self.n_rows - self.SYS_ROWS, self.n_rows)])
         lp = solver.LpProblem(
             c=self.c[t, :n].copy(),
-            a=self.a[rows][:, :n],
+            a=self.a.take(rows, np.arange(n)),
             senses=self.senses[rows],
             rhs=self.rhs_base[t, rows],
             lower=self.lower[:n].copy(),
@@ -814,7 +813,7 @@ def _certified(bases: _Bases, t: np.ndarray, bids: np.ndarray,
         bi = np.arange(len(pi)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs) \
             + np.repeat(start[lo:hi], n_pairs)
         x = bases.x[bi] + np.einsum("pck,pk->pc", bases.d[bi], bids[pi] - bases.b[bi])
-        ax = (layout.a @ x.T).T
+        ax = layout.a.dot(x)
         rows = solver.row_violation(layout.senses, ax, layout.rhs_for(t[pi], bids[pi]))
         feasible = ((rows <= tol).all(axis=1) & (x >= layout.lower - tol).all(axis=1)
                     & (x <= layout.upper + tol).all(axis=1))

@@ -18,6 +18,7 @@ again for minimization; all signs flip for maximization).
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import logging
@@ -29,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -85,16 +85,139 @@ class SolverError(RuntimeError):
     """Backend failure or contract violation (not a status like infeasible)."""
 
 
+def _index_dtype(shape: tuple[int, int], nnz: int) -> type:
+    """The index dtype scipy gives a matrix of ``shape`` and ``nnz`` entries:
+    int32 where every index and count fits."""
+    return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+class CsrMatrix:
+    """A sparse matrix in compressed sparse row (CSR) form, held as plain
+    numpy arrays: row ``i`` has the entries ``data[indptr[i]:indptr[i + 1]]``
+    in the columns ``indices[indptr[i]:indptr[i + 1]]``.
+
+    Every matrix here is canonical, as scipy's ``coo_matrix(...).tocsr()``
+    builds one: rows ascending, columns ascending within a row, no
+    duplicates; explicit zeros are kept. The arrays are not changed after
+    construction, so the row of each entry and the column-major arrays are
+    computed once, when first asked for.
+
+    It holds the little a matrix needs here without ``scipy.sparse``, whose
+    import loads a copy of the numpy namespace (``numpy.f2py``,
+    ``numpy.testing`` and some 270 other modules, about 20 MB of RSS);
+    :meth:`tocsr` hands the arrays to scipy for callers that want it.
+    """
+
+    def __init__(self, indptr, indices, data, shape: tuple[int, int]):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.data = np.asarray(data)
+        index = _index_dtype(self.shape, len(self.data))
+        self.indptr = np.asarray(indptr, dtype=index)
+        self.indices = np.asarray(indices, dtype=index)
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape: tuple[int, int]) -> CsrMatrix:
+        """The matrix of the entries ``vals[k]`` at ``(rows[k], cols[k])``,
+        sorted by row, then column, with duplicates summed in entry order."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals)
+        m, n = shape
+        if len(rows) and not (0 <= rows.min() and rows.max() < m
+                              and 0 <= cols.min() and cols.max() < n):
+            raise ValueError(f"entry index out of bounds for shape {shape}")
+        order = np.argsort(rows * n + cols, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not first.all():
+            starts = np.flatnonzero(first)
+            rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+        return cls(indptr, cols, vals, shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry; with ``indices`` and ``data``, the
+        matrix as entries."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``A x``, one row per row of a 2-D ``x``.
+
+        Each row of ``A`` is summed entry by entry in storage order, from
+        0.0, which is how scipy's ``csr_matvec`` and ``csr_matvecs`` add
+        them, so the sums are the same bits.
+        """
+        x = np.asarray(x)
+        m, n = self.shape
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {x.shape}")
+        weights = self.data * x[..., self.indices]
+        if x.ndim == 1:
+            return np.bincount(self.rows, weights=weights, minlength=m)
+        k = len(x)
+        bins = (np.arange(k)[:, None] * m + self.rows).ravel()
+        return np.bincount(bins, weights=weights.ravel(), minlength=k * m).reshape(k, m)
+
+    @functools.cached_property
+    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix column-major, as ``(indptr, indices, data)`` of scipy's
+        ``tocsc()``: each column's entries in ascending row order."""
+        m, n = self.shape
+        index = _index_dtype(self.shape, self.nnz)
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(self.indices, minlength=n), out=indptr[1:])
+        rows = np.repeat(np.arange(m, dtype=index), np.diff(self.indptr))
+        return indptr, rows[order], self.data[order]
+
+    def take(self, rows, cols) -> CsrMatrix:
+        """The rows ``rows``, in their order, restricted to the ascending
+        columns ``cols``: scipy's ``a[rows][:, cols]``."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        col_at = np.full(self.shape[1], -1, dtype=np.intp)
+        col_at[cols] = np.arange(len(cols))
+        lengths = np.diff(self.indptr)[rows]
+        at = np.arange(lengths.sum()) + np.repeat(
+            self.indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+        col = col_at[self.indices[at]]
+        keep = col >= 0
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(np.repeat(np.arange(len(rows)), lengths)[keep],
+                              minlength=len(rows)), out=indptr[1:])
+        return CsrMatrix(indptr, col[keep], self.data[at[keep]], (len(rows), len(cols)))
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        np.add.at(out, (self.rows, self.indices), self.data)
+        return out
+
+    def tocsr(self):
+        """A ``scipy.sparse.csr_matrix`` on the same arrays; imports
+        ``scipy.sparse``, which nothing else here does."""
+        import scipy.sparse
+
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+
 @dataclass
 class LpProblem:
     """Linear program in row-sense form.
 
     ``a`` is the constraint matrix, ``senses`` holds one of '<', '=', '>' per
-    row, ``lower``/``upper`` are variable bounds (+-inf allowed).
+    row, ``lower``/``upper`` are variable bounds (+-inf allowed). A scipy
+    sparse matrix given as ``a`` is stored as a :class:`CsrMatrix` of its
+    entries.
     """
 
     c: np.ndarray
-    a: sp.csr_matrix
+    a: CsrMatrix
     senses: np.ndarray
     rhs: np.ndarray
     lower: np.ndarray
@@ -102,6 +225,11 @@ class LpProblem:
     maximize: bool = False
     row_names: list[str] | None = None
     col_names: list[str] | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.a, CsrMatrix):   # a scipy sparse matrix
+            coo = self.a.tocoo()
+            self.a = CsrMatrix.from_entries(coo.row, coo.col, coo.data, coo.shape)
 
     @property
     def n_rows(self) -> int:
@@ -134,6 +262,7 @@ class MilpProblem(LpProblem):
     integrality: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.integrality is None:
             self.integrality = np.zeros(self.n_cols, dtype=np.int8)
 
@@ -203,20 +332,19 @@ def _max0(v: np.ndarray) -> np.floating | np.ndarray:
 class Residuals:
     """The first-order residuals of one LP, over its static data computed once.
 
-    The static data are the CSR matrix with the row of each stored entry,
-    the sense masks and the finite bounds. The right-hand sides are passed
-    to each call, so one core serves every LP that shares the matrix, senses
-    and bounds: :class:`LpModel` holds one per model, and the bidding
-    verifier checks every interval of a scenario on one. Each block is a max
-    absolute violation for a minimization, 0 when it holds; ``ax`` is the
-    row activity ``A x`` from :meth:`activity`. Every block also takes one
-    point per row of 2-D arrays and returns one residual per row.
+    The static data are the matrix, the sense masks and the finite bounds.
+    The right-hand sides are passed to each call, so one core serves every
+    LP that shares the matrix, senses and bounds: :class:`LpModel` holds one
+    per LP model, and the bidding verifier checks every interval of a
+    scenario on one. Each block is a max absolute violation for a
+    minimization, 0 when it holds; ``ax`` is the row activity ``A x`` from
+    :meth:`activity`. Every block also takes one point per row of 2-D arrays
+    and returns one residual per row.
     """
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        self.a = a = problem.a.tocsr()
-        self.entry_rows = np.repeat(np.arange(problem.n_rows), np.diff(a.indptr))
+        self.a = problem.a
         self.le = problem.senses == SENSE_LE
         self.ge = problem.senses == SENSE_GE
         self.ineq = np.flatnonzero(problem.senses != SENSE_EQ)
@@ -226,9 +354,8 @@ class Residuals:
         self.upper_fin = problem.upper[self.fin_up]
 
     def activity(self, x: np.ndarray) -> np.ndarray:
-        """``A x`` as a sparse product, one row per row of a 2-D ``x``: each
-        row of ``A`` summed entry by entry in storage order."""
-        return (self.a @ x.T).T
+        """``A x``, one row per row of a 2-D ``x`` (:meth:`CsrMatrix.dot`)."""
+        return self.a.dot(x)
 
     def primal(self, x: np.ndarray, ax: np.ndarray, rhs: np.ndarray) -> np.floating | np.ndarray:
         """Max violation of rows and bounds at x."""
@@ -246,7 +373,7 @@ class Residuals:
         # are the same bits without building a sparse transpose; each row of
         # a 2-D y counts into its own block of bins
         a, n = self.a, self.problem.n_cols
-        weights = a.data * y[..., self.entry_rows]
+        weights = a.data * y[..., a.rows]
         k = len(y) if y.ndim == 2 else 1
         bins = (np.arange(k)[:, None] * n + a.indices).ravel()
         a_ty = np.bincount(bins, weights=weights.ravel(), minlength=k * n)
@@ -325,9 +452,10 @@ class LpModel:
     warm-started from the previous basis can stop at another optimal vertex
     (other awards or prices) than a fresh model would.
 
-    The row data a solve's checks need (sense masks, the CSR matrix, the
+    The row data an LP solve's checks need (sense masks, the matrix, the
     finite bounds, the backend row permutation and signs) are computed once,
-    in :attr:`residuals` and the backend layout. :meth:`solve_batch` solves
+    in :attr:`residuals` and the backend layout; a MILP model has neither,
+    since :func:`solve_milp` checks no rows. :meth:`solve_batch` solves
     one right-hand side, and optionally one cost vector, per row and checks
     the whole batch at once, forming ``A X`` once for the feasibility
     contract and the complementary-slackness residual. One model thus
@@ -341,17 +469,16 @@ class LpModel:
             raise ValueError("objective, constraint coefficients and rhs must be finite")
         self.problem = replace(problem, c=np.array(problem.c, dtype=float),
                                rhs=np.array(problem.rhs, dtype=float))
-        self.residuals = Residuals(self.problem)
         self.is_mip = bool(np.any(getattr(problem, "integrality", 0)))
 
         lp = _highs.HighsLp()
         if self.is_mip:
-            a = problem.a.tocsc()
-            start, index, value = a.indptr, a.indices, a.data
+            start, index, value = problem.a.csc
             row_lower = np.where(problem.senses == SENSE_LE, -np.inf, self.problem.rhs)
             row_upper = np.where(problem.senses == SENSE_GE, np.inf, self.problem.rhs)
             lp.integrality_ = [_VAR_TYPES[k] for k in np.asarray(problem.integrality).tolist()]
         else:
+            self.residuals = Residuals(self.problem)
             start, index, value, row_lower, row_upper = self._lp_rows()
         lp.num_col_ = problem.n_cols
         lp.num_row_ = problem.n_rows
@@ -392,14 +519,9 @@ class LpModel:
 
         # the backend matrix column-wise in one step: each entry moves to its
         # backend row, '>' rows are negated, and every column lists its rows
-        # in ascending order; duplicate entries are summed first, as a
-        # stacked sparse matrix would sum them
-        a, rows = self.residuals.a, self.residuals.entry_rows
-        if not a.has_canonical_format:
-            a = a.copy()
-            a.sum_duplicates()
-            rows = np.repeat(np.arange(p.n_rows), np.diff(a.indptr))
-        rows = self._pos[rows]
+        # in ascending order
+        a = p.a
+        rows = self._pos[a.rows]
         order = np.lexsort((rows, a.indices))
         start = np.zeros(p.n_cols + 1, dtype=np.int32)
         np.cumsum(np.bincount(a.indices, minlength=p.n_cols), out=start[1:])
@@ -705,7 +827,7 @@ def _mps_blocks(problem: LpProblem, name: str):
     # an integer run opens with an INTORG marker before its first column and
     # closes with an INTEND marker before the next column, or at the end
     edges = np.flatnonzero(np.diff(is_int, prepend=False, append=False))
-    csc = problem.a.tocsc()
+    csc_indptr, csc_indices, csc_data = problem.a.csc
     for cols in _blocks(n):
         first, stop = np.searchsorted(edges, [cols[0], cols[-1] + 1])
         if cols[-1] == n - 1:
@@ -713,15 +835,15 @@ def _mps_blocks(problem: LpProblem, name: str):
         markers = [f"    M{k:<9}'MARKER'                 '{'INTEND' if k % 2 else 'INTORG'}'"
                    for k in range(first, stop)]
         heads = _record(b"    ", _fields(_names(b"C", cols)))
-        span = slice(csc.indptr[cols[0]], csc.indptr[cols[-1] + 1])
-        data = csc.data[span]
+        span = slice(csc_indptr[cols[0]], csc_indptr[cols[-1] + 1])
+        data = csc_data[span]
         nonzero = data != 0.0
-        at = np.repeat(np.arange(len(cols)), np.diff(csc.indptr[cols[0]:cols[-1] + 2]))[nonzero]
+        at = np.repeat(np.arange(len(cols)), np.diff(csc_indptr[cols[0]:cols[-1] + 2]))[nonzero]
         yield _lines([
             (edges[first:stop], np.array(markers, dtype="S47").view(np.uint8).reshape(-1, 47)),
             # objective entry always written so every column is declared
             (cols, _record(heads, b"OBJ       ", _reprs(c[cols]))),
-            (cols[at], _record(heads[at], row_fields[csc.indices[span][nonzero]],
+            (cols[at], _record(heads[at], row_fields[csc_indices[span][nonzero]],
                                _reprs(data[nonzero]))),
         ])
 
@@ -993,9 +1115,8 @@ def _parse_mps(fh) -> MilpProblem:
         raise MpsFormatError("no objective (N) row declared", ln + sum(1 for _ in fh))
 
     n, m = len(col_int), len(senses)
-    a = sp.coo_matrix((np.frombuffer(ent_vals), (np.frombuffer(ent_rows, np.int64),
-                                                 np.frombuffer(ent_cols, np.int64))),
-                      shape=(m, n)).tocsr()
+    a = CsrMatrix.from_entries(np.frombuffer(ent_rows, np.int64),
+                               np.frombuffer(ent_cols, np.int64), np.frombuffer(ent_vals), (m, n))
     return MilpProblem(
         c=np.array(c), a=a, senses=np.array(senses), rhs=np.array(rhs), lower=np.array(lower),
         upper=np.array(upper), maximize=maximize, row_names=list(row_index),

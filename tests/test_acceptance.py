@@ -471,7 +471,7 @@ def drop_storage(lp):
     rows = [i for i, nm in enumerate(lp.row_names) if nm not in STORAGE_ROWS]
     cols = [j for j, nm in enumerate(lp.col_names) if nm not in STORAGE_COLS]
     return solver.LpProblem(
-        c=lp.c[cols], a=lp.a[rows][:, cols], senses=lp.senses[rows], rhs=lp.rhs[rows],
+        c=lp.c[cols], a=lp.a.tocsr()[rows][:, cols], senses=lp.senses[rows], rhs=lp.rhs[rows],
         lower=lp.lower[cols], upper=lp.upper[cols],
         row_names=[lp.row_names[i] for i in rows], col_names=[lp.col_names[j] for j in cols])
 

@@ -214,7 +214,7 @@ def _bounds(m, name):
 
 
 def _row(m, name):
-    row = m.a.getrow(m.row_names.index(name))
+    row = m.a.tocsr().getrow(m.row_names.index(name))
     return {m.col_names[k]: v for k, v in zip(row.indices, row.data)}
 
 

@@ -187,7 +187,7 @@ def test_storage_free_lp_drops_storage_by_name():
         want = drop_storage(layout.build_lp(t))
         for field in ("c", "senses", "rhs", "lower", "upper"):
             assert getattr(free, field).tobytes() == getattr(want, field).tobytes(), field
-        assert (free.a != want.a).nnz == 0 and free.a.shape == want.a.shape
+        assert (free.a.tocsr() != want.a.tocsr()).nnz == 0 and free.a.shape == want.a.shape
         assert (free.row_names, free.col_names) == (want.row_names, want.col_names)
         assert [layout.row_names[r] for r in rows] == free.row_names
 
@@ -222,7 +222,7 @@ def test_horizon_matches_joint_lp():
     lps = [lp_at(LlLayout(scn), t, bids[t]) for t in range(3)]
     joint = solver.LpProblem(
         c=np.concatenate([p.c for p in lps]),
-        a=sp.block_diag([p.a for p in lps], format="csr"),
+        a=sp.block_diag([p.a.tocsr() for p in lps], format="csr"),
         senses=np.concatenate([p.senses for p in lps]),
         rhs=np.concatenate([p.rhs for p in lps]),
         lower=np.concatenate([p.lower for p in lps]),

@@ -80,7 +80,7 @@ def test_kkt_stationarity_matches_transpose_product():
             r = clear_one(layout, t, bids)
             rhs = layout.rhs_for(t, bids[None])[0]
             x, y, nu = r.x[0], r.row_duals[0], r.lower_duals[0]
-            stat = lp.c - lp.a.T.dot(y) - nu - np.zeros(lp.n_cols)
+            stat = lp.c - lp.a.tocsr().T.dot(y) - nu - np.zeros(lp.n_cols)
             assert core.stationarity(y, nu, no_upper) == \
                 float(np.max(np.abs(stat), initial=0.0)), (t, bids)
             assert core.cs(x, core.activity(x), rhs, y, nu, no_upper) == r.cs_residual[0]

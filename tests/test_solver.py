@@ -383,7 +383,7 @@ def test_solve_milp_matches_scipy_milp():
     # it hands HiGHS the problem's rows with [lower, upper] bounds
     for p in _milp_instances():
         got = solve_milp(p, gap_tol=1e-9)
-        rows = LinearConstraint(p.a, np.where(p.senses == "<", -np.inf, p.rhs),
+        rows = LinearConstraint(p.a.tocsr(), np.where(p.senses == "<", -np.inf, p.rhs),
                                 np.where(p.senses == ">", np.inf, p.rhs))
         ref = scipy_milp(c=-p.c if p.maximize else p.c, integrality=p.integrality,
                          bounds=Bounds(p.lower, p.upper), constraints=[rows],
@@ -398,7 +398,7 @@ def test_solve_milp_matches_scipy_milp():
 def test_milp_model_keeps_problem_rows():
     for p in _milp_instances():
         got = solver.LpModel(p)._highs.getLp()
-        want = p.a.tocsc()
+        want = p.a.tocsr().tocsc()
         assert np.array_equal(np.asarray(got.a_matrix_.start_), want.indptr)
         assert np.array_equal(np.asarray(got.a_matrix_.index_), want.indices)
         assert np.asarray(got.a_matrix_.value_, dtype=float).tobytes() == want.data.tobytes()
@@ -411,11 +411,14 @@ def test_milp_model_keeps_problem_rows():
 
 def test_highs_reached_only_through_solver_module():
     # every LP and MILP goes through solver.LpModel: no module imports
-    # scipy's solver wrappers, and only solver.py touches the HiGHS bindings
+    # scipy's solver wrappers, and only solver.py touches the HiGHS bindings;
+    # no module imports scipy.sparse at module level (CsrMatrix.tocsr does,
+    # when called)
     wrappers = {"milp", "linprog", "Bounds", "LinearConstraint"}
     src = Path(solver.__file__).parent
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
                 if node.module == "scipy.optimize":
@@ -426,6 +429,9 @@ def test_highs_reached_only_through_solver_module():
                 continue
             if any("_highspy" in m for m in modules):
                 assert path.name == "solver.py", path.name
+            if node in tree.body:
+                assert not any(m.split(".")[:2] == ["scipy", "sparse"] for m in modules), \
+                    path.name
     # solver.py loads the bindings by name, in a string no import names
     for path in sorted(src.glob("*.py")):
         assert path.name == "solver.py" or "_highspy" not in path.read_text(), path.name
@@ -438,14 +444,14 @@ _IMPORT_PROBE = """
 import hashlib, json, sys
 {first}
 import numpy as np
-import scipy.sparse as sp
 from bessbid import bilevel, cli, clearing, harness, solver
 
 scn = harness.desk_scenario()
 n = scn.n_intervals
 batch = clearing.clear_batch(clearing.LlLayout(scn), np.arange(n), np.zeros((n, 4)))
 knapsack = solver.MilpProblem(
-    c=np.array([-5.0, -4.0, -3.0]), a=sp.csr_matrix(np.array([[2.0, 3.0, 1.0]])),
+    c=np.array([-5.0, -4.0, -3.0]),
+    a=solver.CsrMatrix.from_entries([0, 0, 0], [0, 1, 2], [2.0, 3.0, 1.0], (1, 3)),
     senses=np.array(["<"]), rhs=np.array([5.0]), lower=np.zeros(3), upper=np.ones(3),
     integrality=np.ones(3, dtype=np.int8))
 out = solver.solve_milp(knapsack, gap_tol=1e-9)
@@ -534,7 +540,7 @@ def test_mps_round_trip_identity(tmp_path):
     np.testing.assert_array_equal(q.lower, p.lower)
     np.testing.assert_array_equal(q.upper, p.upper)
     np.testing.assert_array_equal(q.integrality, p.integrality)
-    assert (q.a != p.a).nnz == 0
+    assert (q.a.tocsr() != p.a.tocsr()).nnz == 0
 
 
 def test_mps_round_trip_preserves_objective(tmp_path):
@@ -686,7 +692,7 @@ def reference_mps(problem, name="BESSBID") -> bytes:
     markers = np.array([f"    M{k:<9}'MARKER'                 '{'INTEND' if k % 2 else 'INTORG'}'"
                         for k in range(len(edges))], dtype=object)
     objective = heads + "OBJ       " + _reference_reprs(problem.c)
-    csc = problem.a.tocsc()
+    csc = problem.a.tocsr().tocsc()
     nonzero = csc.data != 0.0
     entry_cols = np.repeat(cols, np.diff(csc.indptr))[nonzero]
     entries = (heads[entry_cols] + row_fields[csc.indices[nonzero]]
