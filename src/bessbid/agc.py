@@ -18,7 +18,6 @@ import numpy as np
 
 MEAN_TOL = 1e-12
 DEFAULT_SAMPLES = 225  # 4-second samples over a 15-minute interval
-SAMPLE_SECONDS = 4.0
 # SOC samples the replay holds per array: a block of intervals, each of a
 # trace's samples, stays within 256 kB; a trace longer than that replays one
 # interval at a time

@@ -295,6 +295,47 @@ def masked_indices(layout: LlLayout, mask: MarketMask) -> tuple[list[int], list[
     return rows, cols
 
 
+def _ul_names(mask: MarketMask) -> list[str]:
+    """The upper-level columns that open each interval's block."""
+    return ["sbid", "dbid", "rsbid", "rgbid"] + (["u"] if mask.energy else []) + ["soc"]
+
+
+def switched_pairs(kkt: KktSystem, mask: MarketMask) -> list[int]:
+    """The pairs of ``kkt.comp_pairs`` that get a binary under ``mask``, by
+    index: every pair but those of the rows and columns ``mask`` pins to
+    zero (:func:`masked_indices`)."""
+    masked_rows, masked_cols = masked_indices(kkt.layout, mask)
+    return [k for k, p in enumerate(kkt.comp_pairs)
+            if p.index not in (masked_rows if p.kind == "row" else masked_cols)]
+
+
+def milp_counts(kkt: KktSystem, mask: MarketMask,
+                terminal_soc_equality: bool = False) -> dict[str, int]:
+    """The size of :func:`assemble_milp`'s model, from the layout's sizes
+    and the pairs ``mask`` switches, without assembling it.
+
+    Each interval's block (:func:`interval_blocks`) has the columns
+    ``[ul | x | w | nu | z]`` and the rows: clearing, stationarity, then a
+    ``cs_p`` and a ``cs_d`` row per switched pair. :func:`_ul_rows` adds per
+    interval the two mode rows with energy, the power envelope's two rows
+    and the SOC recursion and headroom's three, then the terminal-SOC row.
+    """
+    layout = kkt.layout
+    n_t = layout.scenario.n_intervals
+    mode = int(mask.energy)
+    n_z = len(switched_pairs(kkt, mask))
+    width = len(_ul_names(mask)) + layout.n_cols + layout.n_rows + len(kkt.lower_cols) + n_z
+    rows = layout.n_rows + layout.n_cols + 2 * n_z + 2 * mode + 5
+    return {
+        "columns": n_t * width,
+        "rows": n_t * rows + int(terminal_soc_equality),
+        "binaries": n_t * (mode + n_z),
+        "mode_binaries": n_t * mode,
+        "complementarity_binaries": n_t * n_z,
+        "intervals": n_t,
+    }
+
+
 def interval_blocks(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, ModelPart]:
     """The KKT block every interval has (one :class:`IntervalBlock`), and
     the rows and columns of all of them, in interval order, each block's
@@ -317,12 +358,11 @@ def interval_blocks(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, Mo
     n_t = scn.n_intervals
     md = kkt.m_dual[:, None]
     nx, nr = layout.n_cols, layout.n_rows
-    masked_rows, masked_cols = masked_indices(layout, mask)
+    masked_cols = masked_indices(layout, mask)[1]
     lower_cols = kkt.lower_cols
-    on = [k for k, p in enumerate(kkt.comp_pairs)
-          if p.index not in (masked_rows if p.kind == "row" else masked_cols)]
+    on = switched_pairs(kkt, mask)
     switched = [kkt.comp_pairs[k] for k in on]
-    ul_names = ["sbid", "dbid", "rsbid", "rgbid"] + (["u"] if mask.energy else []) + ["soc"]
+    ul_names = _ul_names(mask)
     x0 = len(ul_names)
     w0 = x0 + nx
     z0 = w0 + nr + len(lower_cols)
@@ -516,7 +556,8 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
     if violations:
         raise BilevelError("invalid scenario: " + "; ".join(violations))
     mask = scn.market_mask
-    block, part = interval_blocks(derive_kkt(LlLayout(scn)), mask)
+    kkt = derive_kkt(LlLayout(scn))
+    block, part = interval_blocks(kkt, mask)
     ul = _ul_rows(scn, block, terminal_soc_equality)  # rows only, on the blocks' columns
     n_rows, n_cols = len(part.rhs) + len(ul.rhs), len(part.c)
     rows, cols, vals = (np.concatenate([part.rows, len(part.rhs) + ul.rows]),
@@ -531,14 +572,7 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
     )
     milp.validate()
 
-    counts = {
-        "columns": n_cols,
-        "rows": n_rows,
-        "binaries": int(part.integrality.sum()),
-        "mode_binaries": scn.n_intervals if mask.energy else 0,
-        "complementarity_binaries": scn.n_intervals * len(block.switched),
-        "intervals": scn.n_intervals,
-    }
+    counts = milp_counts(kkt, mask, terminal_soc_equality)
     log.info("assembled bidding MILP: %(columns)d cols, %(rows)d rows, "
              "%(binaries)d binaries", counts)
     return BilevelMilp(milp=milp, block=block, counts=counts)

@@ -526,12 +526,6 @@ class RegimeCover:
         sell = self.layout.bid_rows["sell"]
         return self.row_duals[:, sell:sell + 4]
 
-    def envelope(self, t: int, side: int, bids: np.ndarray) -> np.ndarray:
-        """The upper envelope of interval ``t``'s pieces on ``side`` at each
-        row of a ``(k, 4)`` bid array."""
-        mine = (self.t == t) & (self.side == side)
-        return np.max(self.level[mine] + bids @ self.slope[mine].T, axis=1)
-
     def _select(self, keep: np.ndarray) -> "RegimeCover":
         return RegimeCover(self.layout, self.sides, self.t[keep], self.side[keep],
                            self.level[keep], self.row_duals[keep], self.lower_duals[keep],

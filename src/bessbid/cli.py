@@ -300,10 +300,8 @@ def export_mps(scenario, case, out, name):
 def agc_check(seeds, samples, scenario, case, gap, time_limit):
     """Validate regulation traces; optionally replay them against a solved case."""
     scn = None if scenario is None else _load(scenario, case)
-    worst_mean = 0.0
-    for s in range(seeds):
-        trace = agc.generate_signal(s, samples=samples)
-        worst_mean = max(worst_mean, abs(float(trace.signal.mean())))
+    traces = [agc.generate_signal(s, samples=samples) for s in range(seeds)]
+    worst_mean = max(abs(float(trace.signal.mean())) for trace in traces)
     click.echo(f"{seeds} traces x {samples} samples: bounded, worst |mean| {worst_mean:.3e}")
     if scn is None:
         return
@@ -312,7 +310,7 @@ def agc_check(seeds, samples, scenario, case, gap, time_limit):
             scn, settings=harness.SolverSettings(gap_tol=gap, time_limit=time_limit))
     except harness.HarnessError as err:
         raise _fail(_exit_code_for(err), str(err))
-    runs = harness.replay_agc(report, scn.bess, seeds=range(seeds), samples=samples)
+    runs = harness.replay_traces(report, scn.bess, traces)
     breaches = sum(r.breached for r in runs)
     worst_delta = max(abs(r.regulation_soc_delta) for r in runs)
     click.echo(f"{len(runs)} interval replays: {breaches} SOC breaches, "

@@ -17,6 +17,7 @@ import operator
 import os
 import time
 from collections import namedtuple
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,17 +156,18 @@ class CaseReport:
 def run_case(scn: Scenario, mask: MarketMask | None = None,
              settings: SolverSettings = SolverSettings(),
              terminal_soc_equality: bool = False) -> CaseReport:
-    """Assemble, solve, verify, and summarize one participation case.
+    """Solve, verify, and summarize one participation case.
 
     The published solve is the bidding problem over each interval's
-    certified clearing regimes (:func:`clearing.regimes`,
-    :func:`bilevel.assemble_regime_milp`). When the cover does not certify,
-    or one of its clears fails, the paper's big-M MILP
-    (:func:`bilevel.assemble_milp`) is solved instead. The big-M MILP is
-    assembled either way: the report's counts describe it. Whichever model
-    solved, :func:`bilevel.verify_bilevel_solution` checks the schedule on
-    its own layout. ``settings.time_limit`` covers the cover and the MILP
-    together.
+    certified clearing regimes (:func:`clearing.regimes` on the scenario's
+    :class:`clearing.LlLayout`, :func:`bilevel.assemble_regime_milp`). Only
+    when the cover does not certify, or one of its clears fails, is the
+    paper's big-M MILP (:func:`bilevel.assemble_milp`) assembled, and
+    solved instead. The report's counts describe the big-M MILP either way,
+    computed from the layout's sizes (:func:`bilevel.milp_counts`).
+    Whichever model solved, :func:`bilevel.verify_bilevel_solution` checks
+    the schedule on its own layout. ``settings.time_limit`` covers the
+    cover and the MILP together.
 
     A verification failure aborts the run: a report built on an unverified
     solve would publish schedule rows the clearing does not support.
@@ -177,9 +179,11 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         raise HarnessError("invalid scenario: " + "; ".join(problems))
 
     deadline = None if settings.time_limit is None else time.perf_counter() + settings.time_limit
-    built = bilevel.assemble_milp(scn, terminal_soc_equality=terminal_soc_equality)
+    layout = clearing.LlLayout(scn)
+    counts = bilevel.milp_counts(bilevel.derive_kkt(layout), scn.market_mask,
+                                 terminal_soc_equality)
     try:
-        cover = clearing.regimes(built.block.kkt.layout, deadline)
+        cover = clearing.regimes(layout, deadline)
     except clearing.ClearingError as exc:
         log.info("no regime cover: %s", exc)
         cover = None
@@ -189,6 +193,7 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         sol = bilevel.regime_solution(cover, outcome)
     else:
         log.info("regime cover not certified; solving the big-M MILP")
+        built = bilevel.assemble_milp(scn, terminal_soc_equality=terminal_soc_equality)
         outcome = _solve(built.milp, settings, deadline)
         sol = bilevel.extract_solution(built, outcome)
     report = bilevel.verify_bilevel_solution(sol)
@@ -206,7 +211,7 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         schedule=schedule,
         totals=schedule.totals(),
         verification=report,
-        counts=built.counts,
+        counts=counts,
     )
 
 
@@ -232,18 +237,26 @@ def _solve(milp: solver.MilpProblem, settings: SolverSettings,
 
 def replay_agc(report: CaseReport, bess: BessParams, seeds: range | list[int] = range(10),
                samples: int = agc.DEFAULT_SAMPLES) -> list[agc.ExcursionReport]:
-    """Replay seeded AGC traces against every interval of a solved case, one
-    trace at a time: its reports in interval order, trace after trace.
-    Interval ``t`` starts at the SOC interval ``t - 1`` ends at."""
+    """Replay seeded AGC traces against every interval of a solved case
+    (:func:`replay_traces` of :func:`agc.generate_signal`'s trace of each
+    seed)."""
+    return replay_traces(report, bess, (agc.generate_signal(seed, samples=samples)
+                                        for seed in seeds))
+
+
+def replay_traces(report: CaseReport, bess: BessParams,
+                  traces: Iterable[agc.AgcTrace]) -> list[agc.ExcursionReport]:
+    """Replay AGC traces against every interval of a solved case, one trace
+    at a time: its reports in interval order, trace after trace. Interval
+    ``t`` starts at the SOC interval ``t - 1`` ends at."""
     sched = report.schedule
     dt, buy, sell, regcap, soc = np.array(
         [(r.delta_t, r.buy_award, r.sell_award, r.regcap_award, r.soc)
          for r in sched.records]).T
     start = np.concatenate(([sched.soc_init], soc[:-1]))
     out: list[agc.ExcursionReport] = []
-    for seed in seeds:
-        out += agc.replay(agc.generate_signal(seed, samples=samples), start, buy, sell,
-                          regcap, dt, bess.soc_min, bess.soc_max)
+    for trace in traces:
+        out += agc.replay(trace, start, buy, sell, regcap, dt, bess.soc_min, bess.soc_max)
     return out
 
 

@@ -151,18 +151,29 @@ class CsrMatrix:
 
         Each row of ``A`` is summed entry by entry in storage order, from
         0.0, which is how scipy's ``csr_matvec`` and ``csr_matvecs`` add
-        them, so the sums are the same bits.
+        them, so the sums are the same bits. For a 2-D ``x`` the sums run
+        over the entry positions within a row: the ``p``-th entry of every
+        row that has one is added at once, for every row of ``x``.
         """
         x = np.asarray(x)
         m, n = self.shape
         if x.ndim not in (1, 2) or x.shape[-1] != n:
             raise ValueError(f"cannot multiply a {self.shape} matrix by shape {x.shape}")
-        weights = self.data * x[..., self.indices]
         if x.ndim == 1:
-            return np.bincount(self.rows, weights=weights, minlength=m)
-        k = len(x)
-        bins = (np.arange(k)[:, None] * m + self.rows).ravel()
-        return np.bincount(bins, weights=weights.ravel(), minlength=k * m).reshape(k, m)
+            return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=m)
+        # the rows longest first, so that the rows with a p-th entry come
+        # first; the sums run on transposes, whose rows are contiguous
+        order = np.argsort(-np.diff(self.indptr), kind="stable")
+        lengths, starts = np.diff(self.indptr)[order], self.indptr[order]
+        dtype = np.result_type(self.data, x)
+        xt = np.ascontiguousarray(x.T, dtype=dtype)
+        out = np.zeros((m, len(x)), dtype=dtype)
+        for p in range(lengths[0] if m else 0):
+            at = starts[:np.count_nonzero(lengths > p)] + p
+            terms = xt[self.indices[at]]
+            terms *= self.data[at, None]
+            out[:len(at)] += terms
+        return np.ascontiguousarray(out[np.argsort(order)].T)
 
     @functools.cached_property
     def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -433,9 +444,8 @@ class LpModel:
     """One LP or MILP held in a HiGHS instance; the only code that builds one.
 
     The model goes to HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through
-    the bindings bundled with scipy, which are private to scipy. It is passed
-    column-wise, with logging off, in one of two row layouts chosen from the
-    problem:
+    the bindings bundled with scipy, which are private to scipy, with logging
+    off, in one of two row layouts chosen from the problem:
 
     - A pure LP goes in the form scipy's ``linprog(method="highs-ds")`` gives
       it: '<' rows, then negated '>' rows, then '=' rows; presolve on, dual
@@ -443,10 +453,13 @@ class LpModel:
       row order, 4320 of 5376 bid-grid clears of the desk system with zero
       reserve and mileage requirements land on other awards, and every zero
       '>'-row dual comes back as -0.0, which would print as a -0.0 price.
+      The matrix goes column-wise, in that row order.
     - A MILP (any integer column) keeps the problem's rows with
       ``[lower, upper]`` row bounds and HiGHS's default options, as scipy's
       ``milp`` passed them; :func:`solve_milp` sets only the gap and the time
-      limit. In the LP layout, desk case 4 lands on another incumbent.
+      limit. In the LP layout, desk case 4 lands on another incumbent. The
+      matrix goes row-wise, as the problem's :class:`CsrMatrix` holds it, so
+      a solve builds no column-major copy.
 
     Every solve starts cold: the clearing LPs are dual degenerate, and a solve
     warm-started from the previous basis can stop at another optimal vertex
@@ -472,19 +485,22 @@ class LpModel:
         self.is_mip = bool(np.any(getattr(problem, "integrality", 0)))
 
         lp = _highs.HighsLp()
-        if self.is_mip:
-            start, index, value = problem.a.csc
+        if self.is_mip:   # the matrix row-wise, as it is held
+            a = problem.a
+            matrix_format = _highs.MatrixFormat.kRowwise
+            start, index, value = a.indptr, a.indices, a.data
             row_lower = np.where(problem.senses == SENSE_LE, -np.inf, self.problem.rhs)
             row_upper = np.where(problem.senses == SENSE_GE, np.inf, self.problem.rhs)
             lp.integrality_ = [_VAR_TYPES[k] for k in np.asarray(problem.integrality).tolist()]
         else:
             self.residuals = Residuals(self.problem)
+            matrix_format = _highs.MatrixFormat.kColwise
             start, index, value, row_lower, row_upper = self._lp_rows()
         lp.num_col_ = problem.n_cols
         lp.num_row_ = problem.n_rows
         lp.a_matrix_.num_col_ = problem.n_cols
         lp.a_matrix_.num_row_ = problem.n_rows
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = matrix_format
         lp.a_matrix_.start_ = start
         lp.a_matrix_.index_ = index
         lp.a_matrix_.value_ = value

@@ -19,7 +19,7 @@ from bessbid.scenario import (
     default_patterns,
     synthesize_scenario,
 )
-from conftest import GEN_CHEAP, GEN_DEAR, build_scenario, clear_one
+from conftest import GEN_CHEAP, GEN_DEAR, acceptance_instance, build_scenario, clear_one
 from test_acceptance import small_instance
 from test_clearing import LAYOUT_SYSTEMS, _same_array, row_dict_layout
 
@@ -181,6 +181,29 @@ def test_masked_markets_shrink_binaries():
     # the regcap bid row, both storage mileage rows, and the brgc floor
     assert n_reserve["mode_binaries"] == 0
     assert n_reserve["binaries"] == 29 - 8
+
+
+COUNT_SYSTEMS = {"desk": harness.desk_scenario, "reference": harness.reference_scenario,
+                 "acceptance 1": lambda mask: acceptance_instance().with_mask(mask)}
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+@pytest.mark.parametrize("system", list(COUNT_SYSTEMS))
+def test_counts_are_the_assembled_models_size(system, case, terminal):
+    # run_case reports these counts without assembling the model
+    scn = COUNT_SYSTEMS[system](MarketMask.from_case(case))
+    built = bilevel.assemble_milp(scn, terminal_soc_equality=terminal)
+    m = built.milp
+    kinds = [name.split(":")[1] for name, b in zip(m.col_names, m.integrality) if b]
+    want = {"columns": m.n_cols, "rows": m.n_rows, "binaries": len(kinds),
+            "mode_binaries": kinds.count("u"),
+            "complementarity_binaries": kinds.count("z") + kinds.count("zlo"),
+            "intervals": scn.n_intervals}
+    assert (m.n_rows, m.n_cols) == m.a.shape
+    assert bilevel.milp_counts(bilevel.derive_kkt(LlLayout(scn)), scn.market_mask,
+                               terminal) == want
+    assert built.counts == want
 
 
 def test_ul_rows_masking_and_recursion():

@@ -6,7 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from bessbid import harness, solver
+from bessbid import agc, harness, solver
 from bessbid.cli import EXIT_FAILURE, EXIT_INFEASIBLE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
 from bessbid.scenario import save_scenario, scenario_to_text
 
@@ -322,6 +322,26 @@ def test_agc_check_with_scenario(tmp_path):
                           "--scenario", str(scn)])
     assert res.exit_code == 0, res.output
     assert "0 SOC breaches" in res.output
+
+
+# sha256 of `agc-check --seeds 100 --scenario <desk> --case 4 --gap 0.01`'s
+# stdout, as .github/workflows/tier1.yml pins it in agc4.txt
+AGC4_STDOUT_SHA256 = "df591b190882dd990952d2b6016a086d437f25934a5bbcf3008b75df6ca8a6bb"
+
+
+def test_agc_check_builds_each_trace_once(tmp_path, monkeypatch):
+    rn = runner()
+    scn = tmp_path / "desk.scn"
+    save_scenario(harness.desk_scenario(), str(scn))
+    built = []
+    generate = agc.generate_signal
+    monkeypatch.setattr(agc, "generate_signal",
+                        lambda seed, samples: built.append(seed) or generate(seed, samples))
+    res = rn.invoke(cli, ["agc-check", "--seeds", "100", "--scenario", str(scn), "--case", "4",
+                          "--gap", "0.01"])
+    assert res.exit_code == 0, res.output
+    assert built == list(range(100))
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == AGC4_STDOUT_SHA256
 
 
 def test_compare_runs_cases_and_writes_table(tmp_path):

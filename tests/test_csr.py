@@ -125,7 +125,7 @@ def test_imported_mps_matches_scipy_construction(monkeypatch):
 
 def _matrices():
     """Random matrices, some rows and columns without entries, and the desk
-    clearing layout."""
+    and acceptance-1 clearing layouts."""
     rng = np.random.default_rng(7)
     out = []
     for m, n, count in SHAPES:
@@ -133,6 +133,7 @@ def _matrices():
         keep = rows % 4 != 1   # rows without entries
         out.append(CsrMatrix.from_entries(rows[keep], cols[keep], vals[keep], (m, n)))
     out.append(clearing.LlLayout(harness.desk_scenario()).a)
+    out.append(clearing.LlLayout(acceptance_instance()).a)
     return out
 
 
@@ -140,10 +141,13 @@ def _matrices():
 def test_dot_matches_scipy_product(a):
     rng = np.random.default_rng(a.nnz)
     ref = a.tocsr()
-    x = rng.normal(size=(17, a.shape[1])) * 10.0 ** rng.integers(-6, 6, (17, a.shape[1]))
-    assert same_array(a.dot(x[0]), ref @ x[0])
-    assert same_array(a.dot(x), np.ascontiguousarray((ref @ x.T).T))
-    assert same_array(a.dot(x[:1]), np.ascontiguousarray((ref @ x[:1].T).T))
+    # a 2-D x's rows, one 1-D product each and all at once, the same bits
+    for k in (1, 7, 2541):
+        x = rng.normal(size=(k, a.shape[1])) * 10.0 ** rng.integers(-6, 6, (k, a.shape[1]))
+        assert same_array(a.dot(x[0]), ref @ x[0])
+        got = a.dot(x)
+        assert same_array(got, np.ascontiguousarray((ref @ x.T).T))
+        assert same_array(got, np.stack([a.dot(row) for row in x]))
     with pytest.raises(ValueError, match="cannot multiply"):
         a.dot(np.ones(a.shape[1] + 1))
 
@@ -200,6 +204,13 @@ def test_milp_model_has_no_residuals():
     assert not hasattr(solver.LpModel(knapsack), "residuals")
     layout = clearing.LlLayout(harness.desk_scenario())
     assert solver.LpModel(layout.build_lp(0)).residuals.a is layout.a
+
+
+def test_milp_solve_builds_no_column_arrays():
+    # a MILP goes to HiGHS row-wise, as its matrix is held
+    p = bilevel.assemble_milp(acceptance_instance()).milp
+    assert solver.solve_milp(p, gap_tol=1e-9).status == solver.OPTIMAL
+    assert "csc" not in vars(p.a)
 
 
 # A fresh interpreter runs the CLI import, a desk case, an MPS round trip and
