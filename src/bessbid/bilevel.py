@@ -17,8 +17,10 @@ The same bidding problem has a second model with no big-M
 (:func:`assemble_regime_milp`): given a certified cover of each interval's
 bid box by clearing duals (:func:`clearing.regimes`), each interval chooses
 one held dual, and its clearing point is optimal for that dual by
-complementary slackness. Both models' solutions are checked by the one
-verifier, :func:`verify_bilevel_solution`.
+complementary slackness. The published solve uses that model; the big-M
+MILP is the model ``export-mps`` writes and the reference tests solve
+against. Both models' solutions are checked by the one verifier,
+:func:`verify_bilevel_solution`.
 """
 
 from __future__ import annotations
@@ -723,7 +725,9 @@ def _snap_bids(bids: np.ndarray) -> tuple[np.ndarray, list[str]]:
 
 
 def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> BilevelSolution:
-    """Bids, awards and embedded duals of a solved MILP, one row per interval.
+    """Bids, awards and embedded duals of a solved big-M MILP, one row per
+    interval: the exported model's read-out (the published solve reads the
+    regime model's with :func:`regime_solution`).
 
     Dual magnitudes whose complementarity binary selected the nonbinding
     branch are snapped to exact zero: the big-M row already caps them at

@@ -24,7 +24,6 @@ vertex that an earlier clear's basis already proves covered is not cleared.
 from __future__ import annotations
 
 import itertools
-import logging
 import time
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ import numpy as np
 
 from . import solver
 from .scenario import Scenario, structure_violations
-
-log = logging.getLogger(__name__)
 
 CS_TOL = 1e-6              # absolute on dual*slack products
 STATIONARITY_TOL = 1e-7    # absolute, on a zero-bid clear's rebuilt storage duals
@@ -498,10 +495,10 @@ class RegimeCover:
     The clearing cost of interval ``t`` at bids ``b`` is convex and
     piecewise affine in ``b``; held dual ``k`` bounds it from below by its
     piece ``level[k] + slope[k] @ b``, which it meets wherever the dual is
-    optimal. The cover is ``certified`` when the pieces' upper envelope
-    equals the clearing cost at every vertex of the envelope on every side,
-    and so, by convexity, on the whole side: at every bid some held dual of
-    its side is optimal. A certified cover holds only pieces whose region
+    optimal. A cover from :func:`regimes` is certified: the pieces' upper
+    envelope equals the clearing cost at every vertex of the envelope on
+    every side, and so, by convexity, on the whole side: at every bid some
+    held dual of its side is optimal. It holds only pieces whose region
     (where the piece is the envelope) has the side's full dimension.
     """
 
@@ -512,7 +509,6 @@ class RegimeCover:
     level: np.ndarray         # (k,) its piece at zero bids
     row_duals: np.ndarray     # (k, rows), as a clear's
     lower_duals: np.ndarray   # (k, columns)
-    certified: bool
 
     @property
     def group(self) -> np.ndarray:
@@ -528,8 +524,7 @@ class RegimeCover:
 
     def _select(self, keep: np.ndarray) -> "RegimeCover":
         return RegimeCover(self.layout, self.sides, self.t[keep], self.side[keep],
-                           self.level[keep], self.row_duals[keep], self.lower_duals[keep],
-                           self.certified)
+                           self.level[keep], self.row_duals[keep], self.lower_duals[keep])
 
 
 def _vertices(cover: RegimeCover, fresh: np.ndarray):
@@ -634,11 +629,14 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
     the envelope is the clearing cost on every side, the cover is certified,
     and the pieces whose region is thinner than the side are dropped.
 
-    The cover stays uncertified when an uncovered vertex's duals are
+    No uncertified cover is returned. A clear that fails raises its
+    :class:`ClearingError` (:class:`InfeasibleMarketError` for a market
+    that does not clear at zero bids); an uncovered vertex whose duals are
     already held (within ``HELD_DUAL_TOL``), which only solver tolerance
-    can cause, or when ``deadline`` (a :func:`time.perf_counter` time) has
-    passed at the start of a round that has a new piece to search from. A
-    clear that fails raises its :class:`ClearingError`.
+    can cause, raises a :class:`ClearingError` naming its interval; and
+    :class:`TimeoutError` is raised when ``deadline`` (a
+    :func:`time.perf_counter` time) has passed at the start of a round that
+    has a new piece to search from.
     """
     scn = layout.scenario
     rate = scn.bess.power_rate
@@ -647,7 +645,7 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
     zero = clear_batch(layout, np.arange(n_t), np.zeros((n_t, 4)))
     t = np.repeat(np.arange(n_t), n_sides)
     cover = RegimeCover(layout, sides, t, np.tile(np.arange(n_sides), n_t), zero.objective[t],
-                        zero.row_duals[t], zero.lower_duals[t], certified=False)
+                        zero.row_duals[t], zero.lower_duals[t])
     fresh = np.ones(len(t), dtype=bool)
     bases = _Bases(layout)
     # the points taken: their group, bids and clearing cost
@@ -655,7 +653,7 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
     checked = set(map(tuple, _keys(seen_g, seen_b, rate).tolist()))
     while fresh.any():   # a vertex new to the envelope lies on a fresh piece
         if deadline is not None and time.perf_counter() > deadline:
-            return cover
+            raise TimeoutError("regime cover: deadline passed")
         g, bids, value = _vertices(cover, fresh)
         keys = _keys(g, bids, rate)
         _, first = np.unique(keys, axis=0, return_index=True)
@@ -671,38 +669,11 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
             batch, row = _clear_points(layout, n_sides, g[clear], bids[clear])
             cost[clear] = batch.objective[row]
             bases.add(batch)
-            added = _new_pieces(cover, g[clear], bids[clear], cost[clear], value[clear],
-                                batch, row)
-            if added is None:   # an uncovered vertex's duals are already held
-                log.info("regime cover not certified: an uncovered vertex's duals are held")
-                return cover
-            cover, fresh = added
+            cover, fresh = _new_pieces(cover, g[clear], bids[clear], cost[clear],
+                                       value[clear], batch, row)
         seen_g, seen_b, seen_cost = (np.concatenate(v) for v in (
             (seen_g, g), (seen_b, bids), (seen_cost, cost)))
-    cover.certified = True
     return _essential(cover, seen_g, seen_b, seen_cost)
-
-
-def uncovered(cover: RegimeCover) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The certificate of ``cover``, checked anew: every vertex of its
-    envelope where the clearing cost lies above the envelope, as its
-    interval, side and bids, in interval, side and bid order. An interval's
-    side without a piece is uncovered at its zero bid. The vertices clear
-    in one batch; a certified cover has none."""
-    layout = cover.layout
-    n_sides = len(cover.sides)
-    n_groups = layout.scenario.n_intervals * n_sides
-    g, bids, value = _vertices(cover, np.ones(len(cover.t), dtype=bool))
-    _, first = np.unique(_keys(g, bids, layout.scenario.bess.power_rate), axis=0,
-                         return_index=True)
-    g, bids, value = g[first], bids[first], value[first]
-    batch, row = _clear_points(layout, n_sides, g, bids)
-    above = _above(batch.objective[row], value)
-    empty = np.setdiff1d(np.arange(n_groups), cover.group)
-    g = np.concatenate((g[above], empty))
-    bids = np.concatenate((bids[above], np.zeros((len(empty), 4))))
-    order = np.argsort(g, kind="stable")
-    return g[order] // n_sides, g[order] % n_sides, bids[order]
 
 
 def _above(cost: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -821,11 +792,11 @@ def _certified(bases: _Bases, t: np.ndarray, bids: np.ndarray,
 def _new_pieces(cover: RegimeCover, g: np.ndarray, bids: np.ndarray, cost: np.ndarray,
                 value: np.ndarray, batch: ClearingBatch, row: np.ndarray):
     """The cover with the duals of the uncovered vertices added, kept in
-    group order, and which of its pieces are new; None when an uncovered
-    vertex's duals are already held. Vertex ``i`` of group ``g[i]`` at
-    ``bids[i]`` cleared at ``cost[i]`` (row ``row[i]`` of ``batch``), where
-    the envelope is ``value[i]``. Of the new pieces equal to one before
-    them (level and slope on the side), the first is kept."""
+    group order, and which of its pieces are new; an uncovered vertex whose
+    duals are already held raises a :class:`ClearingError`. Vertex ``i`` of
+    group ``g[i]`` at ``bids[i]`` cleared at ``cost[i]`` (row ``row[i]`` of
+    ``batch``), where the envelope is ``value[i]``. Of the new pieces equal
+    to one before them (level and slope on the side), the first is kept."""
     n_sides = len(cover.sides)
     group = cover.group
     sell = cover.layout.bid_rows["sell"]
@@ -841,7 +812,8 @@ def _new_pieces(cover: RegimeCover, g: np.ndarray, bids: np.ndarray, cost: np.nd
     kept: dict[int, list[int]] = {}   # per group, the vertices whose duals are added
     for i in np.flatnonzero(_above(cost, value)).tolist():
         if (np.abs(cover.row_duals[group == g[i]] - y[i]).max(axis=1) <= HELD_DUAL_TOL).any():
-            return None
+            raise ClearingError(f"interval {g[i] // n_sides}: regime cover not certified "
+                                "(an uncovered vertex's duals are already held)")
         mine = kept.setdefault(int(g[i]), [])
         if not any(same_piece(i, j) for j in mine):
             mine.append(i)
@@ -855,7 +827,7 @@ def _new_pieces(cover: RegimeCover, g: np.ndarray, bids: np.ndarray, cost: np.nd
     grown = RegimeCover(
         cover.layout, cover.sides, t, side, np.concatenate((cover.level, levels[keep])),
         np.concatenate((cover.row_duals, y[keep])),
-        np.concatenate((cover.lower_duals, batch.lower_duals[row[keep]])), cover.certified)
+        np.concatenate((cover.lower_duals, batch.lower_duals[row[keep]])))
     fresh = np.arange(len(t)) >= len(cover.t)
     return grown._select(order), fresh[order]
 

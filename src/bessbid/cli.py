@@ -1,19 +1,24 @@
 """Command-line entry point for the bidding toolkit.
 
-Exit codes: 0 success, 1 solver failure or other error (including a
-scenario with no generator, no interval, a bid list without one bid per
-generator, an interval length that is not positive or a number that is not
-finite), 2 usage error (including a scenario file that does not parse,
-lacks a field, holds an unknown one or holds a non-number where a number
-belongs, an ``--out`` file that cannot be written or report directory that
-cannot be created, an ``export-mps --name`` that is not printable ASCII, a
-NaN ``--gap``, ``--time-limit`` or ``--step``, a ``--config`` file that
-does not parse or does not decode as UTF-8 text, a ``compare --cases``
-list that repeats a case, and ``agc-check --seeds`` below 1 or
-``--samples`` below 2), 3 infeasible market or case, 4
-verification failure (including AGC breaches and monotonicity violations), 5
-solver time limit. Defaults can be set in a YAML config file (``--config``);
-environment variables override the file, flags override both.
+Exit codes: 0 success, 1 solver failure or other error (including a regime
+cover that cannot certify because an uncovered vertex's duals are already
+held, a scenario with no generator, no interval, a bid list without one bid
+per generator, an interval length that is not positive or a number that is
+not finite, and any other invalid scenario that a solve or the oracle
+refuses, such as an initial SOC above its maximum), 2 usage error
+(including a scenario file that does not parse, lacks a field, holds an
+unknown one or holds a non-number where a number belongs, an ``--out`` file
+that cannot be written or report directory that cannot be created, an
+``export-mps --name`` that is not printable ASCII, a NaN ``--gap``,
+``--time-limit`` or ``--step``, a ``--config`` file that does not parse or
+does not decode as UTF-8 text, a ``compare --cases`` list that repeats a
+case, and ``agc-check --seeds`` below 1 or ``--samples`` below 2), 3
+infeasible market or case (including a market that clears only when the
+storage buys), 4 verification failure (including AGC breaches and
+monotonicity violations), 5 solver time limit (including one that passes
+before the regime cover certifies). Defaults can be set in a YAML config
+file (``--config``); environment variables override the file, flags
+override both.
 """
 
 from __future__ import annotations
@@ -254,7 +259,7 @@ def oracle(scenario, case, step):
         res = harness.brute_force_oracle(scn, step)
     except (harness.OracleSizeError, ValueError) as err:
         raise click.UsageError(str(err))
-    except clearing.ClearingError as err:
+    except (harness.HarnessError, clearing.ClearingError) as err:
         raise _fail(_exit_code_for(err), str(err))
     click.echo(f"oracle revenue {res.revenue!r} "
                f"(step {res.grid_step}, {res.evaluated} evaluated, {res.feasible} feasible)")

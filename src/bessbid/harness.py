@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import logging
 import math
 import multiprocessing
 import operator
@@ -39,8 +38,6 @@ from .scenario import (
     synthesize_scenario,
     validate_scenario,
 )
-
-log = logging.getLogger(__name__)
 
 SCHEMA_INTERVALS = "bessbid-intervals/1"
 SCHEMA_SUMMARY = "bessbid-summary/1"
@@ -78,7 +75,8 @@ class OracleSizeError(HarnessError):
 
 
 class SolverFailedError(HarnessError):
-    """HiGHS failed, refused an option or broke a numeric contract."""
+    """HiGHS failed, refused an option or broke a numeric contract, or the
+    regime cover could not certify."""
 
 
 def scenario_fingerprint(scn: Scenario) -> str:
@@ -160,17 +158,19 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
 
     The published solve is the bidding problem over each interval's
     certified clearing regimes (:func:`clearing.regimes` on the scenario's
-    :class:`clearing.LlLayout`, :func:`bilevel.assemble_regime_milp`). Only
-    when the cover does not certify, or one of its clears fails, is the
-    paper's big-M MILP (:func:`bilevel.assemble_milp`) assembled, and
-    solved instead. The report's counts describe the big-M MILP either way,
-    computed from the layout's sizes (:func:`bilevel.milp_counts`).
-    Whichever model solved, :func:`bilevel.verify_bilevel_solution` checks
-    the schedule on its own layout. ``settings.time_limit`` covers the
-    cover and the MILP together.
+    :class:`clearing.LlLayout`, :func:`bilevel.assemble_regime_milp`), and
+    :func:`bilevel.verify_bilevel_solution` checks its schedule. The
+    report's counts describe the paper's big-M MILP, computed from the
+    layout's sizes (:func:`bilevel.milp_counts`) without assembling it.
+    ``settings.time_limit`` covers the cover and the MILP together.
 
-    A verification failure aborts the run: a report built on an unverified
-    solve would publish schedule rows the clearing does not support.
+    A cover that cannot certify raises, and no MILP is assembled: a market
+    that does not clear at zero bids (one that clears only when the storage
+    buys, say) is :class:`CaseInfeasibleError`, the deadline passing during
+    the cover is :class:`CaseTimeLimitError`, and any other failing clear
+    or held duals are :class:`SolverFailedError`. A verification failure
+    aborts the run: a report built on an unverified solve would publish
+    schedule rows the clearing does not support.
     """
     if mask is not None:
         scn = scn.with_mask(mask)
@@ -184,18 +184,16 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
                                  terminal_soc_equality)
     try:
         cover = clearing.regimes(layout, deadline)
+    except TimeoutError as exc:
+        raise CaseTimeLimitError(
+            f"time limit {settings.time_limit}s reached (no incumbent)") from exc
+    except clearing.InfeasibleMarketError as exc:
+        raise CaseInfeasibleError(str(exc)) from exc
     except clearing.ClearingError as exc:
-        log.info("no regime cover: %s", exc)
-        cover = None
-    if cover is not None and cover.certified:
-        outcome = _solve(bilevel.assemble_regime_milp(cover, terminal_soc_equality),
-                         settings, deadline)
-        sol = bilevel.regime_solution(cover, outcome)
-    else:
-        log.info("regime cover not certified; solving the big-M MILP")
-        built = bilevel.assemble_milp(scn, terminal_soc_equality=terminal_soc_equality)
-        outcome = _solve(built.milp, settings, deadline)
-        sol = bilevel.extract_solution(built, outcome)
+        raise SolverFailedError(str(exc)) from exc
+    outcome = _solve(bilevel.assemble_regime_milp(cover, terminal_soc_equality),
+                     settings, deadline)
+    sol = bilevel.regime_solution(cover, outcome)
     report = bilevel.verify_bilevel_solution(sol)
     if not report.passed:
         raise VerificationFailedError(report)
@@ -353,8 +351,12 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
     lower bound on the true optimum (grid under-approximation). Only
     horizons of one or two intervals are supported; anything larger is the
     MILP's job, and a grid over ``ORACLE_MAX_EVALUATIONS`` is refused before
-    any of it is built.
+    any of it is built. An invalid scenario (:func:`validate_scenario`) is
+    refused first, as :func:`run_case` refuses it.
     """
+    problems = validate_scenario(scn)
+    if problems:
+        raise HarnessError("invalid scenario: " + "; ".join(problems))
     if scn.n_intervals > 2:
         raise OracleSizeError(f"oracle supports at most 2 intervals, got {scn.n_intervals}")
     if not bid_grid_step > 0:   # a NaN step too

@@ -51,9 +51,8 @@ def _no_big_m(*args, **kwargs):
 
 @pytest.fixture(scope="module")
 def desk_reports():
-    """The desk cases at gap 0.01, each with its run time. The covers
-    certify, so run_case builds no part of the big-M MILP: assembling one
-    raises here."""
+    """The desk cases at gap 0.01, each with its run time. run_case builds
+    no part of the big-M MILP: assembling one raises here."""
     scn = harness.desk_scenario()
     settings = harness.SolverSettings(gap_tol=0.01, time_limit=600)
     out = {}
@@ -186,9 +185,8 @@ REPORT_DIGESTS = {
     },
 }
 
-# the same files from the paper's big-M MILP, which run_case solves when the
-# regime cover does not certify (cases 2-4's csv digests taken once a
-# rounded -0.0 prints as 0.0)
+# the same files from the paper's big-M MILP, solved directly (cases 2-4's
+# csv digests taken once a rounded -0.0 prints as 0.0)
 BIG_M_REPORT_DIGESTS = {
     1: {
         "intervals": "da59e6927ecf3b7c4cc7e765f3eb37770e0963f4e5d4b0c30a43a34f3fee7e85",
@@ -299,15 +297,24 @@ def test_desk_verification_reports_are_pinned(desk_reports):
 
 @pytest.fixture(scope="module")
 def desk_big_m_reports():
-    """The desk cases at gap 0.01 with the regime cover forced to fail: any
-    uncovered vertex's duals count as held, so run_case solves the big-M
-    MILP."""
+    """The desk cases at gap 0.01 from the paper's big-M MILP: assembled,
+    solved, read out, verified and reported the way run_case publishes the
+    regime solve."""
     scn = harness.desk_scenario()
-    settings = harness.SolverSettings(gap_tol=0.01, time_limit=600)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clearing, "HELD_DUAL_TOL", np.inf)
-        return {case: harness.run_case(scn, mask=MarketMask.from_case(case), settings=settings)
-                for case in (1, 2, 3, 4)}
+    out = {}
+    for case in (1, 2, 3, 4):
+        mask = MarketMask.from_case(case)
+        built = bilevel.assemble_milp(scn.with_mask(mask))
+        outcome = solver.solve_milp(built.milp, gap_tol=0.01, time_limit=600)
+        sol = bilevel.extract_solution(built, outcome)
+        schedule = harness.BessSchedule.from_solution(sol)
+        out[case] = harness.CaseReport(
+            label=mask.label(), mask=mask,
+            scenario_fingerprint=harness.scenario_fingerprint(scn), status=outcome.status,
+            mip_gap=float(outcome.mip_gap), objective=float(outcome.objective),
+            schedule=schedule, totals=schedule.totals(),
+            verification=bilevel.verify_bilevel_solution(sol), counts=built.counts)
+    return out
 
 
 def test_big_m_fallback_reproduces_pinned_reports(tmp_path, desk_big_m_reports):

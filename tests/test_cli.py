@@ -1,12 +1,13 @@
 import hashlib
 import os
+import re
 from dataclasses import replace
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from bessbid import agc, harness, solver
+from bessbid import agc, clearing, harness, solver
 from bessbid.cli import EXIT_FAILURE, EXIT_INFEASIBLE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
 from bessbid.scenario import save_scenario, scenario_to_text
 
@@ -132,7 +133,7 @@ def test_time_limit_env_and_flag_precedence(tmp_path):
 
 
 def test_time_limit_without_an_incumbent_names_none(tmp_path):
-    # the regime cover uses up the time, so the big-M fallback gets none
+    # the deadline passes during the regime cover, before any MILP is built
     rn = runner()
     scn = synth_tiny(rn, tmp_path / "s.scn")
     res = rn.invoke(cli, ["solve", "--scenario", str(scn), "--time-limit", "0",
@@ -267,11 +268,12 @@ def test_oracle_refuses_grid_over_the_cap(tmp_path, monkeypatch, step):
 
 
 def test_oracle_infeasible_market_exits_3(tmp_path, monkeypatch):
-    # no fleet meets this reserve requirement; the clear fails in a forked
-    # worker, and its error must reach the parent with type and message
+    # a valid scenario whose generator floors, at capacity, exceed every load
+    # and what the storage can buy; the clear fails in a forked worker, and
+    # its error must reach the parent with type and message
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     scn = acceptance_instance()
-    scn = replace(scn, intervals=tuple(replace(it, reserve_req=1e4) for it in scn.intervals))
+    scn = replace(scn, generators=tuple(replace(g, p_min=g.p_max) for g in scn.generators))
     path = tmp_path / "s.scn"
     save_scenario(scn, str(path))
     res = runner().invoke(cli, ["oracle", "--scenario", str(path), "--step", "2.5"])
@@ -282,19 +284,54 @@ def test_oracle_infeasible_market_exits_3(tmp_path, monkeypatch):
         "(no dispatch meets the load, the requirements and the generator limits)"]
 
 
-def test_market_that_needs_the_storage_solves_but_does_not_clear(tmp_path):
-    # the generator floors exceed every load: the storage must buy, so a
-    # solve publishes (through the big-M MILP), and a passive clear fails
+def test_market_that_needs_the_storage_exits_3(tmp_path):
+    # the generator floors exceed every load: the market clears only when
+    # the storage buys, so the regime cover cannot start from its zero-bid
+    # clears, and a solve exits 3 as a passive clear does
     path = tmp_path / "floored.scn"
     save_scenario(floored_desk(), str(path))
     rn = runner()
-    res = rn.invoke(cli, ["solve", "--scenario", str(path), "--case", "1",
-                          "--out", str(tmp_path / "out")])
-    assert res.exit_code == 0, res.output
-    res = rn.invoke(cli, ["clear", "--scenario", str(path)])
-    assert res.exit_code == EXIT_INFEASIBLE
+    for args in (["solve", "--case", "1", "--out", str(tmp_path / "out")], ["clear"]):
+        res = rn.invoke(cli, args + ["--scenario", str(path)])
+        assert res.exit_code == EXIT_INFEASIBLE, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: interval 0: clearing infeasible ")
+    assert not (tmp_path / "out" / "summary.yaml").exists()
+
+
+def test_held_duals_exit_1(tmp_path, monkeypatch):
+    # with every uncovered vertex's duals counted as held, the regime cover
+    # cannot certify: one error line naming the interval, no report
+    monkeypatch.setattr(clearing, "HELD_DUAL_TOL", float("inf"))
+    path = tmp_path / "acceptance.scn"
+    save_scenario(acceptance_instance(), str(path))
+    res = runner().invoke(cli, ["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_FAILURE, res.output
+    assert isinstance(res.exception, SystemExit)
     assert len(res.stderr.splitlines()) == 1
-    assert res.stderr.startswith("error: interval 0: clearing infeasible ")
+    assert re.match(r"error: interval \d+: regime cover not certified ", res.stderr)
+    assert not (tmp_path / "out" / "summary.yaml").exists()
+
+
+@pytest.mark.parametrize("bess", [
+    {"soc_init": 11.0},
+    {"soc_min": 6.0},
+], ids=["soc_init above soc_max", "soc_min above soc_init"])
+def test_oracle_refuses_an_invalid_scenario_as_solve_does(tmp_path, bess):
+    # acceptance 1's storage holds 10 MWh and starts at 5; both commands
+    # refuse the scenario with one error line before any clear
+    scn = acceptance_instance()
+    path = tmp_path / "invalid.scn"
+    save_scenario(replace(scn, bess=replace(scn.bess, **bess)), str(path))
+    rn = runner()
+    for args in (["oracle", "--step", "1"], ["solve", "--out", str(tmp_path / "out")]):
+        res = rn.invoke(cli, args + ["--scenario", str(path)])
+        assert res.exit_code == EXIT_FAILURE, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [
+            "error: invalid scenario: "
+            "bess: requires 0 <= soc_min <= soc_init <= soc_max <= energy_capacity"]
 
 
 def test_export_mps_round_trips_structure(tmp_path):

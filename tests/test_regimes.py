@@ -1,6 +1,7 @@
 """The clearing regime cover and the bidding MILP over it: the cover's
-certificate against the clearing cost, and the solve run_case publishes
-against the paper's big-M MILP."""
+certificate against the clearing cost, the solve run_case publishes
+against the paper's big-M MILP, and the named errors of a cover that
+cannot certify."""
 
 import dataclasses
 import hashlib
@@ -75,6 +76,28 @@ def desk_covers(cover_runs):
     return {case: cover_runs[case].cover for case in (1, 2, 3, 4)}
 
 
+def uncovered(cover):
+    """The certificate of ``cover``, checked anew: every vertex of its
+    envelope where the clearing cost lies above the envelope, as its
+    interval, side and bids, in interval, side and bid order. An interval's
+    side without a piece is uncovered at its zero bid. The vertices clear
+    in one batch; a certified cover has none."""
+    layout = cover.layout
+    n_sides = len(cover.sides)
+    n_groups = layout.scenario.n_intervals * n_sides
+    g, bids, value = clearing._vertices(cover, np.ones(len(cover.t), dtype=bool))
+    _, first = np.unique(clearing._keys(g, bids, layout.scenario.bess.power_rate), axis=0,
+                         return_index=True)
+    g, bids, value = g[first], bids[first], value[first]
+    batch, row = clearing._clear_points(layout, n_sides, g, bids)
+    above = clearing._above(batch.objective[row], value)
+    empty = np.setdiff1d(np.arange(n_groups), cover.group)
+    g = np.concatenate((g[above], empty))
+    bids = np.concatenate((bids[above], np.zeros((len(empty), 4))))
+    order = np.argsort(g, kind="stable")
+    return g[order] // n_sides, g[order] % n_sides, bids[order]
+
+
 def envelope(cover, t, side, bids):
     """The upper envelope of interval ``t``'s pieces on ``side`` of ``cover``
     at each row of a ``(k, 4)`` bid array."""
@@ -97,7 +120,7 @@ def assert_envelope_is_the_clearing_cost(cover, t, grid):
 @pytest.mark.parametrize("case", [1, 2, 3, 4])
 def test_desk_cover_is_the_clearing_cost_on_a_grid(desk_covers, case):
     cover = desk_covers[case]
-    assert cover.certified
+    assert all(len(a) == 0 for a in uncovered(cover))
     grid = harness._interval_grid(cover.layout.scenario, 1.0)
     for t in (9, 16):
         assert_envelope_is_the_clearing_cost(cover, t, grid)
@@ -106,7 +129,7 @@ def test_desk_cover_is_the_clearing_cost_on_a_grid(desk_covers, case):
 def test_acceptance_cover_is_the_clearing_cost_on_the_oracle_grid():
     scn = acceptance_instance()
     cover = clearing.regimes(clearing.LlLayout(scn))
-    assert cover.certified
+    assert all(len(a) == 0 for a in uncovered(cover))
     grid = harness._interval_grid(scn, 0.5)
     for t in range(scn.n_intervals):
         assert_envelope_is_the_clearing_cost(cover, t, grid)
@@ -118,10 +141,10 @@ def test_deleting_any_held_piece_breaks_the_certificate(case):
     scn = desk_case(case)
     one = dataclasses.replace(scn, intervals=scn.intervals[10:11])
     cover = clearing.regimes(clearing.LlLayout(one))
-    assert cover.certified and len(cover.t) > len(cover.sides)
-    assert all(len(a) == 0 for a in clearing.uncovered(cover))
+    assert len(cover.t) > len(cover.sides)
+    assert all(len(a) == 0 for a in uncovered(cover))
     for k in range(len(cover.t)):
-        t, side, bids = clearing.uncovered(cover._select(np.arange(len(cover.t)) != k))
+        t, side, bids = uncovered(cover._select(np.arange(len(cover.t)) != k))
         assert len(t), k
         # only the side that lost the piece is uncovered
         assert (side == cover.side[k]).all(), k
@@ -157,7 +180,6 @@ def test_desk_case_4_cover_certifies_most_vertices_without_a_clear(cover_runs):
 def test_cover_searches_vertices_only_from_fresh_pieces(cover_runs, name):
     # a vertex new to the envelope lies on a piece the last round added, so
     # a round that adds none ends the cover without another search
-    assert cover_runs[name].cover.certified
     assert min(cover_runs[name].fresh) > 0
 
 
@@ -176,7 +198,6 @@ def test_cover_is_deterministic(desk_covers):
     cover = desk_covers[4]
     for field in ("t", "side", "level", "row_duals", "lower_duals"):
         assert getattr(again, field).tobytes() == getattr(cover, field).tobytes(), field
-    assert again.certified
 
 
 @pytest.mark.parametrize("mask, sides", [
@@ -187,16 +208,15 @@ def test_masked_covers_certify(mask, sides):
     scn = harness.desk_scenario().with_mask(mask)
     cover = clearing.regimes(clearing.LlLayout(scn))
     assert cover.sides == sides
-    assert cover.certified
     assert (cover.side == 0).all()
     if not sides[0]:   # the zero bid alone: its zero-bid clear
         assert cover.t.tolist() == list(range(scn.n_intervals))
-    assert all(len(a) == 0 for a in clearing.uncovered(cover))
+    assert all(len(a) == 0 for a in uncovered(cover))
 
 
-def test_cover_out_of_time_is_not_certified():
-    cover = clearing.regimes(clearing.LlLayout(desk_case(4)), deadline=0.0)
-    assert not cover.certified
+def test_cover_out_of_time_raises():
+    with pytest.raises(TimeoutError):
+        clearing.regimes(clearing.LlLayout(desk_case(4)), deadline=0.0)
 
 
 @pytest.mark.parametrize("k", range(21))
@@ -239,21 +259,32 @@ def test_regime_solution_snaps_a_tiny_negative_bid():
     assert report.notes[0] == snapped.notes[0]
 
 
-def test_big_m_fallback_on_a_market_that_needs_the_storage(monkeypatch):
-    # the generator floors exceed every load, so the zero-bid clear that
-    # starts the cover is infeasible, and only the big-M MILP can solve
-    scn = floored_desk()
-    with pytest.raises(clearing.InfeasibleMarketError, match="^interval 0: "):
-        clearing.regimes(clearing.LlLayout(scn))
-
+def refuse_milps(monkeypatch):
+    """Make assembling either bidding MILP, or any part of the big-M one, fail."""
     def refuse(*args, **kwargs):
-        raise AssertionError("assembled the regime model")
+        raise AssertionError("assembled a MILP")
 
-    monkeypatch.setattr(bilevel, "assemble_regime_milp", refuse)
-    report = harness.run_case(scn, mask=MarketMask.from_case(1),
-                              settings=harness.SolverSettings(gap_tol=0.01))
-    assert report.verification.passed, report.verification.summary()
-    floors = sum(g.p_min for g in scn.generators)
-    for r, it in zip(report.schedule.records, scn.intervals, strict=True):
-        assert r.buy_award >= floors - it.load, r
-        assert r.sell_award == 0.0, r
+    for name in ("assemble_milp", "interval_blocks", "assemble_regime_milp"):
+        monkeypatch.setattr(bilevel, name, refuse)
+
+
+def test_market_that_needs_the_storage_is_infeasible(monkeypatch):
+    # the generator floors exceed every load, so the zero-bid clear that
+    # starts the cover is infeasible: every case is refused, with no MILP
+    refuse_milps(monkeypatch)
+    scn = floored_desk()
+    for case in (1, 2, 3, 4):
+        with pytest.raises(harness.CaseInfeasibleError,
+                           match="^interval 0: clearing infeasible "):
+            harness.run_case(scn, mask=MarketMask.from_case(case),
+                             settings=harness.SolverSettings(gap_tol=0.01))
+
+
+def test_held_duals_are_a_solver_failure(monkeypatch):
+    # with every uncovered vertex's duals counted as held, the cover cannot
+    # certify: run_case raises, naming the interval, and assembles no MILP
+    refuse_milps(monkeypatch)
+    monkeypatch.setattr(clearing, "HELD_DUAL_TOL", np.inf)
+    with pytest.raises(harness.SolverFailedError,
+                       match=r"^interval \d+: regime cover not certified "):
+        harness.run_case(acceptance_instance(), settings=EXACT)
