@@ -873,13 +873,12 @@ def verify_bilevel_solution(sol: BilevelSolution) -> VerificationReport:
     # first-order system at the embedded point, every interval's at once
     core = solver.Residuals(layout.build_lp(0))
     rhs = layout.rhs_for(t, sol.bids)
-    no_upper = np.zeros_like(sol.x)
     ax = core.activity(sol.x)
     res = {
-        "stationarity": core.stationarity(sol.row_duals, sol.lower_duals, no_upper, layout.c),
+        "stationarity": core.stationarity(sol.row_duals, sol.lower_duals, layout.c),
         "primal": core.primal(sol.x, ax, rhs),
-        "dual_sign": core.dual_sign(sol.row_duals, sol.lower_duals, no_upper),
-        "cs": core.cs(sol.x, ax, rhs, sol.row_duals, sol.lower_duals, no_upper),
+        "dual_sign": core.dual_sign(sol.row_duals, sol.lower_duals),
+        "cs": core.cs(sol.x, ax, rhs, sol.row_duals, sol.lower_duals),
     }
     # a primal failure names the interval's most violated row
     viol = solver.row_violation(layout.senses, ax, rhs)

@@ -48,10 +48,6 @@ class InfeasibleMarketError(ClearingError):
     generator floors the load."""
 
 
-class UnboundedMarketError(ClearingError):
-    """Malformed bids let cost decrease without bound."""
-
-
 class LlLayout:
     """Column/row indexing of a scenario's clearing LPs, one LP per interval.
 
@@ -303,8 +299,6 @@ def _status_error(t: int, status: str) -> ClearingError:
             f"interval {t}: clearing infeasible "
             "(no dispatch meets the load, the requirements and the generator limits)"
         )
-    if status == solver.UNBOUNDED:
-        return UnboundedMarketError(f"interval {t}: clearing unbounded (malformed bids)")
     return ClearingError(f"interval {t}: solver returned {status}")
 
 
@@ -465,9 +459,8 @@ def _clear_zero_rows(layout: LlLayout, t: np.ndarray, c: np.ndarray, rhs: np.nda
         lower_duals[:, col] = np.where(q > 0.0, q, 0.0)
 
     core = solver.Residuals(layout.build_lp(t[0]))
-    no_upper = np.zeros_like(x)
-    cs = core.cs(x, core.activity(x), rhs, row_duals, lower_duals, no_upper)
-    stationarity = core.stationarity(row_duals, lower_duals, no_upper, c)
+    cs = core.cs(x, core.activity(x), rhs, row_duals, lower_duals)
+    stationarity = core.stationarity(row_duals, lower_duals, c)
     values = (x, row_duals, lower_duals, out.objective, out.duality_gap_rel, cs, -1)
     return values, _first_failure(t, out, cs, stationarity)
 
@@ -650,19 +643,19 @@ def regimes(layout: LlLayout, deadline: float | None = None) -> RegimeCover:
     bases = _Bases(layout)
     # the points taken: their group, bids and clearing cost
     seen_g, seen_b, seen_cost = cover.group, np.zeros((len(t), 4)), cover.level
-    checked = set(map(tuple, _keys(seen_g, seen_b, rate).tolist()))
     while fresh.any():   # a vertex new to the envelope lies on a fresh piece
         if deadline is not None and time.perf_counter() > deadline:
             raise TimeoutError("regime cover: deadline passed")
         g, bids, value = _vertices(cover, fresh)
-        keys = _keys(g, bids, rate)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        first = np.array([i for i in first.tolist() if tuple(keys[i].tolist()) not in checked],
-                         dtype=np.intp)
+        # each key's first point among the points taken, then the round's
+        # vertices: a vertex whose key is new is first past the points taken
+        n_seen = len(seen_g)
+        _, first = np.unique(_keys(np.concatenate((seen_g, g)), np.concatenate((seen_b, bids)),
+                                   rate), axis=0, return_index=True)
+        first = first[first >= n_seen] - n_seen
         if not len(first):
             break
         g, bids, value = g[first], bids[first], value[first]
-        checked.update(map(tuple, keys[first].tolist()))
         cost, clear = _certified(bases, g // n_sides, bids, value)
         fresh = np.zeros(len(cover.t), dtype=bool)
         if clear.any():
@@ -758,8 +751,9 @@ def _certified(bases: _Bases, t: np.ndarray, bids: np.ndarray,
     Point ``i`` of interval ``t[i]`` at ``bids[i]``, where the envelope is
     ``value[i]``, is paired with each basis of its interval in ``bases``.
     A pair proves the point covered when the basis's point there meets
-    every bound and every row, by ``solver.FEASIBILITY_TOL``, and its cost
-    is not above the envelope (:func:`_above`). Returns each point's cost,
+    every lower bound and every row (the layout has no upper bounds), by
+    ``solver.FEASIBILITY_TOL``, and its cost is not above the envelope
+    (:func:`_above`). Returns each point's cost,
     the least of its proving pairs', and the points that none proves and
     must clear; their costs are left unset.
     """
@@ -780,8 +774,7 @@ def _certified(bases: _Bases, t: np.ndarray, bids: np.ndarray,
         x = bases.x[bi] + np.einsum("pck,pk->pc", bases.d[bi], bids[pi] - bases.b[bi])
         ax = layout.a.dot(x)
         rows = solver.row_violation(layout.senses, ax, layout.rhs_for(t[pi], bids[pi]))
-        feasible = ((rows <= tol).all(axis=1) & (x >= layout.lower - tol).all(axis=1)
-                    & (x <= layout.upper + tol).all(axis=1))
+        feasible = (rows <= tol).all(axis=1) & (x >= layout.lower - tol).all(axis=1)
         pair_cost = np.vecdot(layout.c[t[pi]], x)
         np.minimum.at(cost, pi[feasible], pair_cost[feasible])
         lo = hi

@@ -387,17 +387,12 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
            & (soc1 >= bess.soc_min + hold0 - 1e-9)
            & (soc1 <= bess.soc_max - ceil0 + 1e-9))
 
-    if scn.n_intervals == 1:
-        evaluated = len(grid)
-        if not ok0.any():
-            raise HarnessError("no feasible grid point; the zero bid should always be feasible")
-        best = int(np.argmax(np.where(ok0, rev0, -np.inf)))
-        return OracleResult(revenue=float(rev0[best]), bids=grid[[best]],
-                            evaluated=evaluated, feasible=int(ok0.sum()),
-                            grid_step=bid_grid_step)
-
-    rev1, de1, hold1, ceil1, env1 = interval_arrays(1)
-    evaluated = len(grid) ** 2
+    # one interval joins against one idle second point: revenue -0.0 (so
+    # x + -0.0 is x, bit for bit, a zero's sign included), no SOC change,
+    # open SOC bounds and an open envelope
+    idle = (np.array([-0.0]), np.zeros(1), np.array([-np.inf]), np.array([-np.inf]),
+            np.ones(1, dtype=bool))
+    rev1, de1, hold1, ceil1, env1 = interval_arrays(1) if scn.n_intervals == 2 else idle
     # only an interval-0 point feasible on its own and an interval-1 point
     # inside its power envelope can pair; both keep grid order, and a block's
     # best replaces the kept one only when strictly greater, so the first
@@ -425,8 +420,8 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
         raise HarnessError("no feasible grid point; the zero bid should always be feasible")
     return OracleResult(
         revenue=revenue,
-        bids=grid[best],
-        evaluated=evaluated,
+        bids=grid[best[:scn.n_intervals]],
+        evaluated=len(grid) ** scn.n_intervals,
         feasible=feasible,
         grid_step=bid_grid_step,
     )

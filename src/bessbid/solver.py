@@ -8,12 +8,16 @@ variables. LPs solve in batches (:meth:`LpModel.solve_batch`, one LP is a
 batch of one), each reporting a :class:`BatchOutcome` with one row per
 solve; a MILP solve (:func:`solve_milp`) reports a :class:`SolveOutcome`.
 
+An LP minimizes, and its columns have lower bounds only: every upper
+limit is a row, as the clearing LPs build them, so every limit has its own
+row dual. :class:`Residuals` refuses an LP of another shape. MILPs may
+maximize and bound their columns from above.
+
 Dual sign convention: ``row_duals[r]`` is the sensitivity of the optimal
-objective to the RHS of row ``r`` in the row's *original* sense. For a
-minimization this means duals of ``>=`` rows are >= 0, duals of ``<=`` rows
-are <= 0, equality duals are free. ``lower_duals``/``upper_duals`` are the
-reduced costs attributed to variable bounds (>= 0 at lower, <= 0 at upper,
-again for minimization; all signs flip for maximization).
+objective to the RHS of row ``r`` in the row's *original* sense: duals of
+``>=`` rows are >= 0, duals of ``<=`` rows are <= 0, equality duals are
+free. ``lower_duals`` are the reduced costs attributed to the lower bounds,
+>= 0.
 """
 
 from __future__ import annotations
@@ -302,7 +306,7 @@ class SolveOutcome:
 @dataclass
 class BatchOutcome:
     """The solves of :meth:`LpModel.solve_batch`, one row per solved batch
-    row, in the problem's orientation.
+    row.
 
     The rows are those before the first batch row that failed. ``failure``
     is that row's backend failure or contract violation, as the message of
@@ -316,7 +320,6 @@ class BatchOutcome:
     x: np.ndarray
     row_duals: np.ndarray
     lower_duals: np.ndarray
-    upper_duals: np.ndarray
     feasibility_residual: np.ndarray
     duality_gap_rel: np.ndarray
     cs_residual: np.ndarray
@@ -343,38 +346,42 @@ def _max0(v: np.ndarray) -> np.floating | np.ndarray:
 class Residuals:
     """The first-order residuals of one LP, over its static data computed once.
 
-    The static data are the matrix, the sense masks and the finite bounds.
-    The right-hand sides are passed to each call, so one core serves every
-    LP that shares the matrix, senses and bounds: :class:`LpModel` holds one
-    per LP model, and the bidding verifier checks every interval of a
-    scenario on one. Each block is a max absolute violation for a
-    minimization, 0 when it holds; ``ax`` is the row activity ``A x`` from
-    :meth:`activity`. Every block also takes one point per row of 2-D arrays
-    and returns one residual per row.
+    The static data are the matrix, the sense masks and the finite lower
+    bounds. The right-hand sides are passed to each call, so one core serves
+    every LP that shares the matrix, senses and bounds: :class:`LpModel`
+    holds one per LP model, and the bidding verifier checks every interval
+    of a scenario on one. Each block is a max absolute violation, 0 when it
+    holds; ``ax`` is the row activity ``A x`` from :meth:`activity`. Every
+    block also takes one point per row of 2-D arrays and returns one
+    residual per row.
+
+    The LP must minimize over columns with lower bounds only (see the
+    module docstring); any other raises ``ValueError``, so that no LP is
+    checked only in part.
     """
 
     def __init__(self, problem: LpProblem):
+        if problem.maximize or np.isfinite(problem.upper).any():
+            raise ValueError("an LP must minimize over columns with lower bounds only; "
+                             "put upper limits in rows")
         self.problem = problem
         self.a = problem.a
         self.le = problem.senses == SENSE_LE
         self.ge = problem.senses == SENSE_GE
         self.ineq = np.flatnonzero(problem.senses != SENSE_EQ)
         self.fin_lo = np.flatnonzero(np.isfinite(problem.lower))
-        self.fin_up = np.flatnonzero(np.isfinite(problem.upper))
         self.lower_fin = problem.lower[self.fin_lo]
-        self.upper_fin = problem.upper[self.fin_up]
 
     def activity(self, x: np.ndarray) -> np.ndarray:
         """``A x``, one row per row of a 2-D ``x`` (:meth:`CsrMatrix.dot`)."""
         return self.a.dot(x)
 
     def primal(self, x: np.ndarray, ax: np.ndarray, rhs: np.ndarray) -> np.floating | np.ndarray:
-        """Max violation of rows and bounds at x."""
-        p = self.problem
+        """Max violation of rows and lower bounds at x."""
         return _max0(np.concatenate((_violation(self.le, self.ge, ax, rhs),
-                                     p.lower - x, x - p.upper), axis=-1))
+                                     self.problem.lower - x), axis=-1))
 
-    def stationarity(self, y: np.ndarray, nu_lo: np.ndarray, nu_up: np.ndarray,
+    def stationarity(self, y: np.ndarray, nu_lo: np.ndarray,
                      c: np.ndarray | None = None) -> np.floating | np.ndarray:
         """Max of |c - A'y - nu|, with the problem's costs unless ``c`` is
         given; for 2-D arrays, one residual per row, each row with its own
@@ -389,26 +396,22 @@ class Residuals:
         bins = (np.arange(k)[:, None] * n + a.indices).ravel()
         a_ty = np.bincount(bins, weights=weights.ravel(), minlength=k * n)
         c = self.problem.c if c is None else c
-        return _max0(np.abs(c - a_ty.reshape(y.shape[:-1] + (n,)) - nu_lo - nu_up))
+        return _max0(np.abs(c - a_ty.reshape(y.shape[:-1] + (n,)) - nu_lo))
 
-    def dual_sign(self, y: np.ndarray, nu_lo: np.ndarray,
-                  nu_up: np.ndarray) -> np.floating | np.ndarray:
+    def dual_sign(self, y: np.ndarray, nu_lo: np.ndarray) -> np.floating | np.ndarray:
         """Max sign violation of the duals."""
         # a '<' row's dual must be <= 0 and a '>' row's >= 0, so its sign
         # violation is the row violation of the dual against zero
         rows = _max0(_violation(self.le, self.ge, y, 0.0)[..., self.ineq])
-        return np.maximum(np.maximum(rows, _max0(-nu_lo)), _max0(nu_up))
+        return np.maximum(rows, _max0(-nu_lo))
 
     def cs(self, x: np.ndarray, ax: np.ndarray, rhs: np.ndarray, y: np.ndarray,
-           nu_lo: np.ndarray, nu_up: np.ndarray) -> np.floating | np.ndarray:
-        """Max |dual x slack| over inequality rows and finite bounds."""
+           nu_lo: np.ndarray) -> np.floating | np.ndarray:
+        """Max |dual x slack| over inequality rows and finite lower bounds."""
         cs = _max0(np.abs(y * (ax - rhs))[..., self.ineq])
         if len(self.fin_lo):
             lo = self.fin_lo
             cs = np.maximum(cs, _max0(np.abs(nu_lo[..., lo] * (x[..., lo] - self.lower_fin))))
-        if len(self.fin_up):
-            up = self.fin_up
-            cs = np.maximum(cs, _max0(np.abs(nu_up[..., up] * (self.upper_fin - x[..., up]))))
         return cs
 
 
@@ -466,12 +469,14 @@ class LpModel:
     (other awards or prices) than a fresh model would.
 
     The row data an LP solve's checks need (sense masks, the matrix, the
-    finite bounds, the backend row permutation and signs) are computed once,
-    in :attr:`residuals` and the backend layout; a MILP model has neither,
-    since :func:`solve_milp` checks no rows. :meth:`solve_batch` solves
-    one right-hand side, and optionally one cost vector, per row and checks
-    the whole batch at once, forming ``A X`` once for the feasibility
-    contract and the complementary-slackness residual. One model thus
+    finite lower bounds, the backend row permutation and signs) are computed
+    once, in :attr:`residuals` and the backend layout; a MILP model has
+    neither, since :func:`solve_milp` checks no rows. An LP that
+    :class:`Residuals` refuses (one that maximizes or has a finite upper
+    bound) raises its ``ValueError`` here, before HiGHS sees it.
+    :meth:`solve_batch` solves one right-hand side and one cost vector per
+    row and checks the whole batch at once, forming ``A X`` once for the
+    feasibility contract and the complementary-slackness residual. One model thus
     serves every LP that shares its matrix, senses and bounds: the clear of
     each interval of a scenario.
     """
@@ -567,11 +572,10 @@ class LpModel:
                 f"HiGHS backend failure: {self._highs.modelStatusToString(status)}")
         return _STATUS[status], wall
 
-    def solve_batch(self, rhs: np.ndarray, c: np.ndarray | None = None) -> BatchOutcome:
+    def solve_batch(self, rhs: np.ndarray, c: np.ndarray) -> BatchOutcome:
         """Solve the LP from scratch once per row of ``rhs``, a ``(k, rows)``
         array of right-hand sides in problem row order and senses, and of
-        ``c``, when given, a ``(k, columns)`` array of costs in the
-        problem's orientation.
+        ``c``, a ``(k, columns)`` array of costs.
 
         Each solve moves only the rows whose right-hand side differs, bit for
         bit, from the model's current one, so a -0.0 replacing 0.0 reaches
@@ -596,9 +600,7 @@ class LpModel:
         ``basic`` in ascending order with column ``j`` as ``j`` and the
         slack of problem row ``r`` as ``columns + r``. A nonbasic column's
         reduced cost is its lower bound's dual when the column sits at that
-        bound, and its upper bound's when it sits at the upper one; a
-        nonbasic fixed column's goes to the bound its sign belongs to, as
-        HiGHS's basis statuses attribute it.
+        bound; every other column's is 0.
         """
         problem, highs = self.problem, self._highs
         rhs = np.asarray(rhs, dtype=float)
@@ -615,12 +617,10 @@ class LpModel:
                                 (self._sign[ks] * rhs[rows, cols]).tolist()):
                 changes[r].append((kk, -_highs.kHighsInf if kk < self._n_ineq else b, b))
         # the batch rows whose costs differ from the ones before
-        new_costs = [False] * k
-        if c is not None:
-            c = np.asarray(c, dtype=float)
-            if c.shape != (k, n) or not np.isfinite(c).all():
-                raise ValueError(f"c must hold {n} finite values per row of rhs")
-            new_costs = _moved(problem.c, c).any(axis=1).tolist()
+        c = np.asarray(c, dtype=float)
+        if c.shape != (k, n) or not np.isfinite(c).all():
+            raise ValueError(f"c must hold {n} finite values per row of rhs")
+        new_costs = _moved(problem.c, c).any(axis=1).tolist()
 
         x, backend_duals, col_dual = np.empty((k, n)), np.empty((k, problem.n_rows)), np.empty((k, n))
         basic = np.empty((k, problem.n_rows), dtype=np.int32)
@@ -633,7 +633,7 @@ class LpModel:
             highs.clearSolver()
             if new_costs[i]:   # the whole model, as the docstring says why
                 lp = self._lp
-                lp.col_cost_ = -c[i] if problem.maximize else c[i]
+                lp.col_cost_ = c[i]
                 lp.row_lower_, lp.row_upper_ = self._row_bounds(rhs[i])
                 self._pass_model(lp)
             else:
@@ -655,8 +655,7 @@ class LpModel:
             solved = i + 1
         if k:   # the model keeps the last right-hand sides and costs it was given
             problem.rhs[:] = rhs[i]
-            if c is not None:
-                problem.c[:] = c[i]
+            problem.c[:] = c[i]
         if solved < k:
             x, backend_duals, col_dual, basic, fun, rhs = (
                 a[:solved] for a in (x, backend_duals, col_dual, basic, fun, rhs))
@@ -669,29 +668,23 @@ class LpModel:
         nonbasic = np.ones((len(x), n), dtype=bool)
         nonbasic[np.nonzero(column)[0], basic[column]] = False
 
-        # duals in the min orientation, then mapped back to original senses
+        # duals mapped back to the rows' original senses
         row_duals = (self._sign * backend_duals).take(self._pos, axis=1)
-        at_lower = nonbasic & (x == problem.lower)
-        at_upper = nonbasic & (x == problem.upper) & (~at_lower | (col_dual < 0.0))
-        lower_duals = np.where(at_lower & ~at_upper, col_dual, 0.0)
-        upper_duals = np.where(at_upper, col_dual, 0.0)
+        lower_duals = np.where(nonbasic & (x == problem.lower), col_dual, 0.0)
 
-        # duality gap, computed in the min orientation; each row's dual
-        # objective adds the same dot products, over contiguous vectors, in
-        # the same order as one solve's, so it is the same bits (np.vecdot
-        # takes each row's dot as ``@`` does, but a dot over strided vectors
-        # can round differently, hence ``take``, which keeps rows
-        # contiguous); a bound term is added only when the model has such
-        # bounds (an empty one is 0.0, and |objective - dual objective| is
-        # the same without it)
+        # duality gap; each row's dual objective adds the same dot products,
+        # over contiguous vectors, in the same order as one solve's, so it is
+        # the same bits (np.vecdot takes each row's dot as ``@`` does, but a
+        # dot over strided vectors can round differently, hence ``take``,
+        # which keeps rows contiguous); the bound term is added only when the
+        # model has finite lower bounds (an empty one is 0.0, and |objective -
+        # dual objective| is the same without it)
         core, m = self.residuals, self._n_ineq
         backend_rhs = self._sign * rhs.take(self._order, axis=1)
         dual_obj = (np.vecdot(backend_rhs[:, :m], backend_duals[:, :m])
                     + np.vecdot(backend_rhs[:, m:], backend_duals[:, m:]))
         if len(core.fin_lo):
             dual_obj += np.vecdot(core.lower_fin, lower_duals.take(core.fin_lo, axis=1))
-        if len(core.fin_up):
-            dual_obj += np.vecdot(core.upper_fin, upper_duals.take(core.fin_up, axis=1))
         gap_rel = np.abs(fun - dual_obj) / np.maximum(1.0, np.abs(fun))
         ax = core.activity(x)
         resid = core.primal(x, ax, rhs)
@@ -700,17 +693,13 @@ class LpModel:
             f = int(np.argmin(ok))
             failure = (f"optimal solve violated numeric contracts: "
                        f"residual={resid[f]:.3e}, gap={gap_rel[f]:.3e}")
-            x, ax, rhs, fun, row_duals, lower_duals, upper_duals, resid, gap_rel, basic = (
-                a[:f] for a in (x, ax, rhs, fun, row_duals, lower_duals, upper_duals, resid,
-                                gap_rel, basic))
-        cs = core.cs(x, ax, rhs, row_duals, lower_duals, upper_duals)
-
-        if problem.maximize:
-            fun, row_duals, lower_duals, upper_duals = -fun, -row_duals, -lower_duals, -upper_duals
+            x, ax, rhs, fun, row_duals, lower_duals, resid, gap_rel, basic = (
+                a[:f] for a in (x, ax, rhs, fun, row_duals, lower_duals, resid, gap_rel, basic))
+        cs = core.cs(x, ax, rhs, row_duals, lower_duals)
         return BatchOutcome(
             status=status, failure=failure, objective=fun, x=x, row_duals=row_duals,
-            lower_duals=lower_duals, upper_duals=upper_duals, feasibility_residual=resid,
-            duality_gap_rel=gap_rel, cs_residual=cs, basic=basic,
+            lower_duals=lower_duals, feasibility_residual=resid, duality_gap_rel=gap_rel,
+            cs_residual=cs, basic=basic,
         )
 
 

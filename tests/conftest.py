@@ -39,7 +39,7 @@ def lp_at(layout, t, bids):
 def solve_one(problem):
     """One LP through :meth:`solver.LpModel.solve_batch`: a batch of one row,
     whose failure, if any, is raised."""
-    out = solver.LpModel(problem).solve_batch(problem.rhs[None])
+    out = solver.LpModel(problem).solve_batch(problem.rhs[None], problem.c[None])
     if out.failure is not None:
         raise solver.SolverError(out.failure)
     return out

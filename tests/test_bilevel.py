@@ -60,11 +60,10 @@ def test_kkt_residuals_on_cleared_interval():
     rhs = lay.rhs_for(0, np.array([bids]))[0]
     x, y, nu = res.x[0], res.row_duals[0], res.lower_duals[0]
     ax = core.activity(x)
-    no_upper = np.zeros(lay.n_cols)
-    assert core.stationarity(y, nu, no_upper) <= 1e-8
+    assert core.stationarity(y, nu) <= 1e-8
     assert core.primal(x, ax, rhs) <= 1e-8
-    assert core.dual_sign(y, nu, no_upper) <= 1e-12
-    assert core.cs(x, ax, rhs, y, nu, no_upper) <= 1e-8
+    assert core.dual_sign(y, nu) <= 1e-12
+    assert core.cs(x, ax, rhs, y, nu) <= 1e-8
 
 
 def test_stationarity_identity_for_storage_sell_column():
@@ -427,6 +426,26 @@ def test_verify_flags_every_check_a_corruption_breaks():
     assert {k: v.hex() for k, v in rep.max_residuals.items()} == {
         "stationarity": "0x1.8000000000000p+1", "primal": "0x1.b000000000000p-47",
         "dual_sign": "0x1.8000000000000p+0", "cs": "0x1.a400000000000p+6"}
+
+
+def test_verify_records_a_negative_bid_as_a_reclear_mismatch():
+    # a bid below -FEASIBILITY_TOL is not solver noise that extraction
+    # snaps: the re-clear refuses it, and the verifier records its error
+    gen = GeneratorParams("g1", 10.0, 100.0, 20.0, 10.0)
+    scn = build_scenario([gen], BessParams(40.0, 20.0), [40.0, 80.0],
+                         delta_t=1.0, reserve_frac=0.1, regcap_frac=0.04,
+                         ancillary_ratio=1.0, price_factors=[0.5, 1.0], beta=EAGER_BUYER)
+    bl, out, sol = solve_and_extract(scn)
+    assert sol.bids[1, 2] == 0.0
+    sol.bids[1, 2] = -2.0 * solver.FEASIBILITY_TOL
+    rep = bilevel.verify_bilevel_solution(sol)
+    assert not rep.passed
+    sell, regcap = sol.bids[1, 0].item(), sol.bids[1, 3].item()
+    assert rep.mismatches == [
+        "t1:complementarity",
+        f"reclear:interval 1: bids must be >= 0, got sell {sell!r} buy 0.0 reserve -2e-07 "
+        f"regcap {regcap!r} in row 1",
+    ]
 
 
 def test_degenerate_tie_passes_with_note():

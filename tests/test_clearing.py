@@ -605,8 +605,9 @@ def test_batch_raises_for_its_first_failing_row(monkeypatch, name):
     grid = harness._interval_grid(scn, 2.5)[1:]   # no zero bid
     layout = LlLayout(scn)
     for t in range(scn.n_intervals):
-        values = getattr(solver.LpModel(layout.build_lp(t)).solve_batch(layout.rhs_for(t, grid)),
-                         field)
+        model = solver.LpModel(layout.build_lp(t))
+        values = getattr(model.solve_batch(layout.rhs_for(t, grid),
+                                           np.tile(layout.c[t], (len(grid), 1))), field)
         j = int(np.argmax(values))
         if j > 0 and values[j] > 0:
             break

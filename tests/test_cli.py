@@ -7,8 +7,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from bessbid import agc, clearing, harness, solver
-from bessbid.cli import EXIT_FAILURE, EXIT_INFEASIBLE, EXIT_TIME_LIMIT, EXIT_USAGE, cli, main
+from bessbid import agc, bilevel, clearing, harness, solver
+from bessbid.cli import (EXIT_FAILURE, EXIT_INFEASIBLE, EXIT_TIME_LIMIT, EXIT_USAGE,
+                         EXIT_VERIFICATION, cli, main)
 from bessbid.scenario import save_scenario, scenario_to_text
 
 from conftest import acceptance_instance, floored_desk
@@ -204,6 +205,16 @@ def test_unparsable_config_is_usage_error(tmp_path, content, problem):
     assert not (tmp_path / "x.scn").exists()
 
 
+def test_config_that_is_not_a_mapping_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump([{"gap": 0.01}]))
+    res = runner().invoke(cli, ["--config", str(cfg), "synth", "--desk", "--out",
+                                str(tmp_path / "x.scn")])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert "Error: config file must hold a mapping of flag values" in res.stderr
+    assert not (tmp_path / "x.scn").exists()
+
+
 def test_env_outranks_config(tmp_path):
     rn = runner()
     scn = synth_tiny(rn, tmp_path / "s.scn")
@@ -314,6 +325,69 @@ def test_held_duals_exit_1(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "summary.yaml").exists()
 
 
+def test_unbounded_clear_exits_1_naming_the_interval(tmp_path, monkeypatch):
+    # rows bound every clearing column, so HiGHS never reports a clear as
+    # unbounded; were it to, the status is one error line and exit 1
+    monkeypatch.setattr(solver.LpModel, "_run", lambda self, **options: (solver.UNBOUNDED, 0.0))
+    scn = synth_tiny(runner(), tmp_path / "s.scn")
+    res = runner().invoke(cli, ["clear", "--scenario", str(scn)])
+    assert res.exit_code == EXIT_FAILURE, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == ["error: interval 0: solver returned unbounded"]
+
+
+def test_failed_verification_exits_4(tmp_path, monkeypatch):
+    # a solve whose verifier fails writes no report; the summary is the error
+    def failing(sol):
+        return bilevel.VerificationReport(
+            passed=False, mismatches=["t0:balance"], notes=[], revenue_milp=1.0,
+            revenue_from_duals=2.0, max_residuals={})
+
+    monkeypatch.setattr(bilevel, "verify_bilevel_solution", failing)
+    scn = synth_tiny(runner(), tmp_path / "s.scn")
+    res = runner().invoke(cli, ["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_VERIFICATION, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.splitlines() == [
+        "error: verification FAIL: milp revenue 1.000000, dual-recomputed revenue 2.000000",
+        "  mismatch: t0:balance"]
+    assert not (tmp_path / "out" / "summary.yaml").exists()
+
+
+def test_agc_check_breaches_exit_4(tmp_path, monkeypatch):
+    # SOC limits that no SOC meets: every replayed interval breaches them
+    replay = agc.replay
+    monkeypatch.setattr(agc, "replay", lambda *a: replay(*a[:-2], float("inf"), -float("inf")))
+    scn = synth_tiny(runner(), tmp_path / "s.scn")
+    res = runner().invoke(cli, ["agc-check", "--seeds", "3", "--samples", "60",
+                                "--scenario", str(scn)])
+    assert res.exit_code == EXIT_VERIFICATION, res.output
+    assert "6 interval replays: 6 SOC breaches" in res.stdout
+    assert res.stderr.splitlines() == ["error: 6 SOC excursions beyond limits"]
+
+
+def test_compare_monotonicity_violation_exits_4(tmp_path, monkeypatch):
+    # case 4's total put below case 1's breaks the chain; the table is still
+    # printed and written, then the violation is the error
+    solve = harness.run_case
+
+    def run_case(scn, mask, settings):
+        report = solve(scn, mask=mask, settings=settings)
+        if report.label == "case4":
+            report = replace(report, totals={**report.totals, "total": -1e9})
+        return report
+
+    monkeypatch.setattr(harness, "run_case", run_case)
+    scn = synth_tiny(runner(), tmp_path / "s.scn")
+    out = tmp_path / "cmp"
+    res = runner().invoke(cli, ["compare", "--scenario", str(scn), "--cases", "1,4",
+                                "--out", str(out)])
+    assert res.exit_code == EXIT_VERIFICATION, res.output
+    assert "case1<=case4: VIOLATED" in res.stdout
+    assert (out / "comparison.txt").read_text() == res.stdout
+    assert res.stderr.splitlines() == ["error: participation monotonicity violated"]
+
+
 @pytest.mark.parametrize("bess", [
     {"soc_init": 11.0},
     {"soc_min": 6.0},
@@ -411,6 +485,17 @@ def test_compare_rejects_bad_case_list(tmp_path, monkeypatch):
         assert res.exit_code == EXIT_USAGE, res.output
         assert f"Error: --cases entries must not repeat, got '{cases}'" in res.output
         assert not out.exists()
+
+
+def test_compare_non_integer_case_is_usage_error(tmp_path, monkeypatch):
+    def solve(*a, **k):
+        raise AssertionError("compare solved a case")
+
+    monkeypatch.setattr(harness, "run_case", solve)
+    scn = synth_tiny(runner(), tmp_path / "s.scn")
+    res = runner().invoke(cli, ["compare", "--scenario", str(scn), "--cases", "1,x"])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert "Error: --cases must be comma-separated integers, got '1,x'" in res.stderr
 
 
 @pytest.mark.parametrize("args, prefix", [

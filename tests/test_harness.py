@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -75,15 +76,14 @@ def test_kkt_stationarity_matches_transpose_product():
     for t in range(scn.n_intervals):
         lp = layout.build_lp(t)
         core = solver.Residuals(lp)
-        no_upper = np.zeros(lp.n_cols)
         for bids in harness._interval_grid(scn, 2.5):
             r = clear_one(layout, t, bids)
             rhs = layout.rhs_for(t, bids[None])[0]
             x, y, nu = r.x[0], r.row_duals[0], r.lower_duals[0]
-            stat = lp.c - lp.a.tocsr().T.dot(y) - nu - np.zeros(lp.n_cols)
-            assert core.stationarity(y, nu, no_upper) == \
+            stat = lp.c - lp.a.tocsr().T.dot(y) - nu
+            assert core.stationarity(y, nu) == \
                 float(np.max(np.abs(stat), initial=0.0)), (t, bids)
-            assert core.cs(x, core.activity(x), rhs, y, nu, no_upper) == r.cs_residual[0]
+            assert core.cs(x, core.activity(x), rhs, y, nu) == r.cs_residual[0]
 
 
 def test_tolerance_negative_bid_snapped_and_verified(capfd):
@@ -125,6 +125,76 @@ def test_oracle_best_pair_and_feasible_count_pinned():
     assert res.revenue.hex() == "0x1.0426627560f3cp+6"
     assert res.bids.tolist() == [[2.5, 0.0, 1.25, 1.25], [5.0, 0.0, 0.0, 0.0]]
     assert (res.evaluated, res.feasible) == (50625, 10649)
+
+
+# the one-interval oracle's (revenue bits, bids, evaluated, feasible) per
+# (case, step), taken while it had its own one-interval branch; every desk
+# interval below has the same results
+ONE_INTERVAL_ORACLE = {
+    "desk": {
+        (1, 2.5): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 9, 5),
+        (1, 1.0): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 21, 11),
+        (2, 2.5): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 45, 15),
+        (2, 1.0): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 231, 66),
+        (3, 2.5): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 45, 9),
+        (3, 1.0): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 231, 36),
+        (4, 2.5): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 225, 27),
+        (4, 1.0): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 2541, 216),
+    },
+    0.0: {
+        (1, 2.5): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 5, 3),
+        (1, 1.0): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 11, 6),
+        (2, 2.5): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 15, 6),
+        (2, 1.0): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 66, 21),
+        (3, 2.5): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 15, 4),
+        (3, 1.0): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 66, 12),
+        (4, 2.5): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 45, 8),
+        (4, 1.0): ("0x0.0p+0", [0.0, 0.0, 0.0, 0.0], 396, 42),
+    },
+    5.0: {
+        (1, 2.5): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 5, 5),
+        (1, 1.0): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 11, 11),
+        (2, 2.5): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 15, 12),
+        (2, 1.0): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 66, 51),
+        (3, 2.5): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 15, 9),
+        (3, 1.0): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 66, 36),
+        (4, 2.5): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 45, 23),
+        (4, 1.0): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 396, 181),
+    },
+    10.0: {
+        (1, 2.5): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 5, 3),
+        (1, 1.0): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 11, 6),
+        (2, 2.5): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 15, 6),
+        (2, 1.0): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 66, 21),
+        (3, 2.5): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 15, 4),
+        (3, 1.0): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 66, 12),
+        (4, 2.5): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 45, 7),
+        (4, 1.0): ("0x1.9000000000000p+4", [5.0, 0.0, 0.0, 0.0], 396, 34),
+    },
+}
+
+
+def _one_interval_scenarios():
+    """Desk intervals 0, 5, 17 and 23 alone, and acceptance 1's first
+    interval at initial SOCs 0, 5 and 10, each keyed into ONE_INTERVAL_ORACLE."""
+    desk = harness.desk_scenario()
+    for t in (0, 5, 17, 23):
+        yield "desk", dataclasses.replace(desk, intervals=(desk.intervals[t],))
+    acc = acceptance_instance()
+    for soc in (0.0, 5.0, 10.0):
+        yield soc, dataclasses.replace(acc, intervals=acc.intervals[:1],
+                                       bess=dataclasses.replace(acc.bess, soc_init=soc))
+
+
+def test_one_interval_oracle_pinned():
+    # one interval joins against an idle second point; its results, a zero
+    # revenue's sign included, are those of the dedicated branch it replaced
+    for key, scn in _one_interval_scenarios():
+        for (case, step), want in ONE_INTERVAL_ORACLE[key].items():
+            res = harness.brute_force_oracle(
+                dataclasses.replace(scn, market_mask=MarketMask.from_case(case)), step)
+            assert (res.revenue.hex(), res.bids.tolist(), res.evaluated, res.feasible) == \
+                (want[0], [want[1]], want[2], want[3]), (key, case, step)
 
 
 def test_oracle_refinement_non_decreasing():

@@ -54,16 +54,16 @@ def test_min_x_subject_to_floor():
 
 
 def test_two_generator_clearing_duals():
-    # two supply offers at 10 and 20 $/MWh, 100 MW each, 150 MW of demand;
-    # objective carries the 0.25 h interval length
+    # two supply offers at 10 and 20 $/MWh, 100 MW each (cap rows), 150 MW
+    # of demand; objective carries the 0.25 h interval length
     dt = 0.25
     p = lp(
         c=[10.0 * dt, 20.0 * dt],
-        rows=[[1.0, 1.0]],
-        senses=["="],
-        rhs=[150.0],
+        rows=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+        senses=["=", "<", "<"],
+        rhs=[150.0, 100.0, 100.0],
         lower=[0.0, 0.0],
-        upper=[100.0, 100.0],
+        upper=[np.inf, np.inf],
     )
     out = solve_one(p)
     assert out.status == "optimal"
@@ -71,14 +71,16 @@ def test_two_generator_clearing_duals():
     np.testing.assert_allclose(out.x[0], [100.0, 50.0], atol=1e-9)
     # marginal unit sets the price; raw dual carries the dt scaling
     assert out.row_duals[0, 0] / dt == pytest.approx(20.0, abs=1e-9)
-    # cheap unit at its upper bound earns rent
-    assert out.upper_duals[0, 0] / dt == pytest.approx(-10.0, abs=1e-9)
+    # cheap unit at its cap earns rent, the dual of its cap row
+    assert out.row_duals[0, 1] / dt == pytest.approx(-10.0, abs=1e-9)
+    assert out.row_duals[0, 2] == 0.0
 
 
 def test_degenerate_equal_bids_unique_objective():
     # both units bid 10; the dual split is ambiguous but the objective is not
-    p1 = lp([10.0, 10.0], [[1.0, 1.0]], ["="], [100.0], [0, 0], [80, 80])
-    p2 = lp([10.0, 10.0], [[1.0, 1.0]], ["="], [100.0], [0, 0], [80, 80])
+    rows, senses, rhs = [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], ["=", "<", "<"], [100.0, 80, 80]
+    p1 = lp([10.0, 10.0], rows, senses, rhs, [0, 0], [np.inf, np.inf])
+    p2 = lp([10.0, 10.0], rows, senses, rhs, [0, 0], [np.inf, np.inf])
     p2.c = p2.c[::-1].copy()  # same data, permuted construction
     o1, o2 = solve_one(p1), solve_one(p2)
     assert o1.objective[0] == pytest.approx(1000.0, rel=1e-12)
@@ -95,20 +97,25 @@ def test_lp_duality_contract_on_random_instances():
         senses = rng.choice(["<", ">", "="], m)
         b = a @ x0
         pad = np.where(senses == "<", 1.0, np.where(senses == ">", -1.0, 0.0))
-        p = lp(rng.uniform(0.1, 2.0, n), a, senses, b + pad * rng.uniform(0, 1, m),
-               np.zeros(n), np.full(n, 5.0))
+        # each column's cap of 5 is a '<' row
+        p = lp(rng.uniform(0.1, 2.0, n), np.vstack([a, np.eye(n)]),
+               np.concatenate([senses, np.full(n, "<")]),
+               np.concatenate([b + pad * rng.uniform(0, 1, m), np.full(n, 5.0)]),
+               np.zeros(n), np.full(n, np.inf))
         out = solve_one(p)
         assert out.status == "optimal"
         assert out.duality_gap_rel[0] <= 1e-6
         assert out.feasibility_residual[0] <= 1e-7
 
 
-def test_maximize_orientation():
-    p = lp([1.0], [[1.0]], ["<"], [4.0], [0.0], [np.inf], maximize=True)
-    out = solve_one(p)
-    assert out.objective[0] == pytest.approx(4.0)
-    # for a max problem, relaxing the <= cap raises the optimum
-    assert out.row_duals[0, 0] == pytest.approx(1.0)
+def test_lp_of_another_shape_is_refused():
+    # an LP minimizes over columns with lower bounds only; one that
+    # maximizes, or has a finite upper bound, is refused before any solve
+    for p in (lp([1.0], [[1.0]], ["<"], [4.0], [0.0], [np.inf], maximize=True),
+              lp([1.0, 1.0], [[1.0, 1.0]], [">"], [1.0], [0.0, 0.0], [np.inf, 5.0])):
+        for build in (solver.LpModel, solver.Residuals):
+            with pytest.raises(ValueError, match="minimize over columns with lower bounds only"):
+                build(p)
 
 
 def test_infeasible_and_unbounded_statuses():
@@ -145,7 +152,7 @@ def test_lp_model_resolves_match_fresh_solves():
     model = solver.LpModel(lp(c, rows, senses, first, lower, upper))
     statuses = []
     for rhs in sequence:
-        reused = model.solve_batch(np.array([rhs]))
+        reused = model.solve_batch(np.array([rhs]), np.array([c]))
         fresh = solve_one(lp(c, rows, senses, rhs, lower, upper))
         assert reused.failure is None
         assert _outcome_bits(reused) == _outcome_bits(fresh), rhs
@@ -154,18 +161,16 @@ def test_lp_model_resolves_match_fresh_solves():
 
 
 def _batch_row_bits(out, i) -> tuple:
-    return tuple(a[i].tobytes() for a in (out.x, out.row_duals, out.lower_duals, out.upper_duals,
-                                          out.objective))
+    return tuple(a[i].tobytes() for a in (out.x, out.row_duals, out.lower_duals, out.objective))
 
 
 def _fresh_bits(problem) -> tuple:
-    out = solver.LpModel(problem).solve_batch(problem.rhs[None])
+    out = solve_one(problem)
     assert out.status == "optimal" and out.failure is None
     return _batch_row_bits(out, 0)
 
 
-@pytest.mark.parametrize("maximize", [False, True])
-def test_solve_batch_costs_match_fresh_models(maximize):
+def test_solve_batch_costs_match_fresh_models():
     # the degenerate three-generator dispatch at costs that tie, untie and
     # repeat: every row, costs and right-hand sides moved on one model, must
     # land on the bits a model built at that row's data finds
@@ -173,24 +178,22 @@ def test_solve_batch_costs_match_fresh_models(maximize):
             [1.0, -1.0, 0.0]]
     senses = ["=", "<", "<", "<", ">"]
     lower, upper = [0.0] * 3, [np.inf] * 3
-    sign = -1.0 if maximize else 1.0
-    costs = sign * np.array([[10.0, 10.0, 10.0], [10.0, 10.0, 10.0], [12.0, 10.0, 10.0],
-                             [10.0, 11.0, 10.0], [0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
+    costs = np.array([[10.0, 10.0, 10.0], [10.0, 10.0, 10.0], [12.0, 10.0, 10.0],
+                      [10.0, 11.0, 10.0], [0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
     rhs = np.array([[44.0, 25.0, 44.0, 46.0, -14.0], [36.0, 24.0, 42.0, 31.0, -19.0],
                     [36.0, 24.0, 42.0, 31.0, -19.0], [44.0, 25.0, 44.0, 46.0, -14.0],
                     [20.0, 25.0, 44.0, 46.0, -14.0], [36.0, 24.0, 42.0, 31.0, -19.0]])
-    model = solver.LpModel(lp(costs[0], rows, senses, rhs[0], lower, upper, maximize))
+    model = solver.LpModel(lp(costs[0], rows, senses, rhs[0], lower, upper))
     out = model.solve_batch(rhs, costs)
     assert out.status == "optimal" and out.failure is None and len(out.x) == len(rhs)
     for i, (c, b) in enumerate(zip(costs, rhs)):
-        assert _batch_row_bits(out, i) == _fresh_bits(
-            lp(c, rows, senses, b, lower, upper, maximize)), i
+        assert _batch_row_bits(out, i) == _fresh_bits(lp(c, rows, senses, b, lower, upper)), i
 
-    # the model keeps the last costs it was given, also for a batch without costs
+    # the model keeps the last costs it was given
     assert model.problem.c.tobytes() == costs[-1].tobytes()
-    again = model.solve_batch(rhs[:1])
+    again = model.solve_batch(rhs[:1], costs[-1:])
     assert _batch_row_bits(again, 0) == _fresh_bits(
-        lp(costs[-1], rows, senses, rhs[0], lower, upper, maximize))
+        lp(costs[-1], rows, senses, rhs[0], lower, upper))
 
 
 def test_solve_batch_moves_a_signed_zero_cost():
@@ -224,8 +227,7 @@ def test_row_violation_matches_row_loop():
                 resid = max(resid, b - v)
             else:
                 resid = max(resid, abs(v - b))
-        return float(max(resid, np.max(p.lower - x, initial=0.0),
-                         np.max(x - p.upper, initial=0.0)))
+        return float(max(resid, np.max(p.lower - x, initial=0.0)))
 
     def loop_sign_cs(p, x, y):
         ax = p.a.dot(x)
@@ -243,54 +245,63 @@ def test_row_violation_matches_row_loop():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n, m = 5, 7
-        p = lp(rng.uniform(-1, 1, n), rng.uniform(-1, 1, (m, n)),
-               rng.choice(["<", ">", "="], m), rng.uniform(-1, 1, m),
-               np.zeros(n), np.ones(n))
+        # m random rows, then each column's cap of 1 as a '<' row
+        p = lp(rng.uniform(-1, 1, n), np.vstack([rng.uniform(-1, 1, (m, n)), np.eye(n)]),
+               np.concatenate([rng.choice(["<", ">", "="], m), np.full(n, "<")]),
+               np.concatenate([rng.uniform(-1, 1, m), np.ones(n)]),
+               np.zeros(n), np.full(n, np.inf))
         x = rng.uniform(-0.5, 1.5, n)
-        y = rng.uniform(-1, 1, m)
+        y = rng.uniform(-1, 1, m + n)
         core = solver.Residuals(p)
         ax = core.activity(x)
         no_bound_duals = np.zeros(n)
         assert core.primal(x, ax, p.rhs) == loop_residual(p, x)
-        assert (core.dual_sign(y, no_bound_duals, no_bound_duals),
-                core.cs(x, ax, p.rhs, y, no_bound_duals, no_bound_duals)) == loop_sign_cs(p, x, y)
+        assert (core.dual_sign(y, no_bound_duals),
+                core.cs(x, ax, p.rhs, y, no_bound_duals)) == loop_sign_cs(p, x, y)
 
 
 def test_bound_residuals_match_column_loop():
-    # the bound blocks of dual sign and complementary slackness, at finite
-    # and infinite bounds, against a loop over the columns
+    # the lower-bound blocks of dual sign and complementary slackness, at
+    # finite and infinite bounds, and the caps' rows that replace upper
+    # bounds, against a loop over the columns
     rng = np.random.default_rng(12)
     for _ in range(50):
         n, m = 5, 4
         lower = rng.uniform(-1.0, 0.5, n)
         upper = lower + rng.uniform(0.1, 2.0, n)
         lower[0], upper[1] = -np.inf, np.inf
-        p = lp(rng.uniform(-1, 1, n), rng.uniform(-1, 1, (m, n)),
-               rng.choice(["<", ">", "="], m), rng.uniform(-1, 1, m), lower, upper)
+        capped = np.flatnonzero(np.isfinite(upper))
+        # m rows with zero duals, then a '<' row per finite cap
+        p = lp(rng.uniform(-1, 1, n), np.vstack([rng.uniform(-1, 1, (m, n)), np.eye(n)[capped]]),
+               np.concatenate([rng.choice(["<", ">", "="], m), np.full(len(capped), "<")]),
+               np.concatenate([rng.uniform(-1, 1, m), upper[capped]]), lower, np.full(n, np.inf))
         x = rng.uniform(-1.0, 2.0, n)
-        y = np.zeros(m)
-        nu_lo, nu_up = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        nu_lo, nu_cap = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        y = np.concatenate([np.zeros(m), nu_cap[capped]])
         sign, cs = 0.0, 0.0
         for j in range(n):
-            sign = max(sign, -nu_lo[j], nu_up[j])
+            sign = max(sign, -nu_lo[j])
             if np.isfinite(lower[j]):
                 cs = max(cs, abs(nu_lo[j] * (x[j] - lower[j])))
             if np.isfinite(upper[j]):
-                cs = max(cs, abs(nu_up[j] * (upper[j] - x[j])))
+                sign = max(sign, nu_cap[j])
+                cs = max(cs, abs(nu_cap[j] * (x[j] - upper[j])))
         core = solver.Residuals(p)
-        assert (core.dual_sign(y, nu_lo, nu_up),
-                core.cs(x, core.activity(x), p.rhs, y, nu_lo, nu_up)) == (sign, cs)
+        assert (core.dual_sign(y, nu_lo),
+                core.cs(x, core.activity(x), p.rhs, y, nu_lo)) == (sign, cs)
 
 
 def test_dual_sign_rows_equal_one_row_calls():
     # one call over 2-D duals gives, row by row, the bits of a call per row,
     # on dual-feasible points with exact zeros: 0.0 on the floors' duals and
-    # -0.0 on the '<' rows' and the caps'
+    # -0.0 on the '<' rows' and the caps' rows'
     rng = np.random.default_rng(13)
     n, m, k = 40, 40, 40
     senses = rng.choice(["<", ">"], m)
-    p = lp(rng.uniform(-1, 1, n), rng.uniform(-1, 1, (m, n)), senses, rng.uniform(-1, 1, m),
-           np.zeros(n), np.ones(n))
+    # m random rows, then each column's cap of 1 as a '<' row
+    p = lp(rng.uniform(-1, 1, n), np.vstack([rng.uniform(-1, 1, (m, n)), np.eye(n)]),
+           np.concatenate([senses, np.full(n, "<")]),
+           np.concatenate([rng.uniform(-1, 1, m), np.ones(n)]), np.zeros(n), np.full(n, np.inf))
     core = solver.Residuals(p)
 
     def magnitudes(shape):
@@ -298,24 +309,26 @@ def test_dual_sign_rows_equal_one_row_calls():
         return np.where(rng.random(shape) < 0.5, 0.0, rng.uniform(1e-9, 1.0, shape))
 
     y = np.where(senses == "<", -magnitudes((k, m)), magnitudes((k, m)) + 1e-9)
-    nu_lo, nu_up = magnitudes((k, n)), -magnitudes((k, n))
-    rows = core.dual_sign(y, nu_lo, nu_up)
+    nu_lo, nu_cap = magnitudes((k, n)), -magnitudes((k, n))
+    y = np.concatenate([y, nu_cap], axis=1)
+    rows = core.dual_sign(y, nu_lo)
     assert rows.shape == (k,) and (rows == 0.0).all()
     for i in range(k):
-        assert rows[i].tobytes() == np.float64(core.dual_sign(y[i], nu_lo[i], nu_up[i])).tobytes(), i
+        assert rows[i].tobytes() == np.float64(core.dual_sign(y[i], nu_lo[i])).tobytes(), i
 
 
 def test_binding_bounds_close_the_duality_gap():
     # min x0 - x1 + 0.5 x2 with x0 and x2 at nonzero lower bounds and x1 at
-    # its upper bound: the dual objective is carried by the bound duals alone
-    p = lp([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0]], ["<"], [10.0],
-           [2.0, -3.0, 1.0], [6.0, 4.0, 8.0])
+    # its cap row: the dual objective is carried by the lower-bound duals
+    # and the cap row's dual alone
+    p = lp([1.0, -1.0, 0.5], [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+           ["<", "<", "<", "<"], [10.0, 6.0, 4.0, 8.0], [2.0, -3.0, 1.0], [np.inf] * 3)
     out = solve_one(p)
     assert out.status == "optimal"
     assert out.x.tolist() == [[2.0, 4.0, 1.0]]
     assert out.objective.tolist() == [-1.5] and out.duality_gap_rel.tolist() == [0.0]
     assert out.lower_duals.tolist() == [[1.0, 0.0, 0.5]]
-    assert out.upper_duals.tolist() == [[0.0, -1.0, 0.0]]
+    assert out.row_duals.tolist() == [[0.0, 0.0, -1.0, 0.0]]
     assert out.cs_residual.tolist() == [0.0]
 
 
@@ -976,16 +989,22 @@ def test_lp_model_matrix_matches_stacked_rows():
     layout = clearing.LlLayout(scn)
     problems = [p for t in range(scn.n_intervals)
                 for p in (layout.build_lp(t), layout.storage_free_lp(t)[0])]
+    # each column's cap of 5 is one of the last three '<' rows
     problems.append(lp([1.0, -2.0, 0.5], [[1.0, 0.0, -1.0], [2.0, 1.0, 0.0], [0.0, -3.0, 1.0],
-                                          [1.0, 1.0, 1.0], [0.0, 4.0, -2.0]],
-                       [">", "<", "=", ">", "<"], [1.0, -0.0, 0.0, -0.0, 6.0],
-                       [0.0, 0.0, -1.0], [5.0, 5.0, 5.0]))
+                                          [1.0, 1.0, 1.0], [0.0, 4.0, -2.0], [1.0, 0.0, 0.0],
+                                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                       [">", "<", "=", ">", "<", "<", "<", "<"],
+                       [1.0, -0.0, 0.0, -0.0, 6.0, 5.0, 5.0, 5.0],
+                       [0.0, 0.0, -1.0], [np.inf] * 3))
     # unsorted column indices and a duplicate entry, which the stacked
-    # matrix sorts and sums
-    uncanonical = sp.csr_matrix((np.array([2.0, 1.0, 0.5, -1.0, 3.0]), np.array([2, 0, 2, 1, 0]),
-                                 np.array([0, 3, 5])), shape=(2, 3))
-    problems.append(LpProblem(c=np.ones(3), a=uncanonical, senses=np.array([">", "<"]),
-                              rhs=np.array([1.0, 4.0]), lower=np.zeros(3), upper=np.ones(3)))
+    # matrix sorts and sums; the caps of 1 are the last three rows
+    uncanonical = sp.csr_matrix((np.array([2.0, 1.0, 0.5, -1.0, 3.0, 1.0, 1.0, 1.0]),
+                                 np.array([2, 0, 2, 1, 0, 0, 1, 2]), np.array([0, 3, 5, 6, 7, 8])),
+                                shape=(5, 3))
+    problems.append(LpProblem(c=np.ones(3), a=uncanonical,
+                              senses=np.array([">", "<", "<", "<", "<"]),
+                              rhs=np.array([1.0, 4.0, 1.0, 1.0, 1.0]), lower=np.zeros(3),
+                              upper=np.full(3, np.inf)))
     for p in problems:
         got = solver.LpModel(p)._highs.getLp().a_matrix_
         want = _stacked_rows(p)
