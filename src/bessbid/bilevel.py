@@ -32,7 +32,7 @@ import numpy as np
 
 from . import clearing, solver
 from .clearing import LlLayout
-from .scenario import MarketMask, Scenario, validate_scenario
+from .scenario import MarketMask, Scenario, validate_scenario, violations_text
 
 log = logging.getLogger(__name__)
 
@@ -238,12 +238,10 @@ class ModelPart:
     vals: np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
-    row_names: list[str]
     lower: np.ndarray
     upper: np.ndarray
     c: np.ndarray
     integrality: np.ndarray
-    col_names: list[str]
 
 
 @dataclass
@@ -297,9 +295,10 @@ def masked_indices(layout: LlLayout, mask: MarketMask) -> tuple[list[int], list[
     return rows, cols
 
 
-def _ul_names(mask: MarketMask) -> list[str]:
-    """The upper-level columns that open each interval's block."""
-    return ["sbid", "dbid", "rsbid", "rgbid"] + (["u"] if mask.energy else []) + ["soc"]
+def _ul_width(mask: MarketMask) -> int:
+    """The number of upper-level columns that open each interval's block:
+    the bids sbid, dbid, rsbid, rgbid, then ``u`` with energy, then ``soc``."""
+    return 5 + int(mask.energy)
 
 
 def switched_pairs(kkt: KktSystem, mask: MarketMask) -> list[int]:
@@ -326,7 +325,7 @@ def milp_counts(kkt: KktSystem, mask: MarketMask,
     n_t = layout.scenario.n_intervals
     mode = int(mask.energy)
     n_z = len(switched_pairs(kkt, mask))
-    width = len(_ul_names(mask)) + layout.n_cols + layout.n_rows + len(kkt.lower_cols) + n_z
+    width = _ul_width(mask) + layout.n_cols + layout.n_rows + len(kkt.lower_cols) + n_z
     rows = layout.n_rows + layout.n_cols + 2 * n_z + 2 * mode + 5
     return {
         "columns": n_t * width,
@@ -343,7 +342,7 @@ def interval_blocks(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, Mo
     the rows and columns of all of them, in interval order, each block's
     numbered on from the block before it.
 
-    The blocks share one pattern of entries, senses, names and integrality,
+    The blocks share one pattern of entries, senses and integrality,
     built once; each interval adds only its values: costs, right-hand
     sides, bounds and big-Ms. The inequalities are the clearing rows
     (``A`` plus -1 on each storage bid column), then the floors
@@ -364,8 +363,7 @@ def interval_blocks(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, Mo
     lower_cols = kkt.lower_cols
     on = switched_pairs(kkt, mask)
     switched = [kkt.comp_pairs[k] for k in on]
-    ul_names = _ul_names(mask)
-    x0 = len(ul_names)
+    x0 = _ul_width(mask)
     w0 = x0 + nx
     z0 = w0 + nr + len(lower_cols)
     n_z = len(switched)
@@ -399,12 +397,6 @@ def interval_blocks(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, Mo
     c[:, w0:w0 + nr] = np.where(eq, dual_coefs, dual_coefs * kkt.sigma)
     upper[:, z0:] = 1.0
     integrality[z0:] = 1
-    col_names = (
-        ul_names + layout.col_names
-        + [("lam" if e else "w:" + nm) for e, nm in zip(eq, layout.row_names)]
-        + ["nu:" + layout.col_names[k] for k in lower_cols]
-        + [("z:" if p.kind == "row" else "zlo:") + p.name for p in switched]
-    )
 
     # --- rows --------------------------------------------------------------
     # the inequalities as COO entries over the block's columns
@@ -449,25 +441,16 @@ def interval_blocks(kkt: KktSystem, mask: MarketMask) -> tuple[IntervalBlock, Mo
         layout.senses, np.full(nx, "="),
         np.stack([np.where(flip, ">", "<"), np.full(n_z, "<")], axis=1).ravel(),
     ])
-    row_names = (
-        layout.row_names
-        + ["stat:" + nm for nm in layout.col_names]
-        + [f"cs_{side}:{'' if p.kind == 'row' else 'lb:'}{p.name}"
-           for p in switched for side in "pd"]
-    )
 
     offsets = np.arange(n_t)[:, None]
-    prefixes = [f"t{t}:" for t in range(n_t)]
     part = ModelPart(
         rows=(rows + len(senses) * offsets).ravel(),
         cols=(cols + width * offsets).ravel(),
         vals=vals.ravel(),
         senses=np.tile(senses, n_t),
         rhs=rhs.ravel(),
-        row_names=[p + nm for p in prefixes for nm in row_names],
         lower=lower.ravel(), upper=upper.ravel(), c=c.ravel(),
         integrality=np.tile(integrality, n_t),
-        col_names=[p + nm for p in prefixes for nm in col_names],
     )
     block = IntervalBlock(x0=x0, w0=w0, z0=z0, width=width, switched=switched, slots=slots,
                           kkt=kkt)
@@ -487,13 +470,13 @@ def _ul_rows(scn: Scenario, block: IntervalBlock, terminal_soc_equality: bool) -
     bs, bd, brs, brgc = ((every, cols[k]) for k in ("bs", "bd", "brs", "brgc"))
     sbid, dbid, u = ((every, ul0 + k) for k in (0, 1, 4))
     template = [
-        ("power_envelope_low", ">", -rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, -1.0)]),
-        ("power_envelope_high", "<", rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, 1.0)]),
+        (">", -rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, -1.0)]),   # envelope low
+        ("<", rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, 1.0)]),     # envelope high
     ]
     if scn.market_mask.energy:
         template[:0] = [
-            ("sell_needs_discharge_mode", "<", 0.0, [(sbid, 1.0), (u, -rate)]),
-            ("buy_needs_charge_mode", "<", rate, [(dbid, 1.0), (u, rate)]),
+            ("<", 0.0, [(sbid, 1.0), (u, -rate)]),    # sell needs discharge mode
+            ("<", rate, [(dbid, 1.0), (u, rate)]),    # buy needs charge mode
         ]
     return _soc_rows(scn, template, {k: (every, c) for k, c in cols.items()},
                      terminal_soc_equality)
@@ -507,9 +490,9 @@ def _soc_rows(scn: Scenario, template: list, cols: dict[str, tuple[np.ndarray, n
     ``cols`` holds the ``soc`` column and the ``bs``, ``bd``, ``brs`` and
     ``brgc`` award columns as ``(interval, column)`` arrays: one ``soc``
     column per interval, in order, and any number of award columns per
-    interval, whose sum is the interval's award. A template row is (name,
-    sense, rhs, terms), a term a ``(interval, column)`` pair and its
-    coefficient; an rhs or a coefficient is one value or one per interval.
+    interval, whose sum is the interval's award. A template row is (sense,
+    rhs, terms), a term a ``(interval, column)`` pair and its coefficient;
+    an rhs or a coefficient is one value or one per interval.
     """
     bess = scn.bess
     n_t = scn.n_intervals
@@ -517,32 +500,29 @@ def _soc_rows(scn: Scenario, template: list, cols: dict[str, tuple[np.ndarray, n
     bs, bd, brs, brgc = (cols[k] for k in ("bs", "bd", "brs", "brgc"))
     dt = np.array([it.delta_t for it in scn.intervals])
     soc_rhs = np.r_[bess.soc_init, np.zeros(n_t - 1)]
+    j_rec = len(template)   # the SOC recursion's row within an interval
     template = template + [
-        ("soc_recursion", "=", soc_rhs, [(soc, 1.0), (bd, -dt), (bs, dt)]),
-        # regulation reserves energy in both directions, reserve only
-        # downward in SOC terms
-        ("soc_floor_headroom", ">", bess.soc_min, [(soc, 1.0), (brgc, -dt), (brs, -dt)]),
-        ("soc_ceiling_headroom", "<", bess.soc_max, [(soc, 1.0), (brgc, dt)]),
+        ("=", soc_rhs, [(soc, 1.0), (bd, -dt), (bs, dt)]),
+        # the SOC headroom: regulation reserves energy in both directions,
+        # reserve only downward in SOC terms
+        (">", bess.soc_min, [(soc, 1.0), (brgc, -dt), (brs, -dt)]),
+        ("<", bess.soc_max, [(soc, 1.0), (brgc, dt)]),
     ]
     first = np.arange(n_t) * len(template)
     entries = [(first[t] + j, col, np.broadcast_to(coef, n_t)[t])
-               for j, (_, _, _, terms) in enumerate(template) for (t, col), coef in terms]
+               for j, (_, _, terms) in enumerate(template) for (t, col), coef in terms]
     # the one cross-interval entry: -soc[t-1] in the recursion of t >= 1
-    j_rec = [name for name, _, _, _ in template].index("soc_recursion")
     entries.append((first[1:] + j_rec, soc[1][:-1], np.full(n_t - 1, -1.0)))
-    senses = np.tile([sense for _, sense, _, _ in template], n_t)
-    rhs = np.stack([np.broadcast_to(b, n_t) for _, _, b, _ in template], axis=1).ravel()
-    names = [f"t{t}:{name}" for t in range(n_t) for name, _, _, _ in template]
+    senses = np.tile([sense for sense, _, _ in template], n_t)
+    rhs = np.stack([np.broadcast_to(b, n_t) for _, b, _ in template], axis=1).ravel()
     if terminal_soc_equality:
-        entries.append(([len(names)], soc[1][-1:], [1.0]))
+        entries.append(([len(rhs)], soc[1][-1:], [1.0]))
         senses = np.append(senses, "=")
         rhs = np.append(rhs, bess.soc_init)
-        names.append("terminal_soc")
     rows, cols, vals = (np.concatenate(e) for e in zip(*entries))
     empty = np.zeros(0)
-    return ModelPart(rows=rows, cols=cols, vals=vals, senses=senses, rhs=rhs, row_names=names,
-                     lower=empty, upper=empty, c=empty, integrality=empty.astype(np.int8),
-                     col_names=[])
+    return ModelPart(rows=rows, cols=cols, vals=vals, senses=senses, rhs=rhs,
+                     lower=empty, upper=empty, c=empty, integrality=empty.astype(np.int8))
 
 
 def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> BilevelMilp:
@@ -556,7 +536,7 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
     """
     violations = validate_scenario(scn)
     if violations:
-        raise BilevelError("invalid scenario: " + "; ".join(violations))
+        raise BilevelError("invalid scenario: " + violations_text(violations))
     mask = scn.market_mask
     kkt = derive_kkt(LlLayout(scn))
     block, part = interval_blocks(kkt, mask)
@@ -569,8 +549,7 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
     milp = solver.MilpProblem(
         c=part.c, a=a, senses=np.concatenate([part.senses, ul.senses]),
         rhs=np.concatenate([part.rhs, ul.rhs]), lower=part.lower, upper=part.upper,
-        maximize=True, row_names=part.row_names + ul.row_names, col_names=part.col_names,
-        integrality=part.integrality,
+        integrality=part.integrality, maximize=True,
     )
     milp.validate()
 
@@ -724,53 +703,12 @@ def _snap_bids(bids: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return bids, notes
 
 
-def extract_solution(bilevel: BilevelMilp, outcome: solver.SolveOutcome) -> BilevelSolution:
-    """Bids, awards and embedded duals of a solved big-M MILP, one row per
-    interval: the exported model's read-out (the published solve reads the
-    regime model's with :func:`regime_solution`).
-
-    Dual magnitudes whose complementarity binary selected the nonbinding
-    branch are snapped to exact zero: the big-M row already caps them at
-    solver tolerance, and the snap keeps downstream slackness products clean.
-    Bids in ``[-FEASIBILITY_TOL, 0)`` are snapped to 0.0 as well, each with
-    a note (see :func:`_snap_bids`).
-    """
-    if outcome.x is None:
-        raise BilevelError(f"no incumbent to extract (status {outcome.status})")
-    block = bilevel.block
-    kkt = block.kkt
-    layout = kkt.layout
-    x = outcome.x.reshape(-1, block.width)   # one block per row
-    bids, notes = _snap_bids(x[:, :4])
-
-    # duals of the clearing rows, then of the floors; a binary below 0.5
-    # selects its pair's nonbinding branch, where the dual is zero
-    duals = x[:, block.w0:block.z0].copy()
-    slots = block.slots
-    duals[:, slots] = np.where(x[:, block.z0:block.z0 + len(slots)] < 0.5, 0.0, duals[:, slots])
-    w = duals[:, :layout.n_rows]
-    lower_duals = np.zeros((len(x), layout.n_cols))
-    lower_duals[:, kkt.lower_cols] = duals[:, layout.n_rows:]
-    energy = layout.scenario.market_mask.energy
-    return BilevelSolution(
-        layout=layout,
-        bids=bids,
-        u=np.rint(x[:, 4]).astype(int) if energy else np.zeros(len(x), dtype=int),
-        soc=x[:, block.x0 - 1].copy(),
-        x=x[:, block.x0:block.w0].copy(),
-        row_duals=np.where(layout.senses == "=", w, kkt.sigma * w),
-        lower_duals=lower_duals,
-        objective=float(outcome.objective),
-        notes=notes,
-    )
-
-
 def regime_solution(cover: clearing.RegimeCover, outcome: solver.SolveOutcome) -> BilevelSolution:
     """The schedule of a solved :func:`assemble_regime_milp` over ``cover``:
     each interval's chosen copy (its largest ``lam``, the first of equal
     ones) with its held dual's row and lower duals, and the SOC. The mode
     is 1 on the sell side, 0 on the buy side and without energy. Bids are
-    snapped as :func:`extract_solution` snaps them."""
+    snapped by :func:`_snap_bids`."""
     if outcome.x is None:
         raise BilevelError(f"no incumbent to extract (status {outcome.status})")
     n_t = cover.layout.scenario.n_intervals

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .scenario import Scenario, structure_violations
+from .scenario import Scenario, structure_violations, violations_text
 
 CS_TOL = 1e-6              # absolute on dual*slack products
 STATIONARITY_TOL = 1e-7    # absolute, on a zero-bid clear's rebuilt storage duals
@@ -62,8 +62,9 @@ class LlLayout:
     mileage floors), so those columns are free; every other column has a zero
     lower bound. All upper limits are rows, never variable bounds.
 
-    The matrix, senses, bounds and names are the same for every interval of
-    a scenario, so a layout builds them once. Interval ``t`` adds only its
+    The matrix, senses, lower bounds and names are the same for every
+    interval of a scenario, so a layout builds them once. The names are the
+    layout's alone: the LPs it builds carry none. Interval ``t`` adds only its
     row ``c[t]`` of the costs, its row ``rhs_base[t]`` of the bid-free
     right-hand sides and its ``delta_t[t]``; only the storage bid rows'
     right-hand sides depend on the bids. A layout holds no solver state;
@@ -88,7 +89,7 @@ class LlLayout:
     def __init__(self, scn: Scenario):
         problems = structure_violations(scn)
         if problems:   # no clearing LP to build
-            raise ValueError("; ".join(problems))
+            raise ValueError(violations_text(problems))
         self.scenario = scn
         gens = scn.generators
         g_n = len(gens)
@@ -111,7 +112,6 @@ class LlLayout:
         self.c[:, self.col_bd] *= -1.0
         # p_gs, p_grgm and p_brgm are free: their floor rows keep them nonnegative
         self.lower = np.array([-np.inf, 0.0, 0.0, -np.inf] * g_n + [0.0, 0.0, 0.0, 0.0, -np.inf])
-        self.upper = np.full(self.n_cols, np.inf)
         self.col_names = [f"{kind}:{g.gen_id}" for g in gens for kind in self._GEN_COL_KINDS]
         self.col_names += ["bs", "bd", "brs", "brgc", "brgm"]
 
@@ -227,10 +227,6 @@ class LlLayout:
             senses=self.senses,
             rhs=self.rhs_base[t].copy(),
             lower=self.lower.copy(),
-            upper=self.upper.copy(),
-            maximize=False,
-            row_names=list(self.row_names),
-            col_names=list(self.col_names),
         )
 
     def storage_free_lp(self, t: int) -> tuple[solver.LpProblem, np.ndarray]:
@@ -251,10 +247,6 @@ class LlLayout:
             senses=self.senses[rows],
             rhs=self.rhs_base[t, rows],
             lower=self.lower[:n].copy(),
-            upper=self.upper[:n].copy(),
-            maximize=False,
-            row_names=[self.row_names[r] for r in rows],
-            col_names=self.col_names[:n],
         )
         return lp, rows
 

@@ -43,6 +43,7 @@ from .scenario import (
     save_scenario,
     structure_violations,
     synthesize_scenario,
+    violations_text,
 )
 
 EXIT_OK = 0
@@ -115,7 +116,7 @@ def _load(path: str, case: int | None = None) -> Scenario:
         raise _fail(EXIT_USAGE, str(err))
     problems = structure_violations(scn)
     if problems:
-        raise _fail(EXIT_FAILURE, "invalid scenario: " + "; ".join(problems))
+        raise _fail(EXIT_FAILURE, "invalid scenario: " + violations_text(problems))
     return scn if case is None else scn.with_mask(MarketMask.from_case(case))
 
 

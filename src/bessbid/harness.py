@@ -37,6 +37,7 @@ from .scenario import (
     scenario_to_text,
     synthesize_scenario,
     validate_scenario,
+    violations_text,
 )
 
 SCHEMA_INTERVALS = "bessbid-intervals/1"
@@ -176,7 +177,7 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         scn = scn.with_mask(mask)
     problems = validate_scenario(scn)
     if problems:
-        raise HarnessError("invalid scenario: " + "; ".join(problems))
+        raise HarnessError("invalid scenario: " + violations_text(problems))
 
     deadline = None if settings.time_limit is None else time.perf_counter() + settings.time_limit
     layout = clearing.LlLayout(scn)
@@ -356,7 +357,7 @@ def brute_force_oracle(scn: Scenario, bid_grid_step: float) -> OracleResult:
     """
     problems = validate_scenario(scn)
     if problems:
-        raise HarnessError("invalid scenario: " + "; ".join(problems))
+        raise HarnessError("invalid scenario: " + violations_text(problems))
     if scn.n_intervals > 2:
         raise OracleSizeError(f"oracle supports at most 2 intervals, got {scn.n_intervals}")
     if not bid_grid_step > 0:   # a NaN step too
@@ -541,8 +542,8 @@ def emit_outputs(report: CaseReport, out_dir: str | Path) -> dict[str, str]:
 
 def reference_scenario(mask: MarketMask = MarketMask()) -> Scenario:
     """Full-size reference system: 96 intervals, five generators, 400 MWh
-    storage, buy price bid 100. Sized for MPS export rather than the
-    embedded solver."""
+    storage, buy price bid 100: the paper's scale, for MPS export and for
+    solves at that scale."""
     return synthesize_scenario(
         default_patterns(),
         market_mask=mask,

@@ -262,7 +262,7 @@ def synthesize_scenario(
     )
     violations = validate_scenario(scn)
     if violations:
-        raise ScenarioError("synthesized scenario is invalid: " + "; ".join(violations))
+        raise ScenarioError("synthesized scenario is invalid: " + violations_text(violations))
     return scn
 
 
@@ -344,6 +344,13 @@ def validate_scenario(scn: Scenario) -> list[str]:
         if it.mileage_req > sum_mileage_cap + 1e-9:
             v.append(f"{tag}: mileage_req {it.mileage_req} exceeds fleet mileage capability {sum_mileage_cap}")
     return v
+
+
+def violations_text(violations: list[str]) -> str:
+    """``violations`` as one line of an error message: the first ten, joined
+    by "; ", and the count of the rest."""
+    rest = len(violations) - 10
+    return "; ".join(violations[:10] + ([f"and {rest} more"] if rest > 0 else []))
 
 
 # ---------------------------------------------------------------------------

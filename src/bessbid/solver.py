@@ -10,8 +10,8 @@ solve; a MILP solve (:func:`solve_milp`) reports a :class:`SolveOutcome`.
 
 An LP minimizes, and its columns have lower bounds only: every upper
 limit is a row, as the clearing LPs build them, so every limit has its own
-row dual. :class:`Residuals` refuses an LP of another shape. MILPs may
-maximize and bound their columns from above.
+row dual. :class:`LpProblem` holds no other shape; a :class:`MilpProblem`
+adds upper bounds, integrality and the choice to maximize.
 
 Dual sign convention: ``row_duals[r]`` is the sensitivity of the optimal
 objective to the RHS of row ``r`` in the row's *original* sense: duals of
@@ -151,20 +151,21 @@ class CsrMatrix:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """``A x``, one row per row of a 2-D ``x``.
+        """``A x``, one row per row of a 2-D ``x``; a 1-D ``x`` is the
+        one-row product.
 
         Each row of ``A`` is summed entry by entry in storage order, from
         0.0, which is how scipy's ``csr_matvec`` and ``csr_matvecs`` add
-        them, so the sums are the same bits. For a 2-D ``x`` the sums run
-        over the entry positions within a row: the ``p``-th entry of every
-        row that has one is added at once, for every row of ``x``.
+        them, so the sums are the same bits. The sums run over the entry
+        positions within a row: the ``p``-th entry of every row that has one
+        is added at once, for every row of ``x``.
         """
         x = np.asarray(x)
         m, n = self.shape
         if x.ndim not in (1, 2) or x.shape[-1] != n:
             raise ValueError(f"cannot multiply a {self.shape} matrix by shape {x.shape}")
         if x.ndim == 1:
-            return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=m)
+            return self.dot(x[None])[0]
         # the rows longest first, so that the rows with a p-th entry come
         # first; the sums run on transposes, whose rows are contiguous
         order = np.argsort(-np.diff(self.indptr), kind="stable")
@@ -223,28 +224,17 @@ class CsrMatrix:
 
 @dataclass
 class LpProblem:
-    """Linear program in row-sense form.
-
-    ``a`` is the constraint matrix, ``senses`` holds one of '<', '=', '>' per
-    row, ``lower``/``upper`` are variable bounds (+-inf allowed). A scipy
-    sparse matrix given as ``a`` is stored as a :class:`CsrMatrix` of its
-    entries.
-    """
+    """Linear program in row-sense form: minimize ``c x`` subject to each
+    row of ``a x`` against ``rhs`` in its sense, one of '<', '=', '>' per
+    row, over columns with lower bounds ``lower`` only (-inf allowed). Every
+    upper limit is a row, as the clearing LPs build them (see the module
+    docstring)."""
 
     c: np.ndarray
     a: CsrMatrix
     senses: np.ndarray
     rhs: np.ndarray
     lower: np.ndarray
-    upper: np.ndarray
-    maximize: bool = False
-    row_names: list[str] | None = None
-    col_names: list[str] | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, CsrMatrix):   # a scipy sparse matrix
-            coo = self.a.tocoo()
-            self.a = CsrMatrix.from_entries(coo.row, coo.col, coo.data, coo.shape)
 
     @property
     def n_rows(self) -> int:
@@ -255,36 +245,37 @@ class LpProblem:
         return self.a.shape[1]
 
     def validate(self) -> None:
+        if not isinstance(self.a, CsrMatrix):
+            raise TypeError(f"a must be a CsrMatrix, got {type(self.a).__name__}")
         m, n = self.a.shape
         if len(self.c) != n:
             raise ValueError(f"objective length {len(self.c)} != {n} columns")
         if len(self.rhs) != m or len(self.senses) != m:
             raise ValueError(f"rhs/senses length mismatch with {m} rows")
-        if len(self.lower) != n or len(self.upper) != n:
+        if len(self.lower) != n:
             raise ValueError(f"bounds length mismatch with {n} columns")
         bad = set(self.senses.tolist()) - {SENSE_LE, SENSE_EQ, SENSE_GE}
         if bad:
             raise ValueError(f"unknown row senses: {sorted(bad)}")
-        if np.any(self.lower > self.upper):
-            k = int(np.argmax(self.lower > self.upper))
-            raise ValueError(f"lower > upper for column {k}")
 
 
 @dataclass
 class MilpProblem(LpProblem):
-    """LP plus integrality markers; every integer variable is a binary."""
+    """An LP plus upper bounds ``upper`` (+inf allowed), integrality markers
+    and an orientation: it maximizes when ``maximize``. Every integer
+    variable is a binary."""
 
-    integrality: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.integrality is None:
-            self.integrality = np.zeros(self.n_cols, dtype=np.int8)
+    upper: np.ndarray
+    integrality: np.ndarray
+    maximize: bool = False
 
     def validate(self) -> None:
         super().validate()
-        if len(self.integrality) != self.n_cols:
-            raise ValueError("integrality length mismatch")
+        if len(self.upper) != self.n_cols or len(self.integrality) != self.n_cols:
+            raise ValueError(f"upper/integrality length mismatch with {self.n_cols} columns")
+        if np.any(self.lower > self.upper):
+            k = int(np.argmax(self.lower > self.upper))
+            raise ValueError(f"lower > upper for column {k}")
         mask = np.asarray(self.integrality, dtype=bool)
         if np.any(self.lower[mask] < 0) or np.any(self.upper[mask] > 1):
             raise ValueError("integer variables must have bounds within [0, 1]")
@@ -347,23 +338,16 @@ class Residuals:
     """The first-order residuals of one LP, over its static data computed once.
 
     The static data are the matrix, the sense masks and the finite lower
-    bounds. The right-hand sides are passed to each call, so one core serves
-    every LP that shares the matrix, senses and bounds: :class:`LpModel`
-    holds one per LP model, and the bidding verifier checks every interval
-    of a scenario on one. Each block is a max absolute violation, 0 when it
+    bounds. The right-hand sides and costs are passed to each call, so one
+    core serves every LP that shares the matrix, senses and bounds:
+    :class:`LpModel` holds one per LP model, and the bidding verifier checks
+    every interval of a scenario on one. Each block is a max absolute violation, 0 when it
     holds; ``ax`` is the row activity ``A x`` from :meth:`activity`. Every
     block also takes one point per row of 2-D arrays and returns one
     residual per row.
-
-    The LP must minimize over columns with lower bounds only (see the
-    module docstring); any other raises ``ValueError``, so that no LP is
-    checked only in part.
     """
 
     def __init__(self, problem: LpProblem):
-        if problem.maximize or np.isfinite(problem.upper).any():
-            raise ValueError("an LP must minimize over columns with lower bounds only; "
-                             "put upper limits in rows")
         self.problem = problem
         self.a = problem.a
         self.le = problem.senses == SENSE_LE
@@ -382,10 +366,9 @@ class Residuals:
                                      self.problem.lower - x), axis=-1))
 
     def stationarity(self, y: np.ndarray, nu_lo: np.ndarray,
-                     c: np.ndarray | None = None) -> np.floating | np.ndarray:
-        """Max of |c - A'y - nu|, with the problem's costs unless ``c`` is
-        given; for 2-D arrays, one residual per row, each row with its own
-        costs."""
+                     c: np.ndarray) -> np.floating | np.ndarray:
+        """Max of |c - A'y - nu| at costs ``c``; for 2-D arrays, one
+        residual per row, each row with its own costs."""
         # A'y summed entry by entry in the matrix's row-major order, which is
         # the order a product with the transpose adds them in, so the sums
         # are the same bits without building a sparse transpose; each row of
@@ -395,7 +378,6 @@ class Residuals:
         k = len(y) if y.ndim == 2 else 1
         bins = (np.arange(k)[:, None] * n + a.indices).ravel()
         a_ty = np.bincount(bins, weights=weights.ravel(), minlength=k * n)
-        c = self.problem.c if c is None else c
         return _max0(np.abs(c - a_ty.reshape(y.shape[:-1] + (n,)) - nu_lo))
 
     def dual_sign(self, y: np.ndarray, nu_lo: np.ndarray) -> np.floating | np.ndarray:
@@ -448,16 +430,16 @@ class LpModel:
 
     The model goes to HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through
     the bindings bundled with scipy, which are private to scipy, with logging
-    off, in one of two row layouts chosen from the problem:
+    off, in one of two row layouts chosen by the problem's type:
 
-    - A pure LP goes in the form scipy's ``linprog(method="highs-ds")`` gives
+    - An :class:`LpProblem` goes in the form scipy's ``linprog(method="highs-ds")`` gives
       it: '<' rows, then negated '>' rows, then '=' rows; presolve on, dual
       simplex, both feasibility tolerances at ``FEASIBILITY_TOL``. In problem
       row order, 4320 of 5376 bid-grid clears of the desk system with zero
       reserve and mileage requirements land on other awards, and every zero
       '>'-row dual comes back as -0.0, which would print as a -0.0 price.
       The matrix goes column-wise, in that row order.
-    - A MILP (any integer column) keeps the problem's rows with
+    - A :class:`MilpProblem` keeps the problem's rows with
       ``[lower, upper]`` row bounds and HiGHS's default options, as scipy's
       ``milp`` passed them; :func:`solve_milp` sets only the gap and the time
       limit. In the LP layout, desk case 4 lands on another incumbent. The
@@ -471,14 +453,12 @@ class LpModel:
     The row data an LP solve's checks need (sense masks, the matrix, the
     finite lower bounds, the backend row permutation and signs) are computed
     once, in :attr:`residuals` and the backend layout; a MILP model has
-    neither, since :func:`solve_milp` checks no rows. An LP that
-    :class:`Residuals` refuses (one that maximizes or has a finite upper
-    bound) raises its ``ValueError`` here, before HiGHS sees it.
-    :meth:`solve_batch` solves one right-hand side and one cost vector per
-    row and checks the whole batch at once, forming ``A X`` once for the
-    feasibility contract and the complementary-slackness residual. One model thus
-    serves every LP that shares its matrix, senses and bounds: the clear of
-    each interval of a scenario.
+    neither, since :func:`solve_milp` checks no rows. :meth:`solve_batch`
+    solves one right-hand side and one cost vector per row and checks the
+    whole batch at once, forming ``A X`` once for the feasibility contract
+    and the complementary-slackness residual. One model thus serves every LP
+    that shares its matrix, senses and bounds: the clear of each interval of
+    a scenario.
     """
 
     def __init__(self, problem: LpProblem):
@@ -487,7 +467,7 @@ class LpModel:
             raise ValueError("objective, constraint coefficients and rhs must be finite")
         self.problem = replace(problem, c=np.array(problem.c, dtype=float),
                                rhs=np.array(problem.rhs, dtype=float))
-        self.is_mip = bool(np.any(getattr(problem, "integrality", 0)))
+        self.is_mip = isinstance(problem, MilpProblem)
 
         lp = _highs.HighsLp()
         if self.is_mip:   # the matrix row-wise, as it is held
@@ -497,10 +477,14 @@ class LpModel:
             row_lower = np.where(problem.senses == SENSE_LE, -np.inf, self.problem.rhs)
             row_upper = np.where(problem.senses == SENSE_GE, np.inf, self.problem.rhs)
             lp.integrality_ = [_VAR_TYPES[k] for k in np.asarray(problem.integrality).tolist()]
+            lp.col_cost_ = -problem.c if problem.maximize else np.array(problem.c, dtype=float)
+            lp.col_upper_ = np.array(problem.upper, dtype=float)
         else:
             self.residuals = Residuals(self.problem)
             matrix_format = _highs.MatrixFormat.kColwise
             start, index, value, row_lower, row_upper = self._lp_rows()
+            lp.col_cost_ = np.array(problem.c, dtype=float)
+            lp.col_upper_ = np.full(problem.n_cols, np.inf)
         lp.num_col_ = problem.n_cols
         lp.num_row_ = problem.n_rows
         lp.a_matrix_.num_col_ = problem.n_cols
@@ -509,9 +493,7 @@ class LpModel:
         lp.a_matrix_.start_ = start
         lp.a_matrix_.index_ = index
         lp.a_matrix_.value_ = value
-        lp.col_cost_ = -problem.c if problem.maximize else np.array(problem.c, dtype=float)
         lp.col_lower_ = np.array(problem.lower, dtype=float)  # +-inf is HiGHS's infinity
-        lp.col_upper_ = np.array(problem.upper, dtype=float)
         lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
         self._highs = _highs._Highs()
@@ -745,7 +727,8 @@ def solve_milp(problem: MilpProblem, gap_tol: float = 1e-6,
 
     x = np.array(model._highs.getSolution().col_value, dtype=float)
     fun = info.objective_function_value
-    gap = float(info.mip_gap) if model.is_mip else None
+    # HiGHS solves a model without integer columns as an LP: no MIP gap
+    gap = float(info.mip_gap) if np.any(problem.integrality) else None
     if status == OPTIMAL and gap is not None and gap > 1e-9:
         status = GAP_LIMIT
     return SolveOutcome(
@@ -781,7 +764,7 @@ def check_mps_name(name: str) -> None:
         raise ValueError(f"MPS model name {name!r} is not printable ASCII")
 
 
-def export_mps(problem: LpProblem, path: str, name: str = "BESSBID") -> None:
+def export_mps(problem: MilpProblem, path: str, name: str = "BESSBID") -> None:
     """Write fixed-format MPS with INTORG/INTEND integer markers.
 
     Canonical generated row/column names are used (R0000001...). Every value
@@ -803,14 +786,12 @@ def export_mps(problem: LpProblem, path: str, name: str = "BESSBID") -> None:
     log.info("wrote MPS: %s rows=%d cols=%d", path, problem.n_rows, problem.n_cols)
 
 
-def _mps_blocks(problem: LpProblem, name: str):
+def _mps_blocks(problem: MilpProblem, name: str):
     """The bytes of :func:`export_mps`'s file, a section header or a block of
     lines at a time. A block's lines are built as fixed-width records of
     bytes, NUL-padded, which :func:`_lines` merges in column order."""
     n, m = problem.n_cols, problem.n_rows
-    integrality = getattr(problem, "integrality", None)
-    is_int = np.zeros(n, dtype=bool) if integrality is None else \
-        np.asarray(integrality).astype(bool)
+    is_int = np.asarray(problem.integrality).astype(bool)
     senses = np.asarray(problem.senses)
     c, rhs = (np.asarray(v, dtype=float) for v in (problem.c, problem.rhs))
     lower, upper = (np.asarray(b, dtype=float) for b in (problem.lower, problem.upper))
@@ -1124,6 +1105,5 @@ def _parse_mps(fh) -> MilpProblem:
                                np.frombuffer(ent_cols, np.int64), np.frombuffer(ent_vals), (m, n))
     return MilpProblem(
         c=np.array(c), a=a, senses=np.array(senses), rhs=np.array(rhs), lower=np.array(lower),
-        upper=np.array(upper), maximize=maximize, row_names=list(row_index),
-        col_names=list(col_index), integrality=np.array(col_int, dtype=np.int8),
+        upper=np.array(upper), integrality=np.array(col_int, dtype=np.int8), maximize=maximize,
     )

@@ -4,6 +4,7 @@ import dataclasses
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from bessbid import clearing, harness, solver
 from bessbid.scenario import (
@@ -34,6 +35,14 @@ def lp_at(layout, t, bids):
     regcap) bid."""
     return dataclasses.replace(layout.build_lp(t),
                                rhs=layout.rhs_for(t, np.array([bids], dtype=float))[0])
+
+
+def as_csr(matrix):
+    """A ``scipy.sparse`` matrix, or a dense array, as a
+    :class:`solver.CsrMatrix` of its nonzero entries (a sparse matrix's
+    stored entries), summed and sorted as scipy's ``tocsr`` does."""
+    coo = sp.coo_matrix(matrix)
+    return solver.CsrMatrix.from_entries(coo.row, coo.col, coo.data, coo.shape)
 
 
 def solve_one(problem):

@@ -24,7 +24,7 @@ from bessbid.scenario import (
     Scenario,
     synthesize_scenario,
 )
-from conftest import assert_tables_agree, clear_one, solve_one
+from conftest import as_csr, assert_tables_agree, clear_one, solve_one
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -295,6 +295,48 @@ def test_desk_verification_reports_are_pinned(desk_reports):
         _assert_verification_pinned(report, DESK_VERIFICATION[case])
 
 
+def extract_solution(built: bilevel.BilevelMilp,
+                     outcome: solver.SolveOutcome) -> bilevel.BilevelSolution:
+    """Bids, awards and embedded duals of a solved big-M MILP, one row per
+    interval: the exported model's read-out (the published solve reads the
+    regime model's with ``bilevel.regime_solution``).
+
+    Dual magnitudes whose complementarity binary selected the nonbinding
+    branch are snapped to exact zero: the big-M row already caps them at
+    solver tolerance, and the snap keeps downstream slackness products clean.
+    Bids in ``[-FEASIBILITY_TOL, 0)`` are snapped to 0.0 as well, each with
+    a note (see ``bilevel._snap_bids``).
+    """
+    if outcome.x is None:
+        raise bilevel.BilevelError(f"no incumbent to extract (status {outcome.status})")
+    block = built.block
+    kkt = block.kkt
+    layout = kkt.layout
+    x = outcome.x.reshape(-1, block.width)   # one block per row
+    bids, notes = bilevel._snap_bids(x[:, :4])
+
+    # duals of the clearing rows, then of the floors; a binary below 0.5
+    # selects its pair's nonbinding branch, where the dual is zero
+    duals = x[:, block.w0:block.z0].copy()
+    slots = block.slots
+    duals[:, slots] = np.where(x[:, block.z0:block.z0 + len(slots)] < 0.5, 0.0, duals[:, slots])
+    w = duals[:, :layout.n_rows]
+    lower_duals = np.zeros((len(x), layout.n_cols))
+    lower_duals[:, kkt.lower_cols] = duals[:, layout.n_rows:]
+    energy = layout.scenario.market_mask.energy
+    return bilevel.BilevelSolution(
+        layout=layout,
+        bids=bids,
+        u=np.rint(x[:, 4]).astype(int) if energy else np.zeros(len(x), dtype=int),
+        soc=x[:, block.x0 - 1].copy(),
+        x=x[:, block.x0:block.w0].copy(),
+        row_duals=np.where(layout.senses == "=", w, kkt.sigma * w),
+        lower_duals=lower_duals,
+        objective=float(outcome.objective),
+        notes=notes,
+    )
+
+
 @pytest.fixture(scope="module")
 def desk_big_m_reports():
     """The desk cases at gap 0.01 from the paper's big-M MILP: assembled,
@@ -306,7 +348,7 @@ def desk_big_m_reports():
         mask = MarketMask.from_case(case)
         built = bilevel.assemble_milp(scn.with_mask(mask))
         outcome = solver.solve_milp(built.milp, gap_tol=0.01, time_limit=600)
-        sol = bilevel.extract_solution(built, outcome)
+        sol = extract_solution(built, outcome)
         schedule = harness.BessSchedule.from_solution(sol)
         out[case] = harness.CaseReport(
             label=mask.label(), mask=mask,
@@ -483,21 +525,23 @@ PRICE_ROWS = {"energy": "balance", "reserve": "req:reserve", "regcap": "req:regc
               "mileage": "req:mileage"}
 
 
-def drop_storage(lp):
-    """The clearing LP with the storage unit's rows and columns dropped by name."""
-    rows = [i for i, nm in enumerate(lp.row_names) if nm not in STORAGE_ROWS]
-    cols = [j for j, nm in enumerate(lp.col_names) if nm not in STORAGE_COLS]
+def drop_storage(layout, t):
+    """Interval ``t``'s clearing LP of ``layout`` with the storage unit's rows
+    and columns dropped by their layout names, and the layout rows it keeps."""
+    lp = layout.build_lp(t)
+    rows = [i for i, nm in enumerate(layout.row_names) if nm not in STORAGE_ROWS]
+    cols = [j for j, nm in enumerate(layout.col_names) if nm not in STORAGE_COLS]
     return solver.LpProblem(
-        c=lp.c[cols], a=lp.a.tocsr()[rows][:, cols], senses=lp.senses[rows], rhs=lp.rhs[rows],
-        lower=lp.lower[cols], upper=lp.upper[cols],
-        row_names=[lp.row_names[i] for i in rows], col_names=[lp.col_names[j] for j in cols])
+        c=lp.c[cols], a=as_csr(lp.a.tocsr()[rows][:, cols]), senses=lp.senses[rows],
+        rhs=lp.rhs[rows], lower=lp.lower[cols]), rows
 
 
-def _storage_free_prices(lp, dt):
-    """Prices of the clearing LP without storage, solved on its own."""
-    reduced = drop_storage(lp)
+def _storage_free_prices(layout, t):
+    """Prices of interval ``t``'s clearing LP without storage, solved on its own."""
+    reduced, rows = drop_storage(layout, t)
     duals = solve_one(reduced).row_duals[0]
-    return {name: float(duals[reduced.row_names.index(row)] / dt)
+    names = [layout.row_names[r] for r in rows]
+    return {name: float(duals[names.index(row)] / layout.delta_t[t])
             for name, row in PRICE_ROWS.items()}
 
 
@@ -507,7 +551,7 @@ def test_acceptance_8_zero_bid_neutrality(desk_reports):
     layout = clearing.LlLayout(scn)
     for t in range(scn.n_intervals):
         with_storage = layout.prices_from(t, clear_one(layout, t).row_duals[0]).tolist()
-        without = _storage_free_prices(layout.build_lp(t), scn.intervals[t].delta_t)
+        without = _storage_free_prices(layout, t)
         for a, name in zip(with_storage, ("energy", "reserve", "regcap", "mileage")):
             b = without[name]
             assert a == b, f"t{t} {name}: {a!r} != {b!r}"

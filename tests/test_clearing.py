@@ -18,7 +18,7 @@ from bessbid.scenario import (
     IntervalData,
     Scenario,
 )
-from conftest import ZERO_BIDS, clear_one, lp_at, solve_one
+from conftest import ZERO_BIDS, as_csr, clear_one, lp_at, solve_one
 from test_acceptance import drop_storage, small_instance
 
 
@@ -171,7 +171,7 @@ def test_zero_bid_neutrality_exact():
     assert [layout.prices_from(t, clear_one(layout, t).row_duals[0]).tolist()
             for t in range(2)] == prices
     for t in range(2):
-        out = solve_one(drop_storage(layout.build_lp(t)))
+        out = solve_one(drop_storage(layout, t)[0])
         # back in layout rows, where the six storage rows precede the four system rows
         without = layout.prices_from(t, np.insert(out.row_duals[0], -4, np.zeros(6))).tolist()
         assert prices[t] == without
@@ -184,12 +184,11 @@ def test_storage_free_lp_drops_storage_by_name():
     layout = LlLayout(scn)
     for t in range(scn.n_intervals):
         free, rows = layout.storage_free_lp(t)
-        want = drop_storage(layout.build_lp(t))
-        for field in ("c", "senses", "rhs", "lower", "upper"):
+        want, want_rows = drop_storage(layout, t)
+        for field in ("c", "senses", "rhs", "lower"):
             assert getattr(free, field).tobytes() == getattr(want, field).tobytes(), field
         assert (free.a.tocsr() != want.a.tocsr()).nnz == 0 and free.a.shape == want.a.shape
-        assert (free.row_names, free.col_names) == (want.row_names, want.col_names)
-        assert [layout.row_names[r] for r in rows] == free.row_names
+        assert rows.tolist() == want_rows
 
 
 def test_zero_requirement_prices_are_unsigned_zero():
@@ -222,11 +221,10 @@ def test_horizon_matches_joint_lp():
     lps = [lp_at(LlLayout(scn), t, bids[t]) for t in range(3)]
     joint = solver.LpProblem(
         c=np.concatenate([p.c for p in lps]),
-        a=sp.block_diag([p.a.tocsr() for p in lps], format="csr"),
+        a=as_csr(sp.block_diag([p.a.tocsr() for p in lps])),
         senses=np.concatenate([p.senses for p in lps]),
         rhs=np.concatenate([p.rhs for p in lps]),
         lower=np.concatenate([p.lower for p in lps]),
-        upper=np.concatenate([p.upper for p in lps]),
     )
     out = solve_one(joint)
     assert out.status == "optimal"
@@ -328,7 +326,6 @@ def row_dict_layout(scn, t):
     dt = it.delta_t
     c = np.zeros(n_cols)
     lower = np.full(n_cols, -np.inf)
-    upper = np.full(n_cols, np.inf)
     col_names = []
     for j, g in enumerate(gens):
         base = 4 * j
@@ -386,7 +383,7 @@ def row_dict_layout(scn, t):
             data.append(val)
     return {
         "a": sp.coo_matrix((data, (ri, ci)), shape=(len(rows), n_cols)).tocsr(),
-        "c": c, "lower": lower, "upper": upper,
+        "c": c, "lower": lower,
         "senses": np.array([r[1] for r in rows]),
         "rhs_base": np.array([float(r[2]) for r in rows]),
         "row_names": [r[3] for r in rows], "col_names": col_names,
@@ -422,7 +419,7 @@ def test_closed_form_layout_matches_row_dict_builder(system):
         for field in ("indptr", "indices", "data"):
             assert _same_array(getattr(layout.a, field), getattr(want["a"], field)), (t, field)
         assert layout.a.shape == want["a"].shape
-        for field in ("lower", "upper", "senses"):
+        for field in ("lower", "senses"):
             assert _same_array(getattr(layout, field), want[field]), (t, field)
         for field in ("c", "rhs_base"):   # the interval's row
             assert _same_array(getattr(layout, field)[t], want[field]), (t, field)
@@ -437,11 +434,8 @@ def test_closed_form_layout_matches_row_dict_builder(system):
             assert _same_array(getattr(free.a, field), getattr(sliced, field)), (t, field)
         assert free.a.shape == sliced.shape
         for got, ref in ((free.c, want["c"][:n]), (free.lower, want["lower"][:n]),
-                         (free.upper, want["upper"][:n]), (free.senses, want["senses"][rows]),
-                         (free.rhs, want["rhs_base"][rows])):
+                         (free.senses, want["senses"][rows]), (free.rhs, want["rhs_base"][rows])):
             assert _same_array(got, ref), t
-        assert free.row_names == [want["row_names"][r] for r in rows]
-        assert free.col_names == want["col_names"][:n]
 
 
 def clear_digest(batches) -> str:

@@ -560,6 +560,17 @@ def test_synth_invalid_scenario_is_one_error_line_and_exit_2(tmp_path, peak):
     assert not out.exists()
 
 
+def test_invalid_scenario_error_names_ten_violations_and_counts_the_rest(tmp_path):
+    # a NaN peak makes four numbers of each of the 96 intervals not finite:
+    # the error names the first ten of the 384 violations
+    res = runner().invoke(cli, ["synth", "--out", str(tmp_path / "s.scn"), "--peak", "nan"])
+    assert res.exit_code == EXIT_USAGE, res.output
+    named = [f"interval {t}: {key} must be finite"
+             for t in range(3) for key in ("load", "reserve_req", "regcap_req", "mileage_req")]
+    assert res.stderr.splitlines() == [
+        "error: synthesized scenario is invalid: " + "; ".join(named[:10]) + "; and 374 more"]
+
+
 def test_export_mps_invalid_market_is_one_error_line(tmp_path):
     # parseable, but no fleet meets the reserve requirement: the MILP is not built
     scn = acceptance_instance()

@@ -183,17 +183,6 @@ def test_tocsr_shares_the_arrays():
         assert np.shares_memory(getattr(ref, field), getattr(a, field)), field
 
 
-def test_problem_stores_scipy_input_as_its_entries():
-    # unsorted columns and a duplicate pair, as a caller's scipy matrix may hold them
-    given = sp.csr_matrix((np.array([2.0, 1.0, 0.5, -1.0, 3.0]), np.array([2, 0, 2, 1, 0]),
-                           np.array([0, 3, 5])), shape=(2, 3))
-    p = solver.LpProblem(c=np.ones(3), a=given, senses=np.array([">", "<"]),
-                         rhs=np.array([1.0, 4.0]), lower=np.zeros(3), upper=np.ones(3))
-    assert isinstance(p.a, CsrMatrix)
-    coo = given.tocoo()
-    assert_same_matrix(p.a, sp.coo_matrix((coo.data, (coo.row, coo.col)), shape=(2, 3)).tocsr())
-
-
 def test_milp_model_has_no_residuals():
     knapsack = solver.MilpProblem(
         c=np.array([-5.0, -4.0, -3.0]),

@@ -27,7 +27,7 @@ from conftest import (
     build_scenario,
     clear_one,
 )
-from test_acceptance import small_instance
+from test_acceptance import extract_solution, small_instance
 
 EXACT = harness.SolverSettings(gap_tol=1e-9)
 
@@ -81,7 +81,7 @@ def test_kkt_stationarity_matches_transpose_product():
             rhs = layout.rhs_for(t, bids[None])[0]
             x, y, nu = r.x[0], r.row_duals[0], r.lower_duals[0]
             stat = lp.c - lp.a.tocsr().T.dot(y) - nu
-            assert core.stationarity(y, nu) == \
+            assert core.stationarity(y, nu, lp.c) == \
                 float(np.max(np.abs(stat), initial=0.0)), (t, bids)
             assert core.cs(x, core.activity(x), rhs, y, nu) == r.cs_residual[0]
 
@@ -93,7 +93,7 @@ def test_tolerance_negative_bid_snapped_and_verified(capfd):
                               bid_factors=(0.9798491143414123, 1.031422574059428),
                               soc_shift=-0.08161681157298062)
     built = bilevel.assemble_milp(scn)
-    sol = bilevel.extract_solution(built, solver.solve_milp(built.milp, gap_tol=1e-9))
+    sol = extract_solution(built, solver.solve_milp(built.milp, gap_tol=1e-9))
     report = bilevel.verify_bilevel_solution(sol)
     # HiGHS prints a debug line while solving this instance; it must not
     # reach stdout, which carries command output

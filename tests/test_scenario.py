@@ -28,6 +28,7 @@ from bessbid.scenario import (
     structure_violations,
     synthesize_scenario,
     validate_scenario,
+    violations_text,
 )
 
 from conftest import acceptance_instance
@@ -362,3 +363,11 @@ def test_structure_violations_come_first_in_validation():
         assert check(no_generators)[0] == "scenario: needs at least one generator"
     assert structure_violations(dataclasses.replace(scn, intervals=())) == [
         "scenario: needs at least one interval"]
+
+
+def test_violations_text_names_ten_and_counts_the_rest():
+    violations = [f"v{k}" for k in range(12)]
+    assert violations_text([]) == ""
+    assert violations_text(violations[:10]) == "; ".join(violations[:10])
+    assert violations_text(violations[:11]) == "; ".join(violations[:10]) + "; and 1 more"
+    assert violations_text(violations) == "; ".join(violations[:10]) + "; and 2 more"
