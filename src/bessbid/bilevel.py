@@ -41,7 +41,7 @@ PRIMAL_CHECK_TOL = 5e-6
 CS_CHECK_TOL = 1e-7
 LL_OBJECTIVE_REL_TOL = 1e-6
 REVENUE_REL_TOL = 1e-5
-_MARKETS = ("sell", "buy", "reserve", "regcap")   # the bid columns, in order
+_MARKETS = ("sell", "buy", "reserve", "regcap", "mileage")   # the awards; the bids the first 4
 
 
 class BilevelError(RuntimeError):
@@ -463,12 +463,12 @@ def _ul_rows(scn: Scenario, block: IntervalBlock, terminal_soc_equality: bool) -
     recursion and the SOC headroom; then the optional terminal-SOC row."""
     rate = scn.bess.power_rate
     n_t = scn.n_intervals
-    every = np.arange(n_t)
+    every, one = np.arange(n_t), np.ones(n_t)
     ul0 = block.width * every
     x0 = ul0 + block.x0 + block.kkt.layout.col_bs
     cols = {"soc": ul0 + block.x0 - 1, "bs": x0, "bd": x0 + 1, "brs": x0 + 2, "brgc": x0 + 3}
-    bs, bd, brs, brgc = ((every, cols[k]) for k in ("bs", "bd", "brs", "brgc"))
-    sbid, dbid, u = ((every, ul0 + k) for k in (0, 1, 4))
+    bs, bd, brs, brgc = ((every, cols[k], one) for k in ("bs", "bd", "brs", "brgc"))
+    sbid, dbid, u = ((every, ul0 + k, one) for k in (0, 1, 4))
     template = [
         (">", -rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, -1.0)]),   # envelope low
         ("<", rate, [(bd, 1.0), (bs, -1.0), (brs, -1.0), (brgc, 1.0)]),     # envelope high
@@ -478,7 +478,7 @@ def _ul_rows(scn: Scenario, block: IntervalBlock, terminal_soc_equality: bool) -
             ("<", 0.0, [(sbid, 1.0), (u, -rate)]),    # sell needs discharge mode
             ("<", rate, [(dbid, 1.0), (u, rate)]),    # buy needs charge mode
         ]
-    return _soc_rows(scn, template, {k: (every, c) for k, c in cols.items()},
+    return _soc_rows(scn, template, {k: (every, c, one) for k, c in cols.items()},
                      terminal_soc_equality)
 
 
@@ -488,11 +488,12 @@ def _soc_rows(scn: Scenario, template: list, cols: dict[str, tuple[np.ndarray, n
     headroom, interval by interval; then the optional terminal-SOC row.
 
     ``cols`` holds the ``soc`` column and the ``bs``, ``bd``, ``brs`` and
-    ``brgc`` award columns as ``(interval, column)`` arrays: one ``soc``
-    column per interval, in order, and any number of award columns per
-    interval, whose sum is the interval's award. A template row is (sense,
-    rhs, terms), a term a ``(interval, column)`` pair and its coefficient;
-    an rhs or a coefficient is one value or one per interval.
+    ``brgc`` awards as ``(interval, column, weight)`` arrays: one ``soc``
+    column per interval, in order, at weight 1, and any number of award
+    columns per interval, whose weighted sum is the interval's award. A
+    template row is (sense, rhs, terms), a term such a triple and its
+    coefficient, which multiplies the weights; an rhs or a coefficient is
+    one value or one per interval.
     """
     bess = scn.bess
     n_t = scn.n_intervals
@@ -509,8 +510,8 @@ def _soc_rows(scn: Scenario, template: list, cols: dict[str, tuple[np.ndarray, n
         ("<", bess.soc_max, [(soc, 1.0), (brgc, dt)]),
     ]
     first = np.arange(n_t) * len(template)
-    entries = [(first[t] + j, col, np.broadcast_to(coef, n_t)[t])
-               for j, (_, _, terms) in enumerate(template) for (t, col), coef in terms]
+    entries = [(first[t] + j, col, np.broadcast_to(coef, n_t)[t] * w)
+               for j, (_, _, terms) in enumerate(template) for (t, col, w), coef in terms]
     # the one cross-interval entry: -soc[t-1] in the recursion of t >= 1
     entries.append((first[1:] + j_rec, soc[1][:-1], np.full(n_t - 1, -1.0)))
     senses = np.tile([sense for sense, _, _ in template], n_t)
@@ -564,7 +565,104 @@ def assemble_milp(scn: Scenario, terminal_soc_equality: bool = False) -> Bilevel
 # ---------------------------------------------------------------------------
 
 
-REGIME_X0 = 5   # a copy's first clearing column, after lam and the four bids
+MAP_TOL = 1e-9   # a pivot, or a copy's coefficient, at or below it is 0 (relative on lam)
+
+
+@dataclass
+class CopyMaps:
+    """Each copy of :func:`assemble_regime_milp` as a linear map from its own
+    columns onto the clearing columns.
+
+    In the copy of held dual ``k`` the rows in the dual's support bind (and
+    the balance row) and the columns with a positive reduced cost are 0.
+    Copies with the same binding rows, zero columns and side share one
+    pattern. Gauss-Jordan elimination of a pattern's binding rows over its
+    other columns, column by column in layout order, each pivot on its
+    column's largest entry among the rows not yet pivoted, solves the pivot
+    columns for the rows' right-hand sides (``lam`` times the interval's,
+    the bids on the bid rows) and for the columns left without a pivot:
+    the clearing directions the dual leaves free. The choice of pivots
+    depends on the pattern alone. The copy is its dual's critical region
+    (Gal & Nedoma, Management Science 18(7), 1972).
+
+    A copy's columns are its binary ``lam``, then the entries of
+    ``own[pattern[k]]``: its side's bids, then its free clearing columns,
+    in layout order. With ``v`` the bids and clearing columns, 0 where not
+    its own, copy ``k``'s clearing point is
+    ``lam * x_lam[k] + q[pattern[k]] @ v``.
+    """
+
+    pattern: np.ndarray   # (copies,)
+    own: np.ndarray       # (patterns, 4 + clearing columns), bool
+    q: np.ndarray         # (patterns, clearing columns, 4 + clearing columns)
+    x_lam: np.ndarray     # (copies, clearing columns)
+    start: np.ndarray     # (copies + 1,) each copy's lam column, then the first SOC column
+
+    @property
+    def local(self) -> np.ndarray:
+        """Each pattern's own entries of ``v`` as columns after ``lam``,
+        from 1 on; 0 where not its own."""
+        return np.cumsum(self.own, axis=1) * self.own
+
+
+def copy_maps(cover: clearing.RegimeCover) -> CopyMaps:
+    """The :class:`CopyMaps` of ``cover``'s copies; coefficients at or below
+    ``MAP_TOL`` (times the interval's largest right-hand side, on ``lam``)
+    are 0."""
+    layout = cover.layout
+    nr, nx = layout.n_rows, layout.n_cols
+    binds = (layout.senses == "=") | (cover.row_duals != 0.0)
+    zero = cover.lower_duals > 0.0
+    _, first, pattern = np.unique(np.column_stack([binds, zero, cover.side]), axis=0,
+                                  return_index=True, return_inverse=True)
+    pattern = pattern.ravel()
+    n_p = len(first)
+    a = layout.a.toarray()
+    own = np.zeros((n_p, 4 + nx), dtype=bool)
+    q = np.zeros((n_p, nx, 4 + nx))
+    per_rhs = np.zeros((n_p, nx, nr))   # the pivot columns per unit of each row's rhs
+    for p, k in enumerate(first.tolist()):
+        rows, cols = np.flatnonzero(binds[k]), np.flatnonzero(~zero[k])
+        m = np.hstack([a[np.ix_(rows, cols)], np.eye(len(rows))])
+        open_rows = np.ones(len(rows), dtype=bool)
+        pivots = []
+        for j in range(len(cols)):
+            size = np.where(open_rows, np.abs(m[:, j]), 0.0)
+            r = int(np.argmax(size))
+            if size[r] <= MAP_TOL:
+                continue
+            m[r] /= m[r, j]
+            other = np.arange(len(rows)) != r
+            m[other] -= m[other, j, None] * m[r]
+            open_rows[r] = False
+            pivots.append((r, j))
+        pr, pc = np.array(pivots, dtype=np.intp).reshape(-1, 2).T
+        at_free = np.ones(len(cols), dtype=bool)
+        at_free[pc] = False
+        free = cols[at_free]
+        per_rhs[p, cols[pc, None], rows] = m[pr, len(cols):]
+        q[p, cols[pc, None], 4 + free] = -m[pr[:, None], np.flatnonzero(at_free)]
+        q[p, free, 4 + free] = 1.0
+        own[p, list(cover.sides[cover.side[k]])] = True
+        own[p, 4 + free] = True
+    # a bid enters its bid row's right-hand side
+    sell = layout.bid_rows["sell"]
+    q[:, :, :4] = per_rhs[:, :, sell:sell + 4] * own[:, None, :4]
+    q[np.abs(q) <= MAP_TOL] = 0.0
+    rhs = layout.rhs_base[cover.t]
+    x_lam = np.empty((len(pattern), nx))
+    for p in range(n_p):
+        mine = pattern == p
+        x_lam[mine] = np.einsum("kr,cr->kc", rhs[mine], per_rhs[p])
+    x_lam[np.abs(x_lam) <= _lam_tol(rhs)] = 0.0
+    start = np.concatenate(([0], np.cumsum(1 + own.sum(axis=1)[pattern])))
+    return CopyMaps(pattern=pattern, own=own, q=q, x_lam=x_lam, start=start)
+
+
+def _lam_tol(rhs: np.ndarray) -> np.ndarray:
+    """``MAP_TOL`` on ``lam`` for each copy, from its interval's right-hand
+    sides ``rhs``, as a column."""
+    return MAP_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1, initial=0.0))[:, None]
 
 
 def assemble_regime_milp(cover: clearing.RegimeCover,
@@ -572,97 +670,143 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
     """The bidding MILP over a certified ``cover``, in hull form (Balas
     1998), with no big-M: a disjunction over each interval's held duals.
 
-    Held dual ``k`` gets one copy, ``width = REGIME_X0 + layout.n_cols``
-    columns from ``k * width`` on: a binary ``lam`` that chooses it, the
-    bids sbid, dbid, rsbid, rgbid and the clearing columns. The interval
-    SOCs follow the copies. Each copy holds the clearing rows with their
-    right-hand sides times its ``lam`` and minus its bids on the bid rows;
-    the rows in its dual's support bind, and the columns with a positive
-    reduced cost are 0, so a copy's point is clearing-optimal at its bids,
-    with its dual's prices. Its bids on its side's columns are at most
-    ``rate * lam``, the others 0, and the power envelope holds on its
-    awards. Each interval chooses one copy, the revenue is each copy's
-    prices times its awards, and the SOC rows act on the sums of an
-    interval's copies.
+    Held dual ``k`` gets one copy (:func:`copy_maps`): a binary ``lam``
+    that chooses it, its side's bids and the clearing columns its dual
+    leaves free, from column ``start[k]`` on; the interval SOCs follow the
+    copies. The copy's clearing point is a linear map of them that meets
+    the binding rows and the zero columns, so it is clearing-optimal at its
+    bids, with its dual's prices. A copy's rows, over its own columns: the
+    other clearing rows (right-hand sides times ``lam``), the floors
+    ``x >= 0`` of the columns it does not own (its own columns keep their
+    bounds), the power envelope on its awards, and ``bid <= rate * lam``
+    for each of its bids. A row whose coefficients vanish is dropped, and
+    so is one with no free column that holds for every bid in
+    ``[0, rate * lam]``. Each interval chooses one copy, the revenue is
+    each copy's prices times its awards, and the SOC rows act on the sums
+    of an interval's copies' awards.
     """
     layout = cover.layout
     scn = layout.scenario
     bess = scn.bess
     rate = bess.power_rate
     n_t, nr, nx = scn.n_intervals, layout.n_rows, layout.n_cols
+    maps = copy_maps(cover)
+    pattern, own, q, x_lam, start = maps.pattern, maps.own, maps.q, maps.x_lam, maps.start
     k = len(cover.t)
-    width = REGIME_X0 + nx
-    n_rows = nr + 6   # the clearing rows, the four bid caps, the power envelope
-    y = cover.row_duals
-    c0 = np.arange(k)[:, None] * width   # each copy's lam column
-    x0 = c0 + REGIME_X0
-    r0 = np.arange(k)[:, None] * n_rows
-
-    # --- columns -----------------------------------------------------------
-    lower = np.zeros((k, width))
-    upper = np.full((k, width), np.inf)
-    c = np.zeros((k, width))
-    upper[:, :REGIME_X0] = [1.0, rate, rate, rate, rate]
-    lower[:, REGIME_X0:] = layout.lower
-    upper[:, REGIME_X0:] = np.where(cover.lower_duals > 0.0, 0.0, np.inf)
-    # each copy's prices times its awards, as direct_revenue_value takes them
-    awards = REGIME_X0 + layout.col_bs + np.arange(5)
-    c[:, awards] = y[:, [layout.row_balance, layout.row_balance, layout.row_reserve_req,
-                         layout.row_regcap_req, layout.row_mileage_req]] * [1, -1, 1, 1, 1]
-    integrality = np.zeros((k, width), dtype=np.int8)
-    integrality[:, 0] = 1
+    awards = layout.col_bs + np.arange(5)   # bs, bd, brs, brgc, brgm
+    floors = np.flatnonzero(np.isfinite(layout.lower))
+    # the power envelope on the awards: bd - bs - brs -+ brgc, against -+ rate * lam
+    envelope = np.array([[-1.0, 1.0, -1.0, -1.0, 0.0], [-1.0, 1.0, -1.0, 1.0, 0.0]])
 
     # --- rows of each copy ---------------------------------------------------
-    a = layout.a
-    bids = c0 + 1 + np.arange(4)
-    caps = np.zeros((k, 4))
-    for side, free in enumerate(cover.sides):
-        caps[np.ix_(cover.side == side, list(free))] = rate
-    bs, bd, brs, brgc = (x0[:, 0] + layout.col_bs + j for j in range(4))
-    envelope = np.column_stack([bd, bs, brs, brgc, c0[:, 0]])
-    entries = [
-        # A x - bids on the bid rows - rhs_base * lam
-        (r0 + a.rows, x0 + a.indices, a.data),
-        (r0 + list(layout.bid_rows.values()), bids, -1.0),
-        (r0 + np.arange(nr), c0, -layout.rhs_base[cover.t]),
-        # bid - cap * lam <= 0
-        (r0 + nr + np.arange(4), bids, 1.0),
-        (r0 + nr + np.arange(4), c0, -caps),
-        # the power envelope: bd - bs - brs -+ brgc +- rate * lam
-        (r0 + nr + 4, envelope, [1.0, -1.0, -1.0, -1.0, rate]),
-        (r0 + nr + 5, envelope, [1.0, -1.0, -1.0, 1.0, -rate]),
-    ]
-    binds = (layout.senses == "=") | (y != 0.0)
+    # the clearing rows, the floors, the envelope and the bid caps: their
+    # coefficients on v per pattern, on lam per copy
+    bid_terms = np.zeros((nr, 4 + nx))
+    bid_terms[layout.bid_rows["sell"] + np.arange(4), np.arange(4)] = 1.0
+    on_v = np.concatenate([
+        np.einsum("rc,pcw->prw", layout.a.toarray(), q) - bid_terms,
+        q[:, floors],
+        np.einsum("ea,paw->pew", envelope, q[:, awards]),
+        np.broadcast_to(np.eye(4, 4 + nx), (len(own), 4, 4 + nx)),
+    ], axis=1) * own[:, None, :]
+    on_v[np.abs(on_v) <= MAP_TOL] = 0.0
+    rhs = layout.rhs_base[cover.t]
+    tol = _lam_tol(rhs)
+    on_lam = np.concatenate([
+        layout.a.dot(x_lam) - rhs,
+        x_lam[:, floors],
+        np.einsum("ka,ea->ke", x_lam[:, awards], envelope) + [rate, -rate],
+        np.full((k, 4), -rate),
+    ], axis=1)
+    on_lam[np.abs(on_lam) <= tol] = 0.0
+    n_f = len(floors)
+    binds = (layout.senses == "=") | (cover.row_duals != 0.0)
     senses = np.concatenate([np.where(binds, "=", layout.senses),
-                             np.broadcast_to(["<", "<", "<", "<", ">", "<"], (k, 6))], axis=1)
+                             np.broadcast_to(np.array([">"] * n_f + [">", "<"] + ["<"] * 4),
+                                             (k, n_f + 6))], axis=1)
 
-    # --- rows of each interval -----------------------------------------------
-    # one copy per interval, then the SOC rows on the sums of its copies
-    per = n_rows * k
-    soc0 = k * width
-    entries.append((per + cover.t, c0[:, 0], 1.0))
-    ul = _soc_rows(scn, [], {"soc": (np.arange(n_t), soc0 + np.arange(n_t)),
-                             **{name: (cover.t, col) for name, col in
-                                zip(("bs", "bd", "brs", "brgc"), (bs, bd, brs, brgc))}},
+    # which rows a copy keeps
+    free_col = (on_v[:, :, 4:] != 0.0).any(axis=2)[pattern]
+    vanish = ~(on_v != 0.0).any(axis=2)[pattern] & (on_lam == 0.0)
+    # a row's least and largest value over the bids in [0, rate * lam], per lam
+    low = on_lam + rate * np.minimum(on_v[:, :, :4], 0.0).sum(axis=2)[pattern]
+    high = on_lam + rate * np.maximum(on_v[:, :, :4], 0.0).sum(axis=2)[pattern]
+    holds = np.select([senses == ">", senses == "<"], [low >= -tol, high <= tol], vanish)
+    keep = ~vanish & (free_col | ~holds)
+    caps = nr + n_f + 2 + np.arange(4)
+    keep[:, caps] = own[pattern, :4]           # the bid caps are the box itself
+    keep[:, nr:nr + n_f] &= ~own[pattern][:, 4 + floors]   # an own column's floor is its bound
+
+    # the kept rows' entries, copy by copy: a pattern's on v, then each on lam
+    kk, ii = np.nonzero(keep)
+    n_copy_rows = len(kk)
+    n_cand = keep.shape[1]
+    pp, pi, pw = np.nonzero(on_v)
+    count = np.bincount(pp * n_cand + pi, minlength=len(own) * n_cand)
+    key = pattern[kk] * n_cand + ii
+    n_e = count[key]
+    e = np.repeat(np.cumsum(count)[key] - count[key] - np.cumsum(n_e) + n_e, n_e) \
+        + np.arange(n_e.sum())
+    row_e = np.repeat(np.arange(n_copy_rows), n_e)
+    local = maps.local
+    lam_at = np.flatnonzero(on_lam[kk, ii])
+    entries = [
+        (row_e, start[kk[row_e]] + local[pp[e], pw[e]], on_v[pp[e], pi[e], pw[e]]),
+        (lam_at, start[kk[lam_at]], on_lam[kk[lam_at], ii[lam_at]]),
+    ]
+
+    # --- columns ---------------------------------------------------------------
+    soc0 = int(start[-1])
+    lower = np.zeros(soc0 + n_t)
+    upper = np.ones(soc0 + n_t)
+    c = np.zeros(soc0 + n_t)
+    integrality = np.zeros(soc0 + n_t, dtype=np.int8)
+    integrality[start[:-1]] = 1
+    ck, cw = np.nonzero(own[pattern])
+    at = start[ck] + local[pattern[ck], cw]
+    lower[at] = np.concatenate([np.zeros(4), layout.lower])[cw]
+    upper[at] = np.where(cw < 4, rate, np.inf)
+    lower[soc0:], upper[soc0:] = bess.soc_min, bess.soc_max
+    # each copy's prices times its awards, as direct_revenue_value takes them
+    y = cover.row_duals
+    price = y[:, [layout.row_balance, layout.row_balance, layout.row_reserve_req,
+                  layout.row_regcap_req, layout.row_mileage_req]] * [1, -1, 1, 1, 1]
+    c[start[:-1]] = np.einsum("ka,ka->k", price, x_lam[:, awards])
+    c[at] = np.einsum("ka,kaw->kw", price, q[:, awards][pattern])[ck, cw]
+
+    # --- rows of each interval ---------------------------------------------------
+    # one copy per interval, then the SOC rows on the sums of its copies' awards
+    entries.append((n_copy_rows + cover.t, start[:-1], np.ones(k)))
+
+    def award(j: int):
+        """Every copy's award ``j`` as (interval, column, weight) entries."""
+        on_q = np.nonzero(q[pattern, awards[j]])
+        on_x = np.flatnonzero(x_lam[:, awards[j]])
+        return (np.concatenate([cover.t[on_x], cover.t[on_q[0]]]),
+                np.concatenate([start[on_x], start[on_q[0]] + local[pattern[on_q[0]], on_q[1]]]),
+                np.concatenate([x_lam[on_x, awards[j]], q[pattern[on_q[0]], awards[j], on_q[1]]]))
+
+    every = np.arange(n_t)
+    ul = _soc_rows(scn, [], {"soc": (every, soc0 + every, np.ones(n_t)),
+                             **{name: award(j) for j, name in
+                                enumerate(("bs", "bd", "brs", "brgc"))}},
                    terminal_soc_equality)
-    entries.append((per + n_t + ul.rows, ul.cols, ul.vals))
-    rows, cols, vals = (np.concatenate(v) for v in zip(*(
-        [v.ravel() for v in np.broadcast_arrays(*e)] for e in entries)))
-    keep = vals != 0.0
-    matrix = solver.CsrMatrix.from_entries(rows[keep], cols[keep], vals[keep],
-                                           (per + n_t + len(ul.rhs), soc0 + n_t))
+    entries.append((n_copy_rows + n_t + ul.rows, ul.cols, ul.vals))
+    rows, cols, vals = (np.concatenate(v) for v in zip(*entries))
+    keep_entry = vals != 0.0
+    n_rows = n_copy_rows + n_t + len(ul.rhs)
+    matrix = solver.CsrMatrix.from_entries(rows[keep_entry], cols[keep_entry], vals[keep_entry],
+                                           (n_rows, soc0 + n_t))
     milp = solver.MilpProblem(
-        c=np.concatenate([c.ravel(), np.zeros(n_t)]), a=matrix,
-        senses=np.concatenate([senses.ravel(), np.full(n_t, "="), ul.senses]),
-        rhs=np.concatenate([np.zeros(per), np.ones(n_t), ul.rhs]),
-        lower=np.concatenate([lower.ravel(), np.full(n_t, bess.soc_min)]),
-        upper=np.concatenate([upper.ravel(), np.full(n_t, bess.soc_max)]),
-        maximize=True,
-        integrality=np.concatenate([integrality.ravel(), np.zeros(n_t, dtype=np.int8)]),
+        c=c, a=matrix,
+        senses=np.concatenate([senses[kk, ii], np.full(n_t, "="), ul.senses]),
+        rhs=np.concatenate([np.zeros(n_copy_rows), np.ones(n_t), ul.rhs]),
+        lower=lower, upper=upper, integrality=integrality, maximize=True,
     )
     milp.validate()
-    log.info("assembled regime MILP: %d cols, %d rows, %d binaries",
-             milp.n_cols, milp.n_rows, k)
+    log.info("assembled regime MILP: %d cols, %d rows, %d binaries, %d copies with a free "
+             "clearing column", milp.n_cols, milp.n_rows, k,
+             int(own[pattern, 4:].any(axis=1).sum()))
     return milp
 
 
@@ -689,48 +833,59 @@ class BilevelSolution:
     notes: list[str] = field(default_factory=list)  # extraction snaps, for the verifier
 
 
-def _snap_bids(bids: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """A copy of the ``(intervals, 4)`` bids with each one in
-    ``[-FEASIBILITY_TOL, 0)``, solver noise around a zero bid, snapped to
-    0.0, and a note for each; the re-clear refuses negative bids, so a
-    valid optimum would otherwise fail verification."""
-    bids = bids.copy()
-    snapped = (bids >= -solver.FEASIBILITY_TOL) & (bids < 0.0)
+def _snap_zeros(values: np.ndarray, kind: str) -> tuple[np.ndarray, list[str]]:
+    """A copy of the ``(intervals, n)`` bids (``kind`` "bid") or storage
+    awards ("award"), in the order of ``_MARKETS``, with each one in
+    ``[-FEASIBILITY_TOL, 0)``, solver noise around a zero, snapped to 0.0,
+    and a note for each; the re-clear refuses negative bids, so a valid
+    optimum would otherwise fail verification, and a report would print a
+    negative zero award."""
+    values = values.copy()
+    snapped = (values >= -solver.FEASIBILITY_TOL) & (values < 0.0)
     rows, cols = np.nonzero(snapped)
-    notes = [f"t{t}:{_MARKETS[k]}_bid {v!r} snapped to 0.0"
-             for t, k, v in zip(rows.tolist(), cols.tolist(), bids[snapped].tolist())]
-    bids[snapped] = 0.0
-    return bids, notes
+    notes = [f"t{t}:{_MARKETS[k]}_{kind} {v!r} snapped to 0.0"
+             for t, k, v in zip(rows.tolist(), cols.tolist(), values[snapped].tolist())]
+    values[snapped] = 0.0
+    return values, notes
 
 
 def regime_solution(cover: clearing.RegimeCover, outcome: solver.SolveOutcome) -> BilevelSolution:
     """The schedule of a solved :func:`assemble_regime_milp` over ``cover``:
     each interval's chosen copy (its largest ``lam``, the first of equal
-    ones) with its held dual's row and lower duals, and the SOC. The mode
-    is 1 on the sell side, 0 on the buy side and without energy. Bids are
-    snapped by :func:`_snap_bids`."""
+    ones), its clearing point read through the copy's map
+    (:func:`copy_maps`) with its held dual's row and lower duals, and the
+    SOC. The mode is 1 on the sell side, 0 on the buy side and without
+    energy. Bids and awards are snapped by :func:`_snap_zeros`."""
     if outcome.x is None:
         raise BilevelError(f"no incumbent to extract (status {outcome.status})")
-    n_t = cover.layout.scenario.n_intervals
-    k = len(cover.t)
-    width = REGIME_X0 + cover.layout.n_cols
-    copies = outcome.x[:k * width].reshape(k, width)
+    layout = cover.layout
+    n_t = layout.scenario.n_intervals
+    maps = copy_maps(cover)
+    lam = outcome.x[maps.start[:-1]]
     # copies run in interval order; each interval's first best lam
     start = np.searchsorted(cover.t, np.arange(n_t + 1))
-    chosen = np.array([a + int(np.argmax(copies[a:b, 0]))
+    chosen = np.array([a + int(np.argmax(lam[a:b]))
                        for a, b in zip(start[:-1].tolist(), start[1:].tolist())], dtype=np.intp)
-    bids, notes = _snap_bids(copies[chosen, 1:REGIME_X0])
+    p = maps.pattern[chosen]
+    own = maps.own[p]
+    v = np.zeros(own.shape)
+    n = own.sum(axis=1)
+    first = maps.start[chosen] + 1   # each chosen copy's columns after its lam
+    v[own] = outcome.x[np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    x = lam[chosen, None] * maps.x_lam[chosen] + np.einsum("tcw,tw->tc", maps.q[p], v)
+    bids, notes = _snap_zeros(v[:, :4], "bid")
+    x[:, layout.col_bs:], award_notes = _snap_zeros(x[:, layout.col_bs:], "award")
     sell_side = cover.side[chosen] == 0
     return BilevelSolution(
-        layout=cover.layout,
+        layout=layout,
         bids=bids,
-        u=(sell_side & cover.layout.scenario.market_mask.energy).astype(int),
-        soc=outcome.x[k * width:].copy(),
-        x=copies[chosen, REGIME_X0:],
+        u=(sell_side & layout.scenario.market_mask.energy).astype(int),
+        soc=outcome.x[maps.start[-1]:].copy(),
+        x=x,
         row_duals=cover.row_duals[chosen],
         lower_duals=cover.lower_duals[chosen],
         objective=float(outcome.objective),
-        notes=notes,
+        notes=notes + award_notes,
     )
 
 

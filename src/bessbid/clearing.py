@@ -823,16 +823,29 @@ def _essential(cover: RegimeCover, g: np.ndarray, bids: np.ndarray,
     their side; ``g``, ``bids`` and ``cost`` are every cleared point, among
     which are all the envelope's vertices. A region is the hull of the
     vertices where its piece is on the envelope; the envelope without the
-    thin pieces is the same."""
+    thin pieces is the same. The ranks are taken group by group, one stack
+    per group: a piece's points off its piece are zero rows of its matrix,
+    which leave its rank as it is."""
     rate = cover.layout.scenario.bess.power_rate
+    n_sides = len(cover.sides)
     group = cover.group
-    keep = np.zeros(len(group), dtype=bool)
-    for k in range(len(group)):
-        mine = g == group[k]
-        at = bids[mine] @ cover.slope[k] + cover.level[k]
-        top = bids[mine][at >= cost[mine] - COVER_TOL * np.maximum(1.0, np.abs(cost[mine]))]
-        free = list(cover.sides[cover.side[k]])
-        # a side without columns is the zero bid, which its one piece covers
-        keep[k] = not free or len(top) > 0 and np.linalg.matrix_rank(
-            (top - top[0])[:, free], tol=1e-9 * rate) == len(free)
+    keep = np.ones(len(group), dtype=bool)
+    # the points group by group, each group's in the order they were taken
+    order = np.argsort(g, kind="stable")
+    n_groups = cover.layout.scenario.n_intervals * n_sides
+    piece_at = np.searchsorted(group, np.arange(n_groups + 1))
+    point_at = np.searchsorted(g[order], np.arange(n_groups + 1))
+    for gi in np.flatnonzero(np.diff(piece_at)).tolist():   # the groups with pieces
+        free = list(cover.sides[gi % n_sides])
+        if not free:   # the zero bid, which its one piece covers
+            continue
+        mine = slice(piece_at[gi], piece_at[gi + 1])
+        points = order[point_at[gi]:point_at[gi + 1]]
+        pts, at_cost = bids[points], cost[points]
+        at = pts @ cover.slope[mine].T + cover.level[mine]
+        top = (at >= (at_cost - COVER_TOL * np.maximum(1.0, np.abs(at_cost)))[:, None]).T
+        first = pts[np.argmax(top, axis=1)]
+        span = np.where(top[..., None], pts[None, :, free] - first[:, None, free], 0.0)
+        keep[mine] = top.any(axis=1) & (
+            np.linalg.matrix_rank(span, tol=1e-9 * rate) == len(free))
     return cover._select(keep)

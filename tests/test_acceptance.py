@@ -160,28 +160,28 @@ def test_acceptance_3_participation_monotonicity(desk_reports):
 # over the certified clearing regimes.
 REPORT_DIGESTS = {
     1: {
-        "intervals": "05c5abefa232dd601cdd92b9cbbaa4c3aba9ce6d27b0acf2b4ff6ac90384b6c7",
-        "soc_trace": "731769b3dcd8c8ba3ed8c134b34334ad9628e379343ed52fb3b2f7797ff1c665",
-        "revenue_traces": "f300f1b7c86d56a710a6207877761aff93e9448df4f1d2a78c783f888a14b5f7",
-        "summary": "2fdcd67010e19daec1bfd0aeec0c391f2a0c60ced656ccb094a55c7809fabb68",
+        "intervals": "32664d1300bd6a27622986aac30185021faf6e4dcf5531d6618fa70948f6f447",
+        "soc_trace": "fbd204cd90bc58282d916007b378d9ce8dd96166618518550ff1f8ed53724bc7",
+        "revenue_traces": "ab75ea7b15ad57f66b93829f43b5f970b3dae95a62a3c1c9bc7a1a9090d66d86",
+        "summary": "6198ca48c5e5d7f7d80749be8d2b863c4f02ad5ca4093a4287a84423f65f989f",
     },
     2: {
-        "intervals": "20bd2821b6064425a38eed7b29c4ae7a13144371a0eaea565cc71f84bd04010d",
-        "soc_trace": "70cf6ed8c2deb4b8b53408e032f32d8d5012f036bb9a57a874b14e8a0227a038",
-        "revenue_traces": "6deb85946135eedf0d6576fde1ee265313ff5b430f34a2957081baf46ee6fb0c",
-        "summary": "5941d71e134e181804b39a226d2adc6c84f757fe1ba9eee84b8d6a0af081525e",
+        "intervals": "587c49146be45d439175f6295b67444c6716fa4283c0ace4e8994c91493e63e4",
+        "soc_trace": "d5f740098415856a74d74819eaad9c0543edaf9863901c9c06a196d084c19a5b",
+        "revenue_traces": "638f8d3ba9f6e8405833232e3ee21da8e227c7d4f33da2a4b9a9071d73e1e1d3",
+        "summary": "06d2b2c9aa669a23800af6679c6c88e9b25cff15e07e55cc8f000bd45a2efc83",
     },
     3: {
-        "intervals": "40adbe4d6ff0363134b917001243f41d40f2b116e17ea64822df48abb2e41f59",
-        "soc_trace": "b8c3fa1d206827b690be430176e4186f50fb1fa6f6c6bc92f5e0faecdb7b06e7",
-        "revenue_traces": "990c8f7f58d48bb51b6e7fd8c3e77fc3e45c60de681d093561d6713e3dbf678d",
-        "summary": "d237b90a7da38d544d1cd23417061504ff84edc6a89a61398c62712abd163229",
+        "intervals": "a238ff4747b0821dcaca213e899a47e26f8346b9bb43d157f5a2a42cea821ae8",
+        "soc_trace": "cd6590366db0eedecb8314d479d39b965f98d6c7120b466bbe51b7a5d6317552",
+        "revenue_traces": "8282ee731abebab879f6ea0b79505f02a28710f12664fff3e2508602c7b12457",
+        "summary": "43d1b95a985cb5a7c27b33ffbd2d77beebac82a01d89a96b2907ba39ccb679bb",
     },
     4: {
-        "intervals": "1a4f58d39371196dbf434fccaf00b314f97c884d008f5e883f056c0f807db9ad",
-        "soc_trace": "74256fe2ac7fe5b426117b3dc4114b9ff044be6caa824223fad0ecb09087d118",
-        "revenue_traces": "0acc47505901ff920424204f07c2865929b7ce1d48635d23755b4d91a96fdd3c",
-        "summary": "41580b62734c47ad8aa583ddef266c018c85751996f8169595d2c2bb04f069b1",
+        "intervals": "f3fa41bd43df6ec984ae75b4de870f1885b596f0dbd23ddfb2fb2bba4a9451dd",
+        "soc_trace": "ac05d0e21cb88cd2c5a5b190ad70557821dfb2e328f2b608f07cd3aced205536",
+        "revenue_traces": "637136591af1609514588786327af8c3803551d8c25e2cae02df6facfab709e5",
+        "summary": "9854f0fd27b661d350396308c5d4e9c9bf60cab8cfed6a7f50ddc21588d84194",
     },
 }
 
@@ -230,8 +230,8 @@ def test_desk_report_files_match_pinned_digests(tmp_path, desk_reports):
 # clearing regimes of all 96 intervals, where earlier bases certify the most
 # vertices; .github/workflows/tier1.yml checks them through the CLI
 REFERENCE_CASE3_DIGESTS = {
-    "intervals": "5039715811a3811e6bb213a356def9d00446651cd9dfb3cf34156f14e1cf56de",
-    "summary": "7864eed3702ae270806503df62bea02dbe1c0f9d57d71dc4e287d81eaab54c1b",
+    "intervals": "1cc03c00bd32d613fd7177407a6e7a7832b74cc3509a76ed716c70421292f16a",
+    "summary": "f5eeedf9d7ded8d46c143c66fcc1be963efc57c9ec8154ed7d1f4422da9fb2c5",
 }
 
 
@@ -246,18 +246,19 @@ def test_reference_case_3_report_files_match_pinned_digests(tmp_path):
 # bits of both revenues, and the bits of the largest residual of each
 # first-order block
 DESK_VERIFICATION = {
-    1: ([10, 11, 12, 13, 14, 20, 21], "0x1.0ddf1004846b1p+10", "0x1.0ddf1004846b2p+10",
+    1: ([10, 11, 12, 13, 14, 20, 21], "0x1.0e6bfcd56ead6p+10", "0x1.0e6bfcd56ead6p+10",
         {"stationarity": "0x1.4000000000000p-46", "primal": "0x1.0000000000000p-45",
-         "dual_sign": "0x0.0p+0", "cs": "0x1.abd3c36113404p-45"}),
-    2: ([8, 9, 10, 11, 12, 14, 20, 21], "0x1.367303d3df054p+10", "0x1.367303d3df054p+10",
-        {"stationarity": "0x1.4000000000000p-46", "primal": "0x1.0000000000000p-44",
-         "dual_sign": "0x0.0p+0", "cs": "0x1.003621fafc8b0p-44"}),
-    3: ([t for t in range(24) if t != 16], "0x1.62dbb4db7c547p+10", "0x1.62dbb4db7c547p+10",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.2660807357e66p-42"}),
+    2: ([8, 9, 10, 11, 12, 14, 20, 21], "0x1.368dc4dd5e1d1p+10", "0x1.368dc4dd5e1d0p+10",
+        {"stationarity": "0x1.4000000000000p-46", "primal": "0x1.0000000000000p-45",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.2660807357e66p-42"}),
+    3: ([t for t in range(24) if t != 16], "0x1.62bed4aeeabfep+10", "0x1.62bed4aeeabfep+10",
         {"stationarity": "0x1.0000000000000p-49", "primal": "0x1.0000000000000p-45",
-         "dual_sign": "0x0.0p+0", "cs": "0x1.43f5e17542131p-46"}),
-    4: ([t for t in range(24) if t != 16], "0x1.80d7eefec4772p+10", "0x1.80d7eefec4771p+10",
+         "dual_sign": "0x0.0p+0", "cs": "0x1.2660807357e66p-42"}),
+    4: ([t for t in range(24) if t not in (0, 16)], "0x1.81cccc3553e4ap+10",
+        "0x1.81cccc3553e4ap+10",
         {"stationarity": "0x1.0000000000000p-49", "primal": "0x1.0000000000000p-45",
-         "dual_sign": "0x0.0p+0", "cs": "0x1.07cf5f4e4430ap-45"}),
+         "dual_sign": "0x0.0p+0", "cs": "0x1.2660807357e66p-42"}),
 }
 
 # the same from the big-M MILP; taken while each interval was checked on its
@@ -305,7 +306,7 @@ def extract_solution(built: bilevel.BilevelMilp,
     branch are snapped to exact zero: the big-M row already caps them at
     solver tolerance, and the snap keeps downstream slackness products clean.
     Bids in ``[-FEASIBILITY_TOL, 0)`` are snapped to 0.0 as well, each with
-    a note (see ``bilevel._snap_bids``).
+    a note (see ``bilevel._snap_zeros``).
     """
     if outcome.x is None:
         raise bilevel.BilevelError(f"no incumbent to extract (status {outcome.status})")
@@ -313,7 +314,7 @@ def extract_solution(built: bilevel.BilevelMilp,
     kkt = block.kkt
     layout = kkt.layout
     x = outcome.x.reshape(-1, block.width)   # one block per row
-    bids, notes = bilevel._snap_bids(x[:, :4])
+    bids, notes = bilevel._snap_zeros(x[:, :4], "bid")
 
     # duals of the clearing rows, then of the floors; a binary below 0.5
     # selects its pair's nonbinding branch, where the dual is zero

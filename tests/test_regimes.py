@@ -5,6 +5,7 @@ cannot certify."""
 
 import dataclasses
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -238,25 +239,200 @@ def test_terminal_soc_equality_on_desk_case_4():
     assert report.schedule.records[-1].soc == pytest.approx(scn.bess.soc_init, abs=1e-6)
 
 
-def test_regime_solution_snaps_a_tiny_negative_bid():
+def _published_copy(cover, outcome, t):
+    """Interval ``t``'s chosen copy of a solved regime MILP over ``cover``
+    (its largest ``lam``), and the copy's maps."""
+    maps = bilevel.copy_maps(cover)
+    mine = np.flatnonzero(cover.t == t)
+    return mine[np.argmax(outcome.x[maps.start[mine]])], maps
+
+
+def _with_tiny_negative_bid(cover, outcome, sol):
+    """The outcome with the first zero bid of the published schedule that is
+    a column of its copy carried at -1e-15, and that bid's interval and
+    market."""
+    for t, market in np.argwhere(sol.bids == 0.0).tolist():
+        k, maps = _published_copy(cover, outcome, t)
+        if maps.own[maps.pattern[k], market]:
+            break
+    x = outcome.x.copy()
+    x[maps.start[k] + maps.local[maps.pattern[k], market]] = -1e-15
+    return dataclasses.replace(outcome, x=x), t, market
+
+
+@pytest.fixture(scope="module")
+def acceptance_solve():
     scn = acceptance_instance()
     cover = clearing.regimes(clearing.LlLayout(scn))
     outcome = solver.solve_milp(bilevel.assemble_regime_milp(cover), gap_tol=1e-9)
-    sol = bilevel.regime_solution(cover, outcome)
-    # a zero bid of the published schedule, carried at -1e-15 by its copy
-    t, market = map(int, np.argwhere(sol.bids == 0.0)[0])
-    width = bilevel.REGIME_X0 + cover.layout.n_cols
-    copies = outcome.x[:len(cover.t) * width].reshape(len(cover.t), width)
-    chosen = np.flatnonzero(cover.t == t)[np.argmax(copies[cover.t == t, 0])]
-    x = outcome.x.copy()
-    x[chosen * width + 1 + market] = -1e-15
-    snapped = bilevel.regime_solution(cover, dataclasses.replace(outcome, x=x))
+    return cover, outcome, bilevel.regime_solution(cover, outcome)
+
+
+def test_regime_solution_snaps_a_tiny_negative_bid(acceptance_solve):
+    cover, outcome, sol = acceptance_solve
+    perturbed, t, market = _with_tiny_negative_bid(cover, outcome, sol)
+    snapped = bilevel.regime_solution(cover, perturbed)
     name = ("sell", "buy", "reserve", "regcap")[market]
-    assert snapped.notes == [f"t{t}:{name}_bid -1e-15 snapped to 0.0"]
+    assert snapped.notes[0] == f"t{t}:{name}_bid -1e-15 snapped to 0.0"
     assert snapped.bids.tobytes() == sol.bids.tobytes()
     report = bilevel.verify_bilevel_solution(snapped)
     assert report.passed, report.summary()
     assert report.notes[0] == snapped.notes[0]
+
+
+def test_regime_solution_snaps_a_tiny_negative_award(acceptance_solve):
+    # the copy's award follows its bid one for one, so the award read
+    # through the copy's map lands at -1e-15 too, below its bound 0
+    cover, outcome, sol = acceptance_solve
+    perturbed, t, market = _with_tiny_negative_bid(cover, outcome, sol)
+    k, maps = _published_copy(cover, outcome, t)
+    col = cover.layout.col_bs + market
+    assert maps.q[maps.pattern[k], col, market] == 1.0
+    assert sol.x[t, col] == 0.0
+    snapped = bilevel.regime_solution(cover, perturbed)
+    name = ("sell", "buy", "reserve", "regcap")[market]
+    assert snapped.notes[1:] == [f"t{t}:{name}_award -1e-15 snapped to 0.0"]
+    assert snapped.x[t, col] == 0.0 and not np.signbit(snapped.x[t, col])
+    report = bilevel.verify_bilevel_solution(snapped)
+    assert report.passed, report.summary()
+    assert report.notes[:2] == snapped.notes
+
+
+def full_copy_regime_milp(cover, terminal_soc_equality=False) -> solver.MilpProblem:
+    """The regime MILP with every copy a whole clearing LP, the model
+    :func:`bilevel.assemble_regime_milp` reduces: the reference it is
+    checked against.
+
+    Held dual ``k`` gets ``width = 5 + layout.n_cols`` columns from
+    ``k * width`` on: a binary ``lam`` that chooses it, the bids sbid,
+    dbid, rsbid, rgbid and the clearing columns. The interval SOCs follow
+    the copies. Each copy holds the clearing rows with their right-hand
+    sides times its ``lam`` and minus its bids on the bid rows; the rows in
+    its dual's support bind, and the columns with a positive reduced cost
+    are 0. Its bids on its side's columns are at most ``rate * lam``, the
+    others 0, and the power envelope holds on its awards. Each interval
+    chooses one copy, the revenue is each copy's prices times its awards,
+    and the SOC rows act on the sums of an interval's copies.
+    """
+    layout = cover.layout
+    scn = layout.scenario
+    bess = scn.bess
+    rate = bess.power_rate
+    n_t, nr, nx = scn.n_intervals, layout.n_rows, layout.n_cols
+    k = len(cover.t)
+    width = 5 + nx
+    n_rows = nr + 6   # the clearing rows, the four bid caps, the power envelope
+    y = cover.row_duals
+    c0 = np.arange(k)[:, None] * width   # each copy's lam column
+    x0 = c0 + 5
+    r0 = np.arange(k)[:, None] * n_rows
+
+    lower = np.zeros((k, width))
+    upper = np.full((k, width), np.inf)
+    c = np.zeros((k, width))
+    upper[:, :5] = [1.0, rate, rate, rate, rate]
+    lower[:, 5:] = layout.lower
+    upper[:, 5:] = np.where(cover.lower_duals > 0.0, 0.0, np.inf)
+    awards = 5 + layout.col_bs + np.arange(5)
+    c[:, awards] = y[:, [layout.row_balance, layout.row_balance, layout.row_reserve_req,
+                         layout.row_regcap_req, layout.row_mileage_req]] * [1, -1, 1, 1, 1]
+    integrality = np.zeros((k, width), dtype=np.int8)
+    integrality[:, 0] = 1
+
+    a = layout.a
+    bids = c0 + 1 + np.arange(4)
+    caps = np.zeros((k, 4))
+    for side, free in enumerate(cover.sides):
+        caps[np.ix_(cover.side == side, list(free))] = rate
+    bs, bd, brs, brgc = (x0[:, 0] + layout.col_bs + j for j in range(4))
+    envelope = np.column_stack([bd, bs, brs, brgc, c0[:, 0]])
+    entries = [
+        (r0 + a.rows, x0 + a.indices, a.data),
+        (r0 + list(layout.bid_rows.values()), bids, -1.0),
+        (r0 + np.arange(nr), c0, -layout.rhs_base[cover.t]),
+        (r0 + nr + np.arange(4), bids, 1.0),
+        (r0 + nr + np.arange(4), c0, -caps),
+        (r0 + nr + 4, envelope, [1.0, -1.0, -1.0, -1.0, rate]),
+        (r0 + nr + 5, envelope, [1.0, -1.0, -1.0, 1.0, -rate]),
+    ]
+    binds = (layout.senses == "=") | (y != 0.0)
+    senses = np.concatenate([np.where(binds, "=", layout.senses),
+                             np.broadcast_to(["<", "<", "<", "<", ">", "<"], (k, 6))], axis=1)
+
+    per = n_rows * k
+    soc0 = k * width
+    entries.append((per + cover.t, c0[:, 0], 1.0))
+    ul = bilevel._soc_rows(scn, [], {
+        "soc": (np.arange(n_t), soc0 + np.arange(n_t), np.ones(n_t)),
+        **{name: (cover.t, col, np.ones(k))
+           for name, col in zip(("bs", "bd", "brs", "brgc"), (bs, bd, brs, brgc))}},
+        terminal_soc_equality)
+    entries.append((per + n_t + ul.rows, ul.cols, ul.vals))
+    rows, cols, vals = (np.concatenate(v) for v in zip(*(
+        [v.ravel() for v in np.broadcast_arrays(*e)] for e in entries)))
+    keep = vals != 0.0
+    matrix = solver.CsrMatrix.from_entries(rows[keep], cols[keep], vals[keep],
+                                           (per + n_t + len(ul.rhs), soc0 + n_t))
+    milp = solver.MilpProblem(
+        c=np.concatenate([c.ravel(), np.zeros(n_t)]), a=matrix,
+        senses=np.concatenate([senses.ravel(), np.full(n_t, "="), ul.senses]),
+        rhs=np.concatenate([np.zeros(per), np.ones(n_t), ul.rhs]),
+        lower=np.concatenate([lower.ravel(), np.full(n_t, bess.soc_min)]),
+        upper=np.concatenate([upper.ravel(), np.full(n_t, bess.soc_max)]),
+        maximize=True,
+        integrality=np.concatenate([integrality.ravel(), np.zeros(n_t, dtype=np.int8)]),
+    )
+    milp.validate()
+    return milp
+
+
+@pytest.fixture(scope="module")
+def reference_case_3_cover():
+    scn = harness.reference_scenario(MarketMask.from_case(3))
+    return clearing.regimes(clearing.LlLayout(scn))
+
+
+@pytest.mark.parametrize("name", [1, 2, 3, 4, "acceptance 1", "reference 3"])
+def test_reduced_copies_reach_the_full_copy_optimum(cover_runs, reference_case_3_cover, name):
+    cover = reference_case_3_cover if name == "reference 3" else cover_runs[name].cover
+    outcome = solver.solve_milp(bilevel.assemble_regime_milp(cover), gap_tol=1e-9)
+    full = solver.solve_milp(full_copy_regime_milp(cover), gap_tol=1e-9)
+    assert outcome.status == full.status == solver.OPTIMAL
+    assert abs(outcome.objective - full.objective) <= 1e-9 * abs(full.objective)
+    report = bilevel.verify_bilevel_solution(bilevel.regime_solution(cover, outcome))
+    assert report.passed, report.summary()
+    assert report.revenue_milp == outcome.objective
+
+
+def test_desk_case_4_reduced_model_is_at_most_half_the_full_copy_model(desk_covers):
+    cover = desk_covers[4]
+    reduced, full = bilevel.assemble_regime_milp(cover), full_copy_regime_milp(cover)
+    assert (full.n_cols, full.n_rows) == (6250, 9718)
+    assert 2 * reduced.n_cols <= full.n_cols
+    assert 2 * reduced.n_rows <= full.n_rows
+    assert reduced.integrality.sum() == full.integrality.sum() == len(cover.t)
+
+
+def test_degenerate_copies_keep_their_free_columns(desk_covers, caplog):
+    # a copy keeps as many clearing columns as its binding rows leave free:
+    # the columns without a positive reduced cost less the rank of the
+    # binding rows on them
+    cover = desk_covers[4]
+    layout = cover.layout
+    a = layout.a.toarray()
+    binds = (layout.senses == "=") | (cover.row_duals != 0.0)
+    open_cols = cover.lower_duals <= 0.0
+    left_free = np.array([open_cols[k].sum() - np.linalg.matrix_rank(a[binds[k]][:, open_cols[k]])
+                          for k in range(len(cover.t))])
+    maps = bilevel.copy_maps(cover)
+    own_cols = maps.own[maps.pattern, 4:].sum(axis=1)
+    assert own_cols.tolist() == left_free.tolist()
+    degenerate = int((own_cols > 0).sum())
+    assert degenerate >= 1
+    with caplog.at_level(logging.INFO, logger="bessbid.bilevel"):
+        bilevel.assemble_regime_milp(cover)
+    assert f"{len(cover.t)} binaries, {degenerate} copies with a free clearing column" \
+        in caplog.text
 
 
 def refuse_milps(monkeypatch):
