@@ -585,24 +585,22 @@ class CopyMaps:
     depends on the pattern alone. The copy is its dual's critical region
     (Gal & Nedoma, Management Science 18(7), 1972).
 
-    A copy's columns are its binary ``lam``, then the entries of
-    ``own[pattern[k]]``: its side's bids, then its free clearing columns,
-    in layout order. With ``v`` the bids and clearing columns, 0 where not
-    its own, copy ``k``'s clearing point is
-    ``lam * x_lam[k] + q[pattern[k]] @ v``.
+    A copy's columns are its binary ``lam`` at ``start[k]``, then the
+    entries of ``own[pattern[k]]``: its side's bids, then its free clearing
+    columns, in layout order, at ``col[k]``. With ``v`` the bids and
+    clearing columns, 0 where not its own, copy ``k``'s clearing point is
+    ``lam * x_lam[k] + q[pattern[k]] @ v``. One solve builds its maps once:
+    the assembly writes the copies' columns and the read-out reads them
+    through the same ``col``.
     """
 
+    cover: clearing.RegimeCover
     pattern: np.ndarray   # (copies,)
     own: np.ndarray       # (patterns, 4 + clearing columns), bool
     q: np.ndarray         # (patterns, clearing columns, 4 + clearing columns)
     x_lam: np.ndarray     # (copies, clearing columns)
     start: np.ndarray     # (copies + 1,) each copy's lam column, then the first SOC column
-
-    @property
-    def local(self) -> np.ndarray:
-        """Each pattern's own entries of ``v`` as columns after ``lam``,
-        from 1 on; 0 where not its own."""
-        return np.cumsum(self.own, axis=1) * self.own
+    col: np.ndarray       # (copies, 4 + clearing columns) each own entry's column, else -1
 
 
 def copy_maps(cover: clearing.RegimeCover) -> CopyMaps:
@@ -655,8 +653,11 @@ def copy_maps(cover: clearing.RegimeCover) -> CopyMaps:
         mine = pattern == p
         x_lam[mine] = np.einsum("kr,cr->kc", rhs[mine], per_rhs[p])
     x_lam[np.abs(x_lam) <= _lam_tol(rhs)] = 0.0
-    start = np.concatenate(([0], np.cumsum(1 + own.sum(axis=1)[pattern])))
-    return CopyMaps(pattern=pattern, own=own, q=q, x_lam=x_lam, start=start)
+    owned = own[pattern]
+    start = np.concatenate(([0], np.cumsum(1 + owned.sum(axis=1))))
+    col = np.where(owned, start[:-1, None] + np.cumsum(owned, axis=1), -1)
+    return CopyMaps(cover=cover, pattern=pattern, own=own, q=q, x_lam=x_lam, start=start,
+                    col=col)
 
 
 def _lam_tol(rhs: np.ndarray) -> np.ndarray:
@@ -665,16 +666,17 @@ def _lam_tol(rhs: np.ndarray) -> np.ndarray:
     return MAP_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1, initial=0.0))[:, None]
 
 
-def assemble_regime_milp(cover: clearing.RegimeCover,
+def assemble_regime_milp(maps: CopyMaps,
                          terminal_soc_equality: bool = False) -> solver.MilpProblem:
-    """The bidding MILP over a certified ``cover``, in hull form (Balas
-    1998), with no big-M: a disjunction over each interval's held duals.
+    """The bidding MILP over the certified cover of ``maps``
+    (:func:`copy_maps`), in hull form (Balas 1998), with no big-M: a
+    disjunction over each interval's held duals.
 
-    Held dual ``k`` gets one copy (:func:`copy_maps`): a binary ``lam``
-    that chooses it, its side's bids and the clearing columns its dual
-    leaves free, from column ``start[k]`` on; the interval SOCs follow the
-    copies. The copy's clearing point is a linear map of them that meets
-    the binding rows and the zero columns, so it is clearing-optimal at its
+    Held dual ``k`` gets one copy: a binary ``lam`` that chooses it at
+    column ``start[k]``, then its side's bids and the clearing columns its
+    dual leaves free at ``col[k]``; the interval SOCs follow the copies.
+    The copy's clearing point is a linear map of them that meets the
+    binding rows and the zero columns, so it is clearing-optimal at its
     bids, with its dual's prices. A copy's rows, over its own columns: the
     other clearing rows (right-hand sides times ``lam``), the floors
     ``x >= 0`` of the columns it does not own (its own columns keep their
@@ -685,13 +687,15 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
     each copy's prices times its awards, and the SOC rows act on the sums
     of an interval's copies' awards.
     """
+    cover = maps.cover
     layout = cover.layout
     scn = layout.scenario
     bess = scn.bess
     rate = bess.power_rate
     n_t, nr, nx = scn.n_intervals, layout.n_rows, layout.n_cols
-    maps = copy_maps(cover)
-    pattern, own, q, x_lam, start = maps.pattern, maps.own, maps.q, maps.x_lam, maps.start
+    pattern, own, q, x_lam, start, col = (maps.pattern, maps.own, maps.q, maps.x_lam,
+                                          maps.start, maps.col)
+    owned = col >= 0
     k = len(cover.t)
     awards = layout.col_bs + np.arange(5)   # bs, bd, brs, brgc, brgm
     floors = np.flatnonzero(np.isfinite(layout.lower))
@@ -734,24 +738,17 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
     holds = np.select([senses == ">", senses == "<"], [low >= -tol, high <= tol], vanish)
     keep = ~vanish & (free_col | ~holds)
     caps = nr + n_f + 2 + np.arange(4)
-    keep[:, caps] = own[pattern, :4]           # the bid caps are the box itself
-    keep[:, nr:nr + n_f] &= ~own[pattern][:, 4 + floors]   # an own column's floor is its bound
+    keep[:, caps] = owned[:, :4]               # the bid caps are the box itself
+    keep[:, nr:nr + n_f] &= ~owned[:, 4 + floors]   # an own column's floor is its bound
 
-    # the kept rows' entries, copy by copy: a pattern's on v, then each on lam
+    # the kept rows' entries, copy by copy: its pattern's on v, then its on lam
     kk, ii = np.nonzero(keep)
     n_copy_rows = len(kk)
-    n_cand = keep.shape[1]
-    pp, pi, pw = np.nonzero(on_v)
-    count = np.bincount(pp * n_cand + pi, minlength=len(own) * n_cand)
-    key = pattern[kk] * n_cand + ii
-    n_e = count[key]
-    e = np.repeat(np.cumsum(count)[key] - count[key] - np.cumsum(n_e) + n_e, n_e) \
-        + np.arange(n_e.sum())
-    row_e = np.repeat(np.arange(n_copy_rows), n_e)
-    local = maps.local
+    row_v = on_v[pattern[kk], ii]
+    vr, vw = np.nonzero(row_v)
     lam_at = np.flatnonzero(on_lam[kk, ii])
     entries = [
-        (row_e, start[kk[row_e]] + local[pp[e], pw[e]], on_v[pp[e], pi[e], pw[e]]),
+        (vr, col[kk[vr], vw], row_v[vr, vw]),
         (lam_at, start[kk[lam_at]], on_lam[kk[lam_at], ii[lam_at]]),
     ]
 
@@ -762,8 +759,8 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
     c = np.zeros(soc0 + n_t)
     integrality = np.zeros(soc0 + n_t, dtype=np.int8)
     integrality[start[:-1]] = 1
-    ck, cw = np.nonzero(own[pattern])
-    at = start[ck] + local[pattern[ck], cw]
+    ck, cw = np.nonzero(owned)
+    at = col[ck, cw]
     lower[at] = np.concatenate([np.zeros(4), layout.lower])[cw]
     upper[at] = np.where(cw < 4, rate, np.inf)
     lower[soc0:], upper[soc0:] = bess.soc_min, bess.soc_max
@@ -783,7 +780,7 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
         on_q = np.nonzero(q[pattern, awards[j]])
         on_x = np.flatnonzero(x_lam[:, awards[j]])
         return (np.concatenate([cover.t[on_x], cover.t[on_q[0]]]),
-                np.concatenate([start[on_x], start[on_q[0]] + local[pattern[on_q[0]], on_q[1]]]),
+                np.concatenate([start[on_x], col[on_q]]),
                 np.concatenate([x_lam[on_x, awards[j]], q[pattern[on_q[0]], awards[j], on_q[1]]]))
 
     every = np.arange(n_t)
@@ -806,7 +803,7 @@ def assemble_regime_milp(cover: clearing.RegimeCover,
     milp.validate()
     log.info("assembled regime MILP: %d cols, %d rows, %d binaries, %d copies with a free "
              "clearing column", milp.n_cols, milp.n_rows, k,
-             int(own[pattern, 4:].any(axis=1).sum()))
+             int(owned[:, 4:].any(axis=1).sum()))
     return milp
 
 
@@ -849,30 +846,27 @@ def _snap_zeros(values: np.ndarray, kind: str) -> tuple[np.ndarray, list[str]]:
     return values, notes
 
 
-def regime_solution(cover: clearing.RegimeCover, outcome: solver.SolveOutcome) -> BilevelSolution:
-    """The schedule of a solved :func:`assemble_regime_milp` over ``cover``:
+def regime_solution(maps: CopyMaps, outcome: solver.SolveOutcome) -> BilevelSolution:
+    """The schedule of a solved :func:`assemble_regime_milp` over ``maps``:
     each interval's chosen copy (its largest ``lam``, the first of equal
-    ones), its clearing point read through the copy's map
-    (:func:`copy_maps`) with its held dual's row and lower duals, and the
-    SOC. The mode is 1 on the sell side, 0 on the buy side and without
-    energy. Bids and awards are snapped by :func:`_snap_zeros`."""
+    ones), its clearing point read through the copy's map with its held
+    dual's row and lower duals, and the SOC. The mode is 1 on the sell
+    side, 0 on the buy side and without energy. Bids and awards are snapped
+    by :func:`_snap_zeros`."""
     if outcome.x is None:
         raise BilevelError(f"no incumbent to extract (status {outcome.status})")
+    cover = maps.cover
     layout = cover.layout
     n_t = layout.scenario.n_intervals
-    maps = copy_maps(cover)
     lam = outcome.x[maps.start[:-1]]
     # copies run in interval order; each interval's first best lam
     start = np.searchsorted(cover.t, np.arange(n_t + 1))
     chosen = np.array([a + int(np.argmax(lam[a:b]))
                        for a, b in zip(start[:-1].tolist(), start[1:].tolist())], dtype=np.intp)
-    p = maps.pattern[chosen]
-    own = maps.own[p]
-    v = np.zeros(own.shape)
-    n = own.sum(axis=1)
-    first = maps.start[chosen] + 1   # each chosen copy's columns after its lam
-    v[own] = outcome.x[np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())]
-    x = lam[chosen, None] * maps.x_lam[chosen] + np.einsum("tcw,tw->tc", maps.q[p], v)
+    col = maps.col[chosen]
+    v = np.where(col >= 0, outcome.x[col], 0.0)
+    x = lam[chosen, None] * maps.x_lam[chosen] \
+        + np.einsum("tcw,tw->tc", maps.q[maps.pattern[chosen]], v)
     bids, notes = _snap_zeros(v[:, :4], "bid")
     x[:, layout.col_bs:], award_notes = _snap_zeros(x[:, layout.col_bs:], "award")
     sell_side = cover.side[chosen] == 0

@@ -12,7 +12,9 @@ that cannot be written or report directory that cannot be created, an
 ``export-mps --name`` that is not printable ASCII, a NaN ``--gap``,
 ``--time-limit`` or ``--step``, a ``--config`` file that does not parse or
 does not decode as UTF-8 text, a ``compare --cases`` list that repeats a
-case, and ``agc-check --seeds`` below 1 or ``--samples`` below 2), 3
+case, ``synth --desk`` with ``--peak``, ``--intervals`` or ``--buy-price``,
+and ``agc-check --seeds`` below 1, ``--samples`` below 2 or ``--case``
+without ``--scenario``), 3
 infeasible market or case (including a market that clears only when the
 storage buys), 4 verification failure (including AGC breaches and
 monotonicity violations), 5 solver time limit (including one that passes
@@ -159,14 +161,14 @@ def cli(ctx: click.Context, config: str | None) -> None:
               help="Write the fixed 24-interval reduced study system instead.")
 @click.option("--case", type=click.IntRange(1, 4), default=None,
               help="Participation case stored in the scenario [default: 4].")
-@click.option("--buy-price", type=float, default=0.0, show_default=True,
-              help="Storage demand price bid in $/MWh for every interval.")
+@click.option("--buy-price", type=float, default=None,
+              help="Storage demand price bid in $/MWh for every interval [default: 0].")
 def synth(out, peak, intervals, desk, case, buy_price):
     """Synthesize a scenario file from the packaged daily patterns."""
     mask = MarketMask() if case is None else MarketMask.from_case(case)
     if desk:
-        if peak is not None or intervals is not None:
-            raise click.UsageError("--desk fixes the system size; drop --peak/--intervals")
+        if peak is not None or intervals is not None or buy_price is not None:
+            raise click.UsageError("--desk fixes the system; drop --peak/--intervals/--buy-price")
         scn = harness.desk_scenario(mask=mask)
     else:
         peak = 1000.0 if peak is None else peak
@@ -181,7 +183,7 @@ def synth(out, peak, intervals, desk, case, buy_price):
                 peak_load_mw=peak,
                 delta_t=24.0 / intervals,
                 market_mask=mask,
-                bess_price_bids=BessPriceBids(buy=buy_price),
+                bess_price_bids=BessPriceBids(buy=0.0 if buy_price is None else buy_price),
             )
         except ScenarioError as err:
             raise _fail(EXIT_USAGE, str(err))
@@ -305,6 +307,8 @@ def export_mps(scenario, case, out, name):
 @solver_options
 def agc_check(seeds, samples, scenario, case, gap, time_limit):
     """Validate regulation traces; optionally replay them against a solved case."""
+    if case is not None and scenario is None:
+        raise click.UsageError("--case needs --scenario")
     scn = None if scenario is None else _load(scenario, case)
     traces = [agc.generate_signal(s, samples=samples) for s in range(seeds)]
     worst_mean = max(abs(float(trace.signal.mean())) for trace in traces)

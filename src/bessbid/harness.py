@@ -159,7 +159,8 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
 
     The published solve is the bidding problem over each interval's
     certified clearing regimes (:func:`clearing.regimes` on the scenario's
-    :class:`clearing.LlLayout`, :func:`bilevel.assemble_regime_milp`), and
+    :class:`clearing.LlLayout`, :func:`bilevel.assemble_regime_milp` over
+    the cover's :func:`bilevel.copy_maps`, built once), and
     :func:`bilevel.verify_bilevel_solution` checks its schedule. The
     report's counts describe the paper's big-M MILP, computed from the
     layout's sizes (:func:`bilevel.milp_counts`) without assembling it.
@@ -192,9 +193,10 @@ def run_case(scn: Scenario, mask: MarketMask | None = None,
         raise CaseInfeasibleError(str(exc)) from exc
     except clearing.ClearingError as exc:
         raise SolverFailedError(str(exc)) from exc
-    outcome = _solve(bilevel.assemble_regime_milp(cover, terminal_soc_equality),
+    maps = bilevel.copy_maps(cover)
+    outcome = _solve(bilevel.assemble_regime_milp(maps, terminal_soc_equality),
                      settings, deadline)
-    sol = bilevel.regime_solution(cover, outcome)
+    sol = bilevel.regime_solution(maps, outcome)
     report = bilevel.verify_bilevel_solution(sol)
     if not report.passed:
         raise VerificationFailedError(report)

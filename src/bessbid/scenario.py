@@ -172,49 +172,10 @@ DEFAULT_GENERATOR_TABLE: tuple[GeneratorParams, ...] = (
 DEFAULT_BESS = BessParams(energy_capacity=400.0, power_rate=40.0)
 
 
-def _read_pattern_file(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ScenarioError(f"unreadable pattern file {path}: {exc}") from exc
-    values = []
-    for ln, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        try:
-            v = float(text)
-        except ValueError:
-            raise ScenarioError(f"{path} line {ln}: not a number: {text!r}") from None
-        if not (0.0 <= v <= 1.0):
-            raise ScenarioError(f"{path} line {ln}: value {v} outside [0, 1]")
-        values.append(v)
-    if not values:
-        raise ScenarioError(f"{path}: empty pattern file")
-    return np.array(values)
-
-
-def load_patterns(price_pattern_file, load_pattern_file) -> tuple[np.ndarray, np.ndarray]:
-    """Read normalized price and load patterns (one value in [0,1] per line).
-
-    The two files must be the same length and the load pattern must reach 1.
-    """
-    price = _read_pattern_file(price_pattern_file)
-    load = _read_pattern_file(load_pattern_file)
-    if len(price) != len(load):
-        raise ScenarioError(
-            f"pattern length mismatch: {len(price)} price vs {len(load)} load values"
-        )
-    if abs(load.max() - 1.0) > 1e-9:
-        raise ScenarioError(f"load pattern max is {load.max()!r}, expected 1.0")
-    return price, load
-
-
 def default_patterns() -> tuple[np.ndarray, np.ndarray]:
     """The packaged 96-interval daily patterns (peak spanning the 73rd interval)."""
     data = importlib.resources.files("bessbid") / "data"
-    return load_patterns(str(data / "price_pattern.csv"), str(data / "load_pattern.csv"))
+    return np.loadtxt(str(data / "price_pattern.csv")), np.loadtxt(str(data / "load_pattern.csv"))
 
 
 def synthesize_scenario(

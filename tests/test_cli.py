@@ -59,6 +59,16 @@ def test_synth_desk_conflicts_with_sizing_flags(tmp_path):
     assert res.exit_code == EXIT_USAGE
 
 
+def test_synth_desk_refuses_a_buy_price(tmp_path):
+    # the desk system fixes its own buy price bid, so one given is refused,
+    # not dropped, and no file is written
+    out = tmp_path / "s.scn"
+    res = runner().invoke(cli, ["synth", "--out", str(out), "--desk", "--buy-price", "55"])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert "--buy-price" in res.stderr
+    assert not out.exists()
+
+
 def test_clear_prints_prices_and_writes_csv(tmp_path):
     rn = runner()
     scn = synth_tiny(rn, tmp_path / "s.scn")
@@ -424,6 +434,13 @@ def test_agc_check_standalone():
     res = runner().invoke(cli, ["agc-check", "--seeds", "5", "--samples", "60"])
     assert res.exit_code == 0, res.output
     assert "bounded" in res.output
+
+
+def test_agc_check_case_without_scenario_is_usage_error():
+    res = runner().invoke(cli, ["agc-check", "--seeds", "2", "--case", "3"])
+    assert res.exit_code == EXIT_USAGE, res.output
+    assert "--case needs --scenario" in res.stderr
+    assert res.stdout == ""
 
 
 def test_agc_check_with_scenario(tmp_path):

@@ -104,7 +104,7 @@ def test_desk_models_match_scipy_construction(monkeypatch, case):
     scn = harness.desk_scenario().with_mask(MarketMask.from_case(case))
     big_m = bilevel.assemble_milp(scn)
     cover = clearing.regimes(big_m.block.kkt.layout)
-    bilevel.assemble_regime_milp(cover)
+    bilevel.assemble_regime_milp(bilevel.copy_maps(cover))
     assert len(built) == 2
     _assert_builds_match_scipy(built)
 

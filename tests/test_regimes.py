@@ -171,6 +171,37 @@ def test_cover_matches_pinned_digest(cover_runs, name):
     assert h.hexdigest() == COVER_DIGESTS[name]
 
 
+# sha256 of each cover's regime MILP: its matrix's indptr, indices and data,
+# then its c, senses, rhs, lower, upper and integrality bytes, in that order
+REGIME_MILP_DIGESTS = {
+    1: "a1d17088c9a5f34b5ae626b4ce60b64b897fa0a4bc9d5bb6246277cba9460fab",
+    2: "cd173f18c5bbd9c79f33f14d4811311c3c19bb10ee04d6490e47b8531728b650",
+    3: "3d38af5b7248151d1656b41e2927dc6a1e95c47ce130e61778af6671fdbf31fb",
+    4: "0271441e8f6114ed707d73449fa17cc261b1445bb9970a4276e2e860ecf7b2ec",
+    "acceptance 1": "ed4b41517242aef69260d7e5bfa66a8ebdea10bdc4793c9c2b56c9b2e562e47b",
+}
+
+
+@pytest.mark.parametrize("name", list(REGIME_MILP_DIGESTS))
+def test_regime_milp_matches_pinned_digest(cover_runs, name):
+    milp = bilevel.assemble_regime_milp(bilevel.copy_maps(cover_runs[name].cover))
+    h = hashlib.sha256()
+    for array in (milp.a.indptr, milp.a.indices, milp.a.data, milp.c, milp.senses, milp.rhs,
+                  milp.lower, milp.upper, milp.integrality):
+        h.update(array.tobytes())
+    assert h.hexdigest() == REGIME_MILP_DIGESTS[name]
+
+
+def test_run_case_builds_the_copy_maps_once(monkeypatch):
+    built = []
+    copy_maps = bilevel.copy_maps
+    monkeypatch.setattr(bilevel, "copy_maps", lambda cover: built.append(cover) or
+                        copy_maps(cover))
+    report = harness.run_case(acceptance_instance(), settings=EXACT)
+    assert report.verification.passed, report.verification.summary()
+    assert len(built) == 1
+
+
 def test_desk_case_4_cover_certifies_most_vertices_without_a_clear(cover_runs):
     # clearing every vertex solved 1204 LP rows; earlier bases certify
     # about half of them
@@ -239,39 +270,38 @@ def test_terminal_soc_equality_on_desk_case_4():
     assert report.schedule.records[-1].soc == pytest.approx(scn.bess.soc_init, abs=1e-6)
 
 
-def _published_copy(cover, outcome, t):
-    """Interval ``t``'s chosen copy of a solved regime MILP over ``cover``
-    (its largest ``lam``), and the copy's maps."""
-    maps = bilevel.copy_maps(cover)
-    mine = np.flatnonzero(cover.t == t)
-    return mine[np.argmax(outcome.x[maps.start[mine]])], maps
+def _published_copy(maps, outcome, t):
+    """Interval ``t``'s chosen copy of a solved regime MILP over ``maps``
+    (its largest ``lam``)."""
+    mine = np.flatnonzero(maps.cover.t == t)
+    return mine[np.argmax(outcome.x[maps.start[mine]])]
 
 
-def _with_tiny_negative_bid(cover, outcome, sol):
+def _with_tiny_negative_bid(maps, outcome, sol):
     """The outcome with the first zero bid of the published schedule that is
     a column of its copy carried at -1e-15, and that bid's interval and
     market."""
     for t, market in np.argwhere(sol.bids == 0.0).tolist():
-        k, maps = _published_copy(cover, outcome, t)
-        if maps.own[maps.pattern[k], market]:
+        k = _published_copy(maps, outcome, t)
+        if maps.col[k, market] >= 0:
             break
     x = outcome.x.copy()
-    x[maps.start[k] + maps.local[maps.pattern[k], market]] = -1e-15
+    x[maps.col[k, market]] = -1e-15
     return dataclasses.replace(outcome, x=x), t, market
 
 
 @pytest.fixture(scope="module")
 def acceptance_solve():
     scn = acceptance_instance()
-    cover = clearing.regimes(clearing.LlLayout(scn))
-    outcome = solver.solve_milp(bilevel.assemble_regime_milp(cover), gap_tol=1e-9)
-    return cover, outcome, bilevel.regime_solution(cover, outcome)
+    maps = bilevel.copy_maps(clearing.regimes(clearing.LlLayout(scn)))
+    outcome = solver.solve_milp(bilevel.assemble_regime_milp(maps), gap_tol=1e-9)
+    return maps, outcome, bilevel.regime_solution(maps, outcome)
 
 
 def test_regime_solution_snaps_a_tiny_negative_bid(acceptance_solve):
-    cover, outcome, sol = acceptance_solve
-    perturbed, t, market = _with_tiny_negative_bid(cover, outcome, sol)
-    snapped = bilevel.regime_solution(cover, perturbed)
+    maps, outcome, sol = acceptance_solve
+    perturbed, t, market = _with_tiny_negative_bid(maps, outcome, sol)
+    snapped = bilevel.regime_solution(maps, perturbed)
     name = ("sell", "buy", "reserve", "regcap")[market]
     assert snapped.notes[0] == f"t{t}:{name}_bid -1e-15 snapped to 0.0"
     assert snapped.bids.tobytes() == sol.bids.tobytes()
@@ -283,13 +313,13 @@ def test_regime_solution_snaps_a_tiny_negative_bid(acceptance_solve):
 def test_regime_solution_snaps_a_tiny_negative_award(acceptance_solve):
     # the copy's award follows its bid one for one, so the award read
     # through the copy's map lands at -1e-15 too, below its bound 0
-    cover, outcome, sol = acceptance_solve
-    perturbed, t, market = _with_tiny_negative_bid(cover, outcome, sol)
-    k, maps = _published_copy(cover, outcome, t)
-    col = cover.layout.col_bs + market
+    maps, outcome, sol = acceptance_solve
+    perturbed, t, market = _with_tiny_negative_bid(maps, outcome, sol)
+    k = _published_copy(maps, outcome, t)
+    col = maps.cover.layout.col_bs + market
     assert maps.q[maps.pattern[k], col, market] == 1.0
     assert sol.x[t, col] == 0.0
-    snapped = bilevel.regime_solution(cover, perturbed)
+    snapped = bilevel.regime_solution(maps, perturbed)
     name = ("sell", "buy", "reserve", "regcap")[market]
     assert snapped.notes[1:] == [f"t{t}:{name}_award -1e-15 snapped to 0.0"]
     assert snapped.x[t, col] == 0.0 and not np.signbit(snapped.x[t, col])
@@ -395,18 +425,20 @@ def reference_case_3_cover():
 @pytest.mark.parametrize("name", [1, 2, 3, 4, "acceptance 1", "reference 3"])
 def test_reduced_copies_reach_the_full_copy_optimum(cover_runs, reference_case_3_cover, name):
     cover = reference_case_3_cover if name == "reference 3" else cover_runs[name].cover
-    outcome = solver.solve_milp(bilevel.assemble_regime_milp(cover), gap_tol=1e-9)
+    maps = bilevel.copy_maps(cover)
+    outcome = solver.solve_milp(bilevel.assemble_regime_milp(maps), gap_tol=1e-9)
     full = solver.solve_milp(full_copy_regime_milp(cover), gap_tol=1e-9)
     assert outcome.status == full.status == solver.OPTIMAL
     assert abs(outcome.objective - full.objective) <= 1e-9 * abs(full.objective)
-    report = bilevel.verify_bilevel_solution(bilevel.regime_solution(cover, outcome))
+    report = bilevel.verify_bilevel_solution(bilevel.regime_solution(maps, outcome))
     assert report.passed, report.summary()
     assert report.revenue_milp == outcome.objective
 
 
 def test_desk_case_4_reduced_model_is_at_most_half_the_full_copy_model(desk_covers):
     cover = desk_covers[4]
-    reduced, full = bilevel.assemble_regime_milp(cover), full_copy_regime_milp(cover)
+    reduced = bilevel.assemble_regime_milp(bilevel.copy_maps(cover))
+    full = full_copy_regime_milp(cover)
     assert (full.n_cols, full.n_rows) == (6250, 9718)
     assert 2 * reduced.n_cols <= full.n_cols
     assert 2 * reduced.n_rows <= full.n_rows
@@ -430,7 +462,7 @@ def test_degenerate_copies_keep_their_free_columns(desk_covers, caplog):
     degenerate = int((own_cols > 0).sum())
     assert degenerate >= 1
     with caplog.at_level(logging.INFO, logger="bessbid.bilevel"):
-        bilevel.assemble_regime_milp(cover)
+        bilevel.assemble_regime_milp(maps)
     assert f"{len(cover.t)} binaries, {degenerate} copies with a free clearing column" \
         in caplog.text
 

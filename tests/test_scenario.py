@@ -20,7 +20,6 @@ from bessbid.scenario import (
     Scenario,
     ScenarioError,
     default_patterns,
-    load_patterns,
     load_scenario,
     save_scenario,
     scenario_from_text,
@@ -35,9 +34,9 @@ from conftest import acceptance_instance
 from test_acceptance import small_instance
 
 
-def write_pattern(path, values):
-    path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
-    return str(path)
+# sha256 of the packaged price pattern's float64 bytes, then the load
+# pattern's
+PATTERNS_SHA256 = "1b6d7e531e5dac2118a1a30ba70e3836ded670ca2f59d13f146660362cc77059"
 
 
 def test_default_patterns_peak_location():
@@ -47,35 +46,7 @@ def test_default_patterns_peak_location():
     assert load.max() == 1.0
     assert price.max() == 1.0
     assert np.all((0 <= price) & (price <= 1)) and np.all((0 <= load) & (load <= 1))
-
-
-def test_load_patterns_flat_identity(tmp_path):
-    p = write_pattern(tmp_path / "p.csv", [1.0] * 4)
-    l = write_pattern(tmp_path / "l.csv", [1.0] * 4)
-    price, load = load_patterns(p, l)
-    np.testing.assert_array_equal(price, np.ones(4))
-    np.testing.assert_array_equal(load, np.ones(4))
-
-
-def test_load_patterns_rejects_out_of_range(tmp_path):
-    p = write_pattern(tmp_path / "p.csv", [0.5, 1.2])
-    l = write_pattern(tmp_path / "l.csv", [1.0, 0.5])
-    with pytest.raises(ScenarioError, match=r"outside \[0, 1\]"):
-        load_patterns(p, l)
-
-
-def test_load_patterns_rejects_length_mismatch(tmp_path):
-    p = write_pattern(tmp_path / "p.csv", [0.5, 0.6, 0.7])
-    l = write_pattern(tmp_path / "l.csv", [1.0, 0.5])
-    with pytest.raises(ScenarioError, match="length mismatch"):
-        load_patterns(p, l)
-
-
-def test_load_patterns_requires_unit_load_peak(tmp_path):
-    p = write_pattern(tmp_path / "p.csv", [0.5, 0.6])
-    l = write_pattern(tmp_path / "l.csv", [0.9, 0.8])
-    with pytest.raises(ScenarioError, match="expected 1.0"):
-        load_patterns(p, l)
+    assert hashlib.sha256(price.tobytes() + load.tobytes()).hexdigest() == PATTERNS_SHA256
 
 
 def test_synthesize_maps_patterns():
